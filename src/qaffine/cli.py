@@ -4,10 +4,11 @@
     qaffine verify {ybe|rll|gauge|engine|duality|structure|all} [...]
     qaffine list variants
 
-Defaults come from built-ins, then an optional key=value config file,
-then the QAFFINE_ORDER / QAFFINE_FOCK environment variables, then flags.
-Exit codes: 0 success or all checks passed, 1 at least one check failed
-(the report is still emitted), 2 usage or configuration errors.
+Settings come from built-ins, then an optional key=value config file,
+then the QAFFINE_ORDER / QAFFINE_FOCK environment variables, then flags;
+the merged values are range-checked.  Exit codes: 0 success or all
+checks passed, 1 at least one check failed (the report is still
+emitted), 2 usage or configuration errors.
 """
 
 import argparse
@@ -29,6 +30,11 @@ DEFAULTS = {"order": 8, "fock": 12, "backend": "rational", "format": "text",
 
 _CONFIG_KEYS = {"order": int, "fock": int, "backend": str, "format": str,
                 "workers": int}
+
+# smallest accepted value of each integer setting, and the accepted values
+# of each string setting
+_MINIMUM = {"order": 0, "fock": 2, "workers": 1}
+_CHOICES = {"backend": ("series", "rational"), "format": ("json", "text")}
 
 
 class UsageError(Exception):
@@ -54,14 +60,27 @@ def load_config(path):
     return out
 
 
-def effective_defaults(args):
+def effective_settings(args):
+    """Built-ins, then the config file, then QAFFINE_ORDER / QAFFINE_FOCK,
+    then the flags; every merged value is range-checked."""
     out = dict(DEFAULTS)
     if getattr(args, "config", None):
         out.update(load_config(args.config))
-    if os.environ.get("QAFFINE_ORDER"):
-        out["order"] = int(os.environ["QAFFINE_ORDER"])
-    if os.environ.get("QAFFINE_FOCK"):
-        out["fock"] = int(os.environ["QAFFINE_FOCK"])
+    for key in ("order", "fock"):
+        value = os.environ.get("QAFFINE_" + key.upper())
+        if value:
+            out[key] = int(value)
+    for key in DEFAULTS:
+        if getattr(args, key, None) is not None:
+            out[key] = getattr(args, key)
+    for key, low in _MINIMUM.items():
+        if out[key] < low:
+            raise UsageError("%s must be at least %d, got %d"
+                             % (key, low, out[key]))
+    for key, choices in _CHOICES.items():
+        if out[key] not in choices:
+            raise UsageError("%s must be one of %s, got %r"
+                             % (key, ", ".join(choices), out[key]))
     return out
 
 
@@ -148,10 +167,7 @@ def _parse_twist(text):
 
 
 def cmd_compute(args, conf):
-    order = args.order if args.order is not None else conf["order"]
-    fock = args.fock if args.fock is not None else conf["fock"]
-    backend = args.backend or conf["backend"]
-    fmt = args.format or conf["format"]
+    order, fock, backend = conf["order"], conf["fock"], conf["backend"]
     if args.algebra is None:
         args.algebra = "a1"
     if args.what == "r" and args.side != "phi-phi":
@@ -228,21 +244,16 @@ def _flat_series_text(mat):
 
 
 def cmd_verify(args, conf):
-    order = args.order if args.order is not None else conf["order"]
-    fock = args.fock if args.fock is not None else conf["fock"]
-    workers = args.workers if args.workers is not None else conf["workers"]
-    checks = suite_checks(algebra=args.algebra, order=order, fock=fock)
+    checks = suite_checks(algebra=args.algebra, order=conf["order"],
+                          fock=conf["fock"])
     if args.what != "all":
-        prefix = {"ybe": "ybe", "rll": "rll", "gauge": "gauge",
-                  "engine": "engine", "duality": "duality",
-                  "structure": "structure"}[args.what]
-        checks = [c for c in checks if c[0].split("-", 1)[1].startswith(prefix)]
+        checks = [c for c in checks
+                  if c[0].split("-", 1)[1].startswith(args.what)]
     if not checks:
         raise UsageError("no checks selected")
-    results = run_suite(checks, workers=workers)
+    results = run_suite(checks, workers=conf["workers"])
     all_pass = all(v.passed for _, v in results)
-    fmt = args.format or conf["format"]
-    if fmt == "json":
+    if conf["format"] == "json":
         text = json.dumps([dict(v.to_json(), id=cid) for cid, v in results],
                           indent=2)
     else:
@@ -266,16 +277,16 @@ def main(argv=None):
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
-        conf = effective_defaults(args)
+        conf = effective_settings(args)
         if args.command == "list":
             text = "\n".join("%s %s %s" % v for v in list_variants())
             _emit(text, getattr(args, "out", None))
             return 0
         if args.command == "compute":
             payload, text = cmd_compute(args, conf)
-            fmt = args.format or conf["format"]
-            out = json.dumps(payload, indent=2) if fmt == "json" else text
-            _emit(out, args.out)
+            if conf["format"] == "json":
+                text = json.dumps(payload, indent=2)
+            _emit(text, args.out)
             return 0
         if args.command == "verify":
             text, all_pass = cmd_verify(args, conf)

@@ -18,10 +18,12 @@ element is free of truncation noise.
 from fractions import Fraction
 
 from .scalars import QScalar, q_power, qint, qnum_base
-from .series import ZetaSeries, series_exp
-from .linalg import OpMatrix, kron
-from .rootsys import extend_cartan, finite_cartan, positive_roots
-from .qgroup import GeneratorImage, ScaledOp, phi_zeta, dynkin_twist
+from .series import ZetaSeries, series_exp, series_log
+from .linalg import OpMatrix, kron, fock_level, _flat, _unflat
+from .rootsys import (
+    extend_cartan, finite_cartan, finite_positive, positive_roots,
+)
+from .qgroup import ScaledOp, phi_zeta, dynkin_twist, _exps_for
 from .oscillator import chi_images, psi_images
 
 __all__ = ["EngineParams", "EngineError", "RootVectorTable",
@@ -48,10 +50,10 @@ class EngineParams:
 
     def __init__(self, algebra, s, s1, s2=0, order=8, left="phi",
                  right="phi", family=1, twist=None, fock_dim=None,
-                 zeta_offset=0, fock_pad=None, osc_params=None):
+                 zeta_offset=0, osc_params=None):
         if s < 1:
             raise EngineError("the series engine needs s >= 1")
-        exps = (s - s1, s1) if algebra == "a1" else (s - s1 - s2, s1, s2)
+        exps = _exps_for(algebra, s, s1, s2)
         if any(x < 0 for x in exps):
             raise EngineError("node exponents must be non-negative, got %s"
                               % (exps,))
@@ -67,23 +69,21 @@ class EngineParams:
         self.fock_dim = fock_dim if fock_dim is not None else order + 4
         self.zeta_offset = zeta_offset
         self.osc_params = osc_params
-        # truncation noise sits in a band at the top of the internal Fock
-        # space; climbing paths from reported states stay below it once the
-        # pad clears the band width (delta cutoff plus a few ladder steps)
-        self._fock_pad = fock_pad if fock_pad is not None else self.m_max + 6
 
     @property
     def m_max(self):
         return self.order // self.s
 
     @property
-    def fock_pad(self):
-        return self._fock_pad
+    def internal_fock_dim(self):
+        """Fock dimension the oscillator legs are built on.
 
-    def exps(self):
-        if self.algebra == "a1":
-            return (self.s - self.s1, self.s1)
-        return (self.s - self.s1 - self.s2, self.s1, self.s2)
+        Truncation noise sits in a band at the top of the internal Fock
+        space; climbing paths from reported states stay below it once the
+        padding clears the band width (delta cutoff plus a few ladder
+        steps).
+        """
+        return self.fock_dim + self.m_max + 6
 
 
 def _leg_images(params, which):
@@ -93,15 +93,10 @@ def _leg_images(params, which):
     if kind == "phi":
         return phi_zeta(params.algebra, params.s, params.s1, params.s2,
                         zeta_scale=scale)
-    d_int = params.fock_dim + params.fock_pad
-    if kind == "chi":
-        img = chi_images(params.algebra, params.s, params.s1, params.s2,
-                         d=d_int, family=params.family, zeta_scale=scale,
-                         params=params.osc_params)
-    else:
-        img = psi_images(params.algebra, params.s, params.s1, params.s2,
-                         d=d_int, family=params.family, zeta_scale=scale,
-                         params=params.osc_params)
+    build = chi_images if kind == "chi" else psi_images
+    img = build(params.algebra, params.s, params.s1, params.s2,
+                d=params.internal_fock_dim, family=params.family,
+                zeta_scale=scale, params=params.osc_params)
     if params.twist is not None:
         img = dynkin_twist(img, params.twist)
     return img
@@ -124,12 +119,6 @@ class RootVectorTable:
 
     def imag_op(self, i, m):
         return self.imag.get((i, m))
-
-
-def _finite_positive_parts(algebra):
-    if algebra == "a1":
-        return [(1,)]
-    return [(1, 0), (1, 1), (0, 1)]
 
 
 def build_root_vectors(image, side, m_max):
@@ -162,7 +151,7 @@ def build_root_vectors(image, side, m_max):
 
     prime_delta = {}
     primes = {}
-    for gamma in _finite_positive_parts(algebra):
+    for gamma in finite_positive(algebra):
         minus = tuple(-g for g in gamma)
         if side == "e":
             prime_delta[gamma] = real[(gamma, 0)].q_commutator(
@@ -216,28 +205,31 @@ def build_root_vectors(image, side, m_max):
 
 
 def _graded_log(comps, m_max):
-    """log(1 + X) for X = sum_m comps[m] y^m, graded-truncated at m_max."""
+    """log(1 + X) for X = sum_m comps[m] y^m, graded-truncated at m_max.
+
+    Imaginary root vectors have weight zero and every leg's Cartan
+    diagonals separate its states, so each comps[m] is diagonal and the
+    log is taken entry by entry.
+    """
+    per_state = {}
+    for m, mat in comps.items():
+        if not mat.is_diagonal():
+            raise EngineError("imaginary root vector at level %d is not "
+                              "diagonal" % m)
+        for (i, _), v in mat.entries.items():
+            per_state.setdefault(i, {0: ONE})[m] = v
     out = {}
-    power = dict(comps)
-    k = 1
-    while power and k <= m_max:
-        c = QScalar.from_fraction(Fraction(1, k) if k % 2 else Fraction(-1, k))
-        for m, mat in power.items():
-            add = mat.scale(c)
-            out[m] = out[m] + add if m in out else add
-        nxt = {}
-        for ma, a in power.items():
-            for mb, b in comps.items():
-                m = ma + mb
-                if m > m_max:
-                    continue
-                p = a * b
-                if not p:
-                    continue
-                nxt[m] = nxt[m] + p if m in nxt else p
-        power = {m: v for m, v in nxt.items() if v}
-        k += 1
-    return out
+    cache = {}
+    for i, coeffs in per_state.items():
+        g = ZetaSeries(coeffs, m_max)
+        log = cache.get(g)
+        if log is None:
+            log = cache[g] = series_log(g)
+        for m, c in log.coeffs.items():
+            out.setdefault(m, {})[(i, i)] = c
+    dim = next(iter(comps.values())).dim if comps else 0
+    return {m: OpMatrix(dim, entries, ONE, _clean=True)
+            for m, entries in out.items()}
 
 
 def u_matrices(algebra, m_max):
@@ -339,7 +331,7 @@ def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order):
         return one, _identity_series(dim, order)
     arg = _series_matrix(terms, dim, order)
     if not arg.is_diagonal():
-        return one, _matrix_series_exp(arg, dim, order)
+        raise EngineError("imaginary factor argument is not diagonal")
     zero = ZetaSeries.zero(order)
     a0 = arg.entries.get((0, 0), zero)
     prefactor = series_exp(a0)
@@ -353,27 +345,6 @@ def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order):
             got = cache[diff] = series_exp(diff)
         out[(i, i)] = got
     return prefactor, OpMatrix(dim, out, one)
-
-
-def _matrix_series_exp(arg, dim, order):
-    acc = _identity_series(dim, order)
-    term = _identity_series(dim, order)
-    k = 1
-    while True:
-        term = term * arg
-        if not term:
-            break
-        acc = acc + term.map_values(
-            lambda s: s.scale(QScalar.from_fraction(Fraction(1, _fact(k)))))
-        k += 1
-    return acc
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _k_factor(left_image, right_image, params, order):
@@ -413,7 +384,7 @@ def check_normalization_constants(params):
         if e is None or f is None:
             continue
         lhs = e.mat.commutator(f.mat)
-        ks = root.simple_coefficients(params.algebra)
+        ks = root.simple_coefficients()
         hvals = [sum(k * img.h_diags[i][x] for i, k in enumerate(ks))
                  for x in range(img.dim)]
         rhs = OpMatrix.diagonal(
@@ -492,35 +463,26 @@ def _group_families(roots, algebra):
 
 
 def _restrict_output(mat, params, left, right):
+    """Cut the oscillator legs from the internal Fock dimension back to the
+    reported one."""
     d_out = params.fock_dim
-    d_int = d_out + params.fock_pad
+    d_int = params.internal_fock_dim
 
     def leg_map(image, kind):
+        # oscillator leg: keep the states with every copy index below d_out
         if kind == "phi":
-            return None
-        # oscillator leg: keep states with every copy index below d_out
-        copies = image.copies
-        keep = {}
-        for idx in range(image.dim):
-            coords = []
-            i = idx
-            for _ in range(copies):
-                coords.append(i % d_int)
-                i //= d_int
-            coords.reverse()
-            if all(c < d_out for c in coords):
-                new = 0
-                for c in coords:
-                    new = new * d_out + c
-                keep[idx] = new
-        return keep, d_out ** copies
+            return image.dim, None
+        dims_int = [d_int] * image.copies
+        dims_out = [d_out] * image.copies
+        keep = {idx: _flat(_unflat(idx, dims_int), dims_out)
+                for idx in range(image.dim)
+                if fock_level(idx, d_int, image.copies) < d_out}
+        return d_out ** image.copies, keep
 
-    lmap = leg_map(left, params.left)
-    rmap = leg_map(right, params.right)
-    if lmap is None and rmap is None:
+    dim_l_new, lm = leg_map(left, params.left)
+    dim_r_new, rm = leg_map(right, params.right)
+    if lm is None and rm is None:
         return mat
-    dim_l_new, lm = (left.dim, None) if lmap is None else (lmap[1], lmap[0])
-    dim_r_new, rm = (right.dim, None) if rmap is None else (rmap[1], rmap[0])
     dim_r_old = right.dim
     out = {}
     for (r, c), v in mat.entries.items():

@@ -13,7 +13,7 @@ import itertools
 
 __all__ = [
     "OpMatrix", "kron", "perm_operator", "hat_and_check", "embed_legs",
-    "Grid", "grid_akp",
+    "fock_level", "Grid", "grid_akp",
 ]
 
 
@@ -281,6 +281,17 @@ def _unflat(i, dims):
     return tuple(reversed(out))
 
 
+def fock_level(i, d, copies):
+    """Highest occupation number of the flat Fock index i over `copies`
+    factors of d states each: the largest base-d digit of i."""
+    level = 0
+    for _ in range(copies):
+        i, n = divmod(i, d)
+        if n > level:
+            level = n
+    return level
+
+
 class Grid:
     """Square matrix with algebra-valued entries (operators as OpMatrix).
 
@@ -298,10 +309,6 @@ class Grid:
             self.entries = entries
         else:
             self.entries = {ab: m for ab, m in entries.items() if m}
-
-    @staticmethod
-    def zero(n, op_dim, one):
-        return Grid(n, {}, op_dim, one, _clean=True)
 
     @staticmethod
     def identity(n, op_dim, one):
@@ -390,14 +397,6 @@ class Grid:
         return Grid(self.n,
                     {ab: m.map_values(fn, one) for ab, m in self.entries.items()},
                     self.op_dim, one)
-
-    def scale_ops(self, c):
-        return self.map_ops(lambda m: m.scale(c))
-
-    def transpose_grid(self):
-        """Transpose the outer n x n index only."""
-        return Grid(self.n, {(b, a): m for (a, b), m in self.entries.items()},
-                    self.op_dim, self.one, _clean=True)
 
     def flatten(self, op_leg_first):
         """Flatten to a single OpMatrix over dim (n * op_dim)."""

@@ -10,15 +10,18 @@ specializations whose assembled forms are transcribed in the reference
 module.
 """
 
+import itertools
+
 from fractions import Fraction
 
 from .scalars import QScalar, q_power
 from .linalg import OpMatrix, kron
-from .qgroup import GeneratorImage
+from .qgroup import GeneratorImage, _exps_for
 
 __all__ = [
-    "FockRep", "fock_rep", "chi_images", "psi_images", "osc_automorphism",
-    "two_copy_automorphism", "tau_matrix", "gamma_scaling", "OscParams",
+    "FockRep", "fock_rep", "FockCopies", "chi_images", "psi_images",
+    "osc_automorphism", "two_copy_automorphism", "tau_matrix",
+    "gamma_scaling", "OscParams",
 ]
 
 ONE = QScalar.ONE
@@ -70,28 +73,66 @@ class OscParams:
             raise ValueError("mu parameters must be invertible")
 
 
-def _c_inv():
-    # 1/(q - q^-1)
-    return (q_power(1) - q_power(-1)).inverse()
+class FockCopies:
+    """Ladder operators, q^(c.D) and the Cartan diagonals on `copies`
+    (1 or 2) Fock factors of d states each, the first copy slowest."""
+
+    # h_i = sum_k c_ik D_k: h_0 = -2D, h_1 = 2D on one copy, and
+    # h_0 = -D1 - D2, h_1 = 2 D1 - D2, h_2 = -D1 + 2 D2 on two
+    _H_COEFFS = {1: ((-2,), (2,)), 2: ((-1, -1), (2, -1), (-1, 2))}
+
+    def __init__(self, d, copies):
+        f = FockRep(d)
+        eye = OpMatrix.identity(d, ONE)
+
+        def on_copy(k, m):
+            out = m if k == 0 else eye
+            for c in range(1, copies):
+                out = kron(out, m if c == k else eye)
+            return out
+
+        self.d = d
+        self.copies = copies
+        self.dim = d ** copies
+        self.states = list(itertools.product(range(d), repeat=copies))
+        self.a = [on_copy(k, f.lowering()) for k in range(copies)]
+        self.ad = [on_copy(k, f.raising()) for k in range(copies)]
+        self.eye = OpMatrix.identity(self.dim, ONE)
+        self.h = [tuple(sum(c * n for c, n in zip(cs, state))
+                        for state in self.states)
+                  for cs in self._H_COEFFS[copies]]
+        self._f = f
+
+    def qd(self, *cs):
+        """q^(c_1 D_1 + ... + c_k D_k), one exponent per copy."""
+        out = self._f.q_number_power(cs[0])
+        for c in cs[1:]:
+            out = kron(out, self._f.q_number_power(c))
+        return out
 
 
-def _a1_defaults(side):
+def _default_params(algebra, side, family):
     c = q_power(1) - q_power(-1)
-    if side == "chi":
-        return OscParams((c * c).inverse(), [c], [Fraction(0)])
-    return OscParams((c * c).inverse(), [c.inverse()], [Fraction(0)])
-
-
-def _a2_defaults(side, family):
-    c = q_power(1) - q_power(-1)
+    mu = c if side == "chi" else c.inverse()
+    if algebra == "a1":
+        return OscParams((c * c).inverse(), [mu], [Fraction(0)])
     rho = (c * c * c).inverse()
-    if family == 2:
-        rho = -rho
-    if side == "chi":
-        mu = [c, c]
-    else:
-        mu = [c.inverse(), c.inverse()]
-    return OscParams(rho, mu, [Fraction(0)] * 3)
+    return OscParams(rho if family == 1 else -rho, [mu, mu],
+                     [Fraction(0)] * 3)
+
+
+def _setup(algebra, side, family, d, params):
+    if algebra not in ("a1", "a2"):
+        raise ValueError("unsupported algebra label: %r" % (algebra,))
+    o = FockCopies(d, 1 if algebra == "a1" else 2)
+    return o, params or _default_params(algebra, side, family)
+
+
+def _image(o, algebra, e_mats, f_mats, s, s1, s2, zeta_scale):
+    exps = tuple(zeta_scale * x for x in _exps_for(algebra, s, s1, s2))
+    return GeneratorImage(algebra, o.dim, o.h, e_mats, f_mats, exps,
+                          safe_window=o.d - 1, copies=o.copies,
+                          copy_dim=o.d)
 
 
 def chi_images(algebra, s, s1, s2=0, d=12, family=1, params=None,
@@ -99,104 +140,45 @@ def chi_images(algebra, s, s1, s2=0, d=12, family=1, params=None,
     """Positive-Borel homomorphism on one (rank 1) or two (rank 2) copies.
 
     For the rank-2 algebra `family` selects between the two inequivalent
-    solutions of the Serre relations.
+    solutions of the Serre relations; they differ by a unit shift in the
+    exponents of q^(D_2) carried by e_0 and e_2.
     """
+    o, params = _setup(algebra, "chi", family, d, params)
+    rho = params.rho
     if algebra == "a1":
-        params = params or _a1_defaults("chi")
-        f = FockRep(d)
-        a = f.lowering()
-        ad = f.raising()
-        rho, (mu,), (nu,) = params.rho, params.mu, params.nu
-        e0 = a.scale(rho * mu) * f.q_number_power(nu)
-        e1 = f.q_number_power(-nu) * ad.scale(mu.inverse())
-        h = [tuple(-2 * n for n in range(d)), tuple(2 * n for n in range(d))]
-        img = GeneratorImage("a1", d, h, [e0, e1], [None, None],
-                             _scaled_exps("a1", s, s1, s2, zeta_scale),
-                             safe_window=d - 1, copies=1, copy_dim=d)
-        return img
-    if algebra != "a2":
-        raise ValueError("unsupported algebra label: %r" % (algebra,))
-    params = params or _a2_defaults("chi", family)
-    rho, (mu1, mu2), (nu1, nu2, nu3) = params.rho, params.mu, params.nu
-    f = FockRep(d)
-    eye = OpMatrix.identity(d, ONE)
-    a1, a1d = kron(f.lowering(), eye), kron(f.raising(), eye)
-    a2, a2d = kron(eye, f.lowering()), kron(eye, f.raising())
-
-    def qq(c1, c2):
-        return kron(f.q_number_power(c1), f.q_number_power(c2))
-
-    if family == 1:
-        e0 = (a1 * a2).scale(rho * mu1 * mu2) * qq(nu1 + nu2 - 1, nu2 + nu3 - 2)
-        e2 = qq(-(nu2 - 1), -nu3) * a2d.scale(mu2.inverse())
+        (mu,), (nu,) = params.mu, params.nu
+        e = [o.a[0].scale(rho * mu) * o.qd(nu),
+             o.qd(-nu) * o.ad[0].scale(mu.inverse())]
     else:
-        e0 = (a1 * a2).scale(rho * mu1 * mu2) * qq(nu1 + nu2 - 1, nu2 + nu3)
-        e2 = qq(-(nu2 + 1), -nu3) * a2d.scale(mu2.inverse())
-    e1 = qq(-nu1, -nu2) * a1d.scale(mu1.inverse())
-    h = _two_copy_h(d)
-    return GeneratorImage("a2", d * d, h, [e0, e1, e2], [None, None, None],
-                          _scaled_exps("a2", s, s1, s2, zeta_scale),
-                          safe_window=d - 1, copies=2, copy_dim=d)
+        (mu1, mu2), (nu1, nu2, nu3) = params.mu, params.nu
+        (a1, a2), (a1d, a2d), qq = o.a, o.ad, o.qd
+        shift = 1 if family == 1 else -1
+        e = [(a1 * a2).scale(rho * mu1 * mu2)
+             * qq(nu1 + nu2 - 1, nu2 + nu3 - 1 - shift),
+             qq(-nu1, -nu2) * a1d.scale(mu1.inverse()),
+             qq(-(nu2 - shift), -nu3) * a2d.scale(mu2.inverse())]
+    return _image(o, algebra, e, [None] * len(e), s, s1, s2, zeta_scale)
 
 
 def psi_images(algebra, s, s1, s2=0, d=12, family=1, params=None,
                zeta_scale=1):
     """Negative-Borel homomorphism; mirrors chi_images on the f side."""
+    o, params = _setup(algebra, "psi", family, d, params)
+    rho = params.rho
     if algebra == "a1":
-        params = params or _a1_defaults("psi")
-        f = FockRep(d)
-        a = f.lowering()
-        ad = f.raising()
-        rho, (mu,), (nu,) = params.rho, params.mu, params.nu
-        f0 = f.q_number_power(-nu) * ad.scale(rho * mu.inverse())
-        f1 = a.scale(mu) * f.q_number_power(nu)
-        h = [tuple(-2 * n for n in range(d)), tuple(2 * n for n in range(d))]
-        return GeneratorImage("a1", d, h, [None, None], [f0, f1],
-                              _scaled_exps("a1", s, s1, s2, zeta_scale),
-                              safe_window=d - 1, copies=1, copy_dim=d)
-    if algebra != "a2":
-        raise ValueError("unsupported algebra label: %r" % (algebra,))
-    params = params or _a2_defaults("psi", family)
-    rho, (mu1, mu2), (nu1, nu2, nu3) = params.rho, params.mu, params.nu
-    f = FockRep(d)
-    eye = OpMatrix.identity(d, ONE)
-    a1, a1d = kron(f.lowering(), eye), kron(f.raising(), eye)
-    a2, a2d = kron(eye, f.lowering()), kron(eye, f.raising())
-
-    def qq(c1, c2):
-        return kron(f.q_number_power(c1), f.q_number_power(c2))
-
-    scale0 = rho * mu1.inverse() * mu2.inverse()
-    if family == 1:
-        f0 = qq(-(nu1 + nu2 + 1), -(nu2 + nu3 + 2)) * (a1d * a2d).scale(scale0)
-        f2 = a2.scale(mu2) * qq(nu2 + 1, nu3)
+        (mu,), (nu,) = params.mu, params.nu
+        f = [o.qd(-nu) * o.ad[0].scale(rho * mu.inverse()),
+             o.a[0].scale(mu) * o.qd(nu)]
     else:
-        f0 = qq(-(nu1 + nu2 + 1), -(nu2 + nu3)) * (a1d * a2d).scale(scale0)
-        f2 = a2.scale(mu2) * qq(nu2 - 1, nu3)
-    f1 = a1.scale(mu1) * qq(nu1, nu2)
-    h = _two_copy_h(d)
-    return GeneratorImage("a2", d * d, h, [None, None, None], [f0, f1, f2],
-                          _scaled_exps("a2", s, s1, s2, zeta_scale),
-                          safe_window=d - 1, copies=2, copy_dim=d)
-
-
-def _scaled_exps(algebra, s, s1, s2, zeta_scale):
-    if algebra == "a1":
-        base = (s - s1, s1)
-    else:
-        base = (s - s1 - s2, s1, s2)
-    return tuple(zeta_scale * x for x in base)
-
-
-def _two_copy_h(d):
-    # h_0 = -D1 - D2, h_1 = 2 D1 - D2, h_2 = -D1 + 2 D2
-    h0, h1, h2 = [], [], []
-    for n1 in range(d):
-        for n2 in range(d):
-            h0.append(-n1 - n2)
-            h1.append(2 * n1 - n2)
-            h2.append(-n1 + 2 * n2)
-    return [tuple(h0), tuple(h1), tuple(h2)]
+        (mu1, mu2), (nu1, nu2, nu3) = params.mu, params.nu
+        (a1, a2), (a1d, a2d), qq = o.a, o.ad, o.qd
+        shift = 1 if family == 1 else -1
+        scale0 = rho * mu1.inverse() * mu2.inverse()
+        f = [qq(-(nu1 + nu2 + 1), -(nu2 + nu3 + 1 + shift))
+             * (a1d * a2d).scale(scale0),
+             a1.scale(mu1) * qq(nu1, nu2),
+             a2.scale(mu2) * qq(nu2 + shift, nu3)]
+    return _image(o, algebra, [None] * len(f), f, s, s1, s2, zeta_scale)
 
 
 # -- automorphisms and the anti-involution -----------------------------------
@@ -218,9 +200,8 @@ def osc_automorphism(d, kappa, xi, one=ONE):
     kappa_inverse = one / kappa
     for n in range(d):
         tri = Fraction(n * (n + 1), 2)
-        qpart = _q_power_like(-xi * tri, one)
-        diag.append(kap_inv * qpart)
-        inv.append(kap_pow * _q_power_like(xi * tri, one))
+        diag.append(kap_inv * _lift(q_power(-xi * tri), one))
+        inv.append(kap_pow * _lift(q_power(xi * tri), one))
         kap_pow = kap_pow * kappa
         kap_inv = kap_inv * kappa_inverse
     s = OpMatrix.diagonal(diag, one)
@@ -228,18 +209,9 @@ def osc_automorphism(d, kappa, xi, one=ONE):
     return s, s_inv
 
 
-def _q_power_like(c, one):
-    qp = q_power(c)
-    if isinstance(one, QScalar):
-        return qp
-    # lift the Q(t) monomial into the coefficient field of `one`
-    lift = one
-    return _scale_like(lift, qp)
-
-
-def _scale_like(one, q):
-    # works for ZetaRational-like values exposing .scale
-    return one.scale(q)
+def _lift(v, one):
+    """The Q(t) value v as a value of the scalar kind of `one`."""
+    return v if isinstance(one, QScalar) else one.scale(v)
 
 
 def two_copy_automorphism(d, kappas, xis, one=ONE):
@@ -258,9 +230,9 @@ def two_copy_automorphism(d, kappas, xis, one=ONE):
             expo = (xi1 * Fraction(n1 * (n1 + 1), 2) + xi2 * n1 * n2
                     + xi3 * Fraction(n2 * (n2 + 1), 2))
             base = _pow_like(k1_inv, n1, one) * _pow_like(k2_inv, n2, one)
-            diag.append(base * _q_power_like(-expo, one))
+            diag.append(base * _lift(q_power(-expo), one))
             baseinv = _pow_like(k1, n1, one) * _pow_like(k2, n2, one)
-            inv.append(baseinv * _q_power_like(expo, one))
+            inv.append(baseinv * _lift(q_power(expo), one))
     return OpMatrix.diagonal(diag, one), OpMatrix.diagonal(inv, one)
 
 
@@ -291,13 +263,8 @@ def tau_matrix(m, d, copies=1):
         g = kron(g, tau_metric(d))
     g_diag = [g.entry(i, i) for i in range(g.dim)]
     one = m.one
-    if not isinstance(one, QScalar):
-        lift = lambda v: one.scale(v)
-        gm = OpMatrix.diagonal([lift(v) for v in g_diag], one)
-        gm_inv = OpMatrix.diagonal([lift(v.inverse()) for v in g_diag], one)
-    else:
-        gm = g
-        gm_inv = OpMatrix.diagonal([v.inverse() for v in g_diag], one)
+    gm = OpMatrix.diagonal([_lift(v, one) for v in g_diag], one)
+    gm_inv = OpMatrix.diagonal([_lift(v.inverse(), one) for v in g_diag], one)
     return gm_inv * m.transpose() * gm
 
 

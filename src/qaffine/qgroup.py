@@ -11,7 +11,7 @@ shapes.
 """
 
 from .scalars import QScalar, q_power, qbinom
-from .linalg import OpMatrix
+from .linalg import OpMatrix, fock_level
 from .rootsys import extend_cartan, finite_cartan
 
 __all__ = ["ScaledOp", "GeneratorImage", "phi_zeta", "dynkin_twist",
@@ -112,22 +112,6 @@ class GeneratorImage:
         m = self.f_mats[i]
         return None if m is None else ScaledOp(-scale * self.exps[i], m)
 
-    def window_keep(self):
-        """Index predicate for the truncation-safe subspace."""
-        if self.safe_window is None:
-            return lambda i: True
-        w = self.safe_window
-        d = self.copy_dim
-        copies = self.copies
-
-        def keep(i):
-            for _ in range(copies):
-                if i % d > w:
-                    return False
-                i //= d
-            return True
-        return keep
-
 
 def _exps_for(algebra, s, s1, s2):
     if algebra == "a1":
@@ -206,20 +190,11 @@ def check_defining_relations(image):
     def check(name, mat, a_count):
         # entries touched by more than `a_count` ladder steps from the top
         # are truncation noise; shrink the window accordingly
-        if image.safe_window is None:
-            bad = bool(mat)
-        else:
+        if image.safe_window is not None:
             w = image.safe_window - a_count
-            d = image.copy_dim
-
-            def keep2(i):
-                for _ in range(image.copies):
-                    if i % d > w:
-                        return False
-                    i //= d
-                return True
-            bad = bool(mat.restrict(keep2))
-        if bad:
+            mat = mat.restrict(
+                lambda i: fock_level(i, image.copy_dim, image.copies) <= w)
+        if mat:
             failures.append(name)
 
     for i in range(n):

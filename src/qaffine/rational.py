@@ -289,11 +289,6 @@ class ZetaRational:
             return ZetaRational({}, {0: one}, one, _canonical=True)
         return ZetaRational({deg: c}, {0: one}, one, _canonical=True)
 
-    @staticmethod
-    def from_poly(num, one=None):
-        one = one if one is not None else QScalar.ONE
-        return ZetaRational(num, {0: one}, one)
-
     def zero_like(self):
         return ZetaRational({}, {0: self.one}, self.one, _canonical=True)
 
@@ -370,9 +365,7 @@ class ZetaRational:
         one = self.one
         sn = min(self.num)
         pn = _shift(self.num, -sn)
-        lo = pn[0] if 0 in pn else None
-        if lo is None:
-            raise AssertionError("shifted numerator lost its constant term")
+        lo = pn[0]
         num = _shift(self.den, -sn)
         if not (lo == one):
             inv = one / lo
@@ -415,11 +408,6 @@ class ZetaRational:
             raise ValueError("substitution power must be nonzero")
         return ZetaRational({k * e: v for e, v in self.num.items()},
                             {k * e: v for e, v in self.den.items()}, self.one)
-
-    def map_coeffs(self, fn, one=None):
-        one = one if one is not None else self.one
-        return ZetaRational({k: fn(c) for k, c in self.num.items()},
-                            {k: fn(c) for k, c in self.den.items()}, one)
 
     # -- series expansion (QScalar coefficients only) ------------------------
 

@@ -20,7 +20,7 @@ from .scalars import QScalar, q_power
 from .series import ZetaSeries, series_exp, lambda_level
 from .rational import ZetaRational
 from .linalg import OpMatrix, Grid, kron
-from .oscillator import FockRep, two_copy_automorphism
+from .oscillator import FockCopies, two_copy_automorphism
 
 __all__ = [
     "PrefactorTag", "ReferenceObject", "reference_matrix", "list_variants",
@@ -191,82 +191,54 @@ def _r_a2(s, s1, s2):
     return ReferenceObject("r", "a2", "plain", (s, s1, s2), tag, mat)
 
 
-# -- single-copy oscillator building blocks ----------------------------------
+# -- oscillator building blocks ----------------------------------------------
 
-class _Osc1:
-    def __init__(self, d):
-        f = FockRep(d)
-        self.d = d
-        self.a = f.lowering()
-        self.ad = f.raising()
-        self.qd = f.q_number_power
-        self.eye = OpMatrix.identity(d, ONE)
-
-    def geom_inv(self, coeffs, s):
-        """Diagonal (1 - coeffs[n] * zeta^s)^-1 as a rational Fock matrix."""
-        return OpMatrix.diagonal(
-            [_rat({0: ONE}, {0: ONE, s: -c}) if c else ZR_ONE.one_like()
-             for c in coeffs], ZR_ONE)
-
-
-class _Osc2:
-    def __init__(self, d):
-        f = FockRep(d)
-        eye = OpMatrix.identity(d, ONE)
-        self.d = d
-        self.a1 = kron(f.lowering(), eye)
-        self.a2 = kron(eye, f.lowering())
-        self.a1d = kron(f.raising(), eye)
-        self.a2d = kron(eye, f.raising())
-        self.eye = kron(eye, eye)
-        self._f = f
-
-    def qq(self, c1, c2):
-        return kron(self._f.q_number_power(c1), self._f.q_number_power(c2))
-
-    def diag_values(self, fn):
-        d = self.d
-        return [fn(n1, n2) for n1 in range(d) for n2 in range(d)]
-
-    def geom_inv(self, fn, s):
-        return OpMatrix.diagonal(
-            [_rat({0: ONE}, {0: ONE, s: -c}) if c else ZR_ONE.one_like()
-             for c in self.diag_values(fn)], ZR_ONE)
+def _geom_inv(o, fn, s):
+    """Diagonal (1 - fn(n) zeta^s)^-1 over the Fock states n of o, for
+    nonzero fn(n)."""
+    return OpMatrix.diagonal(
+        [_rat({0: ONE}, {0: ONE, s: -fn(*n)}) for n in o.states], ZR_ONE)
 
 
 def _grid(n, entries, op_dim):
     return Grid(n, {k: v for k, v in entries.items() if v}, op_dim, ZR_ONE)
 
 
+def _unipotent(n, ab, x, op_dim):
+    """The n x n grid 1 + x E_ab over operators of dimension op_dim."""
+    entries = {(i, i): _eye_z(op_dim) for i in range(n)}
+    entries[ab] = x
+    return _grid(n, entries, op_dim)
+
+
 # -- rank-1 L-operators ------------------------------------------------------
 
 def _l_a1(variant, s, s1, d):
-    o = _Osc1(d)
+    o = FockCopies(d, 1)
+    (a,), (ad,) = o.a, o.ad
     tag = PrefactorTag(0, ((2, -6, s, 1),))
     qD = o.qd(1)
     qmD = o.qd(-1)
     if variant == "hat":
         entries = {
             (0, 0): _zmat(qD),
-            (0, 1): _zmat(o.a * qmD, s - s1),
-            (1, 0): _zmat(o.ad * qD, s1),
+            (0, 1): _zmat(a * qmD, s - s1),
+            (1, 0): _zmat(ad * qD, s1),
             (1, 1): _zmat(qmD) + _zmat(qD, s).scale(-ZR_ONE),
         }
         factors = [
-            _grid(2, {(0, 0): _eye_z(d), (1, 1): _eye_z(d),
-                      (1, 0): _zmat(o.ad, s1)}, d),
+            _unipotent(2, (1, 0), _zmat(ad, s1), d),
             _grid(2, {(0, 0): _eye_z(d),
                       (1, 1): _zmat(o.eye) - _zmat(o.eye, s)}, d),
-            _grid(2, {(0, 0): _eye_z(d), (1, 1): _eye_z(d),
-                      (0, 1): _zmat(o.a, s - s1)}, d),
+            _unipotent(2, (0, 1), _zmat(a, s - s1), d),
             _grid(2, {(0, 0): _zmat(qD), (1, 1): _zmat(qmD)}, d),
         ]
         l_type = "hat"
     elif variant == "hat-twisted":
         entries = {
             (0, 0): _zmat(qmD) + _zmat(qD, s).scale(-ZR_ONE),
-            (0, 1): _zmat(o.ad * qD, s - s1),
-            (1, 0): _zmat(o.a * qmD, s1),
+            (0, 1): _zmat(ad * qD, s - s1),
+            (1, 0): _zmat(a * qmD, s1),
             (1, 1): _zmat(qD),
         }
         factors = None
@@ -274,28 +246,26 @@ def _l_a1(variant, s, s1, d):
     elif variant == "check":
         entries = {
             (0, 0): _zmat(qD),
-            (0, 1): _zmat(o.a * qmD, s1),
-            (1, 0): _zmat(o.ad * qD, s - s1),
+            (0, 1): _zmat(a * qmD, s1),
+            (1, 0): _zmat(ad * qD, s - s1),
             (1, 1): _zmat(qmD) + _zmat(qD, s).scale(-ZR_ONE),
         }
-        geom = o.geom_inv([q_power(2 * n) for n in range(d)], s)
-        geom_up = o.geom_inv([q_power(2 * n + 2) for n in range(d)], s)
+        geom = _geom_inv(o, lambda n: q_power(2 * n), s)
+        geom_up = _geom_inv(o, lambda n: q_power(2 * n + 2), s)
         one_minus = ZR_ONE - _mono(s)
         factors = [
-            _grid(2, {(0, 0): _eye_z(d), (1, 1): _eye_z(d),
-                      (0, 1): _zmat(o.a, s1) * geom}, d),
+            _unipotent(2, (0, 1), _zmat(a, s1) * geom, d),
             _grid(2, {(0, 0): geom_up.scale(one_minus),
                       (1, 1): _zmat(o.eye) - _zmat(o.qd(2), s)}, d),
-            _grid(2, {(0, 0): _eye_z(d), (1, 1): _eye_z(d),
-                      (1, 0): geom * _zmat(o.ad, s - s1)}, d),
+            _unipotent(2, (1, 0), geom * _zmat(ad, s - s1), d),
             _grid(2, {(0, 0): _zmat(qD), (1, 1): _zmat(qmD)}, d),
         ]
         l_type = "check"
     elif variant == "check-twisted":
         entries = {
             (0, 0): _zmat(qmD) + _zmat(qD, s).scale(-ZR_ONE),
-            (0, 1): _zmat(o.ad * qD, s1),
-            (1, 0): _zmat(o.a * qmD, s - s1),
+            (0, 1): _zmat(ad * qD, s1),
+            (1, 0): _zmat(a * qmD, s - s1),
             (1, 1): _zmat(qD),
         }
         factors = None
@@ -311,9 +281,10 @@ def _l_a1(variant, s, s1, d):
 # -- rank-2 L-operators ------------------------------------------------------
 
 def _l_a2(variant, s, s1, s2, d):
-    o = _Osc2(d)
-    qq = o.qq
-    a1, a2, a1d, a2d = o.a1, o.a2, o.a1d, o.a2d
+    o = FockCopies(d, 2)
+    qq = o.qd
+    (a1, a2), (a1d, a2d) = o.a, o.ad
+    dim = d * d
     if variant == "hat-1":
         tag = PrefactorTag(0, ((3, -12, s, 1),))
         entries = {
@@ -324,35 +295,30 @@ def _l_a2(variant, s, s1, s2, d):
             (1, 0): _zmat(a1d * qq(1, 0), s1),
             (1, 1): _zmat(qq(-1, 1)) + _zmat(qq(1, -1), s).scale(
                 ZetaRational.const(-q_power(-2))),
-            (1, 2): _zmat(a2 * qq(1, -3), s - s2).scale(-ZR_ONE.one_like()),
+            (1, 2): _zmat(a2 * qq(1, -3), s - s2).scale(-ZR_ONE),
             (2, 1): _zmat(a2d * qq(0, 1), s2),
             (2, 2): _zmat(qq(0, -1)),
         }
-        geom_b = o.geom_inv(lambda n1, n2: q_power(-2 - 2 * n2), s)
-        geom_d = o.geom_inv(lambda n1, n2: q_power(-2 * n2), s)
-        one_z = _eye_z(d * d)
+        geom_b = _geom_inv(o, lambda n1, n2: q_power(-2 - 2 * n2), s)
+        geom_d = _geom_inv(o, lambda n1, n2: q_power(-2 * n2), s)
+        one_z = _eye_z(dim)
         factors = [
-            _grid(3, {(0, 0): one_z, (1, 1): one_z, (2, 2): one_z,
-                      (1, 0): _zmat(a1d, s1)}, d * d),
-            _grid(3, {(0, 0): one_z, (1, 1): one_z, (2, 2): one_z,
-                      (2, 1): _zmat(a2d * qq(1, 0)) * geom_b * _mono_mat(
-                          d * d, s2)}, d * d),
+            _unipotent(3, (1, 0), _zmat(a1d, s1), dim),
+            _unipotent(3, (2, 1), _zmat(a2d * qq(1, 0)) * geom_b
+                       * _mono_mat(dim, s2), dim),
             _grid(3, {(0, 0): one_z,
                       (1, 1): one_z - _zmat(qq(0, -2), s).scale(
                           ZetaRational.const(q_power(-2))),
-                      (2, 2): geom_d.scale(ZR_ONE - _mono(s))}, d * d),
-            _grid(3, {(0, 0): one_z, (1, 1): one_z, (2, 2): one_z,
-                      (1, 2): (_zmat(a2 * qq(-1, -2)) * geom_d
-                               * _mono_mat(d * d, s - s2)).scale(
-                                   -ZR_ONE.one_like())}, d * d),
-            _grid(3, {(0, 0): one_z, (1, 1): one_z, (2, 2): one_z,
-                      (0, 1): _zmat(a1 * qq(0, -2), s - s1).scale(
-                          ZetaRational.const(q_power(-2)))}, d * d),
-            _grid(3, {(0, 0): one_z, (1, 1): one_z, (2, 2): one_z,
-                      (0, 2): _zmat(a1 * a2 * qq(-1, -2), s - s1 - s2)},
-                  d * d),
+                      (2, 2): geom_d.scale(ZR_ONE - _mono(s))}, dim),
+            _unipotent(3, (1, 2), (_zmat(a2 * qq(-1, -2)) * geom_d
+                                   * _mono_mat(dim, s - s2)).scale(-ZR_ONE),
+                       dim),
+            _unipotent(3, (0, 1), _zmat(a1 * qq(0, -2), s - s1).scale(
+                ZetaRational.const(q_power(-2))), dim),
+            _unipotent(3, (0, 2), _zmat(a1 * a2 * qq(-1, -2), s - s1 - s2),
+                       dim),
             _grid(3, {(0, 0): _zmat(qq(1, 0)), (1, 1): _zmat(qq(-1, 1)),
-                      (2, 2): _zmat(qq(0, -1))}, d * d),
+                      (2, 2): _zmat(qq(0, -1))}, dim),
         ]
         l_type = "hat"
     elif variant == "hat-2":
@@ -361,9 +327,9 @@ def _l_a2(variant, s, s1, s2, d):
         entries = {
             (0, 0): _zmat(qq(1, 0)) + _zmat(qq(-1, 0), s).scale(
                 ZetaRational.const(-q_power(-2))),
-            (0, 1): _zmat(a1 * qq(-3, 1), s - s1).scale(-ZR_ONE.one_like()),
+            (0, 1): _zmat(a1 * qq(-3, 1), s - s1).scale(-ZR_ONE),
             (0, 2): _zmat(a1 * a2 * qq(-1, -1),
-                          s - s1 - s2).scale(-ZR_ONE.one_like()),
+                          s - s1 - s2).scale(-ZR_ONE),
             (1, 0): _zmat(a1d * qq(1, 0), s1),
             (1, 1): _zmat(qq(-1, 1)),
             (1, 2): _zmat(a2 * qq(1, -1), s - s2),
@@ -371,7 +337,7 @@ def _l_a2(variant, s, s1, s2, d):
                 ZetaRational.const(q_power(-1))),
             (2, 1): _zmat(a2d * qq(-2, 1), s2),
             (2, 2): _zmat(qq(0, -1)) + _zmat(qq(0, 1), s).scale(
-                -ZR_ONE.one_like()),
+                -ZR_ONE),
         }
         entries = {k: v.map_values(lambda r: r / den, ZR_ONE)
                    for k, v in entries.items()}
@@ -393,31 +359,25 @@ def _l_a2(variant, s, s1, s2, d):
                 ZetaRational.const(-q_power(-2))),
             (2, 2): _zmat(qq(0, -1)),
         }
-        geom = o.geom_inv(lambda n1, n2: q_power(2 * n1), s)
-        geom_up = o.geom_inv(lambda n1, n2: q_power(2 * n1 + 2), s)
-        one_z = _eye_z(d * d)
+        geom = _geom_inv(o, lambda n1, n2: q_power(2 * n1), s)
+        geom_up = _geom_inv(o, lambda n1, n2: q_power(2 * n1 + 2), s)
+        one_z = _eye_z(dim)
         factors = [
-            _grid(3, {(0, 0): one_z, (1, 1): one_z, (2, 2): one_z,
-                      (0, 1): _zmat(a1, s1) * geom}, d * d),
-            _grid(3, {(0, 0): one_z, (1, 1): one_z, (2, 2): one_z,
-                      (0, 2): (_zmat(a1 * a2 * qq(1, 0), s1 + s2)
-                               * geom).scale(-ZR_ONE.one_like())}, d * d),
-            _grid(3, {(0, 0): one_z, (1, 1): one_z, (2, 2): one_z,
-                      (1, 2): _zmat(a2 * qq(1, 0), s2)}, d * d),
+            _unipotent(3, (0, 1), _zmat(a1, s1) * geom, dim),
+            _unipotent(3, (0, 2), (_zmat(a1 * a2 * qq(1, 0), s1 + s2)
+                                   * geom).scale(-ZR_ONE), dim),
+            _unipotent(3, (1, 2), _zmat(a2 * qq(1, 0), s2), dim),
             _grid(3, {(0, 0): geom_up.scale(ZR_ONE - _mono(s)),
                       (1, 1): one_z - _zmat(qq(2, 0), s),
-                      (2, 2): one_z}, d * d),
-            _grid(3, {(0, 0): one_z, (1, 1): one_z, (2, 2): one_z,
-                      (2, 1): _zmat(a2d * qq(1, -2), s - s2).scale(
-                          ZetaRational.const(-q_power(-2)))}, d * d),
-            _grid(3, {(0, 0): one_z, (1, 1): one_z, (2, 2): one_z,
-                      (1, 0): _zmat(a1d, s - s1) * geom_up}, d * d),
-            _grid(3, {(0, 0): one_z, (1, 1): one_z, (2, 2): one_z,
-                      (2, 0): (_zmat(a1d * a2d * qq(-1, -2), s - s1 - s2)
-                               * geom_up).scale(
-                                   ZetaRational.const(q_power(-3)))}, d * d),
+                      (2, 2): one_z}, dim),
+            _unipotent(3, (2, 1), _zmat(a2d * qq(1, -2), s - s2).scale(
+                ZetaRational.const(-q_power(-2))), dim),
+            _unipotent(3, (1, 0), _zmat(a1d, s - s1) * geom_up, dim),
+            _unipotent(3, (2, 0), (_zmat(a1d * a2d * qq(-1, -2), s - s1 - s2)
+                                   * geom_up).scale(
+                                       ZetaRational.const(q_power(-3))), dim),
             _grid(3, {(0, 0): _zmat(qq(1, 0)), (1, 1): _zmat(qq(-1, 1)),
-                      (2, 2): _zmat(qq(0, -1))}, d * d),
+                      (2, 2): _zmat(qq(0, -1))}, dim),
         ]
         l_type = "check"
     elif variant == "check-2":
@@ -436,7 +396,7 @@ def _l_a2(variant, s, s1, s2, d):
                 ZetaRational.const(-q_power(-1))),
             (2, 1): _zmat(a2d * qq(0, 1), s - s2),
             (2, 2): _zmat(qq(0, -1)) + _zmat(qq(0, 1), s).scale(
-                -ZR_ONE.one_like()),
+                -ZR_ONE),
         }
         entries = {k: v.map_values(lambda r: r / den, ZR_ONE)
                    for k, v in entries.items()}
@@ -447,18 +407,18 @@ def _l_a2(variant, s, s1, s2, d):
         den = ZR_ONE - _mono(s)
         entries = {
             (0, 0): _zmat(qq(1, 0)).scale(ZetaRational.const(q_power(2)))
-                + _zmat(qq(-1, 0), s).scale(-ZR_ONE.one_like()),
+                + _zmat(qq(-1, 0), s).scale(-ZR_ONE),
             (0, 1): _zmat(a1 * qq(1, 0), s1),
             (0, 2): _zmat(a1 * a2, s1 + s2).scale(
                 ZetaRational.const(q_power(-1))),
             (1, 0): _zmat(a1d * qq(-1, -1), s - s1),
-            (1, 1): _zmat(qq(1, -1), s).scale(-ZR_ONE.one_like()),
-            (1, 2): _zmat(a2 * qq(0, -1), s2).scale(-ZR_ONE.one_like()),
+            (1, 1): _zmat(qq(1, -1), s).scale(-ZR_ONE),
+            (1, 2): _zmat(a2 * qq(0, -1), s2).scale(-ZR_ONE),
             (2, 0): _zmat(a1d * a2d * qq(-1, -1),
-                          s - s1 - s2).scale(-ZR_ONE.one_like()),
+                          s - s1 - s2).scale(-ZR_ONE),
             (2, 1): _zmat(a2d * qq(1, -1), s - s2),
             (2, 2): _zmat(qq(0, -1)) + _zmat(qq(0, 1), s).scale(
-                -ZR_ONE.one_like()),
+                -ZR_ONE),
         }
         entries = {k: v.map_values(lambda r: r / den, ZR_ONE)
                    for k, v in entries.items()}
@@ -466,7 +426,7 @@ def _l_a2(variant, s, s1, s2, d):
         l_type = "check"
     else:
         raise ValueError("unknown rank-2 variant %r" % (variant,))
-    mat = _grid(3, entries, d * d)
+    mat = _grid(3, entries, dim)
     return ReferenceObject("l", "a2", variant, (s, s1, s2), tag, mat,
                            l_type=l_type, fock_dim=d, copies=2,
                            factors=factors)
@@ -491,7 +451,13 @@ def list_variants():
 
 
 def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):
-    """Closed-form object for the given kind/algebra/variant and exponents."""
+    """Closed-form object for the given kind/algebra/variant and exponents.
+
+    s = 0 is rejected: the closed forms pair zeta^0 with zeta^s terms, which
+    would merge.
+    """
+    if s == 0:
+        raise ValueError("the spectral exponent s must be nonzero")
     if kind == "r" and variant == "plain":
         if algebra == "a1":
             return _r_a1(s, s1)
@@ -502,8 +468,7 @@ def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):
     if kind == "l" and algebra == "a2" and variant in _A2_L_VARIANTS:
         if variant == "hat-2-inv":
             base = _l_a2("hat-2", s, s1, s2, d)
-            inv = grid_inverse(base.matrix)
-            inv = inv.map_values(lambda v: v.subs_power(-1), ZR_ONE)
+            inv = _reflected_inverse(base.matrix)
             return ReferenceObject("l", "a2", variant, (s, s1, s2),
                                    PrefactorTag(), inv, l_type="check",
                                    fock_dim=d, copies=2, factors=None)
@@ -615,6 +580,11 @@ def grid_inverse(g):
             if b[i][j]:
                 entries[(i, j)] = b[i][j]
     return Grid(n, entries, dim, one, _clean=True)
+
+
+def _reflected_inverse(grid):
+    """The inverse grid at reflected argument zeta -> 1/zeta."""
+    return grid_inverse(grid).map_values(lambda v: v.subs_power(-1), ZR_ONE)
 
 
 def apply_two_copy_normalization(grid, d):

@@ -9,7 +9,7 @@ construction expects and knows the bilinear form and coroot decomposition.
 from fractions import Fraction
 
 __all__ = ["CartanData", "AffineRoot", "extend_cartan", "positive_roots",
-           "finite_cartan", "normal_order_check"]
+           "finite_cartan", "finite_positive", "normal_order_check"]
 
 
 class CartanData:
@@ -88,7 +88,7 @@ class AffineRoot:
     def coords(self):
         return (self.finite_part, self.delta_mult)
 
-    def simple_coefficients(self, label):
+    def simple_coefficients(self):
         """Coefficients k_i over (alpha_0, ..., alpha_r); delta = sum alpha_i."""
         m = self.delta_mult
         return (m,) + tuple(g + m for g in self.finite_part)
@@ -115,8 +115,8 @@ def bilinear(finite, ra, rb):
                for i in range(finite.rank) for j in range(finite.rank))
 
 
-def _finite_positive(label):
-    # finite positive roots in the order the interleavings use
+def finite_positive(label):
+    """Finite positive roots in the order the interleavings use."""
     if label == "a1":
         return [(1,)]
     return [(1, 0), (1, 1), (0, 1)]  # alpha, alpha+beta, beta
@@ -160,12 +160,6 @@ def positive_roots(affine, delta_cutoff):
             out.append(AffineRoot((-1, -1), m + 1, "real_minus"))
         return out
     raise ValueError("unsupported algebra label: %r" % (affine.label,))
-
-
-def roots_json(roots):
-    """Debugging dump of a root sequence."""
-    return [{"finite": list(r.finite_part), "delta": r.delta_mult,
-             "kind": r.kind} for r in roots]
 
 
 def normal_order_check(roots):

@@ -9,18 +9,13 @@ form so equality is plain syntactic comparison.
 
 from fractions import Fraction
 
-try:                                      # fast exact rationals when present
-    from gmpy2 import mpq as _RAT
-except ImportError:                       # pragma: no cover
-    _RAT = Fraction
-
 __all__ = [
     "QScalar", "q_power", "t_power", "qint", "qint_factorial", "qbinom",
     "qnum", "qnum_factorial", "parse_qscalar",
 ]
 
-_F0 = _RAT(0)
-_F1 = _RAT(1)
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 # -- Laurent polynomials in t as {exponent: Fraction} dicts -----------------
@@ -177,7 +172,7 @@ def _p_gcd(a, b):
     if max(ia) == 0:
         out = {0: _F1}
     else:
-        out = _p_monic({k: _RAT(c) for k, c in ia.items()})
+        out = _p_monic({k: Fraction(c) for k, c in ia.items()})
     if len(_GCD_CACHE) < _GCD_CACHE_LIMIT:
         _GCD_CACHE[key] = out
     return out
@@ -229,7 +224,7 @@ class QScalar:
 
     @staticmethod
     def from_fraction(f):
-        f = _RAT(f)
+        f = Fraction(f)
         if not f:
             return ZERO
         return QScalar({0: f}, _ONE_POLY, _canonical=True)
@@ -241,9 +236,6 @@ class QScalar:
 
     def is_one(self):
         return self.num == _ONE_POLY and self.den == _ONE_POLY
-
-    def is_monomial(self):
-        return len(self.num) == 1 and self.den == _ONE_POLY
 
     # -- arithmetic ----------------------------------------------------
 
@@ -325,7 +317,7 @@ class QScalar:
         return out
 
     def scale(self, f):
-        f = _RAT(f)
+        f = Fraction(f)
         if not f or not self.num:
             return ZERO
         return QScalar(_p_scale(self.num, f), self.den, _canonical=True)
@@ -418,7 +410,7 @@ def t_power(k):
 
 def q_power(k):
     """q^k for k integer or Fraction with denominator dividing 6."""
-    e = _RAT(k) * 6
+    e = Fraction(k) * 6
     if e.denominator != 1:
         raise ValueError("q^(%s) does not live in Q(t) with q = t^6" % (k,))
     return t_power(int(e))
@@ -428,18 +420,12 @@ def q_power(k):
 
 def qint(n):
     """The symmetric q-integer (q^n - q^-n)/(q - q^-1)."""
-    if n == 0:
-        return ZERO
-    sign = 1 if n > 0 else -1
-    m = abs(n)
-    # q^(m-1) + q^(m-3) + ... + q^(1-m)
-    p = {6 * (m - 1 - 2 * i): _F1 for i in range(m)}
-    out = QScalar(p, _ONE_POLY, _canonical=True)
-    return out if sign > 0 else -out
+    return qint_base(n, 6)
 
 
 def qint_base(n, base_t_exp):
-    """[n] evaluated at q -> t^base_t_exp, still inside Q(t)."""
+    """[n] evaluated at q -> t^base_t_exp, still inside Q(t): for m = |n|
+    the sum q^(m-1) + q^(m-3) + ... + q^(1-m), negated when n < 0."""
     if n == 0:
         return ZERO
     sign = 1 if n > 0 else -1
@@ -468,13 +454,11 @@ def qbinom(n, m):
 
 def qnum(n):
     """The second deformation (n)_q = (q^n - 1)/(q - 1) used by exp_q."""
-    if n == 0:
-        return ZERO
-    # 1 + q + ... + q^(n-1)
-    return QScalar({6 * i: _F1 for i in range(n)}, _ONE_POLY, _canonical=True)
+    return qnum_base(n, 6)
 
 
 def qnum_base(n, base_t_exp):
+    """(n) evaluated at q -> t^base_t_exp: 1 + q + ... + q^(n-1)."""
     if n == 0:
         return ZERO
     p = {}
@@ -484,15 +468,11 @@ def qnum_base(n, base_t_exp):
     return QScalar({k: c for k, c in p.items() if c})
 
 
-def qnum_factorial_base(n, base_t_exp):
+def qnum_factorial(n):
     out = ONE
     for k in range(1, n + 1):
-        out = out * qnum_base(k, base_t_exp)
+        out = out * qnum(k)
     return out
-
-
-def qnum_factorial(n):
-    return qnum_factorial_base(n, 6)
 
 
 # -- parsing of the canonical string form ------------------------------------
@@ -510,13 +490,13 @@ def _parse_poly(s):
         if "t^" in term:
             if "*" in term:
                 cs, ts = term.split("*")
-                c = _RAT(cs)
+                c = Fraction(cs)
             else:
                 c = _F1
                 ts = term
             k = int(ts[2:])
         else:
-            c = _RAT(term)
+            c = Fraction(term)
             k = 0
         out[k] = out.get(k, _F0) + c
     return {k: c for k, c in out.items() if c}

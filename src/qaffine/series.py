@@ -42,10 +42,6 @@ class ZetaSeries:
         return ZetaSeries({0: _QONE}, order, 0)
 
     @staticmethod
-    def monomial(deg, order, coeff=_QONE):
-        return ZetaSeries({deg: coeff}, order, deg)
-
-    @staticmethod
     def const(c, order):
         return ZetaSeries({0: c}, order, 0)
 
@@ -217,26 +213,25 @@ def series_exp(f):
 
 
 def series_log(g):
-    """log of a series with constant term exactly 1."""
-    if g.coeff(0) != _QONE:
-        raise ValueError("series_log needs constant term 1")
-    h = g - ZetaSeries.one(g.order)
-    out = ZetaSeries.zero(g.order)
-    term = ZetaSeries.one(g.order)
-    for k in range(1, g.order + 1):
-        term = term * h
-        if not term:
-            break
-        c = Fraction(1, k) if k % 2 == 1 else Fraction(-1, k)
-        out = out + term.scale(QScalar.from_fraction(c))
-    return out
+    """log of a series with constant term exactly 1 and no negative powers.
 
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    Uses the derivative recurrence of g f' = g', n f_n = n g_n -
+    sum_{k<n} k f_k g_{n-k}, as series_exp does.
+    """
+    if g.coeff(0) != _QONE or min(g.coeffs) < 0:
+        raise ValueError("series_log needs constant term 1 and no negative "
+                         "powers")
+    gs = g.coeffs
+    fs = {}
+    for n in range(1, g.order + 1):
+        acc = gs.get(n, _QZERO).scale(n)
+        for k, fk in fs.items():
+            gk = gs.get(n - k)
+            if gk is not None:
+                acc = acc - fk.scale(k) * gk
+        if acc:
+            fs[n] = acc.scale(Fraction(1, n))
+    return ZetaSeries(fs, g.order)
 
 
 def lambda_level(n, arg_scale, power, order):

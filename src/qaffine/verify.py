@@ -12,11 +12,13 @@ import time
 from .scalars import QScalar, q_power
 from .series import ZetaSeries
 from .rational import ZetaRational
-from .linalg import OpMatrix, Grid, grid_akp, hat_and_check, embed_legs, kron
+from .linalg import (
+    OpMatrix, Grid, grid_akp, hat_and_check, embed_legs, kron, fock_level,
+)
 from .oscillator import tau_matrix, gamma_scaling
 from .reference import (
     reference_matrix, r0_hat_matrix, decompose_L, scan_linear_exponents,
-    grid_inverse, PrefactorTag,
+    grid_inverse, _reflected_inverse,
 )
 from .engine import EngineParams, assemble
 
@@ -105,14 +107,9 @@ def _lift_uv(zr):
 _LIFTS = {"u": _lift_u, "v": _lift_v, "ratio": _lift_ratio, "uv": _lift_uv}
 
 
-def _lift_matrix(mat, mode):
-    fn = _LIFTS[mode]
-    return mat.map_values(fn, ZR2_ONE)
-
-
-def _lift_grid(grid, mode):
-    fn = _LIFTS[mode]
-    return grid.map_values(fn, ZR2_ONE)
+def _lift(obj, mode):
+    """A matrix or grid over one-variable rationals, lifted entrywise."""
+    return obj.map_values(_LIFTS[mode], ZR2_ONE)
 
 
 def _u_monomial(k):
@@ -186,9 +183,9 @@ def check_ybe(algebra, s=1, s1=0, s2=0, perturb=False):
         entries = dict(mat.entries)
         entries[ij] = entries[ij].scale(q_power(1))
         mat = OpMatrix(mat.dim, entries, mat.one)
-    r_u = _lift_matrix(mat, "u")
-    r_v = _lift_matrix(mat, "v")
-    r_uv = _lift_matrix(mat, "uv")
+    r_u = _lift(mat, "u")
+    r_v = _lift(mat, "v")
+    r_uv = _lift(mat, "uv")
     r12 = embed_legs(r_u, (0, 1), 3, n)
     r13 = embed_legs(r_uv, (0, 2), 3, n)
     r23 = embed_legs(r_v, (1, 2), 3, n)
@@ -200,9 +197,9 @@ def check_ybe(algebra, s=1, s1=0, s2=0, perturb=False):
         return Verdict("ybe", algebra, "perturbed" if perturb else "plain",
                        exps, False, {"entry": list(where)})
     # braid form: (1 x Rc(u)) (Rc(uv) x 1) (1 x Rc(v)) and its mirror
-    rc_u = _check_form(r_u, n)
-    rc_v = _check_form(r_v, n)
-    rc_uv = _check_form(r_uv, n)
+    rc_u = hat_and_check(r_u)[1]
+    rc_v = hat_and_check(r_v)[1]
+    rc_uv = hat_and_check(r_uv)[1]
     eye = OpMatrix.identity(n, ZR2_ONE)
     lhs_b = kron(eye, rc_u) * kron(rc_uv, eye) * kron(eye, rc_v)
     rhs_b = kron(rc_v, eye) * kron(eye, rc_uv) * kron(rc_u, eye)
@@ -214,85 +211,47 @@ def check_ybe(algebra, s=1, s1=0, s2=0, perturb=False):
                    True)
 
 
-def _check_form(r_flat, n):
-    from .linalg import perm_operator
-    p = perm_operator((1, 0), [n, n], r_flat.one)
-    return p * r_flat
-
-
-def _hat_form(r_flat, n):
-    from .linalg import perm_operator
-    p = perm_operator((1, 0), [n, n], r_flat.one)
-    return r_flat * p
-
-
 # -- exchange relation between R and an L-operator -----------------------------
 
-def _fock_keep(d, copies, drop):
-    kmax = d - 1 - drop
+def _common_denominator(values, limit=4):
+    """The product of the distinct denominators among `values`, or 1 when
+    there are none or more than `limit` of them.
 
-    def keep(i):
-        for _ in range(copies):
-            if i % d > kmax:
-                return False
-            i //= d
-        return True
-    return keep
-
-
-def _clear_common_denominators(grid, limit=4):
-    """Multiply every entry by the product of the distinct denominators;
-    the relation is homogeneous, so a common scalar changes nothing, and
-    polynomial entries keep the two-variable arithmetic gcd-free.  Grids
-    with too many distinct denominators are returned unchanged."""
+    The relations checked here are homogeneous, so multiplying every entry
+    by this scalar changes no verdict, and polynomial entries keep the
+    two-variable arithmetic gcd-free.
+    """
     dens = []
-    for m in grid.entries.values():
-        for v in m.entries.values():
-            if not v.is_polynomial() and all(v.den != d for d in dens):
-                dens.append(v.den)
+    for v in values:
+        if not v.is_polynomial() and all(v.den != d for d in dens):
+            dens.append(v.den)
             if len(dens) > limit:
-                return grid
-    if not dens:
-        return grid
+                return ZR1_ONE
     scalar = ZR1_ONE
     for den in dens:
         scalar = scalar * ZetaRational(den, {0: ONE}, ONE)
-    return grid.map_ops(lambda m: m.map_values(lambda v: v * scalar))
+    return scalar
 
 
 def _rll_residual(l_grid, l_type, r_flat, d, copies, drop):
     """Returns None when the exchange relation holds on the safe window,
     else ((grid entry), (fock entry))."""
-    n = l_grid.n
-    l_grid = _clear_common_denominators(l_grid)
-    rmat = _hat_form(r_flat, n) if l_type == "hat" else _check_form(r_flat, n)
-    rmat = _clear_matrix_denominators(rmat)
-    r2 = _lift_matrix(rmat, "ratio")
-    l_u = _lift_grid(l_grid, "u")
-    l_v = _lift_grid(l_grid, "v")
+    common = _common_denominator(
+        v for m in l_grid.entries.values() for v in m.entries.values())
+    l_grid = l_grid.map_ops(lambda m: m.scale(common))
+    rmat = hat_and_check(r_flat)[0 if l_type == "hat" else 1]
+    rmat = rmat.scale(_common_denominator(rmat.entries.values()))
+    r2 = _lift(rmat, "ratio")
+    l_u = _lift(l_grid, "u")
+    l_v = _lift(l_grid, "v")
     lhs = grid_akp(l_u, l_v).lmul_scalar_matrix(r2)
     rhs = grid_akp(l_v, l_u).rmul_scalar_matrix(r2)
-    keep = _fock_keep(d, copies, drop)
+    keep = lambda i: fock_level(i, d, copies) <= d - 1 - drop
     lhs = lhs.restrict(keep)
     rhs = rhs.restrict(keep)
     if lhs == rhs:
         return None
     return lhs.first_difference(rhs)
-
-
-def _clear_matrix_denominators(mat, limit=4):
-    dens = []
-    for v in mat.entries.values():
-        if not v.is_polynomial() and all(v.den != d for d in dens):
-            dens.append(v.den)
-        if len(dens) > limit:
-            return mat
-    if not dens:
-        return mat
-    scalar = ZR1_ONE
-    for den in dens:
-        scalar = scalar * ZetaRational(den, {0: ONE}, ONE)
-    return mat.scale(scalar)
 
 
 @_timed
@@ -318,13 +277,7 @@ def check_rll(algebra, variant, s=1, s1=0, s2=0, d=12, strip_scalar=True):
 
 # -- inversion and anti-involution dualities -----------------------------------
 
-def _invert_l(ref):
-    inv = grid_inverse(ref.matrix)
-    return inv.map_values(lambda v: v.subs_power(-1), ZR1_ONE)
-
-
 def _tau_l(ref):
-    d_total = ref.fock_dim ** ref.copies
     out = ref.matrix.map_ops(
         lambda m: tau_matrix(m, ref.fock_dim, ref.copies))
     return out.map_values(lambda v: v.subs_power(-1), ZR1_ONE)
@@ -338,7 +291,7 @@ def check_duality(algebra, variant, mode, s=1, s1=0, s2=0, d=10):
     ref = reference_matrix("l", algebra, variant, s, s1, s2, d=d)
     r = reference_matrix("r", algebra, "plain", s, s1, s2)
     if mode == "inversion":
-        derived = _invert_l(ref)
+        derived = _reflected_inverse(ref.matrix)
     elif mode == "tau":
         derived = _tau_l(ref)
     else:
@@ -357,10 +310,7 @@ def check_duality(algebra, variant, mode, s=1, s1=0, s2=0, d=10):
 @_timed
 def check_double_inversion(algebra, variant, s=1, s1=0, s2=0, d=6):
     ref = reference_matrix("l", algebra, variant, s, s1, s2, d=d)
-    twice = grid_inverse(
-        grid_inverse(ref.matrix).map_values(lambda v: v.subs_power(-1),
-                                            ZR1_ONE)
-    ).map_values(lambda v: v.subs_power(-1), ZR1_ONE)
+    twice = _reflected_inverse(_reflected_inverse(ref.matrix))
     exps = (s, s1) if algebra == "a1" else (s, s1, s2)
     ok = twice == ref.matrix
     return Verdict("duality-involution", algebra, variant, exps, ok,
@@ -387,14 +337,15 @@ def _g_matrix(algebra, s1, s2, var):
 def check_gauge(family, algebra, s, s1, s2=0):
     """The exact two-variable relation connecting different exponent
     choices through diagonal conjugation and the spectral gauge map."""
-    n_legs = 2 if algebra == "a1" else 3
     exps = (s, s1) if algebra == "a1" else (s, s1, s2)
     if family == "r":
         lhs_ref = reference_matrix("r", algebra, "plain", s, s1, s2)
         base = reference_matrix("r", algebra, "plain", 1, 0, 0)
-        assert lhs_ref.tag == base.tag.subs_zeta_power(s)
-        lhs = _lift_matrix(lhs_ref.matrix, "ratio")
-        base2 = _lift_matrix(
+        if lhs_ref.tag != base.tag.subs_zeta_power(s):
+            return Verdict("gauge-r", algebra, "plain", exps, False,
+                           {"detail": "prefactor tag mismatch"})
+        lhs = _lift(lhs_ref.matrix, "ratio")
+        base2 = _lift(
             base.matrix.map_values(lambda v: v.subs_power(s), ZR1_ONE),
             "ratio")
         gu = _g_matrix(algebra, s1, s2, "u")
@@ -411,9 +362,11 @@ def check_gauge(family, algebra, s, s1, s2=0):
         else ("hat-1" if family == "hat" else "check-1")
     lhs_ref = reference_matrix("l", algebra, variant, s, s1, s2, d=d)
     base = reference_matrix("l", algebra, variant, 1, 0, 0, d=d)
-    assert lhs_ref.tag == base.tag.subs_zeta_power(s)
-    lhs = _lift_grid(lhs_ref.matrix, "ratio")
-    base2 = _lift_grid(
+    if lhs_ref.tag != base.tag.subs_zeta_power(s):
+        return Verdict("gauge-%s" % family, algebra, variant, exps, False,
+                       {"detail": "prefactor tag mismatch"})
+    lhs = _lift(lhs_ref.matrix, "ratio")
+    base2 = _lift(
         base.matrix.map_values(lambda v: v.subs_power(s), ZR1_ONE), "ratio")
     s_exponents = (s1,) if algebra == "a1" else (s1, s2)
     if family == "hat":
@@ -462,9 +415,8 @@ def check_structure(algebra, d=8):
     n = 2 if algebra == "a1" else 3
     hat_variant = "hat" if algebra == "a1" else "hat-1"
     check_variant = "check" if algebra == "a1" else "check-1"
-    s2r = (0,) if algebra == "a1" else (0,)
     found = scan_linear_exponents(hat_variant, algebra, range(-2, 3),
-                                  range(-1, 2), s2r, d=3)
+                                  range(-1, 2), (0,), d=3)
     exps_all = [t for t, _ in found]
     failures = []
     hat_exps = None
@@ -480,11 +432,16 @@ def check_structure(algebra, d=8):
         return Verdict("structure", algebra, hat_variant, (), False,
                        {"detail": "no exponents with the stated "
                                   "triangularity"})
-    keep = _fock_keep(d, ref.copies, PROJ_WINDOW_DROP)
+    keep = lambda i: fock_level(i, d, ref.copies) <= d - 1 - PROJ_WINDOW_DROP
     if (pi * pi).restrict(keep) != pi.restrict(keep):
         failures.append("hat projector not idempotent")
     r0h = r0_hat_matrix(n)
-    r0h_inv = _invert_scalar_matrix(r0h)
+    # invert the constant matrix as a grid of 1 x 1 operators
+    inv = grid_inverse(Grid(r0h.dim, {ij: OpMatrix(1, {(0, 0): v}, ONE)
+                                      for ij, v in r0h.entries.items()},
+                            1, ONE))
+    r0h_inv = OpMatrix(r0h.dim, {ij: m.entry(0, 0)
+                                 for ij, m in inv.entries.items()}, ONE)
     # equal-sign relations, then the mixed one; with the degenerate part
     # upper-triangular the mixed pairing couples the minus part first, and
     # the reversed pairing holds with the inverse constant matrix
@@ -499,12 +456,12 @@ def check_structure(algebra, d=8):
         rhs = grid_akp(bl, br).rmul_scalar_matrix(smat)
         if lhs.restrict(keep) != rhs.restrict(keep):
             failures.append("exchange %s fails" % name)
-    if not _annihilates_at_one(ref, pi, invert="minus"):
+    if not _annihilates_at_one(ref, pi):
         failures.append("hat operator at argument one is not singular")
     # check side
     check_exps = None
     found_c = scan_linear_exponents(check_variant, algebra, range(-2, 3),
-                                    range(-1, 2), s2r, d=3)
+                                    range(-1, 2), (0,), d=3)
     for exps in [t for t, _ in found_c]:
         refc = reference_matrix("l", algebra, check_variant, *exps, d=d)
         try:
@@ -518,34 +475,12 @@ def check_structure(algebra, d=8):
     else:
         if (pic * pic).restrict(keep) != pic.restrict(keep):
             failures.append("check projector not idempotent")
-        if not _annihilates_at_one(refc, pic, invert="plus"):
+        if not _annihilates_at_one(refc, pic):
             failures.append("check operator at argument one is not singular")
     passed = not failures
     return Verdict("structure", algebra, hat_variant,
                    hat_exps or (), passed,
                    None if passed else {"detail": "; ".join(failures)})
-
-
-def _invert_scalar_matrix(m):
-    n = m.dim
-    one = m.one
-    zero = one - one
-    a = [[m.entry(i, j) for j in range(n)] for i in range(n)]
-    b = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = a[col][col].inverse()
-        a[col] = [x * inv for x in a[col]]
-        b[col] = [x * inv for x in b[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [a[r][k] - f * a[col][k] for k in range(n)]
-                b[r] = [b[r][k] - f * b[col][k] for k in range(n)]
-    return OpMatrix(n, {(i, j): b[i][j] for i in range(n)
-                        for j in range(n) if b[i][j]}, one)
 
 
 def _grid_at_one(ref):
@@ -559,21 +494,26 @@ def _grid_at_one(ref):
     return ref.matrix.map_values(at_one, ONE)
 
 
-def _annihilates_at_one(ref, pi, invert):
-    """The operator at argument one kills a nonzero vector in the image of
-    the projector.
+def _annihilates_at_one(ref, pi):
+    """The operator at argument one kills every nonzero column of the
+    projector over ground-adjacent Fock states, and there is at least one.
 
-    The vector is a projector column over ground-adjacent Fock states, so
-    its components and the product with the exact closed-form entries at
-    argument one stay below the truncated band; the image must vanish on
-    every row away from the top state.
+    The components of such a column and its product with the exact
+    closed-form entries at argument one stay below the truncated band; the
+    image must vanish on every row away from the top state.
     """
     l_one = _grid_at_one(ref).flatten(op_leg_first=False)
-    n = ref.matrix.n
     pi_flat = pi.flatten(op_leg_first=False)
-    total = n * ref.matrix.op_dim
+    total = ref.matrix.n * ref.matrix.op_dim
+
+    def level(flat_index):
+        # op_leg_first=False puts the matrix leg slowest, Fock fastest
+        return fock_level(flat_index % ref.matrix.op_dim, ref.fock_dim,
+                          ref.copies)
+
+    checked = False
     for col in range(total):
-        if _fock_of(col, ref) > 1:
+        if level(col) > 1:
             continue
         vec = {r: pi_flat.entries[(r, col)] for r in range(total)
                if (r, col) in pi_flat.entries}
@@ -587,21 +527,10 @@ def _annihilates_at_one(ref, pi, invert):
             acc = image.get(r)
             p = val * x
             image[r] = p if acc is None else acc + p
-        bad = [r for r, v in image.items()
-               if v and _fock_of(r, ref) <= ref.fock_dim - 2]
-        return not bad
-    return False
-
-
-def _fock_of(flat_index, ref):
-    # op_leg_first=False puts the matrix leg slowest, Fock fastest
-    fock_flat = flat_index % ref.matrix.op_dim
-    d = ref.fock_dim
-    worst = 0
-    for _ in range(ref.copies):
-        worst = max(worst, fock_flat % d)
-        fock_flat //= d
-    return worst
+        if any(v and level(r) <= ref.fock_dim - 2 for r, v in image.items()):
+            return False
+        checked = True
+    return checked
 
 
 # -- suite ----------------------------------------------------------------------

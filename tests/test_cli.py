@@ -110,3 +110,39 @@ def test_list_variants(capsys):
     out = capsys.readouterr().out
     assert "l a2 check-inv" in out
     assert len(out.strip().splitlines()) == 12
+
+
+def test_cli_rejects_zero_spectral_exponent(capsys):
+    assert main(["compute", "r", "--s", "0"]) == 2
+    assert main(["compute", "r", "--algebra", "a2", "--s", "0"]) == 2
+    assert main(["compute", "l", "--side", "chi-phi", "--s", "0",
+                 "--fock", "4"]) == 2
+    assert main(["compute", "l", "--side", "chi-phi", "--s", "0",
+                 "--backend", "series", "--order", "2", "--fock", "3"]) == 2
+    assert "s must be nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--workers", "0"], ["--workers", "-3"], ["--order", "-5"],
+    ["--fock", "1"], ["--workers", "0", "--order", "-5", "--fock", "1"],
+])
+def test_cli_rejects_out_of_range_flags(flags, capsys):
+    assert main(["verify", "ybe", "--algebra", "a1"] + flags) == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_cli_rejects_out_of_range_config_and_env(tmp_path, monkeypatch,
+                                                 capsys):
+    conf = tmp_path / "qaffine.conf"
+    conf.write_text("workers = 0\n")
+    assert main(["verify", "ybe", "--algebra", "a1", "--config",
+                 str(conf)]) == 2
+    conf.write_text("backend = nonsense\n")
+    assert main(["compute", "r", "--config", str(conf)]) == 2
+    monkeypatch.setenv("QAFFINE_FOCK", "1")
+    assert main(["compute", "r"]) == 2
+    monkeypatch.setenv("QAFFINE_FOCK", "3")
+    monkeypatch.setenv("QAFFINE_ORDER", "-1")
+    assert main(["compute", "r"]) == 2
+    # a flag overrides an out-of-range environment value
+    assert main(["compute", "r", "--order", "2"]) == 0

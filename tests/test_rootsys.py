@@ -98,15 +98,15 @@ def test_a2_printed_sequence_prefix():
 def test_coroot_decomposition():
     # alpha + m delta has k_0 = m over the affine simple roots
     r = AffineRoot((1,), 2, "real_plus")
-    assert r.simple_coefficients("a1") == (2, 3)
+    assert r.simple_coefficients() == (2, 3)
     # (delta - alpha - beta) + m delta -> (m+1, m, m)
     r2 = AffineRoot((-1, -1), 3, "real_minus")
-    assert r2.simple_coefficients("a2") == (3, 2, 2)
+    assert r2.simple_coefficients() == (3, 2, 2)
     r3 = AffineRoot((-1, -1), 1, "real_minus")
-    assert r3.simple_coefficients("a2") == (1, 0, 0)
+    assert r3.simple_coefficients() == (1, 0, 0)
     # (delta - beta) + m delta -> (m+1, m+1, m)
     r4 = AffineRoot((0, -1), 3, "real_minus")
-    assert r4.simple_coefficients("a2") == (3, 3, 2)
+    assert r4.simple_coefficients() == (3, 3, 2)
 
 
 def test_normal_order_violation_detected():

@@ -122,6 +122,8 @@ def test_exp_rejects_constant_term():
         series_exp(ZetaSeries({0: ONE}, N))
     with pytest.raises(ValueError):
         series_log(ZetaSeries({0: QScalar.from_int(2)}, N))
+    with pytest.raises(ValueError):
+        series_log(ZetaSeries({-1: ONE, 0: ONE}, N))
 
 
 def test_subs_zeta_power():

@@ -117,3 +117,13 @@ def test_suite_parallel_runner_deterministic():
     parallel = run_suite(checks, workers=2)
     assert [cid for cid, _ in serial] == [cid for cid, _ in parallel]
     assert all(v.passed for _, v in parallel)
+
+
+@pytest.mark.parametrize("family", ["r", "hat"])
+def test_gauge_tag_mismatch_fails_the_verdict(family, monkeypatch):
+    from qaffine.reference import PrefactorTag
+    shifted = lambda tag, k: PrefactorTag(tag.t_power + 1, tag.terms)
+    monkeypatch.setattr(PrefactorTag, "subs_zeta_power", shifted)
+    v = check_gauge(family, "a1", s=2, s1=1)
+    assert v.passed is False
+    assert v.first_failure == {"detail": "prefactor tag mismatch"}
