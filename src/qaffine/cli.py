@@ -174,6 +174,14 @@ def cmd_compute(args, conf):
         raise UsageError("r-matrices use --side phi-phi")
     if args.what == "l" and args.side == "phi-phi":
         raise UsageError("l-operators need --side chi-phi or phi-psi")
+    if args.what == "r" and args.twist is not None:
+        raise UsageError("--twist applies to l-operators only")
+    if ((args.what == "r" or backend == "rational")
+            and (args.osc_rho, args.osc_mu, args.osc_nu) != (None,) * 3):
+        raise UsageError("--osc-rho, --osc-mu and --osc-nu apply to "
+                         "l-operators with --backend series only")
+    if args.algebra == "a1" and args.family != 1:
+        raise UsageError("--family applies to --algebra a2 only")
     if backend == "rational":
         if args.what == "r":
             ref = reference_matrix("r", args.algebra, "plain", args.s,
@@ -276,26 +284,28 @@ def main(argv=None):
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
+    status = 0
     try:
         conf = effective_settings(args)
         if args.command == "list":
             text = "\n".join("%s %s %s" % v for v in list_variants())
-            _emit(text, getattr(args, "out", None))
-            return 0
-        if args.command == "compute":
+        elif args.command == "compute":
             payload, text = cmd_compute(args, conf)
             if conf["format"] == "json":
                 text = json.dumps(payload, indent=2)
-            _emit(text, args.out)
-            return 0
-        if args.command == "verify":
+        else:
             text, all_pass = cmd_verify(args, conf)
-            _emit(text, args.out)
-            return 0 if all_pass else 1
+            status = 0 if all_pass else 1
+        _emit(text, getattr(args, "out", None))
+        return status
+    except BrokenPipeError:
+        # the reader stopped early (`| head`), which does not undo the run;
+        # point stdout at devnull so the interpreter's final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return status
     except (UsageError, EngineError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    return 2
 
 
 def _emit(text, out_path):
@@ -303,7 +313,7 @@ def _emit(text, out_path):
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)
 
 
 if __name__ == "__main__":

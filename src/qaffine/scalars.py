@@ -3,32 +3,67 @@
 Working over Q(t) lets every fractional power of q that the constructions
 need (q^(1/2) = t^3, q^(1/3) = t^2, q^(2/3) = t^4, q^(1/6) = t) live in a
 single field without extension towers.  A QScalar is a reduced ratio of two
-Laurent polynomials in t with rational coefficients, kept in a canonical
-form so equality is plain syntactic comparison.
+Laurent polynomials in t, kept in a canonical form so equality is plain
+syntactic comparison.
+
+A polynomial is a dict {exponent: coefficient}.  A coefficient is an int
+when it is integral and a fractions.Fraction only when its denominator is
+greater than 1; it is never a float.  The values the engine meets are
+almost always integral, so the kernel runs on machine-speed int arithmetic
+and pays for Fraction only where a denominator really occurs.  Because
+3 == Fraction(3) and both hash alike, printing, parsing, equality and
+hashing need no conversion between the two types.
 """
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 __all__ = [
     "QScalar", "q_power", "t_power", "qint", "qint_factorial", "qbinom",
     "qnum", "qnum_factorial", "parse_qscalar",
 ]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+
+def _coeff(c):
+    """Any exact number (int, Fraction, float, numeric string) in
+    coefficient form: an int when it is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
-# -- Laurent polynomials in t as {exponent: Fraction} dicts -----------------
+def _quo(a, b):
+    """The exact quotient a / b of two coefficients, in coefficient form.
+    Every division of coefficients goes through here, so an int / int can
+    never produce a float."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _coeff(Fraction(a, b))
+
+
+def _p_coeffs(p):
+    """p with every coefficient in coefficient form.  Sums and products of
+    Fractions can be integral, and constructors may be handed any exact
+    number, so this runs wherever a non-int can come in."""
+    for c in p.values():
+        if type(c) is not int:
+            return {k: _coeff(c) for k, c in p.items()}
+    return p
+
+
+# -- Laurent polynomials in t as {exponent: coefficient} dicts --------------
 
 def _p_add(a, b):
     out = dict(a)
     for k, c in b.items():
-        s = out.get(k, _F0) + c
+        s = out.get(k, 0) + c
         if s:
             out[k] = s
         else:
             out.pop(k, None)
-    return out
+    return _p_coeffs(out)
 
 
 def _p_neg(a):
@@ -40,26 +75,20 @@ def _p_mul(a, b):
         return {}
     if len(a) == 1:
         (ka, ca), = a.items()
-        return {ka + k: ca * c for k, c in b.items()}
+        return _p_coeffs({ka + k: ca * c for k, c in b.items()})
     if len(b) == 1:
         (kb, cb), = b.items()
-        return {k + kb: c * cb for k, c in a.items()}
+        return _p_coeffs({k + kb: c * cb for k, c in a.items()})
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = ka + kb
-            s = out.get(k, _F0) + ca * cb
+            s = out.get(k, 0) + ca * cb
             if s:
                 out[k] = s
             else:
                 out.pop(k, None)
-    return out
-
-
-def _p_scale(a, c):
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
+    return _p_coeffs(out)
 
 
 def _p_shift(a, n):
@@ -78,46 +107,41 @@ def _p_divmod(a, b):
         dr = max(r)
         if dr < db:
             break
-        c = r[dr] / lb
+        c = _quo(r[dr], lb)
         k = dr - db
         q[k] = c
         for kb, cb in b.items():
             kk = kb + k
-            s = r.get(kk, _F0) - cb * c
+            s = r.get(kk, 0) - cb * c
             if s:
                 r[kk] = s
             else:
                 r.pop(kk, None)
-    return q, r
+    return q, _p_coeffs(r)
 
 
 def _p_monic(a):
     lc = a[max(a)]
     if lc == 1:
         return a
-    return {k: c / lc for k, c in a.items()}
+    return {k: _quo(c, lc) for k, c in a.items()}
 
 
 def _int_clear(a):
     d = 1
     for c in a.values():
-        cd = c.denominator
-        d = d * cd // _igcd(d, cd)
-    return {k: int(c * d) for k, c in a.items()}
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
+        if type(c) is not int:
+            cd = c.denominator
+            d = d * cd // gcd(d, cd)
+    if d == 1:
+        return a
+    return {k: c.numerator * (d // c.denominator) for k, c in a.items()}
 
 
 def _int_primitive(a):
-    g = 0
-    for c in a.values():
-        g = _igcd(g, c)
-        if g == 1:
-            return a
+    g = gcd(*a.values())
+    if g == 1:
+        return a
     return {k: c // g for k, c in a.items()}
 
 
@@ -147,38 +171,125 @@ def _int_pseudo_rem(a, b):
     return r
 
 
+def _prs_gcd(a, b):
+    # primitive pseudo-remainder sequence over the integers
+    if max(a) < max(b):
+        a, b = b, a
+    while b:
+        r = _int_pseudo_rem(a, b)
+        a, b = b, (_int_primitive(r) if r else {})
+    return a
+
+
+# -- GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 7, 1989) ------------------
+#
+# Let f, g be primitive in Z[x], N = min(max|f_i|, max|g_i|), G = gcd(f, g)
+# in Z[x], and xi >= 2N + 2.  Every root r of G is a root of f and of g, so
+# |r| < 1 + N <= xi/2 (Cauchy), hence |K(xi)| > (xi/2)^deg K >= xi/2 for any
+# non-constant integer factor K of G.  Interpolating h = gcd(f(xi), g(xi))
+# with symmetric residues gives P with P(xi) = h and every coefficient, so
+# also the content of P, of modulus at most xi/2.  G(xi) divides h, so:
+#   * a constant P leaves no room for a non-constant G: gcd(f, g) = 1;
+#   * if H = pp(P) divides f and g, then G = H K with K(xi) dividing the
+#     content of P, so K is constant and H is the gcd.
+# A non-constant P that fails the division is retried at a larger xi, and
+# after _HEU_TRIES failures the gcd is left to the PRS.  The stride of the
+# exponents is divided out first: gcd(f(x^s), g(x^s)) = gcd(f, g)(x^s).
+
+_HEU_TRIES = 6
+
+
+def _dense(p, stride):
+    out = [0] * (max(p) // stride + 1)
+    for k, c in p.items():
+        out[k // stride] = c
+    return out
+
+
+def _eval(f, xi):
+    v = 0
+    for c in reversed(f):
+        v = v * xi + c
+    return v
+
+
+def _interpolate(h, xi):
+    half = xi // 2
+    out = []
+    while h:
+        c = h % xi
+        if c > half:
+            c -= xi
+        out.append(c)
+        h = (h - c) // xi
+    return out
+
+
+def _divides(f, h):
+    """True when the dense integer polynomial h divides f over Z; the long
+    division stops at the first leading coefficient that does not divide."""
+    r = list(f)
+    dh = len(h) - 1
+    lh = h[dh]
+    tail = [(j, c) for j, c in enumerate(h[:dh]) if c]
+    for i in range(len(r) - 1, dh - 1, -1):
+        c = r[i]
+        if c:
+            q, m = divmod(c, lh)
+            if m:
+                return False
+            base = i - dh
+            for j, cj in tail:
+                r[base + j] -= q * cj
+    return not any(r[:dh])
+
+
+def _heu_gcd(a, b):
+    """gcd of two primitive integer polynomials, primitive with a positive
+    leading coefficient, or None when the heuristic gives up."""
+    stride = gcd(*a, *b)
+    f = _dense(a, stride)
+    g = _dense(b, stride)
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    for _ in range(_HEU_TRIES):
+        p = _interpolate(gcd(_eval(f, xi), _eval(g, xi)), xi)
+        if len(p) == 1:
+            return {0: 1}
+        cont = gcd(*p)
+        if p[-1] < 0:
+            cont = -cont
+        h = [c // cont for c in p]
+        if _divides(f, h) and _divides(g, h):
+            return {j * stride: c for j, c in enumerate(h) if c}
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+_ONE_POLY = {0: 1}
 _GCD_CACHE = {}
 _GCD_CACHE_LIMIT = 1 << 16
 
 
 def _p_gcd(a, b):
-    # monic gcd of ordinary polynomials over Q, computed as a primitive
-    # pseudo-remainder sequence over the integers (naive Fraction Euclid
-    # swells badly and dominates profiles); memoized because the same
-    # denominators recur constantly
+    # monic gcd of ordinary polynomials over Q: GCDHEU on the primitive
+    # integer parts, with the primitive PRS when the heuristic gives up
+    # (naive Fraction Euclid swells badly and dominates profiles); memoized
+    # because the same denominators recur constantly
     if len(a) == 1 or len(b) == 1:
-        return {0: _F1}
+        return _ONE_POLY
     key = (tuple(sorted(a.items())), tuple(sorted(b.items())))
     hit = _GCD_CACHE.get(key)
     if hit is not None:
         return hit
     ia = _int_primitive(_int_clear(a))
     ib = _int_primitive(_int_clear(b))
-    if max(ia) < max(ib):
-        ia, ib = ib, ia
-    while ib:
-        r = _int_pseudo_rem(ia, ib)
-        ia, ib = ib, (_int_primitive(r) if r else {})
-    if max(ia) == 0:
-        out = {0: _F1}
-    else:
-        out = _p_monic({k: Fraction(c) for k, c in ia.items()})
+    g = _heu_gcd(ia, ib)
+    if g is None:
+        g = _prs_gcd(ia, ib)
+    out = _ONE_POLY if max(g) == 0 else _p_monic(g)
     if len(_GCD_CACHE) < _GCD_CACHE_LIMIT:
         _GCD_CACHE[key] = out
     return out
-
-
-_ONE_POLY = {0: _F1}
 
 
 def _reduce_pair(num, den):
@@ -217,17 +328,13 @@ class QScalar:
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def from_int(n):
-        if n == 0:
-            return ZERO
-        return QScalar({0: Fraction(n)}, _ONE_POLY, _canonical=True)
-
-    @staticmethod
     def from_fraction(f):
-        f = Fraction(f)
+        f = _coeff(f)
         if not f:
             return ZERO
         return QScalar({0: f}, _ONE_POLY, _canonical=True)
+
+    from_int = from_fraction
 
     # -- predicates ----------------------------------------------------
 
@@ -299,8 +406,8 @@ class QScalar:
         pn = _p_shift(self.num, -sn)
         lc = pn[max(pn)]
         if lc != 1:
-            pn = {k: c / lc for k, c in pn.items()}
-        num = {k - sn: c / lc for k, c in self.den.items()} if lc != 1 \
+            pn = {k: _quo(c, lc) for k, c in pn.items()}
+        num = {k - sn: _quo(c, lc) for k, c in self.den.items()} if lc != 1 \
             else _p_shift(self.den, -sn)
         if pn == _ONE_POLY:
             pn = _ONE_POLY
@@ -317,10 +424,10 @@ class QScalar:
         return out
 
     def scale(self, f):
-        f = Fraction(f)
+        f = _coeff(f)
         if not f or not self.num:
             return ZERO
-        return QScalar(_p_scale(self.num, f), self.den, _canonical=True)
+        return QScalar(_p_mul(self.num, {0: f}), self.den, _canonical=True)
 
     # -- substitutions ---------------------------------------------------
 
@@ -351,8 +458,8 @@ class QScalar:
 
 
 def _normalize(num, den):
-    num = {k: c for k, c in num.items() if c}
-    den = {k: c for k, c in den.items() if c}
+    num = _p_coeffs({k: c for k, c in num.items() if c})
+    den = _p_coeffs({k: c for k, c in den.items() if c})
     if not den:
         raise ZeroDivisionError("zero denominator in Q(t)")
     if not num:
@@ -371,8 +478,8 @@ def _normalize(num, den):
         pd, _ = _p_divmod(pd, g)
     lc = pd[max(pd)]
     if lc != 1:
-        pn = {k: c / lc for k, c in pn.items()}
-        pd = {k: c / lc for k, c in pd.items()}
+        pn = {k: _quo(c, lc) for k, c in pn.items()}
+        pd = {k: _quo(c, lc) for k, c in pd.items()}
     if pd == _ONE_POLY:
         pd = _ONE_POLY
     return _p_shift(pn, sn - sd), pd
@@ -405,7 +512,7 @@ QScalar.ONE = ONE
 
 def t_power(k):
     """The monomial t^k."""
-    return QScalar({k: _F1}, _ONE_POLY, _canonical=True)
+    return QScalar({k: 1}, _ONE_POLY, _canonical=True)
 
 
 def q_power(k):
@@ -433,7 +540,7 @@ def qint_base(n, base_t_exp):
     p = {}
     for i in range(m):
         k = base_t_exp * (m - 1 - 2 * i)
-        p[k] = p.get(k, _F0) + _F1
+        p[k] = p.get(k, 0) + 1
     p = {k: c for k, c in p.items() if c}
     out = QScalar(p)
     return out if sign > 0 else -out
@@ -464,7 +571,7 @@ def qnum_base(n, base_t_exp):
     p = {}
     for i in range(n):
         k = base_t_exp * i
-        p[k] = p.get(k, _F0) + _F1
+        p[k] = p.get(k, 0) + 1
     return QScalar({k: c for k, c in p.items() if c})
 
 
@@ -490,16 +597,16 @@ def _parse_poly(s):
         if "t^" in term:
             if "*" in term:
                 cs, ts = term.split("*")
-                c = Fraction(cs)
+                c = _coeff(cs)
             else:
-                c = _F1
+                c = 1
                 ts = term
             k = int(ts[2:])
         else:
-            c = Fraction(term)
+            c = _coeff(term)
             k = 0
-        out[k] = out.get(k, _F0) + c
-    return {k: c for k, c in out.items() if c}
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in _p_coeffs(out).items() if c}
 
 
 def parse_qscalar(s):

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -146,3 +150,39 @@ def test_cli_rejects_out_of_range_config_and_env(tmp_path, monkeypatch,
     assert main(["compute", "r"]) == 2
     # a flag overrides an out-of-range environment value
     assert main(["compute", "r", "--order", "2"]) == 0
+
+
+def test_cli_reader_closing_early_is_not_an_error():
+    # `qaffine compute ... | head -1`: the reader goes away before the
+    # output is written, which must not turn the run into a usage error
+    env = dict(os.environ, PYTHONPATH=str(
+        pathlib.Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qaffine.cli", "compute", "r", "--algebra",
+         "a1", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["compute", "r", "--twist", "10"], "--twist"),
+    (["compute", "r", "--backend", "series", "--order", "2", "--twist", "10"],
+     "--twist"),
+    (["compute", "r", "--backend", "series", "--order", "2", "--osc-rho",
+      "(1)/(1)", "--osc-mu", "(1)/(1)", "--osc-nu", "0"], "--osc-rho"),
+    (["compute", "l", "--side", "chi-phi", "--backend", "rational", "--fock",
+      "3", "--osc-rho", "(1)/(1)"], "--osc-rho"),
+    (["compute", "l", "--side", "chi-phi", "--backend", "rational", "--fock",
+      "3", "--osc-nu", "0"], "--osc-nu"),
+    (["compute", "l", "--algebra", "a1", "--side", "chi-phi", "--family",
+      "2", "--fock", "3"], "--family"),
+    (["compute", "l", "--algebra", "a1", "--side", "chi-phi", "--family",
+      "2", "--backend", "series", "--order", "1", "--fock", "3"],
+     "--family"),
+])
+def test_cli_rejects_flags_that_would_be_ignored(flags, named, capsys):
+    assert main(flags) == 2
+    assert named in capsys.readouterr().err

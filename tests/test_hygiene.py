@@ -4,6 +4,9 @@
   check.
 * Every module-level private function or class in src/qaffine is referenced
   somewhere in src/: an unreferenced one is dead code.
+* In scalars.py, true division appears only in the exact-quotient helper
+  `_quo` and at the QScalar level (`__truediv__`, `qbinom`): an int / int
+  in the polynomial kernel would put a float into a coefficient.
 """
 
 import ast
@@ -42,3 +45,21 @@ def test_every_private_definition_is_referenced():
               and not node.name.startswith("__")
               and node.name not in used]
     assert unused == []
+
+
+def test_true_division_in_scalars_only_where_exact():
+    allowed = {"_quo", "__truediv__", "qbinom"}
+    tree = ast.parse((SRC / "qaffine" / "scalars.py").read_text())
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Div)):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(tree, None)
+    assert "qbinom" in {where for where, _ in found}
+    assert [f for f in found if f[0] not in allowed] == []
