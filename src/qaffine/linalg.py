@@ -13,7 +13,7 @@ import itertools
 
 __all__ = [
     "OpMatrix", "kron", "perm_operator", "hat_and_check", "embed_legs",
-    "fock_level", "Grid", "grid_akp",
+    "fock_level", "Grid", "grid_akp", "window_product",
 ]
 
 
@@ -463,3 +463,23 @@ def grid_akp(g1, g2):
             if p:
                 out[(a * n2 + i, b * n2 + j)] = p
     return Grid(n1 * n2, out, g1.op_dim, g1.one, _clean=True)
+
+
+def window_product(mul, a, b, keep):
+    """mul(a, b).restrict(keep), computed on the window alone.
+
+    Entry (i, j) of an operator product x * y needs only row i of x and
+    column j of y, so `mul` runs on the kept rows of the operators of `a`
+    and the kept columns of those of `b`.  `a` and `b` are both OpMatrix
+    or both Grid, and `mul` is a product built from operator products and
+    sums of them: OpMatrix or Grid `*`, or grid_akp.
+    """
+    return mul(_window(a, keep, 0), _window(b, keep, 1))
+
+
+def _window(x, keep, axis):
+    """x with every operator cut to its kept rows (axis 0) or columns."""
+    if isinstance(x, Grid):
+        return x.map_ops(lambda m: _window(m, keep, axis))
+    return OpMatrix(x.dim, {ij: v for ij, v in x.entries.items()
+                            if keep(ij[axis])}, x.one, _clean=True)

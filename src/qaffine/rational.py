@@ -8,12 +8,13 @@ arithmetic for identities that genuinely involve two spectral parameters.
 Canonical form mirrors QScalar: the denominator is an ordinary polynomial
 in zeta with minimal degree zero and lowest coefficient 1, and numerator
 and denominator share no factor.  Over QScalar the gcd is computed with a
-primitive pseudo-remainder sequence on cleared coefficients; the naive
-Euclid over a rational function field swells catastrophically.
+primitive pseudo-remainder sequence on cleared coefficients.  Over nested
+coefficients a monic Euclid, which swells catastrophically, serves general
+two-variable arithmetic; the identity checks clear denominators first.
 """
 
 from .scalars import (
-    QScalar, _ONE_POLY, _p_add, _p_divmod, _p_gcd, _p_mul, _p_shift,
+    QScalar, _ONE_POLY, _p_add, _p_exquo, _p_gcd, _p_mul, _p_shift,
 )
 
 __all__ = ["ZetaRational"]
@@ -107,8 +108,7 @@ def _t_primitive(zp):
     out = {}
     for k, c in zp.items():
         s = min(c)
-        q, _ = _p_divmod(_p_shift(c, -s), g)
-        out[k] = _p_shift(q, s)
+        out[k] = _p_shift(_p_exquo(_p_shift(c, -s), g), s)
     return out
 
 
@@ -160,15 +160,13 @@ def _clear_coeffs(zp):
     for c in zp.values():
         if c.den != _ONE_POLY:
             g = _p_gcd(den, c.den)
-            q, _ = _p_divmod(c.den, g)
-            den = _p_mul(den, q)
+            den = _p_mul(den, _p_exquo(c.den, g))
     out = {}
     for k, c in zp.items():
         if c.den == _ONE_POLY:
             out[k] = c.num if den == _ONE_POLY else _p_mul(c.num, den)
         else:
-            q, _ = _p_divmod(den, c.den)
-            out[k] = _p_mul(c.num, q)
+            out[k] = _p_mul(c.num, _p_exquo(den, c.den))
     return out
 
 

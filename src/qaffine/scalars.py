@@ -97,27 +97,33 @@ def _p_shift(a, n):
     return {k + n: c for k, c in a.items()}
 
 
-def _p_divmod(a, b):
-    # ordinary polynomial division; a, b have only non-negative exponents
-    q = {}
-    r = dict(a)
+def _p_exquo(a, b):
+    """a / b for ordinary polynomials; ArithmeticError unless b divides a.
+    The remainder's degrees, all multiples of `step`, are walked down once."""
+    if a == b:
+        return {0: 1}
     db = max(b)
     lb = b[db]
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        c = _quo(r[dr], lb)
-        k = dr - db
-        q[k] = c
-        for kb, cb in b.items():
-            kk = kb + k
-            s = r.get(kk, 0) - cb * c
-            if s:
-                r[kk] = s
-            else:
-                r.pop(kk, None)
-    return q, _p_coeffs(r)
+    step = gcd(*a, *b) or 1
+    r = dict(a)
+    q = {}
+    dr = max(a)
+    while dr >= db:
+        c = r.pop(dr, 0)
+        if c:
+            c = q[dr - db] = _quo(c, lb)
+            for kb, cb in b.items():
+                if kb != db:
+                    kk = kb + dr - db
+                    s = r.get(kk, 0) - cb * c
+                    if s:
+                        r[kk] = s
+                    else:
+                        r.pop(kk, None)
+        dr -= step
+    if r:
+        raise ArithmeticError("polynomial division is not exact")
+    return q
 
 
 def _p_monic(a):
@@ -301,8 +307,8 @@ def _reduce_pair(num, den):
     g = _p_gcd(pn, den)
     if g == _ONE_POLY:
         return num, den
-    pn, _ = _p_divmod(pn, g)
-    den, _ = _p_divmod(den, g)
+    pn = _p_exquo(pn, g)
+    den = _p_exquo(den, g)
     return _p_shift(pn, sn), den
 
 
@@ -364,8 +370,8 @@ class QScalar:
             if not num:
                 return ZERO
             return QScalar(num, _p_mul(self.den, other.den), _canonical=True)
-        da, _ = _p_divmod(self.den, g)
-        db, _ = _p_divmod(other.den, g)
+        da = _p_exquo(self.den, g)
+        db = _p_exquo(other.den, g)
         num = _p_add(_p_mul(self.num, db), _p_mul(other.num, da))
         return QScalar(num, _p_mul(self.den, db))
 
@@ -474,8 +480,8 @@ def _normalize(num, den):
     pd = _p_shift(den, -sd)
     g = _p_gcd(pn, pd)
     if g != _ONE_POLY:
-        pn, _ = _p_divmod(pn, g)
-        pd, _ = _p_divmod(pd, g)
+        pn = _p_exquo(pn, g)
+        pd = _p_exquo(pd, g)
     lc = pd[max(pd)]
     if lc != 1:
         pn = {k: _quo(c, lc) for k, c in pn.items()}

@@ -4,7 +4,11 @@ engine-against-closed-form equality, and the spectral-linear structure.
 Every check returns a Verdict carrying the first failing coefficient when
 something breaks.  Identities that genuinely involve two spectral
 parameters run over exact nested rationals (an outer variable with
-coefficients rational in the inner one); nothing here is numerical.
+coefficients rational in the inner one); nothing here is numerical.  Each
+such relation is homogeneous, so its one-variable entries are first cleared
+of denominators: the nested arithmetic then meets only monomial
+denominators and never needs its Euclid gcd.  Relations on a Fock window
+are computed on the window alone.
 """
 
 import time
@@ -14,6 +18,7 @@ from .series import ZetaSeries
 from .rational import ZetaRational
 from .linalg import (
     OpMatrix, Grid, grid_akp, hat_and_check, embed_legs, kron, fock_level,
+    window_product,
 )
 from .oscillator import tau_matrix, gamma_scaling
 from .reference import (
@@ -183,6 +188,9 @@ def check_ybe(algebra, s=1, s1=0, s2=0, perturb=False):
         entries = dict(mat.entries)
         entries[ij] = entries[ij].scale(q_power(1))
         mat = OpMatrix(mat.dim, entries, mat.one)
+    # R(u) R(uv) R(v) on both sides: clearing c(zeta) scales each by
+    # c(u) c(uv) c(v)
+    mat, = _cleared(mat)
     r_u = _lift(mat, "u")
     r_v = _lift(mat, "v")
     r_uv = _lift(mat, "uv")
@@ -213,45 +221,47 @@ def check_ybe(algebra, s=1, s1=0, s2=0, perturb=False):
 
 # -- exchange relation between R and an L-operator -----------------------------
 
-def _common_denominator(values, limit=4):
-    """The product of the distinct denominators among `values`, or 1 when
-    there are none or more than `limit` of them.
+def _cleared(*objs):
+    """`objs` (matrices or grids over one-variable rationals), each times
+    the lcm of all their denominators.  The relations checked here are
+    homogeneous, so no verdict changes, and the lifted entries meet no
+    denominator but monomials: the two-variable arithmetic needs no gcd."""
+    dens = {}
+    for obj in objs:
+        for m in (obj.entries.values() if isinstance(obj, Grid) else (obj,)):
+            for v in m.entries.values():
+                if not v.is_polynomial():
+                    dens.setdefault(frozenset(v.den.items()), v.den)
+    common = ZR1_ONE
+    for den in dens.values():
+        # times den / gcd(den, common), by the gcd of the one-variable field
+        common = common * ZetaRational(ZetaRational(common.num, den, ONE).den,
+                                       {0: ONE}, ONE, _canonical=True)
+    return [obj.map_values(lambda v: v * common) if dens else obj
+            for obj in objs]
 
-    The relations checked here are homogeneous, so multiplying every entry
-    by this scalar changes no verdict, and polynomial entries keep the
-    two-variable arithmetic gcd-free.
-    """
-    dens = []
-    for v in values:
-        if not v.is_polynomial() and all(v.den != d for d in dens):
-            dens.append(v.den)
-            if len(dens) > limit:
-                return ZR1_ONE
-    scalar = ZR1_ONE
-    for den in dens:
-        scalar = scalar * ZetaRational(den, {0: ONE}, ONE)
-    return scalar
+
+def _grid_failure(lhs, rhs):
+    """Where two unequal grids first differ, with both values there."""
+    ab, ij = lhs.first_difference(rhs)
+    return {"entry": list(ab), "fock": list(ij),
+            "lhs": str(lhs.entry(*ab).entry(*ij)),
+            "rhs": str(rhs.entry(*ab).entry(*ij))}
 
 
 def _rll_residual(l_grid, l_type, r_flat, d, copies, drop):
-    """Returns None when the exchange relation holds on the safe window,
-    else ((grid entry), (fock entry))."""
-    common = _common_denominator(
-        v for m in l_grid.entries.values() for v in m.entries.values())
-    l_grid = l_grid.map_ops(lambda m: m.scale(common))
-    rmat = hat_and_check(r_flat)[0 if l_type == "hat" else 1]
-    rmat = rmat.scale(_common_denominator(rmat.entries.values()))
+    """None when the exchange relation holds on the truncation-safe
+    window, else the first_failure of the verdict.  Both sides are computed
+    on the window alone, and compared with L and R cleared of denominators."""
+    l_grid, = _cleared(l_grid)
+    rmat, = _cleared(hat_and_check(r_flat)[0 if l_type == "hat" else 1])
     r2 = _lift(rmat, "ratio")
     l_u = _lift(l_grid, "u")
     l_v = _lift(l_grid, "v")
-    lhs = grid_akp(l_u, l_v).lmul_scalar_matrix(r2)
-    rhs = grid_akp(l_v, l_u).rmul_scalar_matrix(r2)
     keep = lambda i: fock_level(i, d, copies) <= d - 1 - drop
-    lhs = lhs.restrict(keep)
-    rhs = rhs.restrict(keep)
-    if lhs == rhs:
-        return None
-    return lhs.first_difference(rhs)
+    lhs = window_product(grid_akp, l_u, l_v, keep).lmul_scalar_matrix(r2)
+    rhs = window_product(grid_akp, l_v, l_u, keep).rmul_scalar_matrix(r2)
+    return None if lhs == rhs else _grid_failure(lhs, rhs)
 
 
 @_timed
@@ -267,12 +277,10 @@ def check_rll(algebra, variant, s=1, s1=0, s2=0, d=12, strip_scalar=True):
         dress = ZetaRational({0: ONE, s: q_power(3)}, {0: ONE}, ONE)
         grid = grid.map_ops(lambda m: m.map_values(lambda v: v * dress))
     drop = DUAL_WINDOW_DROP if variant.endswith("inv") else RLL_WINDOW_DROP
-    res = _rll_residual(grid, ref.l_type, r.matrix, d, ref.copies, drop)
+    failure = _rll_residual(grid, ref.l_type, r.matrix, d, ref.copies, drop)
     exps = (s, s1) if algebra == "a1" else (s, s1, s2)
-    if res is None:
-        return Verdict("rll-%s" % ref.l_type, algebra, variant, exps, True)
-    return Verdict("rll-%s" % ref.l_type, algebra, variant, exps, False,
-                   {"entry": list(res[0]), "fock": list(res[1] or ())})
+    return Verdict("rll-%s" % ref.l_type, algebra, variant, exps,
+                   failure is None, failure)
 
 
 # -- inversion and anti-involution dualities -----------------------------------
@@ -297,14 +305,11 @@ def check_duality(algebra, variant, mode, s=1, s1=0, s2=0, d=10):
     else:
         raise ValueError("duality mode must be 'inversion' or 'tau'")
     flipped = "check" if ref.l_type == "hat" else "hat"
-    res = _rll_residual(derived, flipped, r.matrix, d, ref.copies,
-                        DUAL_WINDOW_DROP)
+    failure = _rll_residual(derived, flipped, r.matrix, d, ref.copies,
+                            DUAL_WINDOW_DROP)
     exps = (s, s1) if algebra == "a1" else (s, s1, s2)
-    name = "duality-%s" % mode
-    if res is None:
-        return Verdict(name, algebra, variant, exps, True)
-    return Verdict(name, algebra, variant, exps, False,
-                   {"entry": list(res[0]), "fock": list(res[1] or ())})
+    return Verdict("duality-%s" % mode, algebra, variant, exps,
+                   failure is None, failure)
 
 
 @_timed
@@ -339,35 +344,29 @@ def check_gauge(family, algebra, s, s1, s2=0):
     choices through diagonal conjugation and the spectral gauge map."""
     exps = (s, s1) if algebra == "a1" else (s, s1, s2)
     if family == "r":
-        lhs_ref = reference_matrix("r", algebra, "plain", s, s1, s2)
-        base = reference_matrix("r", algebra, "plain", 1, 0, 0)
-        if lhs_ref.tag != base.tag.subs_zeta_power(s):
-            return Verdict("gauge-r", algebra, "plain", exps, False,
-                           {"detail": "prefactor tag mismatch"})
-        lhs = _lift(lhs_ref.matrix, "ratio")
-        base2 = _lift(
-            base.matrix.map_values(lambda v: v.subs_power(s), ZR1_ONE),
-            "ratio")
+        kind, variant = "r", "plain"
+    else:
+        kind = "l"
+        variant = ("hat" if family == "hat" else "check") + (
+            "" if algebra == "a1" else "-1")
+    # Fock dimension 5 for the L-operators; R ignores it
+    lhs_ref = reference_matrix(kind, algebra, variant, s, s1, s2, d=5)
+    base = reference_matrix(kind, algebra, variant, 1, 0, 0, d=5)
+    name = "gauge-%s" % family
+    if lhs_ref.tag != base.tag.subs_zeta_power(s):
+        return Verdict(name, algebra, variant, exps, False,
+                       {"detail": "prefactor tag mismatch"})
+    # the gauge maps are linear, so one common factor clears both sides
+    lhs, base2 = (_lift(x, "ratio") for x in _cleared(
+        lhs_ref.matrix,
+        base.matrix.map_values(lambda v: v.subs_power(s), ZR1_ONE)))
+    if family == "r":
         gu = _g_matrix(algebra, s1, s2, "u")
         gv = _g_matrix(algebra, s1, s2, "v")
-        gg = kron(gu, gv)
-        gg_inv = kron(_g_inverse(gu), _g_inverse(gv))
-        rhs = gg * base2 * gg_inv
+        rhs = kron(gu, gv) * base2 * kron(_g_inverse(gu), _g_inverse(gv))
         ok = lhs == rhs
         where = None if ok else {"entry": list(lhs.first_difference(rhs))}
-        return Verdict("gauge-r", algebra, "plain", exps, ok, where)
-    # hat / check L-operator gauge relations
-    d = 5
-    variant = ("hat" if family == "hat" else "check") if algebra == "a1" \
-        else ("hat-1" if family == "hat" else "check-1")
-    lhs_ref = reference_matrix("l", algebra, variant, s, s1, s2, d=d)
-    base = reference_matrix("l", algebra, variant, 1, 0, 0, d=d)
-    if lhs_ref.tag != base.tag.subs_zeta_power(s):
-        return Verdict("gauge-%s" % family, algebra, variant, exps, False,
-                       {"detail": "prefactor tag mismatch"})
-    lhs = _lift(lhs_ref.matrix, "ratio")
-    base2 = _lift(
-        base.matrix.map_values(lambda v: v.subs_power(s), ZR1_ONE), "ratio")
+        return Verdict(name, algebra, variant, exps, ok, where)
     s_exponents = (s1,) if algebra == "a1" else (s1, s2)
     if family == "hat":
         gmat = _g_matrix(algebra, s1, s2, "v")
@@ -380,11 +379,8 @@ def check_gauge(family, algebra, s, s1, s2=0):
         rhs = gammaed.lmul_scalar_matrix(gmat).rmul_scalar_matrix(
             _g_inverse(gmat))
     ok = lhs == rhs
-    where = None
-    if not ok:
-        diff = lhs.first_difference(rhs)
-        where = {"entry": list(diff[0]), "fock": list(diff[1] or ())}
-    return Verdict("gauge-%s" % family, algebra, variant, exps, ok, where)
+    return Verdict(name, algebra, variant, exps, ok,
+                   None if ok else _grid_failure(lhs, rhs))
 
 
 def _g_inverse(g):
@@ -433,7 +429,7 @@ def check_structure(algebra, d=8):
                        {"detail": "no exponents with the stated "
                                   "triangularity"})
     keep = lambda i: fock_level(i, d, ref.copies) <= d - 1 - PROJ_WINDOW_DROP
-    if (pi * pi).restrict(keep) != pi.restrict(keep):
+    if window_product(Grid.__mul__, pi, pi, keep) != pi.restrict(keep):
         failures.append("hat projector not idempotent")
     r0h = r0_hat_matrix(n)
     # invert the constant matrix as a grid of 1 x 1 operators
@@ -452,9 +448,9 @@ def check_structure(algebra, d=8):
         (r0h_inv, lp, lm, lm, lp, "+- (inverse matrix)"),
     )
     for smat, al, ar, bl, br, name in cases:
-        lhs = grid_akp(al, ar).lmul_scalar_matrix(smat)
-        rhs = grid_akp(bl, br).rmul_scalar_matrix(smat)
-        if lhs.restrict(keep) != rhs.restrict(keep):
+        lhs = window_product(grid_akp, al, ar, keep).lmul_scalar_matrix(smat)
+        rhs = window_product(grid_akp, bl, br, keep).rmul_scalar_matrix(smat)
+        if lhs != rhs:
             failures.append("exchange %s fails" % name)
     if not _annihilates_at_one(ref, pi):
         failures.append("hat operator at argument one is not singular")
@@ -473,7 +469,7 @@ def check_structure(algebra, d=8):
     if check_exps is None:
         failures.append("no check-side special exponents")
     else:
-        if (pic * pic).restrict(keep) != pic.restrict(keep):
+        if window_product(Grid.__mul__, pic, pic, keep) != pic.restrict(keep):
             failures.append("check projector not idempotent")
         if not _annihilates_at_one(refc, pic):
             failures.append("check operator at argument one is not singular")

@@ -4,8 +4,11 @@ import random
 import pytest
 
 from qaffine.scalars import QScalar, q_power
+from operator import mul
+
 from qaffine.linalg import (
     OpMatrix, kron, perm_operator, hat_and_check, embed_legs, Grid, grid_akp,
+    fock_level, window_product,
 )
 
 ONE = QScalar.ONE
@@ -130,6 +133,30 @@ def test_grid_flatten_roundtrip():
         flat = g.flatten(op_first)
         back = Grid.from_flat(flat, 2, 3, op_first)
         assert back == g
+
+
+def rand_grid(rng, n, dim):
+    return Grid(n, {(rng.randrange(n), rng.randrange(n)): rand_matrix(rng, dim)
+                    for _ in range(n + 1)}, dim, ONE)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_window_product_is_the_restricted_product(seed):
+    rng = random.Random(seed)
+    dim = rng.choice((4, 6, 9))
+    kept = set(rng.sample(range(dim), rng.randint(1, dim - 1)))
+    windows = [lambda i: False, lambda i: True, kept.__contains__,
+               lambda i: fock_level(i, 3, 2) <= 1 if dim == 9 else i < 2]
+    a, b = rand_matrix(rng, dim), rand_matrix(rng, dim)
+    g, h = rand_grid(rng, 2, dim), rand_grid(rng, 3, dim)
+    for keep in windows:
+        assert window_product(mul, a, b, keep) == (a * b).restrict(keep)
+        assert window_product(mul, g, g, keep) == (g * g).restrict(keep)
+        for x, y in ((g, h), (h, g)):
+            assert window_product(grid_akp, x, y, keep) == \
+                grid_akp(x, y).restrict(keep)
+    assert window_product(mul, a, b, windows[0]) == OpMatrix.zero(dim, ONE)
+    assert not window_product(grid_akp, g, h, windows[0])
 
 
 def test_mixed_scalar_kinds_rejected():

@@ -112,3 +112,27 @@ def test_zero_division_guards():
         ZERO.inverse()
     with pytest.raises(ZeroDivisionError):
         QScalar({0: Fraction(1)}, {})
+
+
+def test_exact_division_kernel():
+    from qaffine.scalars import _p_add, _p_exquo, _p_mul
+    rng = random.Random(41)
+    for _ in range(60):
+        stride = rng.choice((1, 2, 6))
+        b = {stride * rng.randint(1, 4): rng.randint(-9, 9) or 1
+             for _ in range(2)}
+        b[0] = rng.randint(1, 5)
+        q = {stride * rng.randint(0, 8): Fraction(rng.randint(-9, 9), 2)
+             for _ in range(4)}
+        q = {k: c for k, c in q.items() if c} or {0: 1}
+        a = _p_mul(q, b)
+        got = _p_exquo(a, b)
+        assert got == q
+        assert all(type(c) is int or c.denominator > 1 for c in got.values())
+        # a remainder is never dropped, wherever it sits
+        for rem in ({0: 1}, {1: 1}, {max(a) + 1: 1}):
+            with pytest.raises(ArithmeticError):
+                _p_exquo(_p_add(a, rem), b)
+    assert _p_exquo({0: 3, 6: 2}, {0: 3, 6: 2}) == {0: 1}
+    with pytest.raises(ArithmeticError):
+        _p_exquo({0: 1}, {0: 1, 6: 1})

@@ -2,6 +2,11 @@ import json
 
 import pytest
 
+from qaffine import rational, verify
+from qaffine.linalg import OpMatrix, Grid, grid_akp, hat_and_check, fock_level
+from qaffine.rational import ZetaRational
+from qaffine.reference import reference_matrix
+from qaffine.scalars import q_power
 from qaffine.verify import (
     Verdict, check_engine, check_ybe, check_rll, check_duality, check_gauge,
     check_structure, check_double_inversion, suite_checks, run_suite,
@@ -15,12 +20,14 @@ def test_ybe_a1_passes_and_perturbation_fails():
     assert v2.passed
     bad = check_ybe("a1", s=1, s1=0, perturb=True)
     assert not bad.passed
-    assert bad.first_failure and "entry" in bad.first_failure
+    assert bad.first_failure == {"entry": [1, 2]}
 
 
 def test_ybe_a2():
     assert check_ybe("a2", s=-2, s1=0, s2=0).passed
     assert check_ybe("a2", s=1, s1=0, s2=0).passed
+    bad = check_ybe("a2", s=1, s1=0, s2=0, perturb=True)
+    assert bad.first_failure == {"entry": [1, 3]}
 
 
 def test_rll_a1_all_variants():
@@ -127,3 +134,100 @@ def test_gauge_tag_mismatch_fails_the_verdict(family, monkeypatch):
     v = check_gauge(family, "a1", s=2, s1=1)
     assert v.passed is False
     assert v.first_failure == {"detail": "prefactor tag mismatch"}
+
+
+# -- the exchange relation computed on the Fock window alone ------------------
+
+def _perturbed_l(algebra, variant, d):
+    """The transcribed L-operator with one entry inside the window (Fock
+    entry (0, 0) of grid entry (0, 0)) multiplied by q, and the R-matrix."""
+    ref = reference_matrix("l", algebra, variant, 1, 0, 0, d=d)
+    r = reference_matrix("r", algebra, "plain", 1, 0, 0)
+    op = ref.matrix.entry(0, 0)
+    entries = dict(op.entries)
+    entries[(0, 0)] = entries[(0, 0)] * ZetaRational.const(q_power(1))
+    ops = dict(ref.matrix.entries)
+    ops[(0, 0)] = OpMatrix(op.dim, entries, op.one)
+    return ref, r, Grid(ref.matrix.n, ops, ref.matrix.op_dim, op.one)
+
+
+def _restricted_after_product(l_grid, l_type, r_flat, d, copies, drop):
+    """The exchange relation as full products of the lifted operators,
+    restricted to the window afterwards, with R times the product of its
+    distinct denominators: where the two sides first differ, and both
+    values there."""
+    rmat = hat_and_check(r_flat)[0 if l_type == "hat" else 1]
+    common = verify.ZR1_ONE
+    dens = []
+    for v in rmat.entries.values():
+        if not v.is_polynomial() and v.den not in dens:
+            dens.append(v.den)
+            common = common * ZetaRational(v.den, {0: verify.ONE},
+                                           verify.ONE)
+    r2 = verify._lift(rmat.scale(common), "ratio")
+    l_u = verify._lift(l_grid, "u")
+    l_v = verify._lift(l_grid, "v")
+    keep = lambda i: fock_level(i, d, copies) <= d - 1 - drop
+    lhs = grid_akp(l_u, l_v).lmul_scalar_matrix(r2).restrict(keep)
+    rhs = grid_akp(l_v, l_u).rmul_scalar_matrix(r2).restrict(keep)
+    ab, ij = lhs.first_difference(rhs)
+    return {"entry": list(ab), "fock": list(ij),
+            "lhs": str(lhs.entry(*ab).entry(*ij)),
+            "rhs": str(rhs.entry(*ab).entry(*ij))}
+
+
+@pytest.mark.parametrize("algebra, variant, d", [("a1", "hat", 7),
+                                                 ("a2", "hat-1", 5)])
+def test_rll_fails_where_the_restricted_product_differs(algebra, variant, d):
+    ref, r, grid = _perturbed_l(algebra, variant, d)
+    args = (grid, ref.l_type, r.matrix, d, ref.copies,
+            verify.RLL_WINDOW_DROP)
+    failure = verify._rll_residual(*args)
+    assert failure is not None
+    assert failure == _restricted_after_product(*args)
+    assert failure["lhs"] != failure["rhs"]
+    assert verify._rll_residual(ref.matrix, *args[1:]) is None
+
+
+def test_failing_duality_reports_both_values(monkeypatch):
+    _, _, grid = _perturbed_l("a1", "hat", 7)
+    monkeypatch.setattr(verify, "_tau_l", lambda ref: grid)
+    v = check_duality("a1", "hat", "tau", s=1, s1=0, d=7)
+    assert v.passed is False
+    assert set(v.first_failure) == {"entry", "fock", "lhs", "rhs"}
+    assert v.first_failure["lhs"] != v.first_failure["rhs"]
+    json.dumps(v.to_json())
+
+
+# -- no check reaches the Euclid gcd of the nested two-variable field ----------
+
+def test_checks_never_reach_the_nested_euclid_gcd(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("nested Euclid gcd reached")
+    monkeypatch.setattr(rational, "_euclid_gcd", refuse)
+    verdicts = [
+        check_ybe("a1", s=1, s1=0), check_ybe("a1", s=-2, s1=-1),
+        check_ybe("a2", s=1, s1=0, s2=0), check_ybe("a2", s=2, s1=1, s2=-1),
+        check_rll("a1", "hat", s=1, s1=0, d=6),
+        check_rll("a1", "check-twisted", s=1, s1=0, d=6),
+        check_rll("a2", "check-1", s=1, s1=0, s2=0, d=6),
+        check_rll("a2", "check-inv", s=1, s1=0, s2=0, d=6),
+    ]
+    for mode in ("inversion", "tau"):
+        # Fock dimensions that keep the windows (drop 3 or 5) non-empty
+        verdicts += [check_duality("a1", "hat", mode, s=1, s1=0, d=8),
+                     check_duality("a1", "check", mode, s=1, s1=0, d=8),
+                     check_duality("a2", "hat-1", mode, s=1, s1=0, s2=0,
+                                   d=6)]
+    for family in ("r", "hat", "check"):
+        verdicts += [check_gauge(family, "a1", s=-2, s1=-1),
+                     check_gauge(family, "a1", s=3, s1=2),
+                     check_gauge(family, "a2", s=-3, s1=-2, s2=1),
+                     check_gauge(family, "a2", s=2, s1=1, s2=-2)]
+    assert [v for v in verdicts if not v.passed] == []
+    # the guard is live: a nested division by u - v needs the Euclid gcd
+    u = ZetaRational.monomial(1)
+    one = verify.ZR1_ONE
+    u_minus_v = ZetaRational({0: u, 1: -one}, {0: one}, one)
+    with pytest.raises(AssertionError, match="Euclid"):
+        ZetaRational({0: u * u, 2: -one}, {0: one}, one) / u_minus_v
