@@ -1,9 +1,9 @@
 """Dense-semantics square matrices over exact scalars, stored sparsely.
 
-OpMatrix works for any scalar kind with field-style operators (QScalar,
-ZetaSeries, ZetaRational, nested rationals); a matrix carries a sample
-`one` of its scalar kind so identities and zeros can be built without a
-class registry.  On top of that live matrix units, Kronecker products,
+OpMatrix works for any scalar kind with ring operators (QScalar,
+ZetaSeries, ZetaRational, the two-variable Laurent polynomials of the
+identity checks); a matrix carries a sample `one` of its scalar kind so
+identities and zeros can be built without a class registry.  On top of that live matrix units, Kronecker products,
 symmetric-group operators, leg embeddings, and Grid: a square matrix whose
 entries are themselves matrices (operator-valued), with the generalized
 Kronecker product used by exchange relations.

@@ -1,16 +1,15 @@
-"""Ratios of Laurent polynomials in zeta, over any exact coefficient field.
+"""Ratios of Laurent polynomials in zeta with coefficients in Q(t).
 
-The coefficient type only needs field arithmetic (+, -, *, /, ==, bool), so
-a ZetaRational over QScalar is the closed-form backend, and a ZetaRational
-whose coefficients are themselves ZetaRational gives exact two-variable
-arithmetic for identities that genuinely involve two spectral parameters.
+This is the closed-form backend: one spectral variable over QScalar.
+Identities in two spectral variables are checked elsewhere, as polynomial
+identities after clearing denominators (see verify.py), so this field
+never nests.
 
 Canonical form mirrors QScalar: the denominator is an ordinary polynomial
 in zeta with minimal degree zero and lowest coefficient 1, and numerator
-and denominator share no factor.  Over QScalar the gcd is computed with a
-primitive pseudo-remainder sequence on cleared coefficients.  Over nested
-coefficients a monic Euclid, which swells catastrophically, serves general
-two-variable arithmetic; the identity checks clear denominators first.
+and denominator share no factor.  The gcd is computed with a primitive
+pseudo-remainder sequence on cleared coefficients, and the exact quotients
+by it over Q(t).
 """
 
 from .scalars import (
@@ -18,6 +17,8 @@ from .scalars import (
 )
 
 __all__ = ["ZetaRational"]
+
+_ONE_DEN = {0: QScalar.ONE}
 
 
 def _strip(p):
@@ -55,36 +56,35 @@ def _mul(a, b):
     return out
 
 
-def _shift(p, n):
-    if n == 0:
-        return p
-    return {k + n: c for k, c in p.items()}
+def _scale(p, c):
+    return {k: v * c for k, v in p.items()}
 
 
-def _divmod(a, b, one):
-    q = {}
-    r = dict(a)
+def _exquo(a, b):
+    """a / b for zeta-polynomials over Q(t); ArithmeticError unless b
+    divides a."""
     db = max(b)
-    lb_inv = one / b[db]
+    lb_inv = b[db].inverse()
+    r = dict(a)
+    q = {}
     while r:
         dr = max(r)
         if dr < db:
-            break
-        c = r[dr] * lb_inv
-        k = dr - db
-        q[k] = c
+            raise ArithmeticError("zeta-polynomial division is not exact")
+        c = q[dr - db] = r.pop(dr) * lb_inv
         for kb, cb in b.items():
-            kk = kb + k
-            s = r.get(kk)
-            s = -(cb * c) if s is None else s - cb * c
-            if s:
-                r[kk] = s
-            else:
-                r.pop(kk, None)
-    return q, r
+            if kb != db:
+                kk = kb + dr - db
+                s = r.get(kk)
+                s = -(cb * c) if s is None else s - cb * c
+                if s:
+                    r[kk] = s
+                else:
+                    r.pop(kk, None)
+    return q
 
 
-# -- gcd of zeta-polynomials with QScalar coefficients via primitive PRS ----
+# -- gcd of zeta-polynomials via primitive PRS on Laurent-t coefficients ----
 
 def _t_polypart(lp):
     """Poly part of a Laurent t-dict (monomial units stripped)."""
@@ -170,71 +170,38 @@ def _clear_coeffs(zp):
     return out
 
 
-def _qscalar_gcd(pn, pd):
-    """gcd of two zeta-polys with QScalar coefficients, as a monic-lowest
-    zeta-poly over QScalar; {0: ONE} when coprime."""
-    g = _prs_gcd(_clear_coeffs(pn), _clear_coeffs(pd))
+def _gcd(a, b):
+    """gcd of two zeta-polynomials (lowest degree 0) with lowest coefficient
+    1; {0: ONE} when they are coprime."""
+    if len(a) == 1 or len(b) == 1:
+        return _ONE_DEN
+    g = _prs_gcd(_clear_coeffs(a), _clear_coeffs(b))
     if max(g) == 0:
-        return {0: QScalar.ONE}
-    # normalize: lowest zeta-coefficient becomes 1
-    lo = g[min(g)]
-    lo_q = QScalar(dict(lo))
-    inv = lo_q.inverse()
+        return _ONE_DEN
+    inv = QScalar(dict(g[min(g)])).inverse()
     return {k: QScalar(dict(c)) * inv for k, c in g.items()}
 
 
-def _monic(p, one):
-    lc = p[max(p)]
-    if lc == one:
-        return p
-    inv = one / lc
-    return {k: c * inv for k, c in p.items()}
-
-
-def _euclid_gcd(a, b, one):
-    # generic fallback for nested coefficient fields; remainders kept monic
-    a = _monic(a, one)
-    b = _monic(b, one)
-    while b:
-        _, r = _divmod(a, b, one)
-        a, b = b, (_monic(r, one) if r else r)
-    return a
-
-
-def _poly_gcd(a, b, one):
-    if len(a) == 1 or len(b) == 1:
-        return {0: one}
-    if isinstance(one, QScalar):
-        return _qscalar_gcd(a, b)
-    return _euclid_gcd(a, b, one)
-
-
-def _reduce_pair(num, den, one):
-    """Strip gcd(poly-part-of-num, den); num Laurent, den canonical."""
-    if not num or den == {0: one}:
+def _reduce_pair(num, den):
+    """Strip gcd(poly-part-of-num, den); num Laurent, den an ordinary
+    polynomial with lowest coefficient 1 at degree 0."""
+    if not num or den == _ONE_DEN:
         return num, den
     sn = min(num)
-    pn = _shift(num, -sn)
-    g = _poly_gcd(pn, den, one)
-    if len(g) == 1 and 0 in g:
+    pn = _p_shift(num, -sn)
+    g = _gcd(pn, den)
+    if g == _ONE_DEN:
         return num, den
-    pn, _ = _divmod(pn, g, one)
-    den, _ = _divmod(den, g, one)
-    lo = den[0]
-    if not (lo == one):
-        inv = one / lo
-        pn = {k: c * inv for k, c in pn.items()}
-        den = {k: c * inv for k, c in den.items()}
-    return _shift(pn, sn), den
+    # den and g both have lowest coefficient 1, and so has the quotient
+    return _p_shift(_exquo(pn, g), sn), _exquo(den, g)
 
 
 class ZetaRational:
-    """Reduced ratio of Laurent polynomials in zeta over a coefficient field."""
+    """Reduced ratio of Laurent polynomials in zeta over Q(t)."""
 
-    __slots__ = ("num", "den", "one")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den, one, _canonical=False):
-        self.one = one
+    def __init__(self, num, den=_ONE_DEN, *, _canonical=False):
         if _canonical:
             self.num = num
             self.den = den
@@ -245,53 +212,27 @@ class ZetaRational:
             raise ZeroDivisionError("zero denominator in zeta-rational")
         if not num:
             self.num = {}
-            self.den = {0: one}
+            self.den = _ONE_DEN
             return
-        sn = min(num)
         sd = min(den)
-        pn = _shift(num, -sn)
-        pd = _shift(den, -sd)
-        if len(pd) == 1:
-            lo = pd[0]
-            if not (lo == one):
-                inv = one / lo
-                pn = {k: c * inv for k, c in pn.items()}
-            pd = {0: one}
-        else:
-            g = _poly_gcd(pn, pd, one)
-            if not (len(g) == 1 and 0 in g):
-                pn, _ = _divmod(pn, g, one)
-                pd, _ = _divmod(pd, g, one)
-            lo = pd[min(pd)]
-            if not (lo == one):
-                inv = one / lo
-                pn = {k: c * inv for k, c in pn.items()}
-                pd = {k: c * inv for k, c in pd.items()}
-        self.num = _shift(pn, sn - sd)
-        self.den = pd
+        num = _p_shift(num, -sd)
+        den = _p_shift(den, -sd)
+        lo = den[0]
+        if not lo.is_one():
+            inv = lo.inverse()
+            num = _scale(num, inv)
+            den = _scale(den, inv)
+        self.num, self.den = _reduce_pair(num, den)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def const(c, one=None):
-        one = one if one is not None else QScalar.ONE
-        if not c:
-            return ZetaRational({}, {0: one}, one, _canonical=True)
-        return ZetaRational({0: c}, {0: one}, one, _canonical=True)
+    def const(c):
+        return ZetaRational({0: c} if c else {}, _canonical=True)
 
     @staticmethod
-    def monomial(deg, c=None, one=None):
-        one = one if one is not None else QScalar.ONE
-        c = c if c is not None else one
-        if not c:
-            return ZetaRational({}, {0: one}, one, _canonical=True)
-        return ZetaRational({deg: c}, {0: one}, one, _canonical=True)
-
-    def zero_like(self):
-        return ZetaRational({}, {0: self.one}, self.one, _canonical=True)
-
-    def one_like(self):
-        return ZetaRational({0: self.one}, {0: self.one}, self.one, _canonical=True)
+    def monomial(deg, c=QScalar.ONE):
+        return ZetaRational({deg: c} if c else {}, _canonical=True)
 
     # -- predicates ---------------------------------------------------------
 
@@ -299,7 +240,7 @@ class ZetaRational:
         return bool(self.num)
 
     def is_polynomial(self):
-        return self.den == {0: self.one}
+        return self.den == _ONE_DEN
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -310,47 +251,41 @@ class ZetaRational:
             return self
         if not self.num:
             return other
-        one = self.one
-        one_den = {0: one}
         if self.den == other.den:
             num = _add(self.num, other.num)
-            if self.den == one_den:
-                return ZetaRational(num, one_den, one,
-                                    _canonical=True) if num else self.zero_like()
-            return ZetaRational(num, self.den, one)
-        g = _poly_gcd(self.den, other.den, one)
-        if len(g) == 1 and 0 in g:
+            if self.den != _ONE_DEN:
+                return ZetaRational(num, self.den)
+            return ZetaRational(num, _canonical=True)
+        g = _gcd(self.den, other.den)
+        if g == _ONE_DEN:
             num = _add(_mul(self.num, other.den), _mul(other.num, self.den))
             if not num:
-                return self.zero_like()
-            return ZetaRational(num, _mul(self.den, other.den), one,
+                return ZetaRational.ZERO
+            return ZetaRational(num, _mul(self.den, other.den),
                                 _canonical=True)
-        da, _ = _divmod(self.den, g, one)
-        db, _ = _divmod(other.den, g, one)
+        da = _exquo(self.den, g)
+        db = _exquo(other.den, g)
         num = _add(_mul(self.num, db), _mul(other.num, da))
-        return ZetaRational(num, _mul(self.den, db), one)
+        return ZetaRational(num, _mul(self.den, db))
 
     def __sub__(self, other):
         return self.__add__(other.__neg__())
 
     def __neg__(self):
         return ZetaRational({k: -c for k, c in self.num.items()}, self.den,
-                            self.one, _canonical=True)
+                            _canonical=True)
 
     def __mul__(self, other):
         if not isinstance(other, ZetaRational):
             return NotImplemented
         if not self.num or not other.num:
-            return self.zero_like()
-        one = self.one
-        one_den = {0: one}
-        if self.den == one_den and other.den == one_den:
-            return ZetaRational(_mul(self.num, other.num), one_den, one,
-                                _canonical=True)
-        na, db = _reduce_pair(self.num, other.den, one)
-        nb, da = _reduce_pair(other.num, self.den, one)
-        den = da if db == one_den else (db if da == one_den else _mul(da, db))
-        return ZetaRational(_mul(na, nb), den, one, _canonical=True)
+            return ZetaRational.ZERO
+        if self.den == _ONE_DEN and other.den == _ONE_DEN:
+            return ZetaRational(_mul(self.num, other.num), _canonical=True)
+        na, db = _reduce_pair(self.num, other.den)
+        nb, da = _reduce_pair(other.num, self.den)
+        den = da if db == _ONE_DEN else (db if da == _ONE_DEN else _mul(da, db))
+        return ZetaRational(_mul(na, nb), den, _canonical=True)
 
     def __truediv__(self, other):
         if not isinstance(other, ZetaRational):
@@ -360,30 +295,28 @@ class ZetaRational:
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero zeta-rational")
-        one = self.one
         sn = min(self.num)
-        pn = _shift(self.num, -sn)
+        pn = _p_shift(self.num, -sn)
+        num = _p_shift(self.den, -sn)
         lo = pn[0]
-        num = _shift(self.den, -sn)
-        if not (lo == one):
-            inv = one / lo
-            num = {k: c * inv for k, c in num.items()}
-            pn = {k: c * inv for k, c in pn.items()}
-        return ZetaRational(num, pn, one, _canonical=True)
+        if not lo.is_one():
+            inv = lo.inverse()
+            num = _scale(num, inv)
+            pn = _scale(pn, inv)
+        return ZetaRational(num, pn, _canonical=True)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.one_like()
+        out = ZetaRational.ONE
         for _ in range(n):
             out = out * self
         return out
 
     def scale(self, c):
         if not c:
-            return self.zero_like()
-        return ZetaRational({k: v * c for k, v in self.num.items()}, self.den,
-                            self.one, _canonical=True)
+            return ZetaRational.ZERO
+        return ZetaRational(_scale(self.num, c), self.den, _canonical=True)
 
     # -- substitutions -----------------------------------------------------
 
@@ -391,28 +324,26 @@ class ZetaRational:
         """zeta -> c * zeta^k with invertible c and nonzero integer k."""
         if k == 0:
             raise ValueError("substitution power must be nonzero")
-        c_inv = self.one / c
+        c_inv = c.inverse()
         num = {}
         den = {}
         for e, v in self.num.items():
             num[k * e] = v * (c ** e) if e >= 0 else v * (c_inv ** (-e))
         for e, v in self.den.items():
             den[k * e] = v * (c ** e) if e >= 0 else v * (c_inv ** (-e))
-        return ZetaRational(num, den, self.one)
+        return ZetaRational(num, den)
 
     def subs_power(self, k):
         """zeta -> zeta^k for nonzero integer k."""
         if k == 0:
             raise ValueError("substitution power must be nonzero")
         return ZetaRational({k * e: v for e, v in self.num.items()},
-                            {k * e: v for e, v in self.den.items()}, self.one)
+                            {k * e: v for e, v in self.den.items()})
 
-    # -- series expansion (QScalar coefficients only) ------------------------
+    # -- series expansion ----------------------------------------------------
 
     def to_series(self, order):
         from .series import ZetaSeries
-        if not isinstance(self.one, QScalar):
-            raise TypeError("series expansion needs QScalar coefficients")
         # a Laurent numerator pushes pole terms below zero; expand the
         # denominator far enough that the product is exact through `order`
         lo = min(self.num) if self.num else 0
@@ -438,6 +369,10 @@ class ZetaRational:
 
     def __repr__(self):
         return "ZetaRational(%s)" % self
+
+
+ZetaRational.ZERO = ZetaRational({}, _canonical=True)
+ZetaRational.ONE = ZetaRational(_ONE_DEN, _canonical=True)
 
 
 def _zpoly_str(p):

@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 ONE = QScalar.ONE
-ZR_ONE = ZetaRational.const(ONE)
 C = q_power(1) - q_power(-1)
 
 
@@ -136,30 +135,23 @@ class ReferenceObject:
 
 # -- scalar builders ---------------------------------------------------------
 
-def _mono(k, c=None):
-    return ZetaRational.monomial(k, c if c is not None else ONE)
-
-
-def _rat(num, den=None):
-    return ZetaRational(num, den if den is not None else {0: ONE}, ONE)
-
-
 def _zmat(mat, k=0):
     """Lift a QScalar matrix into zeta-rational values times zeta^k."""
-    return mat.map_values(lambda v: _mono(k, v), ZR_ONE)
+    return mat.map_values(lambda v: ZetaRational.monomial(k, v),
+                          ZetaRational.ONE)
 
 
 def _eye_z(dim):
-    return OpMatrix.identity(dim, ZR_ONE)
+    return OpMatrix.identity(dim, ZetaRational.ONE)
 
 
 # -- R-matrices --------------------------------------------------------------
 
 def _r_a1(s, s1):
     den = {0: ONE, s: -q_power(-2)}
-    g_diag = _rat({0: q_power(-1), s: -q_power(-1)}, den)
-    g_lo = _rat({s1: ONE - q_power(-2)}, den)
-    g_hi = _rat({s - s1: ONE - q_power(-2)}, den)
+    g_diag = ZetaRational({0: q_power(-1), s: -q_power(-1)}, den)
+    g_lo = ZetaRational({s1: ONE - q_power(-2)}, den)
+    g_hi = ZetaRational({s - s1: ONE - q_power(-2)}, den)
     e = lambda a, b: OpMatrix.unit(2, a, b, ONE)
     mat = (kron(_zmat(e(1, 1)), _zmat(e(1, 1)))
            + kron(_zmat(e(2, 2)), _zmat(e(2, 2)))
@@ -173,10 +165,10 @@ def _r_a1(s, s1):
 
 def _r_a2(s, s1, s2):
     den = {0: ONE, s: -q_power(-2)}
-    g_diag = _rat({0: q_power(-1), s: -q_power(-1)}, den)
+    g_diag = ZetaRational({0: q_power(-1), s: -q_power(-1)}, den)
     cc = ONE - q_power(-2)
     e = lambda a, b: OpMatrix.unit(3, a, b, ONE)
-    mat = OpMatrix.zero(9, ZR_ONE)
+    mat = OpMatrix.zero(9, ZetaRational.ONE)
     for a in range(1, 4):
         mat = mat + kron(_zmat(e(a, a)), _zmat(e(a, a)))
         for b in range(1, 4):
@@ -186,7 +178,7 @@ def _r_a2(s, s1, s2):
                (2, 1): s - s1, (3, 1): s - s1 - s2, (3, 2): s - s2}
     for (a, b), w in weights.items():
         mat = mat + kron(_zmat(e(a, b)), _zmat(e(b, a))).scale(
-            _rat({w: cc}, den))
+            ZetaRational({w: cc}, den))
     tag = PrefactorTag(4, ((3, 12, s, 1), (3, -12, s, -1)))
     return ReferenceObject("r", "a2", "plain", (s, s1, s2), tag, mat)
 
@@ -197,11 +189,13 @@ def _geom_inv(o, fn, s):
     """Diagonal (1 - fn(n) zeta^s)^-1 over the Fock states n of o, for
     nonzero fn(n)."""
     return OpMatrix.diagonal(
-        [_rat({0: ONE}, {0: ONE, s: -fn(*n)}) for n in o.states], ZR_ONE)
+        [ZetaRational({0: ONE}, {0: ONE, s: -fn(*n)}) for n in o.states],
+        ZetaRational.ONE)
 
 
 def _grid(n, entries, op_dim):
-    return Grid(n, {k: v for k, v in entries.items() if v}, op_dim, ZR_ONE)
+    return Grid(n, {k: v for k, v in entries.items() if v}, op_dim,
+                ZetaRational.ONE)
 
 
 def _unipotent(n, ab, x, op_dim):
@@ -224,7 +218,7 @@ def _l_a1(variant, s, s1, d):
             (0, 0): _zmat(qD),
             (0, 1): _zmat(a * qmD, s - s1),
             (1, 0): _zmat(ad * qD, s1),
-            (1, 1): _zmat(qmD) + _zmat(qD, s).scale(-ZR_ONE),
+            (1, 1): _zmat(qmD) + _zmat(qD, s).scale(-ZetaRational.ONE),
         }
         factors = [
             _unipotent(2, (1, 0), _zmat(ad, s1), d),
@@ -236,7 +230,7 @@ def _l_a1(variant, s, s1, d):
         l_type = "hat"
     elif variant == "hat-twisted":
         entries = {
-            (0, 0): _zmat(qmD) + _zmat(qD, s).scale(-ZR_ONE),
+            (0, 0): _zmat(qmD) + _zmat(qD, s).scale(-ZetaRational.ONE),
             (0, 1): _zmat(ad * qD, s - s1),
             (1, 0): _zmat(a * qmD, s1),
             (1, 1): _zmat(qD),
@@ -248,11 +242,11 @@ def _l_a1(variant, s, s1, d):
             (0, 0): _zmat(qD),
             (0, 1): _zmat(a * qmD, s1),
             (1, 0): _zmat(ad * qD, s - s1),
-            (1, 1): _zmat(qmD) + _zmat(qD, s).scale(-ZR_ONE),
+            (1, 1): _zmat(qmD) + _zmat(qD, s).scale(-ZetaRational.ONE),
         }
         geom = _geom_inv(o, lambda n: q_power(2 * n), s)
         geom_up = _geom_inv(o, lambda n: q_power(2 * n + 2), s)
-        one_minus = ZR_ONE - _mono(s)
+        one_minus = ZetaRational.ONE - ZetaRational.monomial(s)
         factors = [
             _unipotent(2, (0, 1), _zmat(a, s1) * geom, d),
             _grid(2, {(0, 0): geom_up.scale(one_minus),
@@ -263,7 +257,7 @@ def _l_a1(variant, s, s1, d):
         l_type = "check"
     elif variant == "check-twisted":
         entries = {
-            (0, 0): _zmat(qmD) + _zmat(qD, s).scale(-ZR_ONE),
+            (0, 0): _zmat(qmD) + _zmat(qD, s).scale(-ZetaRational.ONE),
             (0, 1): _zmat(ad * qD, s1),
             (1, 0): _zmat(a * qmD, s - s1),
             (1, 1): _zmat(qD),
@@ -295,7 +289,7 @@ def _l_a2(variant, s, s1, s2, d):
             (1, 0): _zmat(a1d * qq(1, 0), s1),
             (1, 1): _zmat(qq(-1, 1)) + _zmat(qq(1, -1), s).scale(
                 ZetaRational.const(-q_power(-2))),
-            (1, 2): _zmat(a2 * qq(1, -3), s - s2).scale(-ZR_ONE),
+            (1, 2): _zmat(a2 * qq(1, -3), s - s2).scale(-ZetaRational.ONE),
             (2, 1): _zmat(a2d * qq(0, 1), s2),
             (2, 2): _zmat(qq(0, -1)),
         }
@@ -309,9 +303,12 @@ def _l_a2(variant, s, s1, s2, d):
             _grid(3, {(0, 0): one_z,
                       (1, 1): one_z - _zmat(qq(0, -2), s).scale(
                           ZetaRational.const(q_power(-2))),
-                      (2, 2): geom_d.scale(ZR_ONE - _mono(s))}, dim),
+                      (2, 2): geom_d.scale(ZetaRational.ONE
+                                           - ZetaRational.monomial(s))},
+                  dim),
             _unipotent(3, (1, 2), (_zmat(a2 * qq(-1, -2)) * geom_d
-                                   * _mono_mat(dim, s - s2)).scale(-ZR_ONE),
+                                   * _mono_mat(dim, s - s2)).scale(
+                                       -ZetaRational.ONE),
                        dim),
             _unipotent(3, (0, 1), _zmat(a1 * qq(0, -2), s - s1).scale(
                 ZetaRational.const(q_power(-2))), dim),
@@ -323,13 +320,13 @@ def _l_a2(variant, s, s1, s2, d):
         l_type = "hat"
     elif variant == "hat-2":
         tag = PrefactorTag(0, ((3, 12, s, -1),))
-        den = ZR_ONE - _mono(s)
+        den = ZetaRational.ONE - ZetaRational.monomial(s)
         entries = {
             (0, 0): _zmat(qq(1, 0)) + _zmat(qq(-1, 0), s).scale(
                 ZetaRational.const(-q_power(-2))),
-            (0, 1): _zmat(a1 * qq(-3, 1), s - s1).scale(-ZR_ONE),
+            (0, 1): _zmat(a1 * qq(-3, 1), s - s1).scale(-ZetaRational.ONE),
             (0, 2): _zmat(a1 * a2 * qq(-1, -1),
-                          s - s1 - s2).scale(-ZR_ONE),
+                          s - s1 - s2).scale(-ZetaRational.ONE),
             (1, 0): _zmat(a1d * qq(1, 0), s1),
             (1, 1): _zmat(qq(-1, 1)),
             (1, 2): _zmat(a2 * qq(1, -1), s - s2),
@@ -337,9 +334,9 @@ def _l_a2(variant, s, s1, s2, d):
                 ZetaRational.const(q_power(-1))),
             (2, 1): _zmat(a2d * qq(-2, 1), s2),
             (2, 2): _zmat(qq(0, -1)) + _zmat(qq(0, 1), s).scale(
-                -ZR_ONE),
+                -ZetaRational.ONE),
         }
-        entries = {k: v.map_values(lambda r: r / den, ZR_ONE)
+        entries = {k: v.map_values(lambda r: r / den, ZetaRational.ONE)
                    for k, v in entries.items()}
         factors = None
         l_type = "hat"
@@ -365,9 +362,10 @@ def _l_a2(variant, s, s1, s2, d):
         factors = [
             _unipotent(3, (0, 1), _zmat(a1, s1) * geom, dim),
             _unipotent(3, (0, 2), (_zmat(a1 * a2 * qq(1, 0), s1 + s2)
-                                   * geom).scale(-ZR_ONE), dim),
+                                   * geom).scale(-ZetaRational.ONE), dim),
             _unipotent(3, (1, 2), _zmat(a2 * qq(1, 0), s2), dim),
-            _grid(3, {(0, 0): geom_up.scale(ZR_ONE - _mono(s)),
+            _grid(3, {(0, 0): geom_up.scale(ZetaRational.ONE
+                                            - ZetaRational.monomial(s)),
                       (1, 1): one_z - _zmat(qq(2, 0), s),
                       (2, 2): one_z}, dim),
             _unipotent(3, (2, 1), _zmat(a2d * qq(1, -2), s - s2).scale(
@@ -382,7 +380,7 @@ def _l_a2(variant, s, s1, s2, d):
         l_type = "check"
     elif variant == "check-2":
         tag = PrefactorTag(0, ((3, 12, s, -1),))
-        den = ZR_ONE - _mono(s)
+        den = ZetaRational.ONE - ZetaRational.monomial(s)
         entries = {
             (0, 0): _zmat(qq(1, 0)) + _zmat(qq(-1, 0), s).scale(
                 ZetaRational.const(-q_power(-2))),
@@ -396,31 +394,31 @@ def _l_a2(variant, s, s1, s2, d):
                 ZetaRational.const(-q_power(-1))),
             (2, 1): _zmat(a2d * qq(0, 1), s - s2),
             (2, 2): _zmat(qq(0, -1)) + _zmat(qq(0, 1), s).scale(
-                -ZR_ONE),
+                -ZetaRational.ONE),
         }
-        entries = {k: v.map_values(lambda r: r / den, ZR_ONE)
+        entries = {k: v.map_values(lambda r: r / den, ZetaRational.ONE)
                    for k, v in entries.items()}
         factors = None
         l_type = "check"
     elif variant == "check-inv":
         tag = PrefactorTag(0, ((3, -12, -s, -1),))
-        den = ZR_ONE - _mono(s)
+        den = ZetaRational.ONE - ZetaRational.monomial(s)
         entries = {
             (0, 0): _zmat(qq(1, 0)).scale(ZetaRational.const(q_power(2)))
-                + _zmat(qq(-1, 0), s).scale(-ZR_ONE),
+                + _zmat(qq(-1, 0), s).scale(-ZetaRational.ONE),
             (0, 1): _zmat(a1 * qq(1, 0), s1),
             (0, 2): _zmat(a1 * a2, s1 + s2).scale(
                 ZetaRational.const(q_power(-1))),
             (1, 0): _zmat(a1d * qq(-1, -1), s - s1),
-            (1, 1): _zmat(qq(1, -1), s).scale(-ZR_ONE),
-            (1, 2): _zmat(a2 * qq(0, -1), s2).scale(-ZR_ONE),
+            (1, 1): _zmat(qq(1, -1), s).scale(-ZetaRational.ONE),
+            (1, 2): _zmat(a2 * qq(0, -1), s2).scale(-ZetaRational.ONE),
             (2, 0): _zmat(a1d * a2d * qq(-1, -1),
-                          s - s1 - s2).scale(-ZR_ONE),
+                          s - s1 - s2).scale(-ZetaRational.ONE),
             (2, 1): _zmat(a2d * qq(1, -1), s - s2),
             (2, 2): _zmat(qq(0, -1)) + _zmat(qq(0, 1), s).scale(
-                -ZR_ONE),
+                -ZetaRational.ONE),
         }
-        entries = {k: v.map_values(lambda r: r / den, ZR_ONE)
+        entries = {k: v.map_values(lambda r: r / den, ZetaRational.ONE)
                    for k, v in entries.items()}
         factors = None
         l_type = "check"
@@ -435,7 +433,7 @@ def _l_a2(variant, s, s1, s2, d):
 def _mono_mat(dim, k):
     if k == 0:
         return _eye_z(dim)
-    return OpMatrix.identity(dim, ZR_ONE).scale(_mono(k))
+    return OpMatrix.identity(dim, ZetaRational.ONE).scale(ZetaRational.monomial(k))
 
 
 _A1_L_VARIANTS = ("hat", "hat-twisted", "check", "check-twisted")
@@ -584,7 +582,8 @@ def grid_inverse(g):
 
 def _reflected_inverse(grid):
     """The inverse grid at reflected argument zeta -> 1/zeta."""
-    return grid_inverse(grid).map_values(lambda v: v.subs_power(-1), ZR_ONE)
+    return grid_inverse(grid).map_values(lambda v: v.subs_power(-1),
+                                         ZetaRational.ONE)
 
 
 def apply_two_copy_normalization(grid, d):
@@ -592,7 +591,7 @@ def apply_two_copy_normalization(grid, d):
     conjugation on the truncated Fock pair, applied entrywise."""
     kappa = ZetaRational.const(q_power(-1))
     s, s_inv = two_copy_automorphism(d, (kappa, kappa), (2, 0, 2),
-                                     one=ZR_ONE)
+                                     one=ZetaRational.ONE)
     return grid.map_ops(lambda m: s * m * s_inv)
 
 

@@ -34,8 +34,7 @@ def dump_rational(r):
 
 def parse_rational(blob):
     return ZetaRational({d: parse_qscalar(c) for d, c in blob["num"]},
-                        {d: parse_qscalar(c) for d, c in blob["den"]},
-                        QScalar.ONE)
+                        {d: parse_qscalar(c) for d, c in blob["den"]})
 
 
 _KIND_DUMPERS = {
@@ -76,7 +75,7 @@ def parse_matrix(blob, order=None):
                              else blob["entries"][0]["value"]["order"]
                              if blob["entries"] else 0)
     elif kind == "rational":
-        one = ZetaRational.const(QScalar.ONE)
+        one = ZetaRational.ONE
     else:
         one = QScalar.ONE
     return OpMatrix(blob["dim"], entries, one)
@@ -98,7 +97,7 @@ def dump_grid(g, fock_dim=None, copies=None, tag=None):
 
 def parse_grid(blob):
     entries = {}
-    one = ZetaRational.const(QScalar.ONE)
+    one = ZetaRational.ONE
     for e in blob["entries"]:
         m = parse_matrix(e["op"])
         entries[(e["a"], e["b"])] = m

@@ -2,13 +2,12 @@
 engine-against-closed-form equality, and the spectral-linear structure.
 
 Every check returns a Verdict carrying the first failing coefficient when
-something breaks.  Identities that genuinely involve two spectral
-parameters run over exact nested rationals (an outer variable with
-coefficients rational in the inner one); nothing here is numerical.  Each
-such relation is homogeneous, so its one-variable entries are first cleared
-of denominators: the nested arithmetic then meets only monomial
-denominators and never needs its Euclid gcd.  Relations on a Fock window
-are computed on the window alone.
+something breaks; nothing here is numerical.  Each identity that genuinely
+involves two spectral parameters is homogeneous, so its one-variable
+entries are first cleared of denominators; it is then a polynomial
+identity in Q(t)[u^(+-1), v^(+-1)], checked exactly in that ring with no
+division and no gcd.  Relations on a Fock window are computed on the
+window alone.
 """
 
 import time
@@ -32,8 +31,6 @@ __all__ = ["Verdict", "check_engine", "check_ybe", "check_rll",
            "suite_checks", "run_check", "run_suite"]
 
 ONE = QScalar.ONE
-ZR1_ONE = ZetaRational.const(ONE)
-ZR2_ONE = ZetaRational.const(ZR1_ONE, one=ZR1_ONE)
 
 RLL_WINDOW_DROP = 3
 DUAL_WINDOW_DROP = 5
@@ -81,48 +78,88 @@ def _timed(fn):
     return wrapper
 
 
-# -- lifting one-variable rationals into the two-variable field --------------
+# -- two-variable identities as Laurent polynomials in u, v ------------------
 
-def _lift_u(zr):
-    """zeta -> u (the inner variable)."""
-    return ZetaRational({0: zr} if zr else {}, {0: ZR1_ONE}, ZR1_ONE)
+class _Laurent2:
+    """A Laurent polynomial in u, v over Q(t): {(i, j): QScalar} for the
+    terms c u^i v^j, with no zero coefficient stored.  A ring, not a field:
+    only monomials have an inverse."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out[k] + c if k in out else c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return _Laurent2(out)
+
+    def __neg__(self):
+        return _Laurent2({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = {}
+        for (i, j), a in self.terms.items():
+            for (k, l), b in other.terms.items():
+                ij = (i + k, j + l)
+                s = out[ij] + a * b if ij in out else a * b
+                if s:
+                    out[ij] = s
+                else:
+                    del out[ij]
+        return _Laurent2(out)
+
+    def inverse(self):
+        if len(self.terms) != 1:
+            raise ArithmeticError("only a monomial in u, v has an inverse")
+        ((i, j), c), = self.terms.items()
+        return _Laurent2({(-i, -j): c.inverse()})
+
+    def __eq__(self, other):
+        return isinstance(other, _Laurent2) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __str__(self):
+        return " + ".join("%s*u^%d*v^%d" % (c, i, j) for (i, j), c
+                          in sorted(self.terms.items())) or "0"
 
 
-def _lift_v(zr):
-    """zeta -> v (the outer variable)."""
-    num = {k: ZetaRational.const(c) for k, c in zr.num.items()}
-    den = {k: ZetaRational.const(c) for k, c in zr.den.items()}
-    return ZetaRational(num, den, ZR1_ONE)
+_Laurent2.ONE = _Laurent2({(0, 0): ONE})
+
+# zeta^k lifts to u^(a k) v^(b k)
+_LIFT_EXPONENTS = {"u": (1, 0), "v": (0, 1), "ratio": (1, -1), "uv": (1, 1)}
 
 
-def _lift_ratio(zr):
-    """zeta -> u/v."""
-    num = {-k: ZetaRational.monomial(k, c) for k, c in zr.num.items()}
-    den = {-k: ZetaRational.monomial(k, c) for k, c in zr.den.items()}
-    return ZetaRational(num, den, ZR1_ONE)
-
-
-def _lift_uv(zr):
-    """zeta -> u*v."""
-    num = {k: ZetaRational.monomial(k, c) for k, c in zr.num.items()}
-    den = {k: ZetaRational.monomial(k, c) for k, c in zr.den.items()}
-    return ZetaRational(num, den, ZR1_ONE)
-
-
-_LIFTS = {"u": _lift_u, "v": _lift_v, "ratio": _lift_ratio, "uv": _lift_uv}
+def _monomial(mode, k):
+    a, b = _LIFT_EXPONENTS[mode]
+    return _Laurent2({(a * k, b * k): ONE})
 
 
 def _lift(obj, mode):
-    """A matrix or grid over one-variable rationals, lifted entrywise."""
-    return obj.map_values(_LIFTS[mode], ZR2_ONE)
+    """A matrix or grid over one-variable polynomials (cleared of
+    denominators), lifted entrywise into Q(t)[u^(+-1), v^(+-1)]."""
+    a, b = _LIFT_EXPONENTS[mode]
 
-
-def _u_monomial(k):
-    return ZetaRational({0: ZetaRational.monomial(k)}, {0: ZR1_ONE}, ZR1_ONE)
-
-
-def _v_monomial(k):
-    return ZetaRational({k: ZR1_ONE}, {0: ZR1_ONE}, ZR1_ONE)
+    def lift(zr):
+        if not zr.is_polynomial():
+            raise ValueError("only a polynomial lifts to two variables: "
+                             "clear the denominators first")
+        return _Laurent2({(a * k, b * k): c for k, c in zr.num.items()})
+    return obj.map_values(lift, _Laurent2.ONE)
 
 
 # -- engine against the closed forms ------------------------------------------
@@ -208,7 +245,7 @@ def check_ybe(algebra, s=1, s1=0, s2=0, perturb=False):
     rc_u = hat_and_check(r_u)[1]
     rc_v = hat_and_check(r_v)[1]
     rc_uv = hat_and_check(r_uv)[1]
-    eye = OpMatrix.identity(n, ZR2_ONE)
+    eye = OpMatrix.identity(n, _Laurent2.ONE)
     lhs_b = kron(eye, rc_u) * kron(rc_uv, eye) * kron(eye, rc_v)
     rhs_b = kron(rc_v, eye) * kron(eye, rc_uv) * kron(rc_u, eye)
     if lhs_b != rhs_b:
@@ -224,19 +261,19 @@ def check_ybe(algebra, s=1, s1=0, s2=0, perturb=False):
 def _cleared(*objs):
     """`objs` (matrices or grids over one-variable rationals), each times
     the lcm of all their denominators.  The relations checked here are
-    homogeneous, so no verdict changes, and the lifted entries meet no
-    denominator but monomials: the two-variable arithmetic needs no gcd."""
+    homogeneous, so no verdict changes, and every entry becomes a
+    polynomial that `_lift` takes into two variables."""
     dens = {}
     for obj in objs:
         for m in (obj.entries.values() if isinstance(obj, Grid) else (obj,)):
             for v in m.entries.values():
                 if not v.is_polynomial():
                     dens.setdefault(frozenset(v.den.items()), v.den)
-    common = ZR1_ONE
+    common = ZetaRational.ONE
     for den in dens.values():
         # times den / gcd(den, common), by the gcd of the one-variable field
-        common = common * ZetaRational(ZetaRational(common.num, den, ONE).den,
-                                       {0: ONE}, ONE, _canonical=True)
+        common = common * ZetaRational(ZetaRational(common.num, den).den,
+                                       _canonical=True)
     return [obj.map_values(lambda v: v * common) if dens else obj
             for obj in objs]
 
@@ -274,7 +311,7 @@ def check_rll(algebra, variant, s=1, s1=0, s2=0, d=12, strip_scalar=True):
     if not strip_scalar:
         # scalar factors never change the verdict: dress the operator with
         # an arbitrary rational scalar before checking
-        dress = ZetaRational({0: ONE, s: q_power(3)}, {0: ONE}, ONE)
+        dress = ZetaRational({0: ONE, s: q_power(3)})
         grid = grid.map_ops(lambda m: m.map_values(lambda v: v * dress))
     drop = DUAL_WINDOW_DROP if variant.endswith("inv") else RLL_WINDOW_DROP
     failure = _rll_residual(grid, ref.l_type, r.matrix, d, ref.copies, drop)
@@ -288,7 +325,7 @@ def check_rll(algebra, variant, s=1, s1=0, s2=0, d=12, strip_scalar=True):
 def _tau_l(ref):
     out = ref.matrix.map_ops(
         lambda m: tau_matrix(m, ref.fock_dim, ref.copies))
-    return out.map_values(lambda v: v.subs_power(-1), ZR1_ONE)
+    return out.map_values(lambda v: v.subs_power(-1), ZetaRational.ONE)
 
 
 @_timed
@@ -333,9 +370,7 @@ def _g_diag_exponents(algebra, s1, s2):
 
 def _g_matrix(algebra, s1, s2, var):
     expos = _g_diag_exponents(algebra, s1, s2)
-    mono = _u_monomial if var == "u" else _v_monomial
-    vals = [mono(k) if k else ZR2_ONE for k in expos]
-    return OpMatrix.diagonal(vals, ZR2_ONE)
+    return OpMatrix.diagonal([_monomial(var, k) for k in expos], _Laurent2.ONE)
 
 
 @_timed
@@ -359,7 +394,7 @@ def check_gauge(family, algebra, s, s1, s2=0):
     # the gauge maps are linear, so one common factor clears both sides
     lhs, base2 = (_lift(x, "ratio") for x in _cleared(
         lhs_ref.matrix,
-        base.matrix.map_values(lambda v: v.subs_power(s), ZR1_ONE)))
+        base.matrix.map_values(lambda v: v.subs_power(s), ZetaRational.ONE)))
     if family == "r":
         gu = _g_matrix(algebra, s1, s2, "u")
         gv = _g_matrix(algebra, s1, s2, "v")
@@ -390,13 +425,12 @@ def _g_inverse(g):
 
 def _apply_gamma(grid2, ref, s_exponents, var):
     expo = gamma_scaling(ref.copies, ref.fock_dim, s_exponents)
-    mono = _u_monomial if var == "u" else _v_monomial
 
     def scale_entry(m):
         out = {}
         for (i, j), value in m.entries.items():
             k = expo(i, j)
-            out[(i, j)] = value if k == 0 else value * mono(k)
+            out[(i, j)] = value if k == 0 else value * _monomial(var, k)
         return OpMatrix(m.dim, out, m.one, _clean=True)
     return grid2.map_ops(scale_entry)
 

@@ -26,7 +26,7 @@ def test_series_json_roundtrip():
 
 
 def test_rational_json_roundtrip():
-    r = ZetaRational({0: ONE, 2: -q_power(2)}, {0: ONE, 1: -q_power(-2)}, ONE)
+    r = ZetaRational({0: ONE, 2: -q_power(2)}, {0: ONE, 1: -q_power(-2)})
     assert parse_rational(dump_rational(r)) == r
 
 

@@ -1,0 +1,76 @@
+"""A hypothesis fuzz of the command line over its real subcommands and
+flags, at small sizes: `cli.main` never raises, and exits 0, 1 or 2 only.
+Development-only; skipped when hypothesis is not installed."""
+
+import contextlib
+import io
+import os
+from unittest import mock
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from qaffine.cli import main  # noqa: E402
+
+
+def _flag(name, *values):
+    """Either nothing, or `--name value` for one of the values."""
+    return st.sampled_from([[]] + [[name, str(v)] for v in values])
+
+
+def _argv(head, *flags):
+    return st.tuples(st.just(head), *flags).map(
+        lambda parts: [w for part in parts for w in part])
+
+
+# mostly accepted values, with one rejected value or combination per flag
+COMMON = (
+    _flag("--algebra", "a1", "a2", "a1", "a2", "a3"),
+    _flag("--s", 1, 2, 3, 1, -1, 0),
+    _flag("--s1", 0, 1, 2, 0, -1),
+    _flag("--s2", 0, 1, 2, 0, -1),
+    _flag("--fock", 2, 3, 4, 2, 3, 4, 1),
+    _flag("--format", "json", "text", "json", "text", "xml"),
+)
+
+compute_st = _argv(
+    ["compute"],
+    st.sampled_from([["r"], ["l", "--side", "chi-phi"],
+                     ["l", "--side", "phi-psi"], ["l", "--side", "chi-phi"],
+                     ["l", "--side", "phi-psi"], ["l"]]),
+    _flag("--backend", "series", "rational", "series"),
+    _flag("--order", 0, 1, 2, 0, 1, 2, -1),
+    _flag("--family", 1, 2),
+    _flag("--twist", "01", "10", "120", "210", "x"),
+    st.sampled_from([[]] * 5 + [
+        ["--osc-rho", "(1)/(1)", "--osc-mu", "(1)/(1),(1)/(1)", "--osc-nu",
+         "0,1/3,0"],
+        ["--osc-rho", "(1)/(0)", "--osc-mu", "(1)/(1)"]]),
+    *COMMON)
+
+verify_st = _argv(
+    ["verify"],
+    st.sampled_from([["ybe"], ["rll"], ["gauge"], ["engine"], ["duality"],
+                     ["structure"], ["all"], ["none"]]),
+    _flag("--order", 0, 1, 0, 1, -1),
+    _flag("--workers", 1, 1, 1, 0),
+    *COMMON)
+
+list_st = st.sampled_from([["list", "variants"], ["list", "roots"], [],
+                           ["--help"], ["compute", "--help"]])
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(st.one_of(compute_st, compute_st, verify_st,
+                             verify_st, list_st))
+def test_cli_never_raises_and_exits_0_1_or_2(argv):
+    # small defaults for the runs that leave out --order or --fock
+    with mock.patch.dict(os.environ, {"QAFFINE_ORDER": "1",
+                                      "QAFFINE_FOCK": "3"}), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)

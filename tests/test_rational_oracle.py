@@ -1,0 +1,214 @@
+"""Rationals in zeta over Q(t), and the two-variable Laurent ring of the
+identity checks, against independent oracles: sympy for values and
+reduced forms, hypothesis for the ring laws of the lift.  Both are
+development-only and are skipped when not installed."""
+
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from qaffine import rational, verify  # noqa: E402
+from qaffine.linalg import OpMatrix  # noqa: E402
+from qaffine.rational import ZetaRational  # noqa: E402
+from qaffine.scalars import QScalar, q_power, qint  # noqa: E402
+
+# values live in sympy's sparse field Q(t, z, u, v), which keeps every
+# element cancelled (sympy.cancel on expressions takes seconds per value at
+# these degrees); the ring laws in u, v are checked with sympy.expand
+F, TF, ZF, UF, VF = sympy.field("t,z,u,v", sympy.QQ)
+T, U, V = sympy.symbols("t u v")
+ONE = QScalar.ONE
+Ring = verify._Laurent2
+
+SETTINGS = hypothesis.settings(max_examples=60, deadline=None,
+                               derandomize=True, database=None)
+
+
+def _scalar(x):
+    return (sum((F(c) * TF ** k for k, c in x.num.items()), F(0))
+            / sum((F(c) * TF ** k for k, c in x.den.items()), F(0)))
+
+
+def _poly_at(p, z):
+    return sum((_scalar(c) * z ** k for k, c in p.items()), F(0))
+
+
+def _at(x, z):
+    """The value of the zeta-rational x at zeta = z."""
+    return _poly_at(x.num, z) / _poly_at(x.den, z)
+
+
+def _value(x):
+    return _at(x, ZF)
+
+
+def _assert_canonical(x):
+    """Lowest denominator term 1 at degree 0, no zero coefficient stored,
+    and numerator and denominator coprime over Q(t): the reduced value has
+    a denominator of the same zeta-degree (plus the pole at zero of a
+    Laurent numerator)."""
+    assert min(x.den) == 0 and x.den[0] == ONE
+    assert all(x.num.values()) and all(x.den.values())
+    if x.num:
+        pole = max(0, -min(x.num))
+        assert _value(x).denom.degree(1) == max(x.den) + pole
+
+
+# -- random zeta-polynomials with Q(t) coefficients ---------------------------
+
+def _coeff(rng):
+    c = q_power(rng.randint(-2, 2)).scale(rng.choice((1, -1, 2, -3)))
+    if rng.random() < 0.25:
+        c = c * (ONE - q_power(-2)).inverse()
+    if rng.random() < 0.25:
+        c = c + qint(2)
+    return c
+
+
+def _poly(rng, lo=0, hi=2):
+    p = {}
+    for _ in range(rng.randint(1, 3)):
+        p[rng.randint(lo, hi)] = _coeff(rng)
+    p.setdefault(0, _coeff(rng))
+    return p
+
+
+def _times(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            out[ka + kb] = out.get(ka + kb, QScalar.ZERO) + ca * cb
+    return out
+
+
+def _factored(rng, g):
+    """(f g) / (h g): a rational whose constructor must cancel g."""
+    return _times(_poly(rng, -2, 2), g), _times(_poly(rng), g)
+
+
+def test_constructor_cancels_common_factors():
+    rng = random.Random(11)
+    for _ in range(12):
+        g = _poly(rng, 0, 2)
+        num, den = _factored(rng, g)
+        x = ZetaRational(num, den)
+        _assert_canonical(x)
+        assert _value(x) == _poly_at(num, ZF) / _poly_at(den, ZF)
+
+
+def test_field_ops_match_sympy():
+    rng = random.Random(7)
+    for _ in range(5):
+        g = _poly(rng, 1, 2)
+        a = ZetaRational(_poly(rng, -2, 2), _times(g, _poly(rng)))
+        b = ZetaRational(_times(_poly(rng), g), _poly(rng))
+        c = ZetaRational(_poly(rng, -1, 1), _times(g, _poly(rng)))
+        va, vb, vc = _value(a), _value(b), _value(c)
+        cases = [(a + b, va + vb), (a - b, va - vb), (a * b, va * vb),
+                 (a + c, va + vc), (a - c, va - vc), (a * c, va * vc),
+                 (c * b, vc * vb), (a.scale(qint(3)), va * _scalar(qint(3)))]
+        if b:
+            cases += [(a / b, va / vb), (b.inverse(), 1 / vb)]
+        if c:
+            cases += [(a / c, va / vc), (c.inverse(), 1 / vc)]
+        for got, want in cases:
+            _assert_canonical(got)
+            assert _value(got) == want
+
+
+def test_substitutions_match_sympy():
+    rng = random.Random(3)
+    for _ in range(6):
+        a = ZetaRational(_poly(rng, -1, 2), _poly(rng))
+        for k in (-2, -1, 1, 2):
+            got = a.subs_power(k)
+            _assert_canonical(got)
+            assert _value(got) == _at(a, ZF ** k)
+            c = q_power(rng.randint(-2, 2)).scale(rng.choice((1, -2)))
+            got = a.subs_monomial(c, k)
+            _assert_canonical(got)
+            assert _value(got) == _at(a, _scalar(c) * ZF ** k)
+
+
+def test_exact_division_raises_on_a_remainder():
+    f = {0: ONE, 1: q_power(1)}
+    g = {0: -ONE, 2: q_power(-1)}
+    assert rational._exquo(_times(f, g), g) == f
+    with pytest.raises(ArithmeticError):
+        rational._exquo(_times(f, g), {0: ONE, 1: ONE})
+
+
+# -- the two-variable Laurent ring --------------------------------------------
+
+def _t_expr(p):
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator) * T ** k
+                       for k, c in p.items()])
+
+
+def _ring_expr(x):
+    """x as a sympy expression; its coefficients are Laurent polynomials in
+    t, so sympy.expand gives a canonical form."""
+    return sympy.Add(*[_t_expr(c.num) * U ** i * V ** j
+                       for (i, j), c in x.terms.items()])
+
+
+def _ring_value(x):
+    return sum((_scalar(c) * UF ** i * VF ** j
+                for (i, j), c in x.terms.items()), F(0))
+
+
+laurent_t_st = st.builds(lambda k, n, m: q_power(k).scale(n) + q_power(m),
+                         st.integers(-2, 2), st.integers(-3, 3),
+                         st.integers(-1, 1)).filter(bool)
+scalars_st = st.builds(lambda c, den: c * (ONE - q_power(-2)).inverse()
+                       if den else c, laurent_t_st, st.booleans())
+keys_st = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+ring_st = st.dictionaries(keys_st, laurent_t_st, max_size=4).map(Ring)
+
+
+@SETTINGS
+@hypothesis.given(ring_st, ring_st)
+def test_ring_add_mul_match_sympy_expand(a, b):
+    ea, eb = _ring_expr(a), _ring_expr(b)
+    for got, want in ((a + b, ea + eb), (a - b, ea - eb), (-a, -ea),
+                      (a * b, ea * eb)):
+        assert all(got.terms.values())
+        assert sympy.expand(_ring_expr(got) - want) == 0
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert bool(a) == (sympy.expand(ea) != 0)
+
+
+def test_ring_inverse_of_a_non_monomial_raises():
+    u_minus_v = Ring({(1, 0): ONE, (0, 1): -ONE})
+    with pytest.raises(ArithmeticError):
+        u_minus_v.inverse()
+    with pytest.raises(ArithmeticError):
+        Ring({}).inverse()
+    mono = Ring({(2, -1): q_power(1) * (ONE - q_power(-2)).inverse()})
+    assert mono * mono.inverse() == Ring.ONE
+
+
+zpoly_st = st.dictionaries(st.integers(-3, 3), scalars_st, max_size=3).map(
+    ZetaRational)
+
+
+def _lift(x, mode):
+    m = OpMatrix(1, {(0, 0): x}, ZetaRational.ONE)
+    return verify._lift(m, mode).entry(0, 0)
+
+
+@SETTINGS
+@hypothesis.given(zpoly_st, zpoly_st,
+                  st.sampled_from(sorted(verify._LIFT_EXPONENTS)))
+def test_lift_is_a_ring_homomorphism(a, b, mode):
+    lift = lambda x: _lift(x, mode)
+    assert lift(a + b) == lift(a) + lift(b)
+    assert lift(a - b) == lift(a) - lift(b)
+    assert lift(a * b) == lift(a) * lift(b)
+    assert lift(ZetaRational.ONE) == Ring.ONE
+    ea, eb = verify._LIFT_EXPONENTS[mode]
+    assert _ring_value(lift(a)) == _at(a, UF ** ea * VF ** eb)

@@ -17,7 +17,7 @@ ZR_ONE = ZetaRational.const(ONE)
 
 
 def zr(num, den=None):
-    return ZetaRational(num, den if den is not None else {0: ONE}, ONE)
+    return ZetaRational(num, den if den is not None else {0: ONE})
 
 
 def test_r_a1_symmetric_entry():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qaffine import rational, verify
+from qaffine import verify
 from qaffine.linalg import OpMatrix, Grid, grid_akp, hat_and_check, fock_level
 from qaffine.rational import ZetaRational
 from qaffine.reference import reference_matrix
@@ -157,13 +157,12 @@ def _restricted_after_product(l_grid, l_type, r_flat, d, copies, drop):
     distinct denominators: where the two sides first differ, and both
     values there."""
     rmat = hat_and_check(r_flat)[0 if l_type == "hat" else 1]
-    common = verify.ZR1_ONE
+    common = ZetaRational.ONE
     dens = []
     for v in rmat.entries.values():
         if not v.is_polynomial() and v.den not in dens:
             dens.append(v.den)
-            common = common * ZetaRational(v.den, {0: verify.ONE},
-                                           verify.ONE)
+            common = common * ZetaRational(v.den)
     r2 = verify._lift(rmat.scale(common), "ratio")
     l_u = verify._lift(l_grid, "u")
     l_v = verify._lift(l_grid, "v")
@@ -199,12 +198,27 @@ def test_failing_duality_reports_both_values(monkeypatch):
     json.dumps(v.to_json())
 
 
-# -- no check reaches the Euclid gcd of the nested two-variable field ----------
+# -- two-parameter identities in Q(t)[u^(+-1), v^(+-1)] ----------------------
 
-def test_checks_never_reach_the_nested_euclid_gcd(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("nested Euclid gcd reached")
-    monkeypatch.setattr(rational, "_euclid_gcd", refuse)
+def test_two_variable_ring_arithmetic():
+    ring = verify._Laurent2
+    one = q_power(0)
+    u = ring({(1, 0): one})
+    v = ring({(0, 1): one})
+    # (u - v)(u + v) == u^2 - v^2
+    assert (u - v) * (u + v) == u * u - v * v
+    assert (u - v) * (u + v) == ring({(2, 0): one, (0, 2): -one})
+    assert u - u == ring({}) and not (u - u)
+    assert (u * v * v).inverse() * u == ring({(0, -2): one})
+    assert ring({(3, -1): q_power(2)}).inverse() == \
+        ring({(-3, 1): q_power(-2)})
+    with pytest.raises(ArithmeticError):
+        (u - v).inverse()
+    with pytest.raises(ArithmeticError):
+        ring({}).inverse()
+
+
+def test_two_parameter_checks_run_on_cleared_polynomials():
     verdicts = [
         check_ybe("a1", s=1, s1=0), check_ybe("a1", s=-2, s1=-1),
         check_ybe("a2", s=1, s1=0, s2=0), check_ybe("a2", s=2, s1=1, s2=-1),
@@ -225,9 +239,11 @@ def test_checks_never_reach_the_nested_euclid_gcd(monkeypatch):
                      check_gauge(family, "a2", s=-3, s1=-2, s2=1),
                      check_gauge(family, "a2", s=2, s1=1, s2=-2)]
     assert [v for v in verdicts if not v.passed] == []
-    # the guard is live: a nested division by u - v needs the Euclid gcd
-    u = ZetaRational.monomial(1)
-    one = verify.ZR1_ONE
-    u_minus_v = ZetaRational({0: u, 1: -one}, {0: one}, one)
-    with pytest.raises(AssertionError, match="Euclid"):
-        ZetaRational({0: u * u, 2: -one}, {0: one}, one) / u_minus_v
+    # the lift takes polynomials only: a check that skipped the clearing
+    # would fail loudly, not divide
+    r = reference_matrix("r", "a1", "plain", 1, 0, 0).matrix
+    assert any(not x.is_polynomial() for x in r.entries.values())
+    for mode in ("u", "v", "ratio", "uv"):
+        with pytest.raises(ValueError, match="polynomial"):
+            verify._lift(r, mode)
+        verify._lift(verify._cleared(r)[0], mode)
