@@ -86,9 +86,6 @@ def effective_settings(args):
 
 def _add_common(p):
     p.add_argument("--algebra", choices=("a1", "a2"), default=None)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--s1", type=int, default=0)
-    p.add_argument("--s2", type=int, default=0)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--fock", type=int, default=None)
     p.add_argument("--format", choices=("json", "text"), default=None)
@@ -120,6 +117,9 @@ def build_parser():
                          "fractions like 1/3,0,2")
     pc.add_argument("--backend", choices=("series", "rational"),
                     default=None)
+    pc.add_argument("--s", type=int, default=1)
+    pc.add_argument("--s1", type=int, default=0)
+    pc.add_argument("--s2", type=int, default=0)
     _add_common(pc)
 
     pv = sub.add_parser("verify", help="run identity checks")
@@ -133,15 +133,14 @@ def build_parser():
     return ap
 
 
-def _variant_for(args):
-    twist = args.twist not in (None, "", "01", "012")
-    if args.algebra == "a1":
-        base = "hat" if args.side == "chi-phi" else "check"
-        return base + ("-twisted" if twist else "")
-    if twist:
-        raise UsageError("rank-2 twisted variants are not transcribed; "
-                         "use the engine backend with --twist")
+def _variant_for(args, twist):
     base = "hat" if args.side == "chi-phi" else "check"
+    twisted = twist is not None and twist != tuple(sorted(twist))
+    if args.algebra == "a1":
+        return base + ("-twisted" if twisted else "")
+    if twisted:
+        raise UsageError("rank-2 twisted variants are not transcribed; "
+                         "use --backend series with --twist")
     return "%s-%d" % (base, args.family)
 
 
@@ -159,11 +158,15 @@ def _parse_osc_params(args):
                      [Fraction(x) for x in nu.split(",")])
 
 
-def _parse_twist(text):
+def _parse_twist(text, algebra):
+    """The --twist value as a permutation of the algebra's nodes."""
     if text is None:
         return None
-    perm = tuple(int(ch) for ch in text)
-    return perm
+    nodes = "01" if algebra == "a1" else "012"
+    if sorted(text) != list(nodes):
+        raise UsageError("--twist must be a permutation of the nodes %s, "
+                         "got %r" % (nodes, text))
+    return tuple(int(ch) for ch in text)
 
 
 def cmd_compute(args, conf):
@@ -182,6 +185,7 @@ def cmd_compute(args, conf):
                          "l-operators with --backend series only")
     if args.algebra == "a1" and args.family != 1:
         raise UsageError("--family applies to --algebra a2 only")
+    twist = _parse_twist(args.twist, args.algebra)
     if backend == "rational":
         if args.what == "r":
             ref = reference_matrix("r", args.algebra, "plain", args.s,
@@ -191,7 +195,7 @@ def cmd_compute(args, conf):
                               "terms": [list(t) for t in ref.tag.terms]}
             text = _matrix_text(ref.matrix, args.algebra, ref.tag)
         else:
-            variant = _variant_for(args)
+            variant = _variant_for(args, twist)
             ref = reference_matrix("l", args.algebra, variant, args.s,
                                    args.s1, args.s2, d=fock)
             payload = dump_grid(ref.matrix, fock_dim=ref.fock_dim,
@@ -205,7 +209,7 @@ def cmd_compute(args, conf):
         params = EngineParams(args.algebra, args.s, args.s1, args.s2,
                               order=order, left=left, right=right,
                               family=args.family,
-                              twist=_parse_twist(args.twist), fock_dim=fock,
+                              twist=twist, fock_dim=fock,
                               osc_params=_parse_osc_params(args))
         mat = assemble(params)
         payload = dump_matrix(mat)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .scalars import QScalar, q_power, qint, qnum_base
 from .series import ZetaSeries, series_exp, series_log
-from .linalg import OpMatrix, kron, fock_level, _flat, _unflat
+from .linalg import OpMatrix, kron, fock_window, _flat, _unflat
 from .rootsys import (
     extend_cartan, finite_cartan, finite_positive, positive_roots,
 )
@@ -76,14 +76,24 @@ class EngineParams:
 
     @property
     def internal_fock_dim(self):
-        """Fock dimension the oscillator legs are built on.
+        """Fock dimension of the oscillator legs: the reported one plus a
+        pad of m_max + 1, so that every reported entry is exact.
 
-        Truncation noise sits in a band at the top of the internal Fock
-        space; climbing paths from reported states stay below it once the
-        padding clears the band width (delta cutoff plus a few ladder
-        steps).
+        Every engine step is a sum of products of the truncated ladder
+        matrices, or an entrywise function of diagonal ones, so by
+        `fock_window` the pad must bound how far a path climbs.  On each
+        copy a path of R raising and L lowering letters climbs at most
+        min(R, L) above its higher end, and the two directions come from
+        two different nodes, under any `twist` too.  A root of
+        delta-multiplicity M and finite part c has M letters of node 0 and
+        M + c_i of node i, so a term has N_0 and N_0 + C_i, where C is a
+        weight difference of the fundamental leg: every C_i is -1, 0 or 1.
+        Its zeta degree N_0 s + sum C_i s_i <= order, with node exponents
+        >= 0 summing to s, gives N_0 <= m_max + 1, and N_0 <= m_max when
+        C_1 = C_2 = 1, so no two nodes both occur more than m_max + 1
+        times.  A pad of m_max gives wrong entries.
         """
-        return self.fock_dim + self.m_max + 6
+        return self.fock_dim + self.m_max + 1
 
 
 def _leg_images(params, which):
@@ -469,32 +479,21 @@ def _restrict_output(mat, params, left, right):
     d_int = params.internal_fock_dim
 
     def leg_map(image, kind):
-        # oscillator leg: keep the states with every copy index below d_out
+        # reported index of each kept state of one leg
         if kind == "phi":
-            return image.dim, None
+            return {i: i for i in range(image.dim)}
         dims_int = [d_int] * image.copies
         dims_out = [d_out] * image.copies
-        keep = {idx: _flat(_unflat(idx, dims_int), dims_out)
-                for idx in range(image.dim)
-                if fock_level(idx, d_int, image.copies) < d_out}
-        return d_out ** image.copies, keep
+        window = fock_window(d_int, image.copies, d_int - d_out)
+        return {idx: _flat(_unflat(idx, dims_int), dims_out)
+                for idx in range(image.dim) if window(idx)}
 
-    dim_l_new, lm = leg_map(left, params.left)
-    dim_r_new, rm = leg_map(right, params.right)
-    if lm is None and rm is None:
-        return mat
-    dim_r_old = right.dim
+    lm = leg_map(left, params.left)
+    rm = leg_map(right, params.right)
     out = {}
     for (r, c), v in mat.entries.items():
-        l1, r1 = divmod(r, dim_r_old)
-        l2, r2 = divmod(c, dim_r_old)
-        if lm is not None:
-            if l1 not in lm or l2 not in lm:
-                continue
-            l1, l2 = lm[l1], lm[l2]
-        if rm is not None:
-            if r1 not in rm or r2 not in rm:
-                continue
-            r1, r2 = rm[r1], rm[r2]
-        out[(l1 * dim_r_new + r1, l2 * dim_r_new + r2)] = v
-    return OpMatrix(dim_l_new * dim_r_new, out, mat.one, _clean=True)
+        l1, r1 = divmod(r, right.dim)
+        l2, r2 = divmod(c, right.dim)
+        if l1 in lm and l2 in lm and r1 in rm and r2 in rm:
+            out[(lm[l1] * len(rm) + rm[r1], lm[l2] * len(rm) + rm[r2])] = v
+    return OpMatrix(len(lm) * len(rm), out, mat.one, _clean=True)

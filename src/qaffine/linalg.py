@@ -13,7 +13,7 @@ import itertools
 
 __all__ = [
     "OpMatrix", "kron", "perm_operator", "hat_and_check", "embed_legs",
-    "fock_level", "Grid", "grid_akp", "window_product",
+    "fock_window", "Grid", "grid_akp", "window_product",
 ]
 
 
@@ -281,15 +281,26 @@ def _unflat(i, dims):
     return tuple(reversed(out))
 
 
-def fock_level(i, d, copies):
-    """Highest occupation number of the flat Fock index i over `copies`
-    factors of d states each: the largest base-d digit of i."""
-    level = 0
-    for _ in range(copies):
-        i, n = divmod(i, d)
-        if n > level:
-            level = n
-    return level
+def fock_window(d, copies, margin):
+    """The one Fock-window predicate: on flat indices over `copies` Fock
+    factors of d states each, true where every occupation number is at
+    most d - 1 - margin.
+
+    Truncated ladder matrices are compressions P A P of the infinite ones,
+    so a product of them differs from the compression of the product only
+    through paths that step above the top state d - 1.  A product whose
+    paths climb at most `margin` levels above their ends is therefore
+    exact on the window.
+    """
+    top = d - 1 - margin
+
+    def keep(i):
+        for _ in range(copies):
+            i, n = divmod(i, d)
+            if n > top:
+                return False
+        return True
+    return keep
 
 
 class Grid:

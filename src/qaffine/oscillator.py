@@ -131,8 +131,7 @@ def _setup(algebra, side, family, d, params):
 def _image(o, algebra, e_mats, f_mats, s, s1, s2, zeta_scale):
     exps = tuple(zeta_scale * x for x in _exps_for(algebra, s, s1, s2))
     return GeneratorImage(algebra, o.dim, o.h, e_mats, f_mats, exps,
-                          safe_window=o.d - 1, copies=o.copies,
-                          copy_dim=o.d)
+                          fock_dim=o.d, copies=o.copies)
 
 
 def chi_images(algebra, s, s1, s2=0, d=12, family=1, params=None,

@@ -11,7 +11,7 @@ shapes.
 """
 
 from .scalars import QScalar, q_power, qbinom
-from .linalg import OpMatrix, fock_level
+from .linalg import OpMatrix, fock_window
 from .rootsys import extend_cartan, finite_cartan
 
 __all__ = ["ScaledOp", "GeneratorImage", "phi_zeta", "dynkin_twist",
@@ -71,15 +71,15 @@ class GeneratorImage:
 
     `h_diags` holds integer diagonals; `e_mats`/`f_mats` hold bare matrices
     (no zeta) or None on the missing Borel half; `exps` are the sigma_i.
-    `safe_window` bounds the state indices on which relations hold exactly
-    (None for faithful finite-dimensional legs).
+    `fock_dim` is the number of states of each of the `copies` truncated
+    Fock factors (None for faithful finite-dimensional legs).
     """
 
     __slots__ = ("algebra", "affine", "dim", "h_diags", "e_mats", "f_mats",
-                 "exps", "safe_window", "copies", "copy_dim")
+                 "exps", "fock_dim", "copies")
 
     def __init__(self, algebra, dim, h_diags, e_mats, f_mats, exps,
-                 safe_window=None, copies=1, copy_dim=None):
+                 fock_dim=None, copies=1):
         self.algebra = algebra
         self.affine = extend_cartan(finite_cartan(algebra))
         self.dim = dim
@@ -87,9 +87,8 @@ class GeneratorImage:
         self.e_mats = e_mats
         self.f_mats = f_mats
         self.exps = tuple(exps)
-        self.safe_window = safe_window
+        self.fock_dim = fock_dim
         self.copies = copies
-        self.copy_dim = copy_dim if copy_dim is not None else dim
 
     @property
     def nodes(self):
@@ -158,7 +157,7 @@ def dynkin_twist(image, perm):
     pick = lambda lst: [lst[perm[i]] for i in range(n)]
     return GeneratorImage(image.algebra, image.dim, pick(image.h_diags),
                           pick(image.e_mats), pick(image.f_mats), image.exps,
-                          image.safe_window, image.copies, image.copy_dim)
+                          image.fock_dim, image.copies)
 
 
 def _serre_words(ei, ej, a_ij):
@@ -177,7 +176,7 @@ def _serre_words(ei, ej, a_ij):
 
 
 def check_defining_relations(image):
-    """Verify the defining relations on the stated safe subspace.
+    """Verify the defining relations on the truncation-safe window.
 
     Returns the list of violated relation names; empty means everything
     holds.  The [e_i, f_j] relation is checked only when both Borel halves
@@ -187,13 +186,11 @@ def check_defining_relations(image):
     n = image.nodes
     failures = []
 
-    def check(name, mat, a_count):
-        # entries touched by more than `a_count` ladder steps from the top
-        # are truncation noise; shrink the window accordingly
-        if image.safe_window is not None:
-            w = image.safe_window - a_count
-            mat = mat.restrict(
-                lambda i: fock_level(i, image.copy_dim, image.copies) <= w)
+    def check(name, mat, letters):
+        # a word of `letters` ladder letters climbs at most that many levels
+        if image.fock_dim is not None:
+            mat = mat.restrict(fock_window(image.fock_dim, image.copies,
+                                           letters))
         if mat:
             failures.append(name)
 

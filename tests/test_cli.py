@@ -186,3 +186,36 @@ def test_cli_reader_closing_early_is_not_an_error():
 def test_cli_rejects_flags_that_would_be_ignored(flags, named, capsys):
     assert main(flags) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--s", "--s1", "--s2"])
+def test_cli_verify_rejects_exponent_flags(flag, capsys):
+    # verify runs a fixed catalog of exponents, so the flags have no effect
+    assert main(["verify", "ybe", "--algebra", "a1", flag, "-1"]) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["rational", "series"])
+@pytest.mark.parametrize("algebra, twist", [
+    ("a1", "x"), ("a1", "210"), ("a1", "00"), ("a1", ""), ("a2", "10"),
+    ("a2", "013"),
+])
+def test_cli_twist_must_permute_the_nodes(backend, algebra, twist, capsys):
+    assert main(["compute", "l", "--algebra", algebra, "--side", "phi-psi",
+                 "--backend", backend, "--order", "1", "--fock", "3",
+                 "--twist", twist]) == 2
+    assert "--twist" in capsys.readouterr().err
+
+
+def test_cli_twist_is_read_alike_on_both_backends(capsys):
+    # the identity permutation is the untwisted operator, a transposition
+    # the twisted one, on either backend
+    def out(*flags):
+        assert main(["compute", "l", "--algebra", "a1", "--side", "phi-psi",
+                     "--fock", "3", "--order", "1", "--format", "json"]
+                    + list(flags)) == 0
+        return capsys.readouterr().out
+    for backend in ("rational", "series"):
+        plain = out("--backend", backend)
+        assert out("--backend", backend, "--twist", "01") == plain
+        assert out("--backend", backend, "--twist", "10") != plain

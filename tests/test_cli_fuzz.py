@@ -28,9 +28,6 @@ def _argv(head, *flags):
 # mostly accepted values, with one rejected value or combination per flag
 COMMON = (
     _flag("--algebra", "a1", "a2", "a1", "a2", "a3"),
-    _flag("--s", 1, 2, 3, 1, -1, 0),
-    _flag("--s1", 0, 1, 2, 0, -1),
-    _flag("--s2", 0, 1, 2, 0, -1),
     _flag("--fock", 2, 3, 4, 2, 3, 4, 1),
     _flag("--format", "json", "text", "json", "text", "xml"),
 )
@@ -48,6 +45,9 @@ compute_st = _argv(
         ["--osc-rho", "(1)/(1)", "--osc-mu", "(1)/(1),(1)/(1)", "--osc-nu",
          "0,1/3,0"],
         ["--osc-rho", "(1)/(0)", "--osc-mu", "(1)/(1)"]]),
+    _flag("--s", 1, 2, 3, 1, -1, 0),
+    _flag("--s1", 0, 1, 2, 0, -1),
+    _flag("--s2", 0, 1, 2, 0, -1),
     *COMMON)
 
 verify_st = _argv(

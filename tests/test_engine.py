@@ -1,3 +1,5 @@
+import itertools
+
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from qaffine.engine import (
     EngineParams, EngineError, build_root_vectors, assemble, u_matrices,
     check_normalization_constants,
 )
+from qaffine.verify import check_engine
 
 ONE = QScalar.ONE
 C = q_power(1) - q_power(-1)
@@ -323,3 +326,43 @@ def test_engine_rejects_bad_exponents():
         EngineParams("a1", 0, 0)
     with pytest.raises(EngineError):
         EngineParams("a1", 1, 2)  # s - s1 < 0
+
+
+# -- the Fock pad --------------------------------------------------------------
+
+@pytest.mark.parametrize("algebra, exps, order, d", [
+    ("a1", (1, 1), 4, 5), ("a1", (2, 1), 4, 5), ("a1", (3, 2), 4, 5),
+    ("a2", (1, 1, 0), 2, 4), ("a2", (1, 0, 1), 2, 4), ("a2", (2, 1, 1), 2, 4),
+    ("a2", (1, 1, 0), 2, 6), ("a2", (1, 0, 1), 2, 6), ("a2", (2, 1, 1), 2, 6),
+])
+def test_engine_matches_closed_forms_at_degenerate_exponents(algebra, exps,
+                                                             order, d):
+    # exponents other than the acceptance suite's (1, 0[, 0]); a pad of
+    # m_max gives wrong rank-2 check-type entries at (1, 1, 0)
+    variants = (("hat", "hat-twisted", "check", "check-twisted")
+                if algebra == "a1" else ("hat-1", "hat-2", "check-1",
+                                         "check-2"))
+    for variant in variants:
+        v = check_engine("l", algebra, variant, *exps, order=order, d=d)
+        assert v.passed, v
+
+
+class _WiderPad(EngineParams):
+    @property
+    def internal_fock_dim(self):
+        return super().internal_fock_dim + 2
+
+
+@pytest.mark.parametrize("exps", [(2, 0, 2), (2, 2, 0)])
+def test_twisted_a2_block_does_not_depend_on_the_pad(exps):
+    # rank-2 twists have no closed form: the reported block must not move
+    # when the pad grows; at these exponents, with two nodes free of zeta,
+    # a pad of m_max moves it on one side each
+    for perm in itertools.permutations(range(3)):
+        for left, right in (("chi", "phi"), ("phi", "psi")):
+            for family in (1, 2):
+                kw = dict(order=2, left=left, right=right, family=family,
+                          twist=perm, fock_dim=3)
+                assert assemble(EngineParams("a2", *exps, **kw)) == \
+                    assemble(_WiderPad("a2", *exps, **kw)), (perm, left,
+                                                             family)

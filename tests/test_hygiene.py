@@ -4,6 +4,8 @@
   check.
 * Every module-level private function or class in src/qaffine is referenced
   somewhere in src/: an unreferenced one is dead code.
+* Only linalg.py spells out a Fock window: every other module asks
+  `fock_window`, so the truncation rule lives in one place.
 * In scalars.py, true division appears only in the exact-quotient helper
   `_quo` and at the QScalar level (`__truediv__`, `qbinom`): an int / int
   in the polynomial kernel would put a float into a coefficient.
@@ -63,3 +65,13 @@ def test_true_division_in_scalars_only_where_exact():
     visit(tree, None)
     assert "qbinom" in {where for where, _ in found}
     assert [f for f in found if f[0] not in allowed] == []
+
+
+def test_only_linalg_spells_out_a_fock_window():
+    found = ["%s:%d" % (path.relative_to(SRC), node.lineno)
+             for path, tree in _modules() if path.name != "linalg.py"
+             for node in ast.walk(tree)
+             if "fock_level" in {getattr(node, "id", None),
+                                 getattr(node, "attr", None),
+                                 getattr(node, "name", None)}]
+    assert found == []

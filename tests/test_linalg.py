@@ -8,7 +8,7 @@ from operator import mul
 
 from qaffine.linalg import (
     OpMatrix, kron, perm_operator, hat_and_check, embed_legs, Grid, grid_akp,
-    fock_level, window_product,
+    fock_window, window_product,
 )
 
 ONE = QScalar.ONE
@@ -135,6 +135,14 @@ def test_grid_flatten_roundtrip():
         assert back == g
 
 
+def test_fock_window_keeps_every_level_up_to_the_margin():
+    for d, copies, margin in ((5, 1, 0), (5, 1, 2), (4, 2, 1), (3, 2, 2)):
+        keep = fock_window(d, copies, margin)
+        for idx, state in enumerate(itertools.product(range(d),
+                                                      repeat=copies)):
+            assert keep(idx) == (max(state) <= d - 1 - margin)
+
+
 def rand_grid(rng, n, dim):
     return Grid(n, {(rng.randrange(n), rng.randrange(n)): rand_matrix(rng, dim)
                     for _ in range(n + 1)}, dim, ONE)
@@ -146,7 +154,7 @@ def test_window_product_is_the_restricted_product(seed):
     dim = rng.choice((4, 6, 9))
     kept = set(rng.sample(range(dim), rng.randint(1, dim - 1)))
     windows = [lambda i: False, lambda i: True, kept.__contains__,
-               lambda i: fock_level(i, 3, 2) <= 1 if dim == 9 else i < 2]
+               fock_window(3, 2, 1) if dim == 9 else lambda i: i < 2]
     a, b = rand_matrix(rng, dim), rand_matrix(rng, dim)
     g, h = rand_grid(rng, 2, dim), rand_grid(rng, 3, dim)
     for keep in windows:

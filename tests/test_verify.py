@@ -3,10 +3,10 @@ import json
 import pytest
 
 from qaffine import verify
-from qaffine.linalg import OpMatrix, Grid, grid_akp, hat_and_check, fock_level
+from qaffine.linalg import OpMatrix, Grid, grid_akp, hat_and_check, fock_window
 from qaffine.rational import ZetaRational
 from qaffine.reference import reference_matrix
-from qaffine.scalars import q_power
+from qaffine.scalars import parse_qscalar, q_power
 from qaffine.verify import (
     Verdict, check_engine, check_ybe, check_rll, check_duality, check_gauge,
     check_structure, check_double_inversion, suite_checks, run_suite,
@@ -100,13 +100,23 @@ def test_engine_verdict_json_roundtrip():
     assert back["wall_time_ms"] >= 0
 
 
-def test_engine_check_reports_failure_location():
-    # order-0 comparison with deliberately wrong exponents still passes at
-    # the constant term, so compare against a mismatched variant instead
-    v = check_engine("l", "a1", "hat", s=1, s1=0, order=3, d=6)
-    assert v.passed
-    v2 = check_engine("l", "a1", "hat-twisted", s=1, s1=0, order=3, d=6)
-    assert v2.passed
+def test_engine_check_reports_failure_location(monkeypatch):
+    # the closed form with one entry times q: the verdict names the entry,
+    # the first degree where it differs, and both coefficients there
+    def perturbed(*args, **kwargs):
+        ref = reference_matrix(*args, **kwargs)
+        entries = dict(ref.matrix.entries)
+        entries[(1, 2)] = entries[(1, 2)] * ZetaRational.const(q_power(1))
+        ref.matrix = OpMatrix(ref.matrix.dim, entries, ref.matrix.one)
+        return ref
+    monkeypatch.setattr(verify, "reference_matrix", perturbed)
+    v = check_engine("r", "a1", s=1, s1=0, order=4)
+    assert v.passed is False
+    assert v.first_failure["entry"] == [1, 2]
+    assert v.first_failure["degree"] is not None
+    lhs, rhs = (parse_qscalar(v.first_failure[k]) for k in ("lhs", "rhs"))
+    assert lhs and rhs == lhs * q_power(1)
+    json.dumps(v.to_json())
 
 
 def test_suite_catalog_and_serial_runner():
@@ -151,7 +161,7 @@ def _perturbed_l(algebra, variant, d):
     return ref, r, Grid(ref.matrix.n, ops, ref.matrix.op_dim, op.one)
 
 
-def _restricted_after_product(l_grid, l_type, r_flat, d, copies, drop):
+def _restricted_after_product(l_grid, l_type, r_flat, d, copies):
     """The exchange relation as full products of the lifted operators,
     restricted to the window afterwards, with R times the product of its
     distinct denominators: where the two sides first differ, and both
@@ -166,7 +176,7 @@ def _restricted_after_product(l_grid, l_type, r_flat, d, copies, drop):
     r2 = verify._lift(rmat.scale(common), "ratio")
     l_u = verify._lift(l_grid, "u")
     l_v = verify._lift(l_grid, "v")
-    keep = lambda i: fock_level(i, d, copies) <= d - 1 - drop
+    keep = fock_window(d, copies, verify.RELATION_MARGIN)
     lhs = grid_akp(l_u, l_v).lmul_scalar_matrix(r2).restrict(keep)
     rhs = grid_akp(l_v, l_u).rmul_scalar_matrix(r2).restrict(keep)
     ab, ij = lhs.first_difference(rhs)
@@ -179,8 +189,7 @@ def _restricted_after_product(l_grid, l_type, r_flat, d, copies, drop):
                                                  ("a2", "hat-1", 5)])
 def test_rll_fails_where_the_restricted_product_differs(algebra, variant, d):
     ref, r, grid = _perturbed_l(algebra, variant, d)
-    args = (grid, ref.l_type, r.matrix, d, ref.copies,
-            verify.RLL_WINDOW_DROP)
+    args = (grid, ref.l_type, r.matrix, d, ref.copies)
     failure = verify._rll_residual(*args)
     assert failure is not None
     assert failure == _restricted_after_product(*args)
