@@ -16,8 +16,12 @@ element is free of truncation noise.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
-from .scalars import QScalar, q_power, qint, qnum_base
+from .scalars import (
+    QScalar, q_power, qint, qnum_base, _ONE_POLY, _p_add, _p_neg, _p_shift,
+)
 from .series import ZetaSeries, series_exp, series_log
 from .linalg import OpMatrix, kron, fock_window, _flat, _unflat
 from .rootsys import (
@@ -31,6 +35,7 @@ __all__ = ["EngineParams", "EngineError", "RootVectorTable",
            "check_normalization_constants"]
 
 ONE = QScalar.ONE
+ZERO = QScalar.ZERO
 C_FACTOR = q_power(1) - q_power(-1)          # q - q^-1
 INV2 = qint(2).inverse()                      # 1/[2]_q
 
@@ -242,8 +247,11 @@ def _graded_log(comps, m_max):
             for m, entries in out.items()}
 
 
+@lru_cache(maxsize=None)
 def u_matrices(algebra, m_max):
-    """Per-level inverse coupling matrices of the imaginary block."""
+    """Per-level inverse coupling matrices of the imaginary block, as a
+    read-only map from the level to rows of tuples: the result is memoised
+    and shared by every caller."""
     fin = finite_cartan(algebra)
     r = fin.rank
     out = {}
@@ -253,13 +261,13 @@ def u_matrices(algebra, m_max):
               qint(m * fin.matrix[i][j]).scale(Fraction(-1, m))
               for j in range(r)] for i in range(r)]
         if r == 1:
-            out[m] = [[t[0][0].inverse()]]
+            out[m] = ((t[0][0].inverse(),),)
         else:
             det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
             det_inv = det.inverse()
-            out[m] = [[t[1][1] * det_inv, (-t[0][1]) * det_inv],
-                      [(-t[1][0]) * det_inv, t[0][0] * det_inv]]
-    return out
+            out[m] = ((t[1][1] * det_inv, (-t[0][1]) * det_inv),
+                      ((-t[1][0]) * det_inv, t[0][0] * det_inv))
+    return MappingProxyType(out)
 
 
 def _series_matrix(terms, dim, order):
@@ -311,50 +319,127 @@ def _q_exponential_factor(e_op, f_op, pairing, order, dim_l, dim_r):
     return _series_matrix(terms, dim, order)
 
 
+# closed-form and series_exp fallback counts of `_imaginary_factor`, one
+# per distinct exponential computed
+IMAG_EXP_COUNTS = {"closed": 0, "fallback": 0}
+
+
 def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order):
     """Returns (scalar prefactor series, matrix factor).
 
-    The exponential of the diagonal argument is split as
-    exp(a_00) * diag(exp(a_ii - a_00)); the common scalar multiplies the
-    assembled product once at the very end, and the per-state ratios come
-    out with polynomial coefficients, which keeps the hot products cheap.
+    The imaginary root vectors are diagonal on every leg, so the argument
+    a of the exponential is diagonal too.  At state (x, y) its level-m
+    coefficient is the bilinear form sum_j G_mj(x) f_jm(y), with
+    G_mj(x) = sum_i (q - q^-1) u_m[i][j] e_im(x), read off the leg
+    eigenvalues e_im(x) and f_jm(y): G once per distinct left tuple, and
+    one exponential per distinct pair of tuples.  The exponential is split
+    as exp(a_00) * diag(exp(a_xy - a_00)); the common scalar multiplies the
+    assembled product once at the very end.  Each ratio is taken in the
+    product form of `_closed_exp` when its exponent is a power sum, which
+    it is on every reported state, and by `series_exp` otherwise.
     """
-    algebra = params.algebra
-    um = u_matrices(algebra, params.m_max)
-    rank = finite_cartan(algebra).rank
-    terms = []
+    um = u_matrices(params.algebra, params.m_max)
+    rank = finite_cartan(params.algebra).rank
+    zexps, couplings, left_ops, right_ops = [], [], [], []
     for m in range(1, params.m_max + 1):
-        for i in range(rank):
-            e = left_table.imag_op(i, m)
-            if e is None or not e.mat:
-                continue
-            for j in range(rank):
-                f = right_table.imag_op(j, m)
-                if f is None or not f.mat:
-                    continue
-                coeff = C_FACTOR * um[m][i][j]
-                terms.append((e.zexp + f.zexp,
-                              kron(e.mat.scale(coeff), f.mat)))
-    dim = dim_l * dim_r
+        es = [left_table.imag_op(i, m) for i in range(rank)]
+        fs = [right_table.imag_op(j, m) for j in range(rank)]
+        e0 = next(filter(None, es), None)
+        f0 = next(filter(None, fs), None)
+        if e0 and f0 and e0.zexp + f0.zexp <= order:
+            zexps.append(e0.zexp + f0.zexp)
+            couplings.append([[C_FACTOR * um[m][i][j] for j in range(rank)]
+                              for i in range(rank)])
+            left_ops.append(es)
+            right_ops.append(fs)
     one = ZetaSeries.one(order)
-    if not terms:
-        return one, _identity_series(dim, order)
-    arg = _series_matrix(terms, dim, order)
-    if not arg.is_diagonal():
-        raise EngineError("imaginary factor argument is not diagonal")
-    zero = ZetaSeries.zero(order)
-    a0 = arg.entries.get((0, 0), zero)
-    prefactor = series_exp(a0)
+    if not zexps:
+        return one, _identity_series(dim_l * dim_r, order)
+    left_ids, left_keys = _leg_spectrum(left_ops, dim_l)
+    right_ids, right_keys = _leg_spectrum(right_ops, dim_r)
+
+    def form(key):
+        return [[sum((c[i][j] * ev[i] for i in range(rank)), ZERO)
+                 for j in range(rank)] for c, ev in zip(couplings, key)]
+
+    def pair(g, f):
+        return [sum((a * b for a, b in zip(gl, fl)), ZERO)
+                for gl, fl in zip(g, f)]
+
+    forms = [form(key) for key in left_keys]
+    arg0 = pair(forms[0], right_keys[0])
     cache = {}
     out = {}
-    for i in range(dim):
-        v = arg.entries.get((i, i), zero)
-        diff = v - a0
-        got = cache.get(diff)
-        if got is None:
-            got = cache[diff] = series_exp(diff)
-        out[(i, i)] = got
-    return prefactor, OpMatrix(dim, out, one)
+    for x, lid in enumerate(left_ids):
+        for y, rid in enumerate(right_ids):
+            got = cache.get((lid, rid))
+            if got is None:
+                diff = ZetaSeries(
+                    {z: a - b for z, a, b in
+                     zip(zexps, pair(forms[lid], right_keys[rid]), arg0)},
+                    order)
+                got = _closed_exp(diff)
+                if got is None:
+                    IMAG_EXP_COUNTS["fallback"] += 1
+                    got = series_exp(diff)
+                else:
+                    IMAG_EXP_COUNTS["closed"] += 1
+                cache[(lid, rid)] = got
+            out[(x * dim_r + y,) * 2] = got
+    prefactor = series_exp(ZetaSeries(dict(zip(zexps, arg0)), order))
+    return prefactor, OpMatrix(dim_l * dim_r, out, one)
+
+
+def _leg_spectrum(level_ops, dim):
+    """The eigenvalues of one leg's diagonal imaginary root vectors: the
+    distinct tuples (level by level, node by node) and, per state, the
+    index of its tuple."""
+    diags = [[op.mat.entries if op else {} for op in ops]
+             for ops in level_ops]
+    index = {}
+    ids = [index.setdefault(tuple(tuple(d.get((x, x), ZERO) for d in level)
+                                  for level in diags), len(index))
+           for x in range(dim)]
+    return ids, list(index)
+
+
+def _closed_exp(f):
+    """exp(f) in product form, or None when f is not of that shape.
+
+    With s the lowest degree of f, the shape is f = sum_n p_n z^(ns) / n
+    with power sums p_n = sum_k c_k lam_k^n, where the c_k are integers and
+    the lam_k monomials in t, read off p_1 = f_s.  Every p_n up to the
+    truncation order is checked exactly, and then
+    exp(f) = prod_k (1 - lam_k z^s)^(-c_k), which has integer coefficients.
+    """
+    if not f:
+        return ZetaSeries.one(f.order)
+    s = min(f.coeffs)
+    if s < 1:
+        return None
+    lead = f.coeffs[s]
+    top = f.order // s
+    if lead.den != _ONE_POLY or len(f.coeffs) != top or \
+            any(type(c) is not int for c in lead.num.values()):
+        return None
+    for n in range(2, top + 1):
+        c = f.coeffs.get(n * s)
+        if c is None or c.den != _ONE_POLY or \
+                {e: v * n for e, v in c.num.items()} != \
+                {a * n: v for a, v in lead.num.items()}:
+            return None
+    # multiply by (1 - t^a w)^(-c) one linear factor at a time, w = z^s
+    ws = [_ONE_POLY] + [{}] * top
+    for a, c in lead.num.items():
+        for _ in range(abs(c)):
+            if c > 0:
+                for n in range(1, top + 1):
+                    ws[n] = _p_add(ws[n], _p_shift(ws[n - 1], a))
+            else:
+                for n in range(top, 0, -1):
+                    ws[n] = _p_add(ws[n], _p_neg(_p_shift(ws[n - 1], a)))
+    return ZetaSeries({n * s: QScalar(p, _ONE_POLY, _canonical=True)
+                       for n, p in enumerate(ws) if p}, f.order, 0)
 
 
 def _k_factor(left_image, right_image, params, order):

@@ -611,7 +611,15 @@ def scan_linear_exponents(kind_variant, algebra, s_range, s1_range,
                           s2_range=(0,), d=4):
     """All exponent tuples in the grid making the prefactor-stripped
     operator linear in zeta after one overall power shift."""
-    out = []
+    return list(_linear_exponents(kind_variant, algebra, s_range, s1_range,
+                                  s2_range, d))
+
+
+def _linear_exponents(kind_variant, algebra, s_range, s1_range, s2_range,
+                      d):
+    """The tuples of `scan_linear_exponents` with their shifts, built one
+    grid point at a time, so a caller that needs only the first few stops
+    early."""
     for s in s_range:
         if s == 0:
             continue
@@ -626,9 +634,8 @@ def scan_linear_exponents(kind_variant, algebra, s_range, s1_range,
                 if not degs:
                     continue
                 if len(degs) == 2 and max(degs) - min(degs) == 2:
-                    out.append(((s, s1, s2) if algebra == "a2" else (s, s1),
-                                (max(degs) + min(degs)) // 2))
-    return out
+                    yield ((s, s1, s2) if algebra == "a2" else (s, s1),
+                           (max(degs) + min(degs)) // 2)
 
 
 def decompose_L(ref, invert):

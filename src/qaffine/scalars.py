@@ -79,6 +79,8 @@ def _p_mul(a, b):
     if len(b) == 1:
         (kb, cb), = b.items()
         return _p_coeffs({k + kb: c * cb for k, c in a.items()})
+    if len(a) * len(b) >= _PACKED_MUL_MIN:
+        return _p_mul_packed(a, b)
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -91,6 +93,48 @@ def _p_mul(a, b):
     return _p_coeffs(out)
 
 
+# from this many term products on, one packed integer product is faster
+# than the term-by-term loop (about 1.4x at 8 x 8 terms, 6x at 70 x 70)
+_PACKED_MUL_MIN = 64
+
+
+def _p_mul_packed(a, b):
+    """a * b by Kronecker substitution: each operand, cleared to integer
+    coefficients, is evaluated at t = 2^bits over its exponent stride, the
+    two integers are multiplied, and the product's coefficients are read
+    back as signed base-2^bits digits.  `bits` exceeds every product
+    coefficient's size, so no digit overflows into the next."""
+    a, da = _int_cleared(a)
+    b, db = _int_cleared(b)
+    la, lb = min(a), min(b)
+    step = gcd(*(k - la for k in a), *(k - lb for k in b)) or 1
+    bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
+             * min(len(a), len(b)))
+    bits = bound.bit_length() + 1
+    pa = 0
+    for k, c in a.items():
+        pa += c << (bits * ((k - la) // step))
+    pb = 0
+    for k, c in b.items():
+        pb += c << (bits * ((k - lb) // step))
+    prod = pa * pb
+    full = 1 << bits
+    half = full >> 1
+    mask = full - 1
+    den = da * db
+    out = {}
+    k = la + lb
+    while prod:
+        c = prod & mask
+        if c >= half:
+            c -= full
+        if c:
+            out[k] = c if den == 1 else _quo(c, den)
+        prod = (prod - c) >> bits
+        k += step
+    return out
+
+
 def _p_shift(a, n):
     if n == 0:
         return dict(a)
@@ -99,9 +143,12 @@ def _p_shift(a, n):
 
 def _p_exquo(a, b):
     """a / b for ordinary polynomials; ArithmeticError unless b divides a.
-    The remainder's degrees, all multiples of `step`, are walked down once."""
+    The remainder's degrees, all multiples of `step`, are walked down once;
+    a is cleared to integer coefficients first, so the walk runs on ints
+    whenever b has them."""
     if a == b:
         return {0: 1}
+    a, d = _int_cleared(a)
     db = max(b)
     lb = b[db]
     step = gcd(*a, *b) or 1
@@ -123,7 +170,7 @@ def _p_exquo(a, b):
         dr -= step
     if r:
         raise ArithmeticError("polynomial division is not exact")
-    return q
+    return q if d == 1 else {k: _quo(c, d) for k, c in q.items()}
 
 
 def _p_monic(a):
@@ -133,15 +180,16 @@ def _p_monic(a):
     return {k: _quo(c, lc) for k, c in a.items()}
 
 
-def _int_clear(a):
+def _int_cleared(a):
+    """(d * a, d) with d the least positive integer making d * a integral."""
     d = 1
     for c in a.values():
         if type(c) is not int:
             cd = c.denominator
             d = d * cd // gcd(d, cd)
     if d == 1:
-        return a
-    return {k: c.numerator * (d // c.denominator) for k, c in a.items()}
+        return a, 1
+    return {k: c.numerator * (d // c.denominator) for k, c in a.items()}, d
 
 
 def _int_primitive(a):
@@ -287,8 +335,8 @@ def _p_gcd(a, b):
     hit = _GCD_CACHE.get(key)
     if hit is not None:
         return hit
-    ia = _int_primitive(_int_clear(a))
-    ib = _int_primitive(_int_clear(b))
+    ia = _int_primitive(_int_cleared(a)[0])
+    ib = _int_primitive(_int_cleared(b)[0])
     g = _heu_gcd(ia, ib)
     if g is None:
         g = _prs_gcd(ia, ib)

@@ -21,8 +21,8 @@ from .linalg import (
 )
 from .oscillator import tau_matrix, gamma_scaling
 from .reference import (
-    reference_matrix, r0_hat_matrix, decompose_L, scan_linear_exponents,
-    grid_inverse, _reflected_inverse,
+    reference_matrix, r0_hat_matrix, decompose_L, grid_inverse,
+    _linear_exponents, _reflected_inverse,
 )
 from .engine import EngineParams, assemble
 
@@ -445,8 +445,8 @@ def _apply_gamma(grid2, ref, s_exponents, var):
 def _decomposed(variant, algebra, d, invert):
     """(exponents, reference, decompose_L result) at the first special
     exponents of the scan where the operator decomposes, or None."""
-    for exps, _ in scan_linear_exponents(variant, algebra, range(-2, 3),
-                                         range(-1, 2), (0,), d=3):
+    for exps, _ in _linear_exponents(variant, algebra, range(-2, 3),
+                                     range(-1, 2), (0,), d=3):
         ref = reference_matrix("l", algebra, variant, *exps, d=d)
         try:
             return exps, ref, decompose_L(ref, invert=invert)

@@ -6,9 +6,10 @@ import pytest
 
 from qaffine.scalars import QScalar, q_power, qint, qint_base
 from qaffine.series import ZetaSeries, series_exp, lambda_level
-from qaffine.linalg import OpMatrix, kron
+from qaffine.linalg import OpMatrix, kron, fock_window
 from qaffine.qgroup import phi_zeta, ScaledOp
 from qaffine.oscillator import chi_images, psi_images, fock_rep
+from qaffine import engine
 from qaffine.engine import (
     EngineParams, EngineError, build_root_vectors, assemble, u_matrices,
     check_normalization_constants,
@@ -366,3 +367,126 @@ def test_twisted_a2_block_does_not_depend_on_the_pad(exps):
                 assert assemble(EngineParams("a2", *exps, **kw)) == \
                     assemble(_WiderPad("a2", *exps, **kw)), (perm, left,
                                                              family)
+
+
+# -- the imaginary factor --------------------------------------------------------
+
+def _imaginary_inputs(params):
+    left = engine._leg_images(params, "left")
+    right = engine._leg_images(params, "right")
+    return (left, right, build_root_vectors(left, "e", params.m_max),
+            build_root_vectors(right, "f", params.m_max))
+
+
+def _argument_at(etab, ftab, params, x, y):
+    # the exponent at state (x, y), summed term by term from the definition
+    rank = 1 if params.algebra == "a1" else 2
+    um = u_matrices(params.algebra, params.m_max)
+    coeffs = {}
+    for m in range(1, params.m_max + 1):
+        for i in range(rank):
+            for j in range(rank):
+                e, f = etab.imag_op(i, m), ftab.imag_op(j, m)
+                if e is None or f is None or e.zexp + f.zexp > params.order:
+                    continue
+                v = C * um[m][i][j] * e.mat.entry(x, x) * f.mat.entry(y, y)
+                z = e.zexp + f.zexp
+                coeffs[z] = coeffs.get(z, QScalar.ZERO) + v
+    return ZetaSeries(coeffs, params.order)
+
+
+def _reported_states(image, kind, params):
+    if kind == "phi":
+        return range(image.dim)
+    d_int = params.internal_fock_dim
+    keep = fock_window(d_int, image.copies, d_int - params.fock_dim)
+    return [i for i in range(image.dim) if keep(i)]
+
+
+_IMAGINARY_CASES = [
+    pytest.param("a1", dict(order=4), id="a1-r"),
+    pytest.param("a1", dict(order=3, left="chi", fock_dim=4), id="a1-hat"),
+    pytest.param("a1", dict(order=3, left="chi", twist=(1, 0), fock_dim=4),
+                 id="a1-hat-twisted"),
+    pytest.param("a1", dict(order=3, right="psi", fock_dim=4), id="a1-check"),
+    pytest.param("a1", dict(order=3, right="psi", twist=(1, 0), fock_dim=4),
+                 id="a1-check-twisted"),
+    pytest.param("a2", dict(order=3), id="a2-r"),
+    pytest.param("a2", dict(order=2, left="chi", fock_dim=3), id="a2-hat-1"),
+    pytest.param("a2", dict(order=2, left="chi", family=2, fock_dim=3),
+                 id="a2-hat-2"),
+    pytest.param("a2", dict(order=2, right="psi", fock_dim=3),
+                 id="a2-check-1"),
+    pytest.param("a2", dict(order=2, right="psi", family=2, fock_dim=3),
+                 id="a2-check-2"),
+    pytest.param("a2", dict(order=2, left="chi", twist=(1, 2, 0), fock_dim=3),
+                 id="a2-hat-1-twisted"),
+    pytest.param("a2", dict(order=2, right="psi", family=2, twist=(2, 0, 1),
+                            fock_dim=3), id="a2-check-2-twisted"),
+]
+
+
+@pytest.mark.parametrize("algebra, kw", _IMAGINARY_CASES)
+def test_imaginary_factor_matches_series_exp(algebra, kw):
+    # every diagonal ratio against series_exp of the argument summed from
+    # its definition; inside the reported window each takes the closed form
+    params = EngineParams(algebra, 1, 0, 0, **kw)
+    left, right, etab, ftab = _imaginary_inputs(params)
+    prefactor, factor = engine._imaginary_factor(
+        etab, ftab, params, left.dim, right.dim, params.order)
+    a0 = _argument_at(etab, ftab, params, 0, 0)
+    assert prefactor == series_exp(a0)
+    reported_left = set(_reported_states(left, params.left, params))
+    reported_right = set(_reported_states(right, params.right, params))
+    closed = 0
+    for x in range(left.dim):
+        for y in range(right.dim):
+            diff = _argument_at(etab, ftab, params, x, y) - a0
+            got = factor.entry(x * right.dim + y, x * right.dim + y)
+            assert got == series_exp(diff), (x, y)
+            if x in reported_left and y in reported_right:
+                assert engine._closed_exp(diff) == got, (x, y)
+                closed += 1
+    assert closed
+
+
+def test_imaginary_exp_counter_counts_closed_forms_and_fallbacks(
+        monkeypatch):
+    # a1 hat at order 5 on 13 internal Fock states: two distinct ratios in
+    # closed form, and four, on the two top padded levels, by series_exp
+    counts = {"closed": 0, "fallback": 0}
+    monkeypatch.setattr(engine, "IMAG_EXP_COUNTS", counts)
+    params = EngineParams("a1", 1, 0, order=5, left="chi", fock_dim=7)
+    left, right, etab, ftab = _imaginary_inputs(params)
+    engine._imaginary_factor(etab, ftab, params, left.dim, right.dim, 5)
+    assert counts == {"closed": 2, "fallback": 4}
+
+
+def _series(coeffs, order=6):
+    return ZetaSeries({d: c if isinstance(c, QScalar)
+                       else QScalar.from_fraction(c)
+                       for d, c in coeffs.items()}, order)
+
+
+def test_closed_exp_takes_products_of_linear_factors():
+    lam = q_power(-2)
+    # log((1 - z^2) / (1 - q^-2 z^2)): power sums q^-2m - 1 at z^(2m)
+    f = _series({2 * m: (lam ** m - ONE).scale(Fraction(1, m))
+                 for m in range(1, 4)})
+    want = (ZetaSeries({0: ONE, 2: -ONE}, 6)
+            * ZetaSeries({0: ONE, 2: -lam}, 6).inverse())
+    assert engine._closed_exp(f) == want == series_exp(f)
+    assert engine._closed_exp(ZetaSeries.zero(6)) == ZetaSeries.one(6)
+
+
+@pytest.mark.parametrize("coeffs", [
+    {1: 1, 2: 1},                           # p_2 = 2, not p_1^2 = 1
+    {1: Fraction(1, 2), 2: Fraction(1, 8)},  # non-integer multiplicity
+    {1: C.inverse(), 2: (C * C).inverse().scale(Fraction(1, 2))},
+    {1: 1, 2: Fraction(1, 2), 3: Fraction(1, 3), 5: Fraction(1, 5)},
+    {1: 1, 2: Fraction(1, 2), 3: Fraction(1, 3), 4: Fraction(1, 4),
+     5: Fraction(1, 5), 6: Fraction(1, 5)},  # wrong at the last degree
+    {2: 1, 3: 1},                           # a degree off the z^2 grid
+])
+def test_closed_exp_rejects_what_is_not_a_power_sum(coeffs):
+    assert engine._closed_exp(_series(coeffs)) is None

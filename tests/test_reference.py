@@ -10,6 +10,7 @@ from qaffine.reference import (
     decompose_L, scan_linear_exponents, grid_inverse, op_inverse,
     apply_two_copy_normalization,
 )
+from qaffine import reference
 from qaffine.engine import EngineParams, assemble
 
 ONE = QScalar.ONE
@@ -155,6 +156,24 @@ def test_scan_finds_linear_exponents():
     got_check = scan_linear_exponents("check", "a1", range(-2, 3),
                                       range(-1, 2))
     assert sorted(t for t, _ in got_check) == [(-2, 0), (2, 0)]
+
+
+def test_scan_builds_no_grid_point_past_the_first_hit(monkeypatch):
+    # the structure check stops at the first tuple that decomposes, so the
+    # scan it iterates builds the grid one point at a time
+    built = []
+    real = reference.reference_matrix
+
+    def counted(*args, **kw):
+        built.append(args[3:5])
+        return real(*args, **kw)
+    monkeypatch.setattr(reference, "reference_matrix", counted)
+    scan = reference._linear_exponents("hat", "a1", range(-2, 3),
+                                       range(-1, 2), (0,), 4)
+    assert next(scan)[0] == (-2, 0)
+    assert built == [(-2, -1), (-2, 0)]
+    assert [t for t, _ in scan] == [(2, 0)]
+    assert len(built) == 12
 
 
 def test_decompose_hat_and_projector():

@@ -130,16 +130,16 @@ def test_gcd_fallback_matches_sympy(monkeypatch):
     monkeypatch.setattr(scalars, "_GCD_CACHE", {})
     monkeypatch.setattr(scalars, "_HEU_TRIES", 0)
     for f, g in _gcd_cases():
-        ia = scalars._int_primitive(scalars._int_clear(f))
-        ib = scalars._int_primitive(scalars._int_clear(g))
+        ia = scalars._int_primitive(scalars._int_cleared(f)[0])
+        ib = scalars._int_primitive(scalars._int_cleared(g)[0])
         assert scalars._heu_gcd(ia, ib) is None
         assert scalars._p_gcd(f, g) == _sympy_monic_gcd(f, g)
 
 
 def test_heuristic_agrees_with_prs():
     for f, g in _gcd_cases():
-        ia = scalars._int_primitive(scalars._int_clear(f))
-        ib = scalars._int_primitive(scalars._int_clear(g))
+        ia = scalars._int_primitive(scalars._int_cleared(f)[0])
+        ib = scalars._int_primitive(scalars._int_cleared(g)[0])
         heu = scalars._heu_gcd(ia, ib)
         assert heu is not None
         assert scalars._p_monic(heu) == scalars._p_monic(
@@ -213,3 +213,26 @@ def test_no_float_reaches_a_coefficient(x, y, f):
         values.append(x / y)
     for z in values:
         _assert_canonical(z)
+
+
+# -- the packed product against the term-by-term definition --------------------
+
+_big_coeff = st.one_of(_coeff, st.integers(-(1 << 90), 1 << 90)).filter(bool)
+_factor = st.dictionaries(st.integers(-40, 40), _big_coeff, min_size=2,
+                          max_size=20)
+
+
+@SETTINGS
+@hypothesis.given(_factor, _factor, st.integers(1, 12), st.integers(1, 12))
+def test_packed_product_matches_the_term_loop(a, b, sa, sb):
+    # strides, signs, Fraction and 90-bit coefficients, Laurent exponents
+    a = {k * sa: scalars._coeff(c) for k, c in a.items()}
+    b = {k * sb: scalars._coeff(c) for k, c in b.items()}
+    want = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            want[ka + kb] = want.get(ka + kb, 0) + ca * cb
+    want = {k: c for k, c in want.items() if c}
+    got = scalars._p_mul_packed(a, b)
+    assert got == want
+    assert all(type(c) is int or c.denominator > 1 for c in got.values())
