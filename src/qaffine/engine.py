@@ -120,14 +120,11 @@ def _leg_images(params, which):
 class RootVectorTable:
     """Images of the root vectors for one leg and one Borel side."""
 
-    __slots__ = ("side", "real", "imag", "image", "m_max")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, side, real, imag, image, m_max):
-        self.side = side      # "e" or "f"
+    def __init__(self, real, imag):
         self.real = real      # (finite_part, m) -> ScaledOp
         self.imag = imag      # (simple_index, m) -> ScaledOp
-        self.image = image
-        self.m_max = m_max
 
     def real_op(self, root):
         return self.real.get((root.finite_part, root.delta_mult))
@@ -216,7 +213,7 @@ def build_root_vectors(image, side, m_max):
                 continue
             mat = mat.scale(c_inv if side == "e" else -c_inv)
             imag[(i, m)] = ScaledOp(m * zstep, mat)
-    return RootVectorTable(side, real, imag, image, m_max)
+    return RootVectorTable(real, imag)
 
 
 def _graded_log(comps, m_max):
@@ -419,14 +416,15 @@ def _closed_exp(f):
         return None
     lead = f.coeffs[s]
     top = f.order // s
-    if lead.den != _ONE_POLY or len(f.coeffs) != top or \
-            any(type(c) is not int for c in lead.num.values()):
+    if lead.den is not _ONE_POLY or len(f.coeffs) != top:
         return None
     for n in range(2, top + 1):
         c = f.coeffs.get(n * s)
-        if c is None or c.den != _ONE_POLY or \
-                {e: v * n for e, v in c.num.items()} != \
-                {a * n: v for a, v in lead.num.items()}:
+        if c is None:
+            return None
+        c = c.scale(n)
+        if c.den is not _ONE_POLY or \
+                c.num != {a * n: v for a, v in lead.num.items()}:
             return None
     # multiply by (1 - t^a w)^(-c) one linear factor at a time, w = z^s
     ws = [_ONE_POLY] + [{}] * top

@@ -5,9 +5,9 @@ Identities in two spectral variables are checked elsewhere, as polynomial
 identities after clearing denominators (see verify.py), so this field
 never nests.
 
-Canonical form mirrors QScalar: the denominator is an ordinary polynomial
-in zeta with minimal degree zero and lowest coefficient 1, and numerator
-and denominator share no factor.  The gcd is computed with a primitive
+Canonical form: the denominator is an ordinary polynomial in zeta with
+minimal degree zero and lowest coefficient 1, and numerator and
+denominator share no factor.  The gcd is computed with a primitive
 pseudo-remainder sequence on cleared coefficients, and the exact quotients
 by it over Q(t).
 """

@@ -609,17 +609,10 @@ def _entry_degrees(grid):
 
 def scan_linear_exponents(kind_variant, algebra, s_range, s1_range,
                           s2_range=(0,), d=4):
-    """All exponent tuples in the grid making the prefactor-stripped
-    operator linear in zeta after one overall power shift."""
-    return list(_linear_exponents(kind_variant, algebra, s_range, s1_range,
-                                  s2_range, d))
-
-
-def _linear_exponents(kind_variant, algebra, s_range, s1_range, s2_range,
-                      d):
-    """The tuples of `scan_linear_exponents` with their shifts, built one
-    grid point at a time, so a caller that needs only the first few stops
-    early."""
+    """The exponent tuples in the grid making the prefactor-stripped
+    operator linear in zeta after one overall power shift, each with its
+    shift.  A generator: the grid is built one point at a time, so a caller
+    that needs only the first few stops early."""
     for s in s_range:
         if s == 0:
             continue

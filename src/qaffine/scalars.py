@@ -6,17 +6,17 @@ single field without extension towers.  A QScalar is a reduced ratio of two
 Laurent polynomials in t, kept in a canonical form so equality is plain
 syntactic comparison.
 
-A polynomial is a dict {exponent: coefficient}.  A coefficient is an int
-when it is integral and a fractions.Fraction only when its denominator is
-greater than 1; it is never a float.  The values the engine meets are
-almost always integral, so the kernel runs on machine-speed int arithmetic
-and pays for Fraction only where a denominator really occurs.  Because
-3 == Fraction(3) and both hash alike, printing, parsing, equality and
-hashing need no conversion between the two types.
+A polynomial is a dict {exponent: coefficient}, and every coefficient is a
+Python int.  Rational content lives in the denominator polynomial, so 1/2
+is ({0: 1}, {0: 2}), and the kernel (products, exact quotients, gcds) runs
+on integers only.  Fraction appears only where values enter (the
+constructor, `from_fraction`, `q_power`) and where they are printed: `str`
+divides by the leading coefficient of the denominator, so the printed
+denominator is monic and `parse_qscalar` reads it back.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "QScalar", "q_power", "t_power", "qint", "qint_factorial", "qbinom",
@@ -25,8 +25,8 @@ __all__ = [
 
 
 def _coeff(c):
-    """Any exact number (int, Fraction, float, numeric string) in
-    coefficient form: an int when it is integral, else a Fraction."""
+    """Any exact number (int, Fraction, float, numeric string) as an int
+    when it is integral, else as a Fraction."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
@@ -34,26 +34,7 @@ def _coeff(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _quo(a, b):
-    """The exact quotient a / b of two coefficients, in coefficient form.
-    Every division of coefficients goes through here, so an int / int can
-    never produce a float."""
-    if type(a) is int and type(b) is int and not a % b:
-        return a // b
-    return _coeff(Fraction(a, b))
-
-
-def _p_coeffs(p):
-    """p with every coefficient in coefficient form.  Sums and products of
-    Fractions can be integral, and constructors may be handed any exact
-    number, so this runs wherever a non-int can come in."""
-    for c in p.values():
-        if type(c) is not int:
-            return {k: _coeff(c) for k, c in p.items()}
-    return p
-
-
-# -- Laurent polynomials in t as {exponent: coefficient} dicts --------------
+# -- Laurent polynomials in t as {exponent: int} dicts -----------------------
 
 def _p_add(a, b):
     out = dict(a)
@@ -63,7 +44,7 @@ def _p_add(a, b):
             out[k] = s
         else:
             out.pop(k, None)
-    return _p_coeffs(out)
+    return out
 
 
 def _p_neg(a):
@@ -75,10 +56,10 @@ def _p_mul(a, b):
         return {}
     if len(a) == 1:
         (ka, ca), = a.items()
-        return _p_coeffs({ka + k: ca * c for k, c in b.items()})
+        return {ka + k: ca * c for k, c in b.items()}
     if len(b) == 1:
         (kb, cb), = b.items()
-        return _p_coeffs({k + kb: c * cb for k, c in a.items()})
+        return {k + kb: c * cb for k, c in a.items()}
     if len(a) * len(b) >= _PACKED_MUL_MIN:
         return _p_mul_packed(a, b)
     out = {}
@@ -90,7 +71,7 @@ def _p_mul(a, b):
                 out[k] = s
             else:
                 out.pop(k, None)
-    return _p_coeffs(out)
+    return out
 
 
 # from this many term products on, one packed integer product is faster
@@ -99,13 +80,11 @@ _PACKED_MUL_MIN = 64
 
 
 def _p_mul_packed(a, b):
-    """a * b by Kronecker substitution: each operand, cleared to integer
-    coefficients, is evaluated at t = 2^bits over its exponent stride, the
-    two integers are multiplied, and the product's coefficients are read
-    back as signed base-2^bits digits.  `bits` exceeds every product
-    coefficient's size, so no digit overflows into the next."""
-    a, da = _int_cleared(a)
-    b, db = _int_cleared(b)
+    """a * b by Kronecker substitution: each operand is evaluated at
+    t = 2^bits over its exponent stride, the two integers are multiplied,
+    and the product's coefficients are read back as signed base-2^bits
+    digits.  `bits` exceeds every product coefficient's size, so no digit
+    overflows into the next."""
     la, lb = min(a), min(b)
     step = gcd(*(k - la for k in a), *(k - lb for k in b)) or 1
     bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
@@ -121,7 +100,6 @@ def _p_mul_packed(a, b):
     full = 1 << bits
     half = full >> 1
     mask = full - 1
-    den = da * db
     out = {}
     k = la + lb
     while prod:
@@ -129,7 +107,7 @@ def _p_mul_packed(a, b):
         if c >= half:
             c -= full
         if c:
-            out[k] = c if den == 1 else _quo(c, den)
+            out[k] = c
         prod = (prod - c) >> bits
         k += step
     return out
@@ -142,13 +120,13 @@ def _p_shift(a, n):
 
 
 def _p_exquo(a, b):
-    """a / b for ordinary polynomials; ArithmeticError unless b divides a.
-    The remainder's degrees, all multiples of `step`, are walked down once;
-    a is cleared to integer coefficients first, so the walk runs on ints
-    whenever b has them."""
+    """a / b over Z for ordinary polynomials; ArithmeticError unless b
+    divides a with an integer quotient.  Every divisor in the package is a
+    primitive gcd or a factor of an lcm built from the dividend's factors,
+    so by Gauss's lemma an exact quotient over Q is one over Z.  The
+    remainder's degrees, all multiples of `step`, are walked down once."""
     if a == b:
         return {0: 1}
-    a, d = _int_cleared(a)
     db = max(b)
     lb = b[db]
     step = gcd(*a, *b) or 1
@@ -158,7 +136,10 @@ def _p_exquo(a, b):
     while dr >= db:
         c = r.pop(dr, 0)
         if c:
-            c = q[dr - db] = _quo(c, lb)
+            c, m = divmod(c, lb)
+            if m:
+                raise ArithmeticError("polynomial division is not exact")
+            q[dr - db] = c
             for kb, cb in b.items():
                 if kb != db:
                     kk = kb + dr - db
@@ -170,26 +151,7 @@ def _p_exquo(a, b):
         dr -= step
     if r:
         raise ArithmeticError("polynomial division is not exact")
-    return q if d == 1 else {k: _quo(c, d) for k, c in q.items()}
-
-
-def _p_monic(a):
-    lc = a[max(a)]
-    if lc == 1:
-        return a
-    return {k: _quo(c, lc) for k, c in a.items()}
-
-
-def _int_cleared(a):
-    """(d * a, d) with d the least positive integer making d * a integral."""
-    d = 1
-    for c in a.values():
-        if type(c) is not int:
-            cd = c.denominator
-            d = d * cd // gcd(d, cd)
-    if d == 1:
-        return a, 1
-    return {k: c.numerator * (d // c.denominator) for k, c in a.items()}, d
+    return q
 
 
 def _int_primitive(a):
@@ -325,47 +287,64 @@ _GCD_CACHE_LIMIT = 1 << 16
 
 
 def _p_gcd(a, b):
-    # monic gcd of ordinary polynomials over Q: GCDHEU on the primitive
-    # integer parts, with the primitive PRS when the heuristic gives up
-    # (naive Fraction Euclid swells badly and dominates profiles); memoized
-    # because the same denominators recur constantly
+    # gcd over Q of ordinary integer polynomials, as the primitive one with
+    # a positive leading coefficient: GCDHEU on the primitive parts, with
+    # the primitive PRS when the heuristic gives up; memoized because the
+    # same denominators recur constantly
     if len(a) == 1 or len(b) == 1:
         return _ONE_POLY
     key = (tuple(sorted(a.items())), tuple(sorted(b.items())))
     hit = _GCD_CACHE.get(key)
     if hit is not None:
         return hit
-    ia = _int_primitive(_int_cleared(a)[0])
-    ib = _int_primitive(_int_cleared(b)[0])
+    ia = _int_primitive(a)
+    ib = _int_primitive(b)
     g = _heu_gcd(ia, ib)
     if g is None:
         g = _prs_gcd(ia, ib)
-    out = _ONE_POLY if max(g) == 0 else _p_monic(g)
+    top = max(g)
+    out = _ONE_POLY if top == 0 else (_p_neg(g) if g[top] < 0 else g)
     if len(_GCD_CACHE) < _GCD_CACHE_LIMIT:
         _GCD_CACHE[key] = out
     return out
 
 
+def _content_reduced(num, den):
+    """num / den with the integer content common to both divided out and
+    a positive leading coefficient on den; a den of 1 is _ONE_POLY."""
+    g = gcd(*den.values())
+    if g != 1:
+        g = gcd(g, *num.values())
+    if den[max(den)] < 0:
+        g = -g
+    if g != 1:
+        num = {k: c // g for k, c in num.items()}
+        den = {k: c // g for k, c in den.items()}
+    return num, (_ONE_POLY if den == _ONE_POLY else den)
+
+
 def _reduce_pair(num, den):
-    """Strip gcd(poly-part-of-num, den); num Laurent, den canonical poly."""
-    if den == _ONE_POLY or not num:
+    """num / den with gcd(num, den) stripped, over Q[t] and then over Z;
+    num Laurent, den a canonical denominator."""
+    if den is _ONE_POLY or not num:
         return num, den
     sn = min(num)
     pn = _p_shift(num, -sn)
     g = _p_gcd(pn, den)
-    if g == _ONE_POLY:
-        return num, den
-    pn = _p_exquo(pn, g)
-    den = _p_exquo(den, g)
-    return _p_shift(pn, sn), den
+    if g is not _ONE_POLY:
+        num = _p_shift(_p_exquo(pn, g), sn)
+        den = _p_exquo(den, g)
+    return _content_reduced(num, den)
 
 
 class QScalar:
     """Element of Q(t) in canonical form.
 
-    Canonical means: the denominator is an ordinary polynomial with nonzero
-    constant term and leading coefficient 1, gcd(num, den) = 1, and zero is
-    ({}, {0: 1}).  The numerator may carry negative t-exponents.
+    Canonical means: num is in Z[t, t^-1] and den in Z[t] with a nonzero
+    constant term and a positive leading coefficient; gcd(num, den) = 1
+    over Q[t], and the integer coefficients of num and den together have
+    gcd 1.  Zero is ({}, {0: 1}), and a den of 1 is always the shared
+    _ONE_POLY, which marks the integer fast paths.
     """
 
     __slots__ = ("num", "den")
@@ -386,7 +365,9 @@ class QScalar:
         f = _coeff(f)
         if not f:
             return ZERO
-        return QScalar({0: f}, _ONE_POLY, _canonical=True)
+        if type(f) is int:
+            return QScalar({0: f}, _ONE_POLY, _canonical=True)
+        return QScalar({0: f.numerator}, {0: f.denominator}, _canonical=True)
 
     from_int = from_fraction
 
@@ -408,16 +389,18 @@ class QScalar:
         if not self.num:
             return other
         if self.den is _ONE_POLY and other.den is _ONE_POLY:
-            return QScalar(_p_add(self.num, other.num), _ONE_POLY)
+            return QScalar(_p_add(self.num, other.num), _ONE_POLY,
+                           _canonical=True)
         if self.den == other.den:
             return QScalar(_p_add(self.num, other.num), self.den)
         g = _p_gcd(self.den, other.den)
-        if g == _ONE_POLY:
-            # coprime denominators: the sum is already reduced
+        if g is _ONE_POLY:
+            # coprime denominators: the sum is reduced over Q[t]
             num = _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den))
             if not num:
                 return ZERO
-            return QScalar(num, _p_mul(self.den, other.den), _canonical=True)
+            num, den = _content_reduced(num, _p_mul(self.den, other.den))
+            return QScalar(num, den, _canonical=True)
         da = _p_exquo(self.den, g)
         db = _p_exquo(other.den, g)
         num = _p_add(_p_mul(self.num, db), _p_mul(other.num, da))
@@ -439,12 +422,11 @@ class QScalar:
         if self.den is _ONE_POLY and other.den is _ONE_POLY:
             return QScalar(_p_mul(self.num, other.num), _ONE_POLY, _canonical=True)
         # cross-cancel: both operands are reduced, so after stripping
-        # gcd(num_a, den_b) and gcd(num_b, den_a) the product is reduced
+        # gcd(num_a, den_b) and gcd(num_b, den_a), polynomial and integer,
+        # the product is reduced (Gauss: contents multiply)
         na, db = _reduce_pair(self.num, other.den)
         nb, da = _reduce_pair(other.num, self.den)
-        den = da if db == _ONE_POLY else (db if da == _ONE_POLY else _p_mul(da, db))
-        if den == _ONE_POLY:
-            den = _ONE_POLY
+        den = da if db is _ONE_POLY else (db if da is _ONE_POLY else _p_mul(da, db))
         return QScalar(_p_mul(na, nb), den, _canonical=True)
 
     def __truediv__(self, other):
@@ -453,19 +435,19 @@ class QScalar:
         return self.__mul__(other.inverse())
 
     def inverse(self):
-        # swapping a reduced pair stays reduced; only re-normalize the unit
+        # swapping a reduced pair keeps it reduced; only the sign of the new
+        # denominator's leading coefficient may need turning
         if not self.num:
             raise ZeroDivisionError("inverse of zero in Q(t)")
         sn = min(self.num)
-        pn = _p_shift(self.num, -sn)
-        lc = pn[max(pn)]
-        if lc != 1:
-            pn = {k: _quo(c, lc) for k, c in pn.items()}
-        num = {k - sn: _quo(c, lc) for k, c in self.den.items()} if lc != 1 \
-            else _p_shift(self.den, -sn)
-        if pn == _ONE_POLY:
-            pn = _ONE_POLY
-        return QScalar(num, pn, _canonical=True)
+        den = _p_shift(self.num, -sn)
+        num = _p_shift(self.den, -sn)
+        if den[max(den)] < 0:
+            den = _p_neg(den)
+            num = _p_neg(num)
+        if den == _ONE_POLY:
+            den = _ONE_POLY
+        return QScalar(num, den, _canonical=True)
 
     def __pow__(self, n):
         if n == 0:
@@ -478,10 +460,7 @@ class QScalar:
         return out
 
     def scale(self, f):
-        f = _coeff(f)
-        if not f or not self.num:
-            return ZERO
-        return QScalar(_p_mul(self.num, {0: f}), self.den, _canonical=True)
+        return self * QScalar.from_fraction(f)
 
     # -- substitutions ---------------------------------------------------
 
@@ -505,15 +484,30 @@ class QScalar:
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
-        return "(%s)/(%s)" % (_poly_str(self.num), _poly_str(self.den))
+        # printed with a monic denominator, the form parse_qscalar reads
+        num, den = self.num, self.den
+        lc = den[max(den)]
+        if lc != 1:
+            num = {k: _coeff(Fraction(c, lc)) for k, c in num.items()}
+            den = {k: _coeff(Fraction(c, lc)) for k, c in den.items()}
+        return "(%s)/(%s)" % (_poly_str(num), _poly_str(den))
 
     def __repr__(self):
         return "QScalar(%s)" % self
 
 
 def _normalize(num, den):
-    num = _p_coeffs({k: c for k, c in num.items() if c})
-    den = _p_coeffs({k: c for k, c in den.items() if c})
+    """The canonical pair for num / den.  This is where values enter: any
+    exact coefficients (int, Fraction, float, numeric string) are cleared
+    here, once, to integers over a common denominator."""
+    if any(type(c) is not int for p in (num, den) for c in p.values()):
+        num = {k: Fraction(c) for k, c in num.items()}
+        den = {k: Fraction(c) for k, c in den.items()}
+        d = lcm(*(c.denominator for p in (num, den) for c in p.values()))
+        num = {k: c.numerator * (d // c.denominator) for k, c in num.items()}
+        den = {k: c.numerator * (d // c.denominator) for k, c in den.items()}
+    num = {k: c for k, c in num.items() if c}
+    den = {k: c for k, c in den.items() if c}
     if not den:
         raise ZeroDivisionError("zero denominator in Q(t)")
     if not num:
@@ -527,15 +521,10 @@ def _normalize(num, den):
     pn = _p_shift(num, -sn)
     pd = _p_shift(den, -sd)
     g = _p_gcd(pn, pd)
-    if g != _ONE_POLY:
+    if g is not _ONE_POLY:
         pn = _p_exquo(pn, g)
         pd = _p_exquo(pd, g)
-    lc = pd[max(pd)]
-    if lc != 1:
-        pn = {k: _quo(c, lc) for k, c in pn.items()}
-        pd = {k: _quo(c, lc) for k, c in pd.items()}
-    if pd == _ONE_POLY:
-        pd = _ONE_POLY
+    pn, pd = _content_reduced(pn, pd)
     return _p_shift(pn, sn - sd), pd
 
 
@@ -660,7 +649,7 @@ def _parse_poly(s):
             c = _coeff(term)
             k = 0
         out[k] = out.get(k, 0) + c
-    return {k: c for k, c in _p_coeffs(out).items() if c}
+    return {k: c for k, c in out.items() if c}
 
 
 def parse_qscalar(s):

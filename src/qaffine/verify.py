@@ -22,7 +22,7 @@ from .linalg import (
 from .oscillator import tau_matrix, gamma_scaling
 from .reference import (
     reference_matrix, r0_hat_matrix, decompose_L, grid_inverse,
-    _linear_exponents, _reflected_inverse,
+    scan_linear_exponents, _reflected_inverse,
 )
 from .engine import EngineParams, assemble
 
@@ -80,6 +80,11 @@ def _timed(fn):
         v.wall_time_ms = (time.perf_counter() - t0) * 1000.0
         return v
     return wrapper
+
+
+def _exps(algebra, s, s1, s2):
+    """The exponent tuple a verdict reports: s2 only for a2."""
+    return (s, s1) if algebra == "a1" else (s, s1, s2)
 
 
 # -- two-variable identities as Laurent polynomials in u, v ------------------
@@ -202,7 +207,7 @@ def check_engine(kind, algebra, variant="plain", s=1, s1=0, s2=0, order=8,
     ratio = tag_series * prefactor.inverse()
     if ratio != ZetaSeries.one(order):
         ref_mat = ref_mat.map_values(lambda v: (v * ratio).truncate(order))
-    exps = (s, s1) if algebra == "a1" else (s, s1, s2)
+    exps = _exps(algebra, s, s1, s2)
     if engine_mat == ref_mat:
         return Verdict("engine", algebra, "%s/%s" % (kind, variant), exps,
                        True)
@@ -243,7 +248,7 @@ def check_ybe(algebra, s=1, s1=0, s2=0, perturb=False):
     r23 = embed_legs(r_v, (1, 2), 3, n)
     lhs = r12 * r13 * r23
     rhs = r23 * r13 * r12
-    exps = (s, s1) if algebra == "a1" else (s, s1, s2)
+    exps = _exps(algebra, s, s1, s2)
     if lhs != rhs:
         where = lhs.first_difference(rhs)
         return Verdict("ybe", algebra, "perturbed" if perturb else "plain",
@@ -321,7 +326,7 @@ def check_rll(algebra, variant, s=1, s1=0, s2=0, d=12, strip_scalar=True):
         dress = ZetaRational({0: ONE, s: q_power(3)})
         grid = grid.map_ops(lambda m: m.map_values(lambda v: v * dress))
     failure = _rll_residual(grid, ref.l_type, r.matrix, d, ref.copies)
-    exps = (s, s1) if algebra == "a1" else (s, s1, s2)
+    exps = _exps(algebra, s, s1, s2)
     return Verdict("rll-%s" % ref.l_type, algebra, variant, exps,
                    failure is None, failure)
 
@@ -349,7 +354,7 @@ def check_duality(algebra, variant, mode, s=1, s1=0, s2=0, d=10):
         raise ValueError("duality mode must be 'inversion' or 'tau'")
     flipped = "check" if ref.l_type == "hat" else "hat"
     failure = _rll_residual(derived, flipped, r.matrix, d, ref.copies)
-    exps = (s, s1) if algebra == "a1" else (s, s1, s2)
+    exps = _exps(algebra, s, s1, s2)
     return Verdict("duality-%s" % mode, algebra, variant, exps,
                    failure is None, failure)
 
@@ -358,7 +363,7 @@ def check_duality(algebra, variant, mode, s=1, s1=0, s2=0, d=10):
 def check_double_inversion(algebra, variant, s=1, s1=0, s2=0, d=6):
     ref = reference_matrix("l", algebra, variant, s, s1, s2, d=d)
     twice = _reflected_inverse(_reflected_inverse(ref.matrix))
-    exps = (s, s1) if algebra == "a1" else (s, s1, s2)
+    exps = _exps(algebra, s, s1, s2)
     ok = twice == ref.matrix
     return Verdict("duality-involution", algebra, variant, exps, ok,
                    None if ok else {"entry": list(
@@ -382,7 +387,7 @@ def _g_matrix(algebra, s1, s2, var):
 def check_gauge(family, algebra, s, s1, s2=0):
     """The exact two-variable relation connecting different exponent
     choices through diagonal conjugation and the spectral gauge map."""
-    exps = (s, s1) if algebra == "a1" else (s, s1, s2)
+    exps = _exps(algebra, s, s1, s2)
     if family == "r":
         kind, variant = "r", "plain"
     else:
@@ -445,8 +450,8 @@ def _apply_gamma(grid2, ref, s_exponents, var):
 def _decomposed(variant, algebra, d, invert):
     """(exponents, reference, decompose_L result) at the first special
     exponents of the scan where the operator decomposes, or None."""
-    for exps, _ in _linear_exponents(variant, algebra, range(-2, 3),
-                                     range(-1, 2), (0,), d=3):
+    for exps, _ in scan_linear_exponents(variant, algebra, range(-2, 3),
+                                         range(-1, 2), (0,), d=3):
         ref = reference_matrix("l", algebra, variant, *exps, d=d)
         try:
             return exps, ref, decompose_L(ref, invert=invert)

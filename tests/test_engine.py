@@ -487,6 +487,14 @@ def test_closed_exp_takes_products_of_linear_factors():
     {1: 1, 2: Fraction(1, 2), 3: Fraction(1, 3), 4: Fraction(1, 4),
      5: Fraction(1, 5), 6: Fraction(1, 5)},  # wrong at the last degree
     {2: 1, 3: 1},                           # a degree off the z^2 grid
+    # 2 [z^2] = 1/3 has the numerator of p_2 = 1 but is not an integer
+    {1: 1, 2: Fraction(1, 6), 3: Fraction(1, 3), 4: Fraction(1, 4),
+     5: Fraction(1, 5), 6: Fraction(1, 6)},
+    # 3 [z^3] = q^3 / (1 + q) has the numerator of p_3 = q^3 likewise
+    {1: q_power(1), 2: q_power(2).scale(Fraction(1, 2)),
+     3: q_power(3) * (ONE + q_power(1)).inverse().scale(Fraction(1, 3)),
+     4: q_power(4).scale(Fraction(1, 4)), 5: q_power(5).scale(Fraction(1, 5)),
+     6: q_power(6).scale(Fraction(1, 6))},
 ])
 def test_closed_exp_rejects_what_is_not_a_power_sum(coeffs):
     assert engine._closed_exp(_series(coeffs)) is None

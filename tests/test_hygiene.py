@@ -6,9 +6,11 @@
   somewhere in src/: an unreferenced one is dead code.
 * Only linalg.py spells out a Fock window: every other module asks
   `fock_window`, so the truncation rule lives in one place.
-* In scalars.py, true division appears only in the exact-quotient helper
-  `_quo` and at the QScalar level (`__truediv__`, `qbinom`): an int / int
-  in the polynomial kernel would put a float into a coefficient.
+* In scalars.py, true division appears only at the QScalar level
+  (`__truediv__`, `qbinom`): an int / int in the polynomial kernel would
+  put a float into a coefficient.
+* In scalars.py, `Fraction` appears only where values enter and where they
+  are printed, never in the integer kernel.
 """
 
 import ast
@@ -50,7 +52,7 @@ def test_every_private_definition_is_referenced():
 
 
 def test_true_division_in_scalars_only_where_exact():
-    allowed = {"_quo", "__truediv__", "qbinom"}
+    allowed = {"__truediv__", "qbinom"}
     tree = ast.parse((SRC / "qaffine" / "scalars.py").read_text())
     found = []
 
@@ -75,3 +77,28 @@ def test_only_linalg_spells_out_a_fock_window():
                                  getattr(node, "attr", None),
                                  getattr(node, "name", None)}]
     assert found == []
+
+
+def test_fraction_in_scalars_only_at_the_boundaries():
+    allowed = {"_coeff", "from_fraction", "__str__", "_poly_str",
+               "_normalize", "q_power"}
+    named = {"_prs_gcd", "_heu_gcd", "_divides", "_reduce_pair",
+             "_content_reduced"}
+    tree = ast.parse((SRC / "qaffine" / "scalars.py").read_text())
+    helpers = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and (node.name.startswith(("_p_", "_int_"))
+                    or node.name in named)}
+    assert {"_p_mul", "_p_exquo", "_p_gcd", "_content_reduced"} <= helpers
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Name) and node.id == "Fraction":
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(tree, None)
+    assert found & helpers == set()
+    assert found <= allowed

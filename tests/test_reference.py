@@ -151,10 +151,11 @@ def test_r0_matrices():
 
 
 def test_scan_finds_linear_exponents():
-    got = scan_linear_exponents("hat", "a1", range(-2, 3), range(-1, 2))
+    got = list(scan_linear_exponents("hat", "a1", range(-2, 3),
+                                     range(-1, 2)))
     assert sorted(t for t, _ in got) == [(-2, 0), (2, 0)]
-    got_check = scan_linear_exponents("check", "a1", range(-2, 3),
-                                      range(-1, 2))
+    got_check = list(scan_linear_exponents("check", "a1", range(-2, 3),
+                                           range(-1, 2)))
     assert sorted(t for t, _ in got_check) == [(-2, 0), (2, 0)]
 
 
@@ -168,8 +169,8 @@ def test_scan_builds_no_grid_point_past_the_first_hit(monkeypatch):
         built.append(args[3:5])
         return real(*args, **kw)
     monkeypatch.setattr(reference, "reference_matrix", counted)
-    scan = reference._linear_exponents("hat", "a1", range(-2, 3),
-                                       range(-1, 2), (0,), 4)
+    scan = reference.scan_linear_exponents("hat", "a1", range(-2, 3),
+                                           range(-1, 2), (0,), 4)
     assert next(scan)[0] == (-2, 0)
     assert built == [(-2, -1), (-2, 0)]
     assert [t for t, _ in scan] == [(2, 0)]

@@ -85,9 +85,20 @@ def test_canonical_equality():
 
 def test_denominator_normalization():
     a = QScalar({3: Fraction(2)}, {-1: Fraction(4), 1: Fraction(2)})
-    # denominator must be an ordinary monic polynomial with nonzero constant
+    # the denominator is an ordinary integer polynomial with nonzero
+    # constant term and positive leading coefficient, and the content of
+    # numerator and denominator together is 1: 2t^3 / (4t^-1 + 2t)
+    # = t^4 / (2 + t^2)
     assert min(a.den) == 0
-    assert a.den[max(a.den)] == 1
+    assert (a.num, a.den) == ({4: 1}, {0: 2, 2: 1})
+    b = QScalar({0: Fraction(1, 2)}, {0: -3, 6: Fraction(-3, 2)})
+    assert (b.num, b.den) == ({0: -1}, {0: 6, 6: 3})
+    assert all(type(c) is int for p in (b.num, b.den) for c in p.values())
+    # printed with a monic denominator
+    assert str(b) == "(-1/3)/(2 + t^6)"
+    # numeric strings are cleared like any exact input, and a "0" term drops
+    c = QScalar({0: "0", 1: "1/2"})
+    assert (c.num, c.den) == ({1: 1}, {0: 2})
 
 
 def test_string_roundtrip():
@@ -122,13 +133,13 @@ def test_exact_division_kernel():
         b = {stride * rng.randint(1, 4): rng.randint(-9, 9) or 1
              for _ in range(2)}
         b[0] = rng.randint(1, 5)
-        q = {stride * rng.randint(0, 8): Fraction(rng.randint(-9, 9), 2)
+        q = {stride * rng.randint(0, 8): rng.randint(-9, 9)
              for _ in range(4)}
         q = {k: c for k, c in q.items() if c} or {0: 1}
         a = _p_mul(q, b)
         got = _p_exquo(a, b)
         assert got == q
-        assert all(type(c) is int or c.denominator > 1 for c in got.values())
+        assert all(type(c) is int for c in got.values())
         # a remainder is never dropped, wherever it sits
         for rem in ({0: 1}, {1: 1}, {max(a) + 1: 1}):
             with pytest.raises(ArithmeticError):
@@ -136,3 +147,6 @@ def test_exact_division_kernel():
     assert _p_exquo({0: 3, 6: 2}, {0: 3, 6: 2}) == {0: 1}
     with pytest.raises(ArithmeticError):
         _p_exquo({0: 1}, {0: 1, 6: 1})
+    # the division runs over Z: a quotient 1/2 is not exact
+    with pytest.raises(ArithmeticError):
+        _p_exquo({0: 1, 6: 1}, {0: 2, 6: 2})

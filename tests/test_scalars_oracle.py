@@ -2,6 +2,7 @@
 hypothesis for the canonical form.  Both are development-only and are
 skipped when not installed; nothing in src/ imports them."""
 
+import math
 import random
 
 from fractions import Fraction
@@ -23,7 +24,7 @@ SETTINGS = hypothesis.settings(max_examples=80, deadline=None,
 
 def _expr(p):
     return sympy.Add(*[sympy.Rational(c.numerator, c.denominator) * T ** k
-                       for k, c in p.items()])
+                       for k, c in ((k, Fraction(c)) for k, c in p.items())])
 
 
 def _value(x):
@@ -31,16 +32,40 @@ def _value(x):
 
 
 def _assert_canonical(x):
-    # every coefficient an int, or a Fraction with a denominator above 1
+    # nonzero int coefficients; den an ordinary polynomial with nonzero
+    # constant term and positive leading coefficient, the shared one-poly
+    # when it is 1; num and den coprime over Q[t], and their coefficients
+    # together of content 1
     for p in (x.num, x.den):
         for c in p.values():
-            assert type(c) is int or (type(c) is Fraction
-                                      and c.denominator > 1), repr(c)
-    assert min(x.den) == 0 and x.den[max(x.den)] == 1
-    if x.num:
-        shift = min(x.num)
-        num = sympy.Poly(sympy.expand(_expr(x.num) * T ** -shift), T)
-        assert sympy.gcd(num, sympy.Poly(_expr(x.den), T)).degree() == 0
+            assert type(c) is int and c, repr(c)
+    assert min(x.den) == 0 and x.den[max(x.den)] > 0
+    assert (x.den == {0: 1}) == (x.den is scalars._ONE_POLY)
+    if not x.num:
+        assert x.den is scalars._ONE_POLY
+        return
+    assert math.gcd(*x.num.values(), *x.den.values()) == 1
+    shift = min(x.num)
+    num = sympy.Poly(sympy.expand(_expr(x.num) * T ** -shift), T)
+    assert sympy.gcd(num, sympy.Poly(_expr(x.den), T)).degree() == 0
+
+
+def _monic_str(expr):
+    """How the value expr prints: sympy's cancelled numerator and
+    denominator, the denominator's power of t moved into the numerator and
+    its leading coefficient divided out of both."""
+    p, q = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    if p == 0:
+        return "(0)/(1)"
+    p, q = sympy.Poly(p, T), sympy.Poly(q, T)
+    shift = min(m[0] for m in q.monoms())
+    lc = Fraction(int(q.LC().p), int(q.LC().q))
+
+    def monic(poly):
+        return {m[0] - shift: scalars._coeff(Fraction(int(c.p), int(c.q)) / lc)
+                for m, c in poly.terms()}
+    return "(%s)/(%s)" % (scalars._poly_str(monic(p)),
+                          scalars._poly_str(monic(q)))
 
 
 def _same_value(x, expr):
@@ -91,9 +116,14 @@ def test_q_numbers_match_sympy():
 
 # -- the polynomial gcd --------------------------------------------------------
 
-def _sympy_monic_gcd(a, b):
-    g = sympy.Poly(sympy.gcd(_expr(a), _expr(b)), T).monic()
-    return {m[0]: Fraction(int(c.p), int(c.q)) for m, c in g.terms()}
+def _positive(p):
+    return {k: -c for k, c in p.items()} if p[max(p)] < 0 else p
+
+
+def _sympy_primitive_gcd(a, b):
+    # the gcd over Q[t], primitive in Z[t] with a positive leading coefficient
+    _, g = sympy.Poly(sympy.gcd(_expr(a), _expr(b)), T).primitive()
+    return _positive({m[0]: int(c) for m, c in g.terms()})
 
 
 def _gcd_cases():
@@ -109,9 +139,8 @@ def _gcd_cases():
         g = scalars._p_mul(common, _rand_poly(rng, 4, 0, 6, bits, stride))
         if len(f) > 1 and len(g) > 1:
             cases.append((f, g))
-    # rational coefficients and a non-monic common factor
-    cases.append(({0: Fraction(1, 2), 6: Fraction(3, 4), 12: 1},
-                  {0: Fraction(-1, 3), 12: Fraction(2, 3)}))
+    # integer content and a non-monic common factor
+    cases.append(({0: 2, 6: 3, 12: 4}, {0: -1, 12: 2}))
     cases.append((scalars._p_mul({0: 3, 6: 5}, {0: 1, 1: 7}),
                   scalars._p_mul({0: 3, 6: 5}, {0: -2, 12: 9})))
     return cases
@@ -122,7 +151,7 @@ def test_gcd_matches_sympy(monkeypatch):
     cases = _gcd_cases()
     assert any(len(scalars._p_gcd(f, g)) > 1 for f, g in cases)
     for f, g in cases:
-        assert scalars._p_gcd(f, g) == _sympy_monic_gcd(f, g)
+        assert scalars._p_gcd(f, g) == _sympy_primitive_gcd(f, g)
 
 
 def test_gcd_fallback_matches_sympy(monkeypatch):
@@ -130,20 +159,19 @@ def test_gcd_fallback_matches_sympy(monkeypatch):
     monkeypatch.setattr(scalars, "_GCD_CACHE", {})
     monkeypatch.setattr(scalars, "_HEU_TRIES", 0)
     for f, g in _gcd_cases():
-        ia = scalars._int_primitive(scalars._int_cleared(f)[0])
-        ib = scalars._int_primitive(scalars._int_cleared(g)[0])
+        ia = scalars._int_primitive(f)
+        ib = scalars._int_primitive(g)
         assert scalars._heu_gcd(ia, ib) is None
-        assert scalars._p_gcd(f, g) == _sympy_monic_gcd(f, g)
+        assert scalars._p_gcd(f, g) == _sympy_primitive_gcd(f, g)
 
 
 def test_heuristic_agrees_with_prs():
     for f, g in _gcd_cases():
-        ia = scalars._int_primitive(scalars._int_cleared(f)[0])
-        ib = scalars._int_primitive(scalars._int_cleared(g)[0])
+        ia = scalars._int_primitive(f)
+        ib = scalars._int_primitive(g)
         heu = scalars._heu_gcd(ia, ib)
         assert heu is not None
-        assert scalars._p_monic(heu) == scalars._p_monic(
-            scalars._prs_gcd(ia, ib))
+        assert heu == _positive(scalars._prs_gcd(ia, ib))
 
 
 @pytest.mark.parametrize("f, g, want", [
@@ -164,7 +192,7 @@ def test_heuristic_retries_after_a_false_candidate(f, g, want, monkeypatch):
     monkeypatch.setattr(scalars, "_divides", checked)
     assert scalars._heu_gcd(f, g) == want
     assert rejected
-    assert scalars._p_monic(want) == scalars._p_monic(scalars._prs_gcd(f, g))
+    assert _positive(scalars._prs_gcd(f, g)) == want
 
 
 # -- hypothesis properties of the canonical form -------------------------------
@@ -204,20 +232,39 @@ def test_canonical_form_is_unique(x, y, k):
         assert (z.num, z.den) == (x.num, x.den)
 
 
+_dyadic = st.integers(-64, 64).map(lambda n: n / 8)
+
+
 @SETTINGS
-@hypothesis.given(qscalars(), qscalars(), _coeff)
-def test_no_float_reaches_a_coefficient(x, y, f):
-    values = [x + y, x - y, x * y, -x, x.scale(f), x.subs_t_inverse(),
-              QScalar.from_fraction(f), QScalar({0: 0.5, 3: 2.0}, {0: 4.0})]
+@hypothesis.given(qscalars(), qscalars(), _coeff, _laurent,
+                  st.dictionaries(st.integers(-6, 6), _dyadic, min_size=1,
+                                  max_size=3))
+def test_no_float_reaches_a_coefficient(x, y, f, raw, floats):
+    # every operation, and the constructor with Fraction and float input,
+    # stores int coefficients in canonical form and prints the monic form
+    # of the value sympy computes
+    vx, vy = _value(x), _value(y)
+    vf = sympy.Rational(f.numerator, f.denominator)
+    float_den = {0: 4.0, 6: -0.5}
+    cases = [(x + y, vx + vy), (x - y, vx - vy), (x * y, vx * vy),
+             (-x, -vx), (x ** 2, vx ** 2), (x.scale(f), vx * vf),
+             (x.subs_t_inverse(), vx.subs(T, 1 / T)),
+             (QScalar.from_fraction(f), vf),
+             (QScalar(raw, {0: Fraction(2, 3), 1: f}),
+              _expr(raw) / (sympy.Rational(2, 3) + vf * T)),
+             (QScalar(floats, float_den), _expr(floats) / _expr(float_den)),
+             (parse_qscalar(str(x)), vx)]
     if y:
-        values.append(x / y)
-    for z in values:
+        cases += [(x / y, vx / vy), (y.inverse(), 1 / vy), (y ** -2, vy ** -2)]
+    for z, want in cases:
         _assert_canonical(z)
+        assert str(z) == _monic_str(want)
 
 
 # -- the packed product against the term-by-term definition --------------------
 
-_big_coeff = st.one_of(_coeff, st.integers(-(1 << 90), 1 << 90)).filter(bool)
+_big_coeff = st.one_of(st.integers(-20, 20),
+                       st.integers(-(1 << 90), 1 << 90)).filter(bool)
 _factor = st.dictionaries(st.integers(-40, 40), _big_coeff, min_size=2,
                           max_size=20)
 
@@ -225,9 +272,9 @@ _factor = st.dictionaries(st.integers(-40, 40), _big_coeff, min_size=2,
 @SETTINGS
 @hypothesis.given(_factor, _factor, st.integers(1, 12), st.integers(1, 12))
 def test_packed_product_matches_the_term_loop(a, b, sa, sb):
-    # strides, signs, Fraction and 90-bit coefficients, Laurent exponents
-    a = {k * sa: scalars._coeff(c) for k, c in a.items()}
-    b = {k * sb: scalars._coeff(c) for k, c in b.items()}
+    # strides, signs, small and 90-bit coefficients, Laurent exponents
+    a = {k * sa: c for k, c in a.items()}
+    b = {k * sb: c for k, c in b.items()}
     want = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -235,4 +282,4 @@ def test_packed_product_matches_the_term_loop(a, b, sa, sb):
     want = {k: c for k, c in want.items() if c}
     got = scalars._p_mul_packed(a, b)
     assert got == want
-    assert all(type(c) is int or c.denominator > 1 for c in got.values())
+    assert all(type(c) is int for c in got.values())
