@@ -5,9 +5,11 @@ rational backend.  The transcendental scalar in front of each object (a
 power of q times an exponential of lambda-function combinations) is kept
 as a structured tag; rational scalar pieces are folded into the entries,
 so the stored matrix times the tag is the honest object.  Where the source
-derivation lists the individual ordered factors, those are stored too:
-their product must reproduce the assembled display, and they drive exact
-inversion.
+derivation lists the individual ordered factors (a1 hat and check, a2 hat-1
+and check-1), `ordered_factors` builds them on request: their product
+reproduces the assembled display away from the truncated top Fock state.
+No check reads them; exact inversion (`grid_inverse`) works on the
+assembled grid.
 
 Also here: the constant exchange matrices of the spectral-linear
 decomposition, the decomposition itself, and the exponent scan that finds
@@ -23,7 +25,8 @@ from .linalg import OpMatrix, Grid, kron
 from .oscillator import FockCopies, two_copy_automorphism
 
 __all__ = [
-    "PrefactorTag", "ReferenceObject", "reference_matrix", "list_variants",
+    "PrefactorTag", "ReferenceObject", "reference_matrix", "ordered_factors",
+    "list_variants",
     "r0_matrix", "r0_hat_matrix", "decompose_L", "scan_linear_exponents",
     "grid_inverse", "op_inverse",
 ]
@@ -91,13 +94,13 @@ class PrefactorTag:
 
 
 class ReferenceObject:
-    """A transcribed closed form: tag * matrix, plus optional factors."""
+    """A transcribed closed form: tag * matrix."""
 
     __slots__ = ("kind", "algebra", "variant", "exps", "tag", "matrix",
-                 "l_type", "fock_dim", "copies", "factors")
+                 "l_type", "fock_dim", "copies")
 
     def __init__(self, kind, algebra, variant, exps, tag, matrix,
-                 l_type=None, fock_dim=None, copies=0, factors=None):
+                 l_type=None, fock_dim=None, copies=0):
         self.kind = kind
         self.algebra = algebra
         self.variant = variant
@@ -107,7 +110,6 @@ class ReferenceObject:
         self.l_type = l_type
         self.fock_dim = fock_dim
         self.copies = copies
-        self.factors = factors
 
     @property
     def leg_dim(self):
@@ -185,24 +187,9 @@ def _r_a2(s, s1, s2):
 
 # -- oscillator building blocks ----------------------------------------------
 
-def _geom_inv(o, fn, s):
-    """Diagonal (1 - fn(n) zeta^s)^-1 over the Fock states n of o, for
-    nonzero fn(n)."""
-    return OpMatrix.diagonal(
-        [ZetaRational({0: ONE}, {0: ONE, s: -fn(*n)}) for n in o.states],
-        ZetaRational.ONE)
-
-
 def _grid(n, entries, op_dim):
     return Grid(n, {k: v for k, v in entries.items() if v}, op_dim,
                 ZetaRational.ONE)
-
-
-def _unipotent(n, ab, x, op_dim):
-    """The n x n grid 1 + x E_ab over operators of dimension op_dim."""
-    entries = {(i, i): _eye_z(op_dim) for i in range(n)}
-    entries[ab] = x
-    return _grid(n, entries, op_dim)
 
 
 # -- rank-1 L-operators ------------------------------------------------------
@@ -220,13 +207,6 @@ def _l_a1(variant, s, s1, d):
             (1, 0): _zmat(ad * qD, s1),
             (1, 1): _zmat(qmD) + _zmat(qD, s).scale(-ZetaRational.ONE),
         }
-        factors = [
-            _unipotent(2, (1, 0), _zmat(ad, s1), d),
-            _grid(2, {(0, 0): _eye_z(d),
-                      (1, 1): _zmat(o.eye) - _zmat(o.eye, s)}, d),
-            _unipotent(2, (0, 1), _zmat(a, s - s1), d),
-            _grid(2, {(0, 0): _zmat(qD), (1, 1): _zmat(qmD)}, d),
-        ]
         l_type = "hat"
     elif variant == "hat-twisted":
         entries = {
@@ -235,7 +215,6 @@ def _l_a1(variant, s, s1, d):
             (1, 0): _zmat(a * qmD, s1),
             (1, 1): _zmat(qD),
         }
-        factors = None
         l_type = "hat"
     elif variant == "check":
         entries = {
@@ -244,16 +223,6 @@ def _l_a1(variant, s, s1, d):
             (1, 0): _zmat(ad * qD, s - s1),
             (1, 1): _zmat(qmD) + _zmat(qD, s).scale(-ZetaRational.ONE),
         }
-        geom = _geom_inv(o, lambda n: q_power(2 * n), s)
-        geom_up = _geom_inv(o, lambda n: q_power(2 * n + 2), s)
-        one_minus = ZetaRational.ONE - ZetaRational.monomial(s)
-        factors = [
-            _unipotent(2, (0, 1), _zmat(a, s1) * geom, d),
-            _grid(2, {(0, 0): geom_up.scale(one_minus),
-                      (1, 1): _zmat(o.eye) - _zmat(o.qd(2), s)}, d),
-            _unipotent(2, (1, 0), geom * _zmat(ad, s - s1), d),
-            _grid(2, {(0, 0): _zmat(qD), (1, 1): _zmat(qmD)}, d),
-        ]
         l_type = "check"
     elif variant == "check-twisted":
         entries = {
@@ -262,14 +231,12 @@ def _l_a1(variant, s, s1, d):
             (1, 0): _zmat(a * qmD, s - s1),
             (1, 1): _zmat(qD),
         }
-        factors = None
         l_type = "check"
     else:
         raise ValueError("unknown rank-1 variant %r" % (variant,))
     mat = _grid(2, entries, d)
     return ReferenceObject("l", "a1", variant, (s, s1), tag, mat,
-                           l_type=l_type, fock_dim=d, copies=1,
-                           factors=factors)
+                           l_type=l_type, fock_dim=d, copies=1)
 
 
 # -- rank-2 L-operators ------------------------------------------------------
@@ -293,30 +260,6 @@ def _l_a2(variant, s, s1, s2, d):
             (2, 1): _zmat(a2d * qq(0, 1), s2),
             (2, 2): _zmat(qq(0, -1)),
         }
-        geom_b = _geom_inv(o, lambda n1, n2: q_power(-2 - 2 * n2), s)
-        geom_d = _geom_inv(o, lambda n1, n2: q_power(-2 * n2), s)
-        one_z = _eye_z(dim)
-        factors = [
-            _unipotent(3, (1, 0), _zmat(a1d, s1), dim),
-            _unipotent(3, (2, 1), _zmat(a2d * qq(1, 0)) * geom_b
-                       * _mono_mat(dim, s2), dim),
-            _grid(3, {(0, 0): one_z,
-                      (1, 1): one_z - _zmat(qq(0, -2), s).scale(
-                          ZetaRational.const(q_power(-2))),
-                      (2, 2): geom_d.scale(ZetaRational.ONE
-                                           - ZetaRational.monomial(s))},
-                  dim),
-            _unipotent(3, (1, 2), (_zmat(a2 * qq(-1, -2)) * geom_d
-                                   * _mono_mat(dim, s - s2)).scale(
-                                       -ZetaRational.ONE),
-                       dim),
-            _unipotent(3, (0, 1), _zmat(a1 * qq(0, -2), s - s1).scale(
-                ZetaRational.const(q_power(-2))), dim),
-            _unipotent(3, (0, 2), _zmat(a1 * a2 * qq(-1, -2), s - s1 - s2),
-                       dim),
-            _grid(3, {(0, 0): _zmat(qq(1, 0)), (1, 1): _zmat(qq(-1, 1)),
-                      (2, 2): _zmat(qq(0, -1))}, dim),
-        ]
         l_type = "hat"
     elif variant == "hat-2":
         tag = PrefactorTag(0, ((3, 12, s, -1),))
@@ -338,7 +281,6 @@ def _l_a2(variant, s, s1, s2, d):
         }
         entries = {k: v.map_values(lambda r: r / den, ZetaRational.ONE)
                    for k, v in entries.items()}
-        factors = None
         l_type = "hat"
     elif variant == "check-1":
         tag = PrefactorTag(0, ((3, -12, s, 1),))
@@ -356,27 +298,6 @@ def _l_a2(variant, s, s1, s2, d):
                 ZetaRational.const(-q_power(-2))),
             (2, 2): _zmat(qq(0, -1)),
         }
-        geom = _geom_inv(o, lambda n1, n2: q_power(2 * n1), s)
-        geom_up = _geom_inv(o, lambda n1, n2: q_power(2 * n1 + 2), s)
-        one_z = _eye_z(dim)
-        factors = [
-            _unipotent(3, (0, 1), _zmat(a1, s1) * geom, dim),
-            _unipotent(3, (0, 2), (_zmat(a1 * a2 * qq(1, 0), s1 + s2)
-                                   * geom).scale(-ZetaRational.ONE), dim),
-            _unipotent(3, (1, 2), _zmat(a2 * qq(1, 0), s2), dim),
-            _grid(3, {(0, 0): geom_up.scale(ZetaRational.ONE
-                                            - ZetaRational.monomial(s)),
-                      (1, 1): one_z - _zmat(qq(2, 0), s),
-                      (2, 2): one_z}, dim),
-            _unipotent(3, (2, 1), _zmat(a2d * qq(1, -2), s - s2).scale(
-                ZetaRational.const(-q_power(-2))), dim),
-            _unipotent(3, (1, 0), _zmat(a1d, s - s1) * geom_up, dim),
-            _unipotent(3, (2, 0), (_zmat(a1d * a2d * qq(-1, -2), s - s1 - s2)
-                                   * geom_up).scale(
-                                       ZetaRational.const(q_power(-3))), dim),
-            _grid(3, {(0, 0): _zmat(qq(1, 0)), (1, 1): _zmat(qq(-1, 1)),
-                      (2, 2): _zmat(qq(0, -1))}, dim),
-        ]
         l_type = "check"
     elif variant == "check-2":
         tag = PrefactorTag(0, ((3, 12, s, -1),))
@@ -398,7 +319,6 @@ def _l_a2(variant, s, s1, s2, d):
         }
         entries = {k: v.map_values(lambda r: r / den, ZetaRational.ONE)
                    for k, v in entries.items()}
-        factors = None
         l_type = "check"
     elif variant == "check-inv":
         tag = PrefactorTag(0, ((3, -12, -s, -1),))
@@ -420,20 +340,12 @@ def _l_a2(variant, s, s1, s2, d):
         }
         entries = {k: v.map_values(lambda r: r / den, ZetaRational.ONE)
                    for k, v in entries.items()}
-        factors = None
         l_type = "check"
     else:
         raise ValueError("unknown rank-2 variant %r" % (variant,))
     mat = _grid(3, entries, dim)
     return ReferenceObject("l", "a2", variant, (s, s1, s2), tag, mat,
-                           l_type=l_type, fock_dim=d, copies=2,
-                           factors=factors)
-
-
-def _mono_mat(dim, k):
-    if k == 0:
-        return _eye_z(dim)
-    return OpMatrix.identity(dim, ZetaRational.ONE).scale(ZetaRational.monomial(k))
+                           l_type=l_type, fock_dim=d, copies=2)
 
 
 _A1_L_VARIANTS = ("hat", "hat-twisted", "check", "check-twisted")
@@ -469,10 +381,125 @@ def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):
             inv = _reflected_inverse(base.matrix)
             return ReferenceObject("l", "a2", variant, (s, s1, s2),
                                    PrefactorTag(), inv, l_type="check",
-                                   fock_dim=d, copies=2, factors=None)
+                                   fock_dim=d, copies=2)
         return _l_a2(variant, s, s1, s2, d)
     raise ValueError("unsupported combination %r; supported: %s"
                      % ((kind, algebra, variant), list_variants()))
+
+
+# -- ordered factors of the source derivation ---------------------------------
+
+def ordered_factors(algebra, variant, s, s1, s2=0, d=12):
+    """The ordered factors the source derivation lists for an L-operator,
+    as grids over the zeta-rationals.  Their product is the closed form of
+    `reference_matrix` with the same arguments, away from the truncated top
+    Fock state, where a a-dagger is cut off.  Only a1 hat and check and a2
+    hat-1 and check-1 have transcribed factors; no check reads them."""
+    if s == 0:
+        raise ValueError("the spectral exponent s must be nonzero")
+    if algebra == "a1" and variant in ("hat", "check"):
+        return _factors_a1(variant, s, s1, d)
+    if algebra == "a2" and variant in ("hat-1", "check-1"):
+        return _factors_a2(variant, s, s1, s2, d)
+    raise ValueError("no ordered factors transcribed for %r"
+                     % ((algebra, variant),))
+
+
+def _geom_inv(o, fn, s):
+    """Diagonal (1 - fn(n) zeta^s)^-1 over the Fock states n of o, for
+    nonzero fn(n)."""
+    return OpMatrix.diagonal(
+        [ZetaRational({0: ONE}, {0: ONE, s: -fn(*n)}) for n in o.states],
+        ZetaRational.ONE)
+
+
+def _unipotent(n, ab, x, op_dim):
+    """The n x n grid 1 + x E_ab over operators of dimension op_dim."""
+    entries = {(i, i): _eye_z(op_dim) for i in range(n)}
+    entries[ab] = x
+    return _grid(n, entries, op_dim)
+
+
+def _mono_mat(dim, k):
+    if k == 0:
+        return _eye_z(dim)
+    return _eye_z(dim).scale(ZetaRational.monomial(k))
+
+
+def _factors_a1(variant, s, s1, d):
+    o = FockCopies(d, 1)
+    (a,), (ad,) = o.a, o.ad
+    cartan = _grid(2, {(0, 0): _zmat(o.qd(1)), (1, 1): _zmat(o.qd(-1))}, d)
+    if variant == "hat":
+        return [
+            _unipotent(2, (1, 0), _zmat(ad, s1), d),
+            _grid(2, {(0, 0): _eye_z(d),
+                      (1, 1): _zmat(o.eye) - _zmat(o.eye, s)}, d),
+            _unipotent(2, (0, 1), _zmat(a, s - s1), d),
+            cartan,
+        ]
+    geom = _geom_inv(o, lambda n: q_power(2 * n), s)
+    geom_up = _geom_inv(o, lambda n: q_power(2 * n + 2), s)
+    one_minus = ZetaRational.ONE - ZetaRational.monomial(s)
+    return [
+        _unipotent(2, (0, 1), _zmat(a, s1) * geom, d),
+        _grid(2, {(0, 0): geom_up.scale(one_minus),
+                  (1, 1): _zmat(o.eye) - _zmat(o.qd(2), s)}, d),
+        _unipotent(2, (1, 0), geom * _zmat(ad, s - s1), d),
+        cartan,
+    ]
+
+
+def _factors_a2(variant, s, s1, s2, d):
+    o = FockCopies(d, 2)
+    qq = o.qd
+    (a1, a2), (a1d, a2d) = o.a, o.ad
+    dim = d * d
+    one_z = _eye_z(dim)
+    cartan = _grid(3, {(0, 0): _zmat(qq(1, 0)), (1, 1): _zmat(qq(-1, 1)),
+                       (2, 2): _zmat(qq(0, -1))}, dim)
+    if variant == "hat-1":
+        geom_b = _geom_inv(o, lambda n1, n2: q_power(-2 - 2 * n2), s)
+        geom_d = _geom_inv(o, lambda n1, n2: q_power(-2 * n2), s)
+        return [
+            _unipotent(3, (1, 0), _zmat(a1d, s1), dim),
+            _unipotent(3, (2, 1), _zmat(a2d * qq(1, 0)) * geom_b
+                       * _mono_mat(dim, s2), dim),
+            _grid(3, {(0, 0): one_z,
+                      (1, 1): one_z - _zmat(qq(0, -2), s).scale(
+                          ZetaRational.const(q_power(-2))),
+                      (2, 2): geom_d.scale(ZetaRational.ONE
+                                           - ZetaRational.monomial(s))},
+                  dim),
+            _unipotent(3, (1, 2), (_zmat(a2 * qq(-1, -2)) * geom_d
+                                   * _mono_mat(dim, s - s2)).scale(
+                                       -ZetaRational.ONE),
+                       dim),
+            _unipotent(3, (0, 1), _zmat(a1 * qq(0, -2), s - s1).scale(
+                ZetaRational.const(q_power(-2))), dim),
+            _unipotent(3, (0, 2), _zmat(a1 * a2 * qq(-1, -2), s - s1 - s2),
+                       dim),
+            cartan,
+        ]
+    geom = _geom_inv(o, lambda n1, n2: q_power(2 * n1), s)
+    geom_up = _geom_inv(o, lambda n1, n2: q_power(2 * n1 + 2), s)
+    return [
+        _unipotent(3, (0, 1), _zmat(a1, s1) * geom, dim),
+        _unipotent(3, (0, 2), (_zmat(a1 * a2 * qq(1, 0), s1 + s2)
+                               * geom).scale(-ZetaRational.ONE), dim),
+        _unipotent(3, (1, 2), _zmat(a2 * qq(1, 0), s2), dim),
+        _grid(3, {(0, 0): geom_up.scale(ZetaRational.ONE
+                                        - ZetaRational.monomial(s)),
+                  (1, 1): one_z - _zmat(qq(2, 0), s),
+                  (2, 2): one_z}, dim),
+        _unipotent(3, (2, 1), _zmat(a2d * qq(1, -2), s - s2).scale(
+            ZetaRational.const(-q_power(-2))), dim),
+        _unipotent(3, (1, 0), _zmat(a1d, s - s1) * geom_up, dim),
+        _unipotent(3, (2, 0), (_zmat(a1d * a2d * qq(-1, -2), s - s1 - s2)
+                               * geom_up).scale(
+                                   ZetaRational.const(q_power(-3))), dim),
+        cartan,
+    ]
 
 
 # -- exchange constants of the linear decomposition --------------------------

@@ -4,15 +4,16 @@ engine-against-closed-form equality, and the spectral-linear structure.
 Every check returns a Verdict carrying the first failing coefficient when
 something breaks; nothing here is numerical.  Each identity that genuinely
 involves two spectral parameters is homogeneous, so its one-variable
-entries are first cleared of denominators; it is then a polynomial
-identity in Q(t)[u^(+-1), v^(+-1)], checked exactly in that ring with no
-division and no gcd.  Relations on a Fock window are computed on the
-window alone.
+entries are first multiplied by one common factor that clears every
+denominator, in zeta and in t; it is then a polynomial identity in
+Z[t^(+-1)][u^(+-1), v^(+-1)], checked exactly in that ring on integer
+coefficients, with no division and no gcd.  Relations on a Fock window are
+computed on the window alone.
 """
 
 import time
 
-from .scalars import QScalar, q_power
+from .scalars import QScalar, _ONE_POLY, q_power
 from .series import ZetaSeries
 from .rational import ZetaRational
 from .linalg import (
@@ -37,7 +38,8 @@ ONE = QScalar.ONE
 # projectors on the truncated space, not products of truncated ladder
 # matrices, so `fock_window`'s path bound does not apply.  At margin 0
 # every exchange, duality and structure check of the suite fails, at 1 all
-# pass; 1 costs the identity checks about 30% more time than 3.
+# pass; 1 costs the identity checks about 30% more time than 3 and 14% more
+# peak memory.
 RELATION_MARGIN = 3
 
 
@@ -90,9 +92,9 @@ def _exps(algebra, s, s1, s2):
 # -- two-variable identities as Laurent polynomials in u, v ------------------
 
 class _Laurent2:
-    """A Laurent polynomial in u, v over Q(t): {(i, j): QScalar} for the
-    terms c u^i v^j, with no zero coefficient stored.  A ring, not a field:
-    only monomials have an inverse."""
+    """A Laurent polynomial in u, v over Z[t^(+-1)]: {(i, j, k): int} for
+    the terms c u^i v^j t^k, with no zero coefficient stored.  A ring, not
+    a field: only a monomial with coefficient +-1 has an inverse."""
 
     __slots__ = ("terms",)
 
@@ -104,37 +106,40 @@ class _Laurent2:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out[k] + c if k in out else c
+        for key, c in other.terms.items():
+            s = out.get(key, 0) + c
             if s:
-                out[k] = s
+                out[key] = s
             else:
-                del out[k]
+                del out[key]
         return _Laurent2(out)
 
     def __neg__(self):
-        return _Laurent2({k: -c for k, c in self.terms.items()})
+        return _Laurent2({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + -other
 
     def __mul__(self, other):
         out = {}
-        for (i, j), a in self.terms.items():
-            for (k, l), b in other.terms.items():
-                ij = (i + k, j + l)
-                s = out[ij] + a * b if ij in out else a * b
+        for (i, j, k), a in self.terms.items():
+            for (l, m, n), b in other.terms.items():
+                key = (i + l, j + m, k + n)
+                s = out.get(key, 0) + a * b
                 if s:
-                    out[ij] = s
+                    out[key] = s
                 else:
-                    del out[ij]
+                    del out[key]
         return _Laurent2(out)
 
     def inverse(self):
         if len(self.terms) != 1:
             raise ArithmeticError("only a monomial in u, v has an inverse")
-        ((i, j), c), = self.terms.items()
-        return _Laurent2({(-i, -j): c.inverse()})
+        ((i, j, k), c), = self.terms.items()
+        if c != 1 and c != -1:
+            raise ArithmeticError("only a coefficient +-1 t^k has an "
+                                  "inverse in Z[t^(+-1)]")
+        return _Laurent2({(-i, -j, -k): c})
 
     def __eq__(self, other):
         return isinstance(other, _Laurent2) and self.terms == other.terms
@@ -143,11 +148,15 @@ class _Laurent2:
         return hash(frozenset(self.terms.items()))
 
     def __str__(self):
-        return " + ".join("%s*u^%d*v^%d" % (c, i, j) for (i, j), c
-                          in sorted(self.terms.items())) or "0"
+        # each coefficient of u^i v^j printed as the QScalar it is
+        groups = {}
+        for (i, j, k), c in self.terms.items():
+            groups.setdefault((i, j), {})[k] = c
+        return " + ".join("%s*u^%d*v^%d" % (QScalar(p, _canonical=True), i, j)
+                          for (i, j), p in sorted(groups.items())) or "0"
 
 
-_Laurent2.ONE = _Laurent2({(0, 0): ONE})
+_Laurent2.ONE = _Laurent2({(0, 0, 0): 1})
 
 # zeta^k lifts to u^(a k) v^(b k)
 _LIFT_EXPONENTS = {"u": (1, 0), "v": (0, 1), "ratio": (1, -1), "uv": (1, 1)}
@@ -155,19 +164,27 @@ _LIFT_EXPONENTS = {"u": (1, 0), "v": (0, 1), "ratio": (1, -1), "uv": (1, 1)}
 
 def _monomial(mode, k):
     a, b = _LIFT_EXPONENTS[mode]
-    return _Laurent2({(a * k, b * k): ONE})
+    return _Laurent2({(a * k, b * k, 0): 1})
 
 
 def _lift(obj, mode):
-    """A matrix or grid over one-variable polynomials (cleared of
-    denominators), lifted entrywise into Q(t)[u^(+-1), v^(+-1)]."""
+    """A matrix or grid over one-variable polynomials with coefficients in
+    Z[t^(+-1)] (cleared of denominators), lifted entrywise into
+    Z[t^(+-1)][u^(+-1), v^(+-1)]."""
     a, b = _LIFT_EXPONENTS[mode]
 
     def lift(zr):
         if not zr.is_polynomial():
             raise ValueError("only a polynomial lifts to two variables: "
                              "clear the denominators first")
-        return _Laurent2({(a * k, b * k): c for k, c in zr.num.items()})
+        terms = {}
+        for e, c in zr.num.items():
+            if c.den is not _ONE_POLY:
+                raise ValueError("only a polynomial over Z[t^(+-1)] lifts to "
+                                 "two variables: clear the denominators first")
+            for k, n in c.num.items():
+                terms[(a * e, b * e, k)] = n
+        return _Laurent2(terms)
     return obj.map_values(lift, _Laurent2.ONE)
 
 
@@ -270,24 +287,43 @@ def check_ybe(algebra, s=1, s1=0, s2=0, perturb=False):
 
 # -- exchange relation between R and an L-operator -----------------------------
 
-def _cleared(*objs):
-    """`objs` (matrices or grids over one-variable rationals), each times
-    the lcm of all their denominators.  The relations checked here are
-    homogeneous, so no verdict changes, and every entry becomes a
-    polynomial that `_lift` takes into two variables."""
-    dens = {}
+def _values(objs):
     for obj in objs:
         for m in (obj.entries.values() if isinstance(obj, Grid) else (obj,)):
-            for v in m.entries.values():
-                if not v.is_polynomial():
-                    dens.setdefault(frozenset(v.den.items()), v.den)
+            yield from m.entries.values()
+
+
+def _cleared(*objs):
+    """`objs` (matrices or grids over one-variable rationals), each times
+    one common factor: the lcm of all their zeta-denominators, times the lcm
+    in Z[t] of the t-denominators of the coefficients that leaves.  The
+    relations checked here are homogeneous, so no verdict changes, and
+    every entry becomes a polynomial over Z[t^(+-1)] that `_lift` takes into
+    two variables."""
+    dens = {}
+    for v in _values(objs):
+        if not v.is_polynomial():
+            dens.setdefault(frozenset(v.den.items()), v.den)
     common = ZetaRational.ONE
     for den in dens.values():
         # times den / gcd(den, common), by the gcd of the one-variable field
         common = common * ZetaRational(ZetaRational(common.num, den).den,
                                        _canonical=True)
-    return [obj.map_values(lambda v: v * common) if dens else obj
-            for obj in objs]
+    if dens:
+        objs = [obj.map_values(lambda v: v * common) for obj in objs]
+    t_dens = {}
+    for v in _values(objs):
+        for c in v.num.values():
+            if c.den is not _ONE_POLY:
+                t_dens.setdefault(frozenset(c.den.items()), c.den)
+    t_common = ONE
+    for den in t_dens.values():
+        # times den / gcd(den, t_common) over Z[t], by the reduced form of
+        # t_common / den
+        t_common = t_common * QScalar(QScalar(t_common.num, den).den)
+    if t_dens:
+        objs = [obj.map_values(lambda v: v.scale(t_common)) for obj in objs]
+    return list(objs)
 
 
 def _grid_failure(lhs, rhs):
@@ -645,7 +681,9 @@ def run_check(item):
 
 
 def run_suite(checks, workers=1):
-    """Run checks, optionally on a process pool; results sorted by id."""
+    """Run checks, on a process pool of at most `workers` processes and no
+    more than there are checks; results sorted by id."""
+    workers = min(workers, len(checks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -11,6 +11,8 @@
   put a float into a coefficient.
 * In scalars.py, `Fraction` appears only where values enter and where they
   are printed, never in the integer kernel.
+* In verify.py, the two-variable ring `_Laurent2` is integer-only: no
+  method but `__str__` names `QScalar` or `Fraction`.
 """
 
 import ast
@@ -102,3 +104,18 @@ def test_fraction_in_scalars_only_at_the_boundaries():
     visit(tree, None)
     assert found & helpers == set()
     assert found <= allowed
+
+
+def test_two_variable_ring_is_integer_only():
+    tree = ast.parse((SRC / "qaffine" / "verify.py").read_text())
+    ring, = [node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == "_Laurent2"]
+    methods = [node for node in ring.body
+               if isinstance(node, ast.FunctionDef)]
+    assert {"__add__", "__mul__", "inverse", "__str__"} <= {
+        m.name for m in methods}
+    found = sorted({m.name for m in methods for node in ast.walk(m)
+                    if getattr(node, "id", None) in ("QScalar", "Fraction")
+                    or getattr(node, "attr", None) in ("QScalar",
+                                                       "Fraction")})
+    assert found == ["__str__"]

@@ -142,32 +142,24 @@ def test_exact_division_raises_on_a_remainder():
         rational._exquo(_times(f, g), {0: ONE, 1: ONE})
 
 
-# -- the two-variable Laurent ring --------------------------------------------
-
-def _t_expr(p):
-    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator) * T ** k
-                       for k, c in p.items()])
-
+# -- the two-variable Laurent ring over Z[t^(+-1)] ----------------------------
 
 def _ring_expr(x):
-    """x as a sympy expression; its coefficients are Laurent polynomials in
-    t, so sympy.expand gives a canonical form."""
-    return sympy.Add(*[_t_expr(c.num) * U ** i * V ** j
-                       for (i, j), c in x.terms.items()])
+    """x as a sympy expression in t, u, v; it is a Laurent polynomial, so
+    sympy.expand gives a canonical form."""
+    return sympy.Add(*[c * T ** k * U ** i * V ** j
+                       for (i, j, k), c in x.terms.items()])
 
 
 def _ring_value(x):
-    return sum((_scalar(c) * UF ** i * VF ** j
-                for (i, j), c in x.terms.items()), F(0))
+    return sum((F(c) * TF ** k * UF ** i * VF ** j
+                for (i, j, k), c in x.terms.items()), F(0))
 
 
-laurent_t_st = st.builds(lambda k, n, m: q_power(k).scale(n) + q_power(m),
-                         st.integers(-2, 2), st.integers(-3, 3),
-                         st.integers(-1, 1)).filter(bool)
-scalars_st = st.builds(lambda c, den: c * (ONE - q_power(-2)).inverse()
-                       if den else c, laurent_t_st, st.booleans())
-keys_st = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
-ring_st = st.dictionaries(keys_st, laurent_t_st, max_size=4).map(Ring)
+keys_st = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                    st.integers(-12, 12))
+ring_st = st.dictionaries(keys_st, st.integers(-3, 3).filter(bool),
+                          max_size=6).map(Ring)
 
 
 @SETTINGS
@@ -176,24 +168,86 @@ def test_ring_add_mul_match_sympy_expand(a, b):
     ea, eb = _ring_expr(a), _ring_expr(b)
     for got, want in ((a + b, ea + eb), (a - b, ea - eb), (-a, -ea),
                       (a * b, ea * eb)):
-        assert all(got.terms.values())
+        assert all(type(c) is int and c for c in got.terms.values())
         assert sympy.expand(_ring_expr(got) - want) == 0
     assert a * b == b * a and hash(a * b) == hash(b * a)
     assert bool(a) == (sympy.expand(ea) != 0)
 
 
+@SETTINGS
+@hypothesis.given(keys_st, st.sampled_from((1, -1)))
+def test_ring_inverse_of_a_unit_monomial(key, c):
+    mono = Ring({key: c})
+    assert mono * mono.inverse() == Ring.ONE
+    assert sympy.expand(_ring_expr(mono.inverse()) * _ring_expr(mono)) == 1
+
+
 def test_ring_inverse_of_a_non_monomial_raises():
-    u_minus_v = Ring({(1, 0): ONE, (0, 1): -ONE})
+    u_minus_v = Ring({(1, 0, 0): 1, (0, 1, 0): -1})
     with pytest.raises(ArithmeticError):
         u_minus_v.inverse()
     with pytest.raises(ArithmeticError):
         Ring({}).inverse()
-    mono = Ring({(2, -1): q_power(1) * (ONE - q_power(-2)).inverse()})
-    assert mono * mono.inverse() == Ring.ONE
+    # 1 - t^6 is a monomial in u, v but not a unit of Z[t^(+-1)]
+    with pytest.raises(ArithmeticError):
+        Ring({(2, -1, 0): 1, (2, -1, 6): -1}).inverse()
+    with pytest.raises(ArithmeticError):
+        Ring({(2, -1, 6): 2}).inverse()
 
 
+# Laurent polynomials in t, and some of them over the denominator 1 - q^-2
+# that the closed forms carry
+laurent_t_st = st.builds(lambda k, n, m: q_power(k).scale(n) + q_power(m),
+                         st.integers(-2, 2), st.integers(-3, 3),
+                         st.integers(-1, 1)).filter(bool)
+scalars_st = st.builds(lambda c, den: c * (ONE - q_power(-2)).inverse()
+                       if den else c, laurent_t_st, st.booleans())
 zpoly_st = st.dictionaries(st.integers(-3, 3), scalars_st, max_size=3).map(
     ZetaRational)
+zden_st = st.sampled_from(({0: ONE}, {0: ONE, 1: -q_power(-2)},
+                           {0: ONE, 2: -ONE}))
+zrational_st = st.builds(
+    lambda num, den: ZetaRational(num.num, den), zpoly_st, zden_st)
+objects_st = st.lists(
+    st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                    zrational_st, max_size=3).map(
+        lambda e: OpMatrix(2, e, ZetaRational.ONE)),
+    min_size=1, max_size=3)
+
+
+def _is_cleared(x):
+    return x.is_polynomial() and all(c.den == {0: 1}
+                                     for c in x.num.values())
+
+
+@SETTINGS
+@hypothesis.given(objects_st)
+def test_cleared_scales_by_one_common_factor_to_integer_coefficients(objs):
+    cleared = verify._cleared(*objs)
+    assert len(cleared) == len(objs)
+    factors = set()
+    for obj, got in zip(objs, cleared):
+        assert set(got.entries) == set(obj.entries)
+        for ij, v in obj.entries.items():
+            w = got.entries[ij]
+            assert _is_cleared(w)
+            factors.add(_value(w) / _value(v))
+    assert len(factors) <= 1 and F(0) not in factors
+    # and the lift takes every cleared object
+    for got in cleared:
+        verify._lift(got, "ratio")
+
+
+@SETTINGS
+@hypothesis.given(zpoly_st.filter(lambda x: not _is_cleared(x)),
+                  st.sampled_from(sorted(verify._LIFT_EXPONENTS)))
+def test_lift_rejects_a_denominator_in_t(a, mode):
+    m = OpMatrix(1, {(0, 0): a}, ZetaRational.ONE)
+    with pytest.raises(ValueError, match="clear the denominators"):
+        verify._lift(m, mode)
+    cleared, = verify._cleared(m)
+    assert _is_cleared(cleared.entry(0, 0))
+    verify._lift(cleared, mode)
 
 
 def _lift(x, mode):
@@ -205,6 +259,10 @@ def _lift(x, mode):
 @hypothesis.given(zpoly_st, zpoly_st,
                   st.sampled_from(sorted(verify._LIFT_EXPONENTS)))
 def test_lift_is_a_ring_homomorphism(a, b, mode):
+    # on a and b cleared together, so both are polynomials over Z[t^(+-1)]
+    a, b = (m.entry(0, 0) for m in verify._cleared(
+        OpMatrix(1, {(0, 0): a}, ZetaRational.ONE),
+        OpMatrix(1, {(0, 0): b}, ZetaRational.ONE)))
     lift = lambda x: _lift(x, mode)
     assert lift(a + b) == lift(a) + lift(b)
     assert lift(a - b) == lift(a) - lift(b)

@@ -6,7 +6,8 @@ from qaffine.scalars import QScalar, q_power
 from qaffine.rational import ZetaRational
 from qaffine.linalg import OpMatrix, Grid, hat_and_check, kron
 from qaffine.reference import (
-    PrefactorTag, reference_matrix, list_variants, r0_matrix, r0_hat_matrix,
+    PrefactorTag, reference_matrix, ordered_factors, list_variants,
+    r0_matrix, r0_hat_matrix,
     decompose_L, scan_linear_exponents, grid_inverse, op_inverse,
     apply_two_copy_normalization,
 )
@@ -80,8 +81,9 @@ def test_a1_factor_products_match_displays():
     d = 6
     for variant in ("hat", "check"):
         ref = reference_matrix("l", "a1", variant, s=2, s1=1, d=d)
-        assert ref.factors is not None
-        prod = grid_product(ref.factors)
+        factors = ordered_factors("a1", variant, s=2, s1=1, d=d)
+        assert factors
+        prod = grid_product(factors)
         assert fock_window(prod, d, d - 2) == fock_window(ref.matrix, d, d - 2)
 
 
@@ -90,9 +92,22 @@ def test_a2_factor_products_match_displays():
     for variant in ("hat-1", "check-1"):
         for exps in ((1, 0, 0), (2, 1, 0)):
             ref = reference_matrix("l", "a2", variant, *exps, d=d)
-            prod = grid_product(ref.factors)
+            prod = grid_product(ordered_factors("a2", variant, *exps, d=d))
             assert fock_window(prod, d, d - 2, copies=2) == \
                 fock_window(ref.matrix, d, d - 2, copies=2)
+
+
+def test_ordered_factors_only_where_transcribed():
+    for algebra, variant in (("a1", "hat-twisted"), ("a1", "check-twisted"),
+                             ("a2", "hat-2"), ("a2", "check-2"),
+                             ("a2", "check-inv"), ("a2", "hat-2-inv"),
+                             ("a2", "hat"), ("a1", "hat-1")):
+        with pytest.raises(ValueError, match="no ordered factors"):
+            ordered_factors(algebra, variant, s=1, s1=0, d=4)
+    with pytest.raises(ValueError, match="nonzero"):
+        ordered_factors("a1", "hat", s=0, s1=0, d=4)
+    # the closed form carries no factor list
+    assert not hasattr(reference_matrix("l", "a1", "hat", d=4), "factors")
 
 
 def test_grid_inverse_roundtrip():

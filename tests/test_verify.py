@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qaffine import verify
+from qaffine import reference, verify
 from qaffine.linalg import OpMatrix, Grid, grid_akp, hat_and_check, fock_window
 from qaffine.rational import ZetaRational
 from qaffine.reference import reference_matrix
@@ -207,24 +207,31 @@ def test_failing_duality_reports_both_values(monkeypatch):
     json.dumps(v.to_json())
 
 
-# -- two-parameter identities in Q(t)[u^(+-1), v^(+-1)] ----------------------
+# -- two-parameter identities in Z[t^(+-1)][u^(+-1), v^(+-1)] ----------------
 
 def test_two_variable_ring_arithmetic():
     ring = verify._Laurent2
-    one = q_power(0)
-    u = ring({(1, 0): one})
-    v = ring({(0, 1): one})
+    u = ring({(1, 0, 0): 1})
+    v = ring({(0, 1, 0): 1})
+    t6 = ring({(0, 0, 6): 1})
     # (u - v)(u + v) == u^2 - v^2
     assert (u - v) * (u + v) == u * u - v * v
-    assert (u - v) * (u + v) == ring({(2, 0): one, (0, 2): -one})
+    assert (u - v) * (u + v) == ring({(2, 0, 0): 1, (0, 2, 0): -1})
     assert u - u == ring({}) and not (u - u)
-    assert (u * v * v).inverse() * u == ring({(0, -2): one})
-    assert ring({(3, -1): q_power(2)}).inverse() == \
-        ring({(-3, 1): q_power(-2)})
+    assert (u * v * v).inverse() * u == ring({(0, -2, 0): 1})
+    assert ring({(3, -1, 12): 1}).inverse() == ring({(-3, 1, -12): 1})
+    assert ring({(3, -1, 12): -1}).inverse() == ring({(-3, 1, -12): -1})
     with pytest.raises(ArithmeticError):
         (u - v).inverse()
     with pytest.raises(ArithmeticError):
         ring({}).inverse()
+    with pytest.raises(ArithmeticError):
+        ring({(1, 0, 6): 2}).inverse()
+    # the t-terms of each u^i v^j print as one Q(t) coefficient
+    x = (t6 - u.inverse()) * (t6 + u) - ring({(0, 0, 0): 1})
+    assert str(x) == ("(-t^6)/(1)*u^-1*v^0 + (-2 + t^12)/(1)*u^0*v^0"
+                      " + (t^6)/(1)*u^1*v^0")
+    assert str(ring({})) == "0"
 
 
 def test_two_parameter_checks_run_on_cleared_polynomials():
@@ -256,3 +263,112 @@ def test_two_parameter_checks_run_on_cleared_polynomials():
         with pytest.raises(ValueError, match="polynomial"):
             verify._lift(r, mode)
         verify._lift(verify._cleared(r)[0], mode)
+
+
+# -- failure text, pinned ------------------------------------------------------
+
+def test_failure_text_of_a_perturbed_rll_relation_is_pinned():
+    ref, r, grid = _perturbed_l("a1", "hat", 7)
+    failure = verify._rll_residual(grid, ref.l_type, r.matrix, 7, ref.copies)
+    assert failure == {
+        "entry": [0, 1], "fock": [0, 1],
+        "lhs": "(1 - t^12)/(1)*u^0*v^1 + (-t^-12 + 1)/(1)*u^1*v^0",
+        "rhs": "(t^-6 - t^6)/(1)*u^0*v^1"
+               " + (-t^-12 - t^-6 + 2 + t^6 - t^12)/(1)*u^1*v^0",
+    }
+
+
+def test_failure_text_of_a_failing_a2_gauge_verdict_is_pinned(monkeypatch):
+    # the gauged closed form (s = 2) with grid entry (1, 1), Fock entry
+    # (0, 0) times q; the base closed form (s = 1) is left as it is
+    real = verify.reference_matrix
+
+    def perturbed(kind, algebra, variant, s, s1, s2=0, d=12):
+        ref = real(kind, algebra, variant, s, s1, s2, d=d)
+        if s != 1:
+            op = ref.matrix.entry(1, 1)
+            entries = dict(op.entries)
+            entries[(0, 0)] = entries[(0, 0)] * ZetaRational.const(
+                q_power(1))
+            ops = dict(ref.matrix.entries)
+            ops[(1, 1)] = OpMatrix(op.dim, entries, op.one)
+            ref.matrix = Grid(ref.matrix.n, ops, ref.matrix.op_dim, op.one)
+        return ref
+    monkeypatch.setattr(verify, "reference_matrix", perturbed)
+    v = check_gauge("hat", "a2", s=2, s1=1, s2=0)
+    assert v.passed is False
+    assert v.first_failure == {
+        "entry": [1, 1], "fock": [0, 0],
+        "lhs": "(t^6)/(1)*u^0*v^0 + (-t^-6)/(1)*u^2*v^-2",
+        "rhs": "(1)/(1)*u^0*v^0 + (-t^-12)/(1)*u^2*v^-2",
+    }
+
+
+# -- no check builds the ordered factors ---------------------------------------
+
+def test_no_check_builds_ordered_factors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check built the ordered factors")
+    monkeypatch.setattr(reference, "ordered_factors", refuse)
+    monkeypatch.setattr(reference, "_geom_inv", refuse)
+    verdicts = [
+        check_engine("l", "a1", "hat", s=1, s1=0, order=3, d=5),
+        check_engine("l", "a1", "check", s=1, s1=0, order=3, d=5),
+        check_engine("l", "a2", "hat-1", s=1, s1=0, s2=0, order=1, d=4),
+        check_engine("l", "a2", "check-1", s=1, s1=0, s2=0, order=1, d=4),
+        check_rll("a1", "hat", s=1, s1=0, d=6),
+        check_rll("a1", "check", s=1, s1=0, d=6),
+        check_rll("a2", "hat-1", s=1, s1=0, s2=0, d=5),
+        check_rll("a2", "check-1", s=1, s1=0, s2=0, d=5),
+        check_duality("a1", "hat", "inversion", s=1, s1=0, d=6),
+        check_duality("a1", "check", "tau", s=1, s1=0, d=6),
+        check_duality("a2", "hat-1", "inversion", s=1, s1=0, s2=0, d=4),
+        check_duality("a2", "check-1", "tau", s=1, s1=0, s2=0, d=4),
+        check_gauge("hat", "a1", s=2, s1=1),
+        check_gauge("check", "a1", s=-2, s1=1),
+        check_gauge("hat", "a2", s=2, s1=1, s2=0),
+        check_gauge("check", "a2", s=2, s1=0, s2=1),
+        check_structure("a1", d=6),
+        check_structure("a2", d=5),
+    ]
+    assert [v for v in verdicts if not v.passed] == []
+
+
+# -- the pool is sized by the work ---------------------------------------------
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, starting none."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("prefix, workers, expected", [
+    ("a1-ybe", 500, [3]), ("a1-ybe", 3, [3]), ("a1-ybe", 2, [2]),
+    ("a1-ybe", 1, []), ("a1-ybe-1_0", 500, []),
+])
+def test_pool_is_no_larger_than_the_checks(prefix, workers, expected,
+                                           monkeypatch):
+    # a single check runs in this process, whatever the workers
+    import concurrent.futures
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingExecutor)
+    checks = [c for c in suite_checks(algebra="a1", order=4, fock=7)
+              if c[0].startswith(prefix)]
+    results = run_suite(checks, workers=workers)
+    assert _RecordingExecutor.sizes == expected
+    assert [cid for cid, _ in results] == sorted(c[0] for c in checks)
+    assert all(v.passed for _, v in results)
