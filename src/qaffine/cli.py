@@ -153,9 +153,25 @@ def _parse_osc_params(args):
     if not (rho and mu and nu):
         raise UsageError("oscillator parameters need all of --osc-rho, "
                          "--osc-mu, --osc-nu")
-    return OscParams(parse_qscalar(rho),
-                     [parse_qscalar(x) for x in mu.split(",")],
-                     [Fraction(x) for x in nu.split(",")])
+    n_mu, n_nu = (1, 1) if args.algebra == "a1" else (2, 3)
+    (rho,) = _osc_values("--osc-rho", rho, parse_qscalar, 1, args.algebra)
+    return OscParams(rho,
+                     _osc_values("--osc-mu", mu, parse_qscalar, n_mu,
+                                 args.algebra),
+                     _osc_values("--osc-nu", nu, Fraction, n_nu,
+                                 args.algebra))
+
+
+def _osc_values(flag, text, parse, count, algebra):
+    """The `count` comma-separated values of one oscillator flag."""
+    try:
+        values = [parse(x) for x in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError("%s: %s" % (flag, exc))
+    if len(values) != count:
+        raise UsageError("%s takes %d value(s) for --algebra %s, got %d"
+                         % (flag, count, algebra, len(values)))
+    return values
 
 
 def _parse_twist(text, algebra):

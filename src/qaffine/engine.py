@@ -281,10 +281,6 @@ def _series_matrix(terms, dim, order):
     return OpMatrix(dim, out, one)
 
 
-def _identity_series(dim, order):
-    return OpMatrix.identity(dim, ZetaSeries.one(order))
-
-
 def _q_exponential_factor(e_op, f_op, pairing, order, dim_l, dim_r):
     """exp_{q^-pairing-norm}((q - q^-1) e x f) as a series matrix.
 
@@ -322,7 +318,8 @@ IMAG_EXP_COUNTS = {"closed": 0, "fallback": 0}
 
 
 def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order):
-    """Returns (scalar prefactor series, matrix factor).
+    """Returns (scalar prefactor series, per-state weights of the diagonal
+    factor, or None when it is the identity).
 
     The imaginary root vectors are diagonal on every leg, so the argument
     a of the exponential is diagonal too.  At state (x, y) its level-m
@@ -349,9 +346,8 @@ def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order):
                               for i in range(rank)])
             left_ops.append(es)
             right_ops.append(fs)
-    one = ZetaSeries.one(order)
     if not zexps:
-        return one, _identity_series(dim_l * dim_r, order)
+        return ZetaSeries.one(order), None
     left_ids, left_keys = _leg_spectrum(left_ops, dim_l)
     right_ids, right_keys = _leg_spectrum(right_ops, dim_r)
 
@@ -366,7 +362,7 @@ def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order):
     forms = [form(key) for key in left_keys]
     arg0 = pair(forms[0], right_keys[0])
     cache = {}
-    out = {}
+    out = []
     for x, lid in enumerate(left_ids):
         for y, rid in enumerate(right_ids):
             got = cache.get((lid, rid))
@@ -382,9 +378,9 @@ def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order):
                 else:
                     IMAG_EXP_COUNTS["closed"] += 1
                 cache[(lid, rid)] = got
-            out[(x * dim_r + y,) * 2] = got
+            out.append(got)
     prefactor = series_exp(ZetaSeries(dict(zip(zexps, arg0)), order))
-    return prefactor, OpMatrix(dim_l * dim_r, out, one)
+    return prefactor, out
 
 
 def _leg_spectrum(level_ops, dim):
@@ -441,23 +437,21 @@ def _closed_exp(f):
 
 
 def _k_factor(left_image, right_image, params, order):
+    """Per-state weights of the Cartan factor q^(sum_ij B^-1_ij h_i x h_j)."""
     fin = finite_cartan(params.algebra)
     r = fin.rank
     binv = fin.finite_inverse
-    dim_l, dim_r = left_image.dim, right_image.dim
     hl = [left_image.h_diags[i + 1] for i in range(r)]
     hr = [right_image.h_diags[j + 1] for j in range(r)]
-    entries = {}
-    one = ZetaSeries.one(order)
-    for x in range(dim_l):
-        for y in range(dim_r):
+    out = []
+    for x in range(left_image.dim):
+        for y in range(right_image.dim):
             expo = Fraction(0)
             for i in range(r):
                 for j in range(r):
                     expo += binv[i][j] * hl[i][x] * hr[j][y]
-            idx = x * dim_r + y
-            entries[(idx, idx)] = ZetaSeries.const(q_power(expo), order)
-    return OpMatrix(dim_l * dim_r, entries, one)
+            out.append(ZetaSeries.const(q_power(expo), order))
+    return out
 
 
 def check_normalization_constants(params):
@@ -508,15 +502,15 @@ def assemble(params, grouped_real_order=False, split_prefactor=False):
     if grouped_real_order:
         roots = _group_families(roots, params.algebra)
     dim_l, dim_r = left.dim, right.dim
-    acc = _identity_series(dim_l * dim_r, order)
     prefactor = ZetaSeries.one(order)
+    acc = OpMatrix.identity(dim_l * dim_r, prefactor)
     imag_done = False
     for root in roots:
         if root.kind == "imaginary":
             if not imag_done:
                 prefactor, factor = _imaginary_factor(etab, ftab, params,
                                                       dim_l, dim_r, order)
-                acc = acc * factor
+                acc = acc.scaled(cols=factor)
                 imag_done = True
             continue
         e = etab.real_op(root)
@@ -531,8 +525,8 @@ def assemble(params, grouped_real_order=False, split_prefactor=False):
     if not imag_done:
         prefactor, factor = _imaginary_factor(etab, ftab, params, dim_l,
                                               dim_r, order)
-        acc = acc * factor
-    acc = acc * _k_factor(left, right, params, order)
+        acc = acc.scaled(cols=factor)
+    acc = acc.scaled(cols=_k_factor(left, right, params, order))
     acc = _restrict_output(acc, params, left, right)
     if split_prefactor:
         return prefactor, acc

@@ -122,6 +122,21 @@ class OpMatrix:
         return OpMatrix(self.dim, {ij: v * c for ij, v in self.entries.items()},
                         self.one)
 
+    def scaled(self, rows=None, cols=None):
+        """diag(rows) * self * diag(cols) entrywise: entry (i, j) becomes
+        rows[i] * v * cols[j], with None for all ones.  Every diagonal
+        factor and diagonal conjugation is applied this way."""
+        _check_weights(self.dim, rows, cols)
+        out = {}
+        for (i, j), v in self.entries.items():
+            if rows is not None:
+                v = rows[i] * v
+            if cols is not None:
+                v = v * cols[j]
+            if v:
+                out[(i, j)] = v
+        return OpMatrix(self.dim, out, self.one, _clean=True)
+
     def map_values(self, fn, one=None):
         return OpMatrix(self.dim, {ij: fn(v) for ij, v in self.entries.items()},
                         one if one is not None else self.one)
@@ -177,6 +192,12 @@ class OpMatrix:
 
     def __repr__(self):
         return "OpMatrix(dim=%d, nnz=%d)" % (self.dim, len(self.entries))
+
+
+def _check_weights(dim, *weights):
+    if any(w is not None and len(w) != dim for w in weights):
+        raise ValueError("a weight list's length is not the dimension %d"
+                         % dim)
 
 
 def kron(a, b):
@@ -397,6 +418,16 @@ class Grid:
                 out[ab] = out[ab] + p if ab in out else p
         return Grid(self.n, {ab: m for ab, m in out.items() if m},
                     self.op_dim, self.one, _clean=True)
+
+    def scaled(self, rows=None, cols=None):
+        """OpMatrix.scaled on the matrix index: operator (a, b) is scaled
+        by rows[a] * cols[b]."""
+        _check_weights(self.n, rows, cols)
+        ones = [self.one] * self.n
+        rows, cols = rows or ones, cols or ones
+        return Grid(self.n, {(a, b): m.scale(rows[a] * cols[b])
+                             for (a, b), m in self.entries.items()},
+                    self.op_dim, self.one)
 
     def map_ops(self, fn):
         out = {ab: fn(m) for ab, m in self.entries.items()}

@@ -12,16 +12,13 @@ module.
 
 import itertools
 
-from fractions import Fraction
-
 from .scalars import QScalar, q_power
 from .linalg import OpMatrix, kron
 from .qgroup import GeneratorImage, _exps_for
 
 __all__ = [
     "FockRep", "fock_rep", "FockCopies", "chi_images", "psi_images",
-    "osc_automorphism", "two_copy_automorphism", "tau_matrix",
-    "gamma_scaling", "OscParams",
+    "osc_automorphism", "tau_matrix", "OscParams",
 ]
 
 ONE = QScalar.ONE
@@ -52,7 +49,6 @@ class FockRep:
 
     def q_number_power(self, c):
         """q^(cD) for c integer or sixth-integer."""
-        c = Fraction(c)
         return OpMatrix.diagonal([q_power(c * n) for n in range(self.dim)], ONE)
 
 
@@ -94,31 +90,35 @@ class FockCopies:
         self.d = d
         self.copies = copies
         self.dim = d ** copies
-        self.states = list(itertools.product(range(d), repeat=copies))
+        self.states = _states(d, copies)
         self.a = [on_copy(k, f.lowering()) for k in range(copies)]
         self.ad = [on_copy(k, f.raising()) for k in range(copies)]
         self.eye = OpMatrix.identity(self.dim, ONE)
         self.h = [tuple(sum(c * n for c, n in zip(cs, state))
                         for state in self.states)
                   for cs in self._H_COEFFS[copies]]
-        self._f = f
 
     def qd(self, *cs):
         """q^(c_1 D_1 + ... + c_k D_k), one exponent per copy."""
-        out = self._f.q_number_power(cs[0])
-        for c in cs[1:]:
-            out = kron(out, self._f.q_number_power(c))
-        return out
+        return OpMatrix.diagonal(
+            [q_power(sum(c * n for c, n in zip(cs, state)))
+             for state in self.states], ONE)
+
+
+def _states(d, copies):
+    """The occupation tuples of `copies` Fock factors of d states, in flat
+    index order (the first copy slowest, as in kron)."""
+    return list(itertools.product(range(d), repeat=copies))
 
 
 def _default_params(algebra, side, family):
     c = q_power(1) - q_power(-1)
     mu = c if side == "chi" else c.inverse()
     if algebra == "a1":
-        return OscParams((c * c).inverse(), [mu], [Fraction(0)])
+        return OscParams((c * c).inverse(), [mu], [0])
     rho = (c * c * c).inverse()
     return OscParams(rho if family == 1 else -rho, [mu, mu],
-                     [Fraction(0)] * 3)
+                     [0] * 3)
 
 
 def _setup(algebra, side, family, d, params):
@@ -182,30 +182,46 @@ def psi_images(algebra, s, s1, s2=0, d=12, family=1, params=None,
 
 # -- automorphisms and the anti-involution -----------------------------------
 
-def osc_automorphism(d, kappa, xi, one=ONE):
-    """Conjugating diagonal realizing a -> kappa a q^(xi D) on d states.
-
-    kappa is any invertible scalar of the target kind (a power of q, or a
-    monomial in the spectral variable on the rational backend); xi must be
-    a sixth-integer.  Returns (S, S^-1) with S diagonal.
+def osc_automorphism(d, kappas, xis, one=ONE):
+    """Conjugating weights (rows, cols) of a_i -> kappa_i a_i q^(xi_i . D)
+    on one or two copies of d states: the image of m is m.scaled(rows,
+    cols).  `kappas` are invertible scalars of the kind of `one`, one per
+    copy; `xis` is the symmetric xi by its upper triangle, (xi,) or
+    (xi11, xi12, xi22), in sixth-integers.  State n gets the row weight
+    prod_i kappa_i^(-n_i) q^(-E(n)) with E(n) = sum_i xi_ii n_i (n_i + 1) / 2
+    + sum_(i<j) xi_ij n_i n_j, and its inverse as column weight.  At xi = 0
+    this is the spectral gauge map.
     """
-    if not kappa:
+    if not all(kappas):
         raise ValueError("kappa must be invertible")
-    xi = Fraction(xi)
-    diag = []
-    inv = []
-    kap_pow = one
-    kap_inv = one
-    kappa_inverse = one / kappa
-    for n in range(d):
-        tri = Fraction(n * (n + 1), 2)
-        diag.append(kap_inv * _lift(q_power(-xi * tri), one))
-        inv.append(kap_pow * _lift(q_power(xi * tri), one))
-        kap_pow = kap_pow * kappa
-        kap_inv = kap_inv * kappa_inverse
-    s = OpMatrix.diagonal(diag, one)
-    s_inv = OpMatrix.diagonal(inv, one)
-    return s, s_inv
+    copies = len(kappas)
+    pairs = [(i, j) for i in range(copies) for j in range(i, copies)]
+    rows = _over_states([_powers(k.inverse(), d, one) for k in kappas])
+    cols = _over_states([_powers(k, d, one) for k in kappas])
+    for idx, n in enumerate(_states(d, copies)):
+        e = sum(x * (n[i] * (n[i] + 1) // 2 if i == j else n[i] * n[j])
+                for x, (i, j) in zip(xis, pairs))
+        if e:
+            rows[idx] = rows[idx] * _lift(q_power(-e), one)
+            cols[idx] = cols[idx] * _lift(q_power(e), one)
+    return rows, cols
+
+
+def _powers(x, d, one):
+    """[1, x, ..., x^(d-1)]."""
+    out = [one]
+    for _ in range(d - 1):
+        out.append(out[-1] * x)
+    return out
+
+
+def _over_states(per_copy):
+    """Weights over the states of len(per_copy) copies, in flat index
+    order: the product over copies i of per_copy[i][n_i]."""
+    out = per_copy[0]
+    for weights in per_copy[1:]:
+        out = [w * x for w in out for x in weights]
+    return list(out)
 
 
 def _lift(v, one):
@@ -213,69 +229,17 @@ def _lift(v, one):
     return v if isinstance(one, QScalar) else one.scale(v)
 
 
-def two_copy_automorphism(d, kappas, xis, one=ONE):
-    """Five-parameter family on two copies: a_i picks up kappa_i and the
-    exponents (xi1 D1 + xi2 D2, xi2 D1 + xi3 D2).  Returns (S, S^-1)."""
-    k1, k2 = kappas
-    xi1, xi2, xi3 = (Fraction(x) for x in xis)
-    if not k1 or not k2:
-        raise ValueError("kappa must be invertible")
-    diag = []
-    inv = []
-    k1_inv = one / k1
-    k2_inv = one / k2
-    for n1 in range(d):
-        for n2 in range(d):
-            expo = (xi1 * Fraction(n1 * (n1 + 1), 2) + xi2 * n1 * n2
-                    + xi3 * Fraction(n2 * (n2 + 1), 2))
-            base = _pow_like(k1_inv, n1, one) * _pow_like(k2_inv, n2, one)
-            diag.append(base * _lift(q_power(-expo), one))
-            baseinv = _pow_like(k1, n1, one) * _pow_like(k2, n2, one)
-            inv.append(baseinv * _lift(q_power(expo), one))
-    return OpMatrix.diagonal(diag, one), OpMatrix.diagonal(inv, one)
-
-
-def _pow_like(x, n, one):
-    out = one
-    for _ in range(n):
-        out = out * x
-    return out
-
-
-def tau_metric(d):
-    """Diagonal g with g_n = prod_{k<=n} (1 - q^(2k)); conjugated transpose
-    by g realizes the anti-involution swapping a and a-dagger."""
-    diag = []
-    acc = ONE
-    for n in range(d):
-        if n > 0:
-            acc = acc * (ONE - q_power(2 * n))
-        diag.append(acc)
-    return OpMatrix.diagonal(diag, ONE)
-
-
 def tau_matrix(m, d, copies=1):
-    """Anti-involution on matrices over the (copies)-fold Fock space;
-    works for any scalar kind by lifting the metric into it."""
-    g = tau_metric(d)
-    for _ in range(copies - 1):
-        g = kron(g, tau_metric(d))
-    g_diag = [g.entry(i, i) for i in range(g.dim)]
-    one = m.one
-    gm = OpMatrix.diagonal([_lift(v, one) for v in g_diag], one)
-    gm_inv = OpMatrix.diagonal([_lift(v.inverse(), one) for v in g_diag], one)
-    return gm_inv * m.transpose() * gm
-
-
-def gamma_scaling(copies, d, s_exponents):
-    """Exponent table of the spectral gauge map: entry (row, col) of a
-    number-conserving operator picks up zeta^(sum_i s_i (row_i - col_i))."""
-    def exponent(row, col):
-        out = 0
-        r, c = row, col
-        for i in range(copies - 1, -1, -1):
-            out += s_exponents[i] * ((r % d) - (c % d))
-            r //= d
-            c //= d
-        return out
-    return exponent
+    """Anti-involution swapping a and a-dagger on matrices over the
+    (copies)-fold Fock space: the transpose conjugated by the metric
+    g_n = prod over copies of prod_(k <= n_i) (1 - q^(2k)), lifted into the
+    scalar kind of m."""
+    if m.dim != d ** copies:
+        raise ValueError("tau on %d copies of %d states needs dimension %d, "
+                         "got %d" % (copies, d, d ** copies, m.dim))
+    metric = [ONE]
+    for n in range(1, d):
+        metric.append(metric[-1] * (ONE - q_power(2 * n)))
+    g = _over_states([metric] * copies)
+    return m.transpose().scaled([_lift(v.inverse(), m.one) for v in g],
+                                [_lift(v, m.one) for v in g])

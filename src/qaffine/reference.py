@@ -22,7 +22,7 @@ from .scalars import QScalar, q_power
 from .series import ZetaSeries, series_exp, lambda_level
 from .rational import ZetaRational
 from .linalg import OpMatrix, Grid, kron
-from .oscillator import FockCopies, two_copy_automorphism
+from .oscillator import FockCopies, osc_automorphism
 
 __all__ = [
     "PrefactorTag", "ReferenceObject", "reference_matrix", "ordered_factors",
@@ -617,9 +617,9 @@ def apply_two_copy_normalization(grid, d):
     """The oscillator-pair rescaling a_i -> q^-1 a_i q^(2 D_i), realized by
     conjugation on the truncated Fock pair, applied entrywise."""
     kappa = ZetaRational.const(q_power(-1))
-    s, s_inv = two_copy_automorphism(d, (kappa, kappa), (2, 0, 2),
-                                     one=ZetaRational.ONE)
-    return grid.map_ops(lambda m: s * m * s_inv)
+    rows, cols = osc_automorphism(d, (kappa, kappa), (2, 0, 2),
+                                  one=ZetaRational.ONE)
+    return grid.map_ops(lambda m: m.scaled(rows, cols))
 
 
 # -- spectral-linear decomposition -------------------------------------------

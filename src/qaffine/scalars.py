@@ -560,6 +560,8 @@ def t_power(k):
 
 def q_power(k):
     """q^k for k integer or Fraction with denominator dividing 6."""
+    if isinstance(k, int):
+        return t_power(6 * k)
     e = Fraction(k) * 6
     if e.denominator != 1:
         raise ValueError("q^(%s) does not live in Q(t) with q = t^6" % (k,))

@@ -20,7 +20,7 @@ from .linalg import (
     OpMatrix, Grid, grid_akp, hat_and_check, embed_legs, kron, fock_window,
     window_product,
 )
-from .oscillator import tau_matrix, gamma_scaling
+from .oscillator import osc_automorphism, tau_matrix
 from .reference import (
     reference_matrix, r0_hat_matrix, decompose_L, grid_inverse,
     scan_linear_exponents, _reflected_inverse,
@@ -408,15 +408,37 @@ def check_double_inversion(algebra, variant, s=1, s1=0, s2=0, d=6):
 
 # -- gauge equivalence ----------------------------------------------------------
 
-def _g_diag_exponents(algebra, s1, s2):
-    if algebra == "a1":
-        return (0, -s1)
-    return (0, -s1, -s1 - s2)
+def _gauge_weights(algebra, s1, s2, var):
+    """Conjugating weights of the gauge diagonal var^(e_a) on the matrix
+    leg, with e = (0, -s1) or (0, -s1, -s1 - s2)."""
+    expos = (0, -s1) if algebra == "a1" else (0, -s1, -s1 - s2)
+    return ([_monomial(var, k) for k in expos],
+            [_monomial(var, -k) for k in expos])
 
 
-def _g_matrix(algebra, s1, s2, var):
-    expos = _g_diag_exponents(algebra, s1, s2)
-    return OpMatrix.diagonal([_monomial(var, k) for k in expos], _Laurent2.ONE)
+def _gamma(d, s_exponents, var):
+    """Conjugating weights of the spectral gauge map on the Fock states of
+    one copy per exponent: operator entry (row, col) picks up
+    var^(sum_i s_i (row_i - col_i))."""
+    k = len(s_exponents)
+    return osc_automorphism(d, [_monomial(var, -x) for x in s_exponents],
+                            (0,) * (k * (k + 1) // 2), one=_Laurent2.ONE)
+
+
+def _gauged(family, algebra, s1, s2, base, d):
+    """The gauge map on the lifted base operator: R is conjugated by the
+    gauge diagonal in u on its first leg and in v on its second; an
+    L-operator by the gauge diagonal on its matrix leg and the spectral
+    gauge map on its d-state Fock copies, one in each variable."""
+    if family == "r":
+        (gu, gu_inv), (gv, gv_inv) = (_gauge_weights(algebra, s1, s2, var)
+                                      for var in "uv")
+        return base.scaled([x * y for x in gu for y in gv],
+                           [x * y for x in gu_inv for y in gv_inv])
+    g_var, gamma_var = ("v", "u") if family == "hat" else ("u", "v")
+    gamma = _gamma(d, (s1,) if algebra == "a1" else (s1, s2), gamma_var)
+    return base.scaled(*_gauge_weights(algebra, s1, s2, g_var)).map_ops(
+        lambda m: m.scaled(*gamma))
 
 
 @_timed
@@ -441,44 +463,12 @@ def check_gauge(family, algebra, s, s1, s2=0):
     lhs, base2 = (_lift(x, "ratio") for x in _cleared(
         lhs_ref.matrix,
         base.matrix.map_values(lambda v: v.subs_power(s), ZetaRational.ONE)))
-    if family == "r":
-        gu = _g_matrix(algebra, s1, s2, "u")
-        gv = _g_matrix(algebra, s1, s2, "v")
-        rhs = kron(gu, gv) * base2 * kron(_g_inverse(gu), _g_inverse(gv))
-        ok = lhs == rhs
-        where = None if ok else {"entry": list(lhs.first_difference(rhs))}
-        return Verdict(name, algebra, variant, exps, ok, where)
-    s_exponents = (s1,) if algebra == "a1" else (s1, s2)
-    if family == "hat":
-        gmat = _g_matrix(algebra, s1, s2, "v")
-        conj = base2.lmul_scalar_matrix(gmat).rmul_scalar_matrix(
-            _g_inverse(gmat))
-        rhs = _apply_gamma(conj, lhs_ref, s_exponents, "u")
-    else:
-        gmat = _g_matrix(algebra, s1, s2, "u")
-        gammaed = _apply_gamma(base2, lhs_ref, s_exponents, "v")
-        rhs = gammaed.lmul_scalar_matrix(gmat).rmul_scalar_matrix(
-            _g_inverse(gmat))
-    ok = lhs == rhs
-    return Verdict(name, algebra, variant, exps, ok,
-                   None if ok else _grid_failure(lhs, rhs))
-
-
-def _g_inverse(g):
-    return OpMatrix.diagonal(
-        [g.entry(i, i).inverse() for i in range(g.dim)], g.one)
-
-
-def _apply_gamma(grid2, ref, s_exponents, var):
-    expo = gamma_scaling(ref.copies, ref.fock_dim, s_exponents)
-
-    def scale_entry(m):
-        out = {}
-        for (i, j), value in m.entries.items():
-            k = expo(i, j)
-            out[(i, j)] = value if k == 0 else value * _monomial(var, k)
-        return OpMatrix(m.dim, out, m.one, _clean=True)
-    return grid2.map_ops(scale_entry)
+    rhs = _gauged(family, algebra, s1, s2, base2, lhs_ref.fock_dim)
+    if lhs == rhs:
+        return Verdict(name, algebra, variant, exps, True)
+    return Verdict(name, algebra, variant, exps, False,
+                   {"entry": list(lhs.first_difference(rhs))}
+                   if family == "r" else _grid_failure(lhs, rhs))
 
 
 # -- spectral-linear structure --------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from qaffine.scalars import QScalar, q_power, qint
 from qaffine.series import ZetaSeries, lambda_level, series_log
 from qaffine.rational import ZetaRational
-from qaffine.linalg import OpMatrix, Grid, perm_operator, kron
+from qaffine.linalg import OpMatrix, Grid, perm_operator, kron, fock_window
 from qaffine.qgroup import phi_zeta, dynkin_twist, check_defining_relations
 from qaffine.oscillator import fock_rep, chi_images, psi_images
 from qaffine.engine import EngineParams, assemble
@@ -74,11 +74,8 @@ def test_criterion_3_engine_equality_a2():
     normalized = apply_two_copy_normalization(inv, d)
     printed = reference_matrix("l", "a2", "check-inv", 1, 0, 0, d=d)
 
-    def window(grid):
-        keep = lambda i: (i % d) <= d - 3 and (i // d) % d <= d - 3
-        return grid.restrict(keep)
-
-    assert window(normalized) == window(printed.matrix)
+    keep = fock_window(d, 2, 2)
+    assert normalized.restrict(keep) == printed.matrix.restrict(keep)
     hat2 = reference_matrix("l", "a2", "hat-2", 1, 0, 0, d=d)
     inv2 = reference_matrix("l", "a2", "hat-2-inv", 1, 0, 0, d=d)
     back = inv2.matrix.map_values(lambda v: v.subs_power(-1), ZR1_ONE)

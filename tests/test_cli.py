@@ -188,6 +188,32 @@ def test_cli_rejects_flags_that_would_be_ignored(flags, named, capsys):
     assert named in capsys.readouterr().err
 
 
+_OSC = ["compute", "l", "--side", "phi-psi", "--backend", "series",
+        "--order", "2", "--fock", "3"]
+
+
+@pytest.mark.parametrize("algebra, rho, mu, nu, named", [
+    # a zero denominator in any of the three
+    ("a1", "(1)/(0)", "(1)/(1)", "0", "--osc-rho"),
+    ("a1", "(1)/(1)", "(1)/(0)", "0", "--osc-mu"),
+    ("a1", "(1)/(1)", "(1)/(1)", "1/0", "--osc-nu"),
+    ("a2", "(1)/(1)", "(1)/(1),(1)/(0)", "0,0,0", "--osc-mu"),
+    ("a2", "(1)/(1)", "(1)/(1),(1)/(1)", "0,1/0,0", "--osc-nu"),
+    # a1 takes one mu and one nu, a2 two mu and three nu
+    ("a1", "(1)/(1)", "(1)/(1),(1)/(1)", "0", "--osc-mu"),
+    ("a1", "(1)/(1)", "(1)/(1)", "0,0,0", "--osc-nu"),
+    ("a2", "(1)/(1)", "(1)/(1)", "0,0,0", "--osc-mu"),
+    ("a2", "(1)/(1)", "(1)/(1),(1)/(1)", "0", "--osc-nu"),
+    ("a2", "(1)/(1),(1)/(1)", "(1)/(1),(1)/(1)", "0,0,0", "--osc-rho"),
+])
+def test_cli_rejects_unusable_oscillator_parameters(algebra, rho, mu, nu,
+                                                    named, capsys):
+    assert main(_OSC + ["--algebra", algebra, "--osc-rho", rho, "--osc-mu",
+                        mu, "--osc-nu", nu]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 @pytest.mark.parametrize("flag", ["--s", "--s1", "--s2"])
 def test_cli_verify_rejects_exponent_flags(flag, capsys):
     # verify runs a fixed catalog of exponents, so the flags have no effect

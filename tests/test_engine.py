@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from fractions import Fraction
 
@@ -29,13 +30,7 @@ def u3(a, b):
 
 
 def windowed(mat, d, kmax, copies=1):
-    def keep(i):
-        for _ in range(copies):
-            if i % d > kmax:
-                return False
-            i //= d
-        return True
-    return mat.restrict(keep)
+    return mat.restrict(fock_window(d, copies, d - 1 - kmax))
 
 def test_a1_phi_real_and_imaginary_vectors():
     s, s1 = 3, 1
@@ -442,12 +437,43 @@ def test_imaginary_factor_matches_series_exp(algebra, kw):
     for x in range(left.dim):
         for y in range(right.dim):
             diff = _argument_at(etab, ftab, params, x, y) - a0
-            got = factor.entry(x * right.dim + y, x * right.dim + y)
+            got = factor[x * right.dim + y]
             assert got == series_exp(diff), (x, y)
             if x in reported_left and y in reported_right:
                 assert engine._closed_exp(diff) == got, (x, y)
                 closed += 1
     assert closed
+
+
+@pytest.mark.parametrize("algebra, kw", [
+    pytest.param("a1", dict(order=3, left="chi", fock_dim=4), id="a1-hat"),
+    pytest.param("a2", dict(order=2, right="psi", fock_dim=3),
+                 id="a2-check-1"),
+])
+def test_engine_column_weights_match_products_with_diagonals(algebra, kw):
+    # assemble applies the imaginary and Cartan factors as column weights;
+    # each must equal the product with the diagonal matrix of the weights
+    params = EngineParams(algebra, 1, 0, 0, **kw)
+    left, right, etab, ftab = _imaginary_inputs(params)
+    order, dim = params.order, left.dim * right.dim
+    _, imag = engine._imaginary_factor(etab, ftab, params, left.dim,
+                                       right.dim, order)
+    cartan = engine._k_factor(left, right, params, order)
+    one = ZetaSeries.one(order)
+    rng = random.Random(5)
+    acc = OpMatrix(dim, {(rng.randrange(dim), rng.randrange(dim)):
+                         ZetaSeries({0: q_power(rng.randint(-2, 2)),
+                                     rng.randint(1, order): ONE}, order)
+                         for _ in range(3 * dim)}, one)
+    for weights in (imag, cartan):
+        assert len(weights) == dim
+        assert acc.scaled(cols=weights) == \
+            acc * OpMatrix.diagonal(weights, one)
+    # no imaginary root within the order: no factor at all
+    bare = EngineParams(algebra, 1, 0, 0, **dict(kw, order=0))
+    left, right, etab, ftab = _imaginary_inputs(bare)
+    assert engine._imaginary_factor(etab, ftab, bare, left.dim, right.dim,
+                                    0)[1] is None
 
 
 def test_imaginary_exp_counter_counts_closed_forms_and_fallbacks(

@@ -13,6 +13,9 @@
   are printed, never in the integer kernel.
 * In verify.py, the two-variable ring `_Laurent2` is integer-only: no
   method but `__str__` names `QScalar` or `Fraction`.
+* `OpMatrix.diagonal` builds only operators that are factors of the
+  transcribed formulas; a diagonal conjugation or diagonal factor is applied
+  with `scaled`, never as a product with a diagonal matrix.
 """
 
 import ast
@@ -119,3 +122,25 @@ def test_two_variable_ring_is_integer_only():
                     or getattr(node, "attr", None) in ("QScalar",
                                                        "Fraction")})
     assert found == ["__str__"]
+
+
+def test_diagonal_matrices_only_where_they_are_operators():
+    allowed = {"oscillator.FockRep", "oscillator.FockCopies.qd",
+               "qgroup.GeneratorImage.h_mat", "qgroup.GeneratorImage.q_power_h",
+               "reference._geom_inv", "engine.check_normalization_constants"}
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = where + (node.name,)
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "diagonal"):
+            found.add(".".join(where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    for path, tree in _modules():
+        visit(tree, (path.stem,))
+    assert "oscillator.FockCopies.qd" in found
+    assert [w for w in sorted(found)
+            if not any(w == a or w.startswith(a + ".") for a in allowed)] == []

@@ -175,3 +175,31 @@ def test_mixed_scalar_kinds_rejected():
         kron(a, b)
     with pytest.raises(TypeError):
         a * b
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scaled_is_the_product_with_diagonal_matrices(seed):
+    rng = random.Random(seed)
+    dim = rng.choice((2, 3, 4))
+    weights = lambda: [q_power(rng.randint(-2, 2)).scale(rng.randint(0, 2))
+                       for _ in range(dim)]
+    rows, cols = weights(), weights()
+    diag = lambda w: OpMatrix.diagonal(w, ONE)
+    m = rand_matrix(rng, dim)
+    assert m.scaled(rows, cols) == diag(rows) * m * diag(cols)
+    assert m.scaled(rows) == diag(rows) * m
+    assert m.scaled(cols=cols) == m * diag(cols)
+    assert m.scaled() == m
+    # a zero weight drops its row or column, and no zero is stored
+    assert all(m.scaled(rows, cols).entries.values())
+    g = rand_grid(rng, dim, 3)
+    assert g.scaled(rows, cols) == \
+        g.lmul_scalar_matrix(diag(rows)).rmul_scalar_matrix(diag(cols))
+    assert all(g.scaled(rows, cols).entries.values())
+    for bad in (rows[1:], rows + rows):
+        with pytest.raises(ValueError):
+            m.scaled(bad)
+        with pytest.raises(ValueError):
+            m.scaled(cols=bad)
+        with pytest.raises(ValueError):
+            g.scaled(bad)

@@ -6,11 +6,13 @@ import pytest
 
 from qaffine.scalars import QScalar, q_power
 from qaffine.linalg import OpMatrix, kron
+from qaffine.rational import ZetaRational
 from qaffine.qgroup import check_defining_relations
 from qaffine.oscillator import (
-    FockRep, fock_rep, chi_images, psi_images, osc_automorphism,
-    two_copy_automorphism, tau_matrix, gamma_scaling, OscParams,
+    FockRep, fock_rep, chi_images, psi_images, osc_automorphism, tau_matrix,
+    OscParams, FockCopies,
 )
+from qaffine.verify import _gamma, _monomial
 
 ONE = QScalar.ONE
 D = 8
@@ -106,9 +108,9 @@ def test_parameter_freedom_is_an_automorphism_orbit():
     shifted = chi_images("a1", 1, 0, d=d,
                          params=OscParams((c * c).inverse(), [c * kappa],
                                           [Fraction(xi)]))
-    s, s_inv = osc_automorphism(d, kappa, xi)
+    rows, cols = osc_automorphism(d, (kappa,), (xi,))
     for i in (0, 1):
-        assert s * base.e_mats[i] * s_inv == shifted.e_mats[i]
+        assert base.e_mats[i].scaled(rows, cols) == shifted.e_mats[i]
     assert check_defining_relations(shifted) == []
 
 
@@ -120,13 +122,13 @@ def test_two_copy_automorphism_consistency():
     a2 = kron(eye, f.lowering())
     k1, k2 = q_power(1), q_power(-2)
     xi1, xi2, xi3 = 2, 4, 6
-    s, s_inv = two_copy_automorphism(d, (k1, k2), (xi1, xi2, xi3))
+    rows, cols = osc_automorphism(d, (k1, k2), (xi1, xi2, xi3))
     qd = lambda c1, c2: kron(f.q_number_power(c1), f.q_number_power(c2))
-    assert s * a1 * s_inv == (a1 * qd(xi1, xi2)).scale(k1)
-    assert s * a2 * s_inv == (a2 * qd(xi2, xi3)).scale(k2)
+    assert a1.scaled(rows, cols) == (a1 * qd(xi1, xi2)).scale(k1)
+    assert a2.scaled(rows, cols) == (a2 * qd(xi2, xi3)).scale(k2)
     # D_i are fixed
     d1 = kron(f.number(), eye)
-    assert s * d1 * s_inv == d1
+    assert d1.scaled(rows, cols) == d1
 
 
 def test_tau_is_an_anti_involution_swapping_ladder_ops():
@@ -149,14 +151,134 @@ def test_tau_is_an_anti_involution_swapping_ladder_ops():
 
 
 def test_gamma_scaling_exponents():
-    expo = gamma_scaling(2, 4, (2, 3))
+    rows, cols = _gamma(4, (2, 3), "u")
+    weight = lambda r, c: rows[r] * cols[c]
     # raising copy 1: row - col = (1, 0) -> exponent 2
-    assert expo(1 * 4 + 0, 0) == 2
+    assert weight(1 * 4 + 0, 0) == _monomial("u", 2)
     # lowering copy 2: exponent -3
-    assert expo(0, 1) == -3
-    assert expo(5, 5) == 0
+    assert weight(0, 1) == _monomial("u", -3)
+    assert weight(5, 5) == _monomial("u", 0)
 
 
 def test_zero_kappa_rejected():
     with pytest.raises(ValueError):
-        osc_automorphism(4, QScalar.ZERO, 0)
+        osc_automorphism(4, (QScalar.ZERO,), (0,))
+
+
+# -- the diagonal maps against products with explicit diagonal matrices ------
+
+def _tri(n):
+    return n * (n + 1) // 2
+
+
+def _lift(one):
+    """Q(t) into the scalar kind of `one`."""
+    return (lambda v: v) if isinstance(one, QScalar) else one.scale
+
+
+def _rand_op(rng, dim, one):
+    return OpMatrix(dim, {(rng.randrange(dim), rng.randrange(dim)):
+                          _lift(one)(q_power(rng.randint(-2, 2)))
+                          for _ in range(2 * dim)}, one)
+
+
+@pytest.mark.parametrize("kappas, xis, one", [
+    ((q_power(2),), (2,), ONE),
+    ((q_power(-1),), (Fraction(1, 3),), ONE),
+    ((ZetaRational.monomial(1, q_power(1)),), (1,), ZetaRational.ONE),
+    ((q_power(1), q_power(-2)), (2, 4, 6), ONE),
+    ((ZetaRational.const(q_power(-1)),) * 2, (2, 0, 2), ZetaRational.ONE),
+    ((ZetaRational.monomial(2), ZetaRational.monomial(-1, q_power(1))),
+     (1, -1, 3), ZetaRational.ONE),
+])
+def test_automorphism_weights_match_diagonal_conjugation(kappas, xis, one):
+    # S m S^-1 with S = prod_i kappa_i^(-D_i) q^(-E(D)), built as diagonal
+    # matrices from the formula: kron of per-copy powers, then the q-power
+    d = 3
+    copies = len(kappas)
+    lift = _lift(one)
+
+    def kappa_diag(k):
+        out = []
+        for n in range(d):
+            out.append(out[-1] * k if out else one)
+        return OpMatrix.diagonal(out, one)
+    s = OpMatrix.identity(1, one)
+    s_inv = OpMatrix.identity(1, one)
+    for k in kappas:
+        s = kron(s, kappa_diag(k.inverse()))
+        s_inv = kron(s_inv, kappa_diag(k))
+    if copies == 1:
+        expo = [xis[0] * _tri(n) for n in range(d)]
+    else:
+        expo = [xis[0] * _tri(n1) + xis[1] * n1 * n2 + xis[2] * _tri(n2)
+                for n1 in range(d) for n2 in range(d)]
+    s = s * OpMatrix.diagonal([lift(q_power(-e)) for e in expo], one)
+    s_inv = OpMatrix.diagonal([lift(q_power(e)) for e in expo], one) * s_inv
+    assert s * s_inv == OpMatrix.identity(d ** copies, one)
+    rows, cols = osc_automorphism(d, kappas, xis, one=one)
+    rng = random.Random(7)
+    for _ in range(3):
+        m = _rand_op(rng, d ** copies, one)
+        assert m.scaled(rows, cols) == s * m * s_inv
+    with pytest.raises(ValueError):
+        OpMatrix.identity(d ** copies + 1, one).scaled(rows, cols)
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("one", [ONE, ZetaRational.ONE], ids=["q", "zeta"])
+def test_tau_matches_metric_conjugated_transpose(copies, one):
+    # G^-1 m^T G with G the kron of the per-copy metric diagonals
+    d = 4
+    lift = _lift(one)
+    per_copy = []
+    acc = ONE
+    for n in range(d):
+        if n:
+            acc = acc * (ONE - q_power(2 * n))
+        per_copy.append(acc)
+    g = OpMatrix.identity(1, ONE)
+    for _ in range(copies):
+        g = kron(g, OpMatrix.diagonal(per_copy, ONE))
+    gm = g.map_values(lift, one)
+    gm_inv = g.map_values(lambda v: lift(v.inverse()), one)
+    rng = random.Random(11)
+    for _ in range(3):
+        m = _rand_op(rng, d ** copies, one)
+        assert tau_matrix(m, d, copies) == gm_inv * m.transpose() * gm
+    with pytest.raises(ValueError, match="tau on 2 copies of 4 states"):
+        tau_matrix(OpMatrix.identity(d, one), d, 2)
+
+
+@pytest.mark.parametrize("s_exponents", [(2,), (-1,), (2, 3), (-1, 2)])
+def test_gamma_matches_diagonal_conjugation(s_exponents):
+    # Gamma m Gamma^-1 with Gamma = diag(u^(s . n)) over the Fock states
+    d = 3
+    copies = len(s_exponents)
+    one = _monomial("u", 0)
+    states = FockCopies(d, copies).states
+    gam = OpMatrix.diagonal(
+        [_monomial("u", sum(s * n for s, n in zip(s_exponents, st)))
+         for st in states], one)
+    gam_inv = OpMatrix.diagonal(
+        [_monomial("u", -sum(s * n for s, n in zip(s_exponents, st)))
+         for st in states], one)
+    rows, cols = _gamma(d, s_exponents, "u")
+    rng = random.Random(3)
+    for _ in range(3):
+        m = OpMatrix(d ** copies,
+                     {(rng.randrange(d ** copies), rng.randrange(d ** copies)):
+                      _monomial("v", rng.randint(-2, 2))
+                      for _ in range(2 * d ** copies)}, one)
+        assert m.scaled(rows, cols) == gam * m * gam_inv
+
+
+@pytest.mark.parametrize("cs", [(2,), (-1,), (Fraction(1, 3),), (1, -2),
+                                (Fraction(-1, 2), 3), (0, 0)])
+def test_qd_matches_kron_of_per_copy_powers(cs):
+    d = 4
+    f = fock_rep(d)
+    expect = f.q_number_power(cs[0])
+    for c in cs[1:]:
+        expect = kron(expect, f.q_number_power(c))
+    assert FockCopies(d, len(cs)).qd(*cs) == expect

@@ -28,6 +28,9 @@ def test_q_is_t6():
     assert q_power(Fraction(1, 3)) == t_power(2)
     assert q_power(Fraction(2, 3)) == t_power(4)
     assert q_power(Fraction(1, 6)) == t_power(1)
+    # an int exponent skips Fraction and agrees with the Fraction path
+    for k in range(-4, 5):
+        assert q_power(k) == q_power(Fraction(k)) == t_power(6 * k)
     with pytest.raises(ValueError):
         q_power(Fraction(1, 4))
 

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from qaffine import reference, verify
-from qaffine.linalg import OpMatrix, Grid, grid_akp, hat_and_check, fock_window
+from qaffine.linalg import (
+    OpMatrix, Grid, grid_akp, hat_and_check, fock_window, kron,
+)
 from qaffine.rational import ZetaRational
 from qaffine.reference import reference_matrix
 from qaffine.scalars import parse_qscalar, q_power
@@ -144,6 +146,52 @@ def test_gauge_tag_mismatch_fails_the_verdict(family, monkeypatch):
     v = check_gauge(family, "a1", s=2, s1=1)
     assert v.passed is False
     assert v.first_failure == {"detail": "prefactor tag mismatch"}
+
+
+@pytest.mark.parametrize("family", ["r", "hat", "check"])
+@pytest.mark.parametrize("algebra, s1, s2", [
+    ("a1", 1, 0), ("a1", -2, 0), ("a2", 1, 0), ("a2", -1, 2),
+])
+def test_gauge_map_matches_products_with_diagonal_matrices(family, algebra,
+                                                           s1, s2):
+    # the gauge diagonals G_var = diag(var^(e_a)) and the spectral gauge
+    # map Gamma_var = diag(var^(s . n)) on the Fock states, built as
+    # matrices with their inverses, applied by matrix products
+    d, s = 3, 2
+    one = verify._Laurent2.ONE
+    mono = verify._monomial
+    expos = (0, -s1) if algebra == "a1" else (0, -s1, -s1 - s2)
+
+    def gauge(var, sign):
+        return OpMatrix.diagonal([mono(var, sign * e) for e in expos], one)
+    kind = "r" if family == "r" else "l"
+    variant = "plain" if family == "r" else family + (
+        "" if algebra == "a1" else "-1")
+    ref = reference_matrix(kind, algebra, variant, 1, 0, 0, d=d)
+    base, = verify._cleared(ref.matrix.map_values(
+        lambda v: v.subs_power(s), ZetaRational.ONE))
+    base = verify._lift(base, "ratio")
+    got = verify._gauged(family, algebra, s1, s2, base, d)
+    if family == "r":
+        expect = (kron(gauge("u", 1), gauge("v", 1)) * base
+                  * kron(gauge("u", -1), gauge("v", -1)))
+        assert got == expect
+        return
+    s_exps = (s1,) if algebra == "a1" else (s1, s2)
+    states = reference.FockCopies(d, len(s_exps)).states
+
+    def gamma(var, sign):
+        return OpMatrix.diagonal(
+            [mono(var, sign * sum(a * n for a, n in zip(s_exps, st)))
+             for st in states], one)
+    g_var, gamma_var = ("v", "u") if family == "hat" else ("u", "v")
+    conj = base.lmul_scalar_matrix(gauge(g_var, 1)).rmul_scalar_matrix(
+        gauge(g_var, -1))
+    expect = conj.map_ops(
+        lambda m: gamma(gamma_var, 1) * m * gamma(gamma_var, -1))
+    assert got == expect
+    with pytest.raises(ValueError):
+        base.scaled(rows=[one] * (base.n + 1))
 
 
 # -- the exchange relation computed on the Fock window alone ------------------
