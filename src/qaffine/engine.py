@@ -12,16 +12,17 @@ All arithmetic is exact truncated series in the ratio of the two spectral
 parameters; the left leg carries positive powers and the right leg the
 matching negative ones, so only the ratio survives.  Oscillator legs are
 built on an internally padded Fock space so that every reported matrix
-element is free of truncation noise.
+element is free of truncation noise.  The product starts from the identity
+on the reported rows, since E_R (M_1 ... M_k) = (E_R M_1) M_2 ... M_k, so
+every factor is multiplied on those rows alone; the columns are cut at the
+end.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .scalars import (
-    QScalar, q_power, qint, qnum_base, _ONE_POLY, _p_add, _p_neg, _p_shift,
-)
+from .scalars import QScalar, q_power, qint, qnum_base
 from .series import ZetaSeries, series_exp, series_log
 from .linalg import OpMatrix, kron, fock_window, _flat, _unflat
 from .rootsys import (
@@ -312,25 +313,21 @@ def _q_exponential_factor(e_op, f_op, pairing, order, dim_l, dim_r):
     return _series_matrix(terms, dim, order)
 
 
-# closed-form and series_exp fallback counts of `_imaginary_factor`, one
-# per distinct exponential computed
-IMAG_EXP_COUNTS = {"closed": 0, "fallback": 0}
-
-
-def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order):
-    """Returns (scalar prefactor series, per-state weights of the diagonal
-    factor, or None when it is the identity).
+def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order,
+                      cols):
+    """Returns (scalar prefactor series, weights of the diagonal factor on
+    the columns `cols`, or None when it is the identity).
 
     The imaginary root vectors are diagonal on every leg, so the argument
     a of the exponential is diagonal too.  At state (x, y) its level-m
     coefficient is the bilinear form sum_j G_mj(x) f_jm(y), with
     G_mj(x) = sum_i (q - q^-1) u_m[i][j] e_im(x), read off the leg
     eigenvalues e_im(x) and f_jm(y): G once per distinct left tuple, and
-    one exponential per distinct pair of tuples.  The exponential is split
-    as exp(a_00) * diag(exp(a_xy - a_00)); the common scalar multiplies the
-    assembled product once at the very end.  Each ratio is taken in the
-    product form of `_closed_exp` when its exponent is a power sum, which
-    it is on every reported state, and by `series_exp` otherwise.
+    one `series_exp` per distinct pair of tuples among `cols`.  The
+    exponential is split as exp(a_00) * diag(exp(a_xy - a_00)); the common
+    scalar multiplies the assembled product once at the very end.  The
+    weight list has length dim_l * dim_r and holds None at every column
+    outside `cols`, which the caller's matrix does not have.
     """
     um = u_matrices(params.algebra, params.m_max)
     rank = finite_cartan(params.algebra).rank
@@ -359,26 +356,20 @@ def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order):
         return [sum((a * b for a, b in zip(gl, fl)), ZERO)
                 for gl, fl in zip(g, f)]
 
-    forms = [form(key) for key in left_keys]
+    forms = {lid: form(left_keys[lid])
+             for lid in {0} | {left_ids[col // dim_r] for col in cols}}
     arg0 = pair(forms[0], right_keys[0])
     cache = {}
-    out = []
-    for x, lid in enumerate(left_ids):
-        for y, rid in enumerate(right_ids):
-            got = cache.get((lid, rid))
-            if got is None:
-                diff = ZetaSeries(
-                    {z: a - b for z, a, b in
-                     zip(zexps, pair(forms[lid], right_keys[rid]), arg0)},
-                    order)
-                got = _closed_exp(diff)
-                if got is None:
-                    IMAG_EXP_COUNTS["fallback"] += 1
-                    got = series_exp(diff)
-                else:
-                    IMAG_EXP_COUNTS["closed"] += 1
-                cache[(lid, rid)] = got
-            out.append(got)
+    out = [None] * (dim_l * dim_r)
+    for col in cols:
+        x, y = divmod(col, dim_r)
+        lid, rid = left_ids[x], right_ids[y]
+        if (lid, rid) not in cache:
+            cache[(lid, rid)] = series_exp(ZetaSeries(
+                {z: a - b for z, a, b in
+                 zip(zexps, pair(forms[lid], right_keys[rid]), arg0)},
+                order))
+        out[col] = cache[(lid, rid)]
     prefactor = series_exp(ZetaSeries(dict(zip(zexps, arg0)), order))
     return prefactor, out
 
@@ -394,46 +385,6 @@ def _leg_spectrum(level_ops, dim):
                                   for level in diags), len(index))
            for x in range(dim)]
     return ids, list(index)
-
-
-def _closed_exp(f):
-    """exp(f) in product form, or None when f is not of that shape.
-
-    With s the lowest degree of f, the shape is f = sum_n p_n z^(ns) / n
-    with power sums p_n = sum_k c_k lam_k^n, where the c_k are integers and
-    the lam_k monomials in t, read off p_1 = f_s.  Every p_n up to the
-    truncation order is checked exactly, and then
-    exp(f) = prod_k (1 - lam_k z^s)^(-c_k), which has integer coefficients.
-    """
-    if not f:
-        return ZetaSeries.one(f.order)
-    s = min(f.coeffs)
-    if s < 1:
-        return None
-    lead = f.coeffs[s]
-    top = f.order // s
-    if lead.den is not _ONE_POLY or len(f.coeffs) != top:
-        return None
-    for n in range(2, top + 1):
-        c = f.coeffs.get(n * s)
-        if c is None:
-            return None
-        c = c.scale(n)
-        if c.den is not _ONE_POLY or \
-                c.num != {a * n: v for a, v in lead.num.items()}:
-            return None
-    # multiply by (1 - t^a w)^(-c) one linear factor at a time, w = z^s
-    ws = [_ONE_POLY] + [{}] * top
-    for a, c in lead.num.items():
-        for _ in range(abs(c)):
-            if c > 0:
-                for n in range(1, top + 1):
-                    ws[n] = _p_add(ws[n], _p_shift(ws[n - 1], a))
-            else:
-                for n in range(top, 0, -1):
-                    ws[n] = _p_add(ws[n], _p_neg(_p_shift(ws[n - 1], a)))
-    return ZetaSeries({n * s: QScalar(p, _ONE_POLY, _canonical=True)
-                       for n, p in enumerate(ws) if p}, f.order, 0)
 
 
 def _k_factor(left_image, right_image, params, order):
@@ -502,14 +453,23 @@ def assemble(params, grouped_real_order=False, split_prefactor=False):
     if grouped_real_order:
         roots = _group_families(roots, params.algebra)
     dim_l, dim_r = left.dim, right.dim
+    lm = _leg_map(left, params.left, params)
+    rm = _leg_map(right, params.right, params)
+    # start from the reported rows only, E_R (M_1 ... M_k) =
+    # (E_R M_1) M_2 ... M_k, so that every product skips the other rows
     prefactor = ZetaSeries.one(order)
-    acc = OpMatrix.identity(dim_l * dim_r, prefactor)
+    acc = OpMatrix(dim_l * dim_r, {(r, r): prefactor for r in
+                                   (x * dim_r + y for x in lm for y in rm)},
+                   prefactor, _clean=True)
     imag_done = False
     for root in roots:
         if root.kind == "imaginary":
+            # the whole imaginary block at once; without imaginary roots
+            # (m_max = 0) the factor is the identity
             if not imag_done:
-                prefactor, factor = _imaginary_factor(etab, ftab, params,
-                                                      dim_l, dim_r, order)
+                prefactor, factor = _imaginary_factor(
+                    etab, ftab, params, dim_l, dim_r, order,
+                    {j for _, j in acc.entries})
                 acc = acc.scaled(cols=factor)
                 imag_done = True
             continue
@@ -522,12 +482,8 @@ def assemble(params, grouped_real_order=False, split_prefactor=False):
         n_part = _q_exponential_factor(e, f, 2, order, dim_l, dim_r)
         if n_part:
             acc = acc + acc * n_part
-    if not imag_done:
-        prefactor, factor = _imaginary_factor(etab, ftab, params, dim_l,
-                                              dim_r, order)
-        acc = acc.scaled(cols=factor)
     acc = acc.scaled(cols=_k_factor(left, right, params, order))
-    acc = _restrict_output(acc, params, left, right)
+    acc = _restrict_output(acc, lm, rm, dim_r)
     if split_prefactor:
         return prefactor, acc
     if prefactor != ZetaSeries.one(order):
@@ -549,28 +505,26 @@ def _group_families(roots, algebra):
     return plus_g + imag + minus_g
 
 
-def _restrict_output(mat, params, left, right):
-    """Cut the oscillator legs from the internal Fock dimension back to the
-    reported one."""
-    d_out = params.fock_dim
-    d_int = params.internal_fock_dim
+def _leg_map(image, kind, params):
+    """Reported index of each reported state of one leg, keyed by its
+    internal index: the oscillator legs are cut from the internal Fock
+    dimension back to the reported one."""
+    if kind == "phi":
+        return {i: i for i in range(image.dim)}
+    d_int, d_out = params.internal_fock_dim, params.fock_dim
+    window = fock_window(d_int, image.copies, d_int - d_out)
+    return {idx: _flat(_unflat(idx, [d_int] * image.copies),
+                       [d_out] * image.copies)
+            for idx in range(image.dim) if window(idx)}
 
-    def leg_map(image, kind):
-        # reported index of each kept state of one leg
-        if kind == "phi":
-            return {i: i for i in range(image.dim)}
-        dims_int = [d_int] * image.copies
-        dims_out = [d_out] * image.copies
-        window = fock_window(d_int, image.copies, d_int - d_out)
-        return {idx: _flat(_unflat(idx, dims_int), dims_out)
-                for idx in range(image.dim) if window(idx)}
 
-    lm = leg_map(left, params.left)
-    rm = leg_map(right, params.right)
+def _restrict_output(mat, lm, rm, dim_r):
+    """The entries of `mat` between reported states, reindexed by the leg
+    maps `lm` and `rm` of `_leg_map`."""
     out = {}
     for (r, c), v in mat.entries.items():
-        l1, r1 = divmod(r, right.dim)
-        l2, r2 = divmod(c, right.dim)
+        l1, r1 = divmod(r, dim_r)
+        l2, r2 = divmod(c, dim_r)
         if l1 in lm and l2 in lm and r1 in rm and r2 in rm:
             out[(lm[l1] * len(rm) + rm[r1], lm[l2] * len(rm) + rm[r2])] = v
     return OpMatrix(len(lm) * len(rm), out, mat.one, _clean=True)

@@ -421,28 +421,32 @@ _IMAGINARY_CASES = [
 ]
 
 
+def _reported_columns(left, right, params):
+    # the reported window of the product, as flat column indices
+    return {x * right.dim + y
+            for x in _reported_states(left, params.left, params)
+            for y in _reported_states(right, params.right, params)}
+
+
 @pytest.mark.parametrize("algebra, kw", _IMAGINARY_CASES)
 def test_imaginary_factor_matches_series_exp(algebra, kw):
-    # every diagonal ratio against series_exp of the argument summed from
-    # its definition; inside the reported window each takes the closed form
+    # every diagonal ratio of the reported window against series_exp of the
+    # argument summed from its definition; no other column gets a weight
     params = EngineParams(algebra, 1, 0, 0, **kw)
     left, right, etab, ftab = _imaginary_inputs(params)
+    cols = _reported_columns(left, right, params)
     prefactor, factor = engine._imaginary_factor(
-        etab, ftab, params, left.dim, right.dim, params.order)
+        etab, ftab, params, left.dim, right.dim, params.order, cols)
     a0 = _argument_at(etab, ftab, params, 0, 0)
     assert prefactor == series_exp(a0)
-    reported_left = set(_reported_states(left, params.left, params))
-    reported_right = set(_reported_states(right, params.right, params))
-    closed = 0
-    for x in range(left.dim):
-        for y in range(right.dim):
-            diff = _argument_at(etab, ftab, params, x, y) - a0
-            got = factor[x * right.dim + y]
-            assert got == series_exp(diff), (x, y)
-            if x in reported_left and y in reported_right:
-                assert engine._closed_exp(diff) == got, (x, y)
-                closed += 1
-    assert closed
+    assert cols and len(factor) == left.dim * right.dim
+    for col, got in enumerate(factor):
+        if col not in cols:
+            assert got is None, col
+            continue
+        x, y = divmod(col, right.dim)
+        diff = _argument_at(etab, ftab, params, x, y) - a0
+        assert got == series_exp(diff), (x, y)
 
 
 @pytest.mark.parametrize("algebra, kw", [
@@ -456,12 +460,13 @@ def test_engine_column_weights_match_products_with_diagonals(algebra, kw):
     params = EngineParams(algebra, 1, 0, 0, **kw)
     left, right, etab, ftab = _imaginary_inputs(params)
     order, dim = params.order, left.dim * right.dim
+    cols = sorted(_reported_columns(left, right, params))
     _, imag = engine._imaginary_factor(etab, ftab, params, left.dim,
-                                       right.dim, order)
+                                       right.dim, order, set(cols))
     cartan = engine._k_factor(left, right, params, order)
     one = ZetaSeries.one(order)
     rng = random.Random(5)
-    acc = OpMatrix(dim, {(rng.randrange(dim), rng.randrange(dim)):
+    acc = OpMatrix(dim, {(rng.randrange(dim), rng.choice(cols)):
                          ZetaSeries({0: q_power(rng.randint(-2, 2)),
                                      rng.randint(1, order): ONE}, order)
                          for _ in range(3 * dim)}, one)
@@ -473,54 +478,15 @@ def test_engine_column_weights_match_products_with_diagonals(algebra, kw):
     bare = EngineParams(algebra, 1, 0, 0, **dict(kw, order=0))
     left, right, etab, ftab = _imaginary_inputs(bare)
     assert engine._imaginary_factor(etab, ftab, bare, left.dim, right.dim,
-                                    0)[1] is None
+                                    0, set(cols))[1] is None
 
 
-def test_imaginary_exp_counter_counts_closed_forms_and_fallbacks(
-        monkeypatch):
-    # a1 hat at order 5 on 13 internal Fock states: two distinct ratios in
-    # closed form, and four, on the two top padded levels, by series_exp
-    counts = {"closed": 0, "fallback": 0}
-    monkeypatch.setattr(engine, "IMAG_EXP_COUNTS", counts)
-    params = EngineParams("a1", 1, 0, order=5, left="chi", fock_dim=7)
-    left, right, etab, ftab = _imaginary_inputs(params)
-    engine._imaginary_factor(etab, ftab, params, left.dim, right.dim, 5)
-    assert counts == {"closed": 2, "fallback": 4}
-
-
-def _series(coeffs, order=6):
-    return ZetaSeries({d: c if isinstance(c, QScalar)
-                       else QScalar.from_fraction(c)
-                       for d, c in coeffs.items()}, order)
-
-
-def test_closed_exp_takes_products_of_linear_factors():
+def test_series_exp_takes_products_of_linear_factors():
     lam = q_power(-2)
     # log((1 - z^2) / (1 - q^-2 z^2)): power sums q^-2m - 1 at z^(2m)
-    f = _series({2 * m: (lam ** m - ONE).scale(Fraction(1, m))
-                 for m in range(1, 4)})
+    f = ZetaSeries({2 * m: (lam ** m - ONE).scale(Fraction(1, m))
+                    for m in range(1, 4)}, 6)
     want = (ZetaSeries({0: ONE, 2: -ONE}, 6)
             * ZetaSeries({0: ONE, 2: -lam}, 6).inverse())
-    assert engine._closed_exp(f) == want == series_exp(f)
-    assert engine._closed_exp(ZetaSeries.zero(6)) == ZetaSeries.one(6)
-
-
-@pytest.mark.parametrize("coeffs", [
-    {1: 1, 2: 1},                           # p_2 = 2, not p_1^2 = 1
-    {1: Fraction(1, 2), 2: Fraction(1, 8)},  # non-integer multiplicity
-    {1: C.inverse(), 2: (C * C).inverse().scale(Fraction(1, 2))},
-    {1: 1, 2: Fraction(1, 2), 3: Fraction(1, 3), 5: Fraction(1, 5)},
-    {1: 1, 2: Fraction(1, 2), 3: Fraction(1, 3), 4: Fraction(1, 4),
-     5: Fraction(1, 5), 6: Fraction(1, 5)},  # wrong at the last degree
-    {2: 1, 3: 1},                           # a degree off the z^2 grid
-    # 2 [z^2] = 1/3 has the numerator of p_2 = 1 but is not an integer
-    {1: 1, 2: Fraction(1, 6), 3: Fraction(1, 3), 4: Fraction(1, 4),
-     5: Fraction(1, 5), 6: Fraction(1, 6)},
-    # 3 [z^3] = q^3 / (1 + q) has the numerator of p_3 = q^3 likewise
-    {1: q_power(1), 2: q_power(2).scale(Fraction(1, 2)),
-     3: q_power(3) * (ONE + q_power(1)).inverse().scale(Fraction(1, 3)),
-     4: q_power(4).scale(Fraction(1, 4)), 5: q_power(5).scale(Fraction(1, 5)),
-     6: q_power(6).scale(Fraction(1, 6))},
-])
-def test_closed_exp_rejects_what_is_not_a_power_sum(coeffs):
-    assert engine._closed_exp(_series(coeffs)) is None
+    assert series_exp(f) == want
+    assert series_exp(ZetaSeries.zero(6)) == ZetaSeries.one(6)

@@ -43,6 +43,18 @@ CASES = {
         "--fock", "3"],
     "compute-r-a2-series": ["compute", "r", "--algebra", "a2", "--backend",
                             "series", "--order", "3"],
+    # oscillator parameters that are not monomials in t: the imaginary
+    # ratios of the reported states are then not power sums in monomials
+    "compute-l-a1-chi-phi-osc-series": [
+        "compute", "l", "--algebra", "a1", "--side", "chi-phi",
+        "--backend", "series", "--order", "3", "--fock", "4",
+        "--osc-rho", "(1 + t^6)/(1)", "--osc-mu", "(2 + t^18)/(1 - t^6)",
+        "--osc-nu", "1/3"],
+    "compute-l-a2-phi-psi-osc-series": [
+        "compute", "l", "--algebra", "a2", "--side", "phi-psi",
+        "--family", "2", "--backend", "series", "--order", "1",
+        "--fock", "3", "--osc-rho", "(3)/(1 + t^12)",
+        "--osc-mu", "(1 + t^6)/(1),(t^12 - 5)/(1)", "--osc-nu", "1/3,0,2"],
     "verify-all-a1": ["verify", "all", "--algebra", "a1", "--order", "3",
                       "--fock", "6"],
 }

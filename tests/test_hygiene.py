@@ -4,6 +4,8 @@
   check.
 * Every module-level private function or class in src/qaffine is referenced
   somewhere in src/: an unreferenced one is dead code.
+* Every name a module imports is used in that module or re-exported in its
+  `__all__`: an import left behind by a deletion is dead code too.
 * Only linalg.py spells out a Fock window: every other module asks
   `fock_window`, so the truncation rule lives in one place.
 * In scalars.py, true division appears only at the QScalar level
@@ -53,6 +55,28 @@ def test_every_private_definition_is_referenced():
               and node.name.startswith("_")
               and not node.name.startswith("__")
               and node.name not in used]
+    assert unused == []
+
+
+def test_every_imported_name_is_used_or_exported():
+    unused = []
+    for path, tree in _modules():
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__"
+                          for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+        unused += ["%s:%d:%s" % (path.relative_to(SRC), line, name)
+                   for name, line in sorted(imported.items())
+                   if name not in used]
     assert unused == []
 
 
