@@ -16,19 +16,26 @@ element is free of truncation noise.  The product starts from the identity
 on the reported rows, since E_R (M_1 ... M_k) = (E_R M_1) M_2 ... M_k, so
 every factor is multiplied on those rows alone; the columns are cut at the
 end.
+
+No factor is built on states the product never reads.  The imaginary root
+vectors have weight zero, so they are diagonal on every leg: the engine
+keeps their eigenvalues and takes the graded logarithm only at the states
+the product holds.  Every pairing has a fundamental leg, where a real root
+vector squares to zero, so each real q-exponential exp_q(X) is exactly
+1 + X; the pairing of two oscillator legs has none and is rejected.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .scalars import QScalar, q_power, qint, qnum_base
+from .scalars import QScalar, q_power, qint
 from .series import ZetaSeries, series_exp, series_log
 from .linalg import OpMatrix, kron, fock_window, _flat, _unflat
 from .rootsys import (
     extend_cartan, finite_cartan, finite_positive, positive_roots,
 )
-from .qgroup import ScaledOp, phi_zeta, dynkin_twist, _exps_for
+from .qgroup import phi_zeta, dynkin_twist, _exps_for
 from .oscillator import chi_images, psi_images
 
 __all__ = ["EngineParams", "EngineError", "RootVectorTable",
@@ -48,10 +55,10 @@ class EngineError(RuntimeError):
 class EngineParams:
     """Everything one assembly needs.
 
-    `left` is "phi" or "chi", `right` is "phi" or "psi"; `twist` (a node
-    permutation) applies to the oscillator leg; `zeta_offset` evaluates the
-    left leg at zeta^(offset+1) and the right leg at zeta^offset, which
-    must not change the result.
+    `left` is "phi" or "chi", `right` is "phi" or "psi", not both
+    oscillators; `twist` (a node permutation) applies to the oscillator leg;
+    `zeta_offset` evaluates the left leg at zeta^(offset+1) and the right
+    leg at zeta^offset, which must not change the result.
     """
 
     def __init__(self, algebra, s, s1, s2=0, order=8, left="phi",
@@ -65,6 +72,9 @@ class EngineParams:
                               % (exps,))
         if left not in ("phi", "chi") or right not in ("phi", "psi"):
             raise EngineError("left must be phi|chi and right phi|psi")
+        if (left, right) == ("chi", "psi"):
+            raise EngineError("two oscillator legs have no fundamental "
+                              "leg, so a real factor need not be 1 + X")
         self.algebra = algebra
         self.s, self.s1, self.s2 = s, s1, s2
         self.order = order
@@ -119,130 +129,104 @@ def _leg_images(params, which):
 
 
 class RootVectorTable:
-    """Images of the root vectors for one leg and one Borel side."""
+    """Images of the root vectors for one leg and one Borel side.
 
-    __slots__ = ("real", "imag")
+    The real root vectors are matrices.  The imaginary ones have weight
+    zero, so they are diagonal on the leg and only their eigenvalues are
+    kept: `diags[i][m - 1]` maps each state to its eigenvalue under
+    c e'_(m delta) of simple root i (c = q - q^-1, negated on the f side),
+    with absent states at zero.  Level m carries zeta^(m * zstep).
+    """
 
-    def __init__(self, real, imag):
+    __slots__ = ("real", "diags", "zstep", "_scale", "_logs", "_at")
+
+    def __init__(self, real, diags, zstep, scale):
         self.real = real      # (finite_part, m) -> ScaledOp
-        self.imag = imag      # (simple_index, m) -> ScaledOp
+        self.diags = diags
+        self.zstep = zstep
+        self._scale = scale
+        self._logs = {}
+        self._at = {}
 
     def real_op(self, root):
         return self.real.get((root.finite_part, root.delta_mult))
 
-    def imag_op(self, i, m):
-        return self.imag.get((i, m))
+    def imag_at(self, x):
+        """The eigenvalues e_im(x) at leg state x, level by level
+        (m = 1 .. m_max) and node by node: the level-m coefficient of
+        log(1 + sum_m c e'_(m delta) y^m) at x, divided by c.  One
+        `series_log` per distinct tuple of e' eigenvalues, on first
+        request."""
+        out = self._at.get(x)
+        if out is None:
+            out = self._at[x] = tuple(zip(*(
+                self._log(tuple(level.get(x, ZERO) for level in node))
+                for node in self.diags)))
+        return out
+
+    def _log(self, key):
+        out = self._logs.get(key)
+        if out is None:
+            if any(key):
+                coeffs = dict(enumerate(key, 1))
+                coeffs[0] = ONE
+                log = series_log(ZetaSeries(coeffs, len(key)))
+                out = tuple(log.coeff(m) * self._scale
+                            for m in range(1, len(key) + 1))
+            else:
+                out = key          # log 1 = 0
+            self._logs[key] = out
+        return out
 
 
 def build_root_vectors(image, side, m_max):
     """Run the recursion for one leg; `side` picks the Borel half."""
-    algebra = image.algebra
-    real = {}
-    if side == "e":
-        op = image.e_op
-        sgn = 1
-    else:
-        op = image.f_op
-        sgn = -1
+    sgn = 1 if side == "e" else -1
+    op = image.e_op if side == "e" else image.f_op
 
-    if algebra == "a1":
-        real[((1,), 0)] = op(1)
-        real[((-1,), 1)] = op(0)
+    def bracket(x, y, p):
+        # the f side mirrors the e side: [x, y]_(q^p) becomes [y, x]_(q^-p)
+        return x.q_commutator(y, p) if sgn > 0 else y.q_commutator(x, -p)
+
+    if image.algebra == "a1":
+        real = {((1,), 0): op(1), ((-1,), 1): op(0)}
     else:
         ea, eb, e0 = op(1), op(2), op(0)
-        real[((1, 0), 0)] = ea
-        real[((0, 1), 0)] = eb
-        real[((-1, -1), 1)] = e0
-        if side == "e":
-            real[((1, 1), 0)] = ea.q_commutator(eb, -1)
-            real[((-1, 0), 1)] = eb.q_commutator(e0, -1)
-            real[((0, -1), 1)] = ea.q_commutator(e0, -1)
-        else:
-            real[((1, 1), 0)] = eb.q_commutator(ea, 1)
-            real[((-1, 0), 1)] = e0.q_commutator(eb, 1)
-            real[((0, -1), 1)] = e0.q_commutator(ea, 1)
+        real = {((1, 0), 0): ea, ((0, 1), 0): eb, ((-1, -1), 1): e0,
+                ((1, 1), 0): bracket(ea, eb, -1),
+                ((-1, 0), 1): bracket(eb, e0, -1),
+                ((0, -1), 1): bracket(ea, e0, -1)}
 
-    prime_delta = {}
-    primes = {}
-    for gamma in finite_positive(algebra):
-        minus = tuple(-g for g in gamma)
-        if side == "e":
-            prime_delta[gamma] = real[(gamma, 0)].q_commutator(
-                real[(minus, 1)], -2)
-        else:
-            prime_delta[gamma] = real[(minus, 1)].q_commutator(
-                real[(gamma, 0)], 2)
-        for m in range(1, m_max + 1):
-            if side == "e":
-                real[(gamma, m)] = real[(gamma, m - 1)].q_commutator(
-                    prime_delta[gamma], 0).scale(INV2)
-                real[(minus, m + 1)] = prime_delta[gamma].q_commutator(
-                    real[(minus, m)], 0).scale(INV2)
-            else:
-                real[(gamma, m)] = prime_delta[gamma].q_commutator(
-                    real[(gamma, m - 1)], 0).scale(INV2)
-                real[(minus, m + 1)] = real[(minus, m)].q_commutator(
-                    prime_delta[gamma], 0).scale(INV2)
-        for m in range(1, m_max + 1):
-            if side == "e":
-                primes[(gamma, m)] = real[(gamma, m - 1)].q_commutator(
-                    real[(minus, 1)], -2)
-            else:
-                primes[(gamma, m)] = real[(minus, 1)].q_commutator(
-                    real[(gamma, m - 1)], 2)
-
-    # imaginary root vectors through the graded logarithm, one family per
-    # finite simple root; the m-th component always carries the m-th power
-    # of the leg's total delta weight
-    imag = {}
-    simples = [(1,)] if algebra == "a1" else [(1, 0), (0, 1)]
-    c_inv = C_FACTOR.inverse()
+    # the imaginary root vectors come from the generating q-commutators
+    # e'_(m delta), one family per finite simple root; the m-th always
+    # carries the m-th power of the leg's total delta weight, and only
+    # their eigenvalues are kept
+    c = C_FACTOR if sgn > 0 else -C_FACTOR
     zstep = sgn * sum(image.exps)
-    for i, gamma in enumerate(simples):
-        comps = {}
+    diags = []
+    for gamma in finite_positive(image.algebra):
+        minus = tuple(-g for g in gamma)
+        prime_delta = bracket(real[(gamma, 0)], real[(minus, 1)], -2)
         for m in range(1, m_max + 1):
-            sop = primes[(gamma, m)]
+            real[(gamma, m)] = bracket(real[(gamma, m - 1)], prime_delta,
+                                       0).scale(INV2)
+            real[(minus, m + 1)] = bracket(prime_delta, real[(minus, m)],
+                                           0).scale(INV2)
+        if sum(gamma) > 1:
+            continue
+        levels = []
+        for m in range(1, m_max + 1):
+            sop = bracket(real[(gamma, m - 1)], real[(minus, 1)], -2)
             if sop.mat and sop.zexp != m * zstep:
                 raise EngineError("inhomogeneous zeta grading in the "
                                   "imaginary family at level %d" % m)
-            comps[m] = sop.mat.scale(C_FACTOR if side == "e" else -C_FACTOR)
-        logs = _graded_log(comps, m_max)
-        for m in range(1, m_max + 1):
-            mat = logs.get(m)
-            if mat is None or not mat:
-                imag[(i, m)] = None
-                continue
-            mat = mat.scale(c_inv if side == "e" else -c_inv)
-            imag[(i, m)] = ScaledOp(m * zstep, mat)
-    return RootVectorTable(real, imag)
-
-
-def _graded_log(comps, m_max):
-    """log(1 + X) for X = sum_m comps[m] y^m, graded-truncated at m_max.
-
-    Imaginary root vectors have weight zero and every leg's Cartan
-    diagonals separate its states, so each comps[m] is diagonal and the
-    log is taken entry by entry.
-    """
-    per_state = {}
-    for m, mat in comps.items():
-        if not mat.is_diagonal():
-            raise EngineError("imaginary root vector at level %d is not "
-                              "diagonal" % m)
-        for (i, _), v in mat.entries.items():
-            per_state.setdefault(i, {0: ONE})[m] = v
-    out = {}
-    cache = {}
-    for i, coeffs in per_state.items():
-        g = ZetaSeries(coeffs, m_max)
-        log = cache.get(g)
-        if log is None:
-            log = cache[g] = series_log(g)
-        for m, c in log.coeffs.items():
-            out.setdefault(m, {})[(i, i)] = c
-    dim = next(iter(comps.values())).dim if comps else 0
-    return {m: OpMatrix(dim, entries, ONE, _clean=True)
-            for m, entries in out.items()}
+            if not sop.mat.is_diagonal():
+                raise EngineError("imaginary root vector at level %d is not "
+                                  "diagonal" % m)
+            levels.append({x: v for (x, _), v in
+                           sop.mat.scale(c).entries.items()})
+        diags.append(levels)
+    return RootVectorTable(real, diags, zstep, c.inverse())
 
 
 @lru_cache(maxsize=None)
@@ -268,49 +252,32 @@ def u_matrices(algebra, m_max):
     return MappingProxyType(out)
 
 
-def _series_matrix(terms, dim, order):
-    """OpMatrix over ZetaSeries from [(zexp, QScalar-matrix)] terms."""
-    entries = {}
-    for zexp, mat in terms:
-        if zexp > order:
-            continue
-        for ij, v in mat.entries.items():
-            entries.setdefault(ij, {})[zexp] = \
-                entries.get(ij, {}).get(zexp, QScalar.ZERO) + v
-    one = ZetaSeries.one(order)
-    out = {ij: ZetaSeries(cs, order) for ij, cs in entries.items()}
-    return OpMatrix(dim, out, one)
+def _square_vanishes(mat):
+    """Whether mat * mat = 0, read off the indices: a root vector maps each
+    state to at most one state, so its square has no sums that could
+    cancel and vanishes exactly when no state is both a source and a
+    target.  (Without that structure a True is still exact.)"""
+    return {i for i, _ in mat.entries}.isdisjoint(j for _, j in mat.entries)
 
 
-def _q_exponential_factor(e_op, f_op, pairing, order, dim_l, dim_r):
-    """exp_{q^-pairing-norm}((q - q^-1) e x f) as a series matrix.
+def _real_factor(e_op, f_op, order, dim):
+    """X for the real factor exp_{q^-2}(X) = 1 + X, as a one-term series
+    matrix, with X = (q - q^-1) e x f.
 
-    The (q - q^-1) factor is folded into the left tensor slot before the
-    Kronecker product so the leg normalizations cancel early and the term
-    matrices stay denominator-free.
+    X^2 = (q - q^-1)^2 e^2 x f^2 vanishes when either leg's root vector
+    squares to zero, as on a fundamental leg, and then every higher term of
+    the q-exponential does too.  The (q - q^-1) factor is folded into the
+    left tensor slot before the Kronecker product so the leg
+    normalizations cancel early and the entries stay denominator-free.
     """
-    x = kron(e_op.mat.scale(C_FACTOR), f_op.mat)
+    if not (_square_vanishes(e_op.mat) or _square_vanishes(f_op.mat)):
+        raise EngineError("neither leg's root vector squares to zero, so the "
+                          "real factor is not 1 + X")
     k = e_op.zexp + f_op.zexp
-    dim = dim_l * dim_r
-    terms = []
-    xn = x
-    n = 1
-    fact = ONE
-    while xn and n <= dim * dim:
-        fact = fact * qnum_base(n, -6 * pairing)
-        terms.append((n * k, xn if fact.is_one() else
-                      xn.scale(fact.inverse())))
-        if n * k > order and k > 0:
-            break
-        n += 1
-        xn = xn * x
-    else:
-        if xn:
-            raise EngineError("q-exponential argument failed to nilpotate "
-                              "within dim^2 terms")
-    # identity part omitted: the caller multiplies acc by (1 + N) as
-    # acc + acc * N, which skips convolving every entry with 1
-    return _series_matrix(terms, dim, order)
+    x = kron(e_op.mat.scale(C_FACTOR), f_op.mat)
+    return OpMatrix(dim, {ij: ZetaSeries({k: v}, order)
+                          for ij, v in x.entries.items()},
+                    ZetaSeries.one(order), _clean=True)
 
 
 def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order,
@@ -320,71 +287,53 @@ def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order,
 
     The imaginary root vectors are diagonal on every leg, so the argument
     a of the exponential is diagonal too.  At state (x, y) its level-m
-    coefficient is the bilinear form sum_j G_mj(x) f_jm(y), with
-    G_mj(x) = sum_i (q - q^-1) u_m[i][j] e_im(x), read off the leg
-    eigenvalues e_im(x) and f_jm(y): G once per distinct left tuple, and
-    one `series_exp` per distinct pair of tuples among `cols`.  The
-    exponential is split as exp(a_00) * diag(exp(a_xy - a_00)); the common
-    scalar multiplies the assembled product once at the very end.  The
-    weight list has length dim_l * dim_r and holds None at every column
-    outside `cols`, which the caller's matrix does not have.
+    coefficient, at zeta^(m s), is the bilinear form sum_j G_mj(x) f_jm(y),
+    with G_mj(x) = sum_i (q - q^-1) u_m[i][j] e_im(x), read off the leg
+    eigenvalues e_im(x) and f_jm(y), which are asked for at the states of
+    `cols` and at the ground state alone: G once per distinct left tuple,
+    and one `series_exp` per distinct pair of tuples.  The exponential is
+    split as exp(a_00) * diag(exp(a_xy - a_00)); the common scalar
+    multiplies the assembled product once at the very end.  The weight list
+    has length dim_l * dim_r and holds None at every column outside
+    `cols`, which the caller's matrix does not have.
     """
-    um = u_matrices(params.algebra, params.m_max)
-    rank = finite_cartan(params.algebra).rank
-    zexps, couplings, left_ops, right_ops = [], [], [], []
-    for m in range(1, params.m_max + 1):
-        es = [left_table.imag_op(i, m) for i in range(rank)]
-        fs = [right_table.imag_op(j, m) for j in range(rank)]
-        e0 = next(filter(None, es), None)
-        f0 = next(filter(None, fs), None)
-        if e0 and f0 and e0.zexp + f0.zexp <= order:
-            zexps.append(e0.zexp + f0.zexp)
-            couplings.append([[C_FACTOR * um[m][i][j] for j in range(rank)]
-                              for i in range(rank)])
-            left_ops.append(es)
-            right_ops.append(fs)
-    if not zexps:
+    m_max = params.m_max
+    if not m_max:
         return ZetaSeries.one(order), None
-    left_ids, left_keys = _leg_spectrum(left_ops, dim_l)
-    right_ids, right_keys = _leg_spectrum(right_ops, dim_r)
+    um = u_matrices(params.algebra, m_max)
+    rank = finite_cartan(params.algebra).rank
+    zstep = left_table.zstep + right_table.zstep
+    zexps = [m * zstep for m in range(1, m_max + 1)]
+    couplings = [[[C_FACTOR * um[m][i][j] for j in range(rank)]
+                  for i in range(rank)] for m in range(1, m_max + 1)]
+    forms = {}
 
     def form(key):
-        return [[sum((c[i][j] * ev[i] for i in range(rank)), ZERO)
+        g = forms.get(key)
+        if g is None:
+            g = forms[key] = [
+                [sum((c[i][j] * ev[i] for i in range(rank)), ZERO)
                  for j in range(rank)] for c, ev in zip(couplings, key)]
+        return g
 
     def pair(g, f):
         return [sum((a * b for a, b in zip(gl, fl)), ZERO)
                 for gl, fl in zip(g, f)]
 
-    forms = {lid: form(left_keys[lid])
-             for lid in {0} | {left_ids[col // dim_r] for col in cols}}
-    arg0 = pair(forms[0], right_keys[0])
+    arg0 = pair(form(left_table.imag_at(0)), right_table.imag_at(0))
     cache = {}
     out = [None] * (dim_l * dim_r)
     for col in cols:
         x, y = divmod(col, dim_r)
-        lid, rid = left_ids[x], right_ids[y]
-        if (lid, rid) not in cache:
-            cache[(lid, rid)] = series_exp(ZetaSeries(
+        key = (left_table.imag_at(x), right_table.imag_at(y))
+        weight = cache.get(key)
+        if weight is None:
+            weight = cache[key] = series_exp(ZetaSeries(
                 {z: a - b for z, a, b in
-                 zip(zexps, pair(forms[lid], right_keys[rid]), arg0)},
-                order))
-        out[col] = cache[(lid, rid)]
+                 zip(zexps, pair(form(key[0]), key[1]), arg0)}, order))
+        out[col] = weight
     prefactor = series_exp(ZetaSeries(dict(zip(zexps, arg0)), order))
     return prefactor, out
-
-
-def _leg_spectrum(level_ops, dim):
-    """The eigenvalues of one leg's diagonal imaginary root vectors: the
-    distinct tuples (level by level, node by node) and, per state, the
-    index of its tuple."""
-    diags = [[op.mat.entries if op else {} for op in ops]
-             for ops in level_ops]
-    index = {}
-    ids = [index.setdefault(tuple(tuple(d.get((x, x), ZERO) for d in level)
-                                  for level in diags), len(index))
-           for x in range(dim)]
-    return ids, list(index)
 
 
 def _k_factor(left_image, right_image, params, order):
@@ -479,9 +428,7 @@ def assemble(params, grouped_real_order=False, split_prefactor=False):
             continue
         if e.zexp + f.zexp > order:
             continue
-        n_part = _q_exponential_factor(e, f, 2, order, dim_l, dim_r)
-        if n_part:
-            acc = acc + acc * n_part
+        acc = acc + acc * _real_factor(e, f, order, dim_l * dim_r)
     acc = acc.scaled(cols=_k_factor(left, right, params, order))
     acc = _restrict_output(acc, lm, rm, dim_r)
     if split_prefactor:

@@ -533,35 +533,17 @@ def r0_hat_matrix(n):
 # -- inversion over the Fock-valued rational ring -----------------------------
 
 def op_inverse(m):
-    """Inverse of a Fock-valued matrix over the rational scalar field.
-
-    Handles diagonal matrices directly and otherwise splits off the
-    diagonal and sums the finite ladder series; raises if the off-diagonal
-    part fails to nilpotate.
-    """
-    dim = m.dim
-    one = m.one
-    diag = {(i, i): m.entries[(i, i)] for i in range(dim)
-            if (i, i) in m.entries}
-    if len(diag) < dim:
+    """Inverse of a diagonal Fock-valued matrix over the rational scalar
+    field.  Every pivot of a weight-graded grid has weight zero, so it is
+    diagonal; any other matrix, or a vanishing diagonal entry, raises
+    ValueError and `grid_inverse` tries the next row."""
+    if not m.is_diagonal():
+        raise ValueError("matrix is not diagonal; cannot invert")
+    if len(m.entries) < m.dim:
         raise ValueError("matrix has vanishing diagonal entries; "
                          "cannot invert")
-    d_inv = OpMatrix(dim, {(i, i): diag[(i, i)].inverse()
-                           for i in range(dim)}, one, _clean=True)
-    n_part = OpMatrix(dim, {ij: v for ij, v in m.entries.items()
-                            if ij[0] != ij[1]}, one, _clean=True)
-    if not n_part:
-        return d_inv
-    x = d_inv * n_part
-    acc = OpMatrix.identity(dim, one)
-    term = OpMatrix.identity(dim, one)
-    for _ in range(dim + 1):
-        term = term * x
-        if not term:
-            return acc * d_inv
-        acc = acc - term if _ % 2 == 0 else acc + term
-    raise ValueError("off-diagonal part failed to nilpotate; "
-                     "matrix not invertible by ladder series")
+    return OpMatrix(m.dim, {ij: v.inverse() for ij, v in m.entries.items()},
+                    m.one, _clean=True)
 
 
 def grid_inverse(g):

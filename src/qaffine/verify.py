@@ -560,34 +560,17 @@ def _annihilates_at_one(ref, pi):
     closed-form entries at argument one stay below the truncated band; the
     image must vanish on every row away from the top state.
     """
-    l_one = _grid_at_one(ref).flatten(op_leg_first=False)
-    pi_flat = pi.flatten(op_leg_first=False)
     op_dim = ref.matrix.op_dim
-    total = ref.matrix.n * op_dim
-    # op_leg_first=False puts the matrix leg slowest, Fock fastest
     ground = fock_window(ref.fock_dim, ref.copies, ref.fock_dim - 2)
     below_top = fock_window(ref.fock_dim, ref.copies, 1)
-
-    checked = False
-    for col in range(total):
-        if not ground(col % op_dim):
-            continue
-        vec = {r: pi_flat.entries[(r, col)] for r in range(total)
-               if (r, col) in pi_flat.entries}
-        if not vec:
-            continue
-        image = {}
-        for (r, c), val in l_one.entries.items():
-            x = vec.get(c)
-            if x is None:
-                continue
-            acc = image.get(r)
-            p = val * x
-            image[r] = p if acc is None else acc + p
-        if any(v and below_top(r % op_dim) for r, v in image.items()):
-            return False
-        checked = True
-    return checked
+    # op_leg_first=False puts the matrix leg slowest, Fock fastest
+    pi_flat = pi.flatten(op_leg_first=False)
+    columns = OpMatrix(pi_flat.dim, {
+        (r, c): v for (r, c), v in pi_flat.entries.items()
+        if ground(c % op_dim)}, pi_flat.one, _clean=True)
+    image = _grid_at_one(ref).flatten(op_leg_first=False) * columns
+    return bool(columns) and not any(below_top(r % op_dim)
+                                     for r, _ in image.entries)
 
 
 # -- suite ----------------------------------------------------------------------

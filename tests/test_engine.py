@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qaffine.scalars import QScalar, q_power, qint, qint_base
+from qaffine.scalars import QScalar, q_power, qint, qint_base, qnum_base
 from qaffine.series import ZetaSeries, series_exp, lambda_level
 from qaffine.linalg import OpMatrix, kron, fock_window
 from qaffine.qgroup import phi_zeta, ScaledOp
@@ -15,7 +15,8 @@ from qaffine.engine import (
     EngineParams, EngineError, build_root_vectors, assemble, u_matrices,
     check_normalization_constants,
 )
-from qaffine.verify import check_engine
+from qaffine.rootsys import extend_cartan, finite_cartan, positive_roots
+from qaffine.verify import check_engine, engine_params_for
 
 ONE = QScalar.ONE
 C = q_power(1) - q_power(-1)
@@ -31,6 +32,21 @@ def u3(a, b):
 
 def windowed(mat, d, kmax, copies=1):
     return mat.restrict(fock_window(d, copies, d - 1 - kmax))
+
+
+def window_states(d, kmax, copies=1):
+    keep = fock_window(d, copies, d - 1 - kmax)
+    return [x for x in range(d ** copies) if keep(x)]
+
+
+def eigenvalues(tab, i, m, states):
+    # e_im(x) at each state, as the table reports it
+    return [tab.imag_at(x)[m - 1][i] for x in states]
+
+
+def diagonal(mat, states):
+    return [mat.entry(x, x) for x in states]
+
 
 def test_a1_phi_real_and_imaginary_vectors():
     s, s1 = 3, 1
@@ -48,12 +64,11 @@ def test_a1_phi_real_and_imaginary_vectors():
         assert gotm.mat == u2(2, 1).scale(sign * q_power(-m))
     # e_{m delta} = (-1)^(m-1) [m]/m z^(ms) (E11 - q^(-2m) E22)
     for m in range(1, 4):
-        got = tab.imag[(0, m)]
         sign = ONE if (m - 1) % 2 == 0 else -ONE
         coeff = sign * qint(m).scale(Fraction(1, m))
         expect = (u2(1, 1) - u2(2, 2).scale(q_power(-2 * m))).scale(coeff)
-        assert got.zexp == m * s
-        assert got.mat == expect
+        assert m * tab.zstep == m * s
+        assert eigenvalues(tab, 0, m, range(2)) == diagonal(expect, range(2))
 
 
 def test_a1_phi_f_vectors():
@@ -66,12 +81,11 @@ def test_a1_phi_f_vectors():
         assert got.zexp == -(s1 + m * s)
         assert got.mat == u2(2, 1).scale(sign * q_power(m))
     for m in range(1, 4):
-        got = tab.imag[(0, m)]
         sign = ONE if (m - 1) % 2 == 0 else -ONE
         coeff = sign * qint(m).scale(Fraction(1, m))
         expect = (u2(1, 1) - u2(2, 2).scale(q_power(2 * m))).scale(coeff)
-        assert got.zexp == -m * s
-        assert got.mat == expect
+        assert m * tab.zstep == -m * s
+        assert eigenvalues(tab, 0, m, range(2)) == diagonal(expect, range(2))
 
 
 def test_a1_chi_vectors_collapse():
@@ -86,12 +100,12 @@ def test_a1_chi_vectors_collapse():
         assert not windowed(tab.real[((1,), m)].mat, d, kmax)
         assert not windowed(tab.real[((-1,), m + 1)].mat, d, kmax)
     # imaginary vectors are the scalars (-1)^(m-1) q^-m / ((q-q^-1) m)
+    states = window_states(d, kmax)
     for m in range(1, 5):
-        got = tab.imag[(0, m)]
         sign = ONE if (m - 1) % 2 == 0 else -ONE
         expect = eye.scale(sign * q_power(-m) * c_inv.scale(Fraction(1, m)))
-        assert windowed(got.mat, d, kmax) == windowed(expect, d, kmax)
-        assert got.zexp == m
+        assert eigenvalues(tab, 0, m, states) == diagonal(expect, states)
+        assert m * tab.zstep == m
 
 
 def test_a1_psi_vectors_geometric():
@@ -110,13 +124,13 @@ def test_a1_psi_vectors_geometric():
         assert windowed(got.mat, d, kmax) == windowed(expect, d, kmax)
         assert got.zexp == -m
     # f_{m delta} = c^-1 (-1)^m q^m [1 - (1 + q^(2m)) q^(2mD)] z^(-ms)/m
+    states = window_states(d, kmax)
     for m in range(1, 4):
-        got = tab.imag[(0, m)]
         sign = ONE if m % 2 == 0 else -ONE
         inner = OpMatrix.identity(d, ONE) - \
             f.q_number_power(2 * m).scale(ONE + q_power(2 * m))
         expect = inner.scale(sign * q_power(m) * c_inv.scale(Fraction(1, m)))
-        assert windowed(got.mat, d, kmax) == windowed(expect, d, kmax)
+        assert eigenvalues(tab, 0, m, states) == diagonal(expect, states)
 
 
 def test_a2_phi_vectors():
@@ -134,17 +148,15 @@ def test_a2_phi_vectors():
         assert got.mat == u3(3, 2).scale(-q_power(-2 * m - 1))
     # imaginary alpha family
     for m in range(1, 4):
-        got = tab.imag[(0, m)]
         sign = ONE if (m - 1) % 2 == 0 else -ONE
         expect = (u3(1, 1) - u3(2, 2).scale(q_power(-2 * m))).scale(
             sign * qint(m).scale(Fraction(1, m)))
-        assert got.mat == expect
+        assert eigenvalues(tab, 0, m, range(3)) == diagonal(expect, range(3))
     # imaginary beta family: -[m]/m q^-m (E22 - q^(-2m) E33)
     for m in range(1, 4):
-        got = tab.imag[(1, m)]
         expect = (u3(2, 2) - u3(3, 3).scale(q_power(-2 * m))).scale(
             -qint(m).scale(Fraction(1, m)) * q_power(-m))
-        assert got.mat == expect
+        assert eigenvalues(tab, 1, m, range(3)) == diagonal(expect, range(3))
 
 
 def test_a2_chi_family1_vectors():
@@ -168,18 +180,17 @@ def test_a2_chi_family1_vectors():
         assert not w(tab.real[((1, 0), m)].mat)
         assert not w(tab.real[((1, 1), m)].mat)
     # e_{m delta, alpha} = c^-1 (-1)^(m-1) q^(-3m) q^(-2mD2) /m
+    states = window_states(d, kmax, copies=2)
     for m in range(1, 4):
-        got = tab.imag[(0, m)]
         sign = ONE if (m - 1) % 2 == 0 else -ONE
         expect = qd(0, -2 * m).scale(sign * q_power(-3 * m)
                                      * c_inv.scale(Fraction(1, m)))
-        assert w(got.mat) == w(expect)
+        assert eigenvalues(tab, 0, m, states) == diagonal(expect, states)
     # e_{m delta, beta} = c^-1 q^(-2m) [(1 + q^(-2m)) q^(-2mD2) - 1] /m
     for m in range(1, 4):
-        got = tab.imag[(1, m)]
         inner = qd(0, -2 * m).scale(ONE + q_power(-2 * m)) - kron(eye, eye)
         expect = inner.scale(q_power(-2 * m) * c_inv.scale(Fraction(1, m)))
-        assert w(got.mat) == w(expect)
+        assert eigenvalues(tab, 1, m, states) == diagonal(expect, states)
 
 
 def test_a2_psi_family1_vectors():
@@ -215,15 +226,16 @@ def test_a2_psi_family1_vectors():
         got = tab.real[((-1, -1), m + 1)]
         assert w(got.mat) == w(expect)
     # f_{m delta, beta} = c^-1 q^(2m) q^(2mD1) /m
+    states = window_states(d, kmax, copies=2)
     for m in range(1, 4):
         expect = qd(2 * m, 0).scale(q_power(2 * m) * c_inv.scale(Fraction(1, m)))
-        assert w(tab.imag[(1, m)].mat) == w(expect)
+        assert eigenvalues(tab, 1, m, states) == diagonal(expect, states)
     # f_{m delta, alpha} = c^-1 (-1)^(m-1) q^m [(1+q^(2m)) q^(2mD1) - 1]/m
     for m in range(1, 4):
         sign = ONE if (m - 1) % 2 == 0 else -ONE
         inner = qd(2 * m, 0).scale(ONE + q_power(2 * m)) - kron(eye, eye)
         expect = inner.scale(sign * q_power(m) * c_inv.scale(Fraction(1, m)))
-        assert w(tab.imag[(0, m)].mat) == w(expect)
+        assert eigenvalues(tab, 0, m, states) == diagonal(expect, states)
 
 
 def test_u_matrices():
@@ -324,6 +336,74 @@ def test_engine_rejects_bad_exponents():
         EngineParams("a1", 1, 2)  # s - s1 < 0
 
 
+def test_engine_rejects_two_oscillator_legs():
+    # no fundamental leg, so a real factor need not be 1 + X
+    for algebra in ("a1", "a2"):
+        with pytest.raises(EngineError):
+            EngineParams(algebra, 1, 0, 0, left="chi", right="psi")
+
+
+# -- the real factors ------------------------------------------------------------
+
+_CATALOG_PAIRINGS = [("r", "a1", "plain", 4, None)] + [
+    ("l", "a1", v, 3, 4)
+    for v in ("hat", "hat-twisted", "check", "check-twisted")] + [
+    ("r", "a2", "plain", 2, None)] + [
+    ("l", "a2", v, 2, 3) for v in ("hat-1", "hat-2", "check-1", "check-2")]
+
+
+def _q_exponential(e, f, order):
+    # the rule the engine once followed: exp_{q^-2}(X) for
+    # X = (q - q^-1) e x f at zeta^k, summed as X^n z^(nk) / (n)_{q^-2}!
+    # until X^n vanishes
+    x = kron(e.mat.scale(C), f.mat)
+    k = e.zexp + f.zexp
+    entries = {(i, i): {0: ONE} for i in range(x.dim)}
+    xn, n, fact = x, 1, ONE
+    while xn:
+        assert n <= x.dim
+        fact = fact * qnum_base(n, -12)
+        for ij, v in xn.scale(fact.inverse()).entries.items():
+            cs = entries.setdefault(ij, {})
+            cs[n * k] = cs.get(n * k, QScalar.ZERO) + v
+        n += 1
+        xn = xn * x
+    return OpMatrix(x.dim, {ij: ZetaSeries(cs, order)
+                            for ij, cs in entries.items()},
+                    ZetaSeries.one(order))
+
+
+@pytest.mark.parametrize("kind, algebra, variant, order, d",
+                         _CATALOG_PAIRINGS)
+def test_each_real_factor_is_one_plus_x(kind, algebra, variant, order, d):
+    params = engine_params_for(kind, algebra, variant, 1, 0, 0, order, d)
+    left, right, etab, ftab = _imaginary_inputs(params)
+    dim = left.dim * right.dim
+    eye = OpMatrix.identity(dim, ZetaSeries.one(order))
+    aff = extend_cartan(finite_cartan(algebra))
+    used = 0
+    for root in positive_roots(aff, params.m_max):
+        if root.kind == "imaginary":
+            continue
+        e, f = etab.real_op(root), ftab.real_op(root)
+        if not (e and f) or e.zexp + f.zexp > order:
+            continue
+        got = eye + engine._real_factor(e, f, order, dim)
+        assert got == _q_exponential(e, f, order), root
+        used += 1
+    assert used
+
+
+def test_real_factor_rejects_two_oscillator_operators():
+    # on a chi leg the raising operator does not square to zero
+    img = chi_images("a1", 1, 0, d=5)
+    e, lower = img.e_op(0), img.e_op(1)
+    for a, b in ((e, e), (e, lower), (lower, e)):
+        with pytest.raises(EngineError):
+            engine._real_factor(a, b, 4, img.dim * img.dim)
+    assert engine._real_factor(e, phi_zeta("a1", 1, 0).f_op(0), 4, img.dim * 2)
+
+
 # -- the Fock pad --------------------------------------------------------------
 
 @pytest.mark.parametrize("algebra, exps, order, d", [
@@ -377,15 +457,13 @@ def _argument_at(etab, ftab, params, x, y):
     # the exponent at state (x, y), summed term by term from the definition
     rank = 1 if params.algebra == "a1" else 2
     um = u_matrices(params.algebra, params.m_max)
+    e, f = etab.imag_at(x), ftab.imag_at(y)
     coeffs = {}
     for m in range(1, params.m_max + 1):
+        z = m * (etab.zstep + ftab.zstep)
         for i in range(rank):
             for j in range(rank):
-                e, f = etab.imag_op(i, m), ftab.imag_op(j, m)
-                if e is None or f is None or e.zexp + f.zexp > params.order:
-                    continue
-                v = C * um[m][i][j] * e.mat.entry(x, x) * f.mat.entry(y, y)
-                z = e.zexp + f.zexp
+                v = C * um[m][i][j] * e[m - 1][i] * f[m - 1][j]
                 coeffs[z] = coeffs.get(z, QScalar.ZERO) + v
     return ZetaSeries(coeffs, params.order)
 
@@ -447,6 +525,36 @@ def test_imaginary_factor_matches_series_exp(algebra, kw):
         x, y = divmod(col, right.dim)
         diff = _argument_at(etab, ftab, params, x, y) - a0
         assert got == series_exp(diff), (x, y)
+
+
+@pytest.mark.parametrize("algebra, kw, left_states", [
+    pytest.param("a1", dict(order=4, left="chi", fock_dim=4), (0, 2, 3),
+                 id="a1-hat"),
+    pytest.param("a2", dict(order=3, right="psi", fock_dim=3), (0, 1, 2),
+                 id="a2-check-1"),
+    pytest.param("a2", dict(order=2, left="chi", fock_dim=3), (0, 1, 7, 8),
+                 id="a2-hat-1"),
+])
+def test_series_log_once_per_distinct_eigenvalue_tuple(monkeypatch, algebra,
+                                                       kw, left_states):
+    # no logarithm while the tables are built; then one per distinct tuple
+    # of e' eigenvalues among the states of the columns passed
+    params = EngineParams(algebra, 1, 0, 0, **kw)
+    calls = []
+    series_log = engine.series_log
+    monkeypatch.setattr(engine, "series_log",
+                        lambda g: calls.append(g) or series_log(g))
+    left, right, etab, ftab = _imaginary_inputs(params)
+    assert calls == []
+    cols = {x * right.dim + y for x in left_states for y in range(right.dim)}
+    engine._imaginary_factor(etab, ftab, params, left.dim, right.dim,
+                             params.order, cols)
+    tuples = {tuple(level.get(x, QScalar.ZERO) for level in node)
+              for tab, states in ((etab, left_states),
+                                  (ftab, range(right.dim)))
+              for x in states for node in tab.diags}
+    assert 0 < len(calls) <= len(tuples)
+    assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("algebra, kw", [

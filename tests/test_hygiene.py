@@ -6,6 +6,9 @@
   somewhere in src/: an unreferenced one is dead code.
 * Every name a module imports is used in that module or re-exported in its
   `__all__`: an import left behind by a deletion is dead code too.
+* Every function, method and class defined in src/ (dunders aside) is named
+  somewhere else in src/, tests/ or perfbench/: a helper whose last caller
+  went is dead code.
 * Only linalg.py spells out a Fock window: every other module asks
   `fock_window`, so the truncation rule lives in one place.
 * In scalars.py, true division appears only at the QScalar level
@@ -21,9 +24,12 @@
 """
 
 import ast
+import collections
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def _modules():
@@ -78,6 +84,27 @@ def test_every_imported_name_is_used_or_exported():
                    for name, line in sorted(imported.items())
                    if name not in used]
     assert unused == []
+
+
+def test_every_definition_is_named_elsewhere():
+    # a word match over the Python files: a name counts as used when it
+    # occurs more often than it is defined
+    words = collections.Counter(
+        word for top in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for word in re.findall(r"\w+", path.read_text()))
+    defined = {}
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))):
+                defined.setdefault(node.name, []).append(
+                    "%s:%d" % (path.relative_to(SRC), node.lineno))
+    assert len(defined) > 200
+    assert [where for name, where in sorted(defined.items())
+            if words[name] <= len(where)] == []
 
 
 def test_true_division_in_scalars_only_where_exact():

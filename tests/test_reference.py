@@ -118,6 +118,18 @@ def test_grid_inverse_a2():
     assert ref.matrix * inv == eye
 
 
+def test_op_inverse_takes_diagonal_matrices_only():
+    # a grid pivot has weight zero, so a non-diagonal one is refused and
+    # grid_inverse moves on to the next row
+    diag = OpMatrix(2, {(0, 0): zr({0: q_power(1)}), (1, 1): zr({1: ONE})},
+                    ZR_ONE)
+    assert diag * op_inverse(diag) == OpMatrix.identity(2, ZR_ONE)
+    with pytest.raises(ValueError):
+        op_inverse(diag + OpMatrix.unit(2, 1, 2, ZR_ONE))
+    with pytest.raises(ValueError):
+        op_inverse(OpMatrix.unit(2, 1, 1, ZR_ONE))
+
+
 def test_check_inv_derivation_chain():
     # the printed check-type operator is the inverse of the hat-type one at
     # inverted argument, after the oscillator-pair rescaling

@@ -92,6 +92,21 @@ def test_structure():
     assert v2.passed, v2
 
 
+@pytest.mark.parametrize("algebra, variant, invert, d", [
+    ("a1", "hat", "minus", 8), ("a1", "check", "plus", 12),
+    ("a2", "hat-1", "minus", 6), ("a2", "check-1", "plus", 8),
+])
+def test_singular_value_at_one_needs_an_annihilated_column(algebra, variant,
+                                                           invert, d):
+    _, ref, (_, _, pi, _) = verify._decomposed(variant, algebra, d, invert)
+    assert verify._annihilates_at_one(ref, pi)
+    # the operator at argument one is not zero, and no column is no check
+    eye = Grid.identity(pi.n, pi.op_dim, pi.one)
+    assert not verify._annihilates_at_one(ref, eye)
+    assert not verify._annihilates_at_one(ref, Grid(pi.n, {}, pi.op_dim,
+                                                    pi.one))
+
+
 def test_engine_verdict_json_roundtrip():
     v = check_engine("r", "a1", s=1, s1=0, order=4)
     assert v.passed
