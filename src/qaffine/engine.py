@@ -282,8 +282,9 @@ def _real_factor(e_op, f_op, order, dim):
 
 def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order,
                       cols):
-    """Returns (scalar prefactor series, weights of the diagonal factor on
-    the columns `cols`, or None when it is the identity).
+    """Returns (a_00, weights): a_00 is the argument of the exponential at
+    the ground state, and the weights are those of the diagonal factor on
+    the columns `cols`, or None when it is the identity.
 
     The imaginary root vectors are diagonal on every leg, so the argument
     a of the exponential is diagonal too.  At state (x, y) its level-m
@@ -292,14 +293,15 @@ def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order,
     eigenvalues e_im(x) and f_jm(y), which are asked for at the states of
     `cols` and at the ground state alone: G once per distinct left tuple,
     and one `series_exp` per distinct pair of tuples.  The exponential is
-    split as exp(a_00) * diag(exp(a_xy - a_00)); the common scalar
-    multiplies the assembled product once at the very end.  The weight list
+    split as exp(a_00) * diag(exp(a_xy - a_00)); the common scalar is
+    returned as its argument a_00 and multiplies the assembled product once
+    at the very end, unless the caller takes it apart.  The weight list
     has length dim_l * dim_r and holds None at every column outside
     `cols`, which the caller's matrix does not have.
     """
     m_max = params.m_max
     if not m_max:
-        return ZetaSeries.one(order), None
+        return ZetaSeries.zero(order), None
     um = u_matrices(params.algebra, m_max)
     rank = finite_cartan(params.algebra).rank
     zstep = left_table.zstep + right_table.zstep
@@ -332,8 +334,7 @@ def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order,
                 {z: a - b for z, a, b in
                  zip(zexps, pair(form(key[0]), key[1]), arg0)}, order))
         out[col] = weight
-    prefactor = series_exp(ZetaSeries(dict(zip(zexps, arg0)), order))
-    return prefactor, out
+    return ZetaSeries(dict(zip(zexps, arg0)), order), out
 
 
 def _k_factor(left_image, right_image, params, order):
@@ -388,8 +389,9 @@ def assemble(params, grouped_real_order=False, split_prefactor=False):
     The flattening puts the left leg slowest.  With `grouped_real_order`
     the commuting real factors are regrouped family by family, which must
     not change the product.  With `split_prefactor` the scalar exponential
-    common to all entries is returned separately as (prefactor, matrix);
-    the full product is prefactor * matrix entrywise.
+    exp(a_00) common to all entries is returned separately, as its argument:
+    the result is (a_00, matrix), and the full product is
+    series_exp(a_00) * matrix entrywise.
     """
     check_normalization_constants(params)
     left = _leg_images(params, "left")
@@ -406,17 +408,18 @@ def assemble(params, grouped_real_order=False, split_prefactor=False):
     rm = _leg_map(right, params.right, params)
     # start from the reported rows only, E_R (M_1 ... M_k) =
     # (E_R M_1) M_2 ... M_k, so that every product skips the other rows
-    prefactor = ZetaSeries.one(order)
-    acc = OpMatrix(dim_l * dim_r, {(r, r): prefactor for r in
+    one = ZetaSeries.one(order)
+    acc = OpMatrix(dim_l * dim_r, {(r, r): one for r in
                                    (x * dim_r + y for x in lm for y in rm)},
-                   prefactor, _clean=True)
+                   one, _clean=True)
+    a00 = ZetaSeries.zero(order)
     imag_done = False
     for root in roots:
         if root.kind == "imaginary":
             # the whole imaginary block at once; without imaginary roots
             # (m_max = 0) the factor is the identity
             if not imag_done:
-                prefactor, factor = _imaginary_factor(
+                a00, factor = _imaginary_factor(
                     etab, ftab, params, dim_l, dim_r, order,
                     {j for _, j in acc.entries})
                 acc = acc.scaled(cols=factor)
@@ -432,8 +435,9 @@ def assemble(params, grouped_real_order=False, split_prefactor=False):
     acc = acc.scaled(cols=_k_factor(left, right, params, order))
     acc = _restrict_output(acc, lm, rm, dim_r)
     if split_prefactor:
-        return prefactor, acc
-    if prefactor != ZetaSeries.one(order):
+        return a00, acc
+    if a00:
+        prefactor = series_exp(a00)
         acc = acc.map_values(lambda s: s * prefactor)
     return acc
 

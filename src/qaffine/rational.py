@@ -343,14 +343,8 @@ class ZetaRational:
     # -- series expansion ----------------------------------------------------
 
     def to_series(self, order):
-        from .series import ZetaSeries
-        # a Laurent numerator pushes pole terms below zero; expand the
-        # denominator far enough that the product is exact through `order`
-        lo = min(self.num) if self.num else 0
-        pad = max(0, -lo)
-        num = ZetaSeries(dict(self.num), order + pad)
-        den = ZetaSeries(dict(self.den), order + pad)
-        return (num * den.inverse()).truncate(order)
+        from .series import series_quotient
+        return series_quotient(self.num, self.den, order)
 
     # -- comparison -----------------------------------------------------------
 

@@ -70,7 +70,8 @@ class PrefactorTag:
     def is_trivial(self):
         return self.t_power == 0 and not self.terms
 
-    def to_series(self, order):
+    def log_series(self, order):
+        """T, the signed sum of lambda functions: the tag is t^p exp(T)."""
         if any(arg < 1 for (_, _, arg, _) in self.terms):
             raise ValueError("tag with non-positive argument exponents has "
                              "no expansion about zero")
@@ -79,7 +80,10 @@ class PrefactorTag:
             lam = lambda_level(n, QScalar({sc: Fraction(1)}), arg, order)
             for _ in range(abs(sg)):
                 total = total + lam if sg > 0 else total - lam
-        out = series_exp(total)
+        return total
+
+    def to_series(self, order):
+        out = series_exp(self.log_series(order))
         if self.t_power:
             out = out.scale(QScalar({self.t_power: Fraction(1)}))
         return out

@@ -1,7 +1,10 @@
 """Truncated Laurent series in the spectral variable zeta over Q(t).
 
 A ZetaSeries stores exact coefficients for every degree from min_degree up
-to the truncation order; arithmetic is exact modulo O(zeta^(N+1)).  The
+to the truncation order; arithmetic is exact modulo O(zeta^(N+1)).  Series
+are divided by one recurrence, `series_quotient`, which solves den * s = num
+coefficient by coefficient: both the series inverse and the expansion of a
+zeta-rational use it, and no division iterates series products.  The
 formal exp/log pair and the level-2/level-3 lambda functions that appear in
 diagonal scalar prefactors live here too.
 """
@@ -10,7 +13,8 @@ from fractions import Fraction
 
 from .scalars import QScalar, qint_base
 
-__all__ = ["ZetaSeries", "series_exp", "series_log", "lambda_level"]
+__all__ = ["ZetaSeries", "series_quotient", "series_exp", "series_log",
+           "lambda_level"]
 
 _QZERO = QScalar.ZERO
 _QONE = QScalar.ONE
@@ -131,28 +135,13 @@ class ZetaSeries:
         """Series inverse; needs an invertible lowest coefficient.
 
         For a leading term of degree lo the result is exact to order
-        (order - 2*lo): that is all the input data determines.
+        (order - 2*lo): that is all the input data determines.  It is
+        `series_quotient` of one by the coefficients of self.
         """
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero series")
-        lo = min(self.coeffs)
-        c0 = self.coeffs[lo]
-        inv0 = c0.inverse()
-        n_eff = self.order - lo
-        # write self = c0 zeta^lo (1 + r) and invert the unit part
-        r = {d - lo: c * inv0 for d, c in self.coeffs.items() if d != lo}
-        unit = ZetaSeries(r, n_eff)
-        acc = ZetaSeries.one(n_eff)
-        term = ZetaSeries.one(n_eff)
-        sign = -1
-        while True:
-            term = term * unit
-            if not term:
-                break
-            acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        out = {d - lo: c * inv0 for d, c in acc.coeffs.items()}
-        return ZetaSeries(out, self.order - 2 * lo, -lo)
+        return series_quotient({0: _QONE}, self.coeffs,
+                               self.order - 2 * min(self.coeffs))
 
     def truncate(self, order):
         return ZetaSeries({d: c for d, c in self.coeffs.items() if d <= order},
@@ -183,6 +172,35 @@ class ZetaSeries:
 
     def __repr__(self):
         return "ZetaSeries(%s)" % self
+
+
+def series_quotient(num, den, order):
+    """The series s with den * s = num, through zeta^order.
+
+    num and den are coefficient dicts {degree: QScalar} without zeros, num
+    may hold negative degrees and den must not be empty.  With d0 the lowest
+    degree of den, s starts at degree min(num) - d0 and each coefficient is
+    s_n = (num_(n+d0) - sum_(k>=1) den_(d0+k) s_(n-k)) / den_d0, the sum
+    running over the nonzero terms of den only.  The caller picks `order`
+    so that the terms of den it needs, up to degree d0 + order - min(s), are
+    known.
+    """
+    if not num:
+        return ZetaSeries.zero(order)
+    d0 = min(den)
+    inv0 = den[d0].inverse()
+    tail = [(k - d0, c) for k, c in den.items() if k != d0]
+    lo = min(num) - d0
+    out = {}
+    for n in range(lo, order + 1):
+        acc = num.get(n + d0, _QZERO)
+        for k, c in tail:
+            prev = out.get(n - k)
+            if prev is not None:
+                acc = acc - c * prev
+        if acc:
+            out[n] = acc * inv0
+    return ZetaSeries(out, order, lo)
 
 
 def series_exp(f):

@@ -13,8 +13,8 @@ computed on the window alone.
 
 import time
 
-from .scalars import QScalar, _ONE_POLY, q_power
-from .series import ZetaSeries
+from .scalars import QScalar, _ONE_POLY, q_power, t_power
+from .series import ZetaSeries, series_exp
 from .rational import ZetaRational
 from .linalg import (
     OpMatrix, Grid, grid_akp, hat_and_check, embed_legs, kron, fock_window,
@@ -208,6 +208,16 @@ def engine_params_for(kind, algebra, variant, s, s1, s2, order, d):
                         right=right, family=family, twist=twist, fock_dim=d)
 
 
+def _tag_ratio(tag, a00, order):
+    """The closed form's common scalar t^p exp(T) over the engine's
+    exp(a_00), taken as t^p exp(T - a_00): one exponential and no series
+    division."""
+    ratio = series_exp(tag.log_series(order) - a00)
+    if tag.t_power:
+        ratio = ratio.scale(t_power(tag.t_power))
+    return ratio
+
+
 @_timed
 def check_engine(kind, algebra, variant="plain", s=1, s1=0, s2=0, order=8,
                  d=None):
@@ -216,12 +226,11 @@ def check_engine(kind, algebra, variant="plain", s=1, s1=0, s2=0, order=8,
         d = order + 4
     ref = reference_matrix(kind, algebra, variant, s, s1, s2, d=d)
     params = engine_params_for(kind, algebra, variant, s, s1, s2, order, d)
-    prefactor, engine_mat = assemble(params, split_prefactor=True)
-    tag_series = ref.tag.to_series(order)
+    a00, engine_mat = assemble(params, split_prefactor=True)
     ref_mat = ref.expand(order, include_tag=False)
     # both splits are exact; they may anchor the common scalar differently,
     # so compare through the unit ratio of the two prefactors
-    ratio = tag_series * prefactor.inverse()
+    ratio = _tag_ratio(ref.tag, a00, order)
     if ratio != ZetaSeries.one(order):
         ref_mat = ref_mat.map_values(lambda v: (v * ratio).truncate(order))
     exps = _exps(algebra, s, s1, s2)

@@ -21,10 +21,14 @@
 * `OpMatrix.diagonal` builds only operators that are factors of the
   transcribed formulas; a diagonal conjugation or diagonal factor is applied
   with `scaled`, never as a product with a diagonal matrix.
+* Every entry point the benchmark's tracer wraps (`perfbench/tracer.py`,
+  `LAYERS`) is defined on its owner, so a rename in src/ fails here and not
+  first in a traced benchmark run.
 """
 
 import ast
 import collections
+import importlib.util
 import pathlib
 import re
 
@@ -195,3 +199,25 @@ def test_diagonal_matrices_only_where_they_are_operators():
     assert "oscillator.FockCopies.qd" in found
     assert [w for w in sorted(found)
             if not any(w == a or w.startswith(a + ".") for a in allowed)] == []
+
+
+def test_every_traced_entry_point_is_defined_on_its_owner():
+    # read as Tracer.install reads it: vars(owner)[attr], so an attribute
+    # inherited or set on an instance does not count
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    entries = [entry for _, entry_points, _, _ in tracer.LAYERS
+               for entry in entry_points]
+    missing = []
+    for entry in entries:
+        module_name, path = entry.split(":")
+        owner = importlib.import_module("qaffine." + module_name)
+        cls_name, _, attr = path.rpartition(".")
+        if cls_name:
+            owner = getattr(owner, cls_name, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(entry)
+    assert len(entries) > 20
+    assert missing == []

@@ -9,6 +9,7 @@ from qaffine.linalg import (
 from qaffine.rational import ZetaRational
 from qaffine.reference import reference_matrix
 from qaffine.scalars import parse_qscalar, q_power
+from qaffine.series import ZetaSeries, series_exp
 from qaffine.verify import (
     Verdict, check_engine, check_ybe, check_rll, check_duality, check_gauge,
     check_structure, check_double_inversion, suite_checks, run_suite,
@@ -105,6 +106,14 @@ def test_singular_value_at_one_needs_an_annihilated_column(algebra, variant,
     assert not verify._annihilates_at_one(ref, eye)
     assert not verify._annihilates_at_one(ref, Grid(pi.n, {}, pi.op_dim,
                                                     pi.one))
+    # a column outside the ground window is not read: a projector onto the
+    # Fock state with two quanta in one copy, which the operator at one
+    # does not kill, changes nothing
+    ops = dict(pi.entries)
+    ops[(0, 0)] = pi.entry(0, 0) + OpMatrix(pi.op_dim, {(2, 2): pi.one},
+                                            pi.one)
+    wider = Grid(pi.n, ops, pi.op_dim, pi.one)
+    assert verify._annihilates_at_one(ref, wider)
 
 
 def test_engine_verdict_json_roundtrip():
@@ -394,6 +403,43 @@ def test_no_check_builds_ordered_factors(monkeypatch):
         check_structure("a1", d=6),
         check_structure("a2", d=5),
     ]
+    assert [v for v in verdicts if not v.passed] == []
+
+
+# -- the common scalar is compared without a series division -----------------
+
+_ENGINE_CATALOG = {cid: kw for cid, fn, kw in suite_checks()
+                   if fn == "check_engine"}
+
+
+@pytest.mark.parametrize("cid, anchors_differ", [
+    ("a1-engine-r", True), ("a1-engine-check", True),
+    ("a1-engine-hat-twisted", True), ("a2-engine-r", True),
+    ("a2-engine-hat-2", True), ("a1-engine-hat", False),
+])
+def test_tag_ratio_equals_quotient_of_exponentials(monkeypatch, cid,
+                                                   anchors_differ):
+    # the ratio check_engine forms, t^p exp(T - a_00), against the quotient
+    # of the two expanded scalars it replaced
+    seen = []
+    tag_ratio = verify._tag_ratio
+
+    def recording(tag, a00, order):
+        seen.append((tag, a00, order, tag_ratio(tag, a00, order)))
+        return seen[-1][-1]
+    monkeypatch.setattr(verify, "_tag_ratio", recording)
+    assert check_engine(**_ENGINE_CATALOG[cid]).passed
+    (tag, a00, order, ratio), = seen
+    assert ratio == tag.to_series(order) * series_exp(a00).inverse()
+    assert (ratio != ZetaSeries.one(order)) is anchors_differ
+
+
+def test_no_engine_check_divides_a_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine check inverted a series")
+    monkeypatch.setattr(ZetaSeries, "inverse", refuse)
+    verdicts = [check_engine(**kw) for kw in _ENGINE_CATALOG.values()]
+    assert len(verdicts) == 10
     assert [v for v in verdicts if not v.passed] == []
 
 
