@@ -186,6 +186,9 @@ def _parse_twist(text, algebra):
 
 
 def cmd_compute(args, conf):
+    """The requested object in the one form `conf["format"]` asks for: its
+    text, or its JSON payload, which `main` dumps after the object itself
+    is released."""
     order, fock, backend = conf["order"], conf["fock"], conf["backend"]
     if args.algebra is None:
         args.algebra = "a1"
@@ -202,21 +205,24 @@ def cmd_compute(args, conf):
     if args.algebra == "a1" and args.family != 1:
         raise UsageError("--family applies to --algebra a2 only")
     twist = _parse_twist(args.twist, args.algebra)
+    as_text = conf["format"] == "text"
     if backend == "rational":
         if args.what == "r":
             ref = reference_matrix("r", args.algebra, "plain", args.s,
                                    args.s1, args.s2)
+            if as_text:
+                return _matrix_text(ref.matrix, args.algebra, ref.tag)
             payload = dump_matrix(ref.matrix)
             payload["tag"] = {"t_power": ref.tag.t_power,
                               "terms": [list(t) for t in ref.tag.terms]}
-            text = _matrix_text(ref.matrix, args.algebra, ref.tag)
         else:
             variant = _variant_for(args, twist)
             ref = reference_matrix("l", args.algebra, variant, args.s,
                                    args.s1, args.s2, d=fock)
+            if as_text:
+                return _grid_text(ref)
             payload = dump_grid(ref.matrix, fock_dim=ref.fock_dim,
                                 copies=ref.copies, tag=ref.tag)
-            text = _grid_text(ref)
     else:
         left = "chi" if args.side == "chi-phi" else "phi"
         right = "psi" if args.side == "phi-psi" else "phi"
@@ -228,9 +234,10 @@ def cmd_compute(args, conf):
                               twist=twist, fock_dim=fock,
                               osc_params=_parse_osc_params(args))
         mat = assemble(params)
+        if as_text:
+            return _flat_series_text(mat)
         payload = dump_matrix(mat)
-        text = _flat_series_text(mat)
-    return payload, text
+    return payload
 
 
 def _basis_label(flat, n):
@@ -310,9 +317,9 @@ def main(argv=None):
         if args.command == "list":
             text = "\n".join("%s %s %s" % v for v in list_variants())
         elif args.command == "compute":
-            payload, text = cmd_compute(args, conf)
-            if conf["format"] == "json":
-                text = json.dumps(payload, indent=2)
+            out = cmd_compute(args, conf)
+            text = (out if conf["format"] == "text" else
+                    json.dumps(out, indent=2))
         else:
             text, all_pass = cmd_verify(args, conf)
             status = 0 if all_pass else 1

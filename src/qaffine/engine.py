@@ -23,19 +23,24 @@ keeps their eigenvalues and takes the graded logarithm only at the states
 the product holds.  Every pairing has a fundamental leg, where a real root
 vector squares to zero, so each real q-exponential exp_q(X) is exactly
 1 + X; the pairing of two oscillator legs has none and is rejected.
+
+No step along delta is a matrix product: e'_delta has weight zero, so a
+bracket with it is an entrywise weight by eigenvalue differences, and
+level 1 of each imaginary family is e'_delta itself.  The Cartan factor,
+too, is weighed only at the columns the product holds.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .scalars import QScalar, q_power, qint
+from .scalars import QScalar, q_power, qint, t_power
 from .series import ZetaSeries, series_exp, series_log
 from .linalg import OpMatrix, kron, fock_window, _flat, _unflat
 from .rootsys import (
     extend_cartan, finite_cartan, finite_positive, positive_roots,
 )
-from .qgroup import phi_zeta, dynkin_twist, _exps_for
+from .qgroup import ScaledOp, phi_zeta, dynkin_twist, _exps_for
 from .oscillator import chi_images, psi_images
 
 __all__ = ["EngineParams", "EngineError", "RootVectorTable",
@@ -180,7 +185,13 @@ class RootVectorTable:
 
 
 def build_root_vectors(image, side, m_max):
-    """Run the recursion for one leg; `side` picks the Borel half."""
+    """Run the recursion for one leg; `side` picks the Borel half.
+
+    A bracket with the diagonal e'_delta scales entries, [X, e'_delta]_ij =
+    X_ij (d_j - d_i) for its eigenvalues d (absent states at 0), so each
+    family along delta is its first vector times weights, with no matrix
+    product; level 1 of each simple imaginary family is e'_delta itself.
+    """
     sgn = 1 if side == "e" else -1
     op = image.e_op if side == "e" else image.f_op
 
@@ -202,21 +213,35 @@ def build_root_vectors(image, side, m_max):
     # carries the m-th power of the leg's total delta weight, and only
     # their eigenvalues are kept
     c = C_FACTOR if sgn > 0 else -C_FACTOR
+    half = INV2 if sgn > 0 else -INV2
     zstep = sgn * sum(image.exps)
     diags = []
     for gamma in finite_positive(image.algebra):
         minus = tuple(-g for g in gamma)
         prime_delta = bracket(real[(gamma, 0)], real[(minus, 1)], -2)
-        for m in range(1, m_max + 1):
-            real[(gamma, m)] = bracket(real[(gamma, m - 1)], prime_delta,
-                                       0).scale(INV2)
-            real[(minus, m + 1)] = bracket(prime_delta, real[(minus, m)],
-                                           0).scale(INV2)
+        if not prime_delta.mat.is_diagonal():
+            raise EngineError("e'_delta of %s is not diagonal" % (gamma,))
+        d = {x: v for (x, _), v in prime_delta.mat.entries.items()}
+        # e_(gamma + m delta) = [e_(gamma + (m-1) delta), e'_delta] / [2] and
+        # e_(-gamma + (m+1) delta) = [e'_delta, e_(-gamma + m delta)] / [2]:
+        # one weight per entry and direction; a zero weight drops the entry
+        for root, m0, h in ((gamma, 0, half), (minus, 1, -half)):
+            vec = real[(root, m0)]
+            w = {(x, y): (d.get(y, ZERO) - d.get(x, ZERO)) * h
+                 for x, y in vec.mat.entries}
+            w = {xy: v for xy, v in w.items() if v}
+            for m in range(m0 + 1, m0 + m_max + 1):
+                vec = real[(root, m)] = ScaledOp(
+                    vec.zexp + prime_delta.zexp,
+                    OpMatrix(vec.mat.dim, {xy: v * w[xy] for xy, v in
+                                           vec.mat.entries.items()
+                                           if xy in w}, ONE, _clean=True))
         if sum(gamma) > 1:
             continue
         levels = []
         for m in range(1, m_max + 1):
-            sop = bracket(real[(gamma, m - 1)], real[(minus, 1)], -2)
+            sop = (prime_delta if m == 1 else
+                   bracket(real[(gamma, m - 1)], real[(minus, 1)], -2))
             if sop.mat and sop.zexp != m * zstep:
                 raise EngineError("inhomogeneous zeta grading in the "
                                   "imaginary family at level %d" % m)
@@ -337,21 +362,22 @@ def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order,
     return ZetaSeries(dict(zip(zexps, arg0)), order), out
 
 
-def _k_factor(left_image, right_image, params, order):
-    """Per-state weights of the Cartan factor q^(sum_ij B^-1_ij h_i x h_j)."""
+def _k_factor(left_image, right_image, params, order, cols):
+    """Weights of the Cartan factor q^(sum_ij B^-1_ij h_i x h_j) on the
+    columns `cols`, with None at every other column, as for
+    `_imaginary_factor`.  6 B^-1 is an integer matrix and q = t^6, so each
+    weight is an integer power of t."""
     fin = finite_cartan(params.algebra)
     r = fin.rank
-    binv = fin.finite_inverse
-    hl = [left_image.h_diags[i + 1] for i in range(r)]
-    hr = [right_image.h_diags[j + 1] for j in range(r)]
-    out = []
-    for x in range(left_image.dim):
-        for y in range(right_image.dim):
-            expo = Fraction(0)
-            for i in range(r):
-                for j in range(r):
-                    expo += binv[i][j] * hl[i][x] * hr[j][y]
-            out.append(ZetaSeries.const(q_power(expo), order))
+    b6 = [[int(6 * b) for b in row] for row in fin.finite_inverse]
+    hl, hr = left_image.h_diags[1:r + 1], right_image.h_diags[1:r + 1]
+    dim_r = right_image.dim
+    out = [None] * (left_image.dim * dim_r)
+    for col in cols:
+        x, y = divmod(col, dim_r)
+        out[col] = ZetaSeries.const(t_power(sum(
+            b6[i][j] * hl[i][x] * hr[j][y]
+            for i in range(r) for j in range(r))), order)
     return out
 
 
@@ -432,7 +458,8 @@ def assemble(params, grouped_real_order=False, split_prefactor=False):
         if e.zexp + f.zexp > order:
             continue
         acc = acc + acc * _real_factor(e, f, order, dim_l * dim_r)
-    acc = acc.scaled(cols=_k_factor(left, right, params, order))
+    acc = acc.scaled(cols=_k_factor(left, right, params, order,
+                                    {j for _, j in acc.entries}))
     acc = _restrict_output(acc, lm, rm, dim_r)
     if split_prefactor:
         return a00, acc

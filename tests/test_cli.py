@@ -245,3 +245,24 @@ def test_cli_twist_is_read_alike_on_both_backends(capsys):
         plain = out("--backend", backend)
         assert out("--backend", backend, "--twist", "01") == plain
         assert out("--backend", backend, "--twist", "10") != plain
+
+
+@pytest.mark.parametrize("fmt, unused", [
+    ("json", ("_matrix_text", "_grid_text", "_flat_series_text")),
+    ("text", ("dump_matrix", "dump_grid")),
+])
+def test_cli_compute_builds_only_the_requested_form(fmt, unused, monkeypatch,
+                                                    capsys):
+    # one rational r-matrix, one rational grid and one series matrix; the
+    # formatter of the other form is never called
+    from qaffine import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the output form nobody asked for")
+    for name in unused:
+        monkeypatch.setattr(cli, name, refuse)
+    for argv in (["r"], ["l", "--side", "phi-psi", "--fock", "3"],
+                 ["l", "--side", "chi-phi", "--backend", "series",
+                  "--order", "1", "--fock", "3"]):
+        assert main(["compute"] + argv + ["--format", fmt]) == 0
+        assert capsys.readouterr().out.strip()

@@ -5,17 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from qaffine.scalars import QScalar, q_power, qint, qint_base, qnum_base
+from qaffine.scalars import (
+    QScalar, parse_qscalar, q_power, qint, qint_base, qnum_base,
+)
 from qaffine.series import ZetaSeries, series_exp, lambda_level
 from qaffine.linalg import OpMatrix, kron, fock_window
-from qaffine.qgroup import phi_zeta, ScaledOp
-from qaffine.oscillator import chi_images, psi_images, fock_rep
+from qaffine.qgroup import phi_zeta, ScaledOp, GeneratorImage
+from qaffine.oscillator import OscParams, chi_images, psi_images, fock_rep
 from qaffine import engine
 from qaffine.engine import (
     EngineParams, EngineError, build_root_vectors, assemble, u_matrices,
     check_normalization_constants,
 )
-from qaffine.rootsys import extend_cartan, finite_cartan, positive_roots
+from qaffine.rootsys import (
+    extend_cartan, finite_cartan, finite_positive, positive_roots,
+)
 from qaffine.verify import check_engine, engine_params_for
 
 ONE = QScalar.ONE
@@ -236,6 +240,178 @@ def test_a2_psi_family1_vectors():
         inner = qd(2 * m, 0).scale(ONE + q_power(2 * m)) - kron(eye, eye)
         expect = inner.scale(sign * q_power(m) * c_inv.scale(Fraction(1, m)))
         assert eigenvalues(tab, 0, m, states) == diagonal(expect, states)
+
+
+# -- the tables against the bracket recursion -----------------------------------
+
+def _bracket_tables(image, side, m_max):
+    # the recursion the engine once ran: each step along delta a
+    # q-commutator with e'_delta divided by [2], each imaginary level a
+    # bracket with e_(delta - gamma); the real vectors and the levels c e'
+    sgn = 1 if side == "e" else -1
+    op = image.e_op if side == "e" else image.f_op
+
+    def bracket(x, y, p):
+        return x.q_commutator(y, p) if sgn > 0 else y.q_commutator(x, -p)
+
+    if image.algebra == "a1":
+        real = {((1,), 0): op(1), ((-1,), 1): op(0)}
+    else:
+        ea, eb, e0 = op(1), op(2), op(0)
+        real = {((1, 0), 0): ea, ((0, 1), 0): eb, ((-1, -1), 1): e0,
+                ((1, 1), 0): bracket(ea, eb, -1),
+                ((-1, 0), 1): bracket(eb, e0, -1),
+                ((0, -1), 1): bracket(ea, e0, -1)}
+    c = C if sgn > 0 else -C
+    inv2 = qint(2).inverse()
+    diags = []
+    for gamma in finite_positive(image.algebra):
+        minus = tuple(-g for g in gamma)
+        prime_delta = bracket(real[(gamma, 0)], real[(minus, 1)], -2)
+        for m in range(1, m_max + 1):
+            real[(gamma, m)] = bracket(real[(gamma, m - 1)], prime_delta,
+                                       0).scale(inv2)
+            real[(minus, m + 1)] = bracket(prime_delta, real[(minus, m)],
+                                           0).scale(inv2)
+        if sum(gamma) > 1:
+            continue
+        levels = []
+        for m in range(1, m_max + 1):
+            sop = bracket(real[(gamma, m - 1)], real[(minus, 1)], -2)
+            assert sop.mat.is_diagonal()
+            levels.append({x: v for (x, _), v in
+                           sop.mat.scale(c).entries.items()})
+        diags.append(levels)
+    return real, diags
+
+
+_OSC_A1 = OscParams(parse_qscalar("(1 + t^6)/(1)"),
+                    [parse_qscalar("(2 + t^18)/(1 - t^6)")], [Fraction(1, 3)])
+_OSC_A2 = OscParams(parse_qscalar("(3)/(1 + t^12)"),
+                    [parse_qscalar("(1 + t^6)/(1)"),
+                     parse_qscalar("(t^12 - 5)/(1)")],
+                    [Fraction(1, 3), Fraction(0), Fraction(2)])
+
+_TABLE_CASES = [
+    pytest.param("a1", (1, 0), dict(order=5), id="a1-phi"),
+    pytest.param("a2", (1, 0, 0), dict(order=4), id="a2-phi"),
+    pytest.param("a1", (1, 0), dict(order=5, left="chi", fock_dim=4),
+                 id="a1-chi"),
+    pytest.param("a1", (1, 0), dict(order=5, right="psi", fock_dim=4),
+                 id="a1-psi"),
+] + [
+    pytest.param("a2", (1, 0, 0), dict(order=3, fock_dim=3, family=fam,
+                                       **{side: leg}),
+                 id="a2-%s-%d" % (leg, fam))
+    for side, leg in (("left", "chi"), ("right", "psi")) for fam in (1, 2)
+] + [
+    pytest.param("a1", (1, 0), dict(order=5, left="chi", twist=(1, 0),
+                                    fock_dim=4), id="a1-chi-twisted"),
+    pytest.param("a2", (1, 0, 0), dict(order=3, left="chi", family=2,
+                                       twist=(1, 2, 0), fock_dim=3),
+                 id="a2-chi-2-twisted"),
+    pytest.param("a2", (1, 0, 0), dict(order=3, right="psi", twist=(2, 0, 1),
+                                       fock_dim=3), id="a2-psi-1-twisted"),
+    pytest.param("a1", (2, 0), dict(order=6, left="chi", fock_dim=4),
+                 id="a1-chi-s1-0"),
+    pytest.param("a1", (2, 2), dict(order=6, right="psi", fock_dim=4),
+                 id="a1-psi-s1-s"),
+    pytest.param("a2", (2, 0, 2), dict(order=4, left="chi", fock_dim=3),
+                 id="a2-chi-s2-s"),
+    pytest.param("a2", (2, 2, 0), dict(order=4, right="psi", family=2,
+                                       fock_dim=3), id="a2-psi-2-s1-s"),
+    pytest.param("a1", (1, 0), dict(order=4, left="chi", fock_dim=4,
+                                    osc_params=_OSC_A1), id="a1-chi-osc"),
+    pytest.param("a2", (1, 0, 0), dict(order=2, right="psi", family=2,
+                                       fock_dim=3, osc_params=_OSC_A2),
+                 id="a2-psi-2-osc"),
+]
+
+
+@pytest.mark.parametrize("algebra, exps, kw", _TABLE_CASES)
+def test_tables_match_the_bracket_recursion(algebra, exps, kw):
+    # every real vector with its power of zeta, and every level of c e',
+    # exactly as the bracket recursion gives them, on both legs
+    params = EngineParams(algebra, *exps, **kw)
+    for which, side in (("left", "e"), ("right", "f")):
+        leg = engine._leg_images(params, which)
+        tab = build_root_vectors(leg, side, params.m_max)
+        real, diags = _bracket_tables(leg, side, params.m_max)
+        assert tab.real.keys() == real.keys()
+        for key, want in real.items():
+            got = tab.real[key]
+            assert (got.zexp, got.mat) == (want.zexp, want.mat), (side, key)
+        assert tab.diags == diags, side
+
+
+@pytest.mark.parametrize("algebra, kw, brackets", [
+    pytest.param("a1", dict(order=0), 1, id="a1-m0"),
+    pytest.param("a1", dict(order=5), 5, id="a1-m5"),
+    pytest.param("a1", dict(order=5, left="chi", fock_dim=4), 5,
+                 id="a1-chi-m5"),
+    pytest.param("a2", dict(order=2), 8, id="a2-m2"),
+    pytest.param("a2", dict(order=6), 16, id="a2-m6"),
+    pytest.param("a2", dict(order=2, left="chi", fock_dim=3), 8,
+                 id="a2-chi-m2"),
+])
+def test_delta_family_steps_take_no_bracket(monkeypatch, algebra, kw,
+                                            brackets):
+    # the only q-commutators are the first vectors, e'_delta and the
+    # imaginary levels m >= 2: 1 + (m_max - 1) in rank 1, 6 + 2 (m_max - 1)
+    # in rank 2; a step along delta is a weight, not a bracket
+    params = EngineParams(algebra, 1, 0, 0, **kw)
+    leg = engine._leg_images(params, "left")
+    calls = []
+    q_commutator = OpMatrix.q_commutator
+    monkeypatch.setattr(OpMatrix, "q_commutator",
+                        lambda a, b, factor: calls.append(factor)
+                        or q_commutator(a, b, factor))
+    build_root_vectors(leg, "e", params.m_max)
+    rank, first = (1, 1) if algebra == "a1" else (2, 6)
+    assert len(calls) == brackets == first + rank * max(params.m_max - 1, 0)
+
+
+def test_a_non_diagonal_prime_delta_is_rejected():
+    # a bracket with e'_delta is a weight only when e'_delta is diagonal;
+    # in rank 2 that is checked for alpha + beta too, whose e' no imaginary
+    # level reads
+    img = GeneratorImage("a1", 3, [[0] * 3] * 2, [u3(2, 3), u3(1, 2)],
+                         [None] * 2, (1, 0))
+    with pytest.raises(EngineError, match=r"\(1,\)"):
+        build_root_vectors(img, "e", 1)
+    u4 = lambda a, b: OpMatrix.unit(4, a, b, ONE)
+    img = GeneratorImage("a2", 4, [[0] * 4] * 3,
+                         [u4(2, 1) + u4(2, 3), u4(1, 2), u4(2, 1)],
+                         [None] * 3, (1, 0, 0))
+    with pytest.raises(EngineError, match=r"\(1, 1\)"):
+        build_root_vectors(img, "e", 1)
+
+
+@pytest.mark.parametrize("exps, order, unread", [
+    ((1, 0), 3, ((-1,), 4)),
+    ((3, 2), 7, ((1,), 2)),
+])
+def test_the_unread_real_vector_depends_on_the_order(monkeypatch, exps,
+                                                     order, unread):
+    # which real vector of a chi leg the product skips for its zeta degree
+    # depends on the exponents and the order, which the table does not
+    # know: at s = 3, s1 = 2 the top vector ((-1,), m_max + 1) is read
+    params = EngineParams("a1", *exps, order=order, left="chi", fock_dim=4)
+    tables, read = [], []
+    build, real_factor = engine.build_root_vectors, engine._real_factor
+    monkeypatch.setattr(engine, "build_root_vectors",
+                        lambda *a: tables.append(build(*a)) or tables[-1])
+    monkeypatch.setattr(engine, "_real_factor",
+                        lambda e, f, *a: read.append(e) or
+                        real_factor(e, f, *a))
+    assemble(params)
+    (etab,) = [t for t in tables if any(v is e for v in t.real.values()
+                                        for e in read)]
+    keys = {k for k, v in etab.real.items() if any(v is e for e in read)}
+    top = ((-1,), params.m_max + 1)
+    assert etab.real[unread].mat and unread not in keys
+    assert set(etab.real) - keys == {unread}
+    assert (top in keys) == (unread != top)
 
 
 def test_u_matrices():
@@ -571,7 +747,7 @@ def test_engine_column_weights_match_products_with_diagonals(algebra, kw):
     cols = sorted(_reported_columns(left, right, params))
     _, imag = engine._imaginary_factor(etab, ftab, params, left.dim,
                                        right.dim, order, set(cols))
-    cartan = engine._k_factor(left, right, params, order)
+    cartan = engine._k_factor(left, right, params, order, set(cols))
     one = ZetaSeries.one(order)
     rng = random.Random(5)
     acc = OpMatrix(dim, {(rng.randrange(dim), rng.choice(cols)):

@@ -1,8 +1,10 @@
-"""Golden snapshots of `qaffine compute` and `qaffine verify` JSON output.
+"""Golden snapshots of `qaffine compute` and `qaffine verify` output.
 
 Each case runs the command line in-process and compares its JSON output
 with the file of the same name under tests/golden/.  Verdict wall times
 are removed before the comparison; everything else must match exactly.
+The text cases compare `--format text` output byte for byte with their
+`.txt` file.
 
 Regenerate the files (only when a change of output is intended) with
 
@@ -60,6 +62,12 @@ CASES = {
 }
 
 
+# one rational r-matrix, one rational grid and one series matrix, as text
+TEXT_CASES = {name: CASES[name] for name in (
+    "compute-r-a1", "compute-l-a1-phi-psi-rational",
+    "compute-l-a1-chi-phi-series")}
+
+
 def _run(argv, out_path):
     """Run one case with JSON output written to out_path; return the
     exit code and the parsed output without wall times."""
@@ -79,6 +87,18 @@ def test_golden(name, tmp_path):
     assert blob == expected
 
 
+def _run_text(argv, out_path):
+    code = main(argv + ["--format", "text", "--out", str(out_path)])
+    return code, out_path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_golden_text(name, tmp_path):
+    code, text = _run_text(TEXT_CASES[name], tmp_path / "out.txt")
+    assert code == 0
+    assert text == (GOLDEN_DIR / (name + ".txt")).read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
     GOLDEN_DIR.mkdir(exist_ok=True)
@@ -90,3 +110,9 @@ if __name__ == "__main__":
             (GOLDEN_DIR / (name + ".json")).write_text(
                 json.dumps(blob, indent=1, sort_keys=True) + "\n")
             print("wrote", name)
+        for name, argv in sorted(TEXT_CASES.items()):
+            code, text = _run_text(argv, pathlib.Path(tmp) / "out.txt")
+            if code != 0:
+                sys.exit("%s exited %d" % (name, code))
+            (GOLDEN_DIR / (name + ".txt")).write_bytes(text)
+            print("wrote", name, "(text)")
