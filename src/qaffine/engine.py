@@ -17,12 +17,13 @@ on the reported rows, since E_R (M_1 ... M_k) = (E_R M_1) M_2 ... M_k, so
 every factor is multiplied on those rows alone; the columns are cut at the
 end.
 
-No factor is built on states the product never reads.  The imaginary root
-vectors have weight zero, so they are diagonal on every leg: the engine
-keeps their eigenvalues and takes the graded logarithm only at the states
-the product holds.  Every pairing has a fundamental leg, where a real root
-vector squares to zero, so each real q-exponential exp_q(X) is exactly
-1 + X; the pairing of two oscillator legs has none and is rejected.
+The imaginary root vectors have weight zero, so they are diagonal on every
+leg: the engine keeps their eigenvalues and takes the graded logarithm only
+at the states the product holds.  Every pairing has a fundamental leg,
+where a real root vector squares to zero, so each real q-exponential
+exp_q(X) is exactly 1 + X; the pairing of two oscillator legs has none and
+is rejected.  X itself is built on all padded states, of which the product
+reads only the rows at the columns it holds.
 
 No step along delta is a matrix product: e'_delta has weight zero, so a
 bracket with it is an entrywise weight by eigenvalue differences, and
@@ -61,14 +62,14 @@ class EngineParams:
     """Everything one assembly needs.
 
     `left` is "phi" or "chi", `right` is "phi" or "psi", not both
-    oscillators; `twist` (a node permutation) applies to the oscillator leg;
-    `zeta_offset` evaluates the left leg at zeta^(offset+1) and the right
-    leg at zeta^offset, which must not change the result.
+    oscillators; `twist` (a node permutation) applies to the oscillator leg.
+    The left leg is evaluated at zeta and the right leg at zeta^0, so the
+    product is a series in the ratio of the two spectral parameters.
     """
 
     def __init__(self, algebra, s, s1, s2=0, order=8, left="phi",
                  right="phi", family=1, twist=None, fock_dim=None,
-                 zeta_offset=0, osc_params=None):
+                 osc_params=None):
         if s < 1:
             raise EngineError("the series engine needs s >= 1")
         exps = _exps_for(algebra, s, s1, s2)
@@ -88,7 +89,6 @@ class EngineParams:
         self.family = family
         self.twist = twist
         self.fock_dim = fock_dim if fock_dim is not None else order + 4
-        self.zeta_offset = zeta_offset
         self.osc_params = osc_params
 
     @property
@@ -118,8 +118,7 @@ class EngineParams:
 
 
 def _leg_images(params, which):
-    a = params.zeta_offset
-    scale = a + 1 if which == "left" else a
+    scale = 1 if which == "left" else 0
     kind = params.left if which == "left" else params.right
     if kind == "phi":
         return phi_zeta(params.algebra, params.s, params.s1, params.s2,
@@ -409,15 +408,13 @@ def check_normalization_constants(params):
     return True
 
 
-def assemble(params, grouped_real_order=False, split_prefactor=False):
+def assemble(params, split_prefactor=False):
     """Full ordered product as an OpMatrix over ZetaSeries.
 
-    The flattening puts the left leg slowest.  With `grouped_real_order`
-    the commuting real factors are regrouped family by family, which must
-    not change the product.  With `split_prefactor` the scalar exponential
-    exp(a_00) common to all entries is returned separately, as its argument:
-    the result is (a_00, matrix), and the full product is
-    series_exp(a_00) * matrix entrywise.
+    The flattening puts the left leg slowest.  With `split_prefactor` the
+    scalar exponential exp(a_00) common to all entries is returned
+    separately, as its argument: the result is (a_00, matrix), and the full
+    product is series_exp(a_00) * matrix entrywise.
     """
     check_normalization_constants(params)
     left = _leg_images(params, "left")
@@ -427,8 +424,6 @@ def assemble(params, grouped_real_order=False, split_prefactor=False):
     ftab = build_root_vectors(right, "f", params.m_max)
     aff = extend_cartan(finite_cartan(params.algebra))
     roots = positive_roots(aff, params.m_max)
-    if grouped_real_order:
-        roots = _group_families(roots, params.algebra)
     dim_l, dim_r = left.dim, right.dim
     lm = _leg_map(left, params.left, params)
     rm = _leg_map(right, params.right, params)
@@ -467,20 +462,6 @@ def assemble(params, grouped_real_order=False, split_prefactor=False):
         prefactor = series_exp(a00)
         acc = acc.map_values(lambda s: s * prefactor)
     return acc
-
-
-def _group_families(roots, algebra):
-    """Regroup the interleaved real blocks family by family."""
-    plus = [r for r in roots if r.kind == "real_plus"]
-    imag = [r for r in roots if r.kind == "imaginary"]
-    minus = [r for r in roots if r.kind == "real_minus"]
-    if algebra == "a1":
-        return plus + imag + minus
-    order_plus = [(1, 0), (1, 1), (0, 1)]
-    order_minus = [(0, -1), (-1, 0), (-1, -1)]
-    plus_g = [r for g in order_plus for r in plus if r.finite_part == g]
-    minus_g = [r for g in order_minus for r in minus if r.finite_part == g]
-    return plus_g + imag + minus_g
 
 
 def _leg_map(image, kind, params):

@@ -152,12 +152,6 @@ class OpMatrix:
         """self * other - factor * (other * self)."""
         return self * other - (other * self).scale(factor)
 
-    def __pow__(self, n):
-        out = OpMatrix.identity(self.dim, self.one)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- comparison ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -353,22 +347,6 @@ class Grid:
             return OpMatrix.zero(self.op_dim, self.one)
         return m
 
-    def __add__(self, other):
-        out = dict(self.entries)
-        for ab, m in other.entries.items():
-            if ab in out:
-                s = out[ab] + m
-                if s:
-                    out[ab] = s
-                else:
-                    del out[ab]
-            else:
-                out[ab] = m
-        return Grid(self.n, out, self.op_dim, self.one, _clean=True)
-
-    def __sub__(self, other):
-        return self + other.map_ops(lambda m: -m)
-
     def __mul__(self, other):
         """Matrix product over the grid index, operator product inside."""
         if not isinstance(other, Grid):
@@ -452,21 +430,6 @@ class Grid:
                 else:
                     out[(a * d + i, b * d + j)] = v
         return OpMatrix(n * d, out, self.one, _clean=True)
-
-    @staticmethod
-    def from_flat(mat, n, op_dim, op_leg_first):
-        entries = {}
-        for (r, c), v in mat.entries.items():
-            if op_leg_first:
-                i, a = divmod(r, n)
-                j, b = divmod(c, n)
-            else:
-                a, i = divmod(r, op_dim)
-                b, j = divmod(c, op_dim)
-            entries.setdefault((a, b), {})[(i, j)] = v
-        grid = {ab: OpMatrix(op_dim, sub, mat.one, _clean=True)
-                for ab, sub in entries.items()}
-        return Grid(n, grid, op_dim, mat.one, _clean=True)
 
     def restrict(self, keep):
         return self.map_ops(lambda m: m.restrict(keep))

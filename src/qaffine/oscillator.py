@@ -17,7 +17,7 @@ from .linalg import OpMatrix, kron
 from .qgroup import GeneratorImage, _exps_for
 
 __all__ = [
-    "FockRep", "fock_rep", "FockCopies", "chi_images", "psi_images",
+    "FockRep", "FockCopies", "chi_images", "psi_images",
     "osc_automorphism", "tau_matrix", "OscParams",
 ]
 
@@ -50,10 +50,6 @@ class FockRep:
     def q_number_power(self, c):
         """q^(cD) for c integer or sixth-integer."""
         return OpMatrix.diagonal([q_power(c * n) for n in range(self.dim)], ONE)
-
-
-def fock_rep(d):
-    return FockRep(d)
 
 
 class OscParams:

@@ -32,21 +32,6 @@ class ScaledOp:
     def __bool__(self):
         return bool(self.mat)
 
-    def __mul__(self, other):
-        return ScaledOp(self.zexp + other.zexp, self.mat * other.mat)
-
-    def __add__(self, other):
-        if not self.mat:
-            return other
-        if not other.mat:
-            return self
-        if self.zexp != other.zexp:
-            raise ValueError("adding operators with different zeta powers")
-        return ScaledOp(self.zexp, self.mat + other.mat)
-
-    def __sub__(self, other):
-        return self.__add__(other.scale(-ONE))
-
     def scale(self, c):
         return ScaledOp(self.zexp, self.mat.scale(c))
 
@@ -103,13 +88,13 @@ class GeneratorImage:
         return OpMatrix.diagonal([q_power(power * v) for v in self.h_diags[i]],
                                  ONE)
 
-    def e_op(self, i, scale=1):
+    def e_op(self, i):
         m = self.e_mats[i]
-        return None if m is None else ScaledOp(scale * self.exps[i], m)
+        return None if m is None else ScaledOp(self.exps[i], m)
 
-    def f_op(self, i, scale=1):
+    def f_op(self, i):
         m = self.f_mats[i]
-        return None if m is None else ScaledOp(-scale * self.exps[i], m)
+        return None if m is None else ScaledOp(-self.exps[i], m)
 
 
 def _exps_for(algebra, s, s1, s2):

@@ -305,33 +305,12 @@ class ZetaRational:
             pn = _scale(pn, inv)
         return ZetaRational(num, pn, _canonical=True)
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ZetaRational.ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
     def scale(self, c):
         if not c:
             return ZetaRational.ZERO
         return ZetaRational(_scale(self.num, c), self.den, _canonical=True)
 
     # -- substitutions -----------------------------------------------------
-
-    def subs_monomial(self, c, k):
-        """zeta -> c * zeta^k with invertible c and nonzero integer k."""
-        if k == 0:
-            raise ValueError("substitution power must be nonzero")
-        c_inv = c.inverse()
-        num = {}
-        den = {}
-        for e, v in self.num.items():
-            num[k * e] = v * (c ** e) if e >= 0 else v * (c_inv ** (-e))
-        for e, v in self.den.items():
-            den[k * e] = v * (c ** e) if e >= 0 else v * (c_inv ** (-e))
-        return ZetaRational(num, den)
 
     def subs_power(self, k):
         """zeta -> zeta^k for nonzero integer k."""

@@ -27,7 +27,7 @@ from .oscillator import FockCopies, osc_automorphism
 __all__ = [
     "PrefactorTag", "ReferenceObject", "reference_matrix", "ordered_factors",
     "list_variants",
-    "r0_matrix", "r0_hat_matrix", "decompose_L", "scan_linear_exponents",
+    "r0_hat_matrix", "decompose_L", "scan_linear_exponents",
     "grid_inverse", "op_inverse",
 ]
 
@@ -52,10 +52,6 @@ class PrefactorTag:
         self.t_power = t_power
         self.terms = tuple(sorted((n, sc, arg, sg)
                                   for (n, sc, arg), sg in merged.items() if sg))
-
-    def __mul__(self, other):
-        return PrefactorTag(self.t_power + other.t_power,
-                            self.terms + other.terms)
 
     def inverse(self):
         return PrefactorTag(-self.t_power,
@@ -507,19 +503,6 @@ def _factors_a2(variant, s, s1, s2, d):
 
 
 # -- exchange constants of the linear decomposition --------------------------
-
-def r0_matrix(n):
-    e = lambda a, b: OpMatrix.unit(n, a, b, ONE)
-    out = OpMatrix.zero(n * n, ONE)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            coeff = q_power(1) if a == b else ONE
-            out = out + kron(e(a, a), e(b, b)).scale(coeff)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            out = out + kron(e(a, b), e(b, a)).scale(C)
-    return out
-
 
 def r0_hat_matrix(n):
     e = lambda a, b: OpMatrix.unit(n, a, b, ONE)

@@ -93,10 +93,6 @@ class AffineRoot:
         m = self.delta_mult
         return (m,) + tuple(g + m for g in self.finite_part)
 
-    def total(self):
-        """Finite part plus delta as one vector over the finite simples."""
-        return tuple(g + self.delta_mult for g in self.finite_part)
-
     def __eq__(self, other):
         return (isinstance(other, AffineRoot)
                 and self.coords() == other.coords() and self.kind == other.kind)

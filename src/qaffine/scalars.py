@@ -20,7 +20,7 @@ from math import gcd, isqrt, lcm
 
 __all__ = [
     "QScalar", "q_power", "t_power", "qint", "qint_factorial", "qbinom",
-    "qnum", "qnum_factorial", "parse_qscalar",
+    "parse_qscalar",
 ]
 
 
@@ -602,29 +602,6 @@ def qbinom(n, m):
     if m < 0 or m > n:
         return ZERO
     return qint_factorial(n) / (qint_factorial(m) * qint_factorial(n - m))
-
-
-def qnum(n):
-    """The second deformation (n)_q = (q^n - 1)/(q - 1) used by exp_q."""
-    return qnum_base(n, 6)
-
-
-def qnum_base(n, base_t_exp):
-    """(n) evaluated at q -> t^base_t_exp: 1 + q + ... + q^(n-1)."""
-    if n == 0:
-        return ZERO
-    p = {}
-    for i in range(n):
-        k = base_t_exp * i
-        p[k] = p.get(k, 0) + 1
-    return QScalar({k: c for k, c in p.items() if c})
-
-
-def qnum_factorial(n):
-    out = ONE
-    for k in range(1, n + 1):
-        out = out * qnum(k)
-    return out
 
 
 # -- parsing of the canonical string form ------------------------------------

@@ -65,14 +65,13 @@ def dump_matrix(m):
                         for (i, j), v in sorted(m.entries.items())]}
 
 
-def parse_matrix(blob, order=None):
+def parse_matrix(blob):
     kind = blob["scalar"]
     parser = _KIND_PARSERS[kind]
     entries = {(e["i"], e["j"]): parser(e["value"])
                for e in blob["entries"]}
     if kind == "series":
-        one = ZetaSeries.one(order if order is not None
-                             else blob["entries"][0]["value"]["order"]
+        one = ZetaSeries.one(blob["entries"][0]["value"]["order"]
                              if blob["entries"] else 0)
     elif kind == "rational":
         one = ZetaRational.ONE

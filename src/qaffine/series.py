@@ -125,12 +125,6 @@ class ZetaSeries:
         return ZetaSeries({d: c * q for d, c in self.coeffs.items()},
                           self.order, self.min_degree)
 
-    def __pow__(self, n):
-        out = ZetaSeries.one(self.order)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def inverse(self):
         """Series inverse; needs an invertible lowest coefficient.
 
@@ -146,13 +140,6 @@ class ZetaSeries:
     def truncate(self, order):
         return ZetaSeries({d: c for d, c in self.coeffs.items() if d <= order},
                           order, self.min_degree)
-
-    def subs_zeta_power(self, k):
-        """zeta -> zeta^k for k >= 1; truncation order is preserved."""
-        if k < 1:
-            raise ValueError("substitution power must be >= 1")
-        return ZetaSeries({d * k: c for d, c in self.coeffs.items() if d * k <= self.order},
-                          self.order, self.min_degree * k)
 
     # -- comparison ---------------------------------------------------------
 

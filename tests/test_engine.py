@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from qaffine.scalars import (
-    QScalar, parse_qscalar, q_power, qint, qint_base, qnum_base,
+    QScalar, parse_qscalar, q_power, qint, qint_base,
 )
 from qaffine.series import ZetaSeries, series_exp, lambda_level
 from qaffine.linalg import OpMatrix, kron, fock_window
 from qaffine.qgroup import phi_zeta, ScaledOp, GeneratorImage
-from qaffine.oscillator import OscParams, chi_images, psi_images, fock_rep
+from qaffine.oscillator import OscParams, FockRep, chi_images, psi_images
 from qaffine import engine
 from qaffine.engine import (
     EngineParams, EngineError, build_root_vectors, assemble, u_matrices,
@@ -117,7 +117,7 @@ def test_a1_psi_vectors_geometric():
     kmax = d - 2 - 3
     img = psi_images("a1", 1, 0, d=d)
     tab = build_root_vectors(img, "f", 3)
-    f = fock_rep(d)
+    f = FockRep(d)
     c_inv = C.inverse()
     a = f.lowering()
     # f_{alpha + m delta} = c^-1 (-1)^m q^m a q^(2mD) z^(-s1 - ms)
@@ -169,7 +169,7 @@ def test_a2_chi_family1_vectors():
     w = lambda m: windowed(m, d, kmax, copies=2)
     img = chi_images("a2", 1, 0, 0, d=d, family=1)
     tab = build_root_vectors(img, "e", 3)
-    f = fock_rep(d)
+    f = FockRep(d)
     eye = OpMatrix.identity(d, ONE)
     c_inv = C.inverse()
     a2d = kron(eye, f.raising())
@@ -203,7 +203,7 @@ def test_a2_psi_family1_vectors():
     w = lambda m: windowed(m, d, kmax, copies=2)
     img = psi_images("a2", 1, 0, 0, d=d, family=1)
     tab = build_root_vectors(img, "f", 3)
-    f = fock_rep(d)
+    f = FockRep(d)
     eye = OpMatrix.identity(d, ONE)
     c_inv = C.inverse()
     a1, a2 = kron(f.lowering(), eye), kron(eye, f.lowering())
@@ -473,20 +473,46 @@ def test_a1_phiphi_spot_entries():
     assert r.entry(1, 1) == expect2.truncate(order)
 
 
-def test_ratio_only_dependence():
+def test_ratio_only_dependence(monkeypatch):
+    # both legs one power of zeta higher, the left at zeta^2 and the right
+    # at zeta: only their ratio may enter the product
     base = assemble(EngineParams("a1", 2, 1, order=4))
-    off = assemble(EngineParams("a1", 2, 1, order=4, zeta_offset=1))
-    assert base == off
+    real = engine.phi_zeta
+    scales = []
+
+    def raised(*args, zeta_scale=1):
+        scales.append(zeta_scale + 1)
+        return real(*args, zeta_scale=zeta_scale + 1)
+    monkeypatch.setattr(engine, "phi_zeta", raised)
+    assert assemble(EngineParams("a1", 2, 1, order=4)) == base
+    assert {1, 2} <= set(scales)
 
 
-def test_grouped_factor_order_invariance():
-    for fam in (1, 2):
-        a = assemble(EngineParams("a2", 1, 0, 0, order=3, left="chi",
-                                  family=fam, fock_dim=4))
-        b = assemble(EngineParams("a2", 1, 0, 0, order=3, left="chi",
-                                  family=fam, fock_dim=4,),
-                     grouped_real_order=True)
-        assert a == b
+def _group_families(roots):
+    """The a2 positive roots with the interleaved real blocks regrouped
+    family by family."""
+    plus = [r for r in roots if r.kind == "real_plus"]
+    imag = [r for r in roots if r.kind == "imaginary"]
+    minus = [r for r in roots if r.kind == "real_minus"]
+    order_plus = [(1, 0), (1, 1), (0, 1)]
+    order_minus = [(0, -1), (-1, 0), (-1, -1)]
+    plus_g = [r for g in order_plus for r in plus if r.finite_part == g]
+    minus_g = [r for g in order_minus for r in minus if r.finite_part == g]
+    return plus_g + imag + minus_g
+
+
+def test_grouped_factor_order_invariance(monkeypatch):
+    # the commuting real factors regrouped family by family must give the
+    # same product
+    params = [EngineParams("a2", 1, 0, 0, order=3, left="chi", family=fam,
+                           fock_dim=4) for fam in (1, 2)]
+    ungrouped = [assemble(p) for p in params]
+    real = engine.positive_roots
+    roots = real(extend_cartan(finite_cartan("a2")), params[0].m_max)
+    assert _group_families(roots) != roots
+    monkeypatch.setattr(engine, "positive_roots",
+                        lambda *args: _group_families(real(*args)))
+    assert [assemble(p) for p in params] == ungrouped
 
 
 def test_chi_phi_order0_shows_cartan_pattern():
@@ -538,7 +564,8 @@ def _q_exponential(e, f, order):
     xn, n, fact = x, 1, ONE
     while xn:
         assert n <= x.dim
-        fact = fact * qnum_base(n, -12)
+        # (n)_{q^-2} = 1 + q^-2 + ... + q^(-2(n-1)), with q = t^6
+        fact = fact * QScalar({-12 * i: 1 for i in range(n)})
         for ij, v in xn.scale(fact.inverse()).entries.items():
             cs = entries.setdefault(ij, {})
             cs[n * k] = cs.get(n * k, QScalar.ZERO) + v

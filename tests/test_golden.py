@@ -59,6 +59,8 @@ CASES = {
         "--osc-mu", "(1 + t^6)/(1),(t^12 - 5)/(1)", "--osc-nu", "1/3,0,2"],
     "verify-all-a1": ["verify", "all", "--algebra", "a1", "--order", "3",
                       "--fock", "6"],
+    "verify-all-a2": ["verify", "all", "--algebra", "a2", "--order", "2",
+                      "--fock", "5"],
 }
 
 

@@ -21,6 +21,10 @@
 * `OpMatrix.diagonal` builds only operators that are factors of the
   transcribed formulas; a diagonal conjugation or diagonal factor is applied
   with `scaled`, never as a product with a diagonal matrix.
+* Every check function of the catalog runner is named by a catalog item,
+  and every defaulted parameter of the catalogued checks, of `EngineParams`
+  and of `assemble` is set by some production caller: a check nothing runs,
+  or a parameter only tests set, is code for the tests alone.
 * Every entry point the benchmark's tracer wraps (`perfbench/tracer.py`,
   `LAYERS`) is defined on its owner, so a rename in src/ fails here and not
   first in a traced benchmark run.
@@ -199,6 +203,53 @@ def test_diagonal_matrices_only_where_they_are_operators():
     assert "oscillator.FockCopies.qd" in found
     assert [w for w in sorted(found)
             if not any(w == a or w.startswith(a + ".") for a in allowed)] == []
+
+
+def _parameters(node):
+    """The positional parameters of a def, `self` left out, and those of
+    them, and of its keyword-only ones, that have a default."""
+    names = [a.arg for a in node.args.args if a.arg != "self"]
+    defaulted = names[len(names) - len(node.args.defaults):]
+    defaulted += [a.arg for a, d in zip(node.args.kwonlyargs,
+                                        node.args.kw_defaults)
+                  if d is not None]
+    return names, defaulted
+
+
+def test_every_defaulted_parameter_is_set_in_production():
+    from qaffine import verify
+    items = verify.suite_checks()
+    unnamed = sorted(set(verify._CHECK_FNS) - {fn for _, fn, _ in items})
+    # the checks get their arguments from the catalog, EngineParams and
+    # assemble from their calls in src/
+    defs = {}
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "EngineParams":
+                defs["EngineParams"], = [f for f in node.body if getattr(
+                    f, "name", None) == "__init__"]
+            elif (isinstance(node, ast.FunctionDef)
+                  and (path.name, node.name) in (
+                      {("verify.py", fn) for _, fn, _ in items}
+                      | {("engine.py", "assemble")})):
+                defs[node.name] = node
+    set_by = collections.defaultdict(set)
+    for _, fn, kwargs in items:
+        set_by[fn].update(kwargs)
+    for _, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = (getattr(node.func, "id", None)
+                    or getattr(node.func, "attr", None))
+            if name in ("EngineParams", "assemble"):
+                names, _ = _parameters(defs[name])
+                set_by[name].update(names[:len(node.args)])
+                set_by[name].update(kw.arg for kw in node.keywords)
+    assert len(defs) == 8 and set(set_by) == set(defs)
+    unset = ["%s(%s)" % (fn, name) for fn, node in sorted(defs.items())
+             for name in _parameters(node)[1] if name not in set_by[fn]]
+    assert unnamed + unset == []
 
 
 def test_every_traced_entry_point_is_defined_on_its_owner():

@@ -131,8 +131,16 @@ def test_grid_flatten_roundtrip():
     g = Grid(2, {(0, 1): rand_matrix(rng, 3), (1, 0): rand_matrix(rng, 3)}, 3, ONE)
     for op_first in (True, False):
         flat = g.flatten(op_first)
-        back = Grid.from_flat(flat, 2, 3, op_first)
-        assert back == g
+        # operator entry (i, j) of grid entry (a, b), at the flat index of
+        # the chosen leg order; nothing else
+        expect = {}
+        for (a, b), m in g.entries.items():
+            for (i, j), v in m.entries.items():
+                ij = ((i * 2 + a, j * 2 + b) if op_first else
+                      (a * 3 + i, b * 3 + j))
+                expect[ij] = v
+        assert flat.dim == 6
+        assert flat.entries == expect
 
 
 def test_fock_window_keeps_every_level_up_to_the_margin():

@@ -9,7 +9,7 @@ from qaffine.linalg import OpMatrix, kron
 from qaffine.rational import ZetaRational
 from qaffine.qgroup import check_defining_relations
 from qaffine.oscillator import (
-    FockRep, fock_rep, chi_images, psi_images, osc_automorphism, tau_matrix,
+    FockRep, chi_images, psi_images, osc_automorphism, tau_matrix,
     OscParams, FockCopies,
 )
 from qaffine.verify import _gamma, _monomial
@@ -19,7 +19,7 @@ D = 8
 
 
 def test_fock_basis_relations():
-    f = fock_rep(D)
+    f = FockRep(D)
     a, ad, qd = f.lowering(), f.raising(), f.q_number_power(2)
     # a |0> = 0
     assert all(j != 0 for (_, j) in a.entries)
@@ -39,13 +39,13 @@ def test_fock_basis_relations():
     # a'a |2> explicit
     assert lhs.entry(2, 2) == ONE - q_power(4)
     with pytest.raises(ValueError):
-        fock_rep(1)
+        FockRep(1)
 
 
 def test_chi_a1_matches_specialization():
     img = chi_images("a1", 1, 0, d=D)
     c = (q_power(1) - q_power(-1)).inverse()
-    f = fock_rep(D)
+    f = FockRep(D)
     assert img.e_mats[1] == f.raising().scale(c)
     assert img.e_mats[0] == f.lowering().scale(c)
     assert img.h_diags[1][3] == 6  # 2D on |3>
@@ -55,7 +55,7 @@ def test_chi_a1_matches_specialization():
 def test_psi_a1_matches_specialization():
     img = psi_images("a1", 1, 0, d=D)
     c = (q_power(1) - q_power(-1)).inverse()
-    f = fock_rep(D)
+    f = FockRep(D)
     assert img.f_mats[0] == f.raising().scale(c)
     assert img.f_mats[1] == f.lowering().scale(c)
     assert check_defining_relations(img) == []
@@ -73,7 +73,7 @@ def test_chi_a2_families_both_satisfy_serre():
 def test_chi_a2_family1_explicit_images():
     d = 4
     img = chi_images("a2", 1, 0, 0, d=d, family=1)
-    f = fock_rep(d)
+    f = FockRep(d)
     eye = OpMatrix.identity(d, ONE)
     c = (q_power(1) - q_power(-1)).inverse()
     a1, a2 = kron(f.lowering(), eye), kron(eye, f.lowering())
@@ -89,7 +89,7 @@ def test_chi_a2_family1_explicit_images():
 def test_psi_a2_family2_explicit_images():
     d = 4
     img = psi_images("a2", 1, 0, 0, d=d, family=2)
-    f = fock_rep(d)
+    f = FockRep(d)
     eye = OpMatrix.identity(d, ONE)
     c = (q_power(1) - q_power(-1)).inverse()
     a2 = kron(eye, f.lowering())
@@ -116,7 +116,7 @@ def test_parameter_freedom_is_an_automorphism_orbit():
 
 def test_two_copy_automorphism_consistency():
     d = 4
-    f = fock_rep(d)
+    f = FockRep(d)
     eye = OpMatrix.identity(d, ONE)
     a1 = kron(f.lowering(), eye)
     a2 = kron(eye, f.lowering())
@@ -133,7 +133,7 @@ def test_two_copy_automorphism_consistency():
 
 def test_tau_is_an_anti_involution_swapping_ladder_ops():
     d = 6
-    f = fock_rep(d)
+    f = FockRep(d)
     a, ad = f.lowering(), f.raising()
     assert tau_matrix(a, d) == ad
     assert tau_matrix(ad, d) == a
@@ -277,7 +277,7 @@ def test_gamma_matches_diagonal_conjugation(s_exponents):
                                 (Fraction(-1, 2), 3), (0, 0)])
 def test_qd_matches_kron_of_per_copy_powers(cs):
     d = 4
-    f = fock_rep(d)
+    f = FockRep(d)
     expect = f.q_number_power(cs[0])
     for c in cs[1:]:
         expect = kron(expect, f.q_number_power(c))

@@ -69,8 +69,6 @@ def test_substitutions():
     a = zr({1: ONE}, {0: ONE, 1: -ONE})          # z/(1-z)
     b = a.subs_power(2)                            # z^2/(1-z^2)
     assert b == zr({2: ONE}, {0: ONE, 2: -ONE})
-    c = a.subs_monomial(q_power(1), 1)             # qz/(1-qz)
-    assert c == zr({1: q_power(1)}, {0: ONE, 1: -q_power(1)})
     d = a.subs_power(-1)                           # z^-1/(1-z^-1) = -1/(1-z)
     assert d == zr({0: -ONE}, {0: ONE, 1: -ONE})
 

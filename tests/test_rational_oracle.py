@@ -128,10 +128,6 @@ def test_substitutions_match_sympy():
             got = a.subs_power(k)
             _assert_canonical(got)
             assert _value(got) == _at(a, ZF ** k)
-            c = q_power(rng.randint(-2, 2)).scale(rng.choice((1, -2)))
-            got = a.subs_monomial(c, k)
-            _assert_canonical(got)
-            assert _value(got) == _at(a, _scalar(c) * ZF ** k)
 
 
 def test_exact_division_raises_on_a_remainder():

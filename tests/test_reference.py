@@ -5,10 +5,12 @@ import pytest
 from qaffine.scalars import QScalar, q_power
 from qaffine.rational import ZetaRational
 from qaffine.series import series_exp
-from qaffine.linalg import OpMatrix, Grid, hat_and_check, kron, fock_window
+from qaffine.linalg import (
+    OpMatrix, Grid, hat_and_check, kron, fock_window, perm_operator,
+)
 from qaffine.reference import (
     PrefactorTag, reference_matrix, ordered_factors, list_variants,
-    r0_matrix, r0_hat_matrix,
+    r0_hat_matrix,
     decompose_L, scan_linear_exponents, grid_inverse, op_inverse,
     apply_two_copy_normalization,
 )
@@ -156,7 +158,7 @@ def test_hat2_inverse_variant():
 
 
 def test_r0_matrices():
-    r0 = r0_matrix(2)
+    r0 = r0_hat_matrix(2) * perm_operator((1, 0), [2, 2], ONE)
     # diag entries q, 1, 1, q and the single raising-lowering coupling
     assert r0.entry(0, 0) == q_power(1)
     assert r0.entry(1, 1) == ONE

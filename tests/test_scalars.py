@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qaffine.scalars import (
-    QScalar, q_power, t_power, qint, qint_factorial, qbinom, qnum,
-    qnum_factorial, parse_qscalar,
+    QScalar, q_power, t_power, qint, qint_factorial, qbinom, parse_qscalar,
 )
 
 ONE = QScalar.ONE
@@ -55,9 +54,7 @@ def test_qint_symmetry_under_bar():
         assert qint(n).subs_t_inverse() == -qint(-n)
 
 
-def test_qnum_and_factorials():
-    assert qnum(3) == ONE + q_power(1) + q_power(2)
-    assert qnum_factorial(3) == qnum(1) * qnum(2) * qnum(3)
+def test_qint_factorials_and_binomials():
     assert qint_factorial(3) == qint(2) * qint(3)
     assert qbinom(4, 2) == qint_factorial(4) / (qint_factorial(2) * qint_factorial(2))
     assert qbinom(3, 1) == qint(3)

@@ -125,10 +125,3 @@ def test_exp_rejects_constant_term():
     with pytest.raises(ValueError):
         series_log(ZetaSeries({-1: ONE, 0: ONE}, N))
 
-
-def test_subs_zeta_power():
-    f = ZetaSeries({1: ONE, 2: q_power(1)}, N)
-    g = f.subs_zeta_power(3)
-    assert g.coeff(3) == ONE
-    assert g.coeff(6) == q_power(1)
-    assert g.coeff(2) == QScalar.ZERO

@@ -3,12 +3,13 @@ import json
 import pytest
 
 from qaffine import reference, verify
+from qaffine.cli import main
 from qaffine.linalg import (
     OpMatrix, Grid, grid_akp, hat_and_check, fock_window, kron,
 )
 from qaffine.rational import ZetaRational
 from qaffine.reference import reference_matrix
-from qaffine.scalars import parse_qscalar, q_power
+from qaffine.scalars import QScalar, parse_qscalar, q_power
 from qaffine.series import ZetaSeries, series_exp
 from qaffine.verify import (
     Verdict, check_engine, check_ybe, check_rll, check_duality, check_gauge,
@@ -16,29 +17,42 @@ from qaffine.verify import (
 )
 
 
-def test_ybe_a1_passes_and_perturbation_fails():
+def test_ybe_a1_passes_and_perturbation_fails(perturb_r):
     v = check_ybe("a1", s=1, s1=0)
     assert v.passed
     v2 = check_ybe("a1", s=-2, s1=-1)
     assert v2.passed
-    bad = check_ybe("a1", s=1, s1=0, perturb=True)
+    perturb_r()
+    bad = check_ybe("a1", s=1, s1=0)
     assert not bad.passed
     assert bad.first_failure == {"entry": [1, 2]}
 
 
-def test_ybe_a2():
+def test_ybe_a2(perturb_r):
     assert check_ybe("a2", s=-2, s1=0, s2=0).passed
     assert check_ybe("a2", s=1, s1=0, s2=0).passed
-    bad = check_ybe("a2", s=1, s1=0, s2=0, perturb=True)
+    perturb_r()
+    bad = check_ybe("a2", s=1, s1=0, s2=0)
     assert bad.first_failure == {"entry": [1, 3]}
 
 
-def test_rll_a1_all_variants():
+def test_rll_a1_all_variants(monkeypatch):
     for variant in ("hat", "hat-twisted", "check", "check-twisted"):
         v = check_rll("a1", variant, s=1, s1=0, d=9)
         assert v.passed, v
-    # scalar dressing never changes the verdict
-    v = check_rll("a1", "hat", s=1, s1=0, d=9, strip_scalar=False)
+    # scalar dressing never changes the verdict: the L-operator times an
+    # arbitrary rational scalar
+    real = verify.reference_matrix
+    dress = ZetaRational({0: QScalar.ONE, 1: q_power(3)})
+
+    def dressed(kind, *args, **kwargs):
+        ref = real(kind, *args, **kwargs)
+        if kind == "l":
+            ref.matrix = ref.matrix.map_ops(
+                lambda m: m.map_values(lambda v: v * dress))
+        return ref
+    monkeypatch.setattr(verify, "reference_matrix", dressed)
+    v = check_rll("a1", "hat", s=1, s1=0, d=9)
     assert v.passed
 
 
@@ -267,6 +281,28 @@ def test_rll_fails_where_the_restricted_product_differs(algebra, variant, d):
     assert failure == _restricted_after_product(*args)
     assert failure["lhs"] != failure["rhs"]
     assert verify._rll_residual(ref.matrix, *args[1:]) is None
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_an_empty_relation_window_is_refused(d, capsys):
+    # at d <= RELATION_MARGIN the window keeps no state: both sides of
+    # every windowed relation would be empty and compare equal
+    ref, r, grid = _perturbed_l("a1", "hat", d)
+    args = (ref.l_type, r.matrix, d, ref.copies)
+    if d <= verify.RELATION_MARGIN:
+        with pytest.raises(ValueError):
+            verify._rll_residual(grid, *args)
+        for algebra, what in (("a1", "rll"), ("a1", "duality"),
+                              ("a1", "structure"), ("a2", "rll")):
+            argv = ["verify", what, "--algebra", algebra, "--fock", str(d)]
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+    else:
+        # the window holds the ground state, where the perturbation sits
+        assert verify._rll_residual(ref.matrix, *args) is None
+        assert verify._rll_residual(grid, *args) is not None
+        assert main(["verify", "rll", "--algebra", "a1", "--fock",
+                     str(d)]) == 0
 
 
 def test_failing_duality_reports_both_values(monkeypatch):
