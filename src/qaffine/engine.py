@@ -19,16 +19,14 @@ end.
 
 The imaginary root vectors have weight zero, so they are diagonal on every
 leg: the engine keeps their eigenvalues and takes the graded logarithm only
-at the states the product holds.  Every pairing has a fundamental leg,
-where a real root vector squares to zero, so each real q-exponential
-exp_q(X) is exactly 1 + X; the pairing of two oscillator legs has none and
-is rejected.  X itself is built on all padded states, of which the product
-reads only the rows at the columns it holds.
-
-No step along delta is a matrix product: e'_delta has weight zero, so a
-bracket with it is an entrywise weight by eigenvalue differences, and
-level 1 of each imaginary family is e'_delta itself.  The Cartan factor,
-too, is weighed only at the columns the product holds.
+at the states the product holds.  A real root vector maps each state to at
+most one state and is kept as that weighted partial map: a bracket
+composes two of them, and a step along delta, a bracket with the diagonal
+e'_delta, weighs each row by an eigenvalue difference, at the rows the
+product reads alone.  Every pairing has a fundamental leg, where a real
+root vector squares to zero, so each real q-exponential is exactly 1 + X,
+which relabels the columns the product holds, and the Cartan factor
+weighs them; the pairing of two oscillator legs has none and is rejected.
 """
 
 from fractions import Fraction
@@ -37,11 +35,11 @@ from types import MappingProxyType
 
 from .scalars import QScalar, q_power, qint, t_power
 from .series import ZetaSeries, series_exp, series_log
-from .linalg import OpMatrix, kron, fock_window, _flat, _unflat
+from .linalg import OpMatrix, fock_window, _flat, _unflat
 from .rootsys import (
     extend_cartan, finite_cartan, finite_positive, positive_roots,
 )
-from .qgroup import ScaledOp, phi_zeta, dynkin_twist, _exps_for
+from .qgroup import phi_zeta, dynkin_twist, _exps_for
 from .oscillator import chi_images, psi_images
 
 __all__ = ["EngineParams", "EngineError", "RootVectorTable",
@@ -132,12 +130,64 @@ def _leg_images(params, which):
     return img
 
 
+class RootVector(dict):
+    """A real root vector on one leg as a weighted partial map: self[x] is
+    (y, v) for its one entry v at (x, y), or None; it carries zeta^zexp,
+    `sources` holds every row that may have an entry, and `entries` with
+    two in one row raise `EngineError`.  A vector along delta is the one
+    below it with row x weighed by (d_y - d_x) h, d the eigenvalues of
+    e'_delta (absent states at 0), evaluated on first request, each weight
+    once per family, which shares `steps` = (d, h, cache)."""
+
+    __slots__ = ("zexp", "sources", "below", "steps")
+
+    def __init__(self, zexp, entries, below=None, steps=None):
+        super().__init__({i: (j, v) for (i, j), v in entries.items()})
+        if len(self) < len(entries):
+            raise EngineError("a root vector has two entries in one row")
+        self.zexp, self.below, self.steps = zexp, below, steps
+        self.sources = self if below is None else below.sources
+
+    def __missing__(self, x):
+        hit = None
+        if self.below is not None:
+            hit = self.below[x]
+            if hit is not None:
+                d, h, cache = self.steps
+                if x not in cache:
+                    cache[x] = (d.get(hit[0], ZERO) - d.get(x, ZERO)) * h
+                hit = (hit[0], hit[1] * cache[x]) if cache[x] else None
+            self[x] = hit
+        return hit
+
+
+def _bracket(x, y, p):
+    """The entries {(i, k): v} of x y - q^p y x, each product composed row
+    by row: two lookups per state."""
+    out = {}
+    for a, b, c in ((x, y, None), (y, x, -q_power(p))):
+        for i in a.sources:
+            hit = a[i]
+            hit2 = hit and b[hit[0]]
+            if hit2:
+                v = hit[1] * hit2[1] * c if c else hit[1] * hit2[1]
+                ik = (i, hit2[0])
+                out[ik] = out[ik] + v if ik in out else v
+    return {ik: v for ik, v in out.items() if v}
+
+
+def _diagonal(entries, what):
+    if any(i != k for i, k in entries):
+        raise EngineError("%s is not diagonal" % what)
+    return {i: v for (i, _), v in entries.items()}
+
+
 class RootVectorTable:
     """Images of the root vectors for one leg and one Borel side.
 
-    The real root vectors are matrices.  The imaginary ones have weight
-    zero, so they are diagonal on the leg and only their eigenvalues are
-    kept: `diags[i][m - 1]` maps each state to its eigenvalue under
+    The real root vectors are `RootVector` maps.  The imaginary ones have
+    weight zero, so they are diagonal on the leg and only their eigenvalues
+    are kept: `diags[i][m - 1]` maps each state to its eigenvalue under
     c e'_(m delta) of simple root i (c = q - q^-1, negated on the f side),
     with absent states at zero.  Level m carries zeta^(m * zstep).
     """
@@ -145,7 +195,7 @@ class RootVectorTable:
     __slots__ = ("real", "diags", "zstep", "_scale", "_logs", "_at")
 
     def __init__(self, real, diags, zstep, scale):
-        self.real = real      # (finite_part, m) -> ScaledOp
+        self.real = real      # (finite_part, m) -> RootVector
         self.diags = diags
         self.zstep = zstep
         self._scale = scale
@@ -186,26 +236,29 @@ class RootVectorTable:
 def build_root_vectors(image, side, m_max):
     """Run the recursion for one leg; `side` picks the Borel half.
 
-    A bracket with the diagonal e'_delta scales entries, [X, e'_delta]_ij =
-    X_ij (d_j - d_i) for its eigenvalues d (absent states at 0), so each
-    family along delta is its first vector times weights, with no matrix
-    product; level 1 of each simple imaginary family is e'_delta itself.
+    Every bracket composes partial maps, and one with the diagonal e'_delta
+    weighs rows, [X, e'_delta]_xy = X_xy (d_y - d_x); level 1 of each simple
+    imaginary family is e'_delta itself.
     """
     sgn = 1 if side == "e" else -1
-    op = image.e_op if side == "e" else image.f_op
+    mats = image.e_mats if side == "e" else image.f_mats
 
     def bracket(x, y, p):
         # the f side mirrors the e side: [x, y]_(q^p) becomes [y, x]_(q^-p)
-        return x.q_commutator(y, p) if sgn > 0 else y.q_commutator(x, -p)
+        return _bracket(x, y, p) if sgn > 0 else _bracket(y, x, -p)
 
+    def composite(x, y):
+        return RootVector(x.zexp + y.zexp, bracket(x, y, -1))
+
+    gen = [RootVector(sgn * z, m.entries) for z, m in zip(image.exps, mats)]
     if image.algebra == "a1":
-        real = {((1,), 0): op(1), ((-1,), 1): op(0)}
+        real = {((1,), 0): gen[1], ((-1,), 1): gen[0]}
     else:
-        ea, eb, e0 = op(1), op(2), op(0)
+        e0, ea, eb = gen
         real = {((1, 0), 0): ea, ((0, 1), 0): eb, ((-1, -1), 1): e0,
-                ((1, 1), 0): bracket(ea, eb, -1),
-                ((-1, 0), 1): bracket(eb, e0, -1),
-                ((0, -1), 1): bracket(ea, e0, -1)}
+                ((1, 1), 0): composite(ea, eb),
+                ((-1, 0), 1): composite(eb, e0),
+                ((0, -1), 1): composite(ea, e0)}
 
     # the imaginary root vectors come from the generating q-commutators
     # e'_(m delta), one family per finite simple root; the m-th always
@@ -217,38 +270,30 @@ def build_root_vectors(image, side, m_max):
     diags = []
     for gamma in finite_positive(image.algebra):
         minus = tuple(-g for g in gamma)
-        prime_delta = bracket(real[(gamma, 0)], real[(minus, 1)], -2)
-        if not prime_delta.mat.is_diagonal():
-            raise EngineError("e'_delta of %s is not diagonal" % (gamma,))
-        d = {x: v for (x, _), v in prime_delta.mat.entries.items()}
+        first, second = real[(gamma, 0)], real[(minus, 1)]
+        zdelta = first.zexp + second.zexp
+        d = _diagonal(bracket(first, second, -2), "e'_delta of %s" % (gamma,))
         # e_(gamma + m delta) = [e_(gamma + (m-1) delta), e'_delta] / [2] and
         # e_(-gamma + (m+1) delta) = [e'_delta, e_(-gamma + m delta)] / [2]:
-        # one weight per entry and direction; a zero weight drops the entry
+        # one weight per row and direction; a zero weight drops the entry
         for root, m0, h in ((gamma, 0, half), (minus, 1, -half)):
-            vec = real[(root, m0)]
-            w = {(x, y): (d.get(y, ZERO) - d.get(x, ZERO)) * h
-                 for x, y in vec.mat.entries}
-            w = {xy: v for xy, v in w.items() if v}
+            vec, steps = real[(root, m0)], (d, h, {})
             for m in range(m0 + 1, m0 + m_max + 1):
-                vec = real[(root, m)] = ScaledOp(
-                    vec.zexp + prime_delta.zexp,
-                    OpMatrix(vec.mat.dim, {xy: v * w[xy] for xy, v in
-                                           vec.mat.entries.items()
-                                           if xy in w}, ONE, _clean=True))
+                vec = real[(root, m)] = RootVector(vec.zexp + zdelta, {}, vec,
+                                                   steps)
         if sum(gamma) > 1:
             continue
         levels = []
         for m in range(1, m_max + 1):
-            sop = (prime_delta if m == 1 else
-                   bracket(real[(gamma, m - 1)], real[(minus, 1)], -2))
-            if sop.mat and sop.zexp != m * zstep:
+            below = real[(gamma, m - 1)]
+            level = d if m == 1 else bracket(below, second, -2)
+            if level and below.zexp + second.zexp != m * zstep:
                 raise EngineError("inhomogeneous zeta grading in the "
                                   "imaginary family at level %d" % m)
-            if not sop.mat.is_diagonal():
-                raise EngineError("imaginary root vector at level %d is not "
-                                  "diagonal" % m)
-            levels.append({x: v for (x, _), v in
-                           sop.mat.scale(c).entries.items()})
+            if m > 1:
+                level = _diagonal(level, "imaginary root vector at level %d"
+                                  % m)
+            levels.append({x: v * c for x, v in level.items()})
         diags.append(levels)
     return RootVectorTable(real, diags, zstep, c.inverse())
 
@@ -276,32 +321,35 @@ def u_matrices(algebra, m_max):
     return MappingProxyType(out)
 
 
-def _square_vanishes(mat):
-    """Whether mat * mat = 0, read off the indices: a root vector maps each
-    state to at most one state, so its square has no sums that could
-    cancel and vanishes exactly when no state is both a source and a
-    target.  (Without that structure a True is still exact.)"""
-    return {i for i, _ in mat.entries}.isdisjoint(j for _, j in mat.entries)
-
-
-def _real_factor(e_op, f_op, order, dim):
-    """X for the real factor exp_{q^-2}(X) = 1 + X, as a one-term series
-    matrix, with X = (q - q^-1) e x f.
+def _times_real_factor(acc, e, f, dim_r, order):
+    """acc exp_{q^-2}(X) = acc (1 + X) for X = (q - q^-1) e x f.
 
     X^2 = (q - q^-1)^2 e^2 x f^2 vanishes when either leg's root vector
     squares to zero, as on a fundamental leg, and then every higher term of
-    the q-exponential does too.  The (q - q^-1) factor is folded into the
-    left tensor slot before the Kronecker product so the leg
-    normalizations cancel early and the entries stay denominator-free.
+    the q-exponential does too.  X is a partial map like e and f, so acc X
+    relabels the columns of acc: column (x, y) moves to (x', y') for the
+    entries (x, x') of e and (y, y') of f, with one weight per held column.
     """
-    if not (_square_vanishes(e_op.mat) or _square_vanishes(f_op.mat)):
+    # a partial map squares to zero when no entry leads to a row with one
+    if all(any(hit and v[hit[0]] for hit in map(v.__getitem__, v.sources))
+           for v in sorted((e, f), key=lambda v: len(v.sources))):
         raise EngineError("neither leg's root vector squares to zero, so the "
                           "real factor is not 1 + X")
-    k = e_op.zexp + f_op.zexp
-    x = kron(e_op.mat.scale(C_FACTOR), f_op.mat)
-    return OpMatrix(dim, {ij: ZetaSeries({k: v}, order)
-                          for ij, v in x.entries.items()},
-                    ZetaSeries.one(order), _clean=True)
+    k = e.zexp + f.zexp
+    moves, out = {}, dict(acc.entries)
+    for (r, c), v in acc.entries.items():
+        if c not in moves:
+            x, y = divmod(c, dim_r)
+            he = e[x]
+            hf = he and f[y]
+            moves[c] = hf and (he[0] * dim_r + hf[0], ZetaSeries(
+                {k: C_FACTOR * he[1] * hf[1]}, order))
+        if moves[c]:
+            rc, p = (r, moves[c][0]), v * moves[c][1]
+            p = out.pop(rc) + p if rc in out else p
+            if p:
+                out[rc] = p
+    return OpMatrix(acc.dim, out, acc.one, _clean=True)
 
 
 def _imaginary_factor(left_table, right_table, params, dim_l, dim_r, order,
@@ -387,22 +435,19 @@ def check_normalization_constants(params):
     etab = build_root_vectors(img, "e", params.m_max)
     ftab = build_root_vectors(img, "f", params.m_max)
     aff = extend_cartan(finite_cartan(params.algebra))
-    roots = positive_roots(aff, params.m_max)
     denom_inv = C_FACTOR.inverse()
-    for root in roots:
+    for root in positive_roots(aff, params.m_max):
         if root.kind == "imaginary":
             continue
-        e = etab.real_op(root)
-        f = ftab.real_op(root)
+        e, f = etab.real_op(root), ftab.real_op(root)
         if e is None or f is None:
             continue
-        lhs = e.mat.commutator(f.mat)
         ks = root.simple_coefficients()
-        hvals = [sum(k * img.h_diags[i][x] for i, k in enumerate(ks))
-                 for x in range(img.dim)]
-        rhs = OpMatrix.diagonal(
-            [(q_power(v) - q_power(-v)) * denom_inv for v in hvals], ONE)
-        if lhs != rhs or e.zexp + f.zexp != 0:
+        hs = [sum(k * img.h_diags[i][x] for i, k in enumerate(ks))
+              for x in range(img.dim)]
+        rhs = {(x, x): (q_power(v) - q_power(-v)) * denom_inv
+               for x, v in enumerate(hs) if v}
+        if _bracket(e, f, 0) != rhs or e.zexp + f.zexp != 0:
             raise EngineError(
                 "normalization constant differs from 1 at root %r" % (root,))
     return True
@@ -446,13 +491,10 @@ def assemble(params, split_prefactor=False):
                 acc = acc.scaled(cols=factor)
                 imag_done = True
             continue
-        e = etab.real_op(root)
-        f = ftab.real_op(root)
-        if e is None or f is None or not e.mat or not f.mat:
+        e, f = etab.real_op(root), ftab.real_op(root)
+        if e is None or f is None or e.zexp + f.zexp > order:
             continue
-        if e.zexp + f.zexp > order:
-            continue
-        acc = acc + acc * _real_factor(e, f, order, dim_l * dim_r)
+        acc = _times_real_factor(acc, e, f, dim_r, order)
     acc = acc.scaled(cols=_k_factor(left, right, params, order,
                                     {j for _, j in acc.entries}))
     acc = _restrict_output(acc, lm, rm, dim_r)

@@ -148,10 +148,6 @@ class OpMatrix:
     def commutator(self, other):
         return self * other - other * self
 
-    def q_commutator(self, other, factor):
-        """self * other - factor * (other * self)."""
-        return self * other - (other * self).scale(factor)
-
     # -- comparison ------------------------------------------------------------
 
     def __eq__(self, other):

@@ -25,7 +25,7 @@ ONE = QScalar.ONE
 
 
 class FockRep:
-    """Matrices of a, a-dagger and q^(cD) on the d-state Fock space."""
+    """Matrices of a and a-dagger on the d-state Fock space."""
 
     __slots__ = ("dim",)
 
@@ -42,14 +42,6 @@ class FockRep:
         return OpMatrix(self.dim,
                         {(n - 1, n): ONE - q_power(2 * n)
                          for n in range(1, self.dim)}, ONE)
-
-    def number(self):
-        return OpMatrix.diagonal([QScalar.from_int(n) for n in range(self.dim)],
-                                 ONE)
-
-    def q_number_power(self, c):
-        """q^(cD) for c integer or sixth-integer."""
-        return OpMatrix.diagonal([q_power(c * n) for n in range(self.dim)], ONE)
 
 
 class OscParams:

@@ -29,17 +29,6 @@ class ScaledOp:
         self.zexp = zexp
         self.mat = mat
 
-    def __bool__(self):
-        return bool(self.mat)
-
-    def scale(self, c):
-        return ScaledOp(self.zexp, self.mat.scale(c))
-
-    def q_commutator(self, other, pairing):
-        """self * other - q^pairing * other * self; powers of zeta add."""
-        z = self.zexp + other.zexp
-        return ScaledOp(z, self.mat.q_commutator(other.mat, q_power(pairing)))
-
     def __eq__(self, other):
         if not isinstance(other, ScaledOp):
             return NotImplemented

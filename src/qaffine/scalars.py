@@ -449,16 +449,6 @@ class QScalar:
             den = _ONE_POLY
         return QScalar(num, den, _canonical=True)
 
-    def __pow__(self, n):
-        if n == 0:
-            return ONE
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
     def scale(self, f):
         return self * QScalar.from_fraction(f)
 

@@ -126,6 +126,7 @@ class _Laurent2:
                 del out[key]
         return _Laurent2(out)
 
+    # OpMatrix.entry reads an absent entry as one - one (failure reports)
     def __neg__(self):
         return _Laurent2({key: -c for key, c in self.terms.items()})
 
@@ -401,17 +402,6 @@ def check_duality(algebra, variant, mode, s=1, s1=0, s2=0, d=10):
     exps = _exps(algebra, s, s1, s2)
     return Verdict("duality-%s" % mode, algebra, variant, exps,
                    failure is None, failure)
-
-
-@_timed
-def check_double_inversion(algebra, variant, s=1, s1=0, s2=0, d=6):
-    ref = reference_matrix("l", algebra, variant, s, s1, s2, d=d)
-    twice = _reflected_inverse(_reflected_inverse(ref.matrix))
-    exps = _exps(algebra, s, s1, s2)
-    ok = twice == ref.matrix
-    return Verdict("duality-involution", algebra, variant, exps, ok,
-                   None if ok else {"entry": list(
-                       twice.first_difference(ref.matrix)[0])})
 
 
 # -- gauge equivalence ----------------------------------------------------------

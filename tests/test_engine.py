@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 from fractions import Fraction
 
@@ -34,6 +35,17 @@ def u3(a, b):
     return OpMatrix.unit(3, a, b, ONE)
 
 
+def matrix(vec, dim):
+    # the matrix of a real root vector, read off its row map at every state
+    return OpMatrix(dim, {(x, hit[0]): hit[1] for x in range(dim)
+                          for hit in [vec[x]] if hit is not None}, ONE)
+
+
+def q_number_power(d, c):
+    # q^(cD) on the d-state Fock space
+    return OpMatrix.diagonal([q_power(c * n) for n in range(d)], ONE)
+
+
 def windowed(mat, d, kmax, copies=1):
     return mat.restrict(fock_window(d, copies, d - 1 - kmax))
 
@@ -62,10 +74,10 @@ def test_a1_phi_real_and_imaginary_vectors():
         got = tab.real[((1,), m)]
         sign = ONE if m % 2 == 0 else -ONE
         assert got.zexp == s1 + m * s
-        assert got.mat == u2(1, 2).scale(sign * q_power(-m))
+        assert matrix(got, img.dim) == u2(1, 2).scale(sign * q_power(-m))
         gotm = tab.real[((-1,), m + 1)]
         assert gotm.zexp == (s - s1) + m * s
-        assert gotm.mat == u2(2, 1).scale(sign * q_power(-m))
+        assert matrix(gotm, img.dim) == u2(2, 1).scale(sign * q_power(-m))
     # e_{m delta} = (-1)^(m-1) [m]/m z^(ms) (E11 - q^(-2m) E22)
     for m in range(1, 4):
         sign = ONE if (m - 1) % 2 == 0 else -ONE
@@ -83,7 +95,7 @@ def test_a1_phi_f_vectors():
         got = tab.real[((1,), m)]
         sign = ONE if m % 2 == 0 else -ONE
         assert got.zexp == -(s1 + m * s)
-        assert got.mat == u2(2, 1).scale(sign * q_power(m))
+        assert matrix(got, img.dim) == u2(2, 1).scale(sign * q_power(m))
     for m in range(1, 4):
         sign = ONE if (m - 1) % 2 == 0 else -ONE
         coeff = sign * qint(m).scale(Fraction(1, m))
@@ -101,8 +113,8 @@ def test_a1_chi_vectors_collapse():
     c_inv = C.inverse()
     # higher real vectors vanish away from the truncated top
     for m in range(1, 4):
-        assert not windowed(tab.real[((1,), m)].mat, d, kmax)
-        assert not windowed(tab.real[((-1,), m + 1)].mat, d, kmax)
+        assert not windowed(matrix(tab.real[((1,), m)], d), d, kmax)
+        assert not windowed(matrix(tab.real[((-1,), m + 1)], d), d, kmax)
     # imaginary vectors are the scalars (-1)^(m-1) q^-m / ((q-q^-1) m)
     states = window_states(d, kmax)
     for m in range(1, 5):
@@ -124,15 +136,16 @@ def test_a1_psi_vectors_geometric():
     for m in range(3):
         got = tab.real[((1,), m)]
         sign = ONE if m % 2 == 0 else -ONE
-        expect = (a * f.q_number_power(2 * m)).scale(sign * q_power(m) * c_inv)
-        assert windowed(got.mat, d, kmax) == windowed(expect, d, kmax)
+        expect = (a * q_number_power(d, 2 * m)).scale(
+            sign * q_power(m) * c_inv)
+        assert windowed(matrix(got, d), d, kmax) == windowed(expect, d, kmax)
         assert got.zexp == -m
     # f_{m delta} = c^-1 (-1)^m q^m [1 - (1 + q^(2m)) q^(2mD)] z^(-ms)/m
     states = window_states(d, kmax)
     for m in range(1, 4):
         sign = ONE if m % 2 == 0 else -ONE
         inner = OpMatrix.identity(d, ONE) - \
-            f.q_number_power(2 * m).scale(ONE + q_power(2 * m))
+            q_number_power(d, 2 * m).scale(ONE + q_power(2 * m))
         expect = inner.scale(sign * q_power(m) * c_inv.scale(Fraction(1, m)))
         assert eigenvalues(tab, 0, m, states) == diagonal(expect, states)
 
@@ -144,12 +157,12 @@ def test_a2_phi_vectors():
     # beta family with no sign alternation: q^(-2m) z^(s2+ms) E23
     for m in range(3):
         got = tab.real[((0, 1), m)]
-        assert got.mat == u3(2, 3).scale(q_power(-2 * m))
+        assert matrix(got, img.dim) == u3(2, 3).scale(q_power(-2 * m))
         assert got.zexp == s2 + m * s
     # (delta - beta) + m delta: -q^(-2m-1) E32
     for m in range(3):
         got = tab.real[((0, -1), m + 1)]
-        assert got.mat == u3(3, 2).scale(-q_power(-2 * m - 1))
+        assert matrix(got, img.dim) == u3(3, 2).scale(-q_power(-2 * m - 1))
     # imaginary alpha family
     for m in range(1, 4):
         sign = ONE if (m - 1) % 2 == 0 else -ONE
@@ -173,16 +186,16 @@ def test_a2_chi_family1_vectors():
     eye = OpMatrix.identity(d, ONE)
     c_inv = C.inverse()
     a2d = kron(eye, f.raising())
-    qd = lambda c1, c2: kron(f.q_number_power(c1), f.q_number_power(c2))
+    qd = lambda c1, c2: kron(q_number_power(d, c1), q_number_power(d, c2))
     # e_{beta + m delta} = c^-1 q^(-4m) a2' q^(D1 - 2m D2)
     for m in range(1, 3):
         got = tab.real[((0, 1), m)]
         expect = (a2d * qd(1, -2 * m)).scale(q_power(-4 * m) * c_inv)
-        assert w(got.mat) == w(expect)
+        assert w(matrix(got, img.dim)) == w(expect)
     # alpha and alpha+beta families vanish above level zero
     for m in range(1, 3):
-        assert not w(tab.real[((1, 0), m)].mat)
-        assert not w(tab.real[((1, 1), m)].mat)
+        assert not w(matrix(tab.real[((1, 0), m)], img.dim))
+        assert not w(matrix(tab.real[((1, 1), m)], img.dim))
     # e_{m delta, alpha} = c^-1 (-1)^(m-1) q^(-3m) q^(-2mD2) /m
     states = window_states(d, kmax, copies=2)
     for m in range(1, 4):
@@ -208,19 +221,19 @@ def test_a2_psi_family1_vectors():
     c_inv = C.inverse()
     a1, a2 = kron(f.lowering(), eye), kron(eye, f.lowering())
     a1d, a2d = kron(f.raising(), eye), kron(eye, f.raising())
-    qd = lambda c1, c2: kron(f.q_number_power(c1), f.q_number_power(c2))
+    qd = lambda c1, c2: kron(q_number_power(d, c1), q_number_power(d, c2))
     # f_{alpha+beta} = -c^-1 a1 a2 q^(D1)
     got = tab.real[((1, 1), 0)]
-    assert w(got.mat) == w((a1 * a2 * qd(1, 0)).scale(-c_inv))
+    assert w(matrix(got, img.dim)) == w((a1 * a2 * qd(1, 0)).scale(-c_inv))
     # f_{delta-alpha} = c^-1 a1', f_{delta-beta} = c^-1 q^-1 a2' q^(D1-2D2)
-    assert w(tab.real[((-1, 0), 1)].mat) == w(a1d.scale(c_inv))
-    assert w(tab.real[((0, -1), 1)].mat) == w((a2d * qd(1, -2)).scale(
-        q_power(-1) * c_inv))
+    assert w(matrix(tab.real[((-1, 0), 1)], img.dim)) == w(a1d.scale(c_inv))
+    assert w(matrix(tab.real[((0, -1), 1)], img.dim)) == w(
+        (a2d * qd(1, -2)).scale(q_power(-1) * c_inv))
     # f_{alpha + m delta} = c^-1 (-1)^m q^m a1 q^(2mD1)
     for m in range(1, 3):
         sign = ONE if m % 2 == 0 else -ONE
         expect = (a1 * qd(2 * m, 0)).scale(sign * q_power(m) * c_inv)
-        assert w(tab.real[((1, 0), m)].mat) == w(expect)
+        assert w(matrix(tab.real[((1, 0), m)], img.dim)) == w(expect)
     # f_{(delta-alpha-beta) + m delta} = c^-1 (-1)^m q^(3m-3)
     #                                     a1' a2' q^((2m-1)D1 - 2D2)
     for m in range(1, 3):
@@ -228,7 +241,7 @@ def test_a2_psi_family1_vectors():
         expect = (a1d * a2d * qd(2 * m - 1, -2)).scale(
             sign * q_power(3 * m - 3) * c_inv)
         got = tab.real[((-1, -1), m + 1)]
-        assert w(got.mat) == w(expect)
+        assert w(matrix(got, img.dim)) == w(expect)
     # f_{m delta, beta} = c^-1 q^(2m) q^(2mD1) /m
     states = window_states(d, kmax, copies=2)
     for m in range(1, 4):
@@ -244,15 +257,25 @@ def test_a2_psi_family1_vectors():
 
 # -- the tables against the bracket recursion -----------------------------------
 
+def _q_commutator(x, y, p):
+    # x y - q^p y x on matrices with their powers of zeta
+    return ScaledOp(x.zexp + y.zexp,
+                    x.mat * y.mat - (y.mat * x.mat).scale(q_power(p)))
+
+
 def _bracket_tables(image, side, m_max):
-    # the recursion the engine once ran: each step along delta a
-    # q-commutator with e'_delta divided by [2], each imaginary level a
-    # bracket with e_(delta - gamma); the real vectors and the levels c e'
+    # the recursion the engine once ran, with matrix products: each step
+    # along delta a q-commutator with e'_delta divided by [2], each
+    # imaginary level a bracket with e_(delta - gamma); the real vectors
+    # and the levels c e'
     sgn = 1 if side == "e" else -1
     op = image.e_op if side == "e" else image.f_op
 
     def bracket(x, y, p):
-        return x.q_commutator(y, p) if sgn > 0 else y.q_commutator(x, -p)
+        return _q_commutator(x, y, p) if sgn > 0 else _q_commutator(y, x, -p)
+
+    def scale(x, c):
+        return ScaledOp(x.zexp, x.mat.scale(c))
 
     if image.algebra == "a1":
         real = {((1,), 0): op(1), ((-1,), 1): op(0)}
@@ -269,10 +292,10 @@ def _bracket_tables(image, side, m_max):
         minus = tuple(-g for g in gamma)
         prime_delta = bracket(real[(gamma, 0)], real[(minus, 1)], -2)
         for m in range(1, m_max + 1):
-            real[(gamma, m)] = bracket(real[(gamma, m - 1)], prime_delta,
-                                       0).scale(inv2)
-            real[(minus, m + 1)] = bracket(prime_delta, real[(minus, m)],
-                                           0).scale(inv2)
+            real[(gamma, m)] = scale(bracket(real[(gamma, m - 1)],
+                                             prime_delta, 0), inv2)
+            real[(minus, m + 1)] = scale(bracket(prime_delta,
+                                                 real[(minus, m)], 0), inv2)
         if sum(gamma) > 1:
             continue
         levels = []
@@ -330,8 +353,10 @@ _TABLE_CASES = [
 
 @pytest.mark.parametrize("algebra, exps, kw", _TABLE_CASES)
 def test_tables_match_the_bracket_recursion(algebra, exps, kw):
-    # every real vector with its power of zeta, and every level of c e',
-    # exactly as the bracket recursion gives them, on both legs
+    # every real vector with its power of zeta, read off its row map at
+    # every leg state, levels the product never reads included, and every
+    # level of c e', exactly as the bracket recursion gives them, on both
+    # legs
     params = EngineParams(algebra, *exps, **kw)
     for which, side in (("left", "e"), ("right", "f")):
         leg = engine._leg_images(params, which)
@@ -340,8 +365,21 @@ def test_tables_match_the_bracket_recursion(algebra, exps, kw):
         assert tab.real.keys() == real.keys()
         for key, want in real.items():
             got = tab.real[key]
-            assert (got.zexp, got.mat) == (want.zexp, want.mat), (side, key)
+            assert (got.zexp, matrix(got, leg.dim)) == (want.zexp, want.mat), \
+                (side, key)
         assert tab.diags == diags, side
+
+
+def _forbid_generic_products(monkeypatch):
+    # every Kronecker product, matrix product, sum and commutator of
+    # OpMatrix raises from here on
+    def forbidden(*args):
+        raise AssertionError("a generic matrix operation was called")
+    for name, module in sys.modules.items():
+        if name.startswith("qaffine") and hasattr(module, "kron"):
+            monkeypatch.setattr(module, "kron", forbidden)
+    for name in ("__mul__", "__add__", "commutator"):
+        monkeypatch.setattr(OpMatrix, name, forbidden)
 
 
 @pytest.mark.parametrize("algebra, kw, brackets", [
@@ -356,16 +394,17 @@ def test_tables_match_the_bracket_recursion(algebra, exps, kw):
 ])
 def test_delta_family_steps_take_no_bracket(monkeypatch, algebra, kw,
                                             brackets):
-    # the only q-commutators are the first vectors, e'_delta and the
-    # imaginary levels m >= 2: 1 + (m_max - 1) in rank 1, 6 + 2 (m_max - 1)
-    # in rank 2; a step along delta is a weight, not a bracket
+    # the only brackets are the first vectors, e'_delta and the imaginary
+    # levels m >= 2: 1 + (m_max - 1) in rank 1, 6 + 2 (m_max - 1) in rank
+    # 2; a step along delta is a weight, not a bracket, and a bracket
+    # composes partial maps, with no matrix product
     params = EngineParams(algebra, 1, 0, 0, **kw)
     leg = engine._leg_images(params, "left")
     calls = []
-    q_commutator = OpMatrix.q_commutator
-    monkeypatch.setattr(OpMatrix, "q_commutator",
-                        lambda a, b, factor: calls.append(factor)
-                        or q_commutator(a, b, factor))
+    bracket = engine._bracket
+    monkeypatch.setattr(engine, "_bracket",
+                        lambda x, y, p: calls.append(p) or bracket(x, y, p))
+    _forbid_generic_products(monkeypatch)
     build_root_vectors(leg, "e", params.m_max)
     rank, first = (1, 1) if algebra == "a1" else (2, 6)
     assert len(calls) == brackets == first + rank * max(params.m_max - 1, 0)
@@ -379,11 +418,71 @@ def test_a_non_diagonal_prime_delta_is_rejected():
                          [None] * 2, (1, 0))
     with pytest.raises(EngineError, match=r"\(1,\)"):
         build_root_vectors(img, "e", 1)
+    img = GeneratorImage("a2", 3, [[0] * 3] * 3,
+                         [u3(1, 2), u3(2, 1), u3(1, 3)], [None] * 3,
+                         (1, 0, 0))
+    with pytest.raises(EngineError, match=r"\(1, 1\) is not diagonal"):
+        build_root_vectors(img, "e", 1)
+
+
+def test_a_non_diagonal_imaginary_level_is_rejected():
+    # e'_delta is diagonal because its two off-diagonal paths 0 -> 1 -> 3
+    # and 0 -> 2 -> 3 cancel; one step along delta weighs them differently,
+    # so level 2 is not diagonal
+    u4 = lambda a, b: OpMatrix.unit(4, a, b, ONE)
+    img = GeneratorImage("a1", 4, [[0] * 4] * 2,
+                         [u4(1, 3) + u4(2, 4).scale(q_power(-2)),
+                          u4(1, 2) + u4(3, 4) + u4(4, 2)], [None] * 2, (1, 0))
+    build_root_vectors(img, "e", 1)
+    with pytest.raises(EngineError, match="level 2 is not diagonal"):
+        build_root_vectors(img, "e", 2)
+
+
+def test_an_inhomogeneous_imaginary_level_is_rejected(monkeypatch):
+    # the levels are graded by construction; one whose vector along delta
+    # carries a power of zeta too many is caught
+    class Shifted(engine.RootVector):
+        __slots__ = ()
+
+        def __init__(self, zexp, entries, below=None, steps=None):
+            super().__init__(zexp + (below is not None), entries, below,
+                             steps)
+    img = phi_zeta("a1", 1, 0)
+    build_root_vectors(img, "e", 2)
+    monkeypatch.setattr(engine, "RootVector", Shifted)
+    with pytest.raises(EngineError, match="zeta grading .* at level 2"):
+        build_root_vectors(img, "e", 2)
+
+
+def test_a_wrong_normalization_constant_is_rejected(monkeypatch):
+    # [e_alpha, f_alpha] on the evaluation leg with e_1 scaled by q^2
+    real = engine.phi_zeta
+
+    def scaled(*args, **kwargs):
+        img = real(*args, **kwargs)
+        img.e_mats[1] = img.e_mats[1].scale(q_power(2))
+        return img
+    params = EngineParams("a1", 1, 0, order=2)
+    assert check_normalization_constants(params)
+    monkeypatch.setattr(engine, "phi_zeta", scaled)
+    with pytest.raises(EngineError, match=r"normalization .*\[1\] \+ 0\*delta"):
+        check_normalization_constants(params)
+
+
+def test_a_root_vector_with_two_entries_in_a_row_is_rejected():
+    # a real root vector is a partial map: a second entry in a row, in a
+    # generator or in a bracket of two of them, raises
     u4 = lambda a, b: OpMatrix.unit(4, a, b, ONE)
     img = GeneratorImage("a2", 4, [[0] * 4] * 3,
                          [u4(2, 1) + u4(2, 3), u4(1, 2), u4(2, 1)],
                          [None] * 3, (1, 0, 0))
-    with pytest.raises(EngineError, match=r"\(1, 1\)"):
+    with pytest.raises(EngineError, match="two entries in one row"):
+        build_root_vectors(img, "e", 1)
+    # [e_1, e_2]_(q^-1) holds (1, 3) and (1, 1)
+    img = GeneratorImage("a2", 3, [[0] * 3] * 3,
+                         [u3(3, 2), u3(1, 2) + u3(3, 1), u3(2, 3) + u3(1, 3)],
+                         [None] * 3, (1, 0, 0))
+    with pytest.raises(EngineError, match="two entries in one row"):
         build_root_vectors(img, "e", 1)
 
 
@@ -398,18 +497,19 @@ def test_the_unread_real_vector_depends_on_the_order(monkeypatch, exps,
     # know: at s = 3, s1 = 2 the top vector ((-1,), m_max + 1) is read
     params = EngineParams("a1", *exps, order=order, left="chi", fock_dim=4)
     tables, read = [], []
-    build, real_factor = engine.build_root_vectors, engine._real_factor
+    build, real_factor = engine.build_root_vectors, engine._times_real_factor
     monkeypatch.setattr(engine, "build_root_vectors",
                         lambda *a: tables.append(build(*a)) or tables[-1])
-    monkeypatch.setattr(engine, "_real_factor",
-                        lambda e, f, *a: read.append(e) or
-                        real_factor(e, f, *a))
+    monkeypatch.setattr(engine, "_times_real_factor",
+                        lambda acc, e, f, *a: read.append(e) or
+                        real_factor(acc, e, f, *a))
     assemble(params)
     (etab,) = [t for t in tables if any(v is e for v in t.real.values()
                                         for e in read)]
     keys = {k for k, v in etab.real.items() if any(v is e for e in read)}
     top = ((-1,), params.m_max + 1)
-    assert etab.real[unread].mat and unread not in keys
+    assert matrix(etab.real[unread], params.internal_fock_dim)
+    assert unread not in keys
     assert set(etab.real) - keys == {unread}
     assert (top in keys) == (unread != top)
 
@@ -554,12 +654,11 @@ _CATALOG_PAIRINGS = [("r", "a1", "plain", 4, None)] + [
     ("l", "a2", v, 2, 3) for v in ("hat-1", "hat-2", "check-1", "check-2")]
 
 
-def _q_exponential(e, f, order):
+def _q_exponential(e, f, k, order):
     # the rule the engine once followed: exp_{q^-2}(X) for
     # X = (q - q^-1) e x f at zeta^k, summed as X^n z^(nk) / (n)_{q^-2}!
     # until X^n vanishes
-    x = kron(e.mat.scale(C), f.mat)
-    k = e.zexp + f.zexp
+    x = kron(e.scale(C), f)
     entries = {(i, i): {0: ONE} for i in range(x.dim)}
     xn, n, fact = x, 1, ONE
     while xn:
@@ -579,32 +678,73 @@ def _q_exponential(e, f, order):
 @pytest.mark.parametrize("kind, algebra, variant, order, d",
                          _CATALOG_PAIRINGS)
 def test_each_real_factor_is_one_plus_x(kind, algebra, variant, order, d):
+    # the relabel of the identity is 1 + X, and that of a matrix with sums
+    # and cancellations to come is its product with 1 + X
     params = engine_params_for(kind, algebra, variant, 1, 0, 0, order, d)
     left, right, etab, ftab = _imaginary_inputs(params)
     dim = left.dim * right.dim
-    eye = OpMatrix.identity(dim, ZetaSeries.one(order))
+    one = ZetaSeries.one(order)
+    eye = OpMatrix.identity(dim, one)
+    rng = random.Random(3)
     aff = extend_cartan(finite_cartan(algebra))
     used = 0
     for root in positive_roots(aff, params.m_max):
         if root.kind == "imaginary":
             continue
         e, f = etab.real_op(root), ftab.real_op(root)
-        if not (e and f) or e.zexp + f.zexp > order:
+        emat, fmat = matrix(e, left.dim), matrix(f, right.dim)
+        if not (emat and fmat) or e.zexp + f.zexp > order:
             continue
-        got = eye + engine._real_factor(e, f, order, dim)
-        assert got == _q_exponential(e, f, order), root
+        want = _q_exponential(emat, fmat, e.zexp + f.zexp, order)
+        got = engine._times_real_factor(eye, e, f, right.dim, order)
+        assert got == want, root
+        # random entries in the columns X moves, minus their image under X
+        x = want + OpMatrix.identity(dim, -one)
+        cols = sorted({i for i, _ in x.entries})
+        acc = OpMatrix(dim, {(rng.randrange(dim), rng.choice(cols)):
+                             ZetaSeries({0: q_power(rng.randint(-2, 2)),
+                                         rng.randint(1, order): ONE}, order)
+                             for _ in range(2 * len(cols))}, one)
+        acc = acc + (acc * x).scaled(cols=[-one] * dim)
+        assert acc * x
+        got = engine._times_real_factor(acc, e, f, right.dim, order)
+        assert got == acc * want, root
         used += 1
     assert used
+
+
+def vector(sop):
+    # a leg generator as the engine's partial map
+    return engine.RootVector(sop.zexp, sop.mat.entries)
 
 
 def test_real_factor_rejects_two_oscillator_operators():
     # on a chi leg the raising operator does not square to zero
     img = chi_images("a1", 1, 0, d=5)
-    e, lower = img.e_op(0), img.e_op(1)
+    e, lower = vector(img.e_op(0)), vector(img.e_op(1))
+    eye = OpMatrix.identity(img.dim * img.dim, ZetaSeries.one(4))
     for a, b in ((e, e), (e, lower), (lower, e)):
         with pytest.raises(EngineError):
-            engine._real_factor(a, b, 4, img.dim * img.dim)
-    assert engine._real_factor(e, phi_zeta("a1", 1, 0).f_op(0), 4, img.dim * 2)
+            engine._times_real_factor(eye, a, b, img.dim, 4)
+    eye = OpMatrix.identity(img.dim * 2, ZetaSeries.one(4))
+    assert engine._times_real_factor(
+        eye, e, vector(phi_zeta("a1", 1, 0).f_op(0)), 2, 4) != eye
+
+
+@pytest.mark.parametrize("kind, algebra, variant, order, d",
+                         _CATALOG_PAIRINGS)
+def test_assemble_takes_no_generic_product(monkeypatch, kind, algebra,
+                                           variant, order, d):
+    # the brackets compose partial maps and each real factor relabels
+    # columns: once the legs are built, assemble multiplies, adds or
+    # commutes no two matrices and takes no Kronecker product
+    params = engine_params_for(kind, algebra, variant, 1, 0, 0, order, d)
+    want = assemble(params)
+    legs = {w: engine._leg_images(params, w) for w in ("left", "right")}
+    monkeypatch.setattr(engine, "_leg_images", lambda p, w: legs[w])
+    _forbid_generic_products(monkeypatch)
+    assert not hasattr(engine, "kron")
+    assert assemble(params) == want
 
 
 # -- the Fock pad --------------------------------------------------------------
@@ -795,7 +935,7 @@ def test_engine_column_weights_match_products_with_diagonals(algebra, kw):
 def test_series_exp_takes_products_of_linear_factors():
     lam = q_power(-2)
     # log((1 - z^2) / (1 - q^-2 z^2)): power sums q^-2m - 1 at z^(2m)
-    f = ZetaSeries({2 * m: (lam ** m - ONE).scale(Fraction(1, m))
+    f = ZetaSeries({2 * m: (q_power(-2 * m) - ONE).scale(Fraction(1, m))
                     for m in range(1, 4)}, 6)
     want = (ZetaSeries({0: ONE, 2: -ONE}, 6)
             * ZetaSeries({0: ONE, 2: -lam}, 6).inverse())

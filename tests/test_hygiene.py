@@ -184,9 +184,8 @@ def test_two_variable_ring_is_integer_only():
 
 
 def test_diagonal_matrices_only_where_they_are_operators():
-    allowed = {"oscillator.FockRep", "oscillator.FockCopies.qd",
-               "qgroup.GeneratorImage.h_mat", "qgroup.GeneratorImage.q_power_h",
-               "reference._geom_inv", "engine.check_normalization_constants"}
+    allowed = {"oscillator.FockCopies.qd", "qgroup.GeneratorImage.h_mat",
+               "qgroup.GeneratorImage.q_power_h", "reference._geom_inv"}
     found = set()
 
     def visit(node, where):

@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+pytestmark = pytest.mark.oracle
+
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

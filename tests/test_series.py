@@ -67,8 +67,9 @@ def test_exp_lambda2_coefficient_against_oracle():
     # frozen closed form of the oracle value:
     # z^2 coeff = q^-2/(2(q^2+q^-2)) + q^-2/(2(q+q^-1)^2)
     q2 = q_power(2)
+    q1 = q_power(1) + q_power(-1)
     expect = (q_power(-2) / ((q2 + q_power(-2)) * QScalar.from_int(2))
-              + q_power(-2) / ((q_power(1) + q_power(-1)) ** 2 * QScalar.from_int(2)))
+              + q_power(-2) / (q1 * q1 * QScalar.from_int(2)))
     assert got == expect
 
 

@@ -8,6 +8,8 @@ Development-only; skipped when hypothesis is not installed."""
 
 import pytest
 
+pytestmark = pytest.mark.oracle
+
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 

@@ -13,7 +13,7 @@ from qaffine.scalars import QScalar, parse_qscalar, q_power
 from qaffine.series import ZetaSeries, series_exp
 from qaffine.verify import (
     Verdict, check_engine, check_ybe, check_rll, check_duality, check_gauge,
-    check_structure, check_double_inversion, suite_checks, run_suite,
+    check_structure, suite_checks, run_suite,
 )
 
 
@@ -76,7 +76,10 @@ def test_duality_a1():
     for mode in ("inversion", "tau"):
         assert check_duality("a1", "hat", mode, s=1, s1=0, d=9).passed
         assert check_duality("a1", "check", mode, s=1, s1=0, d=9).passed
-    assert check_double_inversion("a1", "hat", s=1, s1=0, d=6).passed
+    # the reflected inverse is an involution
+    ref = reference_matrix("l", "a1", "hat", 1, 0, 0, d=6)
+    twice = verify._reflected_inverse(verify._reflected_inverse(ref.matrix))
+    assert twice == ref.matrix
 
 
 def test_duality_a2_family1():
@@ -383,6 +386,26 @@ def test_failure_text_of_a_perturbed_rll_relation_is_pinned():
         "lhs": "(1 - t^12)/(1)*u^0*v^1 + (-t^-12 + 1)/(1)*u^1*v^0",
         "rhs": "(t^-6 - t^6)/(1)*u^0*v^1"
                " + (-t^-12 - t^-6 + 2 + t^6 - t^12)/(1)*u^1*v^0",
+    }
+
+
+def test_a_failing_relation_reports_an_absent_entry_as_zero():
+    # a new Fock entry (2, 0) in grid entry (0, 0): where the two sides
+    # first differ only the right one has an entry, and the report reads
+    # the left one as zero of the two-variable ring
+    d = 6
+    ref = reference_matrix("l", "a1", "hat", 1, 0, 0, d=d)
+    r = reference_matrix("r", "a1", "plain", 1, 0, 0)
+    op = ref.matrix.entry(0, 0)
+    assert (2, 0) not in op.entries
+    ops = dict(ref.matrix.entries)
+    ops[(0, 0)] = OpMatrix(op.dim, {**op.entries, (2, 0): ZetaRational.ONE},
+                           op.one)
+    grid = Grid(ref.matrix.n, ops, ref.matrix.op_dim, op.one)
+    failure = verify._rll_residual(grid, ref.l_type, r.matrix, d, ref.copies)
+    assert failure == {
+        "entry": [0, 1], "fock": [1, 0], "lhs": "0",
+        "rhs": "(t^-18 - t^6)/(1)*u^0*v^1 + (-t^-18 + t^6)/(1)*u^1*v^0",
     }
 
 
