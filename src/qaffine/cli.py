@@ -9,21 +9,21 @@ then the QAFFINE_ORDER / QAFFINE_FOCK environment variables, then flags;
 the merged values are range-checked.  Exit codes: 0 success or all
 checks passed, 1 at least one check failed (the report is still
 emitted), 2 usage or configuration errors.
+
+Each command imports only the layer it runs: the rational backend and
+`list` the transcriptions (`reference`), the series backend the engine,
+and `verify` the suite.
 """
 
 import argparse
-import json
 import os
 import sys
 
 from fractions import Fraction
 
-from .engine import EngineParams, EngineError, assemble
 from .oscillator import OscParams
 from .scalars import parse_qscalar
-from .reference import reference_matrix, list_variants
-from .serialize import dump_matrix, dump_grid
-from .verify import suite_checks, run_suite
+from .serialize import dump_matrix, dump_grid, write_json
 
 DEFAULTS = {"order": 8, "fock": 12, "backend": "rational", "format": "text",
             "workers": 1}
@@ -207,6 +207,7 @@ def cmd_compute(args, conf):
     twist = _parse_twist(args.twist, args.algebra)
     as_text = conf["format"] == "text"
     if backend == "rational":
+        from .reference import reference_matrix
         if args.what == "r":
             ref = reference_matrix("r", args.algebra, "plain", args.s,
                                    args.s1, args.s2)
@@ -224,6 +225,7 @@ def cmd_compute(args, conf):
             payload = dump_grid(ref.matrix, fock_dim=ref.fock_dim,
                                 copies=ref.copies, tag=ref.tag)
     else:
+        from .engine import EngineParams, assemble
         left = "chi" if args.side == "chi-phi" else "phi"
         right = "psi" if args.side == "phi-psi" else "phi"
         if args.what == "r":
@@ -279,6 +281,10 @@ def _flat_series_text(mat):
 
 
 def cmd_verify(args, conf):
+    """The report, as text or as the list of verdicts for `main` to write
+    as JSON, and whether every check passed."""
+    # imported before run_suite forks, so the pool workers inherit it
+    from .verify import suite_checks, run_suite
     checks = suite_checks(algebra=args.algebra, order=conf["order"],
                           fock=conf["fock"])
     if args.what != "all":
@@ -289,19 +295,16 @@ def cmd_verify(args, conf):
     results = run_suite(checks, workers=conf["workers"])
     all_pass = all(v.passed for _, v in results)
     if conf["format"] == "json":
-        text = json.dumps([dict(v.to_json(), id=cid) for cid, v in results],
-                          indent=2)
-    else:
-        lines = []
-        for cid, v in results:
-            state = "pass" if v.passed else "FAIL %s" % (v.first_failure,)
-            lines.append("%-28s %-8s %7.0f ms  %s"
-                         % (cid, state.split()[0],
-                            v.wall_time_ms, "" if v.passed else state))
-        lines.append("summary: %d/%d passed"
-                     % (sum(v.passed for _, v in results), len(results)))
-        text = "\n".join(lines)
-    return text, all_pass
+        return [dict(v.to_json(), id=cid) for cid, v in results], all_pass
+    lines = []
+    for cid, v in results:
+        state = "pass" if v.passed else "FAIL %s" % (v.first_failure,)
+        lines.append("%-28s %-8s %7.0f ms  %s"
+                     % (cid, state.split()[0],
+                        v.wall_time_ms, "" if v.passed else state))
+    lines.append("summary: %d/%d passed"
+                 % (sum(v.passed for _, v in results), len(results)))
+    return "\n".join(lines), all_pass
 
 
 def main(argv=None):
@@ -315,32 +318,44 @@ def main(argv=None):
     try:
         conf = effective_settings(args)
         if args.command == "list":
-            text = "\n".join("%s %s %s" % v for v in list_variants())
+            from .reference import list_variants
+            out = "\n".join("%s %s %s" % v for v in list_variants())
         elif args.command == "compute":
             out = cmd_compute(args, conf)
-            text = (out if conf["format"] == "text" else
-                    json.dumps(out, indent=2))
         else:
-            text, all_pass = cmd_verify(args, conf)
+            out, all_pass = cmd_verify(args, conf)
             status = 0 if all_pass else 1
-        _emit(text, getattr(args, "out", None))
+        _emit(out, conf["format"] == "json", getattr(args, "out", None))
         return status
     except BrokenPipeError:
         # the reader stopped early (`| head`), which does not undo the run;
         # point stdout at devnull so the interpreter's final flush is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return status
-    except (UsageError, EngineError, ValueError, OSError) as exc:
+    # an EngineError is a ValueError: a rejected parameter or image
+    except (UsageError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
 
-def _emit(text, out_path):
+def _emit(out, as_json, out_path):
+    """Write the text `out`, or the JSON value `out` as
+    `json.dumps(out, indent=2)` spells it, and a newline, to out_path or
+    to stdout."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            _write(out, as_json, fh)
     else:
-        print(text, flush=True)
+        _write(out, as_json, sys.stdout)
+
+
+def _write(out, as_json, fh):
+    if as_json:
+        write_json(out, fh.write)
+    else:
+        fh.write(out)
+    fh.write("\n")
+    fh.flush()
 
 
 if __name__ == "__main__":

@@ -52,8 +52,8 @@ C_FACTOR = q_power(1) - q_power(-1)          # q - q^-1
 INV2 = qint(2).inverse()                      # 1/[2]_q
 
 
-class EngineError(RuntimeError):
-    pass
+class EngineError(ValueError):
+    """A parameter or a generator image the engine rejects."""
 
 
 class EngineParams:

@@ -1,8 +1,11 @@
-"""Bit-exact JSON forms for scalars, matrices, operator grids and verdicts.
+"""Bit-exact JSON forms for scalars, matrices, operator grids and verdicts,
+and the one writer that spells them out.
 
 Scalars serialize through their canonical strings, so parse(dump(x)) == x
 holds syntactically for every value kind.
 """
+
+from json.encoder import encode_basestring_ascii
 
 from .scalars import QScalar, parse_qscalar
 from .series import ZetaSeries
@@ -11,7 +14,7 @@ from .linalg import OpMatrix, Grid
 
 __all__ = [
     "dump_series", "parse_series", "dump_rational", "parse_rational",
-    "dump_matrix", "parse_matrix", "dump_grid", "parse_grid",
+    "dump_matrix", "parse_matrix", "dump_grid", "parse_grid", "write_json",
 ]
 
 
@@ -102,3 +105,73 @@ def parse_grid(blob):
         entries[(e["a"], e["b"])] = m
         one = m.one
     return Grid(blob["legs"], entries, blob["op_dim"], one)
+
+
+# parts of the text the writer collects before it hands them on
+_BATCH = 4096
+_INF = float("inf")
+
+
+def write_json(value, write):
+    """Write a JSON value (dicts with string keys, lists or tuples, strings,
+    ints, floats, bools, None) through `write`, spelled as
+    `json.dumps(value, indent=2)` spells it.  With an indent, the standard
+    library encodes in pure Python; this writer goes through the C string
+    quoting and hands the text on in batches, so it never holds the whole
+    of it."""
+    parts = []
+    _write_value(value, "\n", parts, write)
+    write("".join(parts))
+
+
+def _write_value(value, newline, parts, write):
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            # a key that is not a str raises TypeError here
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_value(item, inner, parts, write)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write_value(item, inner, parts, write)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(_json_scalar(value))
+    if len(parts) > _BATCH:
+        write("".join(parts))
+        parts.clear()
+
+
+def _json_scalar(value):
+    # bool before int: True is an int too
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (_INF, -_INF):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(value).__name__)

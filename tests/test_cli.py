@@ -266,3 +266,33 @@ def test_cli_compute_builds_only_the_requested_form(fmt, unused, monkeypatch,
                   "--order", "1", "--fock", "3"]):
         assert main(["compute"] + argv + ["--format", fmt]) == 0
         assert capsys.readouterr().out.strip()
+
+
+_LAYERS = {"qaffine.engine", "qaffine.reference", "qaffine.verify"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["compute", "l", "--algebra", "a2", "--side", "chi-phi", "--fock", "3",
+      "--format", "json"], {"qaffine.reference"}),
+    (["compute", "l", "--side", "chi-phi", "--backend", "series", "--order",
+      "1", "--fock", "3", "--format", "json"], {"qaffine.engine"}),
+    (["list", "variants"], {"qaffine.reference"}),
+    (None, set()),
+])
+def test_each_command_loads_only_its_layer(argv, loaded):
+    # a fresh interpreter per command: which of the three layers it imported
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from qaffine import cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(
+        pathlib.Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert _LAYERS & set(json.loads(proc.stdout)) == loaded

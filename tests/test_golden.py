@@ -87,6 +87,9 @@ def test_golden(name, tmp_path):
     assert code == 0
     expected = json.loads((GOLDEN_DIR / (name + ".json")).read_text())
     assert blob == expected
+    # byte for byte what the standard library's indent=2 encoder writes
+    text = (tmp_path / "out.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def _run_text(argv, out_path):

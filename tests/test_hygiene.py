@@ -25,6 +25,9 @@
   and every defaulted parameter of the catalogued checks, of `EngineParams`
   and of `assemble` is set by some production caller: a check nothing runs,
   or a parameter only tests set, is code for the tests alone.
+* No call in src/ passes `indent=` to `json.dumps` or `json.dump`: with an
+  indent the standard library encodes in pure Python, and
+  `serialize.write_json` spells the same bytes.
 * Every entry point the benchmark's tracer wraps (`perfbench/tracer.py`,
   `LAYERS`) is defined on its owner, so a rename in src/ fails here and not
   first in a traced benchmark run.
@@ -49,6 +52,16 @@ def test_no_assert_statements_in_src():
     found = ["%s:%d" % (path.relative_to(SRC), node.lineno)
              for path, tree in _modules()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_indented_json_dumps_in_src():
+    found = ["%s:%d" % (path.relative_to(SRC), node.lineno)
+             for path, tree in _modules() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "attr", None)
+                  or getattr(node.func, "id", None)) in ("dumps", "dump")
+             and any(k.arg == "indent" for k in node.keywords)]
     assert found == []
 
 
@@ -185,7 +198,7 @@ def test_two_variable_ring_is_integer_only():
 
 def test_diagonal_matrices_only_where_they_are_operators():
     allowed = {"oscillator.FockCopies.qd", "qgroup.GeneratorImage.h_mat",
-               "qgroup.GeneratorImage.q_power_h", "reference._geom_inv"}
+               "qgroup.GeneratorImage.q_power_h"}
     found = set()
 
     def visit(node, where):

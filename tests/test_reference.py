@@ -9,13 +9,13 @@ from qaffine.linalg import (
     OpMatrix, Grid, hat_and_check, kron, fock_window, perm_operator,
 )
 from qaffine.reference import (
-    PrefactorTag, reference_matrix, ordered_factors, list_variants,
-    r0_hat_matrix,
+    PrefactorTag, reference_matrix, list_variants, r0_hat_matrix,
     decompose_L, scan_linear_exponents, grid_inverse, op_inverse,
     apply_two_copy_normalization,
 )
 from qaffine import reference
 from qaffine.engine import EngineParams, assemble
+from derivation_factors import ordered_factors
 
 ONE = QScalar.ONE
 ZR_ONE = ZetaRational.const(ONE)

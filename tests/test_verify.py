@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import derivation_factors
 from qaffine import reference, verify
 from qaffine.cli import main
 from qaffine.linalg import (
@@ -438,10 +439,15 @@ def test_failure_text_of_a_failing_a2_gauge_verdict_is_pinned(monkeypatch):
 # -- no check builds the ordered factors ---------------------------------------
 
 def test_no_check_builds_ordered_factors(monkeypatch):
+    # the factors live with the tests, out of the program's reach
+    assert not any(hasattr(module, name)
+                   for module in (reference, verify)
+                   for name in ("ordered_factors", "_geom_inv"))
+
     def refuse(*args, **kwargs):
         raise AssertionError("a check built the ordered factors")
-    monkeypatch.setattr(reference, "ordered_factors", refuse)
-    monkeypatch.setattr(reference, "_geom_inv", refuse)
+    monkeypatch.setattr(derivation_factors, "ordered_factors", refuse)
+    monkeypatch.setattr(derivation_factors, "_geom_inv", refuse)
     verdicts = [
         check_engine("l", "a1", "hat", s=1, s1=0, order=3, d=5),
         check_engine("l", "a1", "check", s=1, s1=0, order=3, d=5),
