@@ -7,7 +7,8 @@ every state and a a' = 1 - q^2 q^(2D) on all states below the top one.
 The one- and two-copy homomorphism families into the Borel halves carry
 free parameters (rho, mu_i, nu_i); the defaults reproduce the specific
 specializations whose assembled forms are transcribed in the reference
-module.
+module.  There each L-operator is a table of oscillator monomials, and the
+anti-involution tau (a <-> a-dagger) acts on the table, not on matrices.
 """
 
 import itertools
@@ -18,7 +19,7 @@ from .qgroup import GeneratorImage, _exps_for
 
 __all__ = [
     "FockRep", "FockCopies", "chi_images", "psi_images",
-    "osc_automorphism", "tau_matrix", "OscParams",
+    "osc_automorphism", "OscParams",
 ]
 
 ONE = QScalar.ONE
@@ -81,7 +82,6 @@ class FockCopies:
         self.states = _states(d, copies)
         self.a = [on_copy(k, f.lowering()) for k in range(copies)]
         self.ad = [on_copy(k, f.raising()) for k in range(copies)]
-        self.eye = OpMatrix.identity(self.dim, ONE)
         self.h = [tuple(sum(c * n for c, n in zip(cs, state))
                         for state in self.states)
                   for cs in self._H_COEFFS[copies]]
@@ -168,7 +168,7 @@ def psi_images(algebra, s, s1, s2=0, d=12, family=1, params=None,
     return _image(o, algebra, [None] * len(f), f, s, s1, s2, zeta_scale)
 
 
-# -- automorphisms and the anti-involution -----------------------------------
+# -- automorphisms -------------------------------------------------------------
 
 def osc_automorphism(d, kappas, xis, one=ONE):
     """Conjugating weights (rows, cols) of a_i -> kappa_i a_i q^(xi_i . D)
@@ -215,19 +215,3 @@ def _over_states(per_copy):
 def _lift(v, one):
     """The Q(t) value v as a value of the scalar kind of `one`."""
     return v if isinstance(one, QScalar) else one.scale(v)
-
-
-def tau_matrix(m, d, copies=1):
-    """Anti-involution swapping a and a-dagger on matrices over the
-    (copies)-fold Fock space: the transpose conjugated by the metric
-    g_n = prod over copies of prod_(k <= n_i) (1 - q^(2k)), lifted into the
-    scalar kind of m."""
-    if m.dim != d ** copies:
-        raise ValueError("tau on %d copies of %d states needs dimension %d, "
-                         "got %d" % (copies, d, d ** copies, m.dim))
-    metric = [ONE]
-    for n in range(1, d):
-        metric.append(metric[-1] * (ONE - q_power(2 * n)))
-    g = _over_states([metric] * copies)
-    return m.transpose().scaled([_lift(v.inverse(), m.one) for v in g],
-                                [_lift(v, m.one) for v in g])

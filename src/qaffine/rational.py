@@ -313,11 +313,19 @@ class ZetaRational:
     # -- substitutions -----------------------------------------------------
 
     def subs_power(self, k):
-        """zeta -> zeta^k for nonzero integer k."""
+        """zeta -> zeta^k for nonzero k, with no gcd: a root shared by
+        num(zeta^k) and den(zeta^k) would give one shared by num and den.
+        For k < 0 the denominator is renormalized to lowest term 1."""
         if k == 0:
             raise ValueError("substitution power must be nonzero")
-        return ZetaRational({k * e: v for e, v in self.num.items()},
-                            {k * e: v for e, v in self.den.items()})
+        num = {k * e: v for e, v in self.num.items()}
+        den = {k * e: v for e, v in self.den.items()}
+        if k < 0:
+            sd = min(den)
+            inv = den[sd].inverse()
+            num = {e - sd: v * inv for e, v in num.items()}
+            den = {e - sd: v * inv for e, v in den.items()}
+        return ZetaRational(num, den, _canonical=True)
 
     # -- series expansion ----------------------------------------------------
 

@@ -4,28 +4,39 @@ Every printed R-matrix and L-operator is transcribed here over the exact
 rational backend.  The transcendental scalar in front of each object (a
 power of q times an exponential of lambda-function combinations) is kept
 as a structured tag; rational scalar pieces are folded into the entries,
-so the stored matrix times the tag is the honest object.  Exact inversion
-(`grid_inverse`) works on the assembled grid.  The ordered factors the
-source derivation lists for some L-operators are an oracle for these
-closed forms and live with the tests (`tests/derivation_factors.py`).
+so the stored matrix times the tag is the honest object.
+
+Each L-operator is the image of the universal R-matrix in the
+q-oscillator algebra, so it is transcribed as a table of oscillator
+monomials zeta^e c L_delta q^(kappa . D) (`LTable`).  A table is rendered
+on d Fock states per copy one state at a time, on integer Laurent
+polynomials in t and with no matrix product; the anti-involution tau acts
+on the table itself.  Exact inversion (`grid_inverse`) works on the
+rendered grid.  The ordered factors the source derivation lists for some
+L-operators are an oracle for these closed forms and live with the tests
+(`tests/derivation_factors.py`).
 
 Also here: the constant exchange matrices of the spectral-linear
 decomposition, the decomposition itself, and the exponent scan that finds
 where an L-operator becomes linear in the spectral variable.
 """
 
-from fractions import Fraction
+from collections import namedtuple
+from itertools import product
+from operator import mul
 
-from .scalars import QScalar, q_power
+from .scalars import (
+    QScalar, _ONE_POLY, _p_add, _p_mul, q_power, t_power,
+)
 from .series import ZetaSeries, series_exp, lambda_level
 from .rational import ZetaRational
 from .linalg import OpMatrix, Grid, kron
-from .oscillator import FockCopies, osc_automorphism
+from .oscillator import osc_automorphism
 
 __all__ = [
-    "PrefactorTag", "ReferenceObject", "reference_matrix", "list_variants",
-    "r0_hat_matrix", "decompose_L", "scan_linear_exponents",
-    "grid_inverse", "op_inverse",
+    "PrefactorTag", "ReferenceObject", "LTable", "reference_matrix",
+    "l_table", "list_variants", "r0_hat_matrix", "decompose_L",
+    "scan_linear_exponents", "grid_inverse", "op_inverse",
 ]
 
 ONE = QScalar.ONE
@@ -70,7 +81,7 @@ class PrefactorTag:
                              "no expansion about zero")
         total = ZetaSeries.zero(order)
         for (n, sc, arg, sg) in self.terms:
-            lam = lambda_level(n, QScalar({sc: Fraction(1)}), arg, order)
+            lam = lambda_level(n, t_power(sc), arg, order)
             for _ in range(abs(sg)):
                 total = total + lam if sg > 0 else total - lam
         return total
@@ -78,7 +89,7 @@ class PrefactorTag:
     def to_series(self, order):
         out = series_exp(self.log_series(order))
         if self.t_power:
-            out = out.scale(QScalar({self.t_power: Fraction(1)}))
+            out = out.scale(t_power(self.t_power))
         return out
 
     def __eq__(self, other):
@@ -132,225 +143,208 @@ class ReferenceObject:
             self.kind, self.algebra, self.variant, (self.exps,))
 
 
-# -- scalar builders ---------------------------------------------------------
-
-def _zmat(mat, k=0):
-    """Lift a QScalar matrix into zeta-rational values times zeta^k."""
-    return mat.map_values(lambda v: ZetaRational.monomial(k, v),
-                          ZetaRational.ONE)
-
-
 # -- R-matrices --------------------------------------------------------------
 
-def _r_a1(s, s1):
+def _r_matrix(algebra, s, s1, s2):
+    """sum_a E_aa x E_aa + sum_(a != b) (g E_aa x E_bb + c_ab E_ab x E_ba)
+    with g = q^-1 (1 - zeta^s) / (1 - q^-2 zeta^s) and c_ab = (1 - q^-2)
+    zeta^(w_ab) / (1 - q^-2 zeta^s): w_ab sums s_a .. s_(b-1) of (s1, s2)
+    for a < b, and w_ba = s - w_ab."""
+    n = 2 if algebra == "a1" else 3
     den = {0: ONE, s: -q_power(-2)}
     g_diag = ZetaRational({0: q_power(-1), s: -q_power(-1)}, den)
-    g_lo = ZetaRational({s1: ONE - q_power(-2)}, den)
-    g_hi = ZetaRational({s - s1: ONE - q_power(-2)}, den)
-    e = lambda a, b: OpMatrix.unit(2, a, b, ONE)
-    mat = (kron(_zmat(e(1, 1)), _zmat(e(1, 1)))
-           + kron(_zmat(e(2, 2)), _zmat(e(2, 2)))
-           + kron(_zmat(e(1, 1)), _zmat(e(2, 2))).scale(g_diag)
-           + kron(_zmat(e(2, 2)), _zmat(e(1, 1))).scale(g_diag)
-           + kron(_zmat(e(1, 2)), _zmat(e(2, 1))).scale(g_lo)
-           + kron(_zmat(e(2, 1)), _zmat(e(1, 2))).scale(g_hi))
-    tag = PrefactorTag(3, ((2, 6, s, 1), (2, -6, s, -1)))
-    return ReferenceObject("r", "a1", "plain", (s, s1), tag, mat)
-
-
-def _r_a2(s, s1, s2):
-    den = {0: ONE, s: -q_power(-2)}
-    g_diag = ZetaRational({0: q_power(-1), s: -q_power(-1)}, den)
-    cc = ONE - q_power(-2)
-    e = lambda a, b: OpMatrix.unit(3, a, b, ONE)
-    mat = OpMatrix.zero(9, ZetaRational.ONE)
-    for a in range(1, 4):
-        mat = mat + kron(_zmat(e(a, a)), _zmat(e(a, a)))
-        for b in range(1, 4):
+    w = lambda a, b: sum((s1, s2)[a - 1:b - 1]) if a < b else s - w(b, a)
+    e = lambda a, b: OpMatrix.unit(n, a, b, ZetaRational.ONE)
+    mat = OpMatrix.zero(n * n, ZetaRational.ONE)
+    for a in range(1, n + 1):
+        mat = mat + kron(e(a, a), e(a, a))
+        for b in range(1, n + 1):
             if a != b:
-                mat = mat + kron(_zmat(e(a, a)), _zmat(e(b, b))).scale(g_diag)
-    weights = {(1, 2): s1, (1, 3): s1 + s2, (2, 3): s2,
-               (2, 1): s - s1, (3, 1): s - s1 - s2, (3, 2): s - s2}
-    for (a, b), w in weights.items():
-        mat = mat + kron(_zmat(e(a, b)), _zmat(e(b, a))).scale(
-            ZetaRational({w: cc}, den))
-    tag = PrefactorTag(4, ((3, 12, s, 1), (3, -12, s, -1)))
-    return ReferenceObject("r", "a2", "plain", (s, s1, s2), tag, mat)
+                c = ZetaRational({w(a, b): ONE - q_power(-2)}, den)
+                mat = (mat + kron(e(a, a), e(b, b)).scale(g_diag)
+                       + kron(e(a, b), e(b, a)).scale(c))
+    if n == 2:
+        return ReferenceObject("r", algebra, "plain", (s, s1), PrefactorTag(
+            3, ((2, 6, s, 1), (2, -6, s, -1))), mat)
+    return ReferenceObject("r", algebra, "plain", (s, s1, s2), PrefactorTag(
+        4, ((3, 12, s, 1), (3, -12, s, -1))), mat)
 
 
-# -- oscillator building blocks ----------------------------------------------
+# -- L-operators as oscillator monomials -------------------------------------
 
-def _grid(n, entries, op_dim):
-    return Grid(n, {k: v for k, v in entries.items() if v}, op_dim,
-                ZetaRational.ONE)
+class LTable(namedtuple("LTable", "n copies terms divisor")):
+    """A transcribed L-operator as q-oscillator monomials on `copies` Fock
+    copies: grid position (a, b) of the n x n grid holds terms
+    (e, c, delta, kappa), each zeta^e c L_delta q^(kappa . D), where
+    q^(kappa . D) acts first and L_delta applies a (delta_i = -1),
+    a-dagger (+1) or 1 on copy i.  c is a signed power of t and kappa holds
+    integer q-exponents.  With `divisor` set, every entry is divided by
+    1 - zeta^divisor."""
+
+    __slots__ = ()
+
+    def tau(self):
+        """The anti-involution a <-> a-dagger at reflected argument: since
+        q^(kappa.D) L_-delta = q^(-kappa.delta) L_-delta q^(kappa.D), term
+        (e, c, delta, kappa) goes to (-e, c q^(-kappa.delta), -delta,
+        kappa).  A term has at most one ladder per copy, and tau(a) =
+        a-dagger, tau(a-dagger) = a hold on the truncated space, so the
+        image is exact there."""
+        return LTable(self.n, self.copies, {
+            ab: tuple((-e, c * q_power(-sum(map(mul, kappa, delta))),
+                       tuple(-x for x in delta), kappa)
+                      for e, c, delta, kappa in terms)
+            for ab, terms in self.terms.items()},
+            None if self.divisor is None else -self.divisor)
+
+    def render(self, d):
+        """The grid on d Fock states per copy, the first copy slowest.  A
+        term sends state n to n + delta, is dropped where that leaves
+        0..d-1, and weighs it by c q^(kappa . n) times 1 - q^(2 n_i) for
+        each lowered copy i: an integer Laurent polynomial in t (q = t^6),
+        summed per zeta power with no gcd."""
+        dim = d ** self.copies
+        strides = [d ** i for i in reversed(range(self.copies))]
+        den = (None if self.divisor is None
+               else {0: ONE, self.divisor: -ONE})
+        ops = {}
+        for ab, terms in self.terms.items():
+            cells = {}
+            for e, c, delta, kappa in terms:
+                # per copy: (flat offset, weight) of each state n_i whose
+                # target n_i + delta_i stays in 0..d-1, c on the first copy
+                per_copy = [[(n * st, {6 * k * n: 1} if x >= 0
+                              else {6 * k * n: 1, 6 * k * n + 12 * n: -1})
+                             for n in range(max(0, -x), d - max(0, x))]
+                            for x, k, st in zip(delta, kappa, strides)]
+                per_copy[0] = [(o, _p_mul(c.num, f)) for o, f in per_copy[0]]
+                step = sum(map(mul, delta, strides))
+                for (col, w), *rest in product(*per_copy):
+                    for offset, f in rest:
+                        col += offset
+                        w = _p_mul(w, f)
+                    cell = cells.setdefault((col + step, col), {})
+                    if e in cell:
+                        w = _p_add(cell.pop(e), w)
+                    if w:
+                        cell[e] = w
+            for ij, cell in cells.items():
+                # in place: a fresh dict per entry raises the peak memory
+                # of a command that prints the grid
+                for e, p in cell.items():
+                    cell[e] = QScalar(p, _ONE_POLY, _canonical=True)
+                cells[ij] = (ZetaRational(cell, den) if den
+                             else ZetaRational(cell, _canonical=True))
+            ops[ab] = OpMatrix(dim, cells, ZetaRational.ONE)
+        return Grid(self.n, ops, dim, ZetaRational.ONE)
 
 
-# -- rank-1 L-operators ------------------------------------------------------
-
-def _l_a1(variant, s, s1, d):
-    o = FockCopies(d, 1)
-    (a,), (ad,) = o.a, o.ad
-    tag = PrefactorTag(0, ((2, -6, s, 1),))
-    qD = o.qd(1)
-    qmD = o.qd(-1)
-    if variant == "hat":
-        entries = {
-            (0, 0): _zmat(qD),
-            (0, 1): _zmat(a * qmD, s - s1),
-            (1, 0): _zmat(ad * qD, s1),
-            (1, 1): _zmat(qmD) + _zmat(qD, s).scale(-ZetaRational.ONE),
-        }
-        l_type = "hat"
-    elif variant == "hat-twisted":
-        entries = {
-            (0, 0): _zmat(qmD) + _zmat(qD, s).scale(-ZetaRational.ONE),
-            (0, 1): _zmat(ad * qD, s - s1),
-            (1, 0): _zmat(a * qmD, s1),
-            (1, 1): _zmat(qD),
-        }
-        l_type = "hat"
-    elif variant == "check":
-        entries = {
-            (0, 0): _zmat(qD),
-            (0, 1): _zmat(a * qmD, s1),
-            (1, 0): _zmat(ad * qD, s - s1),
-            (1, 1): _zmat(qmD) + _zmat(qD, s).scale(-ZetaRational.ONE),
-        }
-        l_type = "check"
-    elif variant == "check-twisted":
-        entries = {
-            (0, 0): _zmat(qmD) + _zmat(qD, s).scale(-ZetaRational.ONE),
-            (0, 1): _zmat(ad * qD, s1),
-            (1, 0): _zmat(a * qmD, s - s1),
-            (1, 1): _zmat(qD),
-        }
-        l_type = "check"
-    else:
-        raise ValueError("unknown rank-1 variant %r" % (variant,))
-    mat = _grid(2, entries, d)
-    return ReferenceObject("l", "a1", variant, (s, s1), tag, mat,
-                           l_type=l_type, fock_dim=d, copies=1)
+def _a1_table(variant, s, s1):
+    e01, e10 = (s - s1, s1) if variant.startswith("hat") else (s1, s - s1)
+    plain = ((0, ONE, (0,), (1,)),)
+    mixed = ((0, ONE, (0,), (-1,)), (s, -ONE, (0,), (1,)))
+    # a q^-D above the diagonal and a-dagger q^D below it; the twisted
+    # forms swap the two ladders and the two diagonal entries
+    twisted = variant.endswith("twisted")
+    x = -1 if twisted else 1
+    return LTable(2, 1, {(0, 0): mixed if twisted else plain,
+                         (0, 1): ((e01, ONE, (-x,), (-x,)),),
+                         (1, 0): ((e10, ONE, (x,), (x,)),),
+                         (1, 1): plain if twisted else mixed}, None)
 
 
-# -- rank-2 L-operators ------------------------------------------------------
-
-def _l_a2(variant, s, s1, s2, d):
-    o = FockCopies(d, 2)
-    qq = o.qd
-    (a1, a2), (a1d, a2d) = o.a, o.ad
-    dim = d * d
+def _a2_table(variant, s, s1, s2):
+    q, s12 = q_power, s1 + s2
     if variant == "hat-1":
-        tag = PrefactorTag(0, ((3, -12, s, 1),))
-        entries = {
-            (0, 0): _zmat(qq(1, 0)),
-            (0, 1): _zmat(a1 * qq(-1, -1), s - s1).scale(
-                ZetaRational.const(q_power(-2))),
-            (0, 2): _zmat(a1 * a2 * qq(-1, -3), s - s1 - s2),
-            (1, 0): _zmat(a1d * qq(1, 0), s1),
-            (1, 1): _zmat(qq(-1, 1)) + _zmat(qq(1, -1), s).scale(
-                ZetaRational.const(-q_power(-2))),
-            (1, 2): _zmat(a2 * qq(1, -3), s - s2).scale(-ZetaRational.ONE),
-            (2, 1): _zmat(a2d * qq(0, 1), s2),
-            (2, 2): _zmat(qq(0, -1)),
+        terms = {
+            (0, 0): ((0, ONE, (0, 0), (1, 0)),),
+            (0, 1): ((s - s1, q(-2), (-1, 0), (-1, -1)),),
+            (0, 2): ((s - s12, ONE, (-1, -1), (-1, -3)),),
+            (1, 0): ((s1, ONE, (1, 0), (1, 0)),),
+            (1, 1): ((0, ONE, (0, 0), (-1, 1)), (s, -q(-2), (0, 0), (1, -1))),
+            (1, 2): ((s - s2, -ONE, (0, -1), (1, -3)),),
+            (2, 1): ((s2, ONE, (0, 1), (0, 1)),),
+            (2, 2): ((0, ONE, (0, 0), (0, -1)),),
         }
-        l_type = "hat"
     elif variant == "hat-2":
-        tag = PrefactorTag(0, ((3, 12, s, -1),))
-        den = ZetaRational.ONE - ZetaRational.monomial(s)
-        entries = {
-            (0, 0): _zmat(qq(1, 0)) + _zmat(qq(-1, 0), s).scale(
-                ZetaRational.const(-q_power(-2))),
-            (0, 1): _zmat(a1 * qq(-3, 1), s - s1).scale(-ZetaRational.ONE),
-            (0, 2): _zmat(a1 * a2 * qq(-1, -1),
-                          s - s1 - s2).scale(-ZetaRational.ONE),
-            (1, 0): _zmat(a1d * qq(1, 0), s1),
-            (1, 1): _zmat(qq(-1, 1)),
-            (1, 2): _zmat(a2 * qq(1, -1), s - s2),
-            (2, 0): _zmat(a1d * a2d, s1 + s2).scale(
-                ZetaRational.const(q_power(-1))),
-            (2, 1): _zmat(a2d * qq(-2, 1), s2),
-            (2, 2): _zmat(qq(0, -1)) + _zmat(qq(0, 1), s).scale(
-                -ZetaRational.ONE),
+        terms = {
+            (0, 0): ((0, ONE, (0, 0), (1, 0)), (s, -q(-2), (0, 0), (-1, 0))),
+            (0, 1): ((s - s1, -ONE, (-1, 0), (-3, 1)),),
+            (0, 2): ((s - s12, -ONE, (-1, -1), (-1, -1)),),
+            (1, 0): ((s1, ONE, (1, 0), (1, 0)),),
+            (1, 1): ((0, ONE, (0, 0), (-1, 1)),),
+            (1, 2): ((s - s2, ONE, (0, -1), (1, -1)),),
+            (2, 0): ((s12, q(-1), (1, 1), (0, 0)),),
+            (2, 1): ((s2, ONE, (0, 1), (-2, 1)),),
+            (2, 2): ((0, ONE, (0, 0), (0, -1)), (s, -ONE, (0, 0), (0, 1))),
         }
-        entries = {k: v.map_values(lambda r: r / den, ZetaRational.ONE)
-                   for k, v in entries.items()}
-        l_type = "hat"
     elif variant == "check-1":
-        tag = PrefactorTag(0, ((3, -12, s, 1),))
-        entries = {
-            (0, 0): _zmat(qq(1, 0)),
-            (0, 1): _zmat(a1 * qq(-1, 1), s1),
-            (1, 0): _zmat(a1d * qq(1, -2), s - s1).scale(
-                ZetaRational.const(q_power(-2))),
-            (1, 1): _zmat(qq(-1, 1)) + _zmat(qq(1, -1), s).scale(
-                ZetaRational.const(-q_power(-2))),
-            (1, 2): _zmat(a2 * qq(1, -1), s2),
-            (2, 0): _zmat(a1d * a2d * qq(0, -2), s - s1 - s2).scale(
-                ZetaRational.const(q_power(-3))),
-            (2, 1): _zmat(a2d * qq(0, -1), s - s2).scale(
-                ZetaRational.const(-q_power(-2))),
-            (2, 2): _zmat(qq(0, -1)),
+        terms = {
+            (0, 0): ((0, ONE, (0, 0), (1, 0)),),
+            (0, 1): ((s1, ONE, (-1, 0), (-1, 1)),),
+            (1, 0): ((s - s1, q(-2), (1, 0), (1, -2)),),
+            (1, 1): ((0, ONE, (0, 0), (-1, 1)), (s, -q(-2), (0, 0), (1, -1))),
+            (1, 2): ((s2, ONE, (0, -1), (1, -1)),),
+            (2, 0): ((s - s12, q(-3), (1, 1), (0, -2)),),
+            (2, 1): ((s - s2, -q(-2), (0, 1), (0, -1)),),
+            (2, 2): ((0, ONE, (0, 0), (0, -1)),),
         }
-        l_type = "check"
     elif variant == "check-2":
-        tag = PrefactorTag(0, ((3, 12, s, -1),))
-        den = ZetaRational.ONE - ZetaRational.monomial(s)
-        entries = {
-            (0, 0): _zmat(qq(1, 0)) + _zmat(qq(-1, 0), s).scale(
-                ZetaRational.const(-q_power(-2))),
-            (0, 1): _zmat(a1 * qq(-1, 1), s1),
-            (0, 2): _zmat(a1 * a2 * qq(-1, -1), s1 + s2),
-            (1, 0): _zmat(a1d * qq(-1, 0), s - s1).scale(
-                ZetaRational.const(-q_power(-2))),
-            (1, 1): _zmat(qq(-1, 1)),
-            (1, 2): _zmat(a2 * qq(-1, -1), s2),
-            (2, 0): _zmat(a1d * a2d, s - s1 - s2).scale(
-                ZetaRational.const(-q_power(-1))),
-            (2, 1): _zmat(a2d * qq(0, 1), s - s2),
-            (2, 2): _zmat(qq(0, -1)) + _zmat(qq(0, 1), s).scale(
-                -ZetaRational.ONE),
+        terms = {
+            (0, 0): ((0, ONE, (0, 0), (1, 0)), (s, -q(-2), (0, 0), (-1, 0))),
+            (0, 1): ((s1, ONE, (-1, 0), (-1, 1)),),
+            (0, 2): ((s12, ONE, (-1, -1), (-1, -1)),),
+            (1, 0): ((s - s1, -q(-2), (1, 0), (-1, 0)),),
+            (1, 1): ((0, ONE, (0, 0), (-1, 1)),),
+            (1, 2): ((s2, ONE, (0, -1), (-1, -1)),),
+            (2, 0): ((s - s12, -q(-1), (1, 1), (0, 0)),),
+            (2, 1): ((s - s2, ONE, (0, 1), (0, 1)),),
+            (2, 2): ((0, ONE, (0, 0), (0, -1)), (s, -ONE, (0, 0), (0, 1))),
         }
-        entries = {k: v.map_values(lambda r: r / den, ZetaRational.ONE)
-                   for k, v in entries.items()}
-        l_type = "check"
     elif variant == "check-inv":
-        tag = PrefactorTag(0, ((3, -12, -s, -1),))
-        den = ZetaRational.ONE - ZetaRational.monomial(s)
-        entries = {
-            (0, 0): _zmat(qq(1, 0)).scale(ZetaRational.const(q_power(2)))
-                + _zmat(qq(-1, 0), s).scale(-ZetaRational.ONE),
-            (0, 1): _zmat(a1 * qq(1, 0), s1),
-            (0, 2): _zmat(a1 * a2, s1 + s2).scale(
-                ZetaRational.const(q_power(-1))),
-            (1, 0): _zmat(a1d * qq(-1, -1), s - s1),
-            (1, 1): _zmat(qq(1, -1), s).scale(-ZetaRational.ONE),
-            (1, 2): _zmat(a2 * qq(0, -1), s2).scale(-ZetaRational.ONE),
-            (2, 0): _zmat(a1d * a2d * qq(-1, -1),
-                          s - s1 - s2).scale(-ZetaRational.ONE),
-            (2, 1): _zmat(a2d * qq(1, -1), s - s2),
-            (2, 2): _zmat(qq(0, -1)) + _zmat(qq(0, 1), s).scale(
-                -ZetaRational.ONE),
+        terms = {
+            (0, 0): ((0, q(2), (0, 0), (1, 0)), (s, -ONE, (0, 0), (-1, 0))),
+            (0, 1): ((s1, ONE, (-1, 0), (1, 0)),),
+            (0, 2): ((s12, q(-1), (-1, -1), (0, 0)),),
+            (1, 0): ((s - s1, ONE, (1, 0), (-1, -1)),),
+            (1, 1): ((s, -ONE, (0, 0), (1, -1)),),
+            (1, 2): ((s2, -ONE, (0, -1), (0, -1)),),
+            (2, 0): ((s - s12, -ONE, (1, 1), (-1, -1)),),
+            (2, 1): ((s - s2, ONE, (0, 1), (1, -1)),),
+            (2, 2): ((0, ONE, (0, 0), (0, -1)), (s, -ONE, (0, 0), (0, 1))),
         }
-        entries = {k: v.map_values(lambda r: r / den, ZetaRational.ONE)
-                   for k, v in entries.items()}
-        l_type = "check"
     else:
         raise ValueError("unknown rank-2 variant %r" % (variant,))
-    mat = _grid(3, entries, dim)
-    return ReferenceObject("l", "a2", variant, (s, s1, s2), tag, mat,
-                           l_type=l_type, fock_dim=d, copies=2)
+    # hat-2, check-2 and check-inv share the divisor 1 - zeta^s
+    return LTable(3, 2, terms, None if variant.endswith("-1") else s)
 
 
-_A1_L_VARIANTS = ("hat", "hat-twisted", "check", "check-twisted")
-_A2_L_VARIANTS = ("hat-1", "hat-2", "check-1", "check-2", "check-inv",
-                  "hat-2-inv")
+def l_table(algebra, variant, exps):
+    """The table of a transcribed L-operator at the exponents `exps`,
+    (s, s1) or (s, s1, s2).  hat-2-inv, the reflected inverse of hat-2,
+    has none."""
+    if algebra == "a1":
+        return _a1_table(variant, *exps)
+    return _a2_table(variant, *exps)
+
+
+# the lambda term (level, scale_t_exponent, zeta exponent / s, sign) of the
+# prefactor tag of each L-operator; (2, -6, 1, 1) for every rank-1 one
+_L_TAGS = {"hat-1": (3, -12, 1, 1), "check-1": (3, -12, 1, 1),
+           "hat-2": (3, 12, 1, -1), "check-2": (3, 12, 1, -1),
+           "check-inv": (3, -12, -1, -1)}
+
+
+_L_VARIANTS = {
+    "a1": ("hat", "hat-twisted", "check", "check-twisted"),
+    "a2": ("hat-1", "hat-2", "check-1", "check-2", "check-inv", "hat-2-inv"),
+}
 
 
 def list_variants():
-    out = [("r", "a1", "plain"), ("r", "a2", "plain")]
-    out += [("l", "a1", v) for v in _A1_L_VARIANTS]
-    out += [("l", "a2", v) for v in _A2_L_VARIANTS]
-    return out
+    return [("r", "a1", "plain"), ("r", "a2", "plain")] + [
+        ("l", algebra, v) for algebra, variants in _L_VARIANTS.items()
+        for v in variants]
 
 
 def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):
@@ -361,21 +355,21 @@ def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):
     """
     if s == 0:
         raise ValueError("the spectral exponent s must be nonzero")
-    if kind == "r" and variant == "plain":
-        if algebra == "a1":
-            return _r_a1(s, s1)
-        if algebra == "a2":
-            return _r_a2(s, s1, s2)
-    if kind == "l" and algebra == "a1" and variant in _A1_L_VARIANTS:
-        return _l_a1(variant, s, s1, d)
-    if kind == "l" and algebra == "a2" and variant in _A2_L_VARIANTS:
+    if kind == "r" and variant == "plain" and algebra in _L_VARIANTS:
+        return _r_matrix(algebra, s, s1, s2)
+    if kind == "l" and variant in _L_VARIANTS.get(algebra, ()):
+        exps = (s, s1) if algebra == "a1" else (s, s1, s2)
         if variant == "hat-2-inv":
-            base = _l_a2("hat-2", s, s1, s2, d)
-            inv = _reflected_inverse(base.matrix)
-            return ReferenceObject("l", "a2", variant, (s, s1, s2),
-                                   PrefactorTag(), inv, l_type="check",
-                                   fock_dim=d, copies=2)
-        return _l_a2(variant, s, s1, s2, d)
+            base = l_table(algebra, "hat-2", exps).render(d)
+            return ReferenceObject("l", algebra, variant, exps,
+                                   PrefactorTag(), _reflected_inverse(base),
+                                   l_type="check", fock_dim=d, copies=2)
+        n, sc, k, sg = _L_TAGS.get(variant, (2, -6, 1, 1))
+        return ReferenceObject("l", algebra, variant, exps,
+                               PrefactorTag(0, ((n, sc, k * s, sg),)),
+                               l_table(algebra, variant, exps).render(d),
+                               l_type=variant.partition("-")[0], fock_dim=d,
+                               copies=len(exps) - 1)
     raise ValueError("unsupported combination %r; supported: %s"
                      % ((kind, algebra, variant), list_variants()))
 

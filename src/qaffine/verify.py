@@ -21,10 +21,10 @@ from .linalg import (
     OpMatrix, Grid, grid_akp, hat_and_check, embed_legs, kron, fock_window,
     window_product,
 )
-from .oscillator import osc_automorphism, tau_matrix
+from .oscillator import osc_automorphism
 from .reference import (
     reference_matrix, r0_hat_matrix, decompose_L, grid_inverse,
-    scan_linear_exponents, _reflected_inverse,
+    scan_linear_exponents, l_table, _reflected_inverse,
 )
 from .engine import EngineParams, assemble
 
@@ -378,10 +378,22 @@ def check_rll(algebra, variant, s=1, s1=0, s2=0, d=12):
 
 # -- inversion and anti-involution dualities -----------------------------------
 
+def _swap_legs(g):
+    """The grid with its matrix index transposed, each operator kept."""
+    return Grid(g.n, {(b, a): m for (a, b), m in g.entries.items()},
+                g.op_dim, g.one, _clean=True)
+
+
 def _tau_l(ref):
-    out = ref.matrix.map_ops(
-        lambda m: tau_matrix(m, ref.fock_dim, ref.copies))
-    return out.map_values(lambda v: v.subs_power(-1), ZetaRational.ONE)
+    """tau at reflected argument, applied to the operator's table.  tau
+    with the matrix index swapped is an anti-homomorphism of grids, so the
+    image of hat-2-inv, which has no table, comes from that of hat-2."""
+    if ref.variant == "hat-2-inv":
+        image = l_table(ref.algebra, "hat-2", ref.exps).tau()
+        return _swap_legs(_reflected_inverse(_swap_legs(
+            image.render(ref.fock_dim))))
+    return l_table(ref.algebra, ref.variant, ref.exps).tau().render(
+        ref.fock_dim)
 
 
 @_timed

@@ -9,7 +9,7 @@ from qaffine.scalars import QScalar, q_power
 from qaffine.rational import ZetaRational
 from qaffine.linalg import OpMatrix
 from qaffine.oscillator import FockCopies
-from qaffine.reference import _grid, _zmat
+from product_builders import _grid, _zmat
 
 ONE = QScalar.ONE
 
@@ -63,7 +63,7 @@ def _factors_a1(variant, s, s1, d):
         return [
             _unipotent(2, (1, 0), _zmat(ad, s1), d),
             _grid(2, {(0, 0): _eye_z(d),
-                      (1, 1): _zmat(o.eye) - _zmat(o.eye, s)}, d),
+                      (1, 1): _eye_z(d) - _mono_mat(d, s)}, d),
             _unipotent(2, (0, 1), _zmat(a, s - s1), d),
             cartan,
         ]
@@ -73,7 +73,7 @@ def _factors_a1(variant, s, s1, d):
     return [
         _unipotent(2, (0, 1), _zmat(a, s1) * geom, d),
         _grid(2, {(0, 0): geom_up.scale(one_minus),
-                  (1, 1): _zmat(o.eye) - _zmat(o.qd(2), s)}, d),
+                  (1, 1): _eye_z(d) - _zmat(o.qd(2), s)}, d),
         _unipotent(2, (1, 0), geom * _zmat(ad, s - s1), d),
         cartan,
     ]

@@ -9,10 +9,10 @@ from qaffine.linalg import OpMatrix, kron
 from qaffine.rational import ZetaRational
 from qaffine.qgroup import check_defining_relations
 from qaffine.oscillator import (
-    FockRep, chi_images, psi_images, osc_automorphism, tau_matrix,
-    OscParams, FockCopies,
+    FockRep, chi_images, psi_images, osc_automorphism, OscParams, FockCopies,
 )
 from qaffine.verify import _gamma, _monomial
+from product_builders import tau_matrix
 
 ONE = QScalar.ONE
 D = 8

@@ -268,3 +268,18 @@ def test_lift_is_a_ring_homomorphism(a, b, mode):
     assert lift(ZetaRational.ONE) == Ring.ONE
     ea, eb = verify._LIFT_EXPONENTS[mode]
     assert _ring_value(lift(a)) == _at(a, UF ** ea * VF ** eb)
+
+
+zdict_st = st.dictionaries(st.integers(-3, 3), scalars_st, max_size=3)
+
+
+@SETTINGS
+@hypothesis.given(zdict_st, zdict_st.filter(bool),
+                  st.sampled_from((-3, -2, -1, 1, 2, 3)))
+def test_subs_power_equals_the_reducing_constructor(num, den, k):
+    # zeta -> zeta^k keeps a reduced pair reduced, so subs_power takes no
+    # gcd; the reducing constructor on the substituted pair agrees
+    x = ZetaRational(num, den)
+    want = ZetaRational({k * e: v for e, v in x.num.items()},
+                        {k * e: v for e, v in x.den.items()})
+    assert x.subs_power(k) == want

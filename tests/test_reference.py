@@ -1,3 +1,4 @@
+import sys
 from functools import reduce
 
 import pytest
@@ -13,7 +14,7 @@ from qaffine.reference import (
     decompose_L, scan_linear_exponents, grid_inverse, op_inverse,
     apply_two_copy_normalization,
 )
-from qaffine import reference
+from qaffine import reference, verify
 from qaffine.engine import EngineParams, assemble
 from derivation_factors import ordered_factors
 
@@ -241,3 +242,22 @@ def test_variant_list_complete():
     assert ("l", "a2", "check-inv") in vs
     assert ("r", "a2", "plain") in vs
     assert len(vs) == 12
+
+
+def test_tables_render_and_take_tau_without_matrix_products(monkeypatch):
+    # every L-operator with a table renders state by state, and tau acts
+    # on the table: no OpMatrix product and no truncated ladder matrix
+    def forbidden(*args):
+        raise AssertionError("a ladder matrix or a matrix product was used")
+    monkeypatch.setattr(OpMatrix, "__mul__", forbidden)
+    for name, module in sys.modules.items():
+        if name.startswith("qaffine") and hasattr(module, "FockCopies"):
+            monkeypatch.setattr(module, "FockCopies", forbidden)
+    built = 0
+    for kind, algebra, variant in list_variants():
+        if kind != "l" or variant == "hat-2-inv":
+            continue
+        ref = reference_matrix("l", algebra, variant, 2, 1, -1, d=5)
+        assert verify._tau_l(ref).op_dim == ref.matrix.op_dim
+        built += 1
+    assert built == 9

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import derivation_factors
-from qaffine import reference, verify
+from qaffine import oscillator, reference, verify
 from qaffine.cli import main
 from qaffine.linalg import (
     OpMatrix, Grid, grid_akp, hat_and_check, fock_window, kron,
@@ -220,7 +220,7 @@ def test_gauge_map_matches_products_with_diagonal_matrices(family, algebra,
         assert got == expect
         return
     s_exps = (s1,) if algebra == "a1" else (s1, s2)
-    states = reference.FockCopies(d, len(s_exps)).states
+    states = oscillator.FockCopies(d, len(s_exps)).states
 
     def gamma(var, sign):
         return OpMatrix.diagonal(
