@@ -93,9 +93,7 @@ class OpMatrix:
         if not isinstance(other, OpMatrix):
             return NotImplemented
         self._compat(other)
-        rows = {}
-        for (k, j), v in other.entries.items():
-            rows.setdefault(k, []).append((j, v))
+        rows = _by_row(other.entries)
         out = {}
         for (i, k), u in self.entries.items():
             row = rows.get(k)
@@ -182,6 +180,14 @@ class OpMatrix:
 
     def __repr__(self):
         return "OpMatrix(dim=%d, nnz=%d)" % (self.dim, len(self.entries))
+
+
+def _by_row(entries):
+    """{k: [(j, v), ...]} for the entries {(k, j): v} of a matrix."""
+    rows = {}
+    for (k, j), v in entries.items():
+        rows.setdefault(k, []).append((j, v))
+    return rows
 
 
 def _check_weights(dim, *weights):
@@ -347,9 +353,7 @@ class Grid:
         """Matrix product over the grid index, operator product inside."""
         if not isinstance(other, Grid):
             return NotImplemented
-        rows = {}
-        for (k, b), m in other.entries.items():
-            rows.setdefault(k, []).append((b, m))
+        rows = _by_row(other.entries)
         out = {}
         for (a, k), u in self.entries.items():
             row = rows.get(k)
@@ -370,28 +374,27 @@ class Grid:
 
     def lmul_scalar_matrix(self, s):
         """(s . G) for an n x n matrix s of plain scalars."""
-        out = {}
-        for (a, k), c in s.entries.items():
-            for (kk, b), m in self.entries.items():
-                if kk != k:
-                    continue
-                p = m.scale(c)
-                ab = (a, b)
-                out[ab] = out[ab] + p if ab in out else p
-        return Grid(self.n, {ab: m for ab, m in out.items() if m},
-                    self.op_dim, self.one, _clean=True)
+        rows = _by_row(self.entries)
+        return self._summed(((a, b), m, c) for (a, k), c in s.entries.items()
+                            for b, m in rows.get(k, ()))
 
     def rmul_scalar_matrix(self, s):
-        out = {}
-        for (a, k), m in self.entries.items():
-            for (kk, b), c in s.entries.items():
-                if kk != k:
-                    continue
-                p = m.scale(c)
-                ab = (a, b)
-                out[ab] = out[ab] + p if ab in out else p
-        return Grid(self.n, {ab: m for ab, m in out.items() if m},
-                    self.op_dim, self.one, _clean=True)
+        rows = _by_row(s.entries)
+        return self._summed(((a, b), m, c) for (a, k), m in
+                            self.entries.items() for b, c in rows.get(k, ()))
+
+    def _summed(self, terms):
+        """The grid of the sums of m * c over the terms (ab, m, c), each
+        summed entry by entry in one dict, without zeros or empty operators."""
+        sums = {}
+        for ab, m, c in terms:
+            acc = sums.setdefault(ab, {})
+            for ij, v in m.entries.items():
+                p = v * c
+                acc[ij] = acc[ij] + p if ij in acc else p
+        ops = {ab: OpMatrix(self.op_dim, acc, self.one)
+               for ab, acc in sums.items()}
+        return Grid(self.n, ops, self.op_dim, self.one)
 
     def scaled(self, rows=None, cols=None):
         """OpMatrix.scaled on the matrix index: operator (a, b) is scaled

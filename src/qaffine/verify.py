@@ -7,16 +7,18 @@ involves two spectral parameters is homogeneous, so its one-variable
 entries are first multiplied by one common factor that clears every
 denominator, in zeta and in t; it is then a polynomial identity in
 Z[t^(+-1)][u^(+-1), v^(+-1)], checked exactly in that ring on integer
-coefficients, with no division and no gcd.  Relations on a Fock window are
-computed on the window alone, and a window with no state is refused.
+coefficients, with no division and no gcd, each term c u^i v^j t^k under
+one packed integer key (exponents below 2^16 in size, see `_Laurent2`).
+Relations on a Fock window are computed on the window alone, and a window
+with no state is refused.
 """
 
 import functools
 import time
 
-from .scalars import QScalar, _ONE_POLY, t_power
+from .scalars import QScalar, _ONE_POLY, _p_exquo, _p_mul, t_power
 from .series import ZetaSeries, series_exp
-from .rational import ZetaRational
+from .rational import ZetaRational, _exquo, _mul
 from .linalg import (
     OpMatrix, Grid, grid_akp, hat_and_check, embed_legs, kron, fock_window,
     window_product,
@@ -103,10 +105,36 @@ def _exps(algebra, s, s1, s2):
 
 # -- two-variable identities as Laurent polynomials in u, v ------------------
 
+# A term c u^i v^j t^k is keyed by (i B + j) B + k: the key of a product of
+# monomials is the sum of theirs, exact while each field is in [-B/2, B/2).
+# `_pack` refuses exponents of size 2^16 or more, which keeps a product of
+# up to 32 lifted factors in range.  The largest formed here has 19 (an a2
+# L gauge entry at d = 5: a lifted entry, two gauge monomials and two
+# spectral weights of 8 monomials each); the catalog reaches |i|, |j| <= 7
+# and |k| <= 306.
+_KEY_BASE = 1 << 22
+_EXPONENT_BOUND = 1 << 16
+
+
+def _pack(i, j, k):
+    if max(abs(i), abs(j), abs(k)) >= _EXPONENT_BOUND:
+        raise ValueError("exponent out of range: a two-variable identity "
+                         "takes exponents below 2^16 in size")
+    return (i * _KEY_BASE + j) * _KEY_BASE + k
+
+
+def _unpack(key):
+    """(i, j, k) of a key: its three signed base-B digits."""
+    half = _KEY_BASE // 2
+    ij, k = divmod(key + half, _KEY_BASE)
+    i, j = divmod(ij + half, _KEY_BASE)
+    return i, j - half, k - half
+
+
 class _Laurent2:
-    """A Laurent polynomial in u, v over Z[t^(+-1)]: {(i, j, k): int} for
-    the terms c u^i v^j t^k, with no zero coefficient stored.  A ring, not
-    a field: only a monomial with coefficient +-1 has an inverse."""
+    """A Laurent polynomial in u, v over Z[t^(+-1)]: {_pack(i, j, k): c}
+    for the terms c u^i v^j t^k, with no zero coefficient stored.  A ring,
+    not a field: only a monomial with coefficient +-1 has an inverse."""
 
     __slots__ = ("terms",)
 
@@ -134,11 +162,18 @@ class _Laurent2:
         return self + -other
 
     def __mul__(self, other):
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # no term of a monomial multiple cancels: Z has no zero divisor
+            (ka, ca), = a.items()
+            return _Laurent2({ka + kb: ca * cb for kb, cb in b.items()})
         out = {}
-        for (i, j, k), a in self.terms.items():
-            for (l, m, n), b in other.terms.items():
-                key = (i + l, j + m, k + n)
-                s = out.get(key, 0) + a * b
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                key = ka + kb
+                s = out.get(key, 0) + ca * cb
                 if s:
                     out[key] = s
                 else:
@@ -148,11 +183,11 @@ class _Laurent2:
     def inverse(self):
         if len(self.terms) != 1:
             raise ArithmeticError("only a monomial in u, v has an inverse")
-        ((i, j, k), c), = self.terms.items()
+        (key, c), = self.terms.items()
         if c != 1 and c != -1:
             raise ArithmeticError("only a coefficient +-1 t^k has an "
                                   "inverse in Z[t^(+-1)]")
-        return _Laurent2({(-i, -j, -k): c})
+        return _Laurent2({-key: c})
 
     def __eq__(self, other):
         return isinstance(other, _Laurent2) and self.terms == other.terms
@@ -163,13 +198,14 @@ class _Laurent2:
     def __str__(self):
         # each coefficient of u^i v^j printed as the QScalar it is
         groups = {}
-        for (i, j, k), c in self.terms.items():
+        for key, c in self.terms.items():
+            i, j, k = _unpack(key)
             groups.setdefault((i, j), {})[k] = c
         return " + ".join("%s*u^%d*v^%d" % (QScalar(p, _canonical=True), i, j)
                           for (i, j), p in sorted(groups.items())) or "0"
 
 
-_Laurent2.ONE = _Laurent2({(0, 0, 0): 1})
+_Laurent2.ONE = _Laurent2({0: 1})
 
 # zeta^k lifts to u^(a k) v^(b k)
 _LIFT_EXPONENTS = {"u": (1, 0), "v": (0, 1), "ratio": (1, -1), "uv": (1, 1)}
@@ -177,7 +213,7 @@ _LIFT_EXPONENTS = {"u": (1, 0), "v": (0, 1), "ratio": (1, -1), "uv": (1, 1)}
 
 def _monomial(mode, k):
     a, b = _LIFT_EXPONENTS[mode]
-    return _Laurent2({(a * k, b * k, 0): 1})
+    return _Laurent2({_pack(a * k, b * k, 0): 1})
 
 
 def _lift(obj, mode):
@@ -196,7 +232,7 @@ def _lift(obj, mode):
                 raise ValueError("only a polynomial over Z[t^(+-1)] lifts to "
                                  "two variables: clear the denominators first")
             for k, n in c.num.items():
-                terms[(a * e, b * e, k)] = n
+                terms[_pack(a * e, b * e, k)] = n
         return _Laurent2(terms)
     return obj.map_values(lift, _Laurent2.ONE)
 
@@ -310,34 +346,35 @@ def _values(objs):
 
 def _cleared(*objs):
     """`objs` (matrices or grids over one-variable rationals), each times
-    one common factor: the lcm of all their zeta-denominators, times the lcm
-    in Z[t] of the t-denominators of the coefficients that leaves.  The
-    relations checked here are homogeneous, so no verdict changes, and
+    one common factor: the lcm C of all their zeta-denominators, times the
+    lcm T in Z[t] of the t-denominators of the coefficients that leaves.
+    The relations checked here are homogeneous, so no verdict changes, and
     every entry becomes a polynomial over Z[t^(+-1)] that `_lift` takes into
-    two variables."""
-    dens = {}
-    for v in _values(objs):
-        if not v.is_polynomial():
-            dens.setdefault(frozenset(v.den.items()), v.den)
-    common = ZetaRational.ONE
-    for den in dens.values():
-        # times den / gcd(den, common), by the gcd of the one-variable field
-        common = common * ZetaRational(ZetaRational(common.num, den).den,
-                                       _canonical=True)
+    two variables.  n / D times C is n (C / D) and p / D times T is
+    p (T / D), one exact quotient per distinct D and no gcd per entry (T / D
+    is integral by Gauss's lemma); a polynomial's form is unique."""
+    dens = {frozenset(v.den.items()): v.den for v in _values(objs)
+            if not v.is_polynomial()}
     if dens:
-        objs = [obj.map_values(lambda v: v * common) for obj in objs]
-    t_dens = {}
-    for v in _values(objs):
-        for c in v.num.values():
-            if c.den is not _ONE_POLY:
-                t_dens.setdefault(frozenset(c.den.items()), c.den)
-    t_common = ONE
-    for den in t_dens.values():
-        # times den / gcd(den, t_common) over Z[t], by the reduced form of
-        # t_common / den
-        t_common = t_common * QScalar(QScalar(t_common.num, den).den)
-    if t_dens:
-        objs = [obj.map_values(lambda v: v.scale(t_common)) for obj in objs]
+        common = ZetaRational.ONE
+        for den in dens.values():
+            common = common * ZetaRational(ZetaRational(common.num, den).den,
+                                           _canonical=True)
+        quo = {key: _exquo(common.num, den) for key, den in dens.items()}
+        objs = [obj.map_values(lambda v: ZetaRational(_mul(v.num, quo.get(
+            frozenset(v.den.items()), common.num)), _canonical=True))
+            for obj in objs]
+    dens = {frozenset(c.den.items()): c.den for v in _values(objs)
+            for c in v.num.values() if c.den is not _ONE_POLY}
+    if dens:
+        common = ONE
+        for den in dens.values():
+            common = common * QScalar(QScalar(common.num, den).den)
+        quo = {key: _p_exquo(common.num, den) for key, den in dens.items()}
+        objs = [obj.map_values(lambda v: ZetaRational({
+            e: QScalar(_p_mul(c.num, quo.get(frozenset(c.den.items()),
+                                             common.num)), _canonical=True)
+            for e, c in v.num.items()}, _canonical=True)) for obj in objs]
     return list(objs)
 
 

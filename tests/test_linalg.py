@@ -211,3 +211,78 @@ def test_scaled_is_the_product_with_diagonal_matrices(seed):
             m.scaled(cols=bad)
         with pytest.raises(ValueError):
             g.scaled(bad)
+
+
+def _scale_then_sum(s, g, left):
+    """s . G (left) or G . s as a sum of scaled operators, one OpMatrix per
+    term, over the full scan of s and G: the definition."""
+    out = {}
+    for (a, k), c in s.entries.items():
+        for (kk, b), m in g.entries.items():
+            if left and kk == k:
+                ab = (a, b)
+            elif not left and b == a:
+                ab = (kk, k)
+            else:
+                continue
+            p = m.scale(c)
+            out[ab] = out[ab] + p if ab in out else p
+    return Grid(g.n, {ab: m for ab, m in out.items() if m}, g.op_dim, g.one,
+                _clean=True)
+
+
+def _laurent2_scalars(rng):
+    from qaffine import verify
+    one = verify._Laurent2.ONE
+
+    def value():
+        return verify._Laurent2({
+            verify._pack(rng.randint(-2, 2), rng.randint(-2, 2),
+                         rng.randint(-6, 6)): rng.choice((-2, -1, 1, 3))
+            for _ in range(rng.randint(1, 3))})
+    return one, value
+
+
+def _qscalar_scalars(rng):
+    return ONE, lambda: q_power(rng.randint(-2, 2)).scale(
+        rng.choice((-2, -1, 1, 3))) + q_power(rng.randint(-2, 2))
+
+
+def _stored_nonzero(g):
+    return all(g.entries.values()) and all(
+        v for m in g.entries.values() for v in m.entries.values())
+
+
+@pytest.mark.parametrize("scalars", [_qscalar_scalars, _laurent2_scalars])
+@pytest.mark.parametrize("seed", range(8))
+def test_scalar_matrix_products_equal_scale_then_sum(scalars, seed):
+    rng = random.Random(seed)
+    one, value = scalars(rng)
+    n, dim = rng.choice((2, 3)), rng.choice((2, 4))
+
+    def operator():
+        return OpMatrix(dim, {(rng.randrange(dim), rng.randrange(dim)):
+                              value() for _ in range(dim)}, one)
+    g = Grid(n, {(rng.randrange(n), rng.randrange(n)): operator()
+                 for _ in range(2 * n)}, dim, one)
+    s = OpMatrix(n, {(rng.randrange(n), rng.randrange(n)): value()
+                     for _ in range(n + 1)}, one)
+    for got, left in ((g.lmul_scalar_matrix(s), True),
+                      (g.rmul_scalar_matrix(s), False)):
+        assert got == _scale_then_sum(s, g, left)
+        assert _stored_nonzero(got)
+    # cancelling: two operators of G are equal and another two differ by
+    # m, and s weighs each pair with opposite signs, so one output operator
+    # vanishes and in another every entry of h cancels
+    m, h = operator(), operator()
+    c = value()
+    g = Grid(2, {(0, 0): m, (1, 0): m, (0, 1): h + m, (1, 1): h}, dim, one)
+    s = OpMatrix(2, {(0, 0): c, (0, 1): -c}, one)
+    got = g.lmul_scalar_matrix(s)
+    assert got == _scale_then_sum(s, g, True)
+    assert got.entries == {(0, 1): m.scale(c)}
+    g = Grid(2, {(0, 0): m, (0, 1): m, (1, 0): h + m, (1, 1): h}, dim, one)
+    s = OpMatrix(2, {(0, 0): c, (1, 0): -c}, one)
+    got = g.rmul_scalar_matrix(s)
+    assert got == _scale_then_sum(s, g, False)
+    assert got.entries == {(1, 0): m.scale(c)}

@@ -17,6 +17,7 @@ from qaffine import rational, verify  # noqa: E402
 from qaffine.linalg import OpMatrix  # noqa: E402
 from qaffine.rational import ZetaRational  # noqa: E402
 from qaffine.scalars import QScalar, q_power, qint  # noqa: E402
+from tuple_ring import TupleLaurent2  # noqa: E402
 
 # values live in sympy's sparse field Q(t, z, u, v), which keeps every
 # element cancelled (sympy.cancel on expressions takes seconds per value at
@@ -142,22 +143,31 @@ def test_exact_division_raises_on_a_remainder():
 
 # -- the two-variable Laurent ring over Z[t^(+-1)] ----------------------------
 
+def _exponent_terms(x):
+    """The terms of x as {(i, j, k): c}, decoded from their packed keys."""
+    return {verify._unpack(key): c for key, c in x.terms.items()}
+
+
+def _ring(terms):
+    return Ring({verify._pack(*key): c for key, c in terms.items()})
+
+
 def _ring_expr(x):
     """x as a sympy expression in t, u, v; it is a Laurent polynomial, so
     sympy.expand gives a canonical form."""
     return sympy.Add(*[c * T ** k * U ** i * V ** j
-                       for (i, j, k), c in x.terms.items()])
+                       for (i, j, k), c in _exponent_terms(x).items()])
 
 
 def _ring_value(x):
     return sum((F(c) * TF ** k * UF ** i * VF ** j
-                for (i, j, k), c in x.terms.items()), F(0))
+                for (i, j, k), c in _exponent_terms(x).items()), F(0))
 
 
 keys_st = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
                     st.integers(-12, 12))
 ring_st = st.dictionaries(keys_st, st.integers(-3, 3).filter(bool),
-                          max_size=6).map(Ring)
+                          max_size=6).map(_ring)
 
 
 @SETTINGS
@@ -175,22 +185,86 @@ def test_ring_add_mul_match_sympy_expand(a, b):
 @SETTINGS
 @hypothesis.given(keys_st, st.sampled_from((1, -1)))
 def test_ring_inverse_of_a_unit_monomial(key, c):
-    mono = Ring({key: c})
+    mono = _ring({key: c})
     assert mono * mono.inverse() == Ring.ONE
     assert sympy.expand(_ring_expr(mono.inverse()) * _ring_expr(mono)) == 1
 
 
 def test_ring_inverse_of_a_non_monomial_raises():
-    u_minus_v = Ring({(1, 0, 0): 1, (0, 1, 0): -1})
+    u_minus_v = _ring({(1, 0, 0): 1, (0, 1, 0): -1})
     with pytest.raises(ArithmeticError):
         u_minus_v.inverse()
     with pytest.raises(ArithmeticError):
         Ring({}).inverse()
     # 1 - t^6 is a monomial in u, v but not a unit of Z[t^(+-1)]
     with pytest.raises(ArithmeticError):
-        Ring({(2, -1, 0): 1, (2, -1, 6): -1}).inverse()
+        _ring({(2, -1, 0): 1, (2, -1, 6): -1}).inverse()
     with pytest.raises(ArithmeticError):
-        Ring({(2, -1, 6): 2}).inverse()
+        _ring({(2, -1, 6): 2}).inverse()
+
+
+# packed keys against the tuple-keyed ring, with exponents up to the bound
+# the packing accepts
+BOUND = verify._EXPONENT_BOUND
+exponent_st = st.one_of(st.integers(-3, 3),
+                        st.integers(BOUND - 3, BOUND - 1),
+                        st.integers(-BOUND + 1, -BOUND + 3))
+wide_terms_st = st.dictionaries(
+    st.tuples(exponent_st, exponent_st, exponent_st),
+    st.integers(-3, 3).filter(bool), max_size=5)
+
+
+def _pair(terms):
+    return _ring(terms), TupleLaurent2(dict(terms))
+
+
+def _same(packed, tupled):
+    return _exponent_terms(packed) == tupled.terms
+
+
+@SETTINGS
+@hypothesis.given(wide_terms_st, wide_terms_st)
+def test_packed_ring_matches_the_tuple_keyed_ring(a, b):
+    (pa, ta), (pb, tb) = _pair(a), _pair(b)
+    assert _same(pa, ta) and _same(pb, tb)
+    for got, want in ((pa + pb, ta + tb), (pa - pb, ta - tb), (-pa, -ta),
+                      (pa * pb, ta * tb)):
+        assert _same(got, want)
+        assert str(got) == str(want)
+    assert (pa == pb) == (ta == tb)
+    assert (pa * pb == pb * pa) and bool(pa) == bool(ta)
+    if len(a) == 1 and set(a.values()) <= {1, -1}:
+        assert _same(pa.inverse(), ta.inverse())
+    else:
+        with pytest.raises(ArithmeticError):
+            pa.inverse()
+        with pytest.raises(ArithmeticError):
+            ta.inverse()
+
+
+@SETTINGS
+@hypothesis.given(st.lists(st.tuples(exponent_st, exponent_st, exponent_st,
+                                     st.sampled_from((1, -1))),
+                           min_size=16, max_size=32))
+@hypothesis.example([(BOUND - 1, 1 - BOUND, BOUND - 1, 1)] * 32)
+@hypothesis.example([(1 - BOUND, BOUND - 1, 1 - BOUND, -1)] * 16)
+def test_product_of_up_to_32_extreme_monomials(factors):
+    # the packing stays exact on a product of up to 32 monomials with every
+    # exponent just inside the bound, and on a two-term factor of such
+    # products
+    pairs = [_pair({(i, j, k): c}) for i, j, k, c in factors]
+    half = len(pairs) // 2
+    products = []
+    for part in (pairs[:half], pairs[half:]):
+        packed, tupled = Ring.ONE, TupleLaurent2.ONE
+        for p, t in part:
+            packed, tupled = packed * p, tupled * t
+        products.append((packed, tupled))
+    (pa, ta), (pb, tb) = products
+    for got, want in ((pa * pb, ta * tb),
+                      (pa * (pb + Ring.ONE), ta * (tb + TupleLaurent2.ONE)),
+                      ((pa * pb).inverse(), (ta * tb).inverse())):
+        assert _same(got, want) and str(got) == str(want)
 
 
 # Laurent polynomials in t, and some of them over the denominator 1 - q^-2

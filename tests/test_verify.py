@@ -3,7 +3,7 @@ import json
 import pytest
 
 import derivation_factors
-from qaffine import oscillator, reference, verify
+from qaffine import oscillator, rational, reference, scalars, verify
 from qaffine.cli import main
 from qaffine.linalg import (
     OpMatrix, Grid, grid_akp, hat_and_check, fock_window, kron,
@@ -322,7 +322,10 @@ def test_failing_duality_reports_both_values(monkeypatch):
 # -- two-parameter identities in Z[t^(+-1)][u^(+-1), v^(+-1)] ----------------
 
 def test_two_variable_ring_arithmetic():
-    ring = verify._Laurent2
+    def ring(terms):
+        # terms keyed by exponent tuples, stored under their packed keys
+        return verify._Laurent2({verify._pack(*key): c
+                                 for key, c in terms.items()})
     u = ring({(1, 0, 0): 1})
     v = ring({(0, 1, 0): 1})
     t6 = ring({(0, 0, 6): 1})
@@ -344,6 +347,9 @@ def test_two_variable_ring_arithmetic():
     assert str(x) == ("(-t^6)/(1)*u^-1*v^0 + (-2 + t^12)/(1)*u^0*v^0"
                       " + (t^6)/(1)*u^1*v^0")
     assert str(ring({})) == "0"
+    # every key decodes to the exponents it was packed from
+    for key in ((1, 0, 0), (-3, 1, -12), (0, -2, 0), (7, -7, 306)):
+        assert verify._unpack(verify._pack(*key)) == key
 
 
 def test_two_parameter_checks_run_on_cleared_polynomials():
@@ -375,6 +381,92 @@ def test_two_parameter_checks_run_on_cleared_polynomials():
         with pytest.raises(ValueError, match="polynomial"):
             verify._lift(r, mode)
         verify._lift(verify._cleared(r)[0], mode)
+
+
+def _distinct(values):
+    out = []
+    for v in values:
+        if v not in out:
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("what", ["l a2 check-1", "l a2 hat-2", "r hat"])
+def test_cleared_takes_one_gcd_per_distinct_denominator(what, monkeypatch):
+    # the common factors are built with one gcd per distinct denominator
+    # and applied by exact quotients: no entry takes a gcd of its own
+    if what == "r hat":
+        r = reference_matrix("r", "a2", "plain", 1, 0, 0).matrix
+        obj = hat_and_check(r)[0]
+    else:
+        _, algebra, variant = what.split()
+        obj = reference_matrix("l", algebra, variant, 1, 0, 0, d=8).matrix
+    values = list(verify._values([obj]))
+    z_dens = _distinct(v.den for v in values if not v.is_polynomial())
+    t_dens = _distinct(c.den for v in values
+                       for c in (*v.num.values(), *v.den.values())
+                       if c.den != {0: 1})
+    calls = {"zeta": 0, "t": 0}
+    inside = []
+    real_gcd, real_p_gcd = rational._gcd, scalars._p_gcd
+
+    def gcd(a, b):
+        calls["zeta"] += 1
+        inside.append(True)
+        try:
+            return real_gcd(a, b)
+        finally:
+            inside.pop()
+
+    def p_gcd(a, b):
+        # a gcd in t taken inside the zeta gcd belongs to that one call
+        if not inside:
+            calls["t"] += 1
+        return real_p_gcd(a, b)
+    monkeypatch.setattr(rational, "_gcd", gcd)
+    for module in (rational, scalars):
+        monkeypatch.setattr(module, "_p_gcd", p_gcd)
+    cleared, = verify._cleared(obj)
+    assert calls["zeta"] <= len(z_dens) and calls["t"] <= len(t_dens)
+    monkeypatch.undo()
+    # the same objects as the reduced products by the common factor
+    common = ZetaRational.ONE
+    for den in z_dens:
+        common = common * ZetaRational(ZetaRational(common.num, den).den)
+    assert cleared == obj.map_values(lambda v: v * common)
+    if what != "l a2 check-1":
+        assert z_dens and len(z_dens) < sum(not v.is_polynomial()
+                                            for v in values)
+
+
+def test_lift_refuses_an_exponent_beyond_the_packing():
+    # the packed key holds exponents below 2^16 in size, which keeps every
+    # product of up to 32 lifted factors exact
+    bound = verify._EXPONENT_BOUND
+    assert bound == 1 << 16
+
+    def entry(t_exp, z_exp=0):
+        v = ZetaRational.monomial(z_exp, QScalar({t_exp: 1}))
+        return OpMatrix(1, {(0, 0): v}, ZetaRational.ONE)
+    for mode in verify._LIFT_EXPONENTS:
+        verify._lift(entry(bound - 1), mode)
+        verify._lift(entry(1 - bound, bound - 1), mode)
+        for bad in (entry(bound), entry(-bound), entry(0, bound),
+                    entry(0, -bound)):
+            with pytest.raises(ValueError, match="below 2\\^16"):
+                verify._lift(bad, mode)
+        with pytest.raises(ValueError):
+            verify._monomial(mode, bound)
+        verify._monomial(mode, bound - 1)
+
+
+def test_cli_exits_2_where_an_exponent_leaves_the_packing(capsys):
+    # the a1 L-operators carry t^(6 n) on Fock level n, so 11000 states
+    # reach t^65994, beyond 2^16; the check is refused before any product
+    argv = ["verify", "rll", "--algebra", "a1", "--fock", "11000"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: exponent") and "2^16" in err
 
 
 # -- failure text, pinned ------------------------------------------------------
