@@ -1,48 +1,51 @@
-"""Truncated Fock realization of the q-oscillator algebra and the Borel
-homomorphisms built on it.
+"""The q-oscillator algebra on the untruncated Fock space, and the Borel
+homomorphisms into it.
 
-Conventions: D|n> = n|n>, the raising operator sends |n> to |n+1> (cut at
-the top), and a|n> = (1 - q^(2n))|n-1>.  Then a'a = 1 - q^(2D) holds on
-every state and a a' = 1 - q^2 q^(2D) on all states below the top one.
-The one- and two-copy homomorphism families into the Borel halves carry
-free parameters (rho, mu_i, nu_i); the defaults reproduce the specific
-specializations whose assembled forms are transcribed in the reference
-module.  There each L-operator is a table of oscillator monomials, and the
-anti-involution tau (a <-> a-dagger) acts on the table, not on matrices.
+Conventions: D|n> = n|n>, the raising operator a-dagger sends |n> to
+|n+1>, and a|n> = (1 - q^(2n))|n-1>, so a'a = 1 - q^(2D) and
+a a' = 1 - q^2 q^(2D): the space has no top state.  Each generator image
+is one monomial c L_delta q^(kappa . D), as in the L-operator tables of
+the reference module, and each h_i a linear form in the occupation
+numbers; both are read one state at a time.  The one- and two-copy
+homomorphism families into the Borel halves carry free parameters (rho,
+mu_i, nu_i); the defaults reproduce the specific specializations whose
+assembled forms are transcribed in the reference module, where the
+anti-involution tau (a <-> a-dagger) acts on the tables, not on matrices.
 """
 
 import itertools
+from collections import namedtuple
 
 from .scalars import QScalar, q_power
-from .linalg import OpMatrix, kron
-from .qgroup import GeneratorImage, _exps_for
+from .qgroup import _exps_for
 
 __all__ = [
-    "FockRep", "FockCopies", "chi_images", "psi_images",
+    "Monomial", "OscImage", "chi_images", "psi_images",
     "osc_automorphism", "OscParams",
 ]
 
 ONE = QScalar.ONE
 
 
-class FockRep:
-    """Matrices of a and a-dagger on the d-state Fock space."""
+class Monomial(namedtuple("Monomial", "c delta kappa")):
+    """c L_delta q^(kappa . D) on the untruncated Fock space of one or two
+    copies: q^(kappa . D) acts first, then L_delta applies a (delta_i =
+    -1), a-dagger (+1) or 1 on copy i, as in `reference.LTable`."""
 
-    __slots__ = ("dim",)
+    __slots__ = ()
 
-    def __init__(self, dim):
-        if dim < 2:
-            raise ValueError("Fock dimension must be at least 2")
-        self.dim = dim
-
-    def raising(self):
-        return OpMatrix(self.dim, {(n + 1, n): ONE for n in range(self.dim - 1)},
-                        ONE)
-
-    def lowering(self):
-        return OpMatrix(self.dim,
-                        {(n - 1, n): ONE - q_power(2 * n)
-                         for n in range(1, self.dim)}, ONE)
+    def row(self, m):
+        """(n, value) for the one entry in row m, at the state n = m -
+        delta that the monomial sends to m, or None: c = 0, or m holds no
+        raised quantum to take back."""
+        n = tuple(k - x for k, x in zip(m, self.delta))
+        if not self.c or min(n) < 0:
+            return None
+        v = self.c * q_power(sum(k * x for k, x in zip(self.kappa, n)))
+        for x, k in zip(self.delta, n):
+            if x < 0:
+                v = v * (ONE - q_power(2 * k))
+        return n, v
 
 
 class OscParams:
@@ -58,45 +61,29 @@ class OscParams:
             raise ValueError("mu parameters must be invertible")
 
 
-class FockCopies:
-    """Ladder operators, q^(c.D) and the Cartan diagonals on `copies`
-    (1 or 2) Fock factors of d states each, the first copy slowest."""
+class OscImage(namedtuple("OscImage",
+                           "algebra copies h_forms e_ops f_ops exps")):
+    """Images of h_i, e_i, f_i for all affine nodes on `copies` (1 or 2)
+    untruncated Fock copies, with zeta exponents `exps` as in
+    `qgroup.GeneratorImage`: `h_forms[i]` holds the c_k of h_i = sum_k
+    c_k D_k, and `e_ops`/`f_ops` one `Monomial` per node, or None on the
+    missing Borel half."""
 
-    # h_i = sum_k c_ik D_k: h_0 = -2D, h_1 = 2D on one copy, and
-    # h_0 = -D1 - D2, h_1 = 2 D1 - D2, h_2 = -D1 + 2 D2 on two
-    _H_COEFFS = {1: ((-2,), (2,)), 2: ((-1, -1), (2, -1), (-1, 2))}
+    __slots__ = ()
 
-    def __init__(self, d, copies):
-        f = FockRep(d)
-        eye = OpMatrix.identity(d, ONE)
+    def h_at(self, i, n):
+        """The value of h_i at the occupation tuple n."""
+        return sum(c * k for c, k in zip(self.h_forms[i], n))
 
-        def on_copy(k, m):
-            out = m if k == 0 else eye
-            for c in range(1, copies):
-                out = kron(out, m if c == k else eye)
-            return out
-
-        self.d = d
-        self.copies = copies
-        self.dim = d ** copies
-        self.states = _states(d, copies)
-        self.a = [on_copy(k, f.lowering()) for k in range(copies)]
-        self.ad = [on_copy(k, f.raising()) for k in range(copies)]
-        self.h = [tuple(sum(c * n for c, n in zip(cs, state))
-                        for state in self.states)
-                  for cs in self._H_COEFFS[copies]]
-
-    def qd(self, *cs):
-        """q^(c_1 D_1 + ... + c_k D_k), one exponent per copy."""
-        return OpMatrix.diagonal(
-            [q_power(sum(c * n for c, n in zip(cs, state)))
-             for state in self.states], ONE)
+    def relabel(self, pick):
+        """The image with `pick` applied to the node lists of h, e and f."""
+        return self._replace(h_forms=pick(self.h_forms),
+                             e_ops=pick(self.e_ops), f_ops=pick(self.f_ops))
 
 
-def _states(d, copies):
-    """The occupation tuples of `copies` Fock factors of d states, in flat
-    index order (the first copy slowest, as in kron)."""
-    return list(itertools.product(range(d), repeat=copies))
+# h_i = sum_k c_ik D_k: h_0 = -2D, h_1 = 2D on one copy, and
+# h_0 = -D1 - D2, h_1 = 2 D1 - D2, h_2 = -D1 + 2 D2 on two
+_H_FORMS = {"a1": ((-2,), (2,)), "a2": ((-1, -1), (2, -1), (-1, 2))}
 
 
 def _default_params(algebra, side, family):
@@ -109,63 +96,59 @@ def _default_params(algebra, side, family):
                      [0] * 3)
 
 
-def _setup(algebra, side, family, d, params):
-    if algebra not in ("a1", "a2"):
+def _setup(algebra, side, family, params):
+    if algebra not in _H_FORMS:
         raise ValueError("unsupported algebra label: %r" % (algebra,))
-    o = FockCopies(d, 1 if algebra == "a1" else 2)
-    return o, params or _default_params(algebra, side, family)
+    return params or _default_params(algebra, side, family)
 
 
-def _image(o, algebra, e_mats, f_mats, s, s1, s2, zeta_scale):
+def _image(algebra, e_ops, f_ops, s, s1, s2, zeta_scale):
+    h = _H_FORMS[algebra]
     exps = tuple(zeta_scale * x for x in _exps_for(algebra, s, s1, s2))
-    return GeneratorImage(algebra, o.dim, o.h, e_mats, f_mats, exps,
-                          fock_dim=o.d, copies=o.copies)
+    return OscImage(algebra, len(h[0]), h, e_ops, f_ops, exps)
 
 
-def chi_images(algebra, s, s1, s2=0, d=12, family=1, params=None,
-               zeta_scale=1):
+def chi_images(algebra, s, s1, s2=0, family=1, params=None, zeta_scale=1):
     """Positive-Borel homomorphism on one (rank 1) or two (rank 2) copies.
 
     For the rank-2 algebra `family` selects between the two inequivalent
     solutions of the Serre relations; they differ by a unit shift in the
     exponents of q^(D_2) carried by e_0 and e_2.
     """
-    o, params = _setup(algebra, "chi", family, d, params)
+    params = _setup(algebra, "chi", family, params)
     rho = params.rho
     if algebra == "a1":
         (mu,), (nu,) = params.mu, params.nu
-        e = [o.a[0].scale(rho * mu) * o.qd(nu),
-             o.qd(-nu) * o.ad[0].scale(mu.inverse())]
+        e = [Monomial(rho * mu, (-1,), (nu,)),
+             Monomial(mu.inverse() * q_power(-nu), (1,), (-nu,))]
     else:
         (mu1, mu2), (nu1, nu2, nu3) = params.mu, params.nu
-        (a1, a2), (a1d, a2d), qq = o.a, o.ad, o.qd
         shift = 1 if family == 1 else -1
-        e = [(a1 * a2).scale(rho * mu1 * mu2)
-             * qq(nu1 + nu2 - 1, nu2 + nu3 - 1 - shift),
-             qq(-nu1, -nu2) * a1d.scale(mu1.inverse()),
-             qq(-(nu2 - shift), -nu3) * a2d.scale(mu2.inverse())]
-    return _image(o, algebra, e, [None] * len(e), s, s1, s2, zeta_scale)
+        e = [Monomial(rho * mu1 * mu2, (-1, -1),
+                      (nu1 + nu2 - 1, nu2 + nu3 - 1 - shift)),
+             Monomial(mu1.inverse() * q_power(-nu1), (1, 0), (-nu1, -nu2)),
+             Monomial(mu2.inverse() * q_power(-nu3), (0, 1),
+                      (shift - nu2, -nu3))]
+    return _image(algebra, e, [None] * len(e), s, s1, s2, zeta_scale)
 
 
-def psi_images(algebra, s, s1, s2=0, d=12, family=1, params=None,
-               zeta_scale=1):
+def psi_images(algebra, s, s1, s2=0, family=1, params=None, zeta_scale=1):
     """Negative-Borel homomorphism; mirrors chi_images on the f side."""
-    o, params = _setup(algebra, "psi", family, d, params)
+    params = _setup(algebra, "psi", family, params)
     rho = params.rho
     if algebra == "a1":
         (mu,), (nu,) = params.mu, params.nu
-        f = [o.qd(-nu) * o.ad[0].scale(rho * mu.inverse()),
-             o.a[0].scale(mu) * o.qd(nu)]
+        f = [Monomial(rho * mu.inverse() * q_power(-nu), (1,), (-nu,)),
+             Monomial(mu, (-1,), (nu,))]
     else:
         (mu1, mu2), (nu1, nu2, nu3) = params.mu, params.nu
-        (a1, a2), (a1d, a2d), qq = o.a, o.ad, o.qd
         shift = 1 if family == 1 else -1
-        scale0 = rho * mu1.inverse() * mu2.inverse()
-        f = [qq(-(nu1 + nu2 + 1), -(nu2 + nu3 + 1 + shift))
-             * (a1d * a2d).scale(scale0),
-             a1.scale(mu1) * qq(nu1, nu2),
-             a2.scale(mu2) * qq(nu2 + shift, nu3)]
-    return _image(o, algebra, [None] * len(f), f, s, s1, s2, zeta_scale)
+        k0 = (-(nu1 + nu2 + 1), -(nu2 + nu3 + 1 + shift))
+        f = [Monomial(rho * mu1.inverse() * mu2.inverse() * q_power(sum(k0)),
+                      (1, 1), k0),
+             Monomial(mu1, (-1, 0), (nu1, nu2)),
+             Monomial(mu2, (0, -1), (nu2 + shift, nu3))]
+    return _image(algebra, [None] * len(f), f, s, s1, s2, zeta_scale)
 
 
 # -- automorphisms -------------------------------------------------------------
@@ -186,7 +169,7 @@ def osc_automorphism(d, kappas, xis, one=ONE):
     pairs = [(i, j) for i in range(copies) for j in range(i, copies)]
     rows = _over_states([_powers(k.inverse(), d, one) for k in kappas])
     cols = _over_states([_powers(k, d, one) for k in kappas])
-    for idx, n in enumerate(_states(d, copies)):
+    for idx, n in enumerate(itertools.product(range(d), repeat=copies)):
         e = sum(x * (n[i] * (n[i] + 1) // 2 if i == j else n[i] * n[j])
                 for x, (i, j) in zip(xis, pairs))
         if e:

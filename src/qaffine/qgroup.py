@@ -68,6 +68,16 @@ class GeneratorImage:
     def nodes(self):
         return self.affine.rank
 
+    def h_at(self, i, x):
+        """The value of h_i at state x."""
+        return self.h_diags[i][x]
+
+    def relabel(self, pick):
+        """The image with `pick` applied to the node lists of h, e and f."""
+        return GeneratorImage(self.algebra, self.dim, pick(self.h_diags),
+                              pick(self.e_mats), pick(self.f_mats), self.exps,
+                              self.fock_dim, self.copies)
+
     def h_mat(self, i):
         return OpMatrix.diagonal([QScalar.from_int(v) for v in self.h_diags[i]],
                                  ONE)
@@ -125,13 +135,10 @@ def dynkin_twist(image, perm):
     The zeta dressing stays attached to the node position, so only the bare
     assignments move.
     """
-    n = image.nodes
+    n = len(image.exps)
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation of the %d nodes" % n)
-    pick = lambda lst: [lst[perm[i]] for i in range(n)]
-    return GeneratorImage(image.algebra, image.dim, pick(image.h_diags),
-                          pick(image.e_mats), pick(image.f_mats), image.exps,
-                          image.fock_dim, image.copies)
+    return image.relabel(lambda lst: [lst[perm[i]] for i in range(n)])
 
 
 def _serre_words(ei, ej, a_ij):

@@ -36,7 +36,7 @@ from .oscillator import osc_automorphism
 __all__ = [
     "PrefactorTag", "ReferenceObject", "LTable", "reference_matrix",
     "l_table", "list_variants", "r0_hat_matrix", "decompose_L",
-    "scan_linear_exponents", "grid_inverse", "op_inverse",
+    "scan_linear_exponents", "grid_inverse", "op_inverse", "exponent_tuple",
 ]
 
 ONE = QScalar.ONE
@@ -347,6 +347,11 @@ def list_variants():
         for v in variants]
 
 
+def exponent_tuple(algebra, s, s1, s2):
+    """The exponents of an object: (s, s1) for a1, (s, s1, s2) for a2."""
+    return (s, s1) if algebra == "a1" else (s, s1, s2)
+
+
 def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):
     """Closed-form object for the given kind/algebra/variant and exponents.
 
@@ -358,7 +363,7 @@ def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):
     if kind == "r" and variant == "plain" and algebra in _L_VARIANTS:
         return _r_matrix(algebra, s, s1, s2)
     if kind == "l" and variant in _L_VARIANTS.get(algebra, ()):
-        exps = (s, s1) if algebra == "a1" else (s, s1, s2)
+        exps = exponent_tuple(algebra, s, s1, s2)
         if variant == "hat-2-inv":
             base = l_table(algebra, "hat-2", exps).render(d)
             return ReferenceObject("l", algebra, variant, exps,
@@ -495,8 +500,7 @@ def scan_linear_exponents(kind_variant, algebra, s_range, s1_range,
                 if not degs:
                     continue
                 if len(degs) == 2 and max(degs) - min(degs) == 2:
-                    yield ((s, s1, s2) if algebra == "a2" else (s, s1),
-                           (max(degs) + min(degs)) // 2)
+                    yield ref.exps, (max(degs) + min(degs)) // 2
 
 
 def decompose_L(ref, invert):

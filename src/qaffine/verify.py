@@ -26,7 +26,7 @@ from .linalg import (
 from .oscillator import osc_automorphism
 from .reference import (
     reference_matrix, r0_hat_matrix, decompose_L, grid_inverse,
-    scan_linear_exponents, l_table, _reflected_inverse,
+    scan_linear_exponents, l_table, exponent_tuple, _reflected_inverse,
 )
 from .engine import EngineParams, assemble
 
@@ -96,11 +96,6 @@ def _timed(fn):
         v.wall_time_ms = (time.perf_counter() - t0) * 1000.0
         return v
     return wrapper
-
-
-def _exps(algebra, s, s1, s2):
-    """The exponent tuple a verdict reports: s2 only for a2."""
-    return (s, s1) if algebra == "a1" else (s, s1, s2)
 
 
 # -- two-variable identities as Laurent polynomials in u, v ------------------
@@ -282,7 +277,7 @@ def check_engine(kind, algebra, variant="plain", s=1, s1=0, s2=0, order=8,
     ratio = _tag_ratio(ref.tag, a00, order)
     if ratio != ZetaSeries.one(order):
         ref_mat = ref_mat.map_values(lambda v: (v * ratio).truncate(order))
-    exps = _exps(algebra, s, s1, s2)
+    exps = exponent_tuple(algebra, s, s1, s2)
     if engine_mat == ref_mat:
         return Verdict("engine", algebra, "%s/%s" % (kind, variant), exps,
                        True)
@@ -317,7 +312,7 @@ def check_ybe(algebra, s=1, s1=0, s2=0):
     r23 = embed_legs(r_v, (1, 2), 3, n)
     lhs = r12 * r13 * r23
     rhs = r23 * r13 * r12
-    exps = _exps(algebra, s, s1, s2)
+    exps = exponent_tuple(algebra, s, s1, s2)
     if lhs != rhs:
         where = lhs.first_difference(rhs)
         return Verdict("ybe", algebra, "plain", exps, False,
@@ -408,7 +403,7 @@ def check_rll(algebra, variant, s=1, s1=0, s2=0, d=12):
     ref = reference_matrix("l", algebra, variant, s, s1, s2, d=d)
     r = reference_matrix("r", algebra, "plain", s, s1, s2)
     failure = _rll_residual(ref.matrix, ref.l_type, r.matrix, d, ref.copies)
-    exps = _exps(algebra, s, s1, s2)
+    exps = exponent_tuple(algebra, s, s1, s2)
     return Verdict("rll-%s" % ref.l_type, algebra, variant, exps,
                    failure is None, failure)
 
@@ -448,7 +443,7 @@ def check_duality(algebra, variant, mode, s=1, s1=0, s2=0, d=10):
         raise ValueError("duality mode must be 'inversion' or 'tau'")
     flipped = "check" if ref.l_type == "hat" else "hat"
     failure = _rll_residual(derived, flipped, r.matrix, d, ref.copies)
-    exps = _exps(algebra, s, s1, s2)
+    exps = exponent_tuple(algebra, s, s1, s2)
     return Verdict("duality-%s" % mode, algebra, variant, exps,
                    failure is None, failure)
 
@@ -492,7 +487,7 @@ def _gauged(family, algebra, s1, s2, base, d):
 def check_gauge(family, algebra, s, s1, s2=0):
     """The exact two-variable relation connecting different exponent
     choices through diagonal conjugation and the spectral gauge map."""
-    exps = _exps(algebra, s, s1, s2)
+    exps = exponent_tuple(algebra, s, s1, s2)
     if family == "r":
         kind, variant = "r", "plain"
     else:

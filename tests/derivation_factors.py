@@ -8,8 +8,7 @@ Only the tests build them; no check of the program reads them.
 from qaffine.scalars import QScalar, q_power
 from qaffine.rational import ZetaRational
 from qaffine.linalg import OpMatrix
-from qaffine.oscillator import FockCopies
-from product_builders import _grid, _zmat
+from product_builders import FockCopies, _grid, _zmat
 
 ONE = QScalar.ONE
 

@@ -1,21 +1,87 @@
-"""The L-operators as products of truncated ladder matrices, and the
-anti-involution tau as a metric-weighted transpose.
+"""The truncated Fock matrices of a, a-dagger and q^(c.D), the
+L-operators as products of them, and the anti-involution tau as a
+metric-weighted transpose.
 
-An oracle for `qaffine.reference`: there each L-operator is a table of
-q-oscillator monomials rendered state by state, and tau acts on the table.
-Here the same closed forms are built from the matrices of a, a-dagger and
-q^(c.D), lifted into zeta-rationals and summed, and tau conjugates the
-transpose of every operator by the Fock metric.  Only the tests build
-them.
+An oracle for `qaffine.reference` and `qaffine.oscillator`: there each
+L-operator is a table of q-oscillator monomials rendered state by state,
+tau acts on the table, and each generator image is one monomial read state
+by state on the untruncated Fock space.  Here the same closed forms are
+built from the truncated ladder matrices, lifted into zeta-rationals and
+summed, and tau conjugates the transpose of every operator by the Fock
+metric.  Only the tests build them.
 """
+
+import itertools
 
 from qaffine.scalars import QScalar, q_power
 from qaffine.rational import ZetaRational
-from qaffine.linalg import Grid
-from qaffine.oscillator import FockCopies, _lift, _over_states
+from qaffine.linalg import Grid, OpMatrix, kron
+from qaffine.qgroup import GeneratorImage
+from qaffine.oscillator import _default_params, _lift, _over_states
 from qaffine.reference import PrefactorTag, ReferenceObject
 
 ONE = QScalar.ONE
+
+
+class FockRep:
+    """Matrices of a and a-dagger on the d-state Fock space."""
+
+    __slots__ = ("dim",)
+
+    def __init__(self, dim):
+        if dim < 2:
+            raise ValueError("Fock dimension must be at least 2")
+        self.dim = dim
+
+    def raising(self):
+        return OpMatrix(self.dim, {(n + 1, n): ONE for n in range(self.dim - 1)},
+                        ONE)
+
+    def lowering(self):
+        return OpMatrix(self.dim,
+                        {(n - 1, n): ONE - q_power(2 * n)
+                         for n in range(1, self.dim)}, ONE)
+
+
+class FockCopies:
+    """Ladder operators, q^(c.D) and the Cartan diagonals on `copies`
+    (1 or 2) Fock factors of d states each, the first copy slowest."""
+
+    # h_i = sum_k c_ik D_k: h_0 = -2D, h_1 = 2D on one copy, and
+    # h_0 = -D1 - D2, h_1 = 2 D1 - D2, h_2 = -D1 + 2 D2 on two
+    _H_COEFFS = {1: ((-2,), (2,)), 2: ((-1, -1), (2, -1), (-1, 2))}
+
+    def __init__(self, d, copies):
+        f = FockRep(d)
+        eye = OpMatrix.identity(d, ONE)
+
+        def on_copy(k, m):
+            out = m if k == 0 else eye
+            for c in range(1, copies):
+                out = kron(out, m if c == k else eye)
+            return out
+
+        self.d = d
+        self.copies = copies
+        self.dim = d ** copies
+        self.states = _states(d, copies)
+        self.a = [on_copy(k, f.lowering()) for k in range(copies)]
+        self.ad = [on_copy(k, f.raising()) for k in range(copies)]
+        self.h = [tuple(sum(c * n for c, n in zip(cs, state))
+                        for state in self.states)
+                  for cs in self._H_COEFFS[copies]]
+
+    def qd(self, *cs):
+        """q^(c_1 D_1 + ... + c_k D_k), one exponent per copy."""
+        return OpMatrix.diagonal(
+            [q_power(sum(c * n for c, n in zip(cs, state)))
+             for state in self.states], ONE)
+
+
+def _states(d, copies):
+    """The occupation tuples of `copies` Fock factors of d states, in flat
+    index order (the first copy slowest, as in kron)."""
+    return list(itertools.product(range(d), repeat=copies))
 
 
 def _zmat(mat, k=0):
@@ -195,3 +261,58 @@ def tau_matrix(m, d, copies=1):
     g = _over_states([metric] * copies)
     return m.transpose().scaled([_lift(v.inverse(), m.one) for v in g],
                                 [_lift(v, m.one) for v in g])
+
+
+def oscillator_matrices(side, algebra, d, family=1, params=None):
+    """The generator images of `oscillator.chi_images` (side "chi", the e
+    half) or `psi_images` ("psi", the f half) as products of the truncated
+    ladder matrices on d states per copy, with the Cartan diagonals: (e or
+    f matrices, h diagonals)."""
+    o = FockCopies(d, 1 if algebra == "a1" else 2)
+    params = params or _default_params(algebra, side, family)
+    rho = params.rho
+    if algebra == "a1":
+        (mu,), (nu,) = params.mu, params.nu
+        if side == "chi":
+            mats = [o.a[0].scale(rho * mu) * o.qd(nu),
+                    o.qd(-nu) * o.ad[0].scale(mu.inverse())]
+        else:
+            mats = [o.qd(-nu) * o.ad[0].scale(rho * mu.inverse()),
+                    o.a[0].scale(mu) * o.qd(nu)]
+        return mats, o.h
+    (mu1, mu2), (nu1, nu2, nu3) = params.mu, params.nu
+    (a1, a2), (a1d, a2d), qq = o.a, o.ad, o.qd
+    shift = 1 if family == 1 else -1
+    if side == "chi":
+        mats = [(a1 * a2).scale(rho * mu1 * mu2)
+                * qq(nu1 + nu2 - 1, nu2 + nu3 - 1 - shift),
+                qq(-nu1, -nu2) * a1d.scale(mu1.inverse()),
+                qq(-(nu2 - shift), -nu3) * a2d.scale(mu2.inverse())]
+    else:
+        scale0 = rho * mu1.inverse() * mu2.inverse()
+        mats = [qq(-(nu1 + nu2 + 1), -(nu2 + nu3 + 1 + shift))
+                * (a1d * a2d).scale(scale0),
+                a1.scale(mu1) * qq(nu1, nu2),
+                a2.scale(mu2) * qq(nu2 + shift, nu3)]
+    return mats, o.h
+
+
+def render(image, d):
+    """An `oscillator.OscImage` as matrices on d states per copy, the first
+    copy slowest: each monomial read at every state, and an entry kept
+    where its column state is among them too."""
+    states = list(itertools.product(range(d), repeat=image.copies))
+    index = {n: i for i, n in enumerate(states)}
+
+    def matrix(m):
+        if m is None:
+            return None
+        return OpMatrix(len(states), {
+            (index[n], index[hit[0]]): hit[1]
+            for n in states for hit in [m.row(n)]
+            if hit and hit[0] in index}, ONE)
+    return GeneratorImage(
+        image.algebra, len(states),
+        [[image.h_at(i, n) for n in states] for i in range(len(image.exps))],
+        [matrix(m) for m in image.e_ops], [matrix(m) for m in image.f_ops],
+        image.exps, fock_dim=d, copies=image.copies)

@@ -16,7 +16,7 @@ from qaffine.series import ZetaSeries, lambda_level, series_log
 from qaffine.rational import ZetaRational
 from qaffine.linalg import OpMatrix, Grid, perm_operator, kron, fock_window
 from qaffine.qgroup import phi_zeta, dynkin_twist, check_defining_relations
-from qaffine.oscillator import FockRep, chi_images, psi_images
+from qaffine.oscillator import chi_images, psi_images
 from qaffine.engine import EngineParams, assemble
 from qaffine.reference import (
     reference_matrix, grid_inverse, apply_two_copy_normalization,
@@ -25,6 +25,7 @@ from qaffine.verify import (
     check_engine, check_ybe, check_rll, check_duality, check_gauge,
     check_structure, run_suite,
 )
+from product_builders import FockRep, render
 
 ONE = QScalar.ONE
 ZR1_ONE = ZetaRational.const(ONE)
@@ -163,15 +164,16 @@ def test_criterion_9_algebraic_substrate():
     # quantum-group defining relations, both Serre shapes
     assert check_defining_relations(phi_zeta("a1", 1, 0)) == []
     assert check_defining_relations(phi_zeta("a2", 1, 0, 0)) == []
-    assert check_defining_relations(chi_images("a1", 1, 0, d=8)) == []
+    # the oscillator images rendered on the truncated Fock space
+    assert check_defining_relations(render(chi_images("a1", 1, 0), 8)) == []
     assert check_defining_relations(
-        dynkin_twist(chi_images("a1", 1, 0, d=8), (1, 0))) == []
-    assert check_defining_relations(psi_images("a1", 1, 0, d=8)) == []
+        dynkin_twist(render(chi_images("a1", 1, 0), 8), (1, 0))) == []
+    assert check_defining_relations(render(psi_images("a1", 1, 0), 8)) == []
     for fam in (1, 2):
         assert check_defining_relations(
-            chi_images("a2", 1, 0, 0, d=5, family=fam)) == []
+            render(chi_images("a2", 1, 0, 0, family=fam), 5)) == []
         assert check_defining_relations(
-            psi_images("a2", 1, 0, 0, d=5, family=fam)) == []
+            render(psi_images("a2", 1, 0, 0, family=fam), 5)) == []
     # oscillator relations on the safe subspace
     d = 12
     f = FockRep(d)

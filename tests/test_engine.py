@@ -10,9 +10,9 @@ from qaffine.scalars import (
     QScalar, parse_qscalar, q_power, qint, qint_base,
 )
 from qaffine.series import ZetaSeries, series_exp, lambda_level
-from qaffine.linalg import OpMatrix, kron, fock_window
+from qaffine.linalg import OpMatrix, kron, fock_window, _unflat
 from qaffine.qgroup import phi_zeta, ScaledOp, GeneratorImage
-from qaffine.oscillator import OscParams, FockRep, chi_images, psi_images
+from qaffine.oscillator import OscImage, OscParams, chi_images, psi_images
 from qaffine import engine
 from qaffine.engine import (
     EngineParams, EngineError, build_root_vectors, assemble, u_matrices,
@@ -22,6 +22,7 @@ from qaffine.rootsys import (
     extend_cartan, finite_cartan, finite_positive, positive_roots,
 )
 from qaffine.verify import check_engine, engine_params_for
+from product_builders import FockRep, render
 
 ONE = QScalar.ONE
 C = q_power(1) - q_power(-1)
@@ -35,10 +36,26 @@ def u3(a, b):
     return OpMatrix.unit(3, a, b, ONE)
 
 
-def matrix(vec, dim):
-    # the matrix of a real root vector, read off its row map at every state
-    return OpMatrix(dim, {(x, hit[0]): hit[1] for x in range(dim)
-                          for hit in [vec[x]] if hit is not None}, ONE)
+def matrix(vec, states):
+    # the matrix of a real root vector on a list of leg states (every state
+    # of a leg of that dimension, for an int), read off its row map at each
+    # of them; an entry whose column is not among them is cut
+    states = range(states) if isinstance(states, int) else states
+    index = {x: i for i, x in enumerate(states)}
+    return OpMatrix(len(index), {(index[x], index[hit[0]]): hit[1]
+                                 for x in states for hit in [vec[x]]
+                                 if hit is not None and hit[0] in index},
+                    ONE)
+
+
+def fock_states(d, copies=1):
+    # the occupation tuples below d, in flat order, the first copy slowest
+    return list(itertools.product(range(d), repeat=copies))
+
+
+def tuples(flat, d, copies=1):
+    # the occupation tuples of flat indices over d states per copy
+    return [_unflat(x, [d] * copies) for x in flat]
 
 
 def q_number_power(d, c):
@@ -107,27 +124,30 @@ def test_a1_phi_f_vectors():
 def test_a1_chi_vectors_collapse():
     d = 12
     kmax = d - 2 - 4
-    img = chi_images("a1", 1, 0, d=d)
+    img = chi_images("a1", 1, 0)
     tab = build_root_vectors(img, "e", 4)
     eye = OpMatrix.identity(d, ONE)
     c_inv = C.inverse()
+    states = fock_states(d)
     # higher real vectors vanish away from the truncated top
     for m in range(1, 4):
-        assert not windowed(matrix(tab.real[((1,), m)], d), d, kmax)
-        assert not windowed(matrix(tab.real[((-1,), m + 1)], d), d, kmax)
+        assert not windowed(matrix(tab.real[((1,), m)], states), d, kmax)
+        assert not windowed(matrix(tab.real[((-1,), m + 1)], states), d,
+                            kmax)
     # imaginary vectors are the scalars (-1)^(m-1) q^-m / ((q-q^-1) m)
     states = window_states(d, kmax)
     for m in range(1, 5):
         sign = ONE if (m - 1) % 2 == 0 else -ONE
         expect = eye.scale(sign * q_power(-m) * c_inv.scale(Fraction(1, m)))
-        assert eigenvalues(tab, 0, m, states) == diagonal(expect, states)
+        assert eigenvalues(tab, 0, m, tuples(states, d)) == \
+            diagonal(expect, states)
         assert m * tab.zstep == m
 
 
 def test_a1_psi_vectors_geometric():
     d = 12
     kmax = d - 2 - 3
-    img = psi_images("a1", 1, 0, d=d)
+    img = psi_images("a1", 1, 0)
     tab = build_root_vectors(img, "f", 3)
     f = FockRep(d)
     c_inv = C.inverse()
@@ -138,7 +158,8 @@ def test_a1_psi_vectors_geometric():
         sign = ONE if m % 2 == 0 else -ONE
         expect = (a * q_number_power(d, 2 * m)).scale(
             sign * q_power(m) * c_inv)
-        assert windowed(matrix(got, d), d, kmax) == windowed(expect, d, kmax)
+        assert windowed(matrix(got, fock_states(d)), d, kmax) == \
+            windowed(expect, d, kmax)
         assert got.zexp == -m
     # f_{m delta} = c^-1 (-1)^m q^m [1 - (1 + q^(2m)) q^(2mD)] z^(-ms)/m
     states = window_states(d, kmax)
@@ -147,7 +168,8 @@ def test_a1_psi_vectors_geometric():
         inner = OpMatrix.identity(d, ONE) - \
             q_number_power(d, 2 * m).scale(ONE + q_power(2 * m))
         expect = inner.scale(sign * q_power(m) * c_inv.scale(Fraction(1, m)))
-        assert eigenvalues(tab, 0, m, states) == diagonal(expect, states)
+        assert eigenvalues(tab, 0, m, tuples(states, d)) == \
+            diagonal(expect, states)
 
 
 def test_a2_phi_vectors():
@@ -180,8 +202,9 @@ def test_a2_chi_family1_vectors():
     d = 8
     kmax = d - 2 - 3
     w = lambda m: windowed(m, d, kmax, copies=2)
-    img = chi_images("a2", 1, 0, 0, d=d, family=1)
+    img = chi_images("a2", 1, 0, 0, family=1)
     tab = build_root_vectors(img, "e", 3)
+    legs = fock_states(d, 2)
     f = FockRep(d)
     eye = OpMatrix.identity(d, ONE)
     c_inv = C.inverse()
@@ -191,31 +214,34 @@ def test_a2_chi_family1_vectors():
     for m in range(1, 3):
         got = tab.real[((0, 1), m)]
         expect = (a2d * qd(1, -2 * m)).scale(q_power(-4 * m) * c_inv)
-        assert w(matrix(got, img.dim)) == w(expect)
+        assert w(matrix(got, legs)) == w(expect)
     # alpha and alpha+beta families vanish above level zero
     for m in range(1, 3):
-        assert not w(matrix(tab.real[((1, 0), m)], img.dim))
-        assert not w(matrix(tab.real[((1, 1), m)], img.dim))
+        assert not w(matrix(tab.real[((1, 0), m)], legs))
+        assert not w(matrix(tab.real[((1, 1), m)], legs))
     # e_{m delta, alpha} = c^-1 (-1)^(m-1) q^(-3m) q^(-2mD2) /m
     states = window_states(d, kmax, copies=2)
     for m in range(1, 4):
         sign = ONE if (m - 1) % 2 == 0 else -ONE
         expect = qd(0, -2 * m).scale(sign * q_power(-3 * m)
                                      * c_inv.scale(Fraction(1, m)))
-        assert eigenvalues(tab, 0, m, states) == diagonal(expect, states)
+        assert eigenvalues(tab, 0, m, tuples(states, d, 2)) == \
+            diagonal(expect, states)
     # e_{m delta, beta} = c^-1 q^(-2m) [(1 + q^(-2m)) q^(-2mD2) - 1] /m
     for m in range(1, 4):
         inner = qd(0, -2 * m).scale(ONE + q_power(-2 * m)) - kron(eye, eye)
         expect = inner.scale(q_power(-2 * m) * c_inv.scale(Fraction(1, m)))
-        assert eigenvalues(tab, 1, m, states) == diagonal(expect, states)
+        assert eigenvalues(tab, 1, m, tuples(states, d, 2)) == \
+            diagonal(expect, states)
 
 
 def test_a2_psi_family1_vectors():
     d = 8
     kmax = d - 2 - 3
     w = lambda m: windowed(m, d, kmax, copies=2)
-    img = psi_images("a2", 1, 0, 0, d=d, family=1)
+    img = psi_images("a2", 1, 0, 0, family=1)
     tab = build_root_vectors(img, "f", 3)
+    legs = fock_states(d, 2)
     f = FockRep(d)
     eye = OpMatrix.identity(d, ONE)
     c_inv = C.inverse()
@@ -224,16 +250,16 @@ def test_a2_psi_family1_vectors():
     qd = lambda c1, c2: kron(q_number_power(d, c1), q_number_power(d, c2))
     # f_{alpha+beta} = -c^-1 a1 a2 q^(D1)
     got = tab.real[((1, 1), 0)]
-    assert w(matrix(got, img.dim)) == w((a1 * a2 * qd(1, 0)).scale(-c_inv))
+    assert w(matrix(got, legs)) == w((a1 * a2 * qd(1, 0)).scale(-c_inv))
     # f_{delta-alpha} = c^-1 a1', f_{delta-beta} = c^-1 q^-1 a2' q^(D1-2D2)
-    assert w(matrix(tab.real[((-1, 0), 1)], img.dim)) == w(a1d.scale(c_inv))
-    assert w(matrix(tab.real[((0, -1), 1)], img.dim)) == w(
+    assert w(matrix(tab.real[((-1, 0), 1)], legs)) == w(a1d.scale(c_inv))
+    assert w(matrix(tab.real[((0, -1), 1)], legs)) == w(
         (a2d * qd(1, -2)).scale(q_power(-1) * c_inv))
     # f_{alpha + m delta} = c^-1 (-1)^m q^m a1 q^(2mD1)
     for m in range(1, 3):
         sign = ONE if m % 2 == 0 else -ONE
         expect = (a1 * qd(2 * m, 0)).scale(sign * q_power(m) * c_inv)
-        assert w(matrix(tab.real[((1, 0), m)], img.dim)) == w(expect)
+        assert w(matrix(tab.real[((1, 0), m)], legs)) == w(expect)
     # f_{(delta-alpha-beta) + m delta} = c^-1 (-1)^m q^(3m-3)
     #                                     a1' a2' q^((2m-1)D1 - 2D2)
     for m in range(1, 3):
@@ -241,18 +267,20 @@ def test_a2_psi_family1_vectors():
         expect = (a1d * a2d * qd(2 * m - 1, -2)).scale(
             sign * q_power(3 * m - 3) * c_inv)
         got = tab.real[((-1, -1), m + 1)]
-        assert w(matrix(got, img.dim)) == w(expect)
+        assert w(matrix(got, legs)) == w(expect)
     # f_{m delta, beta} = c^-1 q^(2m) q^(2mD1) /m
     states = window_states(d, kmax, copies=2)
     for m in range(1, 4):
         expect = qd(2 * m, 0).scale(q_power(2 * m) * c_inv.scale(Fraction(1, m)))
-        assert eigenvalues(tab, 1, m, states) == diagonal(expect, states)
+        assert eigenvalues(tab, 1, m, tuples(states, d, 2)) == \
+            diagonal(expect, states)
     # f_{m delta, alpha} = c^-1 (-1)^(m-1) q^m [(1+q^(2m)) q^(2mD1) - 1]/m
     for m in range(1, 4):
         sign = ONE if (m - 1) % 2 == 0 else -ONE
         inner = qd(2 * m, 0).scale(ONE + q_power(2 * m)) - kron(eye, eye)
         expect = inner.scale(sign * q_power(m) * c_inv.scale(Fraction(1, m)))
-        assert eigenvalues(tab, 0, m, states) == diagonal(expect, states)
+        assert eigenvalues(tab, 0, m, tuples(states, d, 2)) == \
+            diagonal(expect, states)
 
 
 # -- the tables against the bracket recursion -----------------------------------
@@ -351,23 +379,44 @@ _TABLE_CASES = [
 ]
 
 
+def _rendered_leg(leg, params):
+    # (matrix image, its states, the reported ones as states and as flat
+    # indices, a cut of a matrix to them): a phi leg as it is, an
+    # oscillator leg rendered with a pad above the reported states that
+    # no word of the recursion climbs over, 3 m_max + 3 letters at most,
+    # so that the bracket recursion on its matrices is exact there
+    if not isinstance(leg, OscImage):
+        return leg, range(leg.dim), range(leg.dim), range(leg.dim), \
+            lambda m: m
+    d, pad = params.fock_dim, 3 * params.m_max + 3
+    states = fock_states(d + pad, leg.copies)
+    keep = fock_window(d + pad, leg.copies, pad)
+    flat = [x for x in range(len(states)) if keep(x)]
+    return (render(leg, d + pad), states, [states[x] for x in flat], flat,
+            lambda m: m.restrict(keep))
+
+
 @pytest.mark.parametrize("algebra, exps, kw", _TABLE_CASES)
 def test_tables_match_the_bracket_recursion(algebra, exps, kw):
     # every real vector with its power of zeta, read off its row map at
-    # every leg state, levels the product never reads included, and every
-    # level of c e', exactly as the bracket recursion gives them, on both
-    # legs
+    # every reported leg state, levels the product never reads included,
+    # and every level of c e', exactly as the bracket recursion gives them,
+    # on both legs
     params = EngineParams(algebra, *exps, **kw)
     for which, side in (("left", "e"), ("right", "f")):
         leg = engine._leg_images(params, which)
         tab = build_root_vectors(leg, side, params.m_max)
-        real, diags = _bracket_tables(leg, side, params.m_max)
+        image, states, reported, flat, cut = _rendered_leg(leg, params)
+        real, diags = _bracket_tables(image, side, params.m_max)
         assert tab.real.keys() == real.keys()
         for key, want in real.items():
             got = tab.real[key]
-            assert (got.zexp, matrix(got, leg.dim)) == (want.zexp, want.mat), \
-                (side, key)
-        assert tab.diags == diags, side
+            assert (got.zexp, cut(matrix(got, states))) == \
+                (want.zexp, cut(want.mat)), (side, key)
+        assert [[[level(x) for x in reported] for level in node]
+                for node in tab.diags] == \
+            [[[level.get(x, QScalar.ZERO) for x in flat] for level in node]
+             for node in diags], side
 
 
 def _forbid_generic_products(monkeypatch):
@@ -410,6 +459,17 @@ def test_delta_family_steps_take_no_bracket(monkeypatch, algebra, kw,
     assert len(calls) == brackets == first + rank * max(params.m_max - 1, 0)
 
 
+def read_all(tab, dim):
+    # every real vector and every imaginary level at every leg state: the
+    # table evaluates each at a state on first request
+    for vec in tab.real.values():
+        for x in range(dim):
+            vec[x]
+    for x in range(dim):
+        tab.imag_at(x)
+    return tab
+
+
 def test_a_non_diagonal_prime_delta_is_rejected():
     # a bracket with e'_delta is a weight only when e'_delta is diagonal;
     # in rank 2 that is checked for alpha + beta too, whose e' no imaginary
@@ -417,12 +477,12 @@ def test_a_non_diagonal_prime_delta_is_rejected():
     img = GeneratorImage("a1", 3, [[0] * 3] * 2, [u3(2, 3), u3(1, 2)],
                          [None] * 2, (1, 0))
     with pytest.raises(EngineError, match=r"\(1,\)"):
-        build_root_vectors(img, "e", 1)
+        read_all(build_root_vectors(img, "e", 1), 3)
     img = GeneratorImage("a2", 3, [[0] * 3] * 3,
                          [u3(1, 2), u3(2, 1), u3(1, 3)], [None] * 3,
                          (1, 0, 0))
     with pytest.raises(EngineError, match=r"\(1, 1\) is not diagonal"):
-        build_root_vectors(img, "e", 1)
+        read_all(build_root_vectors(img, "e", 1), 3)
 
 
 def test_a_non_diagonal_imaginary_level_is_rejected():
@@ -433,9 +493,9 @@ def test_a_non_diagonal_imaginary_level_is_rejected():
     img = GeneratorImage("a1", 4, [[0] * 4] * 2,
                          [u4(1, 3) + u4(2, 4).scale(q_power(-2)),
                           u4(1, 2) + u4(3, 4) + u4(4, 2)], [None] * 2, (1, 0))
-    build_root_vectors(img, "e", 1)
+    read_all(build_root_vectors(img, "e", 1), 4)
     with pytest.raises(EngineError, match="level 2 is not diagonal"):
-        build_root_vectors(img, "e", 2)
+        read_all(build_root_vectors(img, "e", 2), 4)
 
 
 def test_an_inhomogeneous_imaginary_level_is_rejected(monkeypatch):
@@ -444,9 +504,9 @@ def test_an_inhomogeneous_imaginary_level_is_rejected(monkeypatch):
     class Shifted(engine.RootVector):
         __slots__ = ()
 
-        def __init__(self, zexp, entries, below=None, steps=None):
-            super().__init__(zexp + (below is not None), entries, below,
-                             steps)
+        def __init__(self, zexp, rule):
+            along_delta = rule.__qualname__.startswith("_step.")
+            super().__init__(zexp + along_delta, rule)
     img = phi_zeta("a1", 1, 0)
     build_root_vectors(img, "e", 2)
     monkeypatch.setattr(engine, "RootVector", Shifted)
@@ -462,11 +522,34 @@ def test_a_wrong_normalization_constant_is_rejected(monkeypatch):
         img = real(*args, **kwargs)
         img.e_mats[1] = img.e_mats[1].scale(q_power(2))
         return img
-    params = EngineParams("a1", 1, 0, order=2)
-    assert check_normalization_constants(params)
+    key = ("a1", 1, 0, 0, 2)
+    assert check_normalization_constants(*key)
     monkeypatch.setattr(engine, "phi_zeta", scaled)
+    # the check ran once for these exponents; a new leg needs a new run
+    check_normalization_constants.cache_clear()
     with pytest.raises(EngineError, match=r"normalization .*\[1\] \+ 0\*delta"):
-        check_normalization_constants(params)
+        check_normalization_constants(*key)
+    # a failure is not remembered: it raises at every call
+    with pytest.raises(EngineError, match="normalization"):
+        check_normalization_constants(*key)
+
+
+def test_the_normalization_check_runs_once_per_exponents(monkeypatch):
+    # two assemblies with the same exponents build the check's tables of
+    # the evaluation leg once: two tables for the check, two for the legs
+    # of each assembly
+    check_normalization_constants.cache_clear()
+    calls = []
+    build = engine.build_root_vectors
+    monkeypatch.setattr(engine, "build_root_vectors",
+                        lambda *a: calls.append(a[1]) or build(*a))
+    params = EngineParams("a2", 2, 1, 0, order=4)
+    first = assemble(params)
+    assert len(calls) == 4
+    assert assemble(EngineParams("a2", 2, 1, 0, order=4)) == first
+    assert len(calls) == 6
+    assemble(EngineParams("a2", 2, 1, 0, order=6))
+    assert len(calls) == 10
 
 
 def test_a_root_vector_with_two_entries_in_a_row_is_rejected():
@@ -483,7 +566,7 @@ def test_a_root_vector_with_two_entries_in_a_row_is_rejected():
                          [u3(3, 2), u3(1, 2) + u3(3, 1), u3(2, 3) + u3(1, 3)],
                          [None] * 3, (1, 0, 0))
     with pytest.raises(EngineError, match="two entries in one row"):
-        build_root_vectors(img, "e", 1)
+        read_all(build_root_vectors(img, "e", 1), 3)
 
 
 @pytest.mark.parametrize("exps, order, unread", [
@@ -492,10 +575,12 @@ def test_a_root_vector_with_two_entries_in_a_row_is_rejected():
 ])
 def test_the_unread_real_vector_depends_on_the_order(monkeypatch, exps,
                                                      order, unread):
-    # which real vector of a chi leg the product skips for its zeta degree
-    # depends on the exponents and the order, which the table does not
-    # know: at s = 3, s1 = 2 the top vector ((-1,), m_max + 1) is read
-    params = EngineParams("a1", *exps, order=order, left="chi", fock_dim=4)
+    # which real vector of the left leg the product skips for its zeta
+    # degree depends on the exponents and the order, which the table does
+    # not know: at s = 3, s1 = 2 the top vector ((-1,), m_max + 1) is read.
+    # The leg is the evaluation leg: on an a1 chi leg e'_delta is a scalar,
+    # so every vector a step along delta vanishes and none is worth reading
+    params = EngineParams("a1", *exps, order=order)
     tables, read = [], []
     build, real_factor = engine.build_root_vectors, engine._times_real_factor
     monkeypatch.setattr(engine, "build_root_vectors",
@@ -508,7 +593,7 @@ def test_the_unread_real_vector_depends_on_the_order(monkeypatch, exps,
                                         for e in read)]
     keys = {k for k, v in etab.real.items() if any(v is e for e in read)}
     top = ((-1,), params.m_max + 1)
-    assert matrix(etab.real[unread], params.internal_fock_dim)
+    assert matrix(etab.real[unread], 2)
     assert unread not in keys
     assert set(etab.real) - keys == {unread}
     assert (top in keys) == (unread != top)
@@ -531,8 +616,8 @@ def test_u_matrices():
 
 
 def test_normalization_constants_unit():
-    assert check_normalization_constants(EngineParams("a1", 2, 1, order=6))
-    assert check_normalization_constants(EngineParams("a2", 1, 0, 0, order=4))
+    assert check_normalization_constants("a1", 2, 1, 0, 3)
+    assert check_normalization_constants("a2", 1, 0, 0, 4)
 
 
 def prefactor_series(algebra, s, order):
@@ -679,10 +764,23 @@ def _q_exponential(e, f, k, order):
                          _CATALOG_PAIRINGS)
 def test_each_real_factor_is_one_plus_x(kind, algebra, variant, order, d):
     # the relabel of the identity is 1 + X, and that of a matrix with sums
-    # and cancellations to come is its product with 1 + X
+    # and cancellations to come is its product with 1 + X, on the reported
+    # columns as flat indices; a column the relabel moves out of them is
+    # cut, as on the truncated matrices
     params = engine_params_for(kind, algebra, variant, 1, 0, 0, order, d)
     left, right, etab, ftab = _imaginary_inputs(params)
-    dim = left.dim * right.dim
+    ls = _reported_states(left, params.left, params)
+    rs = _reported_states(right, params.right, params)
+    pairs = list(itertools.product(ls, rs))
+    index = {c: i for i, c in enumerate(pairs)}
+    dim = len(pairs)
+
+    def times_real_factor(acc, e, f):
+        out = engine._times_real_factor(
+            {(r, pairs[c]): v for (r, c), v in acc.entries.items()}, e, f,
+            order)
+        return OpMatrix(dim, {(r, index[c]): v for (r, c), v in out.items()
+                              if c in index}, acc.one)
     one = ZetaSeries.one(order)
     eye = OpMatrix.identity(dim, one)
     rng = random.Random(3)
@@ -692,11 +790,11 @@ def test_each_real_factor_is_one_plus_x(kind, algebra, variant, order, d):
         if root.kind == "imaginary":
             continue
         e, f = etab.real_op(root), ftab.real_op(root)
-        emat, fmat = matrix(e, left.dim), matrix(f, right.dim)
+        emat, fmat = matrix(e, ls), matrix(f, rs)
         if not (emat and fmat) or e.zexp + f.zexp > order:
             continue
         want = _q_exponential(emat, fmat, e.zexp + f.zexp, order)
-        got = engine._times_real_factor(eye, e, f, right.dim, order)
+        got = times_real_factor(eye, e, f)
         assert got == want, root
         # random entries in the columns X moves, minus their image under X
         x = want + OpMatrix.identity(dim, -one)
@@ -707,28 +805,35 @@ def test_each_real_factor_is_one_plus_x(kind, algebra, variant, order, d):
                              for _ in range(2 * len(cols))}, one)
         acc = acc + (acc * x).scaled(cols=[-one] * dim)
         assert acc * x
-        got = engine._times_real_factor(acc, e, f, right.dim, order)
+        got = times_real_factor(acc, e, f)
         assert got == acc * want, root
         used += 1
     assert used
 
 
-def vector(sop):
-    # a leg generator as the engine's partial map
-    return engine.RootVector(sop.zexp, sop.mat.entries)
+def identity(left, right):
+    # the engine's identity on the columns of two lists of leg states
+    one = ZetaSeries.one(4)
+    return {(r, c): one
+            for r, c in enumerate(itertools.product(left, right))}
 
 
 def test_real_factor_rejects_two_oscillator_operators():
-    # on a chi leg the raising operator does not square to zero
-    img = chi_images("a1", 1, 0, d=5)
-    e, lower = vector(img.e_op(0)), vector(img.e_op(1))
-    eye = OpMatrix.identity(img.dim * img.dim, ZetaSeries.one(4))
+    # on a chi leg the raising operator does not square to zero: X^2 does
+    # not vanish at a column, so the real factor is not 1 + X
+    img = chi_images("a1", 1, 0)
+    e, lower = (engine.RootVector(z, m.row)
+                for z, m in zip(img.exps, img.e_ops))
+    states = fock_states(5)
+    eye = identity(states, states)
     for a, b in ((e, e), (e, lower), (lower, e)):
         with pytest.raises(EngineError):
-            engine._times_real_factor(eye, a, b, img.dim, 4)
-    eye = OpMatrix.identity(img.dim * 2, ZetaSeries.one(4))
-    assert engine._times_real_factor(
-        eye, e, vector(phi_zeta("a1", 1, 0).f_op(0)), 2, 4) != eye
+            engine._times_real_factor(eye, a, b, 4)
+    f = phi_zeta("a1", 1, 0).f_op(0)
+    f = engine.RootVector(f.zexp, {i: (j, v) for (i, j), v in
+                                   f.mat.entries.items()}.get)
+    eye = identity(states, range(2))
+    assert engine._times_real_factor(eye, e, f, 4) != eye
 
 
 @pytest.mark.parametrize("kind, algebra, variant, order, d",
@@ -747,7 +852,7 @@ def test_assemble_takes_no_generic_product(monkeypatch, kind, algebra,
     assert assemble(params) == want
 
 
-# -- the Fock pad --------------------------------------------------------------
+# -- the untruncated Fock space ------------------------------------------------
 
 @pytest.mark.parametrize("algebra, exps, order, d", [
     ("a1", (1, 1), 4, 5), ("a1", (2, 1), 4, 5), ("a1", (3, 2), 4, 5),
@@ -756,8 +861,8 @@ def test_assemble_takes_no_generic_product(monkeypatch, kind, algebra,
 ])
 def test_engine_matches_closed_forms_at_degenerate_exponents(algebra, exps,
                                                              order, d):
-    # exponents other than the acceptance suite's (1, 0[, 0]); a pad of
-    # m_max gives wrong rank-2 check-type entries at (1, 1, 0)
+    # exponents other than the acceptance suite's (1, 0[, 0]); a Fock pad
+    # of m_max once gave wrong rank-2 check-type entries at (1, 1, 0)
     variants = (("hat", "hat-twisted", "check", "check-twisted")
                 if algebra == "a1" else ("hat-1", "hat-2", "check-1",
                                          "check-2"))
@@ -766,25 +871,51 @@ def test_engine_matches_closed_forms_at_degenerate_exponents(algebra, exps,
         assert v.passed, v
 
 
-class _WiderPad(EngineParams):
-    @property
-    def internal_fock_dim(self):
-        return super().internal_fock_dim + 2
+def _block(mat, big, params):
+    # the entries of an assembly at `big` between the reported states of
+    # `params`, reindexed as at `params`
+    legs = [[engine._leg_images(p, w) for w in ("left", "right")]
+            for p in (big, params)]
+    pairs = [list(itertools.product(
+        _reported_states(left, p.left, p),
+        _reported_states(right, p.right, p)))
+        for (left, right), p in zip(legs, (big, params))]
+    index = {c: i for i, c in enumerate(pairs[1])}
+    at = [index.get(c) for c in pairs[0]]
+    return OpMatrix(len(index), {
+        (at[i], at[j]): v for (i, j), v in mat.entries.items()
+        if at[i] is not None and at[j] is not None}, mat.one)
+
+
+def _assert_truncation_consistent(params):
+    # the block at fock_dim d is the d-state block of the one at d + 2
+    kw = {k: getattr(params, k) for k in (
+        "order", "left", "right", "family", "twist", "osc_params")}
+    big = EngineParams(params.algebra, params.s, params.s1, params.s2,
+                       fock_dim=params.fock_dim + 2, **kw)
+    assert assemble(params) == _block(assemble(big), big, params)
 
 
 @pytest.mark.parametrize("exps", [(2, 0, 2), (2, 2, 0)])
-def test_twisted_a2_block_does_not_depend_on_the_pad(exps):
-    # rank-2 twists have no closed form: the reported block must not move
-    # when the pad grows; at these exponents, with two nodes free of zeta,
-    # a pad of m_max moves it on one side each
+def test_twisted_a2_block_is_consistent_under_truncation(exps):
+    # rank-2 twists have no closed form: the reported block at fock_dim d
+    # must be the d-state block of the one at d + 2; at these exponents,
+    # with two nodes free of zeta, a Fock pad of m_max once moved it on one
+    # side each
     for perm in itertools.permutations(range(3)):
         for left, right in (("chi", "phi"), ("phi", "psi")):
             for family in (1, 2):
-                kw = dict(order=2, left=left, right=right, family=family,
-                          twist=perm, fock_dim=3)
-                assert assemble(EngineParams("a2", *exps, **kw)) == \
-                    assemble(_WiderPad("a2", *exps, **kw)), (perm, left,
-                                                             family)
+                _assert_truncation_consistent(EngineParams(
+                    "a2", *exps, order=2, left=left, right=right,
+                    family=family, twist=perm, fock_dim=3))
+
+
+@pytest.mark.parametrize("kind, algebra, variant, order, d",
+                         _CATALOG_PAIRINGS)
+def test_catalog_blocks_are_consistent_under_truncation(kind, algebra,
+                                                        variant, order, d):
+    _assert_truncation_consistent(engine_params_for(
+        kind, algebra, variant, 1, 0, 0, order, d))
 
 
 # -- the imaginary factor --------------------------------------------------------
@@ -812,11 +943,11 @@ def _argument_at(etab, ftab, params, x, y):
 
 
 def _reported_states(image, kind, params):
+    # every state of a phi leg, and the occupation tuples below fock_dim
+    # of an oscillator leg, in flat order
     if kind == "phi":
         return range(image.dim)
-    d_int = params.internal_fock_dim
-    keep = fock_window(d_int, image.copies, d_int - params.fock_dim)
-    return [i for i in range(image.dim) if keep(i)]
+    return fock_states(params.fock_dim, image.copies)
 
 
 _IMAGINARY_CASES = [
@@ -843,10 +974,10 @@ _IMAGINARY_CASES = [
 
 
 def _reported_columns(left, right, params):
-    # the reported window of the product, as flat column indices
-    return {x * right.dim + y
-            for x in _reported_states(left, params.left, params)
-            for y in _reported_states(right, params.right, params)}
+    # the reported window of the product, as pairs of leg states
+    return set(itertools.product(
+        _reported_states(left, params.left, params),
+        _reported_states(right, params.right, params)))
 
 
 @pytest.mark.parametrize("algebra, kw", _IMAGINARY_CASES)
@@ -856,27 +987,27 @@ def test_imaginary_factor_matches_series_exp(algebra, kw):
     params = EngineParams(algebra, 1, 0, 0, **kw)
     left, right, etab, ftab = _imaginary_inputs(params)
     cols = _reported_columns(left, right, params)
+    ground = [_reported_states(leg, kind, params)[0]
+              for leg, kind in ((left, params.left), (right, params.right))]
     log_prefactor, factor = engine._imaginary_factor(
-        etab, ftab, params, left.dim, right.dim, params.order, cols)
-    a0 = _argument_at(etab, ftab, params, 0, 0)
+        etab, ftab, params, params.order, cols, ground)
+    a0 = _argument_at(etab, ftab, params, *ground)
     assert log_prefactor == a0
-    assert cols and len(factor) == left.dim * right.dim
-    for col, got in enumerate(factor):
-        if col not in cols:
-            assert got is None, col
-            continue
-        x, y = divmod(col, right.dim)
+    assert cols and len(factor) == len(cols)
+    for col, got in factor.items():
+        assert col in cols, col
+        x, y = col
         diff = _argument_at(etab, ftab, params, x, y) - a0
         assert got == series_exp(diff), (x, y)
 
 
 @pytest.mark.parametrize("algebra, kw, left_states", [
-    pytest.param("a1", dict(order=4, left="chi", fock_dim=4), (0, 2, 3),
-                 id="a1-hat"),
+    pytest.param("a1", dict(order=4, left="chi", fock_dim=4),
+                 ((0,), (2,), (3,)), id="a1-hat"),
     pytest.param("a2", dict(order=3, right="psi", fock_dim=3), (0, 1, 2),
                  id="a2-check-1"),
-    pytest.param("a2", dict(order=2, left="chi", fock_dim=3), (0, 1, 7, 8),
-                 id="a2-hat-1"),
+    pytest.param("a2", dict(order=2, left="chi", fock_dim=3),
+                 ((0, 0), (0, 1), (1, 1), (1, 2)), id="a2-hat-1"),
 ])
 def test_series_log_once_per_distinct_eigenvalue_tuple(monkeypatch, algebra,
                                                        kw, left_states):
@@ -889,14 +1020,14 @@ def test_series_log_once_per_distinct_eigenvalue_tuple(monkeypatch, algebra,
                         lambda g: calls.append(g) or series_log(g))
     left, right, etab, ftab = _imaginary_inputs(params)
     assert calls == []
-    cols = {x * right.dim + y for x in left_states for y in range(right.dim)}
-    engine._imaginary_factor(etab, ftab, params, left.dim, right.dim,
-                             params.order, cols)
-    tuples = {tuple(level.get(x, QScalar.ZERO) for level in node)
-              for tab, states in ((etab, left_states),
-                                  (ftab, range(right.dim)))
-              for x in states for node in tab.diags}
-    assert 0 < len(calls) <= len(tuples)
+    right_states = _reported_states(right, params.right, params)
+    cols = set(itertools.product(left_states, right_states))
+    engine._imaginary_factor(etab, ftab, params, params.order, cols,
+                             min(cols))
+    keys = {tuple(level(x) for level in node)
+            for tab, states in ((etab, left_states), (ftab, right_states))
+            for x in states for node in tab.diags}
+    assert 0 < len(calls) <= len(keys)
     assert len(set(calls)) == len(calls)
 
 
@@ -908,28 +1039,32 @@ def test_series_log_once_per_distinct_eigenvalue_tuple(monkeypatch, algebra,
 def test_engine_column_weights_match_products_with_diagonals(algebra, kw):
     # assemble applies the imaginary and Cartan factors as column weights;
     # each must equal the product with the diagonal matrix of the weights
+    # on the reported columns, as flat indices
     params = EngineParams(algebra, 1, 0, 0, **kw)
     left, right, etab, ftab = _imaginary_inputs(params)
-    order, dim = params.order, left.dim * right.dim
     cols = sorted(_reported_columns(left, right, params))
-    _, imag = engine._imaginary_factor(etab, ftab, params, left.dim,
-                                       right.dim, order, set(cols))
+    order, dim = params.order, len(cols)
+    _, imag = engine._imaginary_factor(etab, ftab, params, order, set(cols),
+                                       cols[0])
     cartan = engine._k_factor(left, right, params, order, set(cols))
     one = ZetaSeries.one(order)
     rng = random.Random(5)
-    acc = OpMatrix(dim, {(rng.randrange(dim), rng.choice(cols)):
+    acc = OpMatrix(dim, {(rng.randrange(dim), rng.randrange(dim)):
                          ZetaSeries({0: q_power(rng.randint(-2, 2)),
                                      rng.randint(1, order): ONE}, order)
                          for _ in range(3 * dim)}, one)
     for weights in (imag, cartan):
         assert len(weights) == dim
-        assert acc.scaled(cols=weights) == \
-            acc * OpMatrix.diagonal(weights, one)
+        got = engine._weigh_columns(
+            {(r, cols[c]): v for (r, c), v in acc.entries.items()}, weights)
+        assert OpMatrix(dim, {(r, cols.index(c)): v
+                              for (r, c), v in got.items()}, one) == \
+            acc * OpMatrix.diagonal([weights[c] for c in cols], one)
     # no imaginary root within the order: no factor at all
     bare = EngineParams(algebra, 1, 0, 0, **dict(kw, order=0))
     left, right, etab, ftab = _imaginary_inputs(bare)
-    assert engine._imaginary_factor(etab, ftab, bare, left.dim, right.dim,
-                                    0, set(cols))[1] is None
+    assert engine._imaginary_factor(etab, ftab, bare, 0, set(cols),
+                                    cols[0])[1] is None
 
 
 def test_series_exp_takes_products_of_linear_factors():

@@ -18,6 +18,9 @@
   are printed, never in the integer kernel.
 * In verify.py, the two-variable ring `_Laurent2` is integer-only: no
   method but `__str__` names `QScalar` or `Fraction`.
+* The engine has no Fock-dependent constant: it names no pad, window or
+  truncated ladder matrix, and reads `fock_dim` only where `EngineParams`
+  stores it and where the reported block is chosen.
 * `OpMatrix.diagonal` builds only operators that are factors of the
   transcribed formulas; a diagonal conjugation or diagonal factor is applied
   with `scaled`, never as a product with a diagonal matrix.
@@ -196,8 +199,28 @@ def test_two_variable_ring_is_integer_only():
     assert found == ["__str__"]
 
 
+def test_the_engine_reads_the_fock_dimension_only_for_the_output():
+    source = (SRC / "qaffine" / "engine.py").read_text()
+    named = [w for w in ("internal_fock_dim", "fock_window", "_leg_map",
+                         "FockCopies") if re.search(r"\b%s\b" % w, source)]
+    assert named == []
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = where + (node.name,)
+        if "fock_dim" in {getattr(node, "id", None),
+                          getattr(node, "attr", None),
+                          getattr(node, "arg", None)}:
+            found.add(".".join(where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(ast.parse(source), ())
+    assert found == {"EngineParams.__init__", "_reported"}
+
+
 def test_diagonal_matrices_only_where_they_are_operators():
-    allowed = {"oscillator.FockCopies.qd", "qgroup.GeneratorImage.h_mat",
+    allowed = {"qgroup.GeneratorImage.h_mat",
                "qgroup.GeneratorImage.q_power_h"}
     found = set()
 
@@ -212,7 +235,7 @@ def test_diagonal_matrices_only_where_they_are_operators():
             visit(child, where)
     for path, tree in _modules():
         visit(tree, (path.stem,))
-    assert "oscillator.FockCopies.qd" in found
+    assert "qgroup.GeneratorImage.h_mat" in found
     assert [w for w in sorted(found)
             if not any(w == a or w.startswith(a + ".") for a in allowed)] == []
 

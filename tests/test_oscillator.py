@@ -9,10 +9,13 @@ from qaffine.linalg import OpMatrix, kron
 from qaffine.rational import ZetaRational
 from qaffine.qgroup import check_defining_relations
 from qaffine.oscillator import (
-    FockRep, chi_images, psi_images, osc_automorphism, OscParams, FockCopies,
+    chi_images, psi_images, osc_automorphism, OscParams,
 )
+from qaffine.scalars import parse_qscalar
 from qaffine.verify import _gamma, _monomial
-from product_builders import tau_matrix
+from product_builders import (
+    FockCopies, FockRep, oscillator_matrices, render, tau_matrix,
+)
 
 ONE = QScalar.ONE
 D = 8
@@ -53,7 +56,7 @@ def test_fock_basis_relations():
 
 
 def test_chi_a1_matches_specialization():
-    img = chi_images("a1", 1, 0, d=D)
+    img = render(chi_images("a1", 1, 0), D)
     c = (q_power(1) - q_power(-1)).inverse()
     f = FockRep(D)
     assert img.e_mats[1] == f.raising().scale(c)
@@ -63,7 +66,7 @@ def test_chi_a1_matches_specialization():
 
 
 def test_psi_a1_matches_specialization():
-    img = psi_images("a1", 1, 0, d=D)
+    img = render(psi_images("a1", 1, 0), D)
     c = (q_power(1) - q_power(-1)).inverse()
     f = FockRep(D)
     assert img.f_mats[0] == f.raising().scale(c)
@@ -74,15 +77,15 @@ def test_psi_a1_matches_specialization():
 def test_chi_a2_families_both_satisfy_serre():
     # the two inequivalent solutions of the quadratic Serre relations
     for fam in (1, 2):
-        img = chi_images("a2", 1, 0, 0, d=5, family=fam)
+        img = render(chi_images("a2", 1, 0, 0, family=fam), 5)
         assert check_defining_relations(img) == []
-        psi = psi_images("a2", 1, 0, 0, d=5, family=fam)
+        psi = render(psi_images("a2", 1, 0, 0, family=fam), 5)
         assert check_defining_relations(psi) == []
 
 
 def test_chi_a2_family1_explicit_images():
     d = 4
-    img = chi_images("a2", 1, 0, 0, d=d, family=1)
+    img = render(chi_images("a2", 1, 0, 0, family=1), d)
     f = FockRep(d)
     eye = OpMatrix.identity(d, ONE)
     c = (q_power(1) - q_power(-1)).inverse()
@@ -98,7 +101,7 @@ def test_chi_a2_family1_explicit_images():
 
 def test_psi_a2_family2_explicit_images():
     d = 4
-    img = psi_images("a2", 1, 0, 0, d=d, family=2)
+    img = render(psi_images("a2", 1, 0, 0, family=2), d)
     f = FockRep(d)
     eye = OpMatrix.identity(d, ONE)
     c = (q_power(1) - q_power(-1)).inverse()
@@ -114,10 +117,9 @@ def test_parameter_freedom_is_an_automorphism_orbit():
     d = 6
     kappa, xi = q_power(2), 2
     c = q_power(1) - q_power(-1)
-    base = chi_images("a1", 1, 0, d=d)
-    shifted = chi_images("a1", 1, 0, d=d,
-                         params=OscParams((c * c).inverse(), [c * kappa],
-                                          [Fraction(xi)]))
+    base = render(chi_images("a1", 1, 0), d)
+    shifted = render(chi_images("a1", 1, 0, params=OscParams(
+        (c * c).inverse(), [c * kappa], [Fraction(xi)])), d)
     rows, cols = osc_automorphism(d, (kappa,), (xi,))
     for i in (0, 1):
         assert base.e_mats[i].scaled(rows, cols) == shifted.e_mats[i]
@@ -292,3 +294,40 @@ def test_qd_matches_kron_of_per_copy_powers(cs):
     for c in cs[1:]:
         expect = kron(expect, q_number_power(d, c))
     assert FockCopies(d, len(cs)).qd(*cs) == expect
+
+
+# -- the monomial generators against the ladder-matrix products ---------------
+
+# the non-monomial oscillator parameters of the two --osc-* series goldens
+_GOLDEN_OSC = {
+    "a1": OscParams(parse_qscalar("(1 + t^6)/(1)"),
+                    [parse_qscalar("(2 + t^18)/(1 - t^6)")],
+                    [Fraction(1, 3)]),
+    "a2": OscParams(parse_qscalar("(3)/(1 + t^12)"),
+                    [parse_qscalar("(1 + t^6)/(1)"),
+                     parse_qscalar("(t^12 - 5)/(1)")],
+                    [Fraction(1, 3), Fraction(0), Fraction(2)]),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("side", ["chi", "psi"])
+@pytest.mark.parametrize("algebra, family", [("a1", 1), ("a2", 1),
+                                             ("a2", 2)])
+@pytest.mark.parametrize("golden", [False, True], ids=["default", "osc"])
+def test_rendered_monomials_equal_the_ladder_products(algebra, family, side,
+                                                      d, golden):
+    # each generator is one monomial read state by state; on d states per
+    # copy it renders to the truncated product of ladder matrices, and h_i
+    # to the Cartan diagonal
+    params = _GOLDEN_OSC[algebra] if golden else None
+    build = chi_images if side == "chi" else psi_images
+    img = render(build(algebra, 2, 1, 0, family=family, params=params), d)
+    mats, h = oscillator_matrices(side, algebra, d, family, params)
+    got, missing = ((img.e_mats, img.f_mats) if side == "chi"
+                    else (img.f_mats, img.e_mats))
+    assert got == mats
+    assert missing == [None] * len(mats)
+    assert img.h_diags == h
+    copies = 1 if algebra == "a1" else 2
+    assert (img.dim, img.fock_dim, img.copies) == (d ** copies, d, copies)

@@ -7,7 +7,9 @@ import pytest
 
 from qaffine import verify
 from qaffine.rational import ZetaRational
-from qaffine.reference import l_table, list_variants, reference_matrix
+from qaffine.reference import (
+    exponent_tuple, l_table, list_variants, reference_matrix,
+)
 from product_builders import _l_a1, _l_a2, tau_matrix
 
 pytestmark = pytest.mark.oracle
@@ -16,10 +18,6 @@ L_VARIANTS = [(algebra, v) for kind, algebra, v in list_variants()
               if kind == "l"]
 TABLED = [(algebra, v) for algebra, v in L_VARIANTS if v != "hat-2-inv"]
 SPECTRAL = (1, -1, 2, -2, 3, -3)
-
-
-def _exps(algebra, s, s1, s2):
-    return (s, s1) if algebra == "a1" else (s, s1, s2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -51,7 +49,7 @@ def test_tau_of_a_table_is_the_metric_weighted_transpose(algebra, variant):
 @pytest.mark.parametrize("algebra, variant", TABLED)
 def test_tau_is_an_involution_on_every_table(algebra, variant):
     for s in SPECTRAL:
-        table = l_table(algebra, variant, _exps(algebra, s, 1, -1))
+        table = l_table(algebra, variant, exponent_tuple(algebra, s, 1, -1))
         image = table.tau()
         assert image.tau() == table
         # the divisor 1 - zeta^s goes to 1 - zeta^-s

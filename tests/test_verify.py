@@ -3,7 +3,8 @@ import json
 import pytest
 
 import derivation_factors
-from qaffine import oscillator, rational, reference, scalars, verify
+from product_builders import FockCopies
+from qaffine import rational, reference, scalars, verify
 from qaffine.cli import main
 from qaffine.linalg import (
     OpMatrix, Grid, grid_akp, hat_and_check, fock_window, kron,
@@ -220,7 +221,7 @@ def test_gauge_map_matches_products_with_diagonal_matrices(family, algebra,
         assert got == expect
         return
     s_exps = (s1,) if algebra == "a1" else (s1, s2)
-    states = oscillator.FockCopies(d, len(s_exps)).states
+    states = FockCopies(d, len(s_exps)).states
 
     def gamma(var, sign):
         return OpMatrix.diagonal(
