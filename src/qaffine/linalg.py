@@ -47,11 +47,6 @@ class OpMatrix:
             raise ValueError("matrix unit index out of range")
         return OpMatrix(dim, {(a - 1, b - 1): one}, one, _clean=True)
 
-    @staticmethod
-    def diagonal(values, one):
-        return OpMatrix(len(values), {(i, i): v for i, v in enumerate(values) if v},
-                        one, _clean=True)
-
     # -- access ------------------------------------------------------------
 
     def entry(self, i, j):
@@ -138,13 +133,6 @@ class OpMatrix:
     def map_values(self, fn, one=None):
         return OpMatrix(self.dim, {ij: fn(v) for ij, v in self.entries.items()},
                         one if one is not None else self.one)
-
-    def transpose(self):
-        return OpMatrix(self.dim, {(j, i): v for (i, j), v in self.entries.items()},
-                        self.one, _clean=True)
-
-    def commutator(self, other):
-        return self * other - other * self
 
     # -- comparison ------------------------------------------------------------
 
@@ -337,11 +325,6 @@ class Grid:
             self.entries = entries
         else:
             self.entries = {ab: m for ab, m in entries.items() if m}
-
-    @staticmethod
-    def identity(n, op_dim, one):
-        eye = OpMatrix.identity(op_dim, one)
-        return Grid(n, {(a, a): eye for a in range(n)}, op_dim, one, _clean=True)
 
     def entry(self, a, b):
         m = self.entries.get((a, b))

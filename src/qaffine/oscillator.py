@@ -13,16 +13,12 @@ assembled forms are transcribed in the reference module, where the
 anti-involution tau (a <-> a-dagger) acts on the tables, not on matrices.
 """
 
-import itertools
 from collections import namedtuple
 
 from .scalars import QScalar, q_power
 from .qgroup import _exps_for
 
-__all__ = [
-    "Monomial", "OscImage", "chi_images", "psi_images",
-    "osc_automorphism", "OscParams",
-]
+__all__ = ["Monomial", "OscImage", "chi_images", "psi_images", "OscParams"]
 
 ONE = QScalar.ONE
 
@@ -149,52 +145,3 @@ def psi_images(algebra, s, s1, s2=0, family=1, params=None, zeta_scale=1):
              Monomial(mu1, (-1, 0), (nu1, nu2)),
              Monomial(mu2, (0, -1), (nu2 + shift, nu3))]
     return _image(algebra, [None] * len(f), f, s, s1, s2, zeta_scale)
-
-
-# -- automorphisms -------------------------------------------------------------
-
-def osc_automorphism(d, kappas, xis, one=ONE):
-    """Conjugating weights (rows, cols) of a_i -> kappa_i a_i q^(xi_i . D)
-    on one or two copies of d states: the image of m is m.scaled(rows,
-    cols).  `kappas` are invertible scalars of the kind of `one`, one per
-    copy; `xis` is the symmetric xi by its upper triangle, (xi,) or
-    (xi11, xi12, xi22), in sixth-integers.  State n gets the row weight
-    prod_i kappa_i^(-n_i) q^(-E(n)) with E(n) = sum_i xi_ii n_i (n_i + 1) / 2
-    + sum_(i<j) xi_ij n_i n_j, and its inverse as column weight.  At xi = 0
-    this is the spectral gauge map.
-    """
-    if not all(kappas):
-        raise ValueError("kappa must be invertible")
-    copies = len(kappas)
-    pairs = [(i, j) for i in range(copies) for j in range(i, copies)]
-    rows = _over_states([_powers(k.inverse(), d, one) for k in kappas])
-    cols = _over_states([_powers(k, d, one) for k in kappas])
-    for idx, n in enumerate(itertools.product(range(d), repeat=copies)):
-        e = sum(x * (n[i] * (n[i] + 1) // 2 if i == j else n[i] * n[j])
-                for x, (i, j) in zip(xis, pairs))
-        if e:
-            rows[idx] = rows[idx] * _lift(q_power(-e), one)
-            cols[idx] = cols[idx] * _lift(q_power(e), one)
-    return rows, cols
-
-
-def _powers(x, d, one):
-    """[1, x, ..., x^(d-1)]."""
-    out = [one]
-    for _ in range(d - 1):
-        out.append(out[-1] * x)
-    return out
-
-
-def _over_states(per_copy):
-    """Weights over the states of len(per_copy) copies, in flat index
-    order: the product over copies i of per_copy[i][n_i]."""
-    out = per_copy[0]
-    for weights in per_copy[1:]:
-        out = [w * x for w in out for x in weights]
-    return list(out)
-
-
-def _lift(v, one):
-    """The Q(t) value v as a value of the scalar kind of `one`."""
-    return v if isinstance(one, QScalar) else one.scale(v)

@@ -226,14 +226,6 @@ class ZetaRational:
 
     # -- constructors ------------------------------------------------------
 
-    @staticmethod
-    def const(c):
-        return ZetaRational({0: c} if c else {}, _canonical=True)
-
-    @staticmethod
-    def monomial(deg, c=QScalar.ONE):
-        return ZetaRational({deg: c} if c else {}, _canonical=True)
-
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self):

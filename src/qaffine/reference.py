@@ -28,10 +28,9 @@ from operator import mul
 from .scalars import (
     QScalar, _ONE_POLY, _p_add, _p_mul, q_power, t_power,
 )
-from .series import ZetaSeries, series_exp, lambda_level
+from .series import ZetaSeries, lambda_level
 from .rational import ZetaRational
 from .linalg import OpMatrix, Grid, kron
-from .oscillator import osc_automorphism
 
 __all__ = [
     "PrefactorTag", "ReferenceObject", "LTable", "reference_matrix",
@@ -61,11 +60,6 @@ class PrefactorTag:
         self.terms = tuple(sorted((n, sc, arg, sg)
                                   for (n, sc, arg), sg in merged.items() if sg))
 
-    def inverse(self):
-        return PrefactorTag(-self.t_power,
-                            tuple((n, sc, arg, -sg)
-                                  for (n, sc, arg, sg) in self.terms))
-
     def subs_zeta_power(self, k):
         return PrefactorTag(self.t_power,
                             tuple((n, sc, arg * k, sg)
@@ -85,12 +79,6 @@ class PrefactorTag:
             for _ in range(abs(sg)):
                 total = total + lam if sg > 0 else total - lam
         return total
-
-    def to_series(self, order):
-        out = series_exp(self.log_series(order))
-        if self.t_power:
-            out = out.scale(t_power(self.t_power))
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, PrefactorTag):
@@ -123,20 +111,15 @@ class ReferenceObject:
     def leg_dim(self):
         return 2 if self.algebra == "a1" else 3
 
-    def expand(self, order, include_tag=True):
-        """Flattened series matrix; L-operators flatten with the oscillator
-        leg slowest for hat type and fastest for check type."""
+    def expand(self, order):
+        """Flattened series matrix without the tag; L-operators flatten with
+        the oscillator leg slowest for hat type and fastest for check
+        type."""
+        expanded = self.matrix.map_values(lambda v: v.to_series(order),
+                                          ZetaSeries.one(order))
         if self.kind == "r":
-            flat = self.matrix.map_values(lambda v: v.to_series(order),
-                                          ZetaSeries.one(order))
-        else:
-            grid = self.matrix.map_values(lambda v: v.to_series(order),
-                                          ZetaSeries.one(order))
-            flat = grid.flatten(op_leg_first=(self.l_type == "hat"))
-        if include_tag and not self.tag.is_trivial():
-            pref = self.tag.to_series(order)
-            flat = flat.map_values(lambda s: (s * pref).truncate(order))
-        return flat
+            return expanded
+        return expanded.flatten(op_leg_first=(self.l_type == "hat"))
 
     def __repr__(self):
         return "ReferenceObject(%s, %s, %s, exps=%s)" % (
@@ -457,15 +440,6 @@ def _reflected_inverse(grid):
     """The inverse grid at reflected argument zeta -> 1/zeta."""
     return grid_inverse(grid).map_values(lambda v: v.subs_power(-1),
                                          ZetaRational.ONE)
-
-
-def apply_two_copy_normalization(grid, d):
-    """The oscillator-pair rescaling a_i -> q^-1 a_i q^(2 D_i), realized by
-    conjugation on the truncated Fock pair, applied entrywise."""
-    kappa = ZetaRational.const(q_power(-1))
-    rows, cols = osc_automorphism(d, (kappa, kappa), (2, 0, 2),
-                                  one=ZetaRational.ONE)
-    return grid.map_ops(lambda m: m.scaled(rows, cols))
 
 
 # -- spectral-linear decomposition -------------------------------------------

@@ -3,13 +3,14 @@
 Roots are integer vectors over the finite simple roots together with a
 multiple of the null root delta; the module produces the positive roots up
 to a delta cutoff in the specific total order the ordered-product
-construction expects and knows the bilinear form and coroot decomposition.
+construction expects.  Whether that order is a normal order is checked by
+the tests, not here.
 """
 
 from fractions import Fraction
 
 __all__ = ["CartanData", "AffineRoot", "extend_cartan", "positive_roots",
-           "finite_cartan", "finite_positive", "normal_order_check"]
+           "finite_cartan", "finite_positive"]
 
 
 class CartanData:
@@ -105,12 +106,6 @@ class AffineRoot:
             list(self.finite_part), self.delta_mult, self.kind)
 
 
-def bilinear(finite, ra, rb):
-    """Bilinear form of two affine roots; delta pairs to zero with all."""
-    return sum(ra.finite_part[i] * rb.finite_part[j] * finite.pairing(i, j)
-               for i in range(finite.rank) for j in range(finite.rank))
-
-
 def finite_positive(label):
     """Finite positive roots in the order the interleavings use."""
     if label == "a1":
@@ -156,45 +151,3 @@ def positive_roots(affine, delta_cutoff):
             out.append(AffineRoot((-1, -1), m + 1, "real_minus"))
         return out
     raise ValueError("unsupported algebra label: %r" % (affine.label,))
-
-
-def normal_order_check(roots):
-    """Both normal-order conditions on a generated sequence.
-
-    (a) real-plus roots come before imaginary roots before real-minus ones
-    for every finite positive root; (b) whenever a root in the list is the
-    sum of two others, it sits strictly between them.
-    """
-    pos = {r.coords(): i for i, r in enumerate(roots)}
-    kinds = [r.kind for r in roots]
-    first_imag = min((i for i, k in enumerate(kinds) if k == "imaginary"),
-                     default=len(roots))
-    last_imag = max((i for i, k in enumerate(kinds) if k == "imaginary"),
-                    default=-1)
-    for i, k in enumerate(kinds):
-        if k == "real_plus" and i > first_imag:
-            return False
-        if k == "real_minus" and i < last_imag:
-            return False
-    n = len(roots)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = roots[i], roots[j]
-            if _proportional(a, b):
-                continue
-            key = (tuple(x + y for x, y in zip(a.finite_part, b.finite_part)),
-                   a.delta_mult + b.delta_mult)
-            k = pos.get(key)
-            if k is not None and not (i < k < j):
-                return False
-    return True
-
-
-def _proportional(a, b):
-    va = a.finite_part + (a.delta_mult,)
-    vb = b.finite_part + (b.delta_mult,)
-    for i in range(len(va)):
-        for j in range(i + 1, len(va)):
-            if va[i] * vb[j] != va[j] * vb[i]:
-                return False
-    return True

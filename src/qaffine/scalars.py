@@ -19,8 +19,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 __all__ = [
-    "QScalar", "q_power", "t_power", "qint", "qint_factorial", "qbinom",
-    "parse_qscalar",
+    "QScalar", "q_power", "t_power", "qint", "parse_qscalar",
 ]
 
 
@@ -452,13 +451,6 @@ class QScalar:
     def scale(self, f):
         return self * QScalar.from_fraction(f)
 
-    # -- substitutions ---------------------------------------------------
-
-    def subs_t_inverse(self):
-        """The bar involution t -> t^-1 (hence q -> q^-1)."""
-        return QScalar({-k: c for k, c in self.num.items()},
-                       {-k: c for k, c in self.den.items()})
-
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other):
@@ -579,19 +571,6 @@ def qint_base(n, base_t_exp):
     p = {k: c for k, c in p.items() if c}
     out = QScalar(p)
     return out if sign > 0 else -out
-
-
-def qint_factorial(n):
-    out = ONE
-    for k in range(1, n + 1):
-        out = out * qint(k)
-    return out
-
-
-def qbinom(n, m):
-    if m < 0 or m > n:
-        return ZERO
-    return qint_factorial(n) / (qint_factorial(m) * qint_factorial(n - m))
 
 
 # -- parsing of the canonical string form ------------------------------------

@@ -5,7 +5,8 @@ Every check returns a Verdict carrying the first failing coefficient when
 something breaks; nothing here is numerical.  Each identity that genuinely
 involves two spectral parameters is homogeneous, so its one-variable
 entries are first multiplied by one common factor that clears every
-denominator, in zeta and in t; it is then a polynomial identity in
+denominator in zeta.  No coefficient of a catalog check keeps a
+denominator in t after that, so the identity is then one in
 Z[t^(+-1)][u^(+-1), v^(+-1)], checked exactly in that ring on integer
 coefficients, with no division and no gcd, each term c u^i v^j t^k under
 one packed integer key (exponents below 2^16 in size, see `_Laurent2`).
@@ -14,19 +15,20 @@ with no state is refused.
 """
 
 import functools
+import itertools
 import time
+from operator import mul
 
-from .scalars import QScalar, _ONE_POLY, _p_exquo, _p_mul, t_power
+from .scalars import QScalar, _ONE_POLY, q_power, t_power
 from .series import ZetaSeries, series_exp
 from .rational import ZetaRational, _exquo, _mul
 from .linalg import (
     OpMatrix, Grid, grid_akp, hat_and_check, embed_legs, kron, fock_window,
     window_product,
 )
-from .oscillator import osc_automorphism
 from .reference import (
-    reference_matrix, r0_hat_matrix, decompose_L, grid_inverse,
-    scan_linear_exponents, l_table, exponent_tuple, _reflected_inverse,
+    reference_matrix, r0_hat_matrix, decompose_L, scan_linear_exponents,
+    l_table, exponent_tuple, _reflected_inverse,
 )
 from .engine import EngineParams, assemble
 
@@ -271,7 +273,7 @@ def check_engine(kind, algebra, variant="plain", s=1, s1=0, s2=0, order=8,
     ref = reference_matrix(kind, algebra, variant, s, s1, s2, d=d)
     params = engine_params_for(kind, algebra, variant, s, s1, s2, order, d)
     a00, engine_mat = assemble(params, split_prefactor=True)
-    ref_mat = ref.expand(order, include_tag=False)
+    ref_mat = ref.expand(order)
     # both splits are exact; they may anchor the common scalar differently,
     # so compare through the unit ratio of the two prefactors
     ratio = _tag_ratio(ref.tag, a00, order)
@@ -341,13 +343,13 @@ def _values(objs):
 
 def _cleared(*objs):
     """`objs` (matrices or grids over one-variable rationals), each times
-    one common factor: the lcm C of all their zeta-denominators, times the
-    lcm T in Z[t] of the t-denominators of the coefficients that leaves.
-    The relations checked here are homogeneous, so no verdict changes, and
-    every entry becomes a polynomial over Z[t^(+-1)] that `_lift` takes into
-    two variables.  n / D times C is n (C / D) and p / D times T is
-    p (T / D), one exact quotient per distinct D and no gcd per entry (T / D
-    is integral by Gauss's lemma); a polynomial's form is unique."""
+    one common factor: the lcm C of all their zeta-denominators.  The
+    relations checked here are homogeneous, so no verdict changes, and on
+    the closed forms every entry becomes a polynomial over Z[t^(+-1)] that
+    `_lift` takes into two variables; a coefficient left with a denominator
+    in t makes `_lift` raise ValueError.  n / D times C is n (C / D), one
+    exact quotient per distinct D and no gcd per entry; a polynomial's form
+    is unique."""
     dens = {frozenset(v.den.items()): v.den for v in _values(objs)
             if not v.is_polynomial()}
     if dens:
@@ -359,17 +361,6 @@ def _cleared(*objs):
         objs = [obj.map_values(lambda v: ZetaRational(_mul(v.num, quo.get(
             frozenset(v.den.items()), common.num)), _canonical=True))
             for obj in objs]
-    dens = {frozenset(c.den.items()): c.den for v in _values(objs)
-            for c in v.num.values() if c.den is not _ONE_POLY}
-    if dens:
-        common = ONE
-        for den in dens.values():
-            common = common * QScalar(QScalar(common.num, den).den)
-        quo = {key: _p_exquo(common.num, den) for key, den in dens.items()}
-        objs = [obj.map_values(lambda v: ZetaRational({
-            e: QScalar(_p_mul(c.num, quo.get(frozenset(c.den.items()),
-                                             common.num)), _canonical=True)
-            for e, c in v.num.items()}, _canonical=True)) for obj in objs]
     return list(objs)
 
 
@@ -460,11 +451,13 @@ def _gauge_weights(algebra, s1, s2, var):
 
 def _gamma(d, s_exponents, var):
     """Conjugating weights of the spectral gauge map on the Fock states of
-    one copy per exponent: operator entry (row, col) picks up
-    var^(sum_i s_i (row_i - col_i))."""
-    k = len(s_exponents)
-    return osc_automorphism(d, [_monomial(var, -x) for x in s_exponents],
-                            (0,) * (k * (k + 1) // 2), one=_Laurent2.ONE)
+    one copy per exponent, the first copy slowest: state n weighs
+    var^(s . n) as a row and its inverse as a column, so operator entry
+    (row, col) picks up var^(sum_i s_i (row_i - col_i))."""
+    weights = [sum(map(mul, s_exponents, n)) for n in
+               itertools.product(range(d), repeat=len(s_exponents))]
+    return ([_monomial(var, w) for w in weights],
+            [_monomial(var, -w) for w in weights])
 
 
 def _gauged(family, algebra, s1, s2, base, d):
@@ -546,12 +539,9 @@ def check_structure(algebra, d=8):
     if window_product(Grid.__mul__, pi, pi, keep) != pi.restrict(keep):
         failures.append("hat projector not idempotent")
     r0h = r0_hat_matrix(n)
-    # invert the constant matrix as a grid of 1 x 1 operators
-    inv = grid_inverse(Grid(r0h.dim, {ij: OpMatrix(1, {(0, 0): v}, ONE)
-                                      for ij, v in r0h.entries.items()},
-                            1, ONE))
-    r0h_inv = OpMatrix(r0h.dim, {ij: m.entry(0, 0)
-                                 for ij, m in inv.entries.items()}, ONE)
+    # the Hecke relation (R0 - q)(R0 + q^-1) = 0 gives the inverse
+    r0h_inv = r0h - OpMatrix.identity(n * n, ONE).scale(q_power(1)
+                                                        - q_power(-1))
     # equal-sign relations, then the mixed one; with the degenerate part
     # upper-triangular the mixed pairing couples the minus part first, and
     # the reversed pairing holds with the inverse constant matrix

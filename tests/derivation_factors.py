@@ -9,6 +9,7 @@ from qaffine.scalars import QScalar, q_power
 from qaffine.rational import ZetaRational
 from qaffine.linalg import OpMatrix
 from product_builders import FockCopies, _grid, _zmat
+from oracles import diagonal_matrix, zeta_monomial
 
 ONE = QScalar.ONE
 
@@ -36,7 +37,7 @@ def _eye_z(dim):
 def _geom_inv(o, fn, s):
     """Diagonal (1 - fn(n) zeta^s)^-1 over the Fock states n of o, for
     nonzero fn(n)."""
-    return OpMatrix.diagonal(
+    return diagonal_matrix(
         [ZetaRational({0: ONE}, {0: ONE, s: -fn(*n)}) for n in o.states],
         ZetaRational.ONE)
 
@@ -51,7 +52,7 @@ def _unipotent(n, ab, x, op_dim):
 def _mono_mat(dim, k):
     if k == 0:
         return _eye_z(dim)
-    return _eye_z(dim).scale(ZetaRational.monomial(k))
+    return _eye_z(dim).scale(zeta_monomial(k))
 
 
 def _factors_a1(variant, s, s1, d):
@@ -68,7 +69,7 @@ def _factors_a1(variant, s, s1, d):
         ]
     geom = _geom_inv(o, lambda n: q_power(2 * n), s)
     geom_up = _geom_inv(o, lambda n: q_power(2 * n + 2), s)
-    one_minus = ZetaRational.ONE - ZetaRational.monomial(s)
+    one_minus = ZetaRational.ONE - zeta_monomial(s)
     return [
         _unipotent(2, (0, 1), _zmat(a, s1) * geom, d),
         _grid(2, {(0, 0): geom_up.scale(one_minus),
@@ -95,16 +96,16 @@ def _factors_a2(variant, s, s1, s2, d):
                        * _mono_mat(dim, s2), dim),
             _grid(3, {(0, 0): one_z,
                       (1, 1): one_z - _zmat(qq(0, -2), s).scale(
-                          ZetaRational.const(q_power(-2))),
+                          zeta_monomial(0, q_power(-2))),
                       (2, 2): geom_d.scale(ZetaRational.ONE
-                                           - ZetaRational.monomial(s))},
+                                           - zeta_monomial(s))},
                   dim),
             _unipotent(3, (1, 2), (_zmat(a2 * qq(-1, -2)) * geom_d
                                    * _mono_mat(dim, s - s2)).scale(
                                        -ZetaRational.ONE),
                        dim),
             _unipotent(3, (0, 1), _zmat(a1 * qq(0, -2), s - s1).scale(
-                ZetaRational.const(q_power(-2))), dim),
+                zeta_monomial(0, q_power(-2))), dim),
             _unipotent(3, (0, 2), _zmat(a1 * a2 * qq(-1, -2), s - s1 - s2),
                        dim),
             cartan,
@@ -117,14 +118,14 @@ def _factors_a2(variant, s, s1, s2, d):
                                * geom).scale(-ZetaRational.ONE), dim),
         _unipotent(3, (1, 2), _zmat(a2 * qq(1, 0), s2), dim),
         _grid(3, {(0, 0): geom_up.scale(ZetaRational.ONE
-                                        - ZetaRational.monomial(s)),
+                                        - zeta_monomial(s)),
                   (1, 1): one_z - _zmat(qq(2, 0), s),
                   (2, 2): one_z}, dim),
         _unipotent(3, (2, 1), _zmat(a2d * qq(1, -2), s - s2).scale(
-            ZetaRational.const(-q_power(-2))), dim),
+            zeta_monomial(0, -q_power(-2))), dim),
         _unipotent(3, (1, 0), _zmat(a1d, s - s1) * geom_up, dim),
         _unipotent(3, (2, 0), (_zmat(a1d * a2d * qq(-1, -2), s - s1 - s2)
                                * geom_up).scale(
-                                   ZetaRational.const(q_power(-3))), dim),
+                                   zeta_monomial(0, q_power(-3))), dim),
         cartan,
     ]

@@ -1,0 +1,302 @@
+"""Checks of the construction itself, which only the tests run.
+
+The commands of `qaffine` build R-matrices and L-operators and prove their
+identities; nothing they run asks whether the generator images satisfy the
+defining and Serre relations, whether the root sequence is a normal order,
+or whether a dumped object parses back.  Those questions are answered
+here, as oracles for the program:
+
+* the defining relations of a generator image, with the Serre relations
+  in both shapes, and the transfer of e_i to f_i by the bar involution;
+* the q-factorials and q-binomials the Serre words need;
+* both normal-order conditions on a root sequence, and the bilinear form;
+* the full scalar prefactor of a closed form as a series, and its
+  reciprocal;
+* parsers that read back what `qaffine.serialize` dumps;
+* the constructors and products the checks above and the test matrices
+  are written with: identity grids, diagonal matrices, transposes,
+  commutators, and zeta^k c as a one-variable rational.
+"""
+
+from qaffine.scalars import QScalar, parse_qscalar, q_power, qint, t_power
+from qaffine.series import ZetaSeries, series_exp
+from qaffine.rational import ZetaRational
+from qaffine.linalg import OpMatrix, Grid, fock_window
+from qaffine.rootsys import extend_cartan, finite_cartan
+from qaffine.reference import PrefactorTag
+
+ONE = QScalar.ONE
+ZERO = QScalar.ZERO
+
+
+def zeta_monomial(deg, c=ONE):
+    """zeta^deg c as a ZetaRational."""
+    return ZetaRational({deg: c} if c else {}, _canonical=True)
+
+
+def grid_identity(n, op_dim, one):
+    """The n x n grid with the identity operator down its diagonal."""
+    eye = OpMatrix.identity(op_dim, one)
+    return Grid(n, {(a, a): eye for a in range(n)}, op_dim, one, _clean=True)
+
+
+def diagonal_matrix(values, one):
+    """The diagonal matrix with `values` down the diagonal."""
+    return OpMatrix(len(values), {(i, i): v for i, v in enumerate(values)
+                                  if v}, one, _clean=True)
+
+
+def transpose(m):
+    return OpMatrix(m.dim, {(j, i): v for (i, j), v in m.entries.items()},
+                    m.one, _clean=True)
+
+
+def commutator(a, b):
+    return a * b - b * a
+
+
+# -- q-numbers ----------------------------------------------------------------
+
+def qint_factorial(n):
+    out = ONE
+    for k in range(1, n + 1):
+        out = out * qint(k)
+    return out
+
+
+def qbinom(n, m):
+    if m < 0 or m > n:
+        return ZERO
+    return qint_factorial(n) / (qint_factorial(m) * qint_factorial(n - m))
+
+
+def subs_t_inverse(x):
+    """The bar involution t -> t^-1 (hence q -> q^-1) of a QScalar."""
+    return QScalar({-k: c for k, c in x.num.items()},
+                   {-k: c for k, c in x.den.items()})
+
+
+# -- generator images ---------------------------------------------------------
+
+class ScaledOp:
+    """A matrix carrying an explicit power of the spectral variable."""
+
+    __slots__ = ("zexp", "mat")
+
+    def __init__(self, zexp, mat):
+        self.zexp = zexp
+        self.mat = mat
+
+    def __eq__(self, other):
+        if not isinstance(other, ScaledOp):
+            return NotImplemented
+        if not self.mat and not other.mat:
+            return True
+        return self.zexp == other.zexp and self.mat == other.mat
+
+    def __repr__(self):
+        return "ScaledOp(z^%d, %r)" % (self.zexp, self.mat)
+
+
+def h_mat(image, i):
+    """h_i of a `qgroup.GeneratorImage` as a diagonal matrix."""
+    return diagonal_matrix([QScalar.from_int(v) for v in image.h_diags[i]],
+                           ONE)
+
+
+def q_power_h(image, i, power=1):
+    """Diagonal matrix q^(power * h_i)."""
+    return diagonal_matrix([q_power(power * v) for v in image.h_diags[i]],
+                           ONE)
+
+
+def e_op(image, i):
+    m = image.e_mats[i]
+    return None if m is None else ScaledOp(image.exps[i], m)
+
+
+def f_op(image, i):
+    m = image.f_mats[i]
+    return None if m is None else ScaledOp(-image.exps[i], m)
+
+
+def _serre_words(ei, ej, a_ij):
+    """sum_k (-1)^k qbinom(1 - a_ij, k) ei^(n-k) ej ei^k with n = 1 - a_ij."""
+    n = 1 - a_ij
+    powers = [OpMatrix.identity(ei.dim, ONE)]
+    for _ in range(n):
+        powers.append(powers[-1] * ei)
+    out = OpMatrix.zero(ei.dim, ONE)
+    for k in range(n + 1):
+        c = qbinom(n, k)
+        if k % 2 == 1:
+            c = -c
+        out = out + (powers[n - k] * ej * powers[k]).scale(c)
+    return out
+
+
+def check_defining_relations(image, fock=None):
+    """Verify the defining relations of a `qgroup.GeneratorImage`.
+
+    Returns the list of violated relation names; empty means everything
+    holds.  The [e_i, f_j] relation is checked only when both Borel halves
+    are present.  `fock` is (d, copies) for an image rendered on `copies`
+    Fock factors of d states each: a relation is then compared on the
+    states from which its words cannot climb past the truncation.
+    """
+    aff = extend_cartan(finite_cartan(image.algebra))
+    n = aff.rank
+    failures = []
+
+    def check(name, mat, letters):
+        # a word of `letters` ladder letters climbs at most that many levels
+        if fock is not None:
+            mat = mat.restrict(fock_window(fock[0], fock[1], letters))
+        if mat:
+            failures.append(name)
+
+    for i in range(n):
+        for j in range(n):
+            a_ij = aff.matrix[i][j]
+            hi = h_mat(image, i)
+            if image.e_mats[j] is not None:
+                ej = image.e_mats[j]
+                check("[h_%d, e_%d] = a_ij e_%d" % (i, j, j),
+                      commutator(hi, ej) - ej.scale(QScalar.from_int(a_ij)), 1)
+            if image.f_mats[j] is not None:
+                fj = image.f_mats[j]
+                check("[h_%d, f_%d] = -a_ij f_%d" % (i, j, j),
+                      commutator(hi, fj) + fj.scale(QScalar.from_int(a_ij)), 1)
+            if image.e_mats[i] is not None and image.f_mats[j] is not None:
+                lhs = commutator(image.e_mats[i], image.f_mats[j])
+                if i == j:
+                    qh = q_power_h(image, i)
+                    qmh = q_power_h(image, i, -1)
+                    denom = (q_power(1) - q_power(-1)).inverse()
+                    lhs = lhs - (qh - qmh).scale(denom)
+                check("[e_%d, f_%d]" % (i, j), lhs, 2)
+            if (i != j and image.e_mats[i] is not None
+                    and image.e_mats[j] is not None):
+                check("serre e_%d e_%d" % (i, j),
+                      _serre_words(image.e_mats[i], image.e_mats[j], a_ij),
+                      2 - a_ij)
+            if (i != j and image.f_mats[i] is not None
+                    and image.f_mats[j] is not None):
+                check("serre f_%d f_%d" % (i, j),
+                      _serre_words(image.f_mats[i], image.f_mats[j], a_ij),
+                      2 - a_ij)
+    return failures
+
+
+def check_omega_transfer(image):
+    """Transposing e_i and applying t -> 1/t, zeta -> 1/zeta gives f_i."""
+    for i in range(len(image.exps)):
+        e = e_op(image, i)
+        f = f_op(image, i)
+        if e is None or f is None:
+            return False
+        mapped = ScaledOp(-e.zexp, transpose(e.mat).map_values(subs_t_inverse))
+        if mapped != f:
+            return False
+    return True
+
+
+# -- roots --------------------------------------------------------------------
+
+def bilinear(finite, ra, rb):
+    """Bilinear form of two affine roots; delta pairs to zero with all."""
+    return sum(ra.finite_part[i] * rb.finite_part[j] * finite.pairing(i, j)
+               for i in range(finite.rank) for j in range(finite.rank))
+
+
+def normal_order_check(roots):
+    """Both normal-order conditions on a generated sequence.
+
+    (a) real-plus roots come before imaginary roots before real-minus ones
+    for every finite positive root; (b) whenever a root in the list is the
+    sum of two others, it sits strictly between them.
+    """
+    pos = {r.coords(): i for i, r in enumerate(roots)}
+    kinds = [r.kind for r in roots]
+    first_imag = min((i for i, k in enumerate(kinds) if k == "imaginary"),
+                     default=len(roots))
+    last_imag = max((i for i, k in enumerate(kinds) if k == "imaginary"),
+                    default=-1)
+    for i, k in enumerate(kinds):
+        if k == "real_plus" and i > first_imag:
+            return False
+        if k == "real_minus" and i < last_imag:
+            return False
+    n = len(roots)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = roots[i], roots[j]
+            if _proportional(a, b):
+                continue
+            key = (tuple(x + y for x, y in zip(a.finite_part, b.finite_part)),
+                   a.delta_mult + b.delta_mult)
+            k = pos.get(key)
+            if k is not None and not (i < k < j):
+                return False
+    return True
+
+
+def _proportional(a, b):
+    va = a.finite_part + (a.delta_mult,)
+    vb = b.finite_part + (b.delta_mult,)
+    for i in range(len(va)):
+        for j in range(i + 1, len(va)):
+            if va[i] * vb[j] != va[j] * vb[i]:
+                return False
+    return True
+
+
+# -- prefactor tags -----------------------------------------------------------
+
+def tag_inverse(tag):
+    """The reciprocal t^-p exp(-T) of a `reference.PrefactorTag`."""
+    return PrefactorTag(-tag.t_power, tuple(
+        (n, sc, arg, -sg) for (n, sc, arg, sg) in tag.terms))
+
+
+def tag_series(tag, order):
+    """The prefactor t^p exp(T) of a `reference.PrefactorTag`, expanded."""
+    return series_exp(tag.log_series(order)).scale(t_power(tag.t_power))
+
+
+# -- reading back the JSON forms of `qaffine.serialize` -----------------------
+
+def parse_series(blob):
+    return ZetaSeries({t["deg"]: parse_qscalar(t["coeff"])
+                       for t in blob["coeffs"]},
+                      blob["order"], blob["min_deg"])
+
+
+def parse_rational(blob):
+    return ZetaRational({d: parse_qscalar(c) for d, c in blob["num"]},
+                        {d: parse_qscalar(c) for d, c in blob["den"]})
+
+
+_KIND_PARSERS = {"series": parse_series, "rational": parse_rational}
+
+
+def parse_matrix(blob):
+    kind = blob["scalar"]
+    entries = {(e["i"], e["j"]): _KIND_PARSERS[kind](e["value"])
+               for e in blob["entries"]}
+    if kind == "series":
+        one = ZetaSeries.one(blob["entries"][0]["value"]["order"]
+                             if blob["entries"] else 0)
+    else:
+        one = ZetaRational.ONE
+    return OpMatrix(blob["dim"], entries, one)
+
+
+def parse_grid(blob):
+    entries = {}
+    one = ZetaRational.ONE
+    for e in blob["entries"]:
+        m = parse_matrix(e["op"])
+        entries[(e["a"], e["b"])] = m
+        one = m.one
+    return Grid(blob["legs"], entries, blob["op_dim"], one)

@@ -1,6 +1,7 @@
 """The truncated Fock matrices of a, a-dagger and q^(c.D), the
-L-operators as products of them, and the anti-involution tau as a
-metric-weighted transpose.
+L-operators as products of them, the anti-involution tau as a
+metric-weighted transpose, and the automorphisms a_i -> kappa_i a_i
+q^(xi_i . D) as diagonal conjugations.
 
 An oracle for `qaffine.reference` and `qaffine.oscillator`: there each
 L-operator is a table of q-oscillator monomials rendered state by state,
@@ -17,8 +18,9 @@ from qaffine.scalars import QScalar, q_power
 from qaffine.rational import ZetaRational
 from qaffine.linalg import Grid, OpMatrix, kron
 from qaffine.qgroup import GeneratorImage
-from qaffine.oscillator import _default_params, _lift, _over_states
+from qaffine.oscillator import _default_params
 from qaffine.reference import PrefactorTag, ReferenceObject
+from oracles import diagonal_matrix, transpose, zeta_monomial
 
 ONE = QScalar.ONE
 
@@ -73,7 +75,7 @@ class FockCopies:
 
     def qd(self, *cs):
         """q^(c_1 D_1 + ... + c_k D_k), one exponent per copy."""
-        return OpMatrix.diagonal(
+        return diagonal_matrix(
             [q_power(sum(c * n for c, n in zip(cs, state)))
              for state in self.states], ONE)
 
@@ -86,7 +88,7 @@ def _states(d, copies):
 
 def _zmat(mat, k=0):
     """Lift a QScalar matrix into zeta-rational values times zeta^k."""
-    return mat.map_values(lambda v: ZetaRational.monomial(k, v),
+    return mat.map_values(lambda v: zeta_monomial(k, v),
                           ZetaRational.ONE)
 
 
@@ -150,11 +152,11 @@ def _l_a2(variant, s, s1, s2, d):
         entries = {
             (0, 0): _zmat(qq(1, 0)),
             (0, 1): _zmat(a1 * qq(-1, -1), s - s1).scale(
-                ZetaRational.const(q_power(-2))),
+                zeta_monomial(0, q_power(-2))),
             (0, 2): _zmat(a1 * a2 * qq(-1, -3), s - s1 - s2),
             (1, 0): _zmat(a1d * qq(1, 0), s1),
             (1, 1): _zmat(qq(-1, 1)) + _zmat(qq(1, -1), s).scale(
-                ZetaRational.const(-q_power(-2))),
+                zeta_monomial(0, -q_power(-2))),
             (1, 2): _zmat(a2 * qq(1, -3), s - s2).scale(-ZetaRational.ONE),
             (2, 1): _zmat(a2d * qq(0, 1), s2),
             (2, 2): _zmat(qq(0, -1)),
@@ -162,10 +164,10 @@ def _l_a2(variant, s, s1, s2, d):
         l_type = "hat"
     elif variant == "hat-2":
         tag = PrefactorTag(0, ((3, 12, s, -1),))
-        den = ZetaRational.ONE - ZetaRational.monomial(s)
+        den = ZetaRational.ONE - zeta_monomial(s)
         entries = {
             (0, 0): _zmat(qq(1, 0)) + _zmat(qq(-1, 0), s).scale(
-                ZetaRational.const(-q_power(-2))),
+                zeta_monomial(0, -q_power(-2))),
             (0, 1): _zmat(a1 * qq(-3, 1), s - s1).scale(-ZetaRational.ONE),
             (0, 2): _zmat(a1 * a2 * qq(-1, -1),
                           s - s1 - s2).scale(-ZetaRational.ONE),
@@ -173,7 +175,7 @@ def _l_a2(variant, s, s1, s2, d):
             (1, 1): _zmat(qq(-1, 1)),
             (1, 2): _zmat(a2 * qq(1, -1), s - s2),
             (2, 0): _zmat(a1d * a2d, s1 + s2).scale(
-                ZetaRational.const(q_power(-1))),
+                zeta_monomial(0, q_power(-1))),
             (2, 1): _zmat(a2d * qq(-2, 1), s2),
             (2, 2): _zmat(qq(0, -1)) + _zmat(qq(0, 1), s).scale(
                 -ZetaRational.ONE),
@@ -187,31 +189,31 @@ def _l_a2(variant, s, s1, s2, d):
             (0, 0): _zmat(qq(1, 0)),
             (0, 1): _zmat(a1 * qq(-1, 1), s1),
             (1, 0): _zmat(a1d * qq(1, -2), s - s1).scale(
-                ZetaRational.const(q_power(-2))),
+                zeta_monomial(0, q_power(-2))),
             (1, 1): _zmat(qq(-1, 1)) + _zmat(qq(1, -1), s).scale(
-                ZetaRational.const(-q_power(-2))),
+                zeta_monomial(0, -q_power(-2))),
             (1, 2): _zmat(a2 * qq(1, -1), s2),
             (2, 0): _zmat(a1d * a2d * qq(0, -2), s - s1 - s2).scale(
-                ZetaRational.const(q_power(-3))),
+                zeta_monomial(0, q_power(-3))),
             (2, 1): _zmat(a2d * qq(0, -1), s - s2).scale(
-                ZetaRational.const(-q_power(-2))),
+                zeta_monomial(0, -q_power(-2))),
             (2, 2): _zmat(qq(0, -1)),
         }
         l_type = "check"
     elif variant == "check-2":
         tag = PrefactorTag(0, ((3, 12, s, -1),))
-        den = ZetaRational.ONE - ZetaRational.monomial(s)
+        den = ZetaRational.ONE - zeta_monomial(s)
         entries = {
             (0, 0): _zmat(qq(1, 0)) + _zmat(qq(-1, 0), s).scale(
-                ZetaRational.const(-q_power(-2))),
+                zeta_monomial(0, -q_power(-2))),
             (0, 1): _zmat(a1 * qq(-1, 1), s1),
             (0, 2): _zmat(a1 * a2 * qq(-1, -1), s1 + s2),
             (1, 0): _zmat(a1d * qq(-1, 0), s - s1).scale(
-                ZetaRational.const(-q_power(-2))),
+                zeta_monomial(0, -q_power(-2))),
             (1, 1): _zmat(qq(-1, 1)),
             (1, 2): _zmat(a2 * qq(-1, -1), s2),
             (2, 0): _zmat(a1d * a2d, s - s1 - s2).scale(
-                ZetaRational.const(-q_power(-1))),
+                zeta_monomial(0, -q_power(-1))),
             (2, 1): _zmat(a2d * qq(0, 1), s - s2),
             (2, 2): _zmat(qq(0, -1)) + _zmat(qq(0, 1), s).scale(
                 -ZetaRational.ONE),
@@ -221,13 +223,13 @@ def _l_a2(variant, s, s1, s2, d):
         l_type = "check"
     elif variant == "check-inv":
         tag = PrefactorTag(0, ((3, -12, -s, -1),))
-        den = ZetaRational.ONE - ZetaRational.monomial(s)
+        den = ZetaRational.ONE - zeta_monomial(s)
         entries = {
-            (0, 0): _zmat(qq(1, 0)).scale(ZetaRational.const(q_power(2)))
+            (0, 0): _zmat(qq(1, 0)).scale(zeta_monomial(0, q_power(2)))
                 + _zmat(qq(-1, 0), s).scale(-ZetaRational.ONE),
             (0, 1): _zmat(a1 * qq(1, 0), s1),
             (0, 2): _zmat(a1 * a2, s1 + s2).scale(
-                ZetaRational.const(q_power(-1))),
+                zeta_monomial(0, q_power(-1))),
             (1, 0): _zmat(a1d * qq(-1, -1), s - s1),
             (1, 1): _zmat(qq(1, -1), s).scale(-ZetaRational.ONE),
             (1, 2): _zmat(a2 * qq(0, -1), s2).scale(-ZetaRational.ONE),
@@ -259,7 +261,7 @@ def tau_matrix(m, d, copies=1):
     for n in range(1, d):
         metric.append(metric[-1] * (ONE - q_power(2 * n)))
     g = _over_states([metric] * copies)
-    return m.transpose().scaled([_lift(v.inverse(), m.one) for v in g],
+    return transpose(m).scaled([_lift(v.inverse(), m.one) for v in g],
                                 [_lift(v, m.one) for v in g])
 
 
@@ -300,7 +302,8 @@ def oscillator_matrices(side, algebra, d, family=1, params=None):
 def render(image, d):
     """An `oscillator.OscImage` as matrices on d states per copy, the first
     copy slowest: each monomial read at every state, and an entry kept
-    where its column state is among them too."""
+    where its column state is among them too.  `oracles.
+    check_defining_relations` takes the result with fock=(d, copies)."""
     states = list(itertools.product(range(d), repeat=image.copies))
     index = {n: i for i, n in enumerate(states)}
 
@@ -315,4 +318,61 @@ def render(image, d):
         image.algebra, len(states),
         [[image.h_at(i, n) for n in states] for i in range(len(image.exps))],
         [matrix(m) for m in image.e_ops], [matrix(m) for m in image.f_ops],
-        image.exps, fock_dim=d, copies=image.copies)
+        image.exps)
+
+
+# -- automorphisms ------------------------------------------------------------
+
+def osc_automorphism(d, kappas, xis, one=ONE):
+    """Conjugating weights (rows, cols) of a_i -> kappa_i a_i q^(xi_i . D)
+    on one or two copies of d states: the image of m is m.scaled(rows,
+    cols).  `kappas` are invertible scalars of the kind of `one`, one per
+    copy; `xis` is the symmetric xi by its upper triangle, (xi,) or
+    (xi11, xi12, xi22), in sixth-integers.  State n gets the row weight
+    prod_i kappa_i^(-n_i) q^(-E(n)) with E(n) = sum_i xi_ii n_i (n_i + 1) / 2
+    + sum_(i<j) xi_ij n_i n_j, and its inverse as column weight.
+    """
+    if not all(kappas):
+        raise ValueError("kappa must be invertible")
+    copies = len(kappas)
+    pairs = [(i, j) for i in range(copies) for j in range(i, copies)]
+    rows = _over_states([_powers(k.inverse(), d, one) for k in kappas])
+    cols = _over_states([_powers(k, d, one) for k in kappas])
+    for idx, n in enumerate(itertools.product(range(d), repeat=copies)):
+        e = sum(x * (n[i] * (n[i] + 1) // 2 if i == j else n[i] * n[j])
+                for x, (i, j) in zip(xis, pairs))
+        if e:
+            rows[idx] = rows[idx] * _lift(q_power(-e), one)
+            cols[idx] = cols[idx] * _lift(q_power(e), one)
+    return rows, cols
+
+
+def _powers(x, d, one):
+    """[1, x, ..., x^(d-1)]."""
+    out = [one]
+    for _ in range(d - 1):
+        out.append(out[-1] * x)
+    return out
+
+
+def _over_states(per_copy):
+    """Weights over the states of len(per_copy) copies, in flat index
+    order: the product over copies i of per_copy[i][n_i]."""
+    out = per_copy[0]
+    for weights in per_copy[1:]:
+        out = [w * x for w in out for x in weights]
+    return list(out)
+
+
+def _lift(v, one):
+    """The Q(t) value v as a value of the scalar kind of `one`."""
+    return v if isinstance(one, QScalar) else one.scale(v)
+
+
+def apply_two_copy_normalization(grid, d):
+    """The oscillator-pair rescaling a_i -> q^-1 a_i q^(2 D_i), realized by
+    conjugation on the truncated Fock pair, applied entrywise."""
+    kappa = zeta_monomial(0, q_power(-1))
+    rows, cols = osc_automorphism(d, (kappa, kappa), (2, 0, 2),
+                                  one=ZetaRational.ONE)
+    return grid.map_ops(lambda m: m.scaled(rows, cols))

@@ -12,9 +12,9 @@ from qaffine.series import ZetaSeries
 from qaffine.rational import ZetaRational
 from qaffine.linalg import OpMatrix, Grid
 from qaffine.serialize import (
-    dump_series, parse_series, dump_rational, parse_rational, dump_matrix,
-    parse_matrix, dump_grid, parse_grid,
+    dump_series, dump_rational, dump_matrix, dump_grid,
 )
+from oracles import parse_series, parse_rational, parse_matrix, parse_grid
 from qaffine.reference import reference_matrix
 
 ONE = QScalar.ONE

@@ -8,12 +8,14 @@
   `__all__`: an import left behind by a deletion is dead code too.
 * Every function, method and class defined in src/ (dunders aside) is named
   somewhere else in src/, tests/ or perfbench/: a helper whose last caller
-  went is dead code.
+  went is dead code.  Stricter: each is named by code in src/ outside its
+  own definition, or by perfbench/: one that only tests call is a test
+  oracle, and belongs with the tests.
 * Only linalg.py spells out a Fock window: every other module asks
   `fock_window`, so the truncation rule lives in one place.
 * In scalars.py, true division appears only at the QScalar level
-  (`__truediv__`, `qbinom`): an int / int in the polynomial kernel would
-  put a float into a coefficient.
+  (`__truediv__`): an int / int in the polynomial kernel would put a float
+  into a coefficient.
 * In scalars.py, `Fraction` appears only where values enter and where they
   are printed, never in the integer kernel.
 * In verify.py, the two-variable ring `_Laurent2` is integer-only: no
@@ -21,9 +23,8 @@
 * The engine has no Fock-dependent constant: it names no pad, window or
   truncated ladder matrix, and reads `fock_dim` only where `EngineParams`
   stores it and where the reported block is chosen.
-* `OpMatrix.diagonal` builds only operators that are factors of the
-  transcribed formulas; a diagonal conjugation or diagonal factor is applied
-  with `scaled`, never as a product with a diagonal matrix.
+* src/ builds no diagonal matrix: a diagonal conjugation or diagonal factor
+  is applied with `scaled`, never as a product with a diagonal matrix.
 * Every check function of the catalog runner is named by a catalog item,
   and every defaulted parameter of the catalogued checks, of `EngineParams`
   and of `assemble` is set by some production caller: a check nothing runs,
@@ -131,9 +132,38 @@ def test_every_definition_is_named_elsewhere():
             if words[name] <= len(where)] == []
 
 
-def test_true_division_in_scalars_only_where_exact():
-    allowed = {"__truediv__", "qbinom"}
-    tree = ast.parse((SRC / "qaffine" / "scalars.py").read_text())
+def test_every_definition_is_named_in_production_code():
+    # src/ by its syntax tree, so a docstring, a comment or an `__all__`
+    # entry does not count; perfbench/ by word, since its tracer names the
+    # entry points it wraps in strings
+    bench = collections.Counter(
+        word for path in sorted((ROOT / "perfbench").rglob("*.py"))
+        for word in re.findall(r"\w+", path.read_text()))
+
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+    modules = _modules()
+    named = collections.Counter(n for _, tree in modules for n in names(tree))
+    defs = [(path, node) for path, tree in modules for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert len(defs) > 200
+    unreached = ["%s:%d:%s" % (path.relative_to(SRC), node.lineno, node.name)
+                 for path, node in defs
+                 if named[node.name] == list(names(node)).count(node.name)
+                 and not bench[node.name]]
+    assert unreached == []
+
+
+def _true_divisions(tree):
+    """(enclosing function, line) of every `/` and `/=` in `tree`."""
     found = []
 
     def visit(node, where):
@@ -145,8 +175,15 @@ def test_true_division_in_scalars_only_where_exact():
         for child in ast.iter_child_nodes(node):
             visit(child, where)
     visit(tree, None)
-    assert "qbinom" in {where for where, _ in found}
-    assert [f for f in found if f[0] not in allowed] == []
+    return found
+
+
+def test_true_division_in_scalars_only_where_exact():
+    allowed = {"__truediv__"}
+    sample = ast.parse("def kernel(a, b):\n    return a / b\n")
+    assert _true_divisions(sample) == [("kernel", 2)]
+    tree = ast.parse((SRC / "qaffine" / "scalars.py").read_text())
+    assert [f for f in _true_divisions(tree) if f[0] not in allowed] == []
 
 
 def test_only_linalg_spells_out_a_fock_window():
@@ -220,8 +257,10 @@ def test_the_engine_reads_the_fock_dimension_only_for_the_output():
 
 
 def test_diagonal_matrices_only_where_they_are_operators():
-    allowed = {"qgroup.GeneratorImage.h_mat",
-               "qgroup.GeneratorImage.q_power_h"}
+    # no operator the program builds is diagonal, so nothing in src/ calls
+    # a `diagonal` constructor, and OpMatrix has none
+    from qaffine.linalg import OpMatrix
+    assert not hasattr(OpMatrix, "diagonal")
     found = set()
 
     def visit(node, where):
@@ -233,11 +272,12 @@ def test_diagonal_matrices_only_where_they_are_operators():
             found.add(".".join(where))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
+    visit(ast.parse("def f(one):\n    return OpMatrix.diagonal([one], one)\n"),
+          ("sample",))
+    assert found == {"sample.f"}
     for path, tree in _modules():
         visit(tree, (path.stem,))
-    assert "qgroup.GeneratorImage.h_mat" in found
-    assert [w for w in sorted(found)
-            if not any(w == a or w.startswith(a + ".") for a in allowed)] == []
+    assert found == {"sample.f"}
 
 
 def _parameters(node):

@@ -4,8 +4,10 @@ import pytest
 
 from qaffine.scalars import QScalar, q_power
 from qaffine.linalg import OpMatrix
-from qaffine.qgroup import (
-    phi_zeta, dynkin_twist, check_defining_relations, check_omega_transfer,
+from qaffine.qgroup import phi_zeta, dynkin_twist
+from oracles import (
+    check_defining_relations, check_omega_transfer, commutator,
+    diagonal_matrix, e_op, f_op,
 )
 
 ONE = QScalar.ONE
@@ -16,9 +18,9 @@ def test_a1_images_match_fundamental():
     assert img.e_mats[1] == OpMatrix.unit(2, 1, 2, ONE)
     assert img.e_mats[0] == OpMatrix.unit(2, 2, 1, ONE)
     assert img.exps == (1, 1)  # (s - s1, s1) = (1, 1)
-    e = img.e_op(1)
+    e = e_op(img, 1)
     assert e.zexp == 1 and e.mat == OpMatrix.unit(2, 1, 2, ONE)
-    f = img.f_op(0)
+    f = f_op(img, 0)
     assert f.zexp == -1
 
 
@@ -39,8 +41,8 @@ def test_defining_relations_hold():
 
 def test_e_f_commutator_is_forced():
     img = phi_zeta("a1", 1, 0)
-    lhs = img.e_mats[1].commutator(img.f_mats[1])
-    assert lhs == OpMatrix.diagonal([ONE, -ONE], ONE)
+    lhs = commutator(img.e_mats[1], img.f_mats[1])
+    assert lhs == diagonal_matrix([ONE, -ONE], ONE)
 
 
 def test_omega_transfer():
@@ -75,4 +77,4 @@ def test_twist_keeps_zeta_dressing_on_node():
     sw = dynkin_twist(img, (1, 0))
     # after the swap, node 1 carries the old node-0 matrix but still zeta^s1
     assert sw.e_mats[1] == OpMatrix.unit(2, 2, 1, ONE)
-    assert sw.e_op(1).zexp == 0
+    assert e_op(sw, 1).zexp == 0

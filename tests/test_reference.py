@@ -12,14 +12,15 @@ from qaffine.linalg import (
 from qaffine.reference import (
     PrefactorTag, reference_matrix, list_variants, r0_hat_matrix,
     decompose_L, scan_linear_exponents, grid_inverse, op_inverse,
-    apply_two_copy_normalization,
 )
 from qaffine import reference, verify
 from qaffine.engine import EngineParams, assemble
 from derivation_factors import ordered_factors
+from product_builders import apply_two_copy_normalization
+from oracles import grid_identity, tag_inverse, tag_series
 
 ONE = QScalar.ONE
-ZR_ONE = ZetaRational.const(ONE)
+ZR_ONE = ZetaRational.ONE
 
 
 def zr(num, den=None):
@@ -109,7 +110,7 @@ def test_grid_inverse_roundtrip():
     d = 5
     ref = reference_matrix("l", "a1", "hat", s=1, s1=0, d=d)
     inv = grid_inverse(ref.matrix)
-    eye = Grid.identity(2, d, ZR_ONE)
+    eye = grid_identity(2, d, ZR_ONE)
     assert ref.matrix * inv == eye
     assert inv * ref.matrix == eye
 
@@ -118,7 +119,7 @@ def test_grid_inverse_a2():
     d = 3
     ref = reference_matrix("l", "a2", "hat-2", s=1, s1=0, s2=0, d=d)
     inv = grid_inverse(ref.matrix)
-    eye = Grid.identity(3, d * d, ZR_ONE)
+    eye = grid_identity(3, d * d, ZR_ONE)
     assert ref.matrix * inv == eye
 
 
@@ -147,7 +148,7 @@ def test_check_inv_derivation_chain():
     keep = fock_window(d, 2, 2)
     assert normalized.restrict(keep) == printed.matrix.restrict(keep)
     # the tag of the printed form is the inverse tag at inverted argument
-    assert printed.tag == hat.tag.inverse().subs_zeta_power(-1)
+    assert printed.tag == tag_inverse(hat.tag).subs_zeta_power(-1)
 
 
 def test_hat2_inverse_variant():
@@ -155,7 +156,7 @@ def test_hat2_inverse_variant():
     ref = reference_matrix("l", "a2", "hat-2-inv", s=1, s1=0, s2=0, d=d)
     hat2 = reference_matrix("l", "a2", "hat-2", s=1, s1=0, s2=0, d=d)
     back = ref.matrix.map_values(lambda v: v.subs_power(-1), ZR_ONE)
-    assert hat2.matrix * back == Grid.identity(3, d * d, ZR_ONE)
+    assert hat2.matrix * back == grid_identity(3, d * d, ZR_ONE)
 
 
 def test_r0_matrices():
@@ -170,6 +171,21 @@ def test_r0_matrices():
     # E_ab x E_ba lands at row (a,b), column (b,a)
     assert r0h.entry(1, 3) == ONE
     assert r0h.entry(1, 1) == q_power(1) - q_power(-1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_r0_hat_inverse_from_the_hecke_relation(n):
+    # check_structure inverts R0 as R0 - (q - q^-1) 1; against elimination
+    # on the grid of its 1 x 1 entries
+    r0h = r0_hat_matrix(n)
+    eye = OpMatrix.identity(n * n, ONE)
+    hecke = r0h - eye.scale(q_power(1) - q_power(-1))
+    assert r0h * hecke == eye and hecke * r0h == eye
+    inv = grid_inverse(Grid(n * n, {ij: OpMatrix(1, {(0, 0): v}, ONE)
+                                    for ij, v in r0h.entries.items()},
+                            1, ONE))
+    assert hecke == OpMatrix(n * n, {ij: m.entry(0, 0)
+                                     for ij, m in inv.entries.items()}, ONE)
 
 
 def test_scan_finds_linear_exponents():
@@ -226,15 +242,17 @@ def test_engine_matches_reference_a1_hat():
     ref = reference_matrix("l", "a1", "hat", s=1, s1=0, d=d)
     pref, eng = assemble(EngineParams("a1", 1, 0, order=order, left="chi",
                                       fock_dim=d), split_prefactor=True)
-    assert series_exp(pref) == ref.tag.to_series(order)
-    assert eng == ref.expand(order, include_tag=False)
+    assert series_exp(pref) == tag_series(ref.tag, order)
+    assert eng == ref.expand(order)
 
 
 def test_engine_matches_reference_a1_r():
     order = 6
     ref = reference_matrix("r", "a1", s=1, s1=0)
     full = assemble(EngineParams("a1", 1, 0, order=order))
-    assert full == ref.expand(order, include_tag=True)
+    pref = tag_series(ref.tag, order)
+    assert full == ref.expand(order).map_values(
+        lambda s: (s * pref).truncate(order))
 
 
 def test_variant_list_complete():

@@ -4,8 +4,8 @@ import pytest
 
 from qaffine.rootsys import (
     CartanData, AffineRoot, extend_cartan, finite_cartan, positive_roots,
-    bilinear, normal_order_check,
 )
+from oracles import bilinear, normal_order_check
 
 
 def test_extended_matrices():

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qaffine.scalars import (
-    QScalar, q_power, t_power, qint, qint_factorial, qbinom, parse_qscalar,
-)
+from qaffine.scalars import QScalar, q_power, t_power, qint, parse_qscalar
+from oracles import qbinom, qint_factorial, subs_t_inverse
 
 ONE = QScalar.ONE
 ZERO = QScalar.ZERO
@@ -50,8 +49,8 @@ def test_qint_values():
 def test_qint_symmetry_under_bar():
     # [n]_q = [-n]_{q^-1} under t -> t^-1
     for n in range(1, 6):
-        assert qint(n).subs_t_inverse() == qint(-(-n)) * ONE
-        assert qint(n).subs_t_inverse() == -qint(-n)
+        assert subs_t_inverse(qint(n)) == qint(-(-n)) * ONE
+        assert subs_t_inverse(qint(n)) == -qint(-n)
 
 
 def test_qint_factorials_and_binomials():
