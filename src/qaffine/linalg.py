@@ -2,18 +2,21 @@
 
 OpMatrix works for any scalar kind with ring operators (QScalar,
 ZetaSeries, ZetaRational, the two-variable Laurent polynomials of the
-identity checks); a matrix carries a sample `one` of its scalar kind so
-identities and zeros can be built without a class registry.  On top of that live matrix units, Kronecker products,
-symmetric-group operators, leg embeddings, and Grid: a square matrix whose
-entries are themselves matrices (operator-valued), with the generalized
-Kronecker product used by exchange relations.
+identity checks, the q-oscillator ring elements they compare); a matrix
+carries a sample `one` of its scalar kind so identities and zeros can be
+built without a class registry.  On top of that live matrix units,
+Kronecker products, symmetric-group operators, leg embeddings, the
+elements of the q-oscillator ring (OscElement), and Grid: a square matrix
+whose entries are themselves matrices of Fock operators, with the
+generalized Kronecker product.
 """
 
 import itertools
+from operator import add, mul
 
 __all__ = [
     "OpMatrix", "kron", "perm_operator", "hat_and_check", "embed_legs",
-    "fock_window", "Grid", "grid_akp", "window_product",
+    "OscElement", "Grid", "grid_akp",
 ]
 
 
@@ -143,13 +146,6 @@ class OpMatrix:
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.entries.items())))
-
-    def restrict(self, keep):
-        """Submatrix on indices where keep(i) holds, as exact filter."""
-        return OpMatrix(self.dim,
-                        {(i, j): v for (i, j), v in self.entries.items()
-                         if keep(i) and keep(j)},
-                        self.one, _clean=True)
 
     def first_difference(self, other):
         """(i, j) of some differing entry, or None."""
@@ -286,26 +282,90 @@ def _unflat(i, dims):
     return tuple(reversed(out))
 
 
-def fock_window(d, copies, margin):
-    """The one Fock-window predicate: on flat indices over `copies` Fock
-    factors of d states each, true where every occupation number is at
-    most d - 1 - margin.
+class OscElement:
+    """An element sum c S_delta x^kappa of the q-oscillator ring on a fixed
+    number of Fock copies, as {(delta, kappa): c} with no zero c stored.
+    x^kappa = q^(kappa . D) acts first and S_delta sends state n to
+    n + delta, so a = S_-1 (1 - x^2) and a-dagger = S_+1 on each copy, and
+    (S_d x^k)(S_e x^l) = q^(k . e) S_(d + e) x^(k + l).
 
-    Truncated ladder matrices are compressions P A P of the infinite ones,
-    so a product of them differs from the compression of the product only
-    through paths that step above the top state d - 1.  A product whose
-    paths climb at most `margin` levels above their ends is therefore
-    exact on the window.
-    """
-    top = d - 1 - margin
+    An element built from a, a-dagger and x^(+-1) is zero on every state of
+    the untruncated Fock space exactly when it is zero here: the Laurent
+    polynomial in x that it carries with each S_delta is zero at finitely
+    many x = q^n unless it is zero.  So an identity checked on these
+    elements needs no Fock dimension and no window.
 
-    def keep(i):
-        for _ in range(copies):
-            i, n = divmod(i, d)
-            if n > top:
-                return False
-        return True
-    return keep
+    The coefficients are exact scalars of any kind with ring operators;
+    `qpow(m)` is q^m among them."""
+
+    __slots__ = ("terms", "qpow")
+
+    def __init__(self, terms, qpow):
+        self.terms = terms
+        self.qpow = qpow
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            if key in out:
+                c = out[key] + c
+                if not c:
+                    del out[key]
+                    continue
+            out[key] = c
+        return OscElement(out, self.qpow)
+
+    def __neg__(self):
+        return OscElement({key: -c for key, c in self.terms.items()},
+                          self.qpow)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        qpow = self.qpow
+        out = {}
+        for (d1, k1), c1 in self.terms.items():
+            for (d2, k2), c2 in other.terms.items():
+                c = c1 * c2
+                m = sum(map(mul, k1, d2))
+                if m:
+                    c = c * qpow(m)
+                key = (tuple(map(add, d1, d2)), tuple(map(add, k1, k2)))
+                if key in out:
+                    c = out[key] + c
+                    if not c:
+                        del out[key]
+                        continue
+                out[key] = c
+        return OscElement(out, qpow)
+
+    def inverse(self):
+        """The inverse of a unit c x^kappa; ValueError for any other
+        element, so that `grid_inverse` looks for another pivot."""
+        if len(self.terms) == 1:
+            ((delta, kappa), c), = self.terms.items()
+            if not any(delta):
+                return OscElement({(delta, tuple(-k for k in kappa)):
+                                   c.inverse()}, self.qpow)
+        raise ValueError("only a monomial c x^kappa is a unit of the "
+                         "oscillator ring")
+
+    def map(self, fn, qpow=None):
+        """fn applied to every coefficient, zeros dropped; `qpow` gives q^m
+        among the values of fn when they are of another kind."""
+        out = {}
+        for key, c in self.terms.items():
+            c = fn(c)
+            if c:
+                out[key] = c
+        return OscElement(out, qpow or self.qpow)
+
+    def __eq__(self, other):
+        return isinstance(other, OscElement) and self.terms == other.terms
 
 
 class Grid:
@@ -355,45 +415,6 @@ class Grid:
                     out[ab] = p
         return Grid(self.n, out, self.op_dim, self.one, _clean=True)
 
-    def lmul_scalar_matrix(self, s):
-        """(s . G) for an n x n matrix s of plain scalars."""
-        rows = _by_row(self.entries)
-        return self._summed(((a, b), m, c) for (a, k), c in s.entries.items()
-                            for b, m in rows.get(k, ()))
-
-    def rmul_scalar_matrix(self, s):
-        rows = _by_row(s.entries)
-        return self._summed(((a, b), m, c) for (a, k), m in
-                            self.entries.items() for b, c in rows.get(k, ()))
-
-    def _summed(self, terms):
-        """The grid of the sums of m * c over the terms (ab, m, c), each
-        summed entry by entry in one dict, without zeros or empty operators."""
-        sums = {}
-        for ab, m, c in terms:
-            acc = sums.setdefault(ab, {})
-            for ij, v in m.entries.items():
-                p = v * c
-                acc[ij] = acc[ij] + p if ij in acc else p
-        ops = {ab: OpMatrix(self.op_dim, acc, self.one)
-               for ab, acc in sums.items()}
-        return Grid(self.n, ops, self.op_dim, self.one)
-
-    def scaled(self, rows=None, cols=None):
-        """OpMatrix.scaled on the matrix index: operator (a, b) is scaled
-        by rows[a] * cols[b]."""
-        _check_weights(self.n, rows, cols)
-        ones = [self.one] * self.n
-        rows, cols = rows or ones, cols or ones
-        return Grid(self.n, {(a, b): m.scale(rows[a] * cols[b])
-                             for (a, b), m in self.entries.items()},
-                    self.op_dim, self.one)
-
-    def map_ops(self, fn):
-        out = {ab: fn(m) for ab, m in self.entries.items()}
-        return Grid(self.n, {ab: m for ab, m in out.items() if m},
-                    self.op_dim, self.one, _clean=True)
-
     def map_values(self, fn, one=None):
         one = one if one is not None else self.one
         return Grid(self.n,
@@ -413,9 +434,6 @@ class Grid:
                     out[(a * d + i, b * d + j)] = v
         return OpMatrix(n * d, out, self.one, _clean=True)
 
-    def restrict(self, keep):
-        return self.map_ops(lambda m: m.restrict(keep))
-
     def __eq__(self, other):
         if not isinstance(other, Grid):
             return NotImplemented
@@ -423,16 +441,6 @@ class Grid:
 
     def __bool__(self):
         return bool(self.entries)
-
-    def first_difference(self, other):
-        keys = set(self.entries) | set(other.entries)
-        zero = OpMatrix.zero(self.op_dim, self.one)
-        for ab in sorted(keys):
-            ma = self.entries.get(ab, zero)
-            mb = other.entries.get(ab, zero)
-            if ma != mb:
-                return ab, ma.first_difference(mb)
-        return None
 
     def __repr__(self):
         return "Grid(n=%d, op_dim=%d, nnz=%d)" % (self.n, self.op_dim,
@@ -450,23 +458,3 @@ def grid_akp(g1, g2):
             if p:
                 out[(a * n2 + i, b * n2 + j)] = p
     return Grid(n1 * n2, out, g1.op_dim, g1.one, _clean=True)
-
-
-def window_product(mul, a, b, keep):
-    """mul(a, b).restrict(keep), computed on the window alone.
-
-    Entry (i, j) of an operator product x * y needs only row i of x and
-    column j of y, so `mul` runs on the kept rows of the operators of `a`
-    and the kept columns of those of `b`.  `a` and `b` are both OpMatrix
-    or both Grid, and `mul` is a product built from operator products and
-    sums of them: OpMatrix or Grid `*`, or grid_akp.
-    """
-    return mul(_window(a, keep, 0), _window(b, keep, 1))
-
-
-def _window(x, keep, axis):
-    """x with every operator cut to its kept rows (axis 0) or columns."""
-    if isinstance(x, Grid):
-        return x.map_ops(lambda m: _window(m, keep, axis))
-    return OpMatrix(x.dim, {ij: v for ij, v in x.entries.items()
-                            if keep(ij[axis])}, x.one, _clean=True)

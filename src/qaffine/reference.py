@@ -8,20 +8,22 @@ so the stored matrix times the tag is the honest object.
 
 Each L-operator is the image of the universal R-matrix in the
 q-oscillator algebra, so it is transcribed as a table of oscillator
-monomials zeta^e c L_delta q^(kappa . D) (`LTable`).  A table is rendered
-on d Fock states per copy one state at a time, on integer Laurent
-polynomials in t and with no matrix product; the anti-involution tau acts
-on the table itself.  Exact inversion (`grid_inverse`) works on the
-rendered grid.  The ordered factors the source derivation lists for some
-L-operators are an oracle for these closed forms and live with the tests
-(`tests/derivation_factors.py`).
+monomials zeta^e c L_delta q^(kappa . D) (`LTable`).  A table becomes a
+matrix over the q-oscillator ring of normal forms sum c S_delta x^kappa
+(`linalg.OscElement`), where identities hold on the untruncated Fock
+space, or is rendered on d Fock states per copy one state at a time, on
+integer Laurent polynomials in t and with no matrix product; the
+anti-involution tau acts on the table itself.  One exact inversion
+(`grid_inverse`) serves both forms.  The ordered factors the source
+derivation lists for some L-operators are an oracle for these closed
+forms and live with the tests (`tests/derivation_factors.py`).
 
 Also here: the constant exchange matrices of the spectral-linear
-decomposition, the decomposition itself, and the exponent scan that finds
-where an L-operator becomes linear in the spectral variable.
+decomposition.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import product
 from operator import mul
 
@@ -30,12 +32,12 @@ from .scalars import (
 )
 from .series import ZetaSeries, lambda_level
 from .rational import ZetaRational
-from .linalg import OpMatrix, Grid, kron
+from .linalg import OpMatrix, OscElement, Grid, kron
 
 __all__ = [
     "PrefactorTag", "ReferenceObject", "LTable", "reference_matrix",
-    "l_table", "list_variants", "r0_hat_matrix", "decompose_L",
-    "scan_linear_exponents", "grid_inverse", "op_inverse", "exponent_tuple",
+    "l_table", "l_tag", "list_variants", "r0_hat_matrix", "grid_inverse",
+    "op_inverse", "exponent_tuple",
 ]
 
 ONE = QScalar.ONE
@@ -155,6 +157,12 @@ def _r_matrix(algebra, s, s1, s2):
 
 # -- L-operators as oscillator monomials -------------------------------------
 
+@lru_cache(maxsize=None)
+def _zeta_q(m):
+    """q^m as a one-variable rational."""
+    return ZetaRational({0: q_power(m)}, _canonical=True)
+
+
 class LTable(namedtuple("LTable", "n copies terms divisor")):
     """A transcribed L-operator as q-oscillator monomials on `copies` Fock
     copies: grid position (a, b) of the n x n grid holds terms
@@ -220,6 +228,31 @@ class LTable(namedtuple("LTable", "n copies terms divisor")):
                              else ZetaRational(cell, _canonical=True))
             ops[ab] = OpMatrix(dim, cells, ZetaRational.ONE)
         return Grid(self.n, ops, dim, ZetaRational.ONE)
+
+    def ring(self):
+        """The operator as an n x n OpMatrix over the oscillator ring, with
+        one-variable rational coefficients and no Fock dimension: a lowered
+        copy i contributes a = S_-1 (1 - x_i^2), so each term expands into
+        one monomial per subset of its lowered copies."""
+        den = None if self.divisor is None else {0: ONE, self.divisor: -ONE}
+        ops = {}
+        for ab, terms in self.terms.items():
+            polys = {}
+            for e, c, delta, kappa in terms:
+                for bits in product(*((0, 1) if x < 0 else (0,)
+                                      for x in delta)):
+                    key = (delta, tuple(k + 2 * b
+                                        for k, b in zip(kappa, bits)))
+                    poly = polys.setdefault(key, {})
+                    v = -c if sum(bits) % 2 else c
+                    poly[e] = poly[e] + v if e in poly else v
+            coeffs = {key: ZetaRational(p, den) if den else ZetaRational(p)
+                      for key, p in polys.items()}
+            ops[ab] = OscElement({key: c for key, c in coeffs.items() if c},
+                                 _zeta_q)
+        zero = (0,) * self.copies
+        return OpMatrix(self.n, ops, OscElement(
+            {(zero, zero): ZetaRational.ONE}, _zeta_q))
 
 
 def _a1_table(variant, s, s1):
@@ -305,7 +338,10 @@ def _a2_table(variant, s, s1, s2):
 def l_table(algebra, variant, exps):
     """The table of a transcribed L-operator at the exponents `exps`,
     (s, s1) or (s, s1, s2).  hat-2-inv, the reflected inverse of hat-2,
-    has none."""
+    has none.  s = 0 is rejected: it would merge the zeta^0 and zeta^s
+    terms."""
+    if exps[0] == 0:
+        raise ValueError("the spectral exponent s must be nonzero")
     if algebra == "a1":
         return _a1_table(variant, *exps)
     return _a2_table(variant, *exps)
@@ -316,6 +352,12 @@ def l_table(algebra, variant, exps):
 _L_TAGS = {"hat-1": (3, -12, 1, 1), "check-1": (3, -12, 1, 1),
            "hat-2": (3, 12, 1, -1), "check-2": (3, 12, 1, -1),
            "check-inv": (3, -12, -1, -1)}
+
+
+def l_tag(variant, s):
+    """The prefactor tag of a tabled L-operator at spectral exponent s."""
+    n, sc, k, sg = _L_TAGS.get(variant, (2, -6, 1, 1))
+    return PrefactorTag(0, ((n, sc, k * s, sg),))
 
 
 _L_VARIANTS = {
@@ -352,9 +394,8 @@ def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):
             return ReferenceObject("l", algebra, variant, exps,
                                    PrefactorTag(), _reflected_inverse(base),
                                    l_type="check", fock_dim=d, copies=2)
-        n, sc, k, sg = _L_TAGS.get(variant, (2, -6, 1, 1))
         return ReferenceObject("l", algebra, variant, exps,
-                               PrefactorTag(0, ((n, sc, k * s, sg),)),
+                               l_tag(variant, s),
                                l_table(algebra, variant, exps).render(d),
                                l_type=variant.partition("-")[0], fock_dim=d,
                                copies=len(exps) - 1)
@@ -377,13 +418,13 @@ def r0_hat_matrix(n):
     return out
 
 
-# -- inversion over the Fock-valued rational ring -----------------------------
+# -- inversion --------------------------------------------------------------
 
 def op_inverse(m):
     """Inverse of a diagonal Fock-valued matrix over the rational scalar
     field.  Every pivot of a weight-graded grid has weight zero, so it is
     diagonal; any other matrix, or a vanishing diagonal entry, raises
-    ValueError and `grid_inverse` tries the next row."""
+    ValueError and `grid_inverse` tries the next entry."""
     if not m.is_diagonal():
         raise ValueError("matrix is not diagonal; cannot invert")
     if len(m.entries) < m.dim:
@@ -393,33 +434,45 @@ def op_inverse(m):
                     m.one, _clean=True)
 
 
-def grid_inverse(g):
-    """Inverse of an operator-valued grid by noncommutative elimination."""
-    n = g.n
-    one = g.one
-    dim = g.op_dim
-    eye = OpMatrix.identity(dim, one)
-    zero = OpMatrix.zero(dim, one)
-    a = [[g.entry(i, j) for j in range(n)] for i in range(n)]
-    b = [[eye if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        piv_inv = None
+def _pivot(a, col, invert):
+    """(row, column, inverse) of the first invertible entry of the block
+    of `a` from (col, col) on, read column by column."""
+    n = len(a)
+    for c in range(col, n):
         for r in range(col, n):
-            if not a[r][col]:
-                continue
-            try:
-                piv_inv = op_inverse(a[r][col])
-                piv = r
-                break
-            except ValueError:
-                continue
-        if piv is None:
-            raise ValueError("grid has no invertible pivot in column %d"
-                             % col)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
+            if a[r][c]:
+                try:
+                    return r, c, invert(a[r][c])
+                except ValueError:
+                    continue
+    raise ValueError("no invertible pivot left at elimination step %d"
+                     % col)
+
+
+def grid_inverse(g):
+    """Inverse of a square matrix over a noncommutative ring by
+    Gauss-Jordan elimination with full pivoting, so any invertible entry
+    can be the pivot: a Grid of Fock operators, whose pivots are diagonal
+    operators (`op_inverse`), or an OpMatrix over the oscillator ring,
+    whose pivots are units c x^kappa (`OscElement.inverse`)."""
+    if isinstance(g, Grid):
+        n, invert = g.n, op_inverse
+        one = OpMatrix.identity(g.op_dim, g.one)
+        zero = OpMatrix.zero(g.op_dim, g.one)
+    else:
+        n, invert = g.dim, OscElement.inverse
+        one, zero = g.one, g.one - g.one
+    a = [[g.entry(i, j) for j in range(n)] for i in range(n)]
+    b = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    cols = list(range(n))
+    for col in range(n):
+        r, c, piv_inv = _pivot(a, col, invert)
+        a[col], a[r] = a[r], a[col]
+        b[col], b[r] = b[r], b[col]
+        if c != col:
+            for row in a:
+                row[col], row[c] = row[c], row[col]
+            cols[col], cols[c] = cols[c], cols[col]
         a[col] = [piv_inv * x for x in a[col]]
         b[col] = [piv_inv * x for x in b[col]]
         for r in range(n):
@@ -428,99 +481,20 @@ def grid_inverse(g):
             f = a[r][col]
             a[r] = [a[r][k] - f * a[col][k] for k in range(n)]
             b[r] = [b[r][k] - f * b[col][k] for k in range(n)]
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            if b[i][j]:
-                entries[(i, j)] = b[i][j]
-    return Grid(n, entries, dim, one, _clean=True)
+    # b inverts g with its columns permuted, g Q; so g^-1 = Q b, whose row
+    # cols[i] is row i of b
+    entries = {(cols[i], j): b[i][j] for i in range(n) for j in range(n)
+               if b[i][j]}
+    if isinstance(g, Grid):
+        return Grid(n, entries, g.op_dim, g.one, _clean=True)
+    return OpMatrix(n, entries, g.one, _clean=True)
 
 
-def _reflected_inverse(grid):
-    """The inverse grid at reflected argument zeta -> 1/zeta."""
-    return grid_inverse(grid).map_values(lambda v: v.subs_power(-1),
-                                         ZetaRational.ONE)
-
-
-# -- spectral-linear decomposition -------------------------------------------
-
-def _entry_degrees(grid):
-    degs = set()
-    for m in grid.entries.values():
-        for v in m.entries.values():
-            if not v.is_polynomial():
-                return None
-            degs.update(v.num.keys())
-    return degs
-
-
-def scan_linear_exponents(kind_variant, algebra, s_range, s1_range,
-                          s2_range=(0,), d=4):
-    """The exponent tuples in the grid making the prefactor-stripped
-    operator linear in zeta after one overall power shift, each with its
-    shift.  A generator: the grid is built one point at a time, so a caller
-    that needs only the first few stops early."""
-    for s in s_range:
-        if s == 0:
-            continue
-        for s1 in s1_range:
-            for s2 in s2_range:
-                try:
-                    ref = reference_matrix("l", algebra, kind_variant,
-                                           s, s1, s2, d)
-                except (ValueError, ZeroDivisionError):
-                    continue
-                degs = _entry_degrees(ref.matrix)
-                if not degs:
-                    continue
-                if len(degs) == 2 and max(degs) - min(degs) == 2:
-                    yield ref.exps, (max(degs) + min(degs)) // 2
-
-
-def decompose_L(ref, invert):
-    """Split tag-stripped L = zeta^c (zeta L_plus - zeta^-1 L_minus).
-
-    The plus part comes out upper-triangular and the minus part lower-
-    triangular on the matrix leg; `invert` names the non-degenerate one
-    ("minus" for hat type, "plus" for check type) and the projector is its
-    inverse times the other.  Returns (L_plus, L_minus, Pi, c); raises if
-    the entries are not linear in zeta after the overall shift, naming the
-    offending entry.
-    """
-    degs = _entry_degrees(ref.matrix)
-    if degs is None or len(degs) > 2 or (len(degs) == 2
-                                         and max(degs) - min(degs) != 2):
-        raise ValueError("operator entries are not zeta-linear at exponents "
-                         "%s" % (ref.exps,))
-    c = (max(degs) + min(degs)) // 2
-    hi, lo = c + 1, c - 1
-    n = ref.matrix.n
-    dim = ref.matrix.op_dim
-    plus_entries = {}
-    minus_entries = {}
-    for ab, m in ref.matrix.entries.items():
-        for ij, v in m.entries.items():
-            for deg, qc in v.num.items():
-                if deg == hi:
-                    plus_entries.setdefault(ab, {})[ij] = qc
-                elif deg == lo:
-                    minus_entries.setdefault(ab, {})[ij] = -qc
-                else:
-                    raise ValueError("entry %s has stray degree %d"
-                                     % ((ab, ij), deg))
-    lplus = Grid(n, {ab: OpMatrix(dim, e, ONE)
-                     for ab, e in plus_entries.items()}, dim, ONE)
-    lminus = Grid(n, {ab: OpMatrix(dim, e, ONE)
-                      for ab, e in minus_entries.items()}, dim, ONE)
-    upper = lambda g: all(a <= b for (a, b) in g.entries)
-    lower = lambda g: all(a >= b for (a, b) in g.entries)
-    if not (upper(lplus) and lower(lminus)):
-        raise ValueError("triangularity does not match: expected upper "
-                         "plus-part and lower minus-part")
-    if invert == "minus":
-        pi = grid_inverse(lminus) * lplus
-    elif invert == "plus":
-        pi = grid_inverse(lplus) * lminus
-    else:
-        raise ValueError("invert must be 'plus' or 'minus'")
-    return lplus, lminus, pi, c
+def _reflected_inverse(m):
+    """The inverse of a Grid, or of an OpMatrix over the oscillator ring, at
+    reflected argument zeta -> 1/zeta."""
+    inv = grid_inverse(m)
+    reflect = lambda v: v.subs_power(-1)
+    if isinstance(m, Grid):
+        return inv.map_values(reflect, ZetaRational.ONE)
+    return inv.map_values(lambda x: x.map(reflect))

@@ -15,13 +15,17 @@ here, as oracles for the program:
 * parsers that read back what `qaffine.serialize` dumps;
 * the constructors and products the checks above and the test matrices
   are written with: identity grids, diagonal matrices, transposes,
-  commutators, and zeta^k c as a one-variable rational.
+  commutators, and zeta^k c as a one-variable rational;
+* the Fock window a comparison of truncated matrices is trusted on, and
+  the restriction of a matrix or a grid to it.
 """
+
+import itertools
 
 from qaffine.scalars import QScalar, parse_qscalar, q_power, qint, t_power
 from qaffine.series import ZetaSeries, series_exp
 from qaffine.rational import ZetaRational
-from qaffine.linalg import OpMatrix, Grid, fock_window
+from qaffine.linalg import OpMatrix, Grid
 from qaffine.rootsys import extend_cartan, finite_cartan
 from qaffine.reference import PrefactorTag
 
@@ -53,6 +57,68 @@ def transpose(m):
 
 def commutator(a, b):
     return a * b - b * a
+
+
+def map_ops(grid, fn):
+    """The grid with fn applied to each operator, empty results dropped."""
+    return Grid(grid.n, {ab: fn(m) for ab, m in grid.entries.items()},
+                grid.op_dim, grid.one)
+
+
+# -- the Fock window ----------------------------------------------------------
+
+def fock_window(d, copies, margin):
+    """On flat indices over `copies` Fock factors of d states each, true
+    where every occupation number is at most d - 1 - margin.
+
+    Truncated ladder matrices are compressions P A P of the infinite ones,
+    so a product of them differs from the compression of the product only
+    through paths that step above the top state d - 1.  A product whose
+    paths climb at most `margin` levels above their ends is therefore
+    exact on the window.
+    """
+    top = d - 1 - margin
+
+    def keep(i):
+        for _ in range(copies):
+            i, n = divmod(i, d)
+            if n > top:
+                return False
+        return True
+    return keep
+
+
+def render_ring(m, d):
+    """An n x n OpMatrix over the oscillator ring (`linalg.OscElement`)
+    as the Grid of its operators on d Fock states per copy, the first copy
+    slowest: the term c S_delta x^kappa sends state n to n + delta with the
+    weight c q^(kappa . n), and is dropped where n + delta leaves 0..d-1."""
+    (zero, _), = m.one.terms
+    copies = len(zero)
+    c_one = m.one.terms[(zero, zero)]
+    states = list(itertools.product(range(d), repeat=copies))
+    index = {st: i for i, st in enumerate(states)}
+    ops = {}
+    for ab, x in m.entries.items():
+        cells = {}
+        for (delta, kappa), c in x.terms.items():
+            for st in states:
+                target = tuple(n + e for n, e in zip(st, delta))
+                if target in index:
+                    w = c * x.qpow(sum(k * n for k, n in zip(kappa, st)))
+                    ij = (index[target], index[st])
+                    cells[ij] = cells[ij] + w if ij in cells else w
+        ops[ab] = OpMatrix(len(states), cells, c_one)
+    return Grid(m.dim, ops, len(states), c_one)
+
+
+def restrict(x, keep):
+    """A matrix, or every operator of a grid, on the indices where keep(i)
+    holds."""
+    if isinstance(x, Grid):
+        return map_ops(x, lambda m: restrict(m, keep))
+    return OpMatrix(x.dim, {(i, j): v for (i, j), v in x.entries.items()
+                            if keep(i) and keep(j)}, x.one, _clean=True)
 
 
 # -- q-numbers ----------------------------------------------------------------
@@ -151,7 +217,7 @@ def check_defining_relations(image, fock=None):
     def check(name, mat, letters):
         # a word of `letters` ladder letters climbs at most that many levels
         if fock is not None:
-            mat = mat.restrict(fock_window(fock[0], fock[1], letters))
+            mat = restrict(mat, fock_window(fock[0], fock[1], letters))
         if mat:
             failures.append(name)
 

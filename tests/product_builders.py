@@ -20,7 +20,7 @@ from qaffine.linalg import Grid, OpMatrix, kron
 from qaffine.qgroup import GeneratorImage
 from qaffine.oscillator import _default_params
 from qaffine.reference import PrefactorTag, ReferenceObject
-from oracles import diagonal_matrix, transpose, zeta_monomial
+from oracles import diagonal_matrix, map_ops, transpose, zeta_monomial
 
 ONE = QScalar.ONE
 
@@ -375,4 +375,4 @@ def apply_two_copy_normalization(grid, d):
     kappa = zeta_monomial(0, q_power(-1))
     rows, cols = osc_automorphism(d, (kappa, kappa), (2, 0, 2),
                                   one=ZetaRational.ONE)
-    return grid.map_ops(lambda m: m.scaled(rows, cols))
+    return map_ops(grid, lambda m: m.scaled(rows, cols))

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from qaffine.scalars import QScalar, q_power, qint
 from qaffine.series import ZetaSeries, lambda_level, series_log
-from qaffine.linalg import OpMatrix, perm_operator, kron, fock_window
+from qaffine.linalg import OpMatrix, perm_operator, kron
 from qaffine.qgroup import phi_zeta, dynkin_twist
 from qaffine.oscillator import chi_images, psi_images
 from qaffine.engine import EngineParams, assemble
@@ -26,8 +26,8 @@ from qaffine.verify import (
 )
 from product_builders import FockRep, apply_two_copy_normalization, render
 from oracles import (
-    check_defining_relations, commutator, diagonal_matrix, grid_identity,
-    zeta_monomial,
+    check_defining_relations, commutator, diagonal_matrix, fock_window,
+    grid_identity, restrict, zeta_monomial,
 )
 
 ONE = QScalar.ONE
@@ -79,7 +79,7 @@ def test_criterion_3_engine_equality_a2():
     printed = reference_matrix("l", "a2", "check-inv", 1, 0, 0, d=d)
 
     keep = fock_window(d, 2, 2)
-    assert normalized.restrict(keep) == printed.matrix.restrict(keep)
+    assert restrict(normalized, keep) == restrict(printed.matrix, keep)
     hat2 = reference_matrix("l", "a2", "hat-2", 1, 0, 0, d=d)
     inv2 = reference_matrix("l", "a2", "hat-2-inv", 1, 0, 0, d=d)
     back = inv2.matrix.map_values(lambda v: v.subs_power(-1), ZR1_ONE)
@@ -105,28 +105,25 @@ def test_criterion_4_ybe(perturb_r):
 
 def test_criterion_5_rll():
     for variant in ("hat", "hat-twisted"):
-        assert check_rll("a1", variant, s=1, s1=0, d=12).passed
+        assert check_rll("a1", variant, s=1, s1=0).passed
     for variant in ("hat-1", "hat-2"):
-        assert check_rll("a2", variant, s=1, s1=0, s2=0, d=12).passed
+        assert check_rll("a2", variant, s=1, s1=0, s2=0).passed
     for variant in ("check", "check-twisted"):
-        assert check_rll("a1", variant, s=1, s1=0, d=12).passed
+        assert check_rll("a1", variant, s=1, s1=0).passed
     for variant in ("check-1", "check-2"):
-        assert check_rll("a2", variant, s=1, s1=0, s2=0, d=12).passed
+        assert check_rll("a2", variant, s=1, s1=0, s2=0).passed
     _report(5, "both exchange-relation types hold for every transcribed "
-               "L-operator at Fock dimension 12, exactly in two "
+               "L-operator on the untruncated Fock space, exactly in two "
                "variables (implies any series order)")
 
 
 def test_criterion_6_dualities():
-    # rank-1 at d=12; rank-2 first family at d=6 (dimension not pinned by
-    # the criterion; inversion cost grows with the Fock square)
+    # in the oscillator ring, so on every Fock state
     for mode in ("inversion", "tau"):
-        assert check_duality("a1", "hat", mode, s=1, s1=0, d=12).passed
-        assert check_duality("a1", "check", mode, s=1, s1=0, d=12).passed
-        assert check_duality("a2", "hat-1", mode, s=1, s1=0, s2=0,
-                             d=6).passed
-        assert check_duality("a2", "check-1", mode, s=1, s1=0, s2=0,
-                             d=6).passed
+        assert check_duality("a1", "hat", mode, s=1, s1=0).passed
+        assert check_duality("a1", "check", mode, s=1, s1=0).passed
+        assert check_duality("a2", "hat-1", mode, s=1, s1=0, s2=0).passed
+        assert check_duality("a2", "check-1", mode, s=1, s1=0, s2=0).passed
     _report(6, "inversion at reflected argument and the anti-involution "
                "both flip the exchange-relation type, in both directions")
 
@@ -156,8 +153,8 @@ def test_criterion_7_gauge_identities():
 
 
 def test_criterion_8_structure():
-    assert check_structure("a1", d=12).passed
-    assert check_structure("a2", d=6).passed
+    assert check_structure("a1").passed
+    assert check_structure("a2").passed
     _report(8, "spectral-linear decomposition with stated triangularity, "
                "constant exchange relations, idempotent projectors, and "
                "singularity at argument one")

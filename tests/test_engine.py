@@ -11,7 +11,7 @@ from qaffine.scalars import (
     QScalar, parse_qscalar, q_power, qint, qint_base,
 )
 from qaffine.series import ZetaSeries, series_exp, lambda_level
-from qaffine.linalg import OpMatrix, kron, fock_window, _unflat
+from qaffine.linalg import OpMatrix, kron, _unflat
 from qaffine.qgroup import phi_zeta, GeneratorImage
 from qaffine.oscillator import OscImage, OscParams, chi_images, psi_images
 from qaffine import engine
@@ -24,7 +24,9 @@ from qaffine.rootsys import (
 )
 from qaffine.verify import check_engine, engine_params_for
 from product_builders import FockRep, render
-from oracles import ScaledOp, diagonal_matrix, e_op, f_op
+from oracles import (
+    ScaledOp, diagonal_matrix, e_op, f_op, fock_window, restrict,
+)
 
 ONE = QScalar.ONE
 C = q_power(1) - q_power(-1)
@@ -66,7 +68,7 @@ def q_number_power(d, c):
 
 
 def windowed(mat, d, kmax, copies=1):
-    return mat.restrict(fock_window(d, copies, d - 1 - kmax))
+    return restrict(mat, fock_window(d, copies, d - 1 - kmax))
 
 
 def window_states(d, kmax, copies=1):
@@ -395,7 +397,7 @@ def _rendered_leg(leg, params):
     keep = fock_window(d + pad, leg.copies, pad)
     flat = [x for x in range(len(states)) if keep(x)]
     return (render(leg, d + pad), states, [states[x] for x in flat], flat,
-            lambda m: m.restrict(keep))
+            lambda m: restrict(m, keep))
 
 
 @pytest.mark.parametrize("algebra, exps, kw", _TABLE_CASES)

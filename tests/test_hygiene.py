@@ -11,8 +11,10 @@
   went is dead code.  Stricter: each is named by code in src/ outside its
   own definition, or by perfbench/: one that only tests call is a test
   oracle, and belongs with the tests.
-* Only linalg.py spells out a Fock window: every other module asks
-  `fock_window`, so the truncation rule lives in one place.
+* src/ has no Fock window: the relation, duality, gauge and structure
+  checks compare elements of the q-oscillator ring, which hold on the
+  untruncated Fock space, so no margin, window or windowed product is
+  left, and none of those checks takes a Fock dimension `d`.
 * In scalars.py, true division appears only at the QScalar level
   (`__truediv__`): an int / int in the polynomial kernel would put a float
   into a coefficient.
@@ -40,6 +42,7 @@
 import ast
 import collections
 import importlib.util
+import inspect
 import pathlib
 import re
 
@@ -186,14 +189,22 @@ def test_true_division_in_scalars_only_where_exact():
     assert [f for f in _true_divisions(tree) if f[0] not in allowed] == []
 
 
-def test_only_linalg_spells_out_a_fock_window():
-    found = ["%s:%d" % (path.relative_to(SRC), node.lineno)
-             for path, tree in _modules() if path.name != "linalg.py"
-             for node in ast.walk(tree)
-             if "fock_level" in {getattr(node, "id", None),
-                                 getattr(node, "attr", None),
-                                 getattr(node, "name", None)}]
-    assert found == []
+def test_src_has_no_fock_window_and_relation_checks_take_no_d():
+    named = sorted({"%s:%s" % (path.relative_to(SRC), node.id
+                                if isinstance(node, ast.Name) else
+                                getattr(node, "attr", None)
+                                or getattr(node, "name", None))
+                    for path, tree in _modules() for node in ast.walk(tree)
+                    if {getattr(node, "id", None), getattr(node, "attr", None),
+                        getattr(node, "name", None)}
+                    & {"RELATION_MARGIN", "window_product", "fock_window"}})
+    assert named == []
+    from qaffine import verify
+    takes_d = [fn.__name__ for fn in (verify.check_rll, verify.check_duality,
+                                      verify.check_gauge,
+                                      verify.check_structure)
+               if "d" in inspect.signature(fn).parameters]
+    assert takes_d == []
 
 
 def test_fraction_in_scalars_only_at_the_boundaries():
@@ -227,8 +238,7 @@ def test_two_variable_ring_is_integer_only():
              if isinstance(node, ast.ClassDef) and node.name == "_Laurent2"]
     methods = [node for node in ring.body
                if isinstance(node, ast.FunctionDef)]
-    assert {"__add__", "__mul__", "inverse", "__str__"} <= {
-        m.name for m in methods}
+    assert {"__add__", "__mul__", "__str__"} <= {m.name for m in methods}
     found = sorted({m.name for m in methods for node in ast.walk(m)
                     if getattr(node, "id", None) in ("QScalar", "Fraction")
                     or getattr(node, "attr", None) in ("QScalar",

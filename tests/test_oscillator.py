@@ -5,20 +5,20 @@ from fractions import Fraction
 import pytest
 
 from qaffine.scalars import QScalar, q_power
-from qaffine.linalg import OpMatrix, kron
+from qaffine.linalg import OpMatrix, OscElement, kron
 from qaffine.rational import ZetaRational
 from qaffine.oscillator import (
     chi_images, psi_images, OscParams,
 )
 from qaffine.scalars import parse_qscalar
-from qaffine.verify import _gamma, _monomial
+from qaffine.verify import _Laurent2, _gauged, _monomial, _q_power2
 from product_builders import (
     FockCopies, FockRep, osc_automorphism, oscillator_matrices, render,
     tau_matrix,
 )
 from oracles import (
-    check_defining_relations, commutator, diagonal_matrix, transpose,
-    zeta_monomial,
+    check_defining_relations, commutator, diagonal_matrix, render_ring,
+    transpose, zeta_monomial,
 )
 
 ONE = QScalar.ONE
@@ -166,14 +166,28 @@ def test_tau_is_an_anti_involution_swapping_ladder_ops():
         assert tau_matrix(m * n, d) == tau_matrix(n, d) * tau_matrix(m, d)
 
 
+def _spectral_gauge(x, s_exponents):
+    """The spectral gauge map Gamma = u^(s . D) of the hat-type L gauge
+    on the oscillator ring element x, through `verify._gauged` on a 1 x 1
+    matrix, whose matrix-leg gauge weight is one."""
+    algebra, s2 = ("a1", 0) if len(s_exponents) == 1 else ("a2",
+                                                           s_exponents[1])
+    zero = (0,) * len(s_exponents)
+    m = OpMatrix(1, {(0, 0): x}, OscElement({(zero, zero): _Laurent2.ONE},
+                                            _q_power2))
+    return _gauged("hat", algebra, s_exponents[0], s2, m).entry(0, 0)
+
+
 def test_gamma_scaling_exponents():
-    rows, cols = _gamma(4, (2, 3), "u")
-    weight = lambda r, c: rows[r] * cols[c]
-    # raising copy 1: row - col = (1, 0) -> exponent 2
-    assert weight(1 * 4 + 0, 0) == _monomial("u", 2)
-    # lowering copy 2: exponent -3
-    assert weight(0, 1) == _monomial("u", -3)
-    assert weight(5, 5) == _monomial("u", 0)
+    # Gamma weighs the coefficient of S_delta by u^(s . delta)
+    one = _Laurent2.ONE
+    x = OscElement({((1, 0), (0, 0)): one, ((0, -1), (2, 1)): one,
+                    ((0, 0), (1, 1)): one}, _q_power2)
+    got = _spectral_gauge(x, (2, 3)).terms
+    # raising copy 1: exponent 2; lowering copy 2: exponent -3
+    assert got[((1, 0), (0, 0))] == _monomial("u", 2)
+    assert got[((0, -1), (2, 1))] == _monomial("u", -3)
+    assert got[((0, 0), (1, 1))] == _monomial("u", 0)
 
 
 def test_zero_kappa_rejected():
@@ -268,7 +282,8 @@ def test_tau_matches_metric_conjugated_transpose(copies, one):
 
 @pytest.mark.parametrize("s_exponents", [(2,), (-1,), (2, 3), (-1, 2)])
 def test_gamma_matches_diagonal_conjugation(s_exponents):
-    # Gamma m Gamma^-1 with Gamma = diag(u^(s . n)) over the Fock states
+    # Gamma m Gamma^-1 with Gamma = diag(u^(s . n)) over the Fock states,
+    # against the ring's weighting rendered on d states per copy
     d = 3
     copies = len(s_exponents)
     one = _monomial("u", 0)
@@ -279,14 +294,20 @@ def test_gamma_matches_diagonal_conjugation(s_exponents):
     gam_inv = diagonal_matrix(
         [_monomial("u", -sum(s * n for s, n in zip(s_exponents, st)))
          for st in states], one)
-    rows, cols = _gamma(d, s_exponents, "u")
     rng = random.Random(3)
     for _ in range(3):
-        m = OpMatrix(d ** copies,
-                     {(rng.randrange(d ** copies), rng.randrange(d ** copies)):
-                      _monomial("v", rng.randint(-2, 2))
-                      for _ in range(2 * d ** copies)}, one)
-        assert m.scaled(rows, cols) == gam * m * gam_inv
+        x = OscElement({
+            (tuple(rng.randint(-1, 1) for _ in range(copies)),
+             tuple(rng.randint(-2, 2) for _ in range(copies))):
+            _monomial("v", rng.randint(-2, 2)) for _ in range(4)}, _q_power2)
+        zero = (0,) * copies
+        m = OpMatrix(1, {(0, 0): x}, OscElement({(zero, zero): one},
+                                                _q_power2))
+        rendered = render_ring(m, d).entry(0, 0)
+        gauged = OpMatrix(1, {(0, 0): _spectral_gauge(x, s_exponents)},
+                          m.one)
+        assert render_ring(gauged, d).entry(0, 0) == \
+            gam * rendered * gam_inv
 
 
 @pytest.mark.parametrize("cs", [(2,), (-1,), (Fraction(1, 3),), (1, -2),

@@ -7,17 +7,20 @@ from qaffine.scalars import QScalar, q_power
 from qaffine.rational import ZetaRational
 from qaffine.series import series_exp
 from qaffine.linalg import (
-    OpMatrix, Grid, hat_and_check, kron, fock_window, perm_operator,
+    OpMatrix, Grid, hat_and_check, kron, perm_operator,
 )
 from qaffine.reference import (
     PrefactorTag, reference_matrix, list_variants, r0_hat_matrix,
-    decompose_L, scan_linear_exponents, grid_inverse, op_inverse,
+    grid_inverse, op_inverse, l_table, exponent_tuple,
 )
-from qaffine import reference, verify
+from qaffine import verify
 from qaffine.engine import EngineParams, assemble
 from derivation_factors import ordered_factors
 from product_builders import apply_two_copy_normalization
-from oracles import grid_identity, tag_inverse, tag_series
+from oracles import (
+    fock_window, grid_identity, render_ring, restrict, tag_inverse,
+    tag_series,
+)
 
 ONE = QScalar.ONE
 ZR_ONE = ZetaRational.ONE
@@ -80,7 +83,7 @@ def test_a1_factor_products_match_displays():
         assert factors
         prod = grid_product(factors)
         keep = fock_window(d, 1, 1)
-        assert prod.restrict(keep) == ref.matrix.restrict(keep)
+        assert restrict(prod, keep) == restrict(ref.matrix, keep)
 
 
 def test_a2_factor_products_match_displays():
@@ -90,7 +93,7 @@ def test_a2_factor_products_match_displays():
             ref = reference_matrix("l", "a2", variant, *exps, d=d)
             prod = grid_product(ordered_factors("a2", variant, *exps, d=d))
             keep = fock_window(d, 2, 1)
-            assert prod.restrict(keep) == ref.matrix.restrict(keep)
+            assert restrict(prod, keep) == restrict(ref.matrix, keep)
 
 
 def test_ordered_factors_only_where_transcribed():
@@ -123,6 +126,26 @@ def test_grid_inverse_a2():
     assert ref.matrix * inv == eye
 
 
+@pytest.mark.parametrize("algebra, variant", [
+    (algebra, v) for kind, algebra, v in list_variants()
+    if kind == "l" and v != "hat-2-inv"])
+def test_ring_inverse_is_the_rendered_inverse_below_the_top_level(algebra,
+                                                                  variant):
+    # the elimination on the oscillator ring, with unit pivots, against
+    # the one on the grid rendered on d Fock states: a truncated inverse
+    # is exact below the top level
+    table = l_table(algebra, variant, exponent_tuple(algebra, 1, 0, 0))
+    l_mat = table.ring()
+    inv = grid_inverse(l_mat)
+    eye = OpMatrix.identity(l_mat.dim, l_mat.one)
+    assert l_mat * inv == eye and inv * l_mat == eye
+    d = 4 if algebra == "a1" else 3
+    assert render_ring(l_mat, d) == table.render(d)
+    keep = fock_window(d, table.copies, 1)
+    assert restrict(render_ring(inv, d), keep) == \
+        restrict(grid_inverse(table.render(d)), keep)
+
+
 def test_op_inverse_takes_diagonal_matrices_only():
     # a grid pivot has weight zero, so a non-diagonal one is refused and
     # grid_inverse moves on to the next row
@@ -146,7 +169,7 @@ def test_check_inv_derivation_chain():
     normalized = apply_two_copy_normalization(inv, d)
     printed = reference_matrix("l", "a2", "check-inv", s, s1, s2, d=d)
     keep = fock_window(d, 2, 2)
-    assert normalized.restrict(keep) == printed.matrix.restrict(keep)
+    assert restrict(normalized, keep) == restrict(printed.matrix, keep)
     # the tag of the printed form is the inverse tag at inverted argument
     assert printed.tag == tag_inverse(hat.tag).subs_zeta_power(-1)
 
@@ -189,51 +212,45 @@ def test_r0_hat_inverse_from_the_hecke_relation(n):
 
 
 def test_scan_finds_linear_exponents():
-    got = list(scan_linear_exponents("hat", "a1", range(-2, 3),
-                                     range(-1, 2)))
-    assert sorted(t for t, _ in got) == [(-2, 0), (2, 0)]
-    got_check = list(scan_linear_exponents("check", "a1", range(-2, 3),
-                                           range(-1, 2)))
-    assert sorted(t for t, _ in got_check) == [(-2, 0), (2, 0)]
+    # the first exponents where the table is linear in zeta after one
+    # shift and splits with the stated triangularity
+    assert verify._decomposed("hat", "a1", "minus")[0] == (2, 0)
+    assert verify._decomposed("check", "a1", "plus")[0] == (-2, 0)
+    assert verify._decomposed("hat-1", "a2", "minus")[0] == (2, 0, 0)
+    assert verify._decomposed("check-1", "a2", "plus")[0] == (-2, 0, 0)
 
 
 def test_scan_builds_no_grid_point_past_the_first_hit(monkeypatch):
     # the structure check stops at the first tuple that decomposes, so the
-    # scan it iterates builds the grid one point at a time
+    # scan builds the tables one point at a time
     built = []
-    real = reference.reference_matrix
+    real = verify.l_table
 
-    def counted(*args, **kw):
-        built.append(args[3:5])
-        return real(*args, **kw)
-    monkeypatch.setattr(reference, "reference_matrix", counted)
-    scan = reference.scan_linear_exponents("hat", "a1", range(-2, 3),
-                                           range(-1, 2), (0,), 4)
-    assert next(scan)[0] == (-2, 0)
-    assert built == [(-2, -1), (-2, 0)]
-    assert [t for t, _ in scan] == [(2, 0)]
-    assert len(built) == 12
+    def counted(algebra, variant, exps):
+        built.append(exps)
+        return real(algebra, variant, exps)
+    monkeypatch.setattr(verify, "l_table", counted)
+    assert verify._decomposed("hat", "a1", "minus")[0] == (2, 0)
+    assert built[-1] == (2, 0) and len(built) == len(set(built)) == 11
+    # (-2, 0) is linear too, but its zeta^0 part is not upper-triangular
+    table = real("a1", "hat", (-2, 0))
+    lp, _ = verify._split(table, 0)
+    assert (1, 0) in lp.entries
 
 
 def test_decompose_hat_and_projector():
-    d = 6
-    ref = reference_matrix("l", "a1", "hat", s=2, s1=0, d=d)
-    lp, lm, pi, c = decompose_L(ref, invert="minus")
-    assert c == 1
+    exps, lp, lm, pi = verify._decomposed("hat", "a1", "minus")
+    assert exps == (2, 0)
     # plus part degenerate (zero column), minus part invertible diagonal
     assert (0, 0) not in lp.entries
     assert pi * pi == pi
-    # the wrong triangularity raises
-    bad = reference_matrix("l", "a1", "hat", s=-2, s1=0, d=d)
-    with pytest.raises(ValueError):
-        decompose_L(bad, invert="minus")
+    assert pi * pi * pi == pi
 
 
 def test_decompose_check_projector():
-    d = 6
-    ref = reference_matrix("l", "a1", "check", s=-2, s1=0, d=d)
-    lp, lm, pi, c = decompose_L(ref, invert="plus")
-    assert c == -1
+    exps, lp, lm, pi = verify._decomposed("check", "a1", "plus")
+    assert exps == (-2, 0)
+    assert (0, 0) not in lm.entries
     assert pi * pi == pi
 
 
@@ -276,6 +293,8 @@ def test_tables_render_and_take_tau_without_matrix_products(monkeypatch):
         if kind != "l" or variant == "hat-2-inv":
             continue
         ref = reference_matrix("l", algebra, variant, 2, 1, -1, d=5)
-        assert verify._tau_l(ref).op_dim == ref.matrix.op_dim
+        exps = exponent_tuple(algebra, 2, 1, -1)
+        image = l_table(algebra, variant, exps).tau().render(5)
+        assert image.op_dim == ref.matrix.op_dim
         built += 1
     assert built == 9

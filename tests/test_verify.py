@@ -6,14 +6,12 @@ import derivation_factors
 from product_builders import FockCopies
 from qaffine import rational, reference, scalars, verify
 from qaffine.cli import main
-from qaffine.linalg import (
-    OpMatrix, Grid, grid_akp, hat_and_check, fock_window, kron,
-)
+from qaffine.linalg import OpMatrix, OscElement, Grid, hat_and_check, kron
 from qaffine.rational import ZetaRational
-from qaffine.reference import reference_matrix
+from qaffine.reference import exponent_tuple, l_table, reference_matrix
 from qaffine.scalars import QScalar, parse_qscalar, q_power
 from qaffine.series import ZetaSeries, series_exp
-from oracles import diagonal_matrix, grid_identity, tag_series, zeta_monomial
+from oracles import diagonal_matrix, render_ring, tag_series, zeta_monomial
 from qaffine.verify import (
     Verdict, check_engine, check_ybe, check_rll, check_duality, check_gauge,
     check_structure, suite_checks, run_suite,
@@ -41,44 +39,43 @@ def test_ybe_a2(perturb_r):
 
 def test_rll_a1_all_variants(monkeypatch):
     for variant in ("hat", "hat-twisted", "check", "check-twisted"):
-        v = check_rll("a1", variant, s=1, s1=0, d=9)
+        v = check_rll("a1", variant, s=1, s1=0)
         assert v.passed, v
-    # scalar dressing never changes the verdict: the L-operator times an
-    # arbitrary rational scalar
-    real = verify.reference_matrix
-    dress = ZetaRational({0: QScalar.ONE, 1: q_power(3)})
+    # scalar dressing never changes the verdict: the L-operator times the
+    # rational scalar 1 + q^3 zeta
+    real = verify.l_table
 
-    def dressed(kind, *args, **kwargs):
-        ref = real(kind, *args, **kwargs)
-        if kind == "l":
-            ref.matrix = ref.matrix.map_ops(
-                lambda m: m.map_values(lambda v: v * dress))
-        return ref
-    monkeypatch.setattr(verify, "reference_matrix", dressed)
-    v = check_rll("a1", "hat", s=1, s1=0, d=9)
+    def dressed(*args):
+        table = real(*args)
+        return table._replace(terms={
+            ab: terms + tuple((e + 1, c * q_power(3), delta, kappa)
+                              for e, c, delta, kappa in terms)
+            for ab, terms in table.terms.items()})
+    monkeypatch.setattr(verify, "l_table", dressed)
+    v = check_rll("a1", "hat", s=1, s1=0)
     assert v.passed
 
 
 def test_rll_a1_other_exponents():
-    assert check_rll("a1", "hat", s=2, s1=1, d=9).passed
+    assert check_rll("a1", "hat", s=2, s1=1).passed
 
 
 def test_rll_a2_family1():
-    assert check_rll("a2", "hat-1", s=1, s1=0, s2=0, d=5).passed
-    assert check_rll("a2", "check-1", s=1, s1=0, s2=0, d=5).passed
+    assert check_rll("a2", "hat-1", s=1, s1=0, s2=0).passed
+    assert check_rll("a2", "check-1", s=1, s1=0, s2=0).passed
 
 
 def test_rll_a2_family2_and_derived():
-    assert check_rll("a2", "hat-2", s=1, s1=0, s2=0, d=5).passed
-    assert check_rll("a2", "check-2", s=1, s1=0, s2=0, d=5).passed
-    assert check_rll("a2", "check-inv", s=1, s1=0, s2=0, d=5).passed
-    assert check_rll("a2", "hat-2-inv", s=1, s1=0, s2=0, d=5).passed
+    assert check_rll("a2", "hat-2", s=1, s1=0, s2=0).passed
+    assert check_rll("a2", "check-2", s=1, s1=0, s2=0).passed
+    assert check_rll("a2", "check-inv", s=1, s1=0, s2=0).passed
+    assert check_rll("a2", "hat-2-inv", s=1, s1=0, s2=0).passed
 
 
 def test_duality_a1():
     for mode in ("inversion", "tau"):
-        assert check_duality("a1", "hat", mode, s=1, s1=0, d=9).passed
-        assert check_duality("a1", "check", mode, s=1, s1=0, d=9).passed
+        assert check_duality("a1", "hat", mode, s=1, s1=0).passed
+        assert check_duality("a1", "check", mode, s=1, s1=0).passed
     # the reflected inverse is an involution
     ref = reference_matrix("l", "a1", "hat", 1, 0, 0, d=6)
     twice = verify._reflected_inverse(verify._reflected_inverse(ref.matrix))
@@ -87,9 +84,11 @@ def test_duality_a1():
 
 def test_duality_a2_family1():
     for mode in ("inversion", "tau"):
-        assert check_duality("a2", "hat-1", mode, s=1, s1=0, s2=0, d=4).passed
-        assert check_duality("a2", "check-1", mode, s=1, s1=0, s2=0,
-                             d=4).passed
+        assert check_duality("a2", "hat-1", mode, s=1, s1=0, s2=0).passed
+        assert check_duality("a2", "check-1", mode, s=1, s1=0, s2=0).passed
+    # tau acts on tables, and hat-2-inv has none
+    with pytest.raises(ValueError):
+        check_duality("a2", "hat-2-inv", "tau", s=1, s1=0, s2=0)
 
 
 def test_gauge_r():
@@ -107,33 +106,29 @@ def test_gauge_l():
 
 
 def test_structure():
-    v1 = check_structure("a1", d=8)
+    v1 = check_structure("a1")
     assert v1.passed, v1
-    v2 = check_structure("a2", d=5)
+    assert v1.exponents == (2, 0)
+    v2 = check_structure("a2")
     assert v2.passed, v2
+    assert v2.exponents == (2, 0, 0)
 
 
-@pytest.mark.parametrize("algebra, variant, invert, d", [
-    ("a1", "hat", "minus", 8), ("a1", "check", "plus", 12),
-    ("a2", "hat-1", "minus", 6), ("a2", "check-1", "plus", 8),
+@pytest.mark.parametrize("algebra, variant, invert", [
+    ("a1", "hat", "minus"), ("a1", "check", "plus"),
+    ("a2", "hat-1", "minus"), ("a2", "check-1", "plus"),
 ])
-def test_singular_value_at_one_needs_an_annihilated_column(algebra, variant,
-                                                           invert, d):
-    _, ref, (_, _, pi, _) = verify._decomposed(variant, algebra, d, invert)
-    assert verify._annihilates_at_one(ref, pi)
-    # the operator at argument one is not zero, and no column is no check
-    eye = grid_identity(pi.n, pi.op_dim, pi.one)
-    assert not verify._annihilates_at_one(ref, eye)
-    assert not verify._annihilates_at_one(ref, Grid(pi.n, {}, pi.op_dim,
-                                                    pi.one))
-    # a column outside the ground window is not read: a projector onto the
-    # Fock state with two quanta in one copy, which the operator at one
-    # does not kill, changes nothing
-    ops = dict(pi.entries)
-    ops[(0, 0)] = pi.entry(0, 0) + OpMatrix(pi.op_dim, {(2, 2): pi.one},
-                                            pi.one)
-    wider = Grid(pi.n, ops, pi.op_dim, pi.one)
-    assert verify._annihilates_at_one(ref, wider)
+def test_operator_at_one_kills_the_projector(algebra, variant, invert):
+    # at argument one the operator is L_plus - L_minus, and it kills the
+    # projector on every Fock state: the product vanishes in the ring
+    _, lp, lm, pi = verify._decomposed(variant, algebra, invert)
+    at_one = lp - lm
+    assert pi and not at_one * pi
+    # the operator at one is not zero, and a projector with the identity
+    # added on one diagonal entry is not killed
+    eye = OpMatrix.identity(pi.dim, pi.one)
+    assert at_one * eye
+    assert at_one * (pi + OpMatrix(pi.dim, {(0, 0): pi.one}, pi.one))
 
 
 def test_engine_verdict_json_roundtrip():
@@ -201,6 +196,8 @@ def test_gauge_map_matches_products_with_diagonal_matrices(family, algebra,
     # the gauge diagonals G_var = diag(var^(e_a)) and the spectral gauge
     # map Gamma_var = diag(var^(s . n)) on the Fock states, built as
     # matrices with their inverses, applied by matrix products
+    # the L-operators compared on d Fock states per copy, where the ring's
+    # weighting of S_delta by var^(s . delta) is conjugation by Gamma
     d, s = 3, 2
     one = verify._Laurent2.ONE
     mono = verify._monomial
@@ -208,14 +205,16 @@ def test_gauge_map_matches_products_with_diagonal_matrices(family, algebra,
 
     def gauge(var, sign):
         return diagonal_matrix([mono(var, sign * e) for e in expos], one)
-    kind = "r" if family == "r" else "l"
-    variant = "plain" if family == "r" else family + (
-        "" if algebra == "a1" else "-1")
-    ref = reference_matrix(kind, algebra, variant, 1, 0, 0, d=d)
-    base, = verify._cleared(ref.matrix.map_values(
-        lambda v: v.subs_power(s), ZetaRational.ONE))
+    if family == "r":
+        base = reference_matrix("r", algebra, "plain", 1, 0, 0).matrix
+    else:
+        variant = family + ("" if algebra == "a1" else "-1")
+        base = l_table(algebra, variant,
+                       exponent_tuple(algebra, 1, 0, 0)).ring()
+    base, = verify._cleared(verify._map_scalars(
+        base, lambda v: v.subs_power(s), ZetaRational.ONE))
     base = verify._lift(base, "ratio")
-    got = verify._gauged(family, algebra, s1, s2, base, d)
+    got = verify._gauged(family, algebra, s1, s2, base)
     if family == "r":
         expect = (kron(gauge("u", 1), gauge("v", 1)) * base
                   * kron(gauge("u", -1), gauge("v", -1)))
@@ -229,96 +228,89 @@ def test_gauge_map_matches_products_with_diagonal_matrices(family, algebra,
             [mono(var, sign * sum(a * n for a, n in zip(s_exps, st)))
              for st in states], one)
     g_var, gamma_var = ("v", "u") if family == "hat" else ("u", "v")
-    conj = base.lmul_scalar_matrix(gauge(g_var, 1)).rmul_scalar_matrix(
-        gauge(g_var, -1))
-    expect = conj.map_ops(
-        lambda m: gamma(gamma_var, 1) * m * gamma(gamma_var, -1))
-    assert got == expect
-    with pytest.raises(ValueError):
-        base.scaled(rows=[one] * (base.n + 1))
+    g, g_inv = gauge(g_var, 1), gauge(g_var, -1)
+    rendered = render_ring(base, d)
+    expect = Grid(rendered.n, {
+        (a, b): gamma(gamma_var, 1) * m.scale(g.entry(a, a) * g_inv.entry(
+            b, b)) * gamma(gamma_var, -1)
+        for (a, b), m in rendered.entries.items()}, rendered.op_dim, one)
+    assert render_ring(got, d) == expect
 
 
-# -- the exchange relation computed on the Fock window alone ------------------
+# -- the exchange relation in the oscillator ring -----------------------------
 
-def _perturbed_l(algebra, variant, d):
-    """The transcribed L-operator with one entry inside the window (Fock
-    entry (0, 0) of grid entry (0, 0)) multiplied by q, and the R-matrix."""
-    ref = reference_matrix("l", algebra, variant, 1, 0, 0, d=d)
-    r = reference_matrix("r", algebra, "plain", 1, 0, 0)
-    op = ref.matrix.entry(0, 0)
-    entries = dict(op.entries)
-    entries[(0, 0)] = entries[(0, 0)] * zeta_monomial(0, q_power(1))
-    ops = dict(ref.matrix.entries)
-    ops[(0, 0)] = OpMatrix(op.dim, entries, op.one)
-    return ref, r, Grid(ref.matrix.n, ops, ref.matrix.op_dim, op.one)
+def _times_q(table, ab, k=0):
+    """The table with term k of grid entry ab multiplied by q."""
+    terms = dict(table.terms)
+    e, c, delta, kappa = terms[ab][k]
+    terms[ab] = (terms[ab][:k] + ((e, c * q_power(1), delta, kappa),)
+                 + terms[ab][k + 1:])
+    return table._replace(terms=terms)
 
 
-def _restricted_after_product(l_grid, l_type, r_flat, d, copies):
-    """The exchange relation as full products of the lifted operators,
-    restricted to the window afterwards, with R times the product of its
-    distinct denominators: where the two sides first differ, and both
-    values there."""
-    rmat = hat_and_check(r_flat)[0 if l_type == "hat" else 1]
-    common = ZetaRational.ONE
-    dens = []
-    for v in rmat.entries.values():
-        if not v.is_polynomial() and v.den not in dens:
-            dens.append(v.den)
-            common = common * ZetaRational(v.den)
-    r2 = verify._lift(rmat.scale(common), "ratio")
-    l_u = verify._lift(l_grid, "u")
-    l_v = verify._lift(l_grid, "v")
-    keep = fock_window(d, copies, verify.RELATION_MARGIN)
-    lhs = grid_akp(l_u, l_v).lmul_scalar_matrix(r2).restrict(keep)
-    rhs = grid_akp(l_v, l_u).rmul_scalar_matrix(r2).restrict(keep)
-    ab, ij = lhs.first_difference(rhs)
-    return {"entry": list(ab), "fock": list(ij),
-            "lhs": str(lhs.entry(*ab).entry(*ij)),
-            "rhs": str(rhs.entry(*ab).entry(*ij))}
+def _perturb(monkeypatch, ab=(0, 0), when=lambda exps: True):
+    """Make the checks read every table with its first term of grid entry
+    ab multiplied by q, at the exponents where `when` holds."""
+    real = verify.l_table
+
+    def perturbed(algebra, variant, exps):
+        table = real(algebra, variant, exps)
+        return _times_q(table, ab) if when(exps) else table
+    monkeypatch.setattr(verify, "l_table", perturbed)
 
 
-@pytest.mark.parametrize("algebra, variant, d", [("a1", "hat", 7),
-                                                 ("a2", "hat-1", 5)])
-def test_rll_fails_where_the_restricted_product_differs(algebra, variant, d):
-    ref, r, grid = _perturbed_l(algebra, variant, d)
-    args = (grid, ref.l_type, r.matrix, d, ref.copies)
-    failure = verify._rll_residual(*args)
-    assert failure is not None
-    assert failure == _restricted_after_product(*args)
+def _sides(l_mat, l_type, r_flat):
+    """Both sides of the exchange relation, as `check_rll` builds them."""
+    l_mat, = verify._cleared(l_mat)
+    rmat, = verify._cleared(hat_and_check(r_flat)[0 if l_type == "hat"
+                                                  else 1])
+    l_u, l_v = verify._lift(l_mat, "u"), verify._lift(l_mat, "v")
+    r2 = verify._constants(verify._lift(rmat, "ratio"), l_u.one)
+    return r2 * kron(l_u, l_v), kron(l_v, l_u) * r2
+
+
+@pytest.mark.parametrize("algebra, variant", [("a1", "hat"),
+                                              ("a2", "hat-1")])
+def test_rll_fails_where_the_ring_relation_differs(algebra, variant,
+                                                   monkeypatch):
+    exps = exponent_tuple(algebra, 1, 0, 0)
+    assert check_rll(algebra, variant, *exps).passed
+    table = _times_q(l_table(algebra, variant, exps), (0, 0))
+    _perturb(monkeypatch)
+    v = check_rll(algebra, variant, *exps)
+    assert v.passed is False
+    failure = v.first_failure
+    assert set(failure) == {"entry", "delta", "kappa", "lhs", "rhs"}
     assert failure["lhs"] != failure["rhs"]
-    assert verify._rll_residual(ref.matrix, *args[1:]) is None
-
-
-@pytest.mark.parametrize("d", [3, 4])
-def test_an_empty_relation_window_is_refused(d, capsys):
-    # at d <= RELATION_MARGIN the window keeps no state: both sides of
-    # every windowed relation would be empty and compare equal
-    ref, r, grid = _perturbed_l("a1", "hat", d)
-    args = (ref.l_type, r.matrix, d, ref.copies)
-    if d <= verify.RELATION_MARGIN:
-        with pytest.raises(ValueError):
-            verify._rll_residual(grid, *args)
-        for algebra, what in (("a1", "rll"), ("a1", "duality"),
-                              ("a1", "structure"), ("a2", "rll")):
-            argv = ["verify", what, "--algebra", algebra, "--fock", str(d)]
-            assert main(argv) == 2
-            assert capsys.readouterr().err.startswith("error: ")
-    else:
-        # the window holds the ground state, where the perturbation sits
-        assert verify._rll_residual(ref.matrix, *args) is None
-        assert verify._rll_residual(grid, *args) is not None
-        assert main(["verify", "rll", "--algebra", "a1", "--fock",
-                     str(d)]) == 0
+    # the report is the first entry and monomial where the sides differ
+    r = reference_matrix("r", algebra, "plain", *exps).matrix
+    lhs, rhs = _sides(table.ring(), "hat", r)
+    ij = tuple(failure["entry"])
+    assert ij == lhs.first_difference(rhs)
+    key = (tuple(failure["delta"]), tuple(failure["kappa"]))
+    x, y = lhs.entry(*ij).terms, rhs.entry(*ij).terms
+    assert (str(x[key]), str(y[key])) == (failure["lhs"], failure["rhs"])
+    assert all(x.get(k) == y.get(k) for k in set(x) | set(y) if k < key)
 
 
 def test_failing_duality_reports_both_values(monkeypatch):
-    _, _, grid = _perturbed_l("a1", "hat", 7)
-    monkeypatch.setattr(verify, "_tau_l", lambda ref: grid)
-    v = check_duality("a1", "hat", "tau", s=1, s1=0, d=7)
-    assert v.passed is False
-    assert set(v.first_failure) == {"entry", "fock", "lhs", "rhs"}
-    assert v.first_failure["lhs"] != v.first_failure["rhs"]
-    json.dumps(v.to_json())
+    # the a1 hat table with its diagonal term q^D moved to zeta q^D: the
+    # ring still inverts it
+    real = verify.l_table
+
+    def raised(*args):
+        table = real(*args)
+        (e, c, delta, kappa), = table.terms[(0, 0)]
+        return table._replace(terms={**table.terms,
+                                     (0, 0): ((e + 1, c, delta, kappa),)})
+    monkeypatch.setattr(verify, "l_table", raised)
+    for mode in ("tau", "inversion"):
+        v = check_duality("a1", "hat", mode, s=1, s1=0)
+        assert v.passed is False
+        assert set(v.first_failure) == {"entry", "delta", "kappa", "lhs",
+                                        "rhs"}
+        assert v.first_failure["lhs"] != v.first_failure["rhs"]
+        json.dumps(v.to_json())
 
 
 # -- two-parameter identities in Z[t^(+-1)][u^(+-1), v^(+-1)] ----------------
@@ -335,17 +327,13 @@ def test_two_variable_ring_arithmetic():
     assert (u - v) * (u + v) == u * u - v * v
     assert (u - v) * (u + v) == ring({(2, 0, 0): 1, (0, 2, 0): -1})
     assert u - u == ring({}) and not (u - u)
-    assert (u * v * v).inverse() * u == ring({(0, -2, 0): 1})
-    assert ring({(3, -1, 12): 1}).inverse() == ring({(-3, 1, -12): 1})
-    assert ring({(3, -1, 12): -1}).inverse() == ring({(-3, 1, -12): -1})
-    with pytest.raises(ArithmeticError):
-        (u - v).inverse()
-    with pytest.raises(ArithmeticError):
-        ring({}).inverse()
-    with pytest.raises(ArithmeticError):
-        ring({(1, 0, 6): 2}).inverse()
+    u_inv = ring({(-1, 0, 0): 1})
+    assert u * u_inv == ring({(0, 0, 0): 1})
+    # the ring has no inverse: the identity checks take none in two
+    # variables
+    assert not hasattr(u, "inverse")
     # the t-terms of each u^i v^j print as one Q(t) coefficient
-    x = (t6 - u.inverse()) * (t6 + u) - ring({(0, 0, 0): 1})
+    x = (t6 - u_inv) * (t6 + u) - ring({(0, 0, 0): 1})
     assert str(x) == ("(-t^6)/(1)*u^-1*v^0 + (-2 + t^12)/(1)*u^0*v^0"
                       " + (t^6)/(1)*u^1*v^0")
     assert str(ring({})) == "0"
@@ -358,17 +346,15 @@ def test_two_parameter_checks_run_on_cleared_polynomials():
     verdicts = [
         check_ybe("a1", s=1, s1=0), check_ybe("a1", s=-2, s1=-1),
         check_ybe("a2", s=1, s1=0, s2=0), check_ybe("a2", s=2, s1=1, s2=-1),
-        check_rll("a1", "hat", s=1, s1=0, d=6),
-        check_rll("a1", "check-twisted", s=1, s1=0, d=6),
-        check_rll("a2", "check-1", s=1, s1=0, s2=0, d=6),
-        check_rll("a2", "check-inv", s=1, s1=0, s2=0, d=6),
+        check_rll("a1", "hat", s=1, s1=0),
+        check_rll("a1", "check-twisted", s=1, s1=0),
+        check_rll("a2", "check-1", s=1, s1=0, s2=0),
+        check_rll("a2", "check-inv", s=1, s1=0, s2=0),
     ]
     for mode in ("inversion", "tau"):
-        # Fock dimensions that keep the windows (drop 3 or 5) non-empty
-        verdicts += [check_duality("a1", "hat", mode, s=1, s1=0, d=8),
-                     check_duality("a1", "check", mode, s=1, s1=0, d=8),
-                     check_duality("a2", "hat-1", mode, s=1, s1=0, s2=0,
-                                   d=6)]
+        verdicts += [check_duality("a1", "hat", mode, s=1, s1=0),
+                     check_duality("a1", "check", mode, s=1, s1=0),
+                     check_duality("a2", "hat-1", mode, s=1, s1=0, s2=0)]
     for family in ("r", "hat", "check"):
         verdicts += [check_gauge(family, "a1", s=-2, s1=-1),
                      check_gauge(family, "a1", s=3, s1=2),
@@ -402,7 +388,7 @@ def test_cleared_takes_one_gcd_per_distinct_denominator(what, monkeypatch):
         obj = hat_and_check(r)[0]
     else:
         _, algebra, variant = what.split()
-        obj = reference_matrix("l", algebra, variant, 1, 0, 0, d=8).matrix
+        obj = l_table(algebra, variant, (1, 0, 0)).ring()
     values = list(verify._values([obj]))
     z_dens = _distinct(v.den for v in values if not v.is_polynomial())
     t_dens = _distinct(c.den for v in values
@@ -435,7 +421,8 @@ def test_cleared_takes_one_gcd_per_distinct_denominator(what, monkeypatch):
     common = ZetaRational.ONE
     for den in z_dens:
         common = common * ZetaRational(ZetaRational(common.num, den).den)
-    assert cleared == obj.map_values(lambda v: v * common)
+    assert cleared == verify._map_scalars(obj, lambda v: v * common,
+                                          ZetaRational.ONE)
     if what != "l a2 check-1":
         assert z_dens and len(z_dens) < sum(not v.is_polynomial()
                                             for v in values)
@@ -462,10 +449,62 @@ def test_lift_refuses_an_exponent_beyond_the_packing():
         verify._monomial(mode, bound - 1)
 
 
-def test_cli_exits_2_where_an_exponent_leaves_the_packing(capsys):
-    # the a1 L-operators carry t^(6 n) on Fock level n, so 11000 states
-    # reach t^65994, beyond 2^16; the check is refused before any product
-    argv = ["verify", "rll", "--algebra", "a1", "--fock", "11000"]
+def test_cli_relation_checks_read_no_fock_dimension(capsys):
+    # the relation, duality and structure checks compare elements of the
+    # oscillator ring, so --fock changes nothing in their verdicts: not at
+    # 11000 states, where a rendered a1 L-operator would carry t^65994,
+    # beyond the packing, and not at 2
+    outputs = []
+    for what in ("rll", "duality", "structure"):
+        for fock in ("2", "11000"):
+            argv = ["verify", what, "--algebra", "a1", "--fock", fock,
+                    "--format", "json"]
+            assert main(argv) == 0
+            verdicts = json.loads(capsys.readouterr().out)
+            for v in verdicts:
+                del v["wall_time_ms"]
+            outputs.append(verdicts)
+    assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
+    assert outputs[4] == outputs[5]
+    assert all(v["pass"] for out in outputs for v in out)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_an_empty_relation_window_is_refused(d, monkeypatch, capsys):
+    # no relation check compares an empty window, where both sides would
+    # be empty and compare equal: a Fock dimension below 2 is refused, and
+    # from 2 up the relations are compared on the whole oscillator ring, so
+    # a perturbed table fails at d = 3 and 4 as at any other d (the
+    # duality checks, which raise where the perturbed table has no ring
+    # inverse, are failed by test_failing_duality_reports_both_values)
+    for algebra, what in (("a1", "rll"), ("a1", "duality"),
+                          ("a1", "structure"), ("a2", "rll")):
+        argv = ["verify", what, "--algebra", algebra, "--fock"]
+        assert main(argv + ["1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(argv + [str(d)]) == 0
+    _perturb(monkeypatch)
+    for algebra, what in (("a1", "rll"), ("a1", "structure"),
+                          ("a2", "rll")):
+        argv = ["verify", what, "--algebra", algebra, "--fock", str(d)]
+        assert main(argv) == 1
+
+
+def test_cli_exits_2_where_an_exponent_leaves_the_packing(monkeypatch,
+                                                          capsys):
+    # no catalog check reaches t^(2^16) any more, so a table term is
+    # scaled by q^11000 = t^66000; the check is refused before any product
+    real = verify.l_table
+
+    def far(algebra, variant, exps):
+        table = real(algebra, variant, exps)
+        terms = dict(table.terms)
+        e, c, delta, kappa = terms[(0, 0)][0]
+        terms[(0, 0)] = (((e, c * q_power(11000), delta, kappa),)
+                         + terms[(0, 0)][1:])
+        return table._replace(terms=terms)
+    monkeypatch.setattr(verify, "l_table", far)
+    argv = ["verify", "rll", "--algebra", "a1"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: exponent") and "2^16" in err
@@ -473,60 +512,44 @@ def test_cli_exits_2_where_an_exponent_leaves_the_packing(capsys):
 
 # -- failure text, pinned ------------------------------------------------------
 
-def test_failure_text_of_a_perturbed_rll_relation_is_pinned():
-    ref, r, grid = _perturbed_l("a1", "hat", 7)
-    failure = verify._rll_residual(grid, ref.l_type, r.matrix, 7, ref.copies)
-    assert failure == {
-        "entry": [0, 1], "fock": [0, 1],
-        "lhs": "(1 - t^12)/(1)*u^0*v^1 + (-t^-12 + 1)/(1)*u^1*v^0",
-        "rhs": "(t^-6 - t^6)/(1)*u^0*v^1"
-               " + (-t^-12 - t^-6 + 2 + t^6 - t^12)/(1)*u^1*v^0",
+def test_failure_text_of_a_perturbed_rll_relation_is_pinned(monkeypatch):
+    # the a1 hat table with its ground diagonal term q^D times q
+    _perturb(monkeypatch)
+    v = check_rll("a1", "hat", s=1, s1=0)
+    assert v.first_failure == {
+        "entry": [1, 1], "delta": [0], "kappa": [2],
+        "lhs": "(-t^-12 + t^-6 - t^6)/(1)*u^0*v^1 + (t^-12)/(1)*u^1*v^0",
+        "rhs": "(-1)/(1)*u^0*v^1 + (t^-6 + 1 - t^6)/(1)*u^1*v^0",
     }
 
 
 def test_a_failing_relation_reports_an_absent_entry_as_zero():
-    # a new Fock entry (2, 0) in grid entry (0, 0): where the two sides
-    # first differ only the right one has an entry, and the report reads
-    # the left one as zero of the two-variable ring
-    d = 6
-    ref = reference_matrix("l", "a1", "hat", 1, 0, 0, d=d)
-    r = reference_matrix("r", "a1", "plain", 1, 0, 0)
-    op = ref.matrix.entry(0, 0)
-    assert (2, 0) not in op.entries
-    ops = dict(ref.matrix.entries)
-    ops[(0, 0)] = OpMatrix(op.dim, {**op.entries, (2, 0): ZetaRational.ONE},
-                           op.one)
-    grid = Grid(ref.matrix.n, ops, ref.matrix.op_dim, op.one)
-    failure = verify._rll_residual(grid, ref.l_type, r.matrix, d, ref.copies)
-    assert failure == {
-        "entry": [0, 1], "fock": [1, 0], "lhs": "0",
-        "rhs": "(t^-18 - t^6)/(1)*u^0*v^1 + (-t^-18 + t^6)/(1)*u^1*v^0",
-    }
+    # where the two sides first differ only one has a term, or an entry:
+    # the report reads the other as zero
+    one = verify._Laurent2.ONE
+    key = ((1,), (-1,))
+    ring_one = OscElement({((0,), (0,)): one}, verify._q_power2)
+    x = OscElement({key: one + one}, verify._q_power2)
+    y = OscElement({((0,), (2,)): one}, verify._q_power2)
+    lhs = OpMatrix(2, {(0, 1): x + y}, ring_one)
+    rhs = OpMatrix(2, {(0, 1): y}, ring_one)
+    assert verify._ring_failure(lhs, rhs) == {
+        "entry": [0, 1], "delta": [1], "kappa": [-1],
+        "lhs": "(2)/(1)*u^0*v^0", "rhs": "0"}
+    assert verify._ring_failure(rhs, OpMatrix.zero(2, ring_one)) == {
+        "entry": [0, 1], "delta": [0], "kappa": [2],
+        "lhs": "(1)/(1)*u^0*v^0", "rhs": "0"}
 
 
 def test_failure_text_of_a_failing_a2_gauge_verdict_is_pinned(monkeypatch):
-    # the gauged closed form (s = 2) with grid entry (1, 1), Fock entry
-    # (0, 0) times q; the base closed form (s = 1) is left as it is
-    real = verify.reference_matrix
-
-    def perturbed(kind, algebra, variant, s, s1, s2=0, d=12):
-        ref = real(kind, algebra, variant, s, s1, s2, d=d)
-        if s != 1:
-            op = ref.matrix.entry(1, 1)
-            entries = dict(op.entries)
-            entries[(0, 0)] = entries[(0, 0)] * zeta_monomial(0, 
-                q_power(1))
-            ops = dict(ref.matrix.entries)
-            ops[(1, 1)] = OpMatrix(op.dim, entries, op.one)
-            ref.matrix = Grid(ref.matrix.n, ops, ref.matrix.op_dim, op.one)
-        return ref
-    monkeypatch.setattr(verify, "reference_matrix", perturbed)
+    # the gauged table (s = 2) with the first term of grid entry (1, 1)
+    # times q; the base table (s = 1) is left as it is
+    _perturb(monkeypatch, (1, 1), lambda exps: exps[0] != 1)
     v = check_gauge("hat", "a2", s=2, s1=1, s2=0)
     assert v.passed is False
     assert v.first_failure == {
-        "entry": [1, 1], "fock": [0, 0],
-        "lhs": "(t^6)/(1)*u^0*v^0 + (-t^-6)/(1)*u^2*v^-2",
-        "rhs": "(1)/(1)*u^0*v^0 + (-t^-12)/(1)*u^2*v^-2",
+        "entry": [1, 1], "delta": [0, 0], "kappa": [-1, 1],
+        "lhs": "(t^6)/(1)*u^0*v^0", "rhs": "(1)/(1)*u^0*v^0",
     }
 
 
@@ -547,20 +570,20 @@ def test_no_check_builds_ordered_factors(monkeypatch):
         check_engine("l", "a1", "check", s=1, s1=0, order=3, d=5),
         check_engine("l", "a2", "hat-1", s=1, s1=0, s2=0, order=1, d=4),
         check_engine("l", "a2", "check-1", s=1, s1=0, s2=0, order=1, d=4),
-        check_rll("a1", "hat", s=1, s1=0, d=6),
-        check_rll("a1", "check", s=1, s1=0, d=6),
-        check_rll("a2", "hat-1", s=1, s1=0, s2=0, d=5),
-        check_rll("a2", "check-1", s=1, s1=0, s2=0, d=5),
-        check_duality("a1", "hat", "inversion", s=1, s1=0, d=6),
-        check_duality("a1", "check", "tau", s=1, s1=0, d=6),
-        check_duality("a2", "hat-1", "inversion", s=1, s1=0, s2=0, d=4),
-        check_duality("a2", "check-1", "tau", s=1, s1=0, s2=0, d=4),
+        check_rll("a1", "hat", s=1, s1=0),
+        check_rll("a1", "check", s=1, s1=0),
+        check_rll("a2", "hat-1", s=1, s1=0, s2=0),
+        check_rll("a2", "check-1", s=1, s1=0, s2=0),
+        check_duality("a1", "hat", "inversion", s=1, s1=0),
+        check_duality("a1", "check", "tau", s=1, s1=0),
+        check_duality("a2", "hat-1", "inversion", s=1, s1=0, s2=0),
+        check_duality("a2", "check-1", "tau", s=1, s1=0, s2=0),
         check_gauge("hat", "a1", s=2, s1=1),
         check_gauge("check", "a1", s=-2, s1=1),
         check_gauge("hat", "a2", s=2, s1=1, s2=0),
         check_gauge("check", "a2", s=2, s1=0, s2=1),
-        check_structure("a1", d=6),
-        check_structure("a2", d=5),
+        check_structure("a1"),
+        check_structure("a2"),
     ]
     assert [v for v in verdicts if not v.passed] == []
 
@@ -640,3 +663,75 @@ def test_pool_is_no_larger_than_the_checks(prefix, workers, expected,
     assert _RecordingExecutor.sizes == expected
     assert [cid for cid, _ in results] == sorted(c[0] for c in checks)
     assert all(v.passed for _, v in results)
+
+
+# -- single-term mutations of the tables ---------------------------------------
+
+def _mutations(table):
+    """Every single-term mutation of a table, named (entry, term, kind):
+    the sign of c flipped, zeta^e raised to zeta^(e + 1), or kappa_1
+    raised by one."""
+    for ab, terms in sorted(table.terms.items()):
+        for k, (e, c, delta, kappa) in enumerate(terms):
+            for kind, term in (
+                    ("sign", (e, -c, delta, kappa)),
+                    ("zeta", (e + 1, c, delta, kappa)),
+                    ("kappa", (e, c, delta, (kappa[0] + 1,) + kappa[1:]))):
+                mutated = dict(table.terms)
+                mutated[ab] = terms[:k] + (term,) + terms[k + 1:]
+                yield (ab, k, kind), table._replace(terms=mutated)
+
+
+def test_every_moved_check_fails_on_a_mutated_table(monkeypatch):
+    real = verify.l_table
+    passing, count = [], 0
+    for algebra, variant in (("a1", "hat"), ("a1", "check"),
+                             ("a2", "hat-1"), ("a2", "check-2")):
+        exps = exponent_tuple(algebra, 1, 0, 0)
+        for name, table in _mutations(real(algebra, variant, exps)):
+            count += 1
+            monkeypatch.setattr(verify, "l_table", lambda *args: table)
+            if check_rll(algebra, variant, *exps).passed:
+                passing.append((variant, name))
+                continue
+            # a wrong table fails tau; its inverse, where the ring has one,
+            # fails the flipped relation
+            assert not check_duality(algebra, variant, "tau", *exps).passed
+            try:
+                inverted = check_duality(algebra, variant, "inversion", *exps)
+            except ValueError:
+                continue
+            assert not inverted.passed
+    # the sign flip of the zeta^0 term of (1, 1) solves the relation too
+    assert count == 90
+    assert passing == [(v, ((1, 1), 0, "sign"))
+                       for v in ("hat", "check", "hat-1")]
+
+
+@pytest.mark.parametrize("wrong", ["matrix leg", "spectral"])
+def test_wrong_gauge_weights_fail_the_l_gauge(wrong, monkeypatch):
+    cases = (("hat", "a1", 2, 1, 0), ("check", "a1", 3, -1, 0),
+             ("hat", "a2", 2, 1, 0), ("check", "a2", 2, 0, 1))
+    assert all(check_gauge(*c).passed for c in cases)
+    real_weights, real_gauged = verify._gauge_weights, verify._gauged
+    if wrong == "matrix leg":
+        monkeypatch.setattr(verify, "_gauge_weights",
+                            lambda algebra, s1, s2, var:
+                            real_weights(algebra, s1 + 1, s2 + 1, var))
+    else:
+        # the matrix-leg weights stay right, the spectral ones take s1 + 1
+        monkeypatch.setattr(verify, "_gauge_weights",
+                            lambda algebra, s1, s2, var:
+                            real_weights(algebra, s1 - 1, s2, var))
+        monkeypatch.setattr(verify, "_gauged",
+                            lambda family, algebra, s1, s2, base:
+                            real_gauged(family, algebra, s1 + 1, s2, base))
+    assert not any(check_gauge(*c).passed for c in cases)
+
+
+@pytest.mark.parametrize("algebra", ["a1", "a2"])
+@pytest.mark.parametrize("ab", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_a_table_term_times_q_fails_structure(algebra, ab, monkeypatch):
+    _perturb(monkeypatch, ab)
+    v = check_structure(algebra)
+    assert v.passed is False and "not idempotent" in v.first_failure["detail"]

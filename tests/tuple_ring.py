@@ -11,8 +11,7 @@ from qaffine.scalars import QScalar
 
 class TupleLaurent2:
     """A Laurent polynomial in u, v over Z[t^(+-1)]: {(i, j, k): int} for
-    the terms c u^i v^j t^k, with no zero coefficient stored.  A ring, not
-    a field: only a monomial with coefficient +-1 has an inverse."""
+    the terms c u^i v^j t^k, with no zero coefficient stored."""
 
     __slots__ = ("terms",)
 
@@ -49,15 +48,6 @@ class TupleLaurent2:
                 else:
                     del out[key]
         return TupleLaurent2(out)
-
-    def inverse(self):
-        if len(self.terms) != 1:
-            raise ArithmeticError("only a monomial in u, v has an inverse")
-        ((i, j, k), c), = self.terms.items()
-        if c != 1 and c != -1:
-            raise ArithmeticError("only a coefficient +-1 t^k has an "
-                                  "inverse in Z[t^(+-1)]")
-        return TupleLaurent2({(-i, -j, -k): c})
 
     def __eq__(self, other):
         return isinstance(other, TupleLaurent2) and self.terms == other.terms
