@@ -7,8 +7,8 @@ carries a sample `one` of its scalar kind so identities and zeros can be
 built without a class registry.  On top of that live matrix units,
 Kronecker products, symmetric-group operators, leg embeddings, the
 elements of the q-oscillator ring (OscElement), and Grid: a square matrix
-whose entries are themselves matrices of Fock operators, with the
-generalized Kronecker product.
+of Fock-operator matrices, the form `reference.render` gives an L-operator
+on finitely many states, with the generalized Kronecker product.
 """
 
 import itertools
@@ -60,9 +60,6 @@ class OpMatrix:
 
     def __bool__(self):
         return bool(self.entries)
-
-    def is_diagonal(self):
-        return all(i == j for i, j in self.entries)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -343,17 +340,6 @@ class OscElement:
                 out[key] = c
         return OscElement(out, qpow)
 
-    def inverse(self):
-        """The inverse of a unit c x^kappa; ValueError for any other
-        element, so that `grid_inverse` looks for another pivot."""
-        if len(self.terms) == 1:
-            ((delta, kappa), c), = self.terms.items()
-            if not any(delta):
-                return OscElement({(delta, tuple(-k for k in kappa)):
-                                   c.inverse()}, self.qpow)
-        raise ValueError("only a monomial c x^kappa is a unit of the "
-                         "oscillator ring")
-
     def map(self, fn, qpow=None):
         """fn applied to every coefficient, zeros dropped; `qpow` gives q^m
         among the values of fn when they are of another kind."""
@@ -385,12 +371,6 @@ class Grid:
             self.entries = entries
         else:
             self.entries = {ab: m for ab, m in entries.items() if m}
-
-    def entry(self, a, b):
-        m = self.entries.get((a, b))
-        if m is None:
-            return OpMatrix.zero(self.op_dim, self.one)
-        return m
 
     def __mul__(self, other):
         """Matrix product over the grid index, operator product inside."""
@@ -438,9 +418,6 @@ class Grid:
         if not isinstance(other, Grid):
             return NotImplemented
         return self.n == other.n and self.entries == other.entries
-
-    def __bool__(self):
-        return bool(self.entries)
 
     def __repr__(self):
         return "Grid(n=%d, op_dim=%d, nnz=%d)" % (self.n, self.op_dim,

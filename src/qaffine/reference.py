@@ -8,15 +8,14 @@ so the stored matrix times the tag is the honest object.
 
 Each L-operator is the image of the universal R-matrix in the
 q-oscillator algebra, so it is transcribed as a table of oscillator
-monomials zeta^e c L_delta q^(kappa . D) (`LTable`).  A table becomes a
-matrix over the q-oscillator ring of normal forms sum c S_delta x^kappa
-(`linalg.OscElement`), where identities hold on the untruncated Fock
-space, or is rendered on d Fock states per copy one state at a time, on
-integer Laurent polynomials in t and with no matrix product; the
-anti-involution tau acts on the table itself.  One exact inversion
-(`grid_inverse`) serves both forms.  The ordered factors the source
-derivation lists for some L-operators are an oracle for these closed
-forms and live with the tests (`tests/derivation_factors.py`).
+monomials zeta^e c L_delta q^(kappa . D) (`LTable`), on which tau acts.
+Its one algebraic form is a matrix over the q-oscillator ring of normal
+forms sum c S_delta x^kappa (`linalg.OscElement`), inverted by one
+elimination with unit pivots c x^kappa (`grid_inverse`) and rendered on
+d Fock states per copy one state at a time, with no matrix product
+(`render`).  The ordered factors the source derivation lists for some
+L-operators are an oracle for these closed forms and live with the tests
+(`tests/derivation_factors.py`).
 
 Also here: the constant exchange matrices of the spectral-linear
 decomposition.
@@ -27,17 +26,15 @@ from functools import lru_cache
 from itertools import product
 from operator import mul
 
-from .scalars import (
-    QScalar, _ONE_POLY, _p_add, _p_mul, q_power, t_power,
-)
+from .scalars import QScalar, _ONE_POLY, q_power, t_power
 from .series import ZetaSeries, lambda_level
 from .rational import ZetaRational
 from .linalg import OpMatrix, OscElement, Grid, kron
 
 __all__ = [
     "PrefactorTag", "ReferenceObject", "LTable", "reference_matrix",
-    "l_table", "l_tag", "list_variants", "r0_hat_matrix", "grid_inverse",
-    "op_inverse", "exponent_tuple",
+    "l_table", "l_tag", "list_variants", "r0_hat_matrix", "render",
+    "grid_inverse", "op_inverse", "NoPivotError", "exponent_tuple",
 ]
 
 ONE = QScalar.ONE
@@ -188,47 +185,6 @@ class LTable(namedtuple("LTable", "n copies terms divisor")):
             for ab, terms in self.terms.items()},
             None if self.divisor is None else -self.divisor)
 
-    def render(self, d):
-        """The grid on d Fock states per copy, the first copy slowest.  A
-        term sends state n to n + delta, is dropped where that leaves
-        0..d-1, and weighs it by c q^(kappa . n) times 1 - q^(2 n_i) for
-        each lowered copy i: an integer Laurent polynomial in t (q = t^6),
-        summed per zeta power with no gcd."""
-        dim = d ** self.copies
-        strides = [d ** i for i in reversed(range(self.copies))]
-        den = (None if self.divisor is None
-               else {0: ONE, self.divisor: -ONE})
-        ops = {}
-        for ab, terms in self.terms.items():
-            cells = {}
-            for e, c, delta, kappa in terms:
-                # per copy: (flat offset, weight) of each state n_i whose
-                # target n_i + delta_i stays in 0..d-1, c on the first copy
-                per_copy = [[(n * st, {6 * k * n: 1} if x >= 0
-                              else {6 * k * n: 1, 6 * k * n + 12 * n: -1})
-                             for n in range(max(0, -x), d - max(0, x))]
-                            for x, k, st in zip(delta, kappa, strides)]
-                per_copy[0] = [(o, _p_mul(c.num, f)) for o, f in per_copy[0]]
-                step = sum(map(mul, delta, strides))
-                for (col, w), *rest in product(*per_copy):
-                    for offset, f in rest:
-                        col += offset
-                        w = _p_mul(w, f)
-                    cell = cells.setdefault((col + step, col), {})
-                    if e in cell:
-                        w = _p_add(cell.pop(e), w)
-                    if w:
-                        cell[e] = w
-            for ij, cell in cells.items():
-                # in place: a fresh dict per entry raises the peak memory
-                # of a command that prints the grid
-                for e, p in cell.items():
-                    cell[e] = QScalar(p, _ONE_POLY, _canonical=True)
-                cells[ij] = (ZetaRational(cell, den) if den
-                             else ZetaRational(cell, _canonical=True))
-            ops[ab] = OpMatrix(dim, cells, ZetaRational.ONE)
-        return Grid(self.n, ops, dim, ZetaRational.ONE)
-
     def ring(self):
         """The operator as an n x n OpMatrix over the oscillator ring, with
         one-variable rational coefficients and no Fock dimension: a lowered
@@ -377,6 +333,59 @@ def exponent_tuple(algebra, s, s1, s2):
     return (s, s1) if algebra == "a1" else (s, s1, s2)
 
 
+def render(m, d):
+    """An n x n OpMatrix over the oscillator ring as the Grid of its
+    operators on d Fock states per copy, the first copy slowest: the term
+    c S_delta x^kappa sends state n to n + delta with the weight
+    c q^(kappa . n), a shift of the t-exponents of c (q = t^6), and is
+    dropped where n + delta leaves 0..d-1.  An entry's numerators are
+    summed in place per denominator, in zeta and in t, into one
+    ZetaRational per zeta-denominator, with any sum that vanishes dropped."""
+    (zero, _), = m.one.terms
+    dim = d ** len(zero)
+    strides = [d ** i for i in reversed(range(len(zero)))]
+    ops = {}
+    for ab, x in m.entries.items():
+        cells = {}
+        for (delta, kappa), c in x.terms.items():
+            zkey = frozenset(c.den.items())
+            parts = [((e, None if v.den is _ONE_POLY
+                       else tuple(v.den.items())), v.num)
+                     for e, v in c.num.items()]
+            step = sum(map(mul, delta, strides))
+            # (flat offset, t-shift) of the states n_i of each copy whose
+            # target n_i + delta_i stays in 0..d-1
+            for (col, shift), *rest in product(*(
+                    [(n * st, 6 * k * n) for n in range(max(0, -dn),
+                                                        d - max(0, dn))]
+                    for dn, k, st in zip(delta, kappa, strides))):
+                for o, k in rest:
+                    col += o
+                    shift += k
+                sums = cells.setdefault((col + step, col), {}).setdefault(
+                    zkey, (c.den, {}))[1]
+                for key, num in parts:
+                    acc = sums.setdefault(key, {})
+                    for k, n in num.items():
+                        n += acc.pop(k + shift, 0)
+                        if n:
+                            acc[k + shift] = n
+        for ij, cell in cells.items():
+            cells[ij] = ZetaRational.ZERO
+            for zden, sums in cell.values():
+                num = {}
+                for (e, tden), p in sums.items():
+                    v = (QScalar(p, _canonical=True) if tden is None
+                         else QScalar(p, dict(tden)))
+                    num[e] = num[e] + v if e in num else v
+                cells[ij] = cells[ij] + (
+                    ZetaRational(num, zden)
+                    if len(zden) > 1 or not all(num.values())
+                    else ZetaRational(num, _canonical=True))
+        ops[ab] = OpMatrix(dim, cells, ZetaRational.ONE)
+    return Grid(m.dim, ops, dim, ZetaRational.ONE)
+
+
 def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):
     """Closed-form object for the given kind/algebra/variant and exponents.
 
@@ -390,14 +399,13 @@ def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):
     if kind == "l" and variant in _L_VARIANTS.get(algebra, ()):
         exps = exponent_tuple(algebra, s, s1, s2)
         if variant == "hat-2-inv":
-            base = l_table(algebra, "hat-2", exps).render(d)
-            return ReferenceObject("l", algebra, variant, exps,
-                                   PrefactorTag(), _reflected_inverse(base),
-                                   l_type="check", fock_dim=d, copies=2)
-        return ReferenceObject("l", algebra, variant, exps,
-                               l_tag(variant, s),
-                               l_table(algebra, variant, exps).render(d),
-                               l_type=variant.partition("-")[0], fock_dim=d,
+            ring = _reflected_inverse(l_table(algebra, "hat-2", exps).ring())
+            tag, l_type = PrefactorTag(), "check"
+        else:
+            ring = l_table(algebra, variant, exps).ring()
+            tag, l_type = l_tag(variant, s), variant.partition("-")[0]
+        return ReferenceObject("l", algebra, variant, exps, tag,
+                               render(ring, d), l_type=l_type, fock_dim=d,
                                copies=len(exps) - 1)
     raise ValueError("unsupported combination %r; supported: %s"
                      % ((kind, algebra, variant), list_variants()))
@@ -420,81 +428,63 @@ def r0_hat_matrix(n):
 
 # -- inversion --------------------------------------------------------------
 
-def op_inverse(m):
-    """Inverse of a diagonal Fock-valued matrix over the rational scalar
-    field.  Every pivot of a weight-graded grid has weight zero, so it is
-    diagonal; any other matrix, or a vanishing diagonal entry, raises
-    ValueError and `grid_inverse` tries the next entry."""
-    if not m.is_diagonal():
-        raise ValueError("matrix is not diagonal; cannot invert")
-    if len(m.entries) < m.dim:
-        raise ValueError("matrix has vanishing diagonal entries; "
-                         "cannot invert")
-    return OpMatrix(m.dim, {ij: v.inverse() for ij, v in m.entries.items()},
-                    m.one, _clean=True)
+class NoPivotError(ArithmeticError):
+    """`grid_inverse` found no unit pivot left to invert a matrix with."""
 
 
-def _pivot(a, col, invert):
-    """(row, column, inverse) of the first invertible entry of the block
+def op_inverse(x):
+    """The inverse of a unit c x^kappa of the oscillator ring, c a nonzero
+    scalar; ValueError for any other element, so that `grid_inverse` tries
+    the next entry."""
+    if len(x.terms) == 1:
+        ((delta, kappa), c), = x.terms.items()
+        if not any(delta):
+            return OscElement({(delta, tuple(-k for k in kappa)):
+                               c.inverse()}, x.qpow)
+    raise ValueError("only a monomial c x^kappa is a unit of the ring")
+
+
+def _pivot(a, col):
+    """(row, column, inverse) of the first unit entry of the square block
     of `a` from (col, col) on, read column by column."""
     n = len(a)
     for c in range(col, n):
         for r in range(col, n):
-            if a[r][c]:
-                try:
-                    return r, c, invert(a[r][c])
-                except ValueError:
-                    continue
-    raise ValueError("no invertible pivot left at elimination step %d"
-                     % col)
+            try:
+                return r, c, op_inverse(a[r][c])
+            except ValueError:
+                continue
+    raise NoPivotError("no invertible pivot left at elimination step %d"
+                       % col)
 
 
 def grid_inverse(g):
-    """Inverse of a square matrix over a noncommutative ring by
-    Gauss-Jordan elimination with full pivoting, so any invertible entry
-    can be the pivot: a Grid of Fock operators, whose pivots are diagonal
-    operators (`op_inverse`), or an OpMatrix over the oscillator ring,
-    whose pivots are units c x^kappa (`OscElement.inverse`)."""
-    if isinstance(g, Grid):
-        n, invert = g.n, op_inverse
-        one = OpMatrix.identity(g.op_dim, g.one)
-        zero = OpMatrix.zero(g.op_dim, g.one)
-    else:
-        n, invert = g.dim, OscElement.inverse
-        one, zero = g.one, g.one - g.one
-    a = [[g.entry(i, j) for j in range(n)] for i in range(n)]
-    b = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    """Inverse of a square OpMatrix over the oscillator ring by Gauss-Jordan
+    elimination on [g | 1] with full pivoting, so any unit c x^kappa can be
+    the pivot (`op_inverse`); NoPivotError when none is left."""
+    n, one = g.dim, g.one
+    a = [[g.entry(i, j) for j in range(n)]
+         + [one if i == j else one - one for j in range(n)] for i in range(n)]
     cols = list(range(n))
     for col in range(n):
-        r, c, piv_inv = _pivot(a, col, invert)
+        r, c, piv_inv = _pivot(a, col)
         a[col], a[r] = a[r], a[col]
-        b[col], b[r] = b[r], b[col]
         if c != col:
             for row in a:
                 row[col], row[c] = row[c], row[col]
             cols[col], cols[c] = cols[c], cols[col]
         a[col] = [piv_inv * x for x in a[col]]
-        b[col] = [piv_inv * x for x in b[col]]
         for r in range(n):
-            if r == col or not a[r][col]:
-                continue
-            f = a[r][col]
-            a[r] = [a[r][k] - f * a[col][k] for k in range(n)]
-            b[r] = [b[r][k] - f * b[col][k] for k in range(n)]
-    # b inverts g with its columns permuted, g Q; so g^-1 = Q b, whose row
-    # cols[i] is row i of b
-    entries = {(cols[i], j): b[i][j] for i in range(n) for j in range(n)
-               if b[i][j]}
-    if isinstance(g, Grid):
-        return Grid(n, entries, g.op_dim, g.one, _clean=True)
-    return OpMatrix(n, entries, g.one, _clean=True)
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    # the right half b inverts g with its columns permuted, g Q; so
+    # g^-1 = Q b, whose row cols[i] is row i of b
+    return OpMatrix(n, {(cols[i], j): a[i][n + j] for i in range(n)
+                        for j in range(n) if a[i][n + j]}, one, _clean=True)
 
 
 def _reflected_inverse(m):
-    """The inverse of a Grid, or of an OpMatrix over the oscillator ring, at
-    reflected argument zeta -> 1/zeta."""
-    inv = grid_inverse(m)
-    reflect = lambda v: v.subs_power(-1)
-    if isinstance(m, Grid):
-        return inv.map_values(reflect, ZetaRational.ONE)
-    return inv.map_values(lambda x: x.map(reflect))
+    """`grid_inverse(m)` at reflected argument zeta -> 1/zeta."""
+    return grid_inverse(m).map_values(
+        lambda x: x.map(lambda v: v.subs_power(-1)))

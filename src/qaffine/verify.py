@@ -7,8 +7,8 @@ gauge and structure checks compare matrices over the q-oscillator ring of
 normal forms sum c S_delta x^kappa (`linalg.OscElement`), built from
 the L-operator tables: an identity holds there exactly when it holds on
 every state of the untruncated Fock space, so these checks read no Fock
-dimension.  Inverses come from the one elimination, `grid_inverse`, whose
-pivots on the ring are units c x^kappa.
+dimension.  Inverses come from the one elimination, `grid_inverse`, with
+unit pivots c x^kappa; a check finding none left fails and names the step.
 
 Each identity that genuinely involves two spectral parameters is
 homogeneous, so its one-variable scalars are first multiplied by one
@@ -29,7 +29,7 @@ from .rational import ZetaRational, _exquo, _mul
 from .linalg import OpMatrix, OscElement, hat_and_check, embed_legs, kron
 from .reference import (
     reference_matrix, r0_hat_matrix, l_table, l_tag, list_variants,
-    exponent_tuple, grid_inverse, _reflected_inverse,
+    exponent_tuple, grid_inverse, _reflected_inverse, NoPivotError,
 )
 from .engine import EngineParams, assemble
 
@@ -226,6 +226,8 @@ _ENGINE_SIDES = {
 def engine_params_for(kind, algebra, variant, s, s1, s2, order, d):
     if kind == "r":
         return EngineParams(algebra, s, s1, s2, order=order)
+    if variant not in _ENGINE_SIDES:
+        raise ValueError("no engine assembles L-operator %r" % (variant,))
     left, right = _ENGINE_SIDES[variant]
     family = 2 if variant.endswith("-2") else 1
     twist = (1, 0) if variant.endswith("twisted") else None
@@ -247,10 +249,9 @@ def _tag_ratio(tag, a00, order):
 def check_engine(kind, algebra, variant="plain", s=1, s1=0, s2=0, order=8,
                  d=None):
     """Assembled series equals tag-series times the transcribed matrix."""
-    if d is None:
-        d = order + 4
-    ref = reference_matrix(kind, algebra, variant, s, s1, s2, d=d)
     params = engine_params_for(kind, algebra, variant, s, s1, s2, order, d)
+    ref = reference_matrix(kind, algebra, variant, s, s1, s2,
+                           d=params.fock_dim)
     a00, engine_mat = assemble(params, split_prefactor=True)
     ref_mat = ref.expand(order)
     # both splits are exact; they may anchor the common scalar differently,
@@ -407,8 +408,12 @@ def check_rll(algebra, variant, s=1, s1=0, s2=0):
     R-matrix of the same exponents, on the untruncated Fock space."""
     r = reference_matrix("r", algebra, "plain", s, s1, s2)
     exps = exponent_tuple(algebra, s, s1, s2)
-    l_type, l_mat = _l_operator(algebra, variant, exps)
-    failure = _rll_residual(l_mat, l_type, r.matrix)
+    try:
+        l_type, l_mat = _l_operator(algebra, variant, exps)
+        failure = _rll_residual(l_mat, l_type, r.matrix)
+    except NoPivotError as exc:
+        # only hat-2-inv, of check type, is an inverse
+        l_type, failure = "check", {"detail": str(exc)}
     return Verdict("rll-%s" % l_type, algebra, variant, exps,
                    failure is None, failure)
 
@@ -422,15 +427,18 @@ def check_duality(algebra, variant, mode, s=1, s1=0, s2=0):
     type.  tau acts on tables, so hat-2-inv has no tau duality."""
     r = reference_matrix("r", algebra, "plain", s, s1, s2)
     exps = exponent_tuple(algebra, s, s1, s2)
-    l_type, l_mat = _l_operator(algebra, variant, exps)
-    if mode == "inversion":
-        derived = _reflected_inverse(l_mat)
-    elif mode == "tau":
-        derived = l_table(algebra, variant, exps).tau().ring()
-    else:
-        raise ValueError("duality mode must be 'inversion' or 'tau'")
-    flipped = "check" if l_type == "hat" else "hat"
-    failure = _rll_residual(derived, flipped, r.matrix)
+    try:
+        l_type, l_mat = _l_operator(algebra, variant, exps)
+        if mode == "inversion":
+            derived = _reflected_inverse(l_mat)
+        elif mode == "tau":
+            derived = l_table(algebra, variant, exps).tau().ring()
+        else:
+            raise ValueError("duality mode must be 'inversion' or 'tau'")
+        flipped = "check" if l_type == "hat" else "hat"
+        failure = _rll_residual(derived, flipped, r.matrix)
+    except NoPivotError as exc:
+        failure = {"detail": str(exc)}
     return Verdict("duality-%s" % mode, algebra, variant, exps,
                    failure is None, failure)
 
@@ -540,7 +548,7 @@ def _decomposed(variant, algebra, invert):
             try:
                 pi = (grid_inverse(lm) * lp if invert == "minus"
                       else grid_inverse(lp) * lm)
-            except ValueError:
+            except NoPivotError:
                 continue
             return exps, lp, lm, pi
     return None

@@ -17,9 +17,8 @@ from qaffine.linalg import OpMatrix, perm_operator, kron
 from qaffine.qgroup import phi_zeta, dynkin_twist
 from qaffine.oscillator import chi_images, psi_images
 from qaffine.engine import EngineParams, assemble
-from qaffine.reference import (
-    reference_matrix, grid_inverse,
-)
+from qaffine import reference
+from qaffine.reference import l_table, reference_matrix
 from qaffine.verify import (
     check_engine, check_ybe, check_rll, check_duality, check_gauge,
     check_structure, run_suite,
@@ -72,18 +71,22 @@ def test_criterion_3_engine_equality_a2():
     # family at reflected argument after the pair rescaling, and the
     # family-II inverse round-trips
     d = 5
-    hat1 = reference_matrix("l", "a2", "hat-1", 1, 0, 0, d=d)
-    inv = grid_inverse(hat1.matrix).map_values(lambda v: v.subs_power(-1),
-                                               ZR1_ONE)
+    hat1 = l_table("a2", "hat-1", (1, 0, 0)).ring()
+    inv = reference.render(reference._reflected_inverse(hat1), d)
     normalized = apply_two_copy_normalization(inv, d)
     printed = reference_matrix("l", "a2", "check-inv", 1, 0, 0, d=d)
 
     keep = fock_window(d, 2, 2)
     assert restrict(normalized, keep) == restrict(printed.matrix, keep)
-    hat2 = reference_matrix("l", "a2", "hat-2", 1, 0, 0, d=d)
+    hat2 = l_table("a2", "hat-2", (1, 0, 0)).ring()
+    back = reference._reflected_inverse(hat2).map_values(
+        lambda x: x.map(lambda v: v.subs_power(-1)))
+    assert hat2 * back == OpMatrix.identity(3, hat2.one)
     inv2 = reference_matrix("l", "a2", "hat-2-inv", 1, 0, 0, d=d)
     back = inv2.matrix.map_values(lambda v: v.subs_power(-1), ZR1_ONE)
-    assert hat2.matrix * back == grid_identity(3, d * d, ZR1_ONE)
+    keep = fock_window(d, 2, 1)
+    assert restrict(reference.render(hat2, d) * back, keep) == \
+        restrict(grid_identity(3, d * d, ZR1_ONE), keep)
     _report(3, "rank-2 R-matrix and all six L-operator variants "
                "reproduced to order 6 at (1,0,0)")
 

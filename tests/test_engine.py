@@ -333,7 +333,7 @@ def _bracket_tables(image, side, m_max):
         levels = []
         for m in range(1, m_max + 1):
             sop = bracket(real[(gamma, m - 1)], real[(minus, 1)], -2)
-            assert sop.mat.is_diagonal()
+            assert all(i == j for i, j in sop.mat.entries)
             levels.append({x: v for (x, _), v in
                            sop.mat.scale(c).entries.items()})
         diags.append(levels)

@@ -34,6 +34,11 @@
 * No call in src/ passes `indent=` to `json.dumps` or `json.dump`: with an
   indent the standard library encodes in pure Python, and
   `serialize.write_json` spells the same bytes.
+* An L-operator has one algebraic form, its matrix over the oscillator
+  ring: src/ branches on no Grid (Grid's own operators aside), `LTable`
+  has no renderer of its own, and the one elimination inverts only the
+  units c x^kappa of the ring (`reference.op_inverse`), which
+  `OscElement` does not invert itself.
 * Every entry point the benchmark's tracer wraps (`perfbench/tracer.py`,
   `LAYERS`) is defined on its owner, so a rename in src/ fails here and not
   first in a traced benchmark run.
@@ -205,6 +210,37 @@ def test_src_has_no_fock_window_and_relation_checks_take_no_d():
                                       verify.check_structure)
                if "d" in inspect.signature(fn).parameters]
     assert takes_d == []
+
+
+def test_an_l_operator_has_one_form():
+    # Grid's own operators may refuse other operand types; nothing else in
+    # src/ asks whether a matrix is a Grid
+    def outside_grid(tree):
+        for node in ast.iter_child_nodes(tree):
+            if not (isinstance(node, ast.ClassDef) and node.name == "Grid"):
+                yield from ast.walk(node)
+    branches = ["%s:%d" % (path.relative_to(SRC), node.lineno)
+                for path, tree in _modules() for node in outside_grid(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and "Grid" in {getattr(n, "id", None)
+                               for n in ast.walk(node.args[1])}]
+    assert branches == []
+    from qaffine.linalg import OscElement
+    from qaffine.reference import LTable, l_table, op_inverse
+    assert not hasattr(LTable, "render")
+    assert not hasattr(OscElement, "inverse")
+    l_mat = l_table("a1", "hat", (1, 0)).ring()
+    # a ladder monomial, a sum of two monomials, and zero
+    refused = []
+    unit = l_mat.entry(0, 0)
+    for x in (l_mat.entry(1, 0), l_mat.entry(1, 1), unit - unit):
+        try:
+            op_inverse(x)
+        except ValueError:
+            refused.append(x)
+    assert len(refused) == 3
+    assert unit * op_inverse(unit) == l_mat.one
 
 
 def test_fraction_in_scalars_only_at_the_boundaries():

@@ -121,9 +121,10 @@ def test_grid_akp_definition():
     g1 = Grid(2, {(0, 0): ops[0], (0, 1): ops[1], (1, 1): ops[2]}, 3, ONE)
     g2 = Grid(2, {(0, 0): ops[3], (1, 0): ops[4], (1, 1): ops[5]}, 3, ONE)
     prod = grid_akp(g1, g2)
+    zero = OpMatrix.zero(3, ONE)
     for a, b, i, j in itertools.product(range(2), repeat=4):
-        expect = g1.entry(a, b) * g2.entry(i, j)
-        assert prod.entry(a * 2 + i, b * 2 + j) == expect
+        expect = g1.entries.get((a, b), zero) * g2.entries.get((i, j), zero)
+        assert prod.entries.get((a * 2 + i, b * 2 + j), zero) == expect
 
 
 def test_grid_flatten_roundtrip():

@@ -303,10 +303,10 @@ def test_gamma_matches_diagonal_conjugation(s_exponents):
         zero = (0,) * copies
         m = OpMatrix(1, {(0, 0): x}, OscElement({(zero, zero): one},
                                                 _q_power2))
-        rendered = render_ring(m, d).entry(0, 0)
+        rendered = render_ring(m, d).entries[(0, 0)]
         gauged = OpMatrix(1, {(0, 0): _spectral_gauge(x, s_exponents)},
                           m.one)
-        assert render_ring(gauged, d).entry(0, 0) == \
+        assert render_ring(gauged, d).entries[(0, 0)] == \
             gam * rendered * gam_inv
 
 

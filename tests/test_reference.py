@@ -1,3 +1,4 @@
+import itertools
 import sys
 from functools import reduce
 
@@ -7,10 +8,10 @@ from qaffine.scalars import QScalar, q_power
 from qaffine.rational import ZetaRational
 from qaffine.series import series_exp
 from qaffine.linalg import (
-    OpMatrix, Grid, hat_and_check, kron, perm_operator,
+    OpMatrix, OscElement, Grid, hat_and_check, kron, perm_operator,
 )
 from qaffine.reference import (
-    PrefactorTag, reference_matrix, list_variants, r0_hat_matrix,
+    PrefactorTag, reference_matrix, list_variants, r0_hat_matrix, render,
     grid_inverse, op_inverse, l_table, exponent_tuple,
 )
 from qaffine import verify
@@ -53,11 +54,11 @@ def test_r_hat_index_relation():
 
 def test_l_a1_hat_entries():
     ref = reference_matrix("l", "a1", "hat", s=1, s1=0, d=6)
-    m22 = ref.matrix.entry(1, 1)
+    m22 = ref.matrix.entries[(1, 1)]
     # q^-D - q^D z^s on each Fock state
     for n in range(6):
         assert m22.entry(n, n) == zr({0: q_power(-n), 1: -q_power(n)})
-    m12 = ref.matrix.entry(0, 1)
+    m12 = ref.matrix.entries[(0, 1)]
     for n in range(1, 6):
         assert m12.entry(n - 1, n) == zr({1: (ONE - q_power(2 * n))
                                           * q_power(-n)})
@@ -109,21 +110,27 @@ def test_ordered_factors_only_where_transcribed():
     assert not hasattr(reference_matrix("l", "a1", "hat", d=4), "factors")
 
 
+def _rendered_inverse_is_exact_below_the_top(algebra, variant, exps, d):
+    """The ring inverse of an L-operator is two-sided, and rendered on d
+    Fock states it inverts the rendered operator below the top level: a
+    path of inv * L climbs at most one level above its ends."""
+    table = l_table(algebra, variant, exps)
+    l_mat = table.ring()
+    inv = grid_inverse(l_mat)
+    eye = OpMatrix.identity(l_mat.dim, l_mat.one)
+    assert l_mat * inv == eye and inv * l_mat == eye
+    keep = fock_window(d, table.copies, 1)
+    assert restrict(render(inv, d) * render(l_mat, d), keep) == restrict(
+        grid_identity(l_mat.dim, d ** table.copies, ZR_ONE), keep)
+    return l_mat, inv
+
+
 def test_grid_inverse_roundtrip():
-    d = 5
-    ref = reference_matrix("l", "a1", "hat", s=1, s1=0, d=d)
-    inv = grid_inverse(ref.matrix)
-    eye = grid_identity(2, d, ZR_ONE)
-    assert ref.matrix * inv == eye
-    assert inv * ref.matrix == eye
+    _rendered_inverse_is_exact_below_the_top("a1", "hat", (1, 0), 5)
 
 
 def test_grid_inverse_a2():
-    d = 3
-    ref = reference_matrix("l", "a2", "hat-2", s=1, s1=0, s2=0, d=d)
-    inv = grid_inverse(ref.matrix)
-    eye = grid_identity(3, d * d, ZR_ONE)
-    assert ref.matrix * inv == eye
+    _rendered_inverse_is_exact_below_the_top("a2", "hat-2", (1, 0, 0), 3)
 
 
 @pytest.mark.parametrize("algebra, variant", [
@@ -131,31 +138,45 @@ def test_grid_inverse_a2():
     if kind == "l" and v != "hat-2-inv"])
 def test_ring_inverse_is_the_rendered_inverse_below_the_top_level(algebra,
                                                                   variant):
-    # the elimination on the oscillator ring, with unit pivots, against
-    # the one on the grid rendered on d Fock states: a truncated inverse
-    # is exact below the top level
-    table = l_table(algebra, variant, exponent_tuple(algebra, 1, 0, 0))
-    l_mat = table.ring()
-    inv = grid_inverse(l_mat)
-    eye = OpMatrix.identity(l_mat.dim, l_mat.one)
-    assert l_mat * inv == eye and inv * l_mat == eye
+    # the production renderer against the state-by-state oracle, on the
+    # operator and on its inverse from the elimination on the ring
     d = 4 if algebra == "a1" else 3
-    assert render_ring(l_mat, d) == table.render(d)
-    keep = fock_window(d, table.copies, 1)
-    assert restrict(render_ring(inv, d), keep) == \
-        restrict(grid_inverse(table.render(d)), keep)
+    for m in _rendered_inverse_is_exact_below_the_top(
+            algebra, variant, exponent_tuple(algebra, 1, 0, 0), d):
+        assert render(m, d) == render_ring(m, d)
 
 
-def test_op_inverse_takes_diagonal_matrices_only():
-    # a grid pivot has weight zero, so a non-diagonal one is refused and
-    # grid_inverse moves on to the next row
-    diag = OpMatrix(2, {(0, 0): zr({0: q_power(1)}), (1, 1): zr({1: ONE})},
-                    ZR_ONE)
-    assert diag * op_inverse(diag) == OpMatrix.identity(2, ZR_ONE)
-    with pytest.raises(ValueError):
-        op_inverse(diag + OpMatrix.unit(2, 1, 2, ZR_ONE))
-    with pytest.raises(ValueError):
-        op_inverse(OpMatrix.unit(2, 1, 1, ZR_ONE))
+def test_render_sums_over_every_denominator():
+    # numerators with t-denominators, two zeta-denominators in one entry,
+    # and terms that cancel on a state, against the state-by-state oracle
+    one = l_table("a1", "hat", (1, 0)).ring().one
+    half = QScalar.ONE / (ONE - q_power(2))
+    x = OscElement({
+        ((0,), (0,)): zr({0: half, 1: q_power(1)}),
+        ((0,), (1,)): zr({0: -half}),
+        ((0,), (2,)): zr({0: ONE / (ONE + q_power(1))}, {0: ONE, 1: -ONE}),
+        ((-1,), (1,)): zr({1: half}, {0: ONE, 2: -q_power(2)}),
+        ((1,), (-1,)): zr({0: q_power(3)}, {0: ONE, 1: -ONE})}, one.qpow)
+    m = OpMatrix(2, {(0, 0): x, (1, 0): x * x, (0, 1): one}, one)
+    for d in (1, 2, 4):
+        assert render(m, d) == render_ring(m, d)
+    # at n = 0 the first two terms cancel down to q zeta
+    assert render(OpMatrix(1, {(0, 0): OscElement(
+        {k: x.terms[k] for k in (((0,), (0,)), ((0,), (1,)))}, one.qpow)},
+        one), 1).entries[(0, 0)].entries[(0, 0)] == zr({1: q_power(1)})
+
+
+def test_op_inverse_takes_units_only():
+    # the pivots of the elimination are the units c x^kappa of the ring:
+    # a sum of monomials, or a monomial with a ladder, is refused and
+    # grid_inverse moves on to the next entry
+    one = l_table("a2", "hat-1", (1, 0, 0)).ring().one
+    unit = OscElement({((0, 0), (1, -2)): zr({1: q_power(1)})}, one.qpow)
+    assert unit * op_inverse(unit) == one == op_inverse(unit) * unit
+    ladder = OscElement({((1, 0), (0, 0)): ZR_ONE}, one.qpow)
+    for x in (unit + one, ladder, one - one):
+        with pytest.raises(ValueError, match="unit"):
+            op_inverse(x)
 
 
 def test_check_inv_derivation_chain():
@@ -164,8 +185,8 @@ def test_check_inv_derivation_chain():
     d = 4
     s, s1, s2 = 1, 0, 0
     hat = reference_matrix("l", "a2", "hat-1", s, s1, s2, d=d)
-    inv = grid_inverse(hat.matrix)
-    inv = inv.map_values(lambda v: v.subs_power(-1), ZR_ONE)
+    inv = render(verify._reflected_inverse(
+        l_table("a2", "hat-1", (s, s1, s2)).ring()), d)
     normalized = apply_two_copy_normalization(inv, d)
     printed = reference_matrix("l", "a2", "check-inv", s, s1, s2, d=d)
     keep = fock_window(d, 2, 2)
@@ -174,12 +195,49 @@ def test_check_inv_derivation_chain():
     assert printed.tag == tag_inverse(hat.tag).subs_zeta_power(-1)
 
 
+def _reflected(m):
+    return m.map_values(lambda x: x.map(lambda v: v.subs_power(-1)))
+
+
 def test_hat2_inverse_variant():
-    d = 3
-    ref = reference_matrix("l", "a2", "hat-2-inv", s=1, s1=0, s2=0, d=d)
-    hat2 = reference_matrix("l", "a2", "hat-2", s=1, s1=0, s2=0, d=d)
-    back = ref.matrix.map_values(lambda v: v.subs_power(-1), ZR_ONE)
-    assert hat2.matrix * back == grid_identity(3, d * d, ZR_ONE)
+    # hat-2 times hat-2-inv at reflected argument is the identity: exactly
+    # on the ring, and below the top level for the rendered blocks
+    hat2 = l_table("a2", "hat-2", (1, 0, 0)).ring()
+    _, inv = verify._l_operator("a2", "hat-2-inv", (1, 0, 0))
+    assert hat2 * _reflected(inv) == OpMatrix.identity(3, hat2.one)
+    for d in (3, 4, 5):
+        ref = reference_matrix("l", "a2", "hat-2-inv", s=1, s1=0, s2=0, d=d)
+        back = ref.matrix.map_values(lambda v: v.subs_power(-1), ZR_ONE)
+        keep = fock_window(d, 2, 1)
+        assert restrict(render(hat2, d) * back, keep) == \
+            restrict(grid_identity(3, d * d, ZR_ONE), keep)
+
+
+@pytest.mark.parametrize("algebra, variant", [
+    (algebra, v) for kind, algebra, v in list_variants() if kind == "l"])
+@pytest.mark.parametrize("d", [3, 4])
+def test_every_l_operator_is_consistent_under_truncation(algebra, variant,
+                                                         d):
+    # the block on d Fock states per copy is the d-state block of the one
+    # on d + 2: each rendered L-operator is a block of one operator
+    small = reference_matrix("l", algebra, variant, 2, 1, -1, d=d)
+    big = reference_matrix("l", algebra, variant, 2, 1, -1, d=d + 2)
+    states = list(itertools.product(range(d), repeat=small.copies))
+    at = {_flat(st, d + 2): _flat(st, d) for st in states}
+    cut = {ab: OpMatrix(len(states), {(at[i], at[j]): v
+                                      for (i, j), v in m.entries.items()
+                                      if i in at and j in at}, ZR_ONE)
+           for ab, m in big.matrix.entries.items()}
+    assert Grid(big.matrix.n, cut, len(states), ZR_ONE) == small.matrix
+
+
+def _flat(state, d):
+    """The flat index of an occupation tuple on d states per copy, the
+    first copy slowest."""
+    out = 0
+    for n in state:
+        out = out * d + n
+    return out
 
 
 def test_r0_matrices():
@@ -199,16 +257,14 @@ def test_r0_matrices():
 @pytest.mark.parametrize("n", [2, 3])
 def test_r0_hat_inverse_from_the_hecke_relation(n):
     # check_structure inverts R0 as R0 - (q - q^-1) 1; against elimination
-    # on the grid of its 1 x 1 entries
+    # on its entries as constants of the oscillator ring
     r0h = r0_hat_matrix(n)
     eye = OpMatrix.identity(n * n, ONE)
     hecke = r0h - eye.scale(q_power(1) - q_power(-1))
     assert r0h * hecke == eye and hecke * r0h == eye
-    inv = grid_inverse(Grid(n * n, {ij: OpMatrix(1, {(0, 0): v}, ONE)
-                                    for ij, v in r0h.entries.items()},
-                            1, ONE))
-    assert hecke == OpMatrix(n * n, {ij: m.entry(0, 0)
-                                     for ij, m in inv.entries.items()}, ONE)
+    one = OscElement({((0,), (0,)): ONE}, q_power)
+    inv = grid_inverse(verify._constants(r0h, one))
+    assert inv == verify._constants(hecke, one)
 
 
 def test_scan_finds_linear_exponents():
@@ -294,7 +350,7 @@ def test_tables_render_and_take_tau_without_matrix_products(monkeypatch):
             continue
         ref = reference_matrix("l", algebra, variant, 2, 1, -1, d=5)
         exps = exponent_tuple(algebra, 2, 1, -1)
-        image = l_table(algebra, variant, exps).tau().render(5)
+        image = render(l_table(algebra, variant, exps).tau().ring(), 5)
         assert image.op_dim == ref.matrix.op_dim
         built += 1
     assert built == 9

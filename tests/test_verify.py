@@ -76,10 +76,10 @@ def test_duality_a1():
     for mode in ("inversion", "tau"):
         assert check_duality("a1", "hat", mode, s=1, s1=0).passed
         assert check_duality("a1", "check", mode, s=1, s1=0).passed
-    # the reflected inverse is an involution
-    ref = reference_matrix("l", "a1", "hat", 1, 0, 0, d=6)
-    twice = verify._reflected_inverse(verify._reflected_inverse(ref.matrix))
-    assert twice == ref.matrix
+    # the reflected inverse is an involution on the ring
+    l_mat = l_table("a1", "hat", (1, 0)).ring()
+    twice = verify._reflected_inverse(verify._reflected_inverse(l_mat))
+    assert twice == l_mat
 
 
 def test_duality_a2_family1():
@@ -139,6 +139,15 @@ def test_engine_verdict_json_roundtrip():
     assert back["check"] == "engine"
     assert back["pass"] is True
     assert back["wall_time_ms"] >= 0
+
+
+def test_engine_check_refuses_an_l_operator_no_engine_assembles():
+    # the engine check reads its Fock dimension from EngineParams, so it
+    # builds the parameters first; a variant with no engine side (the
+    # derived check-inv and hat-2-inv, or an unknown one) is a ValueError
+    for variant in ("check-inv", "hat-2-inv", "hat-3"):
+        with pytest.raises(ValueError, match="no engine assembles"):
+            check_engine("l", "a2", variant, s=1, s1=0, s2=0, order=2)
 
 
 def test_engine_check_reports_failure_location(monkeypatch):
@@ -474,9 +483,7 @@ def test_an_empty_relation_window_is_refused(d, monkeypatch, capsys):
     # no relation check compares an empty window, where both sides would
     # be empty and compare equal: a Fock dimension below 2 is refused, and
     # from 2 up the relations are compared on the whole oscillator ring, so
-    # a perturbed table fails at d = 3 and 4 as at any other d (the
-    # duality checks, which raise where the perturbed table has no ring
-    # inverse, are failed by test_failing_duality_reports_both_values)
+    # a perturbed table fails at d = 3 and 4 as at any other d
     for algebra, what in (("a1", "rll"), ("a1", "duality"),
                           ("a1", "structure"), ("a2", "rll")):
         argv = ["verify", what, "--algebra", algebra, "--fock"]
@@ -484,10 +491,45 @@ def test_an_empty_relation_window_is_refused(d, monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("error: ")
         assert main(argv + [str(d)]) == 0
     _perturb(monkeypatch)
-    for algebra, what in (("a1", "rll"), ("a1", "structure"),
-                          ("a2", "rll")):
+    for algebra, what in (("a1", "rll"), ("a1", "duality"),
+                          ("a1", "structure"), ("a2", "rll")):
         argv = ["verify", what, "--algebra", algebra, "--fock", str(d)]
         assert main(argv) == 1
+
+
+def test_a_table_with_no_unit_pivot_fails_the_inverting_checks(monkeypatch,
+                                                               capsys):
+    # tables with no unit pivot left at some step: the inversion duality,
+    # and the exchange relation of hat-2-inv, fail and name the step, and
+    # verify reports the failure rather than an error
+    hat2 = dict(_mutations(l_table("a2", "hat-2", (1, 0, 0))))[
+        ((0, 0), 0, "zeta")]
+    monkeypatch.setattr(verify, "l_table", lambda *args: hat2)
+    v = check_rll("a2", "hat-2-inv", s=1, s1=0, s2=0)
+    assert (v.check, v.passed, v.first_failure) == ("rll-check", False, {
+        "detail": "no invertible pivot left at elimination step 2"})
+    monkeypatch.undo()
+    step = {"detail": "no invertible pivot left at elimination step 1"}
+    _perturb(monkeypatch)
+    v = check_duality("a1", "hat", "inversion", s=1, s1=0)
+    assert (v.check, v.passed, v.first_failure) == (
+        "duality-inversion", False, step)
+    assert main(["verify", "duality", "--algebra", "a1", "--format",
+                 "json"]) == 1
+    verdicts = {v["id"]: v for v in json.loads(capsys.readouterr().out)}
+    assert verdicts["a1-duality-inversion-hat"]["first_failure"] == step
+    monkeypatch.undo()
+    with pytest.raises(reference.NoPivotError, match="step 0"):
+        reference.grid_inverse(OpMatrix.zero(2, l_table(
+            "a1", "hat", (1, 0)).ring().one))
+    # the structure scan skips exponents whose part has no unit pivot
+
+    def no_pivot(m):
+        raise reference.NoPivotError("no invertible pivot left")
+    monkeypatch.setattr(verify, "grid_inverse", no_pivot)
+    assert verify._decomposed("hat", "a1", "minus") is None
+    assert check_structure("a1").first_failure == {
+        "detail": "no exponents with the stated triangularity"}
 
 
 def test_cli_exits_2_where_an_exponent_leaves_the_packing(monkeypatch,
@@ -694,14 +736,11 @@ def test_every_moved_check_fails_on_a_mutated_table(monkeypatch):
             if check_rll(algebra, variant, *exps).passed:
                 passing.append((variant, name))
                 continue
-            # a wrong table fails tau; its inverse, where the ring has one,
-            # fails the flipped relation
+            # a wrong table fails tau, and inversion: its inverse fails the
+            # flipped relation, or the elimination finds no unit pivot
             assert not check_duality(algebra, variant, "tau", *exps).passed
-            try:
-                inverted = check_duality(algebra, variant, "inversion", *exps)
-            except ValueError:
-                continue
-            assert not inverted.passed
+            assert not check_duality(algebra, variant, "inversion",
+                                     *exps).passed
     # the sign flip of the zeta^0 term of (1, 1) solves the relation too
     assert count == 90
     assert passing == [(v, ((1, 1), 0, "sign"))
