@@ -14,6 +14,8 @@ on finitely many states, with the generalized Kronecker product.
 import itertools
 from operator import add, mul
 
+from .scalars import _p_add, _p_neg
+
 __all__ = [
     "OpMatrix", "kron", "perm_operator", "hat_and_check", "embed_legs",
     "OscElement", "Grid", "grid_akp",
@@ -65,47 +67,21 @@ class OpMatrix:
 
     def __add__(self, other):
         self._compat(other)
-        out = dict(self.entries)
-        for ij, v in other.entries.items():
-            if ij in out:
-                s = out[ij] + v
-                if s:
-                    out[ij] = s
-                else:
-                    del out[ij]
-            else:
-                out[ij] = v
-        return OpMatrix(self.dim, out, self.one, _clean=True)
+        return OpMatrix(self.dim, _p_add(self.entries, other.entries),
+                        self.one, _clean=True)
 
     def __sub__(self, other):
         return self.__add__(other.__neg__())
 
     def __neg__(self):
-        return OpMatrix(self.dim, {ij: -v for ij, v in self.entries.items()},
-                        self.one, _clean=True)
+        return OpMatrix(self.dim, _p_neg(self.entries), self.one, _clean=True)
 
     def __mul__(self, other):
         if not isinstance(other, OpMatrix):
             return NotImplemented
         self._compat(other)
-        rows = _by_row(other.entries)
-        out = {}
-        for (i, k), u in self.entries.items():
-            row = rows.get(k)
-            if row is None:
-                continue
-            for j, v in row:
-                p = u * v
-                ij = (i, j)
-                if ij in out:
-                    s = out[ij] + p
-                    if s:
-                        out[ij] = s
-                    else:
-                        del out[ij]
-                elif p:
-                    out[ij] = p
-        return OpMatrix(self.dim, out, self.one, _clean=True)
+        return OpMatrix(self.dim, _product(self.entries, other.entries),
+                        self.one, _clean=True)
 
     def scale(self, c):
         if not c:
@@ -163,12 +139,40 @@ class OpMatrix:
         return "OpMatrix(dim=%d, nnz=%d)" % (self.dim, len(self.entries))
 
 
-def _by_row(entries):
-    """{k: [(j, v), ...]} for the entries {(k, j): v} of a matrix."""
+def _product(x, y):
+    """The entries {(i, j): v} of the matrix product of two matrices given
+    by their entries, of any kind with ring operators; no zero is kept.
+    Both OpMatrix and Grid multiply here."""
     rows = {}
-    for (k, j), v in entries.items():
+    for (k, j), v in y.items():
         rows.setdefault(k, []).append((j, v))
-    return rows
+    out = {}
+    for (i, k), u in x.items():
+        for j, v in rows.get(k, ()):
+            p = u * v
+            ij = (i, j)
+            if ij in out:
+                p = out[ij] + p
+                if not p:
+                    del out[ij]
+                    continue
+            elif not p:
+                continue
+            out[ij] = p
+    return out
+
+
+def _kron(x, y, n):
+    """The entries {(a n + i, b n + j): u v} of the Kronecker product of the
+    entries {(a, b): u} and {(i, j): v}, the second of dimension n; both
+    kron and grid_akp expand here."""
+    out = {}
+    for (a, b), u in x.items():
+        for (i, j), v in y.items():
+            p = u * v
+            if p:
+                out[(a * n + i, b * n + j)] = p
+    return out
 
 
 def _check_weights(dim, *weights):
@@ -181,14 +185,8 @@ def kron(a, b):
     """Kronecker product; the first factor is the slow (outer) leg."""
     if type(a.one) is not type(b.one):
         raise TypeError("mixed scalar kinds in kron")
-    db = b.dim
-    out = {}
-    for (i, j), u in a.entries.items():
-        for (k, l), v in b.entries.items():
-            p = u * v
-            if p:
-                out[(i * db + k, j * db + l)] = p
-    return OpMatrix(a.dim * db, out, a.one, _clean=True)
+    return OpMatrix(a.dim * b.dim, _kron(a.entries, b.entries, b.dim), a.one,
+                    _clean=True)
 
 
 def _perm_index(perm, idx, dims):
@@ -305,19 +303,10 @@ class OscElement:
         return bool(self.terms)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            if key in out:
-                c = out[key] + c
-                if not c:
-                    del out[key]
-                    continue
-            out[key] = c
-        return OscElement(out, self.qpow)
+        return OscElement(_p_add(self.terms, other.terms), self.qpow)
 
     def __neg__(self):
-        return OscElement({key: -c for key, c in self.terms.items()},
-                          self.qpow)
+        return OscElement(_p_neg(self.terms), self.qpow)
 
     def __sub__(self, other):
         return self + -other
@@ -376,24 +365,8 @@ class Grid:
         """Matrix product over the grid index, operator product inside."""
         if not isinstance(other, Grid):
             return NotImplemented
-        rows = _by_row(other.entries)
-        out = {}
-        for (a, k), u in self.entries.items():
-            row = rows.get(k)
-            if row is None:
-                continue
-            for b, v in row:
-                p = u * v
-                ab = (a, b)
-                if ab in out:
-                    s = out[ab] + p
-                    if s:
-                        out[ab] = s
-                    else:
-                        del out[ab]
-                elif p:
-                    out[ab] = p
-        return Grid(self.n, out, self.op_dim, self.one, _clean=True)
+        return Grid(self.n, _product(self.entries, other.entries),
+                    self.op_dim, self.one, _clean=True)
 
     def map_values(self, fn, one=None):
         one = one if one is not None else self.one
@@ -427,11 +400,5 @@ class Grid:
 def grid_akp(g1, g2):
     """Generalized Kronecker product (M x N)_{ai,bj} = M_ab N_ij for
     matrices with entries in one common algebra; entry order matters."""
-    n1, n2 = g1.n, g2.n
-    out = {}
-    for (a, b), m in g1.entries.items():
-        for (i, j), nmat in g2.entries.items():
-            p = m * nmat
-            if p:
-                out[(a * n2 + i, b * n2 + j)] = p
-    return Grid(n1 * n2, out, g1.op_dim, g1.one, _clean=True)
+    return Grid(g1.n * g2.n, _kron(g1.entries, g2.entries, g2.n), g1.op_dim,
+                g1.one, _clean=True)

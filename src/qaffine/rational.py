@@ -13,7 +13,8 @@ by it over Q(t).
 """
 
 from .scalars import (
-    QScalar, _ONE_POLY, _p_add, _p_exquo, _p_gcd, _p_mul, _p_shift,
+    QScalar, _ONE_POLY, _p_add, _p_conv, _p_exquo, _p_gcd, _p_mul, _p_neg,
+    _p_shift,
 )
 
 __all__ = ["ZetaRational"]
@@ -23,37 +24,6 @@ _ONE_DEN = {0: QScalar.ONE}
 
 def _strip(p):
     return {k: c for k, c in p.items() if c}
-
-
-def _add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        if k in out:
-            s = out[k] + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        else:
-            out[k] = c
-    return out
-
-
-def _mul(a, b):
-    out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            p = ca * cb
-            if k in out:
-                s = out[k] + p
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-            elif p:
-                out[k] = p
-    return out
 
 
 def _scale(p, c):
@@ -130,7 +100,7 @@ def _pseudo_rem(a, b):
             if k == db:
                 continue
             kk = k + dr - db
-            s = _p_add(new.get(kk, {}), {e: -v for e, v in _p_mul(c, lr).items()})
+            s = _p_add(new.get(kk, {}), _p_neg(_p_mul(c, lr)))
             if s:
                 new[kk] = s
             else:
@@ -244,28 +214,28 @@ class ZetaRational:
         if not self.num:
             return other
         if self.den == other.den:
-            num = _add(self.num, other.num)
+            num = _p_add(self.num, other.num)
             if self.den != _ONE_DEN:
                 return ZetaRational(num, self.den)
             return ZetaRational(num, _canonical=True)
         g = _gcd(self.den, other.den)
         if g == _ONE_DEN:
-            num = _add(_mul(self.num, other.den), _mul(other.num, self.den))
+            num = _p_add(_p_conv(self.num, other.den),
+                         _p_conv(other.num, self.den))
             if not num:
                 return ZetaRational.ZERO
-            return ZetaRational(num, _mul(self.den, other.den),
+            return ZetaRational(num, _p_conv(self.den, other.den),
                                 _canonical=True)
         da = _exquo(self.den, g)
         db = _exquo(other.den, g)
-        num = _add(_mul(self.num, db), _mul(other.num, da))
-        return ZetaRational(num, _mul(self.den, db))
+        num = _p_add(_p_conv(self.num, db), _p_conv(other.num, da))
+        return ZetaRational(num, _p_conv(self.den, db))
 
     def __sub__(self, other):
         return self.__add__(other.__neg__())
 
     def __neg__(self):
-        return ZetaRational({k: -c for k, c in self.num.items()}, self.den,
-                            _canonical=True)
+        return ZetaRational(_p_neg(self.num), self.den, _canonical=True)
 
     def __mul__(self, other):
         if not isinstance(other, ZetaRational):
@@ -273,11 +243,11 @@ class ZetaRational:
         if not self.num or not other.num:
             return ZetaRational.ZERO
         if self.den == _ONE_DEN and other.den == _ONE_DEN:
-            return ZetaRational(_mul(self.num, other.num), _canonical=True)
+            return ZetaRational(_p_conv(self.num, other.num), _canonical=True)
         na, db = _reduce_pair(self.num, other.den)
         nb, da = _reduce_pair(other.num, self.den)
-        den = da if db == _ONE_DEN else (db if da == _ONE_DEN else _mul(da, db))
-        return ZetaRational(_mul(na, nb), den, _canonical=True)
+        den = da if db == _ONE_DEN else (db if da == _ONE_DEN else _p_conv(da, db))
+        return ZetaRational(_p_conv(na, nb), den, _canonical=True)
 
     def __truediv__(self, other):
         if not isinstance(other, ZetaRational):
@@ -296,11 +266,6 @@ class ZetaRational:
             num = _scale(num, inv)
             pn = _scale(pn, inv)
         return ZetaRational(num, pn, _canonical=True)
-
-    def scale(self, c):
-        if not c:
-            return ZetaRational.ZERO
-        return ZetaRational(_scale(self.num, c), self.den, _canonical=True)
 
     # -- substitutions -----------------------------------------------------
 

@@ -29,7 +29,7 @@ from operator import mul
 from .scalars import QScalar, _ONE_POLY, q_power, t_power
 from .series import ZetaSeries, lambda_level
 from .rational import ZetaRational
-from .linalg import OpMatrix, OscElement, Grid, kron
+from .linalg import OpMatrix, OscElement, Grid
 
 __all__ = [
     "PrefactorTag", "ReferenceObject", "LTable", "reference_matrix",
@@ -135,16 +135,17 @@ def _r_matrix(algebra, s, s1, s2):
     n = 2 if algebra == "a1" else 3
     den = {0: ONE, s: -q_power(-2)}
     g_diag = ZetaRational({0: q_power(-1), s: -q_power(-1)}, den)
-    w = lambda a, b: sum((s1, s2)[a - 1:b - 1]) if a < b else s - w(b, a)
-    e = lambda a, b: OpMatrix.unit(n, a, b, ZetaRational.ONE)
-    mat = OpMatrix.zero(n * n, ZetaRational.ONE)
-    for a in range(1, n + 1):
-        mat = mat + kron(e(a, a), e(a, a))
-        for b in range(1, n + 1):
+    w = lambda a, b: sum((s1, s2)[a:b]) if a < b else s - w(b, a)
+    # E_ab x E_cd is the unit at (a n + c, b n + d), indices from 0
+    entries = {}
+    for a in range(n):
+        entries[(a * n + a, a * n + a)] = ZetaRational.ONE
+        for b in range(n):
             if a != b:
-                c = ZetaRational({w(a, b): ONE - q_power(-2)}, den)
-                mat = (mat + kron(e(a, a), e(b, b)).scale(g_diag)
-                       + kron(e(a, b), e(b, a)).scale(c))
+                entries[(a * n + b, a * n + b)] = g_diag
+                entries[(a * n + b, b * n + a)] = ZetaRational(
+                    {w(a, b): ONE - q_power(-2)}, den)
+    mat = OpMatrix(n * n, entries, ZetaRational.ONE, _clean=True)
     if n == 2:
         return ReferenceObject("r", algebra, "plain", (s, s1), PrefactorTag(
             3, ((2, 6, s, 1), (2, -6, s, -1))), mat)
@@ -414,16 +415,14 @@ def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):
 # -- exchange constants of the linear decomposition --------------------------
 
 def r0_hat_matrix(n):
-    e = lambda a, b: OpMatrix.unit(n, a, b, ONE)
-    out = OpMatrix.zero(n * n, ONE)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            coeff = q_power(1) if a == b else ONE
-            out = out + kron(e(a, b), e(b, a)).scale(coeff)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            out = out + kron(e(a, a), e(b, b)).scale(C)
-    return out
+    """sum_(a, b) q^(delta_ab) E_ab x E_ba + C sum_(a < b) E_aa x E_bb."""
+    entries = {}
+    for a in range(n):
+        for b in range(n):
+            entries[(a * n + b, b * n + a)] = q_power(1) if a == b else ONE
+            if a < b:
+                entries[(a * n + b, a * n + b)] = C
+    return OpMatrix(n * n, entries, ONE, _clean=True)
 
 
 # -- inversion --------------------------------------------------------------

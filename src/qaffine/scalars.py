@@ -13,6 +13,15 @@ on integers only.  Fraction appears only where values enter (the
 constructor, `from_fraction`, `q_power`) and where they are printed: `str`
 divides by the leading coefficient of the denominator, so the printed
 denominator is monic and `parse_qscalar` reads it back.
+
+The sum, negation and convolution of sparse dicts {key: coefficient} with
+no zero stored (`_p_add`, `_p_neg`, `_p_conv`) are generic over the key and
+the coefficient kind, and serve every sparse dict of the package: the
+polynomials here, the zeta-polynomials over Q(t) of the rationals and
+series, the oscillator ring and matrix entries of linalg, and the
+two-variable polynomials of the identity checks.  `_p_mul` multiplies the
+integer polynomials of this module, by Kronecker substitution when they
+are large.
 """
 
 from fractions import Fraction
@@ -33,16 +42,21 @@ def _coeff(c):
     return c.numerator if c.denominator == 1 else c
 
 
-# -- Laurent polynomials in t as {exponent: int} dicts -----------------------
+# -- sparse dicts {key: coefficient} -----------------------------------------
+#
+# `_p_conv` needs keys that add (exponents, packed exponents) and
+# coefficients with no zero divisors, so no term of a monomial multiple
+# vanishes.
 
 def _p_add(a, b):
     out = dict(a)
     for k, c in b.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+        if k in out:
+            c = out[k] + c
+            if not c:
+                del out[k]
+                continue
+        out[k] = c
     return out
 
 
@@ -50,27 +64,32 @@ def _p_neg(a):
     return {k: -c for k, c in a.items()}
 
 
-def _p_mul(a, b):
-    if not a or not b:
-        return {}
+def _p_conv(a, b):
     if len(a) == 1:
         (ka, ca), = a.items()
         return {ka + k: ca * c for k, c in b.items()}
     if len(b) == 1:
         (kb, cb), = b.items()
         return {k + kb: c * cb for k, c in a.items()}
-    if len(a) * len(b) >= _PACKED_MUL_MIN:
-        return _p_mul_packed(a, b)
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = ka + kb
-            s = out.get(k, 0) + ca * cb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            c = ca * cb
+            if k in out:
+                c = out[k] + c
+                if not c:
+                    del out[k]
+                    continue
+            out[k] = c
     return out
+
+
+def _p_mul(a, b):
+    """a * b for Laurent polynomials in t with integer coefficients."""
+    if len(a) > 1 and len(b) > 1 and len(a) * len(b) >= _PACKED_MUL_MIN:
+        return _p_mul_packed(a, b)
+    return _p_conv(a, b)
 
 
 # from this many term products on, one packed integer product is faster

@@ -11,7 +11,7 @@ diagonal scalar prefactors live here too.
 
 from fractions import Fraction
 
-from .scalars import QScalar, qint_base
+from .scalars import QScalar, _p_add, _p_neg, qint_base
 
 __all__ = ["ZetaSeries", "series_quotient", "series_exp", "series_log",
            "lambda_level"]
@@ -64,25 +64,15 @@ class ZetaSeries:
     def __add__(self, other):
         if not isinstance(other, ZetaSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        out = {d: c for d, c in self.coeffs.items() if d <= order}
-        for d, c in other.coeffs.items():
-            if d > order:
-                continue
-            s = out.get(d)
-            s = c if s is None else s + c
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return ZetaSeries(out, order, min(self.min_degree, other.min_degree))
+        return ZetaSeries(_p_add(self.coeffs, other.coeffs),
+                          min(self.order, other.order),
+                          min(self.min_degree, other.min_degree))
 
     def __sub__(self, other):
         return self.__add__(other.__neg__())
 
     def __neg__(self):
-        return ZetaSeries({d: -c for d, c in self.coeffs.items()},
-                          self.order, self.min_degree)
+        return ZetaSeries(_p_neg(self.coeffs), self.order, self.min_degree)
 
     def __mul__(self, other):
         if not isinstance(other, ZetaSeries):

@@ -23,9 +23,11 @@ import functools
 import time
 from operator import mul
 
-from .scalars import QScalar, _ONE_POLY, q_power, t_power
+from .scalars import (
+    QScalar, _ONE_POLY, _p_add, _p_conv, _p_neg, q_power, t_power,
+)
 from .series import ZetaSeries, series_exp
-from .rational import ZetaRational, _exquo, _mul
+from .rational import ZetaRational, _exquo
 from .linalg import OpMatrix, OscElement, hat_and_check, embed_legs, kron
 from .reference import (
     reference_matrix, r0_hat_matrix, l_table, l_tag, list_variants,
@@ -122,40 +124,19 @@ class _Laurent2:
         return bool(self.terms)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return _Laurent2(out)
+        return _Laurent2(_p_add(self.terms, other.terms))
 
     # OpMatrix.entry reads an absent entry as one - one (failure reports)
     def __neg__(self):
-        return _Laurent2({key: -c for key, c in self.terms.items()})
+        return _Laurent2(_p_neg(self.terms))
 
     def __sub__(self, other):
         return self + -other
 
+    # the packed keys span about 2^44, so a Kronecker substitution
+    # (`_p_mul`) would build integers of that many digits
     def __mul__(self, other):
-        a, b = self.terms, other.terms
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) == 1:
-            # no term of a monomial multiple cancels: Z has no zero divisor
-            (ka, ca), = a.items()
-            return _Laurent2({ka + kb: ca * cb for kb, cb in b.items()})
-        out = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                key = ka + kb
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return _Laurent2(out)
+        return _Laurent2(_p_conv(self.terms, other.terms))
 
     def __eq__(self, other):
         return isinstance(other, _Laurent2) and self.terms == other.terms
@@ -351,9 +332,9 @@ def _cleared(*objs):
             common = common * ZetaRational(ZetaRational(common.num, den).den,
                                            _canonical=True)
         quo = {key: _exquo(common.num, den) for key, den in dens.items()}
-        objs = [_map_scalars(obj, lambda v: ZetaRational(_mul(v.num, quo.get(
-            frozenset(v.den.items()), common.num)), _canonical=True),
-            ZetaRational.ONE) for obj in objs]
+        objs = [_map_scalars(obj, lambda v: ZetaRational(
+            _p_conv(v.num, quo.get(frozenset(v.den.items()), common.num)),
+            _canonical=True), ZetaRational.ONE) for obj in objs]
     return list(objs)
 
 

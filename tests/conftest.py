@@ -4,6 +4,7 @@ import pytest
 
 from qaffine import verify
 from qaffine.linalg import OpMatrix
+from qaffine.rational import ZetaRational
 from qaffine.scalars import q_power
 
 
@@ -19,7 +20,7 @@ def perturb_r(monkeypatch):
             mat = ref.matrix
             ij = min(mat.entries)
             entries = dict(mat.entries)
-            entries[ij] = entries[ij].scale(q_power(1))
+            entries[ij] = entries[ij] * ZetaRational({0: q_power(1)})
             ref.matrix = OpMatrix(mat.dim, entries, mat.one)
         return ref
 

@@ -366,7 +366,7 @@ def _over_states(per_copy):
 
 def _lift(v, one):
     """The Q(t) value v as a value of the scalar kind of `one`."""
-    return v if isinstance(one, QScalar) else one.scale(v)
+    return v if isinstance(one, QScalar) else one * zeta_monomial(0, v)
 
 
 def apply_two_copy_normalization(grid, d):

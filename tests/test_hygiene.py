@@ -39,6 +39,15 @@
   has no renderer of its own, and the one elimination inverts only the
   units c x^kappa of the ring (`reference.op_inverse`), which
   `OscElement` does not invert itself.
+* One sparse-arithmetic kernel: the sum, negation and additive-key
+  convolution of sparse dicts live in scalars.py (`_p_add`, `_p_neg`,
+  `_p_conv`), and the matrix product and Kronecker product in linalg.py
+  (`_product`, `_kron`).  rational.py defines no `_add` or `_mul` of its
+  own, and no arithmetic operator of the matrices, the oscillator ring, the
+  series or the two-variable ring, nor `kron` or `grid_akp`, holds a loop
+  or a comprehension: each calls the kernel.  `_Laurent2.__mul__` calls
+  `_p_conv`, never `_p_mul`, whose Kronecker substitution would build
+  integers as wide as the packed keys' span.
 * Every entry point the benchmark's tracer wraps (`perfbench/tracer.py`,
   `LAYERS`) is defined on its owner, so a rename in src/ fails here and not
   first in a traced benchmark run.
@@ -393,3 +402,44 @@ def test_every_traced_entry_point_is_defined_on_its_owner():
             missing.append(entry)
     assert len(entries) > 20
     assert missing == []
+
+
+def _definitions(module):
+    """{qualified name: node} of the functions a module of src/ defines at
+    module level and in its classes."""
+    tree = ast.parse((SRC / "qaffine" / module).read_text())
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            out.update(("%s.%s" % (node.name, f.name), f) for f in node.body
+                       if isinstance(f, ast.FunctionDef))
+    return out
+
+
+def test_one_sparse_arithmetic_kernel():
+    assert {"_p_add", "_p_neg", "_p_conv"} <= set(_definitions("scalars.py"))
+    assert {"_product", "_kron"} <= set(_definitions("linalg.py"))
+    assert not {"_add", "_mul"} & set(_definitions("rational.py"))
+    callers = {
+        "linalg.py": ("OpMatrix.__add__", "OpMatrix.__neg__",
+                      "OpMatrix.__mul__", "OscElement.__add__",
+                      "OscElement.__neg__", "Grid.__mul__", "kron",
+                      "grid_akp"),
+        "verify.py": ("_Laurent2.__add__", "_Laurent2.__neg__",
+                      "_Laurent2.__mul__"),
+        "series.py": ("ZetaSeries.__add__", "ZetaSeries.__neg__"),
+        "rational.py": ("ZetaRational.__neg__",),
+    }
+    loops = []
+    for module, names in callers.items():
+        defs = _definitions(module)
+        loops += ["%s:%s" % (module, name) for name in names
+                  if any(isinstance(node, (ast.For, ast.comprehension))
+                         for node in ast.walk(defs[name]))]
+    assert loops == []
+    called = {node.id for node in ast.walk(
+        _definitions("verify.py")["_Laurent2.__mul__"])
+        if isinstance(node, ast.Name)}
+    assert "_p_conv" in called and "_p_mul" not in called

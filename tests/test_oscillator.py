@@ -203,7 +203,8 @@ def _tri(n):
 
 def _lift(one):
     """Q(t) into the scalar kind of `one`."""
-    return (lambda v: v) if isinstance(one, QScalar) else one.scale
+    return ((lambda v: v) if isinstance(one, QScalar)
+            else lambda v: one * zeta_monomial(0, v))
 
 
 def _rand_op(rng, dim, one):

@@ -2,6 +2,7 @@
 hypothesis for the canonical form.  Both are development-only and are
 skipped when not installed; nothing in src/ imports them."""
 
+import itertools
 import math
 import random
 
@@ -287,3 +288,101 @@ def test_packed_product_matches_the_term_loop(a, b, sa, sb):
     got = scalars._p_mul_packed(a, b)
     assert got == want
     assert all(type(c) is int for c in got.values())
+
+
+# -- the sparse-dict kernel against dense sums ---------------------------------
+
+def _box(keys):
+    """Every key from the least to the largest one: a range of ints, or the
+    box of tuples spanned coordinate by coordinate."""
+    if type(keys[0]) is int:
+        return range(min(keys), max(keys) + 1)
+    return itertools.product(*(range(min(c), max(c) + 1)
+                               for c in zip(*keys)))
+
+
+def _dense_add(a, b, zero):
+    keys = list(a) + list(b)
+    if not keys:
+        return {}
+    out = {k: a.get(k, zero) + b.get(k, zero) for k in _box(keys)}
+    return {k: c for k, c in out.items() if c}
+
+
+def _dense_conv(a, b, zero):
+    if not a or not b:
+        return {}
+    la, lb = min(a), min(b)
+    x = [a.get(k, zero) for k in _box(list(a))]
+    y = [b.get(k, zero) for k in _box(list(b))]
+    out = [zero] * (len(x) + len(y) - 1)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            out[i + j] = out[i + j] + u * v
+    return {la + lb + n: c for n, c in enumerate(out) if c}
+
+
+def _check_kernel(a, b, zero):
+    got = {
+        "add": (scalars._p_add(a, b), _dense_add(a, b, zero)),
+        "cancel": (scalars._p_add(a, scalars._p_neg(a)), {}),
+        "neg": (scalars._p_neg(a), {k: zero - c for k, c in a.items()}),
+    }
+    if type(next(iter(a), 0)) is int:
+        got["conv"] = (scalars._p_conv(a, b), _dense_conv(a, b, zero))
+    for name, (out, want) in got.items():
+        assert out == want, name
+        assert all(out.values()), name
+
+
+# small coefficients of both signs, so that sums and products cancel often
+_unit = st.sampled_from((1, -1, 2, -2))
+_ints = st.dictionaries(st.integers(-6, 6), _unit, max_size=8)
+_tuples = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                          _unit, max_size=8)
+_QVALUES = (QScalar.ONE, -QScalar.ONE, q_power(1), -q_power(1), q_power(-1),
+            QScalar({0: 1, 6: -1}), QScalar({0: 1}, {0: 1, 6: -1}),
+            QScalar({0: -1}, {0: 1, 6: -1}), QScalar({0: Fraction(1, 2)}))
+_qdicts = st.dictionaries(st.integers(-3, 3),
+                          st.one_of(st.sampled_from(_QVALUES),
+                                    qscalars().filter(bool)),
+                          max_size=4)
+
+
+@SETTINGS
+@hypothesis.given(_ints, _ints)
+@hypothesis.example({0: 1, 1: 1}, {0: 1, 1: -1})
+def test_kernel_matches_dense_sums_on_integer_dicts(a, b):
+    _check_kernel(a, b, 0)
+
+
+@SETTINGS
+@hypothesis.given(_qdicts, _qdicts)
+@hypothesis.example({0: QScalar.ONE, 1: q_power(1)},
+                    {0: q_power(1), 1: -QScalar.ONE})
+def test_kernel_matches_dense_sums_on_qscalar_dicts(a, b):
+    _check_kernel(a, b, QScalar.ZERO)
+
+
+@SETTINGS
+@hypothesis.given(_tuples, _tuples)
+def test_sum_matches_dense_sums_on_tuple_keys(a, b):
+    _check_kernel(a, b, 0)
+
+
+_wide = st.dictionaries(st.integers(-30, 30), st.integers(-9, 9).filter(bool),
+                        max_size=16)
+
+
+@SETTINGS
+@hypothesis.given(_wide, _wide)
+@hypothesis.example({k: 1 for k in range(32)}, {0: 1, 1: -1})
+@hypothesis.example({k: 1 for k in range(0, 40, 5)}, {0: 1, 5: -1, 10: 1,
+                                                      15: -1, 20: 1, 25: -1,
+                                                      30: 1, 35: -1})
+def test_integer_product_matches_the_dense_convolution(a, b):
+    # large operands take the Kronecker substitution, the others the
+    # term-by-term convolution; terms of both examples cancel
+    got = scalars._p_mul(a, b)
+    assert got == _dense_conv(a, b, 0)
+    assert all(got.values())

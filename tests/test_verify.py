@@ -4,6 +4,7 @@ import pytest
 
 import derivation_factors
 from product_builders import FockCopies
+from tuple_ring import TupleLaurent2
 from qaffine import rational, reference, scalars, verify
 from qaffine.cli import main
 from qaffine.linalg import OpMatrix, OscElement, Grid, hat_and_check, kron
@@ -349,6 +350,23 @@ def test_two_variable_ring_arithmetic():
     # every key decodes to the exponents it was packed from
     for key in ((1, 0, 0), (-3, 1, -12), (0, -2, 0), (7, -7, 306)):
         assert verify._unpack(verify._pack(*key)) == key
+
+
+def test_two_variable_products_never_take_the_kronecker_path(monkeypatch):
+    # the packed keys span about 2^44, so a Kronecker integer built from
+    # them would be as many digits wide
+    def refused(a, b):
+        raise AssertionError("a two-variable product took the Kronecker path")
+    monkeypatch.setattr(scalars, "_p_mul_packed", refused)
+    a = {(i, j, 6 * (i - j)): i + 3 * j + 5
+         for i in range(-1, 2) for j in range(-1, 2)}
+    b = {(2 * i, -j, 3 * i * j): 1 - 2 * ((i + j) % 2)
+         for i in range(-1, 2) for j in range(-1, 2)}
+    assert len(a) == len(b) == 9
+    got = (verify._Laurent2({verify._pack(*k): c for k, c in a.items()})
+           * verify._Laurent2({verify._pack(*k): c for k, c in b.items()}))
+    want = TupleLaurent2(a) * TupleLaurent2(b)
+    assert {verify._unpack(k): c for k, c in got.terms.items()} == want.terms
 
 
 def test_two_parameter_checks_run_on_cleared_polynomials():
