@@ -448,7 +448,6 @@ def check_normalization_constants(algebra, s, s1, s2, m_max):
     etab = build_root_vectors(img, "e", m_max)
     ftab = build_root_vectors(img, "f", m_max)
     aff = extend_cartan(finite_cartan(algebra))
-    denom_inv = C_FACTOR.inverse()
     for root in positive_roots(aff, m_max):
         if root.kind == "imaginary":
             continue
@@ -459,7 +458,7 @@ def check_normalization_constants(algebra, s, s1, s2, m_max):
         rule = _bracket(e, f, 0)
         for x in range(img.dim):
             v = sum(k * img.h_diags[i][x] for i, k in enumerate(ks))
-            want = (x, (q_power(v) - q_power(-v)) * denom_inv) if v else None
+            want = (x, qint(v)) if v else None
             if rule(x) != want or e.zexp + f.zexp != 0:
                 raise EngineError("normalization constant differs from 1 "
                                   "at root %r" % (root,))

@@ -1,8 +1,8 @@
 """Dense-semantics square matrices over exact scalars, stored sparsely.
 
 OpMatrix works for any scalar kind with ring operators (QScalar,
-ZetaSeries, ZetaRational, the two-variable Laurent polynomials of the
-identity checks, the q-oscillator ring elements they compare); a matrix
+ZetaSeries, ZetaRational, the q-oscillator ring elements of the L-operators
+and the flat two-variable oscillator ring of the identity checks); a matrix
 carries a sample `one` of its scalar kind so identities and zeros can be
 built without a class registry.  On top of that live matrix units,
 Kronecker products, symmetric-group operators, leg embeddings, the
@@ -290,8 +290,8 @@ class OscElement:
     many x = q^n unless it is zero.  So an identity checked on these
     elements needs no Fock dimension and no window.
 
-    The coefficients are exact scalars of any kind with ring operators;
-    `qpow(m)` is q^m among them."""
+    The coefficients are exact scalars of any kind with ring operators,
+    one-variable rationals in `LTable.ring`; `qpow(m)` is q^m among them."""
 
     __slots__ = ("terms", "qpow")
 
@@ -329,15 +329,14 @@ class OscElement:
                 out[key] = c
         return OscElement(out, qpow)
 
-    def map(self, fn, qpow=None):
-        """fn applied to every coefficient, zeros dropped; `qpow` gives q^m
-        among the values of fn when they are of another kind."""
+    def map(self, fn):
+        """fn applied to every coefficient, zeros dropped."""
         out = {}
         for key, c in self.terms.items():
             c = fn(c)
             if c:
                 out[key] = c
-        return OscElement(out, qpow or self.qpow)
+        return OscElement(out, self.qpow)
 
     def __eq__(self, other):
         return isinstance(other, OscElement) and self.terms == other.terms

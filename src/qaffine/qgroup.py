@@ -37,11 +37,6 @@ class GeneratorImage:
         """The value of h_i at state x."""
         return self.h_diags[i][x]
 
-    def relabel(self, pick):
-        """The image with `pick` applied to the node lists of h, e and f."""
-        return GeneratorImage(self.algebra, self.dim, pick(self.h_diags),
-                              pick(self.e_mats), pick(self.f_mats), self.exps)
-
 
 def _exps_for(algebra, s, s1, s2):
     if algebra == "a1":
@@ -77,7 +72,7 @@ def phi_zeta(algebra, s, s1, s2=0, zeta_scale=1):
 
 
 def dynkin_twist(image, perm):
-    """Precompose with the diagram automorphism sending node i to perm[i].
+    """Precompose an OscImage with the diagram automorphism i -> perm[i].
 
     The zeta dressing stays attached to the node position, so only the bare
     assignments move.

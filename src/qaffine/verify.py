@@ -4,27 +4,26 @@ engine-against-closed-form equality, and the spectral-linear structure.
 Every check returns a Verdict carrying the first failing coefficient when
 something breaks; nothing here is numerical.  The relation, duality, L
 gauge and structure checks compare matrices over the q-oscillator ring of
-normal forms sum c S_delta x^kappa (`linalg.OscElement`), built from
-the L-operator tables: an identity holds there exactly when it holds on
-every state of the untruncated Fock space, so these checks read no Fock
+normal forms sum c S_delta x^kappa, built from the L-operator tables
+(`LTable.ring`): an identity holds there exactly when it holds on every
+state of the untruncated Fock space, so these checks read no Fock
 dimension.  Inverses come from the one elimination, `grid_inverse`, with
 unit pivots c x^kappa; a check finding none left fails and names the step.
 
 Each identity that genuinely involves two spectral parameters is
 homogeneous, so its one-variable scalars are first multiplied by one
 common factor that clears every denominator in zeta.  No coefficient of a
-catalog check keeps a denominator in t after that, so the identity is then
-one over Z[t^(+-1)][u^(+-1), v^(+-1)], checked exactly on integer
-coefficients, with no division and no gcd, each term c u^i v^j t^k under
-one packed integer key (exponents below 2^16 in size, see `_Laurent2`).
+catalog check keeps a denominator in t after that, so every check but the
+engine's multiplies in one flat ring, the oscillator ring over
+Z[t^(+-1)][u^(+-1), v^(+-1)] with R-matrices at delta = kappa = 0: on
+integer coefficients, with no division and no gcd (`_Laurent2`).
 """
 
 import functools
 import time
-from operator import mul
 
 from .scalars import (
-    QScalar, _ONE_POLY, _p_add, _p_conv, _p_neg, q_power, t_power,
+    QScalar, _ONE_POLY, _p_add, _p_conv, _p_neg, t_power,
 )
 from .series import ZetaSeries, series_exp
 from .rational import ZetaRational, _exquo
@@ -38,8 +37,6 @@ from .engine import EngineParams, assemble
 __all__ = ["Verdict", "check_engine", "check_ybe", "check_rll",
            "check_duality", "check_gauge", "check_structure",
            "suite_checks", "run_check", "run_suite"]
-
-ONE = QScalar.ONE
 
 
 class Verdict:
@@ -84,16 +81,20 @@ def _timed(fn):
     return wrapper
 
 
-# -- two-variable identities as Laurent polynomials in u, v ------------------
+# -- two-parameter identities in one integer ring ------------------------------
 
-# A term c u^i v^j t^k is keyed by (i B + j) B + k: the key of a product of
-# monomials is the sum of theirs, exact while each field is in [-B/2, B/2).
-# `_pack` refuses exponents of size 2^16 or more, which keeps a product of
-# up to 32 lifted factors in range.  The products formed here have at most
-# four (an L gauge coefficient: a lifted one, two gauge monomials and a
-# spectral weight), times q-powers of the oscillator ring's products.
-_KEY_BASE = 1 << 22
-_EXPONENT_BOUND = 1 << 16
+# A term c S_delta x^kappa u^i v^j t^k is keyed by H B^3 + (i B + j) B + k,
+# H = ((delta_1 E + delta_2) E + kappa_1) E + kappa_2 = (key + _LOW_HALF) >>
+# _LOW_BITS, 0 on an absent second copy.  A product of monomials adds the
+# keys and 6 kappa_a . delta_b (its q-power) in t: exact while each field
+# is in [-B/2, B/2) and each digit of H in [-E/2, E/2).  `_pack` refuses
+# exponents of size 2^16 or more and `_place` digits of 2^4 or more, so a
+# product of up to 32 lifted factors at delta = kappa = 0 stays in range,
+# and of up to 8 elsewhere (q-shifts below 2^17); those formed here have at
+# most four (an L gauge coefficient, two gauge monomials, a spectral weight).
+_KEY_BASE, _EXPONENT_BOUND = 1 << 22, 1 << 16
+_DIGIT_BASE, _DIGIT_BOUND = 1 << 8, 1 << 4
+_LOW_BITS, _LOW_HALF = 66, (_KEY_BASE >> 1) * (_KEY_BASE ** 2 + _KEY_BASE + 1)
 
 
 def _pack(i, j, k):
@@ -111,14 +112,35 @@ def _unpack(key):
     return i, j - half, k - half
 
 
-class _Laurent2:
-    """A Laurent polynomial in u, v over Z[t^(+-1)]: {_pack(i, j, k): c}
-    for the terms c u^i v^j t^k, with no zero coefficient stored."""
+def _place(delta, kappa):
+    """What the key of a term at S_delta x^kappa adds to its (i, j, k)."""
+    pad = (0,) * (2 - len(delta))
+    high = 0
+    for x in (*delta, *pad, *kappa, *pad):
+        if abs(x) >= _DIGIT_BOUND:
+            raise ValueError("oscillator exponent out of range: a two-"
+                             "variable identity takes digits below 2^4")
+        high = high * _DIGIT_BASE + x
+    return high << _LOW_BITS
 
-    __slots__ = ("terms",)
+
+@functools.lru_cache(maxsize=None)
+def _sector(high):
+    """((delta_1, delta_2), (kappa_1, kappa_2)): the bytes of H + E/2."""
+    d1, d2, k1, k2 = (x - 128 for x in (high + 0x80808080).to_bytes(4, "big"))
+    return (d1, d2), (k1, k2)
+
+
+class _Laurent2:
+    """sum c S_delta x^kappa u^i v^j t^k in the q-oscillator ring over
+    Z[t^(+-1)][u^(+-1), v^(+-1)], as {packed key: c} with no zero c; at
+    delta = kappa = 0 a Laurent polynomial in u, v, and printed as one."""
+
+    __slots__ = ("terms", "_parts")
 
     def __init__(self, terms):
         self.terms = terms
+        self._parts = None
 
     def __bool__(self):
         return bool(self.terms)
@@ -133,10 +155,28 @@ class _Laurent2:
     def __sub__(self, other):
         return self + -other
 
-    # the packed keys span about 2^44, so a Kronecker substitution
-    # (`_p_mul`) would build integers of that many digits
+    def _decoded(self):
+        """[(key, c, delta, kappa)], decoded once per element."""
+        if self._parts is None:
+            self._parts = [(key, c, *_sector((key + _LOW_HALF) >> _LOW_BITS))
+                           for key, c in self.terms.items()]
+        return self._parts
+
+    # (S_d x^k)(S_e x^l) = q^(k . e) S_(d + e) x^(k + l); `_p_mul`'s Kronecker
+    # substitution would build integers as wide as the packed keys' span
     def __mul__(self, other):
-        return _Laurent2(_p_conv(self.terms, other.terms))
+        out, right = {}, other._decoded()
+        for ka, ca, _, (x1, x2) in self._decoded():
+            for kb, cb, (d1, d2), _ in right:
+                key = ka + kb + 6 * (x1 * d1 + x2 * d2)
+                c = ca * cb
+                if key in out:
+                    c = out[key] + c
+                    if not c:
+                        del out[key]
+                        continue
+                out[key] = c
+        return _Laurent2(out)
 
     def __eq__(self, other):
         return isinstance(other, _Laurent2) and self.terms == other.terms
@@ -157,12 +197,6 @@ class _Laurent2:
 _Laurent2.ONE = _Laurent2({0: 1})
 
 
-@functools.lru_cache(maxsize=None)
-def _q_power2(m):
-    """q^m = t^(6 m) in the two-variable ring."""
-    return _Laurent2({_pack(0, 0, 6 * m): 1})
-
-
 # zeta^k lifts to u^(a k) v^(b k)
 _LIFT_EXPONENTS = {"u": (1, 0), "v": (0, 1), "ratio": (1, -1), "uv": (1, 1)}
 
@@ -175,23 +209,24 @@ def _monomial(mode, k):
 def _lift(obj, mode):
     """A matrix over one-variable polynomials with coefficients in
     Z[t^(+-1)] (cleared of denominators), or over the oscillator ring with
-    such coefficients, lifted scalar by scalar into
-    Z[t^(+-1)][u^(+-1), v^(+-1)]."""
+    such coefficients, lifted into `_Laurent2`, a rational at delta =
+    kappa = 0."""
     a, b = _LIFT_EXPONENTS[mode]
 
-    def lift(zr):
-        if not zr.is_polynomial():
-            raise ValueError("only a polynomial lifts to two variables: "
-                             "clear the denominators first")
+    def lift(x):
         terms = {}
-        for e, c in zr.num.items():
-            if c.den is not _ONE_POLY:
+        for dk, zr in (x.terms.items() if isinstance(x, OscElement)
+                       else ((None, x),)):
+            place = _place(*dk) if dk else 0
+            if not zr.is_polynomial() or any(
+                    c.den is not _ONE_POLY for c in zr.num.values()):
                 raise ValueError("only a polynomial over Z[t^(+-1)] lifts to "
                                  "two variables: clear the denominators first")
-            for k, n in c.num.items():
-                terms[_pack(a * e, b * e, k)] = n
+            for e, c in zr.num.items():
+                for k, n in c.num.items():
+                    terms[place + _pack(a * e, b * e, k)] = n
         return _Laurent2(terms)
-    return _map_scalars(obj, lift, _Laurent2.ONE, _q_power2)
+    return obj.map_values(lift, _Laurent2.ONE)
 
 
 # -- engine against the closed forms ------------------------------------------
@@ -305,13 +340,11 @@ def _values(objs):
                         else (v,))
 
 
-def _map_scalars(obj, fn, one, qpow=None):
+def _map_scalars(obj, fn, one):
     """`obj` with fn applied to every one-variable scalar (`_values`); a
-    matrix over rationals takes `one`, one over the oscillator ring `qpow`
-    for the kind of fn's values."""
+    matrix over rationals takes `one`."""
     if isinstance(obj.one, OscElement):
-        return obj.map_values(lambda x: x.map(fn, qpow),
-                              obj.one.map(fn, qpow))
+        return obj.map_values(lambda x: x.map(fn), obj.one.map(fn))
     return obj.map_values(fn, one)
 
 
@@ -338,37 +371,36 @@ def _cleared(*objs):
     return list(objs)
 
 
-def _constants(m, one):
-    """The matrix m over the coefficients of `one` as one over the
-    oscillator ring, each entry c placed at delta = kappa = 0."""
-    (key, _), = one.terms.items()
-    return m.map_values(lambda c: OscElement({key: c}, one.qpow), one)
-
-
-def _ring_failure(lhs, rhs):
-    """Where two unequal matrices over the oscillator ring first differ:
-    the entry, the monomial S_delta x^kappa, and both coefficients there,
-    an absent one read as zero."""
+def _ring_failure(lhs, rhs, copies):
+    """Where two unequal matrices over the oscillator ring on `copies`
+    Fock copies first differ: the entry, the monomial S_delta x^kappa, and
+    both coefficients there, an absent one read as zero."""
     ij = lhs.first_difference(rhs)
-    x, y = lhs.entry(*ij).terms, rhs.entry(*ij).terms
+    x, y = {}, {}
+    for side, v in ((x, lhs.entry(*ij)), (y, rhs.entry(*ij))):
+        for key, c, delta, kappa in v._decoded():
+            side.setdefault((delta[:copies], kappa[:copies]), {})[
+                (key + _LOW_HALF) % (1 << _LOW_BITS) - _LOW_HALF] = c
     key = min(k for k in set(x) | set(y) if x.get(k) != y.get(k))
     return {"entry": list(ij), "delta": list(key[0]), "kappa": list(key[1]),
-            "lhs": str(x.get(key, 0)), "rhs": str(y.get(key, 0))}
+            "lhs": str(_Laurent2(x.get(key, {}))),
+            "rhs": str(_Laurent2(y.get(key, {})))}
 
 
 def _rll_residual(l_mat, l_type, r_flat):
     """None when the exchange relation R (L(u) x L(v)) = (L(v) x L(u)) R
     holds in the oscillator ring, so on every Fock state, else the
     first_failure of the verdict.  L and R are cleared of denominators and
-    lifted to two variables, and R sits at delta = kappa = 0."""
+    lifted to two variables, R at delta = kappa = 0."""
+    (zero, _), = l_mat.one.terms
     l_mat, = _cleared(l_mat)
     rmat, = _cleared(hat_and_check(r_flat)[0 if l_type == "hat" else 1])
     l_u = _lift(l_mat, "u")
     l_v = _lift(l_mat, "v")
-    r2 = _constants(_lift(rmat, "ratio"), l_u.one)
+    r2 = _lift(rmat, "ratio")
     lhs = r2 * kron(l_u, l_v)
     rhs = kron(l_v, l_u) * r2
-    return None if lhs == rhs else _ring_failure(lhs, rhs)
+    return None if lhs == rhs else _ring_failure(lhs, rhs, len(zero))
 
 
 def _l_operator(algebra, variant, exps):
@@ -448,15 +480,16 @@ def _gauged(family, algebra, s1, s2, base):
                            [x * y for x in gu_inv for y in gv_inv])
     g_var, gamma_var = ("v", "u") if family == "hat" else ("u", "v")
     rows, cols = _gauge_weights(algebra, s1, s2, g_var)
-    s_exps = (s1,) if algebra == "a1" else (s1, s2)
+    a, b = _LIFT_EXPONENTS[gamma_var]
 
-    def weigh(a, b, x):
-        g = rows[a] * cols[b]
-        return OscElement({key: c * g * _monomial(
-            gamma_var, sum(map(mul, s_exps, key[0])))
-            for key, c in x.terms.items()}, x.qpow)
-    return OpMatrix(base.dim, {(a, b): weigh(a, b, x)
-                               for (a, b), x in base.entries.items()},
+    def weigh(i, j, x):
+        terms = {}
+        for key, c, (d1, d2), _ in x._decoded():
+            w = s1 * d1 + s2 * d2   # s . delta; delta_2 = 0 on one copy
+            terms[key + _pack(a * w, b * w, 0)] = c
+        return rows[i] * cols[j] * _Laurent2(terms)
+    return OpMatrix(base.dim, {(i, j): weigh(i, j, x)
+                               for (i, j), x in base.entries.items()},
                     base.one, _clean=True)
 
 
@@ -488,8 +521,8 @@ def check_gauge(family, algebra, s, s1, s2=0):
     if lhs == rhs:
         return Verdict(name, algebra, variant, exps, True)
     return Verdict(name, algebra, variant, exps, False,
-                   {"entry": list(lhs.first_difference(rhs))}
-                   if family == "r" else _ring_failure(lhs, rhs))
+                   _ring_failure(lhs, rhs, len(exps) - 1) if family != "r"
+                   else {"entry": list(lhs.first_difference(rhs))})
 
 
 # -- spectral-linear structure --------------------------------------------------
@@ -547,17 +580,16 @@ def check_structure(algebra):
         return Verdict("structure", algebra, hat_variant, (), False,
                        {"detail": "no exponents with the stated "
                                   "triangularity"})
-    hat_exps, lp, lm, pi = hat
+    # the parts and projectors are constant in zeta, so any lift will do
+    hat_exps, lp, lm, pi = hat[0], *(_lift(m, "u") for m in hat[1:])
     failures = []
     if pi * pi != pi:
         failures.append("hat projector not idempotent")
-    r0h = r0_hat_matrix(n)
+    r0h = _lift(r0_hat_matrix(n).map_values(
+        lambda c: ZetaRational({0: c}, _canonical=True), ZetaRational.ONE), "u")
     # the Hecke relation (R0 - q)(R0 + q^-1) = 0 gives the inverse
-    r0h_inv = r0h - OpMatrix.identity(n * n, ONE).scale(q_power(1)
-                                                        - q_power(-1))
-    r0h, r0h_inv = (_constants(m.map_values(
-        lambda c: ZetaRational({0: c}, _canonical=True), ZetaRational.ONE),
-        lp.one) for m in (r0h, r0h_inv))
+    r0h_inv = r0h - OpMatrix.identity(n * n, _Laurent2.ONE).scale(
+        _Laurent2({_pack(0, 0, 6): 1, _pack(0, 0, -6): -1}))
     # equal-sign relations, then the mixed one; with the degenerate part
     # upper-triangular the mixed pairing couples the minus part first, and
     # the reversed pairing holds with the inverse constant matrix
@@ -578,7 +610,7 @@ def check_structure(algebra):
     if check is None:
         failures.append("no check-side special exponents")
     else:
-        _, lpc, lmc, pic = check
+        lpc, lmc, pic = (_lift(m, "u") for m in check[1:])
         if pic * pic != pic:
             failures.append("check projector not idempotent")
         if not pic or (lpc - lmc) * pic:

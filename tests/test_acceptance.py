@@ -171,7 +171,7 @@ def test_criterion_9_algebraic_substrate():
     assert check_defining_relations(render(chi_images("a1", 1, 0), 8),
                                     (8, 1)) == []
     assert check_defining_relations(
-        dynkin_twist(render(chi_images("a1", 1, 0), 8), (1, 0)),
+        render(dynkin_twist(chi_images("a1", 1, 0), (1, 0)), 8),
         (8, 1)) == []
     assert check_defining_relations(render(psi_images("a1", 1, 0), 8),
                                     (8, 1)) == []

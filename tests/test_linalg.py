@@ -5,6 +5,7 @@ import pytest
 
 from qaffine.scalars import QScalar, q_power
 from oracles import diagonal_matrix, fock_window
+from tuple_ring import TupleLaurent2, flat, nested_matrix, tuple_qpow
 
 from qaffine.linalg import (
     OpMatrix, OscElement, kron, perm_operator, hat_and_check, embed_legs,
@@ -203,20 +204,32 @@ def _scale_then_sum(s, g, left):
     return OpMatrix(g.dim, out, g.one)
 
 
+def _constants(s, one):
+    """The matrix s of scalars as one over the oscillator ring of `one`,
+    each entry placed at delta = kappa = 0."""
+    (key, _), = one.terms.items()
+    return s.map_values(lambda c: OscElement({key: c}, one.qpow), one)
+
+
 def _laurent2_scalars(rng):
+    """The two-variable ring: the matrices are built over OscElement with
+    TupleLaurent2 coefficients and multiplied in the flat ring
+    `verify._Laurent2`, constants lifted at delta = kappa = 0."""
     from qaffine import verify
 
     def value():
-        return verify._Laurent2({
-            verify._pack(rng.randint(-2, 2), rng.randint(-2, 2),
-                         rng.randint(-6, 6)): rng.choice((-2, -1, 1, 3))
-            for _ in range(rng.randint(1, 3))})
-    return verify._Laurent2.ONE, verify._q_power2, value
+        return TupleLaurent2({
+            (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-6, 6)):
+            rng.choice((-2, -1, 1, 3)) for _ in range(rng.randint(1, 3))})
+    to_ring = (lambda m: m.map_values(flat, verify._Laurent2.ONE),
+               lambda m: nested_matrix(m, 1))
+    return TupleLaurent2.ONE, tuple_qpow, value, to_ring
 
 
 def _qscalar_scalars(rng):
     return ONE, q_power, lambda: q_power(rng.randint(-2, 2)).scale(
-        rng.choice((-2, -1, 1, 3))) + q_power(rng.randint(-2, 2))
+        rng.choice((-2, -1, 1, 3))) + q_power(rng.randint(-2, 2)), (
+        lambda m: m, lambda m: m)
 
 
 def _stored_nonzero(m):
@@ -229,10 +242,10 @@ def _stored_nonzero(m):
 def test_scalar_matrix_products_equal_scale_then_sum(scalars, seed):
     # a matrix of scalars placed at delta = kappa = 0 of the oscillator
     # ring, as the relation checks place R, multiplies a matrix over the
-    # ring by scaling coefficients
-    from qaffine import verify
+    # ring by scaling coefficients; `to_ring` takes a matrix into the ring
+    # the product is taken in and `back` brings the product back
     rng = random.Random(seed)
-    c_one, qpow, value = scalars(rng)
+    c_one, qpow, value, (to_ring, back) = scalars(rng)
     one = OscElement({((0,), (0,)): c_one}, qpow)
     n = rng.choice((2, 3))
 
@@ -245,9 +258,9 @@ def test_scalar_matrix_products_equal_scale_then_sum(scalars, seed):
                      for _ in range(2 * n)}, one)
     s = OpMatrix(n, {(rng.randrange(n), rng.randrange(n)): value()
                      for _ in range(n + 1)}, c_one)
-    ring_s = verify._constants(s, one)
-    for got, left in ((ring_s * g, True), (g * ring_s, False)):
-        assert got == _scale_then_sum(s, g, left)
+    ring_s, ring_g = to_ring(_constants(s, one)), to_ring(g)
+    for got, left in ((ring_s * ring_g, True), (ring_g * ring_s, False)):
+        assert back(got) == _scale_then_sum(s, g, left)
         assert _stored_nonzero(got)
     # cancelling: two elements of G are equal and another two differ by
     # m, and s weighs each pair with opposite signs, so one output element
@@ -256,11 +269,11 @@ def test_scalar_matrix_products_equal_scale_then_sum(scalars, seed):
     c = value()
     g = OpMatrix(2, {(0, 0): m, (1, 0): m, (0, 1): h + m, (1, 1): h}, one)
     s = OpMatrix(2, {(0, 0): c, (0, 1): -c}, c_one)
-    got = verify._constants(s, one) * g
+    got = back(to_ring(_constants(s, one)) * to_ring(g))
     assert got == _scale_then_sum(s, g, True)
     assert got.entries == {(0, 1): m.map(lambda v: c * v)}
     g = OpMatrix(2, {(0, 0): m, (0, 1): m, (1, 0): h + m, (1, 1): h}, one)
     s = OpMatrix(2, {(0, 0): c, (1, 0): -c}, c_one)
-    got = g * verify._constants(s, one)
+    got = back(to_ring(g) * to_ring(_constants(s, one)))
     assert got == _scale_then_sum(s, g, False)
     assert got.entries == {(1, 0): m.map(lambda v: v * c)}

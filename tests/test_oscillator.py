@@ -11,7 +11,8 @@ from qaffine.oscillator import (
     chi_images, psi_images, OscParams,
 )
 from qaffine.scalars import parse_qscalar
-from qaffine.verify import _Laurent2, _gauged, _monomial, _q_power2
+from qaffine.verify import _Laurent2, _gauged
+from tuple_ring import TupleLaurent2, flat, nested, tuple_qpow
 from product_builders import (
     FockCopies, FockRep, osc_automorphism, oscillator_matrices, render,
     tau_matrix,
@@ -168,26 +169,31 @@ def test_tau_is_an_anti_involution_swapping_ladder_ops():
 
 def _spectral_gauge(x, s_exponents):
     """The spectral gauge map Gamma = u^(s . D) of the hat-type L gauge
-    on the oscillator ring element x, through `verify._gauged` on a 1 x 1
-    matrix, whose matrix-leg gauge weight is one."""
+    on the oscillator ring element x over TupleLaurent2, through
+    `verify._gauged` on a 1 x 1 matrix over the flat ring, whose
+    matrix-leg gauge weight is one."""
     algebra, s2 = ("a1", 0) if len(s_exponents) == 1 else ("a2",
                                                            s_exponents[1])
-    zero = (0,) * len(s_exponents)
-    m = OpMatrix(1, {(0, 0): x}, OscElement({(zero, zero): _Laurent2.ONE},
-                                            _q_power2))
-    return _gauged("hat", algebra, s_exponents[0], s2, m).entry(0, 0)
+    m = OpMatrix(1, {(0, 0): flat(x)}, _Laurent2.ONE)
+    return nested(_gauged("hat", algebra, s_exponents[0], s2, m).entry(0, 0),
+                  len(s_exponents))
+
+
+def _mono(var, k):
+    """u^k or v^k as a TupleLaurent2."""
+    return TupleLaurent2({(k, 0, 0) if var == "u" else (0, k, 0): 1})
 
 
 def test_gamma_scaling_exponents():
     # Gamma weighs the coefficient of S_delta by u^(s . delta)
-    one = _Laurent2.ONE
+    one = TupleLaurent2.ONE
     x = OscElement({((1, 0), (0, 0)): one, ((0, -1), (2, 1)): one,
-                    ((0, 0), (1, 1)): one}, _q_power2)
+                    ((0, 0), (1, 1)): one}, tuple_qpow)
     got = _spectral_gauge(x, (2, 3)).terms
     # raising copy 1: exponent 2; lowering copy 2: exponent -3
-    assert got[((1, 0), (0, 0))] == _monomial("u", 2)
-    assert got[((0, -1), (2, 1))] == _monomial("u", -3)
-    assert got[((0, 0), (1, 1))] == _monomial("u", 0)
+    assert got[((1, 0), (0, 0))] == _mono("u", 2)
+    assert got[((0, -1), (2, 1))] == _mono("u", -3)
+    assert got[((0, 0), (1, 1))] == _mono("u", 0)
 
 
 def test_zero_kappa_rejected():
@@ -287,23 +293,23 @@ def test_gamma_matches_diagonal_conjugation(s_exponents):
     # against the ring's weighting rendered on d states per copy
     d = 3
     copies = len(s_exponents)
-    one = _monomial("u", 0)
+    one = TupleLaurent2.ONE
     states = FockCopies(d, copies).states
     gam = diagonal_matrix(
-        [_monomial("u", sum(s * n for s, n in zip(s_exponents, st)))
+        [_mono("u", sum(s * n for s, n in zip(s_exponents, st)))
          for st in states], one)
     gam_inv = diagonal_matrix(
-        [_monomial("u", -sum(s * n for s, n in zip(s_exponents, st)))
+        [_mono("u", -sum(s * n for s, n in zip(s_exponents, st)))
          for st in states], one)
     rng = random.Random(3)
     for _ in range(3):
         x = OscElement({
             (tuple(rng.randint(-1, 1) for _ in range(copies)),
              tuple(rng.randint(-2, 2) for _ in range(copies))):
-            _monomial("v", rng.randint(-2, 2)) for _ in range(4)}, _q_power2)
+            _mono("v", rng.randint(-2, 2)) for _ in range(4)}, tuple_qpow)
         zero = (0,) * copies
         m = OpMatrix(1, {(0, 0): x}, OscElement({(zero, zero): one},
-                                                _q_power2))
+                                                tuple_qpow))
         rendered = render_ring(m, d).entries[(0, 0)]
         gauged = OpMatrix(1, {(0, 0): _spectral_gauge(x, s_exponents)},
                           m.one)

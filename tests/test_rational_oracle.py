@@ -17,7 +17,10 @@ from qaffine import rational, verify  # noqa: E402
 from qaffine.linalg import OpMatrix  # noqa: E402
 from qaffine.rational import ZetaRational  # noqa: E402
 from qaffine.scalars import QScalar, q_power, qint  # noqa: E402
-from tuple_ring import TupleLaurent2  # noqa: E402
+from qaffine.linalg import OscElement  # noqa: E402
+from tuple_ring import (  # noqa: E402
+    TupleLaurent2, flat_key, nested, tuple_qpow,
+)
 
 # values live in sympy's sparse field Q(t, z, u, v), which keeps every
 # element cancelled (sympy.cancel on expressions takes seconds per value at
@@ -237,6 +240,75 @@ def test_product_of_up_to_32_extreme_monomials(factors):
     for got, want in ((pa * pb, ta * tb),
                       (pa * (pb + Ring.ONE), ta * (tb + TupleLaurent2.ONE))):
         assert _same(got, want) and str(got) == str(want)
+
+
+# the flat oscillator ring against OscElement over the tuple-keyed ring:
+# terms c S_delta x^kappa u^i v^j t^k, delta in {-1, 0, 1} and kappa in
+# [-3, 3] per copy, on one and two copies
+def _osc_terms_st(copies):
+    sector = st.tuples(st.tuples(*[st.integers(-1, 1)] * copies),
+                       st.tuples(*[st.integers(-3, 3)] * copies))
+    return st.dictionaries(st.tuples(sector, keys_st),
+                           st.integers(-3, 3).filter(bool), max_size=6)
+
+
+def _osc_pair(terms):
+    """(flat element, OscElement over TupleLaurent2) of the same terms."""
+    groups = {}
+    for (dk, ijk), c in terms.items():
+        groups.setdefault(dk, {})[ijk] = c
+    return (Ring({flat_key(*dk, ijk): c for (dk, ijk), c in terms.items()}),
+            OscElement({dk: TupleLaurent2(p) for dk, p in groups.items()},
+                       tuple_qpow))
+
+
+def _osc_same(got, want, copies):
+    return (all(type(c) is int and c for c in got.terms.values())
+            and nested(got, copies).terms == want.terms)
+
+
+_S, _ONE1 = ((1,), (0,)), ((0,), (0,))
+
+
+@SETTINGS
+@hypothesis.given(st.sampled_from((1, 2)).flatmap(
+    lambda n: st.tuples(st.just(n), _osc_terms_st(n), _osc_terms_st(n))))
+# (1 + S)(1 - S) = 1 - S^2: the cross terms cancel
+@hypothesis.example((1, {(_ONE1, (0, 0, 0)): 1, (_S, (0, 0, 0)): 1},
+                     {(_ONE1, (0, 0, 0)): 1, (_S, (0, 0, 0)): -1}))
+def test_flat_ring_matches_oscelement_over_the_tuple_ring(case):
+    copies, a, b = case
+    (fa, oa), (fb, ob) = _osc_pair(a), _osc_pair(b)
+    assert _osc_same(fa, oa, copies) and _osc_same(fb, ob, copies)
+    for got, want in ((fa + fb, oa + ob), (fa - fb, oa - ob), (-fa, -oa),
+                      (fa * fb, oa * ob), (fb * fa, ob * oa),
+                      (fa * fb + fa * -fb, oa * ob + oa * -ob),
+                      (fa - fa, oa - oa)):
+        assert _osc_same(got, want, copies)
+    assert not fa - fa and not fa * fb + fa * -fb
+    assert (fa == fb) == (oa.terms == ob.terms) and bool(fa) == bool(oa)
+
+
+digit_st = st.one_of(st.integers(-1, 1), st.sampled_from((-15, 15)))
+
+
+@SETTINGS
+@hypothesis.given(st.lists(st.tuples(
+    st.tuples(digit_st, digit_st), st.tuples(digit_st, digit_st),
+    st.tuples(exponent_st, exponent_st, exponent_st),
+    st.sampled_from((1, -1))), min_size=2, max_size=8))
+@hypothesis.example([((15, 15), (15, 15), (BOUND - 1, 1 - BOUND, BOUND - 1),
+                      1)] * 8)
+@hypothesis.example([((-15, 15), (15, -15), (1 - BOUND,) * 3, -1)] * 8)
+def test_product_of_up_to_8_extreme_oscillator_monomials(factors):
+    # digits just inside their bound, with their q-shifts, and exponents
+    # just inside theirs stay exact in the packed key on up to 8 factors
+    flat_p, osc_p = Ring.ONE, OscElement({((0, 0), (0, 0)): TupleLaurent2.ONE},
+                                         tuple_qpow)
+    for delta, kappa, ijk, c in factors:
+        f, o = _osc_pair({((delta, kappa), ijk): c})
+        flat_p, osc_p = flat_p * f, osc_p * o
+    assert _osc_same(flat_p, osc_p, 2)
 
 
 # Laurent polynomials in t, and some of them over the denominator 1 - q^-2;

@@ -4,7 +4,7 @@ import pytest
 
 import derivation_factors
 from product_builders import FockCopies
-from tuple_ring import TupleLaurent2
+from tuple_ring import TupleLaurent2, flat_key, nested, nested_matrix
 from qaffine import rational, reference, scalars, verify
 from qaffine.cli import main
 from qaffine.linalg import OpMatrix, OscElement, Grid, hat_and_check, kron
@@ -207,11 +207,15 @@ def test_gauge_map_matches_products_with_diagonal_matrices(family, algebra,
     # map Gamma_var = diag(var^(s . n)) on the Fock states, built as
     # matrices with their inverses, applied by matrix products
     # the L-operators compared on d Fock states per copy, where the ring's
-    # weighting of S_delta by var^(s . delta) is conjugation by Gamma
+    # weighting of S_delta by var^(s . delta) is conjugation by Gamma; the
+    # rendered operators are over TupleLaurent2, the flat ring's oracle
     d, s = 3, 2
     one = verify._Laurent2.ONE
-    mono = verify._monomial
     expos = (0, -s1) if algebra == "a1" else (0, -s1, -s1 - s2)
+
+    def mono(var, k, tupled=False):
+        x = verify._monomial(var, k)
+        return nested(x, 1).terms[((0,), (0,))] if tupled else x
 
     def gauge(var, sign):
         return diagonal_matrix([mono(var, sign * e) for e in expos], one)
@@ -235,16 +239,18 @@ def test_gauge_map_matches_products_with_diagonal_matrices(family, algebra,
 
     def gamma(var, sign):
         return diagonal_matrix(
-            [mono(var, sign * sum(a * n for a, n in zip(s_exps, st)))
-             for st in states], one)
+            [mono(var, sign * sum(a * n for a, n in zip(s_exps, st)), True)
+             for st in states], TupleLaurent2.ONE)
     g_var, gamma_var = ("v", "u") if family == "hat" else ("u", "v")
-    g, g_inv = gauge(g_var, 1), gauge(g_var, -1)
-    rendered = render_ring(base, d)
+    g = [mono(g_var, e, True) for e in expos]
+    g_inv = [mono(g_var, -e, True) for e in expos]
+    rendered = render_ring(nested_matrix(base, len(s_exps)), d)
     expect = Grid(rendered.n, {
-        (a, b): gamma(gamma_var, 1) * m.scale(g.entry(a, a) * g_inv.entry(
-            b, b)) * gamma(gamma_var, -1)
-        for (a, b), m in rendered.entries.items()}, rendered.op_dim, one)
-    assert render_ring(got, d) == expect
+        (a, b): gamma(gamma_var, 1) * m.scale(g[a] * g_inv[b])
+        * gamma(gamma_var, -1)
+        for (a, b), m in rendered.entries.items()}, rendered.op_dim,
+        TupleLaurent2.ONE)
+    assert render_ring(nested_matrix(got, len(s_exps)), d) == expect
 
 
 # -- the exchange relation in the oscillator ring -----------------------------
@@ -275,7 +281,7 @@ def _sides(l_mat, l_type, r_flat):
     rmat, = verify._cleared(hat_and_check(r_flat)[0 if l_type == "hat"
                                                   else 1])
     l_u, l_v = verify._lift(l_mat, "u"), verify._lift(l_mat, "v")
-    r2 = verify._constants(verify._lift(rmat, "ratio"), l_u.one)
+    r2 = verify._lift(rmat, "ratio")
     return r2 * kron(l_u, l_v), kron(l_v, l_u) * r2
 
 
@@ -298,7 +304,7 @@ def test_rll_fails_where_the_ring_relation_differs(algebra, variant,
     ij = tuple(failure["entry"])
     assert ij == lhs.first_difference(rhs)
     key = (tuple(failure["delta"]), tuple(failure["kappa"]))
-    x, y = lhs.entry(*ij).terms, rhs.entry(*ij).terms
+    x, y = (nested(m.entry(*ij), len(exps) - 1).terms for m in (lhs, rhs))
     assert (str(x[key]), str(y[key])) == (failure["lhs"], failure["rhs"])
     assert all(x.get(k) == y.get(k) for k in set(x) | set(y) if k < key)
 
@@ -476,6 +482,49 @@ def test_lift_refuses_an_exponent_beyond_the_packing():
         verify._monomial(mode, bound - 1)
 
 
+def test_lift_refuses_an_oscillator_digit_beyond_the_packing():
+    # delta and kappa digits below 2^4 in size keep a product of up to 8
+    # lifted factors, with its q-shifts, exact in the packed key
+    bound = verify._DIGIT_BOUND
+    assert bound == 1 << 4
+
+    def entry(delta, kappa):
+        zero = (0,) * len(delta)
+        return OpMatrix(1, {(0, 0): OscElement(
+            {(delta, kappa): ZetaRational.ONE}, reference._zeta_q)},
+            OscElement({(zero, zero): ZetaRational.ONE}, reference._zeta_q))
+    inside = (((bound - 1,), (1 - bound,)),
+              ((1 - bound, bound - 1), (bound - 1, 1 - bound)))
+    outside = (((bound,), (0,)), ((0,), (-bound,)), ((0, -bound), (0, 0)),
+               ((0, 0), (1, bound)))
+    for mode in verify._LIFT_EXPONENTS:
+        for delta, kappa in inside:
+            got = verify._lift(entry(delta, kappa), mode).entry(0, 0)
+            assert nested(got, len(delta)).terms == {
+                (delta, kappa): TupleLaurent2.ONE}
+        for delta, kappa in outside:
+            with pytest.raises(ValueError, match="below 2\\^4"):
+                verify._lift(entry(delta, kappa), mode)
+
+
+def test_no_check_but_the_engine_nests_a_ring_in_the_oscillator_ring(
+        monkeypatch):
+    # every catalog check but the engine's multiplies in the one flat ring:
+    # an oscillator element with a two-variable coefficient is refused
+    real = OscElement.__init__
+
+    def refusing(self, terms, qpow):
+        if any(isinstance(c, verify._Laurent2) for c in terms.values()):
+            raise AssertionError("an OscElement over the two-variable ring")
+        real(self, terms, qpow)
+    monkeypatch.setattr(OscElement, "__init__", refusing)
+    with pytest.raises(AssertionError, match="two-variable ring"):
+        OscElement({((0,), (0,)): verify._Laurent2.ONE}, None)
+    items = [item for item in suite_checks() if item[1] != "check_engine"]
+    assert len(items) == 32
+    assert [cid for cid, v in run_suite(items) if not v.passed] == []
+
+
 def test_cli_relation_checks_read_no_fock_dimension(capsys):
     # the relation, duality and structure checks compare elements of the
     # oscillator ring, so --fock changes nothing in their verdicts: not at
@@ -586,17 +635,15 @@ def test_failure_text_of_a_perturbed_rll_relation_is_pinned(monkeypatch):
 def test_a_failing_relation_reports_an_absent_entry_as_zero():
     # where the two sides first differ only one has a term, or an entry:
     # the report reads the other as zero
-    one = verify._Laurent2.ONE
-    key = ((1,), (-1,))
-    ring_one = OscElement({((0,), (0,)): one}, verify._q_power2)
-    x = OscElement({key: one + one}, verify._q_power2)
-    y = OscElement({((0,), (2,)): one}, verify._q_power2)
+    ring_one = verify._Laurent2.ONE
+    x = verify._Laurent2({flat_key((1,), (-1,), (0, 0, 0)): 2})
+    y = verify._Laurent2({flat_key((0,), (2,), (0, 0, 0)): 1})
     lhs = OpMatrix(2, {(0, 1): x + y}, ring_one)
     rhs = OpMatrix(2, {(0, 1): y}, ring_one)
-    assert verify._ring_failure(lhs, rhs) == {
+    assert verify._ring_failure(lhs, rhs, 1) == {
         "entry": [0, 1], "delta": [1], "kappa": [-1],
         "lhs": "(2)/(1)*u^0*v^0", "rhs": "0"}
-    assert verify._ring_failure(rhs, OpMatrix.zero(2, ring_one)) == {
+    assert verify._ring_failure(rhs, OpMatrix.zero(2, ring_one), 1) == {
         "entry": [0, 1], "delta": [0], "kappa": [2],
         "lhs": "(1)/(1)*u^0*v^0", "rhs": "0"}
 

@@ -1,11 +1,17 @@
-"""The two-variable ring of the identity checks with one (i, j, k) tuple
-key per term c u^i v^j t^k.
+"""The ring of the identity checks written out term by term, as an oracle
+for `qaffine.verify._Laurent2`.
 
-An oracle for `qaffine.verify._Laurent2`, which keys each term by one
-packed integer: the same arithmetic, with each exponent its own field and
-no bound on its size.  Only the tests build it.
+`verify._Laurent2` keys each term c S_delta x^kappa u^i v^j t^k of the
+q-oscillator ring over Z[t^(+-1)][u^(+-1), v^(+-1)] by one packed integer.
+Here the same arithmetic is spelled out: `TupleLaurent2` keys each term
+c u^i v^j t^k by its own (i, j, k), with no bound on their size, and
+`nested` takes a flat element to `linalg.OscElement` over it, with the
+packed key decoded digit by digit here (`split_key`), so the q-twisted
+product is the generic one of `OscElement`.  Only the tests build these.
 """
 
+from qaffine import verify
+from qaffine.linalg import OscElement
 from qaffine.scalars import QScalar
 
 
@@ -65,3 +71,60 @@ class TupleLaurent2:
 
 
 TupleLaurent2.ONE = TupleLaurent2({(0, 0, 0): 1})
+
+
+def tuple_qpow(m):
+    """q^m = t^(6 m) among the coefficients."""
+    return TupleLaurent2({(0, 0, 6 * m): 1})
+
+
+# the packed key: seven signed digits, (delta_1, delta_2, kappa_1, kappa_2)
+# in base E above (i, j, k) in base B
+B, E = verify._KEY_BASE, verify._DIGIT_BASE
+
+
+def flat_key(delta, kappa, ijk):
+    """The packed key of c S_delta x^kappa u^i v^j t^k on one or two
+    copies, a one-copy term with the second copy's digits 0."""
+    pad = (0,) * (2 - len(delta))
+    key = 0
+    for x in (*delta, *pad, *kappa, *pad):
+        key = key * E + x
+    for x in ijk:
+        key = key * B + x
+    return key
+
+
+def split_key(key, copies):
+    """(delta, kappa, (i, j, k)) of a packed key on `copies` copies."""
+    digits = []
+    for base in (B, B, B, E, E, E, E):
+        key, d = divmod(key + base // 2, base)
+        digits.append(d - base // 2)
+    k, j, i, k2, k1, d2, d1 = digits
+    return (d1, d2)[:copies], (k1, k2)[:copies], (i, j, k)
+
+
+def flat(x):
+    """An OscElement over TupleLaurent2 as a `verify._Laurent2`."""
+    return verify._Laurent2({flat_key(delta, kappa, ijk): c
+                             for (delta, kappa), p in x.terms.items()
+                             for ijk, c in p.terms.items()})
+
+
+def nested(x, copies):
+    """A `verify._Laurent2` on `copies` copies as an OscElement
+    {(delta, kappa): TupleLaurent2}."""
+    terms = {}
+    for key, c in x.terms.items():
+        delta, kappa, ijk = split_key(key, copies)
+        terms.setdefault((delta, kappa), {})[ijk] = c
+    return OscElement({dk: TupleLaurent2(p) for dk, p in terms.items()},
+                      tuple_qpow)
+
+
+def nested_matrix(m, copies):
+    """A matrix over `verify._Laurent2` as one over OscElement."""
+    zero = (0,) * copies
+    return m.map_values(lambda x: nested(x, copies), OscElement(
+        {(zero, zero): TupleLaurent2.ONE}, tuple_qpow))
