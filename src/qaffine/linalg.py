@@ -1,24 +1,25 @@
 """Dense-semantics square matrices over exact scalars, stored sparsely.
 
 OpMatrix works for any scalar kind with ring operators (QScalar,
-ZetaSeries, ZetaRational, the q-oscillator ring elements of the L-operators
-and the flat two-variable oscillator ring of the identity checks); a matrix
-carries a sample `one` of its scalar kind so identities and zeros can be
-built without a class registry.  On top of that live matrix units,
-Kronecker products, symmetric-group operators, leg embeddings, the
-elements of the q-oscillator ring (OscElement), and Grid: a square matrix
-of Fock-operator matrices, the form `reference.render` gives an L-operator
-on finitely many states, with the generalized Kronecker product.
+ZetaSeries, ZetaRational and the q-oscillator ring); a matrix carries a
+sample `one` of its scalar kind so identities and zeros can be built
+without a class registry.  On top of that live matrix units, Kronecker
+products, symmetric-group operators, leg embeddings, the one q-oscillator
+ring (OscPoly: integer terms c S_delta x^kappa u^i v^j t^k under packed
+keys, in which every closed form and every identity check multiplies), and
+Grid: a square matrix of Fock-operator matrices, the form
+`reference.render` gives an L-operator on finitely many states, with the
+generalized Kronecker product.
 """
 
+import functools
 import itertools
-from operator import add, mul
 
-from .scalars import _p_add, _p_neg
+from .scalars import QScalar, _p_add, _p_neg
 
 __all__ = [
     "OpMatrix", "kron", "perm_operator", "hat_and_check", "embed_legs",
-    "OscElement", "Grid", "grid_akp",
+    "OscPoly", "Grid", "grid_akp",
 ]
 
 
@@ -277,69 +278,162 @@ def _unflat(i, dims):
     return tuple(reversed(out))
 
 
-class OscElement:
-    """An element sum c S_delta x^kappa of the q-oscillator ring on a fixed
-    number of Fock copies, as {(delta, kappa): c} with no zero c stored.
-    x^kappa = q^(kappa . D) acts first and S_delta sends state n to
-    n + delta, so a = S_-1 (1 - x^2) and a-dagger = S_+1 on each copy, and
-    (S_d x^k)(S_e x^l) = q^(k . e) S_(d + e) x^(k + l).
+# -- the q-oscillator ring --------------------------------------------------
+
+# A term c S_delta x^kappa u^i v^j t^k is keyed by H B^3 + (i B + j) B + k,
+# H = ((delta_1 E + delta_2) E + kappa_1) E + kappa_2 = (key + _LOW_HALF) >>
+# _LOW_BITS, 0 on an absent second copy.  A product of monomials adds the
+# keys and 6 kappa_a . delta_b (its q-power) in t: exact while each field
+# is in [-B/2, B/2) and each digit of H in [-E/2, E/2).  Every operand of a
+# product is checked as it is decoded (`_sector`): digits below 2^6 and
+# exponents below 2^19 in size.  The product of two checked operands then
+# has digits below 2^7 and exponents below 2^20 + 2^16 (a q-shift is below
+# 6 * 2 * 63^2 < 2^16), so it cannot carry, however long a chain of
+# products; one that leaves the bounds is refused as an operand.  `_pack`
+# takes exponents below 2^16 and `_place` digits below 2^6.
+_KEY_BASE, _EXPONENT_BOUND = 1 << 22, 1 << 16
+_DIGIT_BASE, _DIGIT_BOUND = 1 << 8, 1 << 6
+_LOW_BITS, _LOW_HALF = 66, (_KEY_BASE >> 1) * (_KEY_BASE ** 2 + _KEY_BASE + 1)
+# with each field f raised by B/2 + 2^19, H and the top two bits of each
+# field: they read 0b10 exactly when f is in [-2^19, 2^19), so every key
+# of one sector inside the bounds masks to one value
+_SECTOR_BIAS = _LOW_HALF + (1 << 19) * (_KEY_BASE ** 2 + _KEY_BASE + 1)
+_SECTOR_MASK = -(1 << _LOW_BITS) | (3 << 64) | (3 << 42) | (3 << 20)
+
+
+def _pack(i, j, k):
+    if max(abs(i), abs(j), abs(k)) >= _EXPONENT_BOUND:
+        raise ValueError("exponent out of range: a two-variable identity "
+                         "takes exponents below 2^16 in size")
+    return (i * _KEY_BASE + j) * _KEY_BASE + k
+
+
+def _low(key):
+    """The (i, j, k) part of a key, as `_pack` gives it."""
+    return (key + _LOW_HALF) % (1 << _LOW_BITS) - _LOW_HALF
+
+
+def _unpack(key):
+    """(i, j, k) of a key: its three signed base-B digits."""
+    half = _KEY_BASE // 2
+    ij, k = divmod(_low(key) + half, _KEY_BASE)
+    i, j = divmod(ij + half, _KEY_BASE)
+    return i, j - half, k - half
+
+
+def _place(delta, kappa):
+    """What the key of a term at S_delta x^kappa adds to its (i, j, k)."""
+    pad = (0,) * (2 - len(delta))
+    high = 0
+    for x in (*delta, *pad, *kappa, *pad):
+        if abs(x) >= _DIGIT_BOUND:
+            raise ValueError("oscillator exponent out of range: the ring "
+                             "takes digits below 2^6")
+        high = high * _DIGIT_BASE + x
+    return high << _LOW_BITS
+
+
+@functools.lru_cache(maxsize=None)
+def _sector(masked):
+    """((delta_1, delta_2), (kappa_1, kappa_2)) of a key plus _SECTOR_BIAS
+    under _SECTOR_MASK: the bytes of H + E/2.  ValueError unless every
+    digit is below 2^6 and every exponent below 2^19 in size."""
+    digits = [x - 128 for x in ((masked >> _LOW_BITS) + 0x80808080).to_bytes(
+        4, "big")]
+    if (max(map(abs, digits)) >= _DIGIT_BOUND
+            or any((masked >> b) & 3 != 2 for b in (64, 42, 20))):
+        raise ValueError("a product left the packing: a factor of the "
+                         "oscillator ring takes digits below 2^6 and "
+                         "exponents below 2^19")
+    d1, d2, k1, k2 = digits
+    return (d1, d2), (k1, k2)
+
+
+class OscPoly:
+    """sum c S_delta x^kappa u^i v^j t^k in the q-oscillator ring over
+    Z[t^(+-1)][u^(+-1), v^(+-1)] on one or two Fock copies, as {packed key:
+    c} with no zero c.  x^kappa = q^(kappa . D) acts first and S_delta
+    sends state n to n + delta, so a = S_-1 (1 - x^2) and a-dagger = S_+1
+    on each copy, and (S_d x^k)(S_e x^l) = q^(k . e) S_(d + e) x^(k + l).
+    At delta = kappa = 0 the elements are central, Laurent polynomials in
+    u, v, and print as one.  A closed form in one spectral variable zeta
+    keeps it in u.
 
     An element built from a, a-dagger and x^(+-1) is zero on every state of
     the untruncated Fock space exactly when it is zero here: the Laurent
     polynomial in x that it carries with each S_delta is zero at finitely
     many x = q^n unless it is zero.  So an identity checked on these
-    elements needs no Fock dimension and no window.
+    elements needs no Fock dimension and no window."""
 
-    The coefficients are exact scalars of any kind with ring operators,
-    one-variable rationals in `LTable.ring`; `qpow(m)` is q^m among them."""
+    __slots__ = ("terms", "_parts")
 
-    __slots__ = ("terms", "qpow")
-
-    def __init__(self, terms, qpow):
+    def __init__(self, terms):
         self.terms = terms
-        self.qpow = qpow
+        self._parts = None
 
     def __bool__(self):
         return bool(self.terms)
 
     def __add__(self, other):
-        return OscElement(_p_add(self.terms, other.terms), self.qpow)
+        return OscPoly(_p_add(self.terms, other.terms))
 
+    # OpMatrix.entry reads an absent entry as one - one (failure reports)
     def __neg__(self):
-        return OscElement(_p_neg(self.terms), self.qpow)
+        return OscPoly(_p_neg(self.terms))
 
     def __sub__(self, other):
         return self + -other
 
+    def _decoded(self):
+        """[(key, c, delta, kappa)], decoded once per element."""
+        if self._parts is None:
+            self._parts = [(key, c, *_sector((key + _SECTOR_BIAS)
+                                             & _SECTOR_MASK))
+                           for key, c in self.terms.items()]
+        return self._parts
+
+    # `_p_mul`'s Kronecker substitution would build integers as wide as the
+    # packed keys' span
     def __mul__(self, other):
-        qpow = self.qpow
-        out = {}
-        for (d1, k1), c1 in self.terms.items():
-            for (d2, k2), c2 in other.terms.items():
-                c = c1 * c2
-                m = sum(map(mul, k1, d2))
-                if m:
-                    c = c * qpow(m)
-                key = (tuple(map(add, d1, d2)), tuple(map(add, k1, k2)))
+        out, right = {}, other._decoded()
+        for ka, ca, _, (x1, x2) in self._decoded():
+            for kb, cb, (d1, d2), _ in right:
+                key = ka + kb + 6 * (x1 * d1 + x2 * d2)
+                c = ca * cb
                 if key in out:
                     c = out[key] + c
                     if not c:
                         del out[key]
                         continue
                 out[key] = c
-        return OscElement(out, qpow)
+        return OscPoly(out)
 
-    def map(self, fn):
-        """fn applied to every coefficient, zeros dropped."""
+    def spectral(self, a, b):
+        """zeta -> u^a v^b, zeta the u of a one-variable element: each
+        u^i v^j goes to u^(a i) v^(j + b i)."""
         out = {}
         for key, c in self.terms.items():
-            c = fn(c)
-            if c:
-                out[key] = c
-        return OscElement(out, self.qpow)
+            i, j, k = _unpack(key)
+            out[key - _low(key) + _pack(a * i, j + b * i, k)] = c
+        return OscPoly(out)
 
     def __eq__(self, other):
-        return isinstance(other, OscElement) and self.terms == other.terms
+        return isinstance(other, OscPoly) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __str__(self):
+        # each coefficient of u^i v^j printed as the QScalar it is
+        groups = {}
+        for key, c in self.terms.items():
+            i, j, k = _unpack(key)
+            groups.setdefault((i, j), {})[k] = c
+        return " + ".join("%s*u^%d*v^%d" % (QScalar(p, _canonical=True), i, j)
+                          for (i, j), p in sorted(groups.items())) or "0"
+
+
+OscPoly.ONE = OscPoly({0: 1})
 
 
 class Grid:

@@ -1,9 +1,12 @@
 """Ratios of Laurent polynomials in zeta with coefficients in Q(t).
 
-This is the closed-form backend: one spectral variable over QScalar.
-Identities in two spectral variables are checked elsewhere, as polynomial
-identities after clearing denominators (see verify.py), so this field
-never nests.
+This is the printed form of a closed form in one spectral variable over
+QScalar: `reference.render` divides the numerators of a form by its one
+divisor here, for the R-matrix `compute r` prints, the L-operators of
+`compute --backend rational`, and the series `ReferenceObject.expand`
+gives the engine check.  The closed forms themselves, and every identity
+check, live in the integer q-oscillator ring (`linalg.OscPoly`), so this
+field never nests.
 
 Canonical form: the denominator is an ordinary polynomial in zeta with
 minimal degree zero and lowest coefficient 1, and numerator and
@@ -194,15 +197,10 @@ class ZetaRational:
             den = _scale(den, inv)
         self.num, self.den = _reduce_pair(num, den)
 
-    # -- constructors ------------------------------------------------------
-
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_polynomial(self):
-        return self.den == _ONE_DEN
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -266,23 +264,6 @@ class ZetaRational:
             num = _scale(num, inv)
             pn = _scale(pn, inv)
         return ZetaRational(num, pn, _canonical=True)
-
-    # -- substitutions -----------------------------------------------------
-
-    def subs_power(self, k):
-        """zeta -> zeta^k for nonzero k, with no gcd: a root shared by
-        num(zeta^k) and den(zeta^k) would give one shared by num and den.
-        For k < 0 the denominator is renormalized to lowest term 1."""
-        if k == 0:
-            raise ValueError("substitution power must be nonzero")
-        num = {k * e: v for e, v in self.num.items()}
-        den = {k * e: v for e, v in self.den.items()}
-        if k < 0:
-            sd = min(den)
-            inv = den[sd].inverse()
-            num = {e - sd: v * inv for e, v in num.items()}
-            den = {e - sd: v * inv for e, v in den.items()}
-        return ZetaRational(num, den, _canonical=True)
 
     # -- series expansion ----------------------------------------------------
 

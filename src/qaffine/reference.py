@@ -9,12 +9,16 @@ so the stored matrix times the tag is the honest object.
 Each L-operator is the image of the universal R-matrix in the
 q-oscillator algebra, so it is transcribed as a table of oscillator
 monomials zeta^e c L_delta q^(kappa . D) (`LTable`), on which tau acts.
-Its one algebraic form is a matrix over the q-oscillator ring of normal
-forms sum c S_delta x^kappa (`linalg.OscElement`), inverted by one
-elimination with unit pivots c x^kappa (`grid_inverse`) and rendered on
-d Fock states per copy one state at a time, with no matrix product
-(`render`).  The ordered factors the source derivation lists for some
-L-operators are an oracle for these closed forms and live with the tests
+Every closed form the identity checks read (R, each L table, its tau
+image, r0-hat and every inverse) is built in the one q-oscillator ring
+(`linalg.OscPoly`, zeta in u) as a form (N, D): an integer numerator
+matrix N and one central divisor D at delta = kappa = 0, the object being
+N / D.  Inverses come from one fraction-free elimination with unit pivots
+c x^kappa (`grid_inverse`).  A ZetaRational is built only where a form is
+rendered on d Fock states per copy, one state at a time and with no
+matrix product (`render`), which gives the printed R-matrix too.  The
+ordered factors the source derivation lists for some L-operators are an
+oracle for these closed forms and live with the tests
 (`tests/derivation_factors.py`).
 
 Also here: the constant exchange matrices of the spectral-linear
@@ -22,23 +26,22 @@ decomposition.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import product
 from operator import mul
 
-from .scalars import QScalar, _ONE_POLY, q_power, t_power
+from .scalars import QScalar, _ONE_POLY, _p_add, q_power, t_power
 from .series import ZetaSeries, lambda_level
 from .rational import ZetaRational
-from .linalg import OpMatrix, OscElement, Grid
+from .linalg import OpMatrix, OscPoly, Grid, _pack, _place, _unpack
 
 __all__ = [
     "PrefactorTag", "ReferenceObject", "LTable", "reference_matrix",
-    "l_table", "l_tag", "list_variants", "r0_hat_matrix", "render",
+    "r_form", "r_tag", "l_table", "l_tag", "list_variants", "r0_hat_matrix",
+    "render",
     "grid_inverse", "op_inverse", "NoPivotError", "exponent_tuple",
 ]
 
 ONE = QScalar.ONE
-C = q_power(1) - q_power(-1)
 
 
 class PrefactorTag:
@@ -106,10 +109,6 @@ class ReferenceObject:
         self.fock_dim = fock_dim
         self.copies = copies
 
-    @property
-    def leg_dim(self):
-        return 2 if self.algebra == "a1" else 3
-
     def expand(self, order):
         """Flattened series matrix without the tag; L-operators flatten with
         the oscillator leg slowest for hat type and fastest for check
@@ -127,39 +126,50 @@ class ReferenceObject:
 
 # -- R-matrices --------------------------------------------------------------
 
-def _r_matrix(algebra, s, s1, s2):
-    """sum_a E_aa x E_aa + sum_(a != b) (g E_aa x E_bb + c_ab E_ab x E_ba)
-    with g = q^-1 (1 - zeta^s) / (1 - q^-2 zeta^s) and c_ab = (1 - q^-2)
-    zeta^(w_ab) / (1 - q^-2 zeta^s): w_ab sums s_a .. s_(b-1) of (s1, s2)
-    for a < b, and w_ba = s - w_ab."""
+def _scalar(terms):
+    """sum n zeta^e t^k over {(e, k): n}, at delta = kappa = 0."""
+    return OscPoly({_pack(e, 0, k): n for (e, k), n in terms.items()})
+
+
+def _divisor(m, s):
+    """(f, D): D = f (1 - t^m zeta^s) with lowest zeta-degree 0 and lowest
+    term 1, f a unit monomial; D is the denominator every reduced entry
+    over 1 - t^m zeta^s takes, and the lcm of them all."""
+    if s > 0:
+        return OscPoly.ONE, _scalar({(0, 0): 1, (s, m): -1})
+    return _scalar({(-s, -m): -1}), _scalar({(0, 0): 1, (-s, -m): -1})
+
+
+def r_form(algebra, s, s1, s2):
+    """The R-matrix as a form (N, D): sum_a E_aa x E_aa + sum_(a != b)
+    (g E_aa x E_bb + c_ab E_ab x E_ba) with g = q^-1 (1 - zeta^s) /
+    (1 - q^-2 zeta^s) and c_ab = (1 - q^-2) zeta^(w_ab) / (1 - q^-2
+    zeta^s): w_ab sums s_a .. s_(b-1) of (s1, s2) for a < b, and w_ba =
+    s - w_ab.  D is 1 - q^-2 zeta^s with lowest term 1 (`_divisor`)."""
     n = 2 if algebra == "a1" else 3
-    den = {0: ONE, s: -q_power(-2)}
-    g_diag = ZetaRational({0: q_power(-1), s: -q_power(-1)}, den)
+    f, den = _divisor(-12, s)
+    g = f * _scalar({(0, -6): 1, (s, -6): -1})
     w = lambda a, b: sum((s1, s2)[a:b]) if a < b else s - w(b, a)
     # E_ab x E_cd is the unit at (a n + c, b n + d), indices from 0
     entries = {}
     for a in range(n):
-        entries[(a * n + a, a * n + a)] = ZetaRational.ONE
+        entries[(a * n + a, a * n + a)] = den
         for b in range(n):
             if a != b:
-                entries[(a * n + b, a * n + b)] = g_diag
-                entries[(a * n + b, b * n + a)] = ZetaRational(
-                    {w(a, b): ONE - q_power(-2)}, den)
-    mat = OpMatrix(n * n, entries, ZetaRational.ONE, _clean=True)
-    if n == 2:
-        return ReferenceObject("r", algebra, "plain", (s, s1), PrefactorTag(
-            3, ((2, 6, s, 1), (2, -6, s, -1))), mat)
-    return ReferenceObject("r", algebra, "plain", (s, s1, s2), PrefactorTag(
-        4, ((3, 12, s, 1), (3, -12, s, -1))), mat)
+                entries[(a * n + b, a * n + b)] = g
+                entries[(a * n + b, b * n + a)] = f * _scalar(
+                    {(w(a, b), 0): 1, (w(a, b), -12): -1})
+    return OpMatrix(n * n, entries, OscPoly.ONE, _clean=True), den
+
+
+def r_tag(algebra, s):
+    """The prefactor tag of the R-matrix at spectral exponent s."""
+    if algebra == "a1":
+        return PrefactorTag(3, ((2, 6, s, 1), (2, -6, s, -1)))
+    return PrefactorTag(4, ((3, 12, s, 1), (3, -12, s, -1)))
 
 
 # -- L-operators as oscillator monomials -------------------------------------
-
-@lru_cache(maxsize=None)
-def _zeta_q(m):
-    """q^m as a one-variable rational."""
-    return ZetaRational({0: q_power(m)}, _canonical=True)
-
 
 class LTable(namedtuple("LTable", "n copies terms divisor")):
     """A transcribed L-operator as q-oscillator monomials on `copies` Fock
@@ -187,29 +197,30 @@ class LTable(namedtuple("LTable", "n copies terms divisor")):
             None if self.divisor is None else -self.divisor)
 
     def ring(self):
-        """The operator as an n x n OpMatrix over the oscillator ring, with
-        one-variable rational coefficients and no Fock dimension: a lowered
-        copy i contributes a = S_-1 (1 - x_i^2), so each term expands into
-        one monomial per subset of its lowered copies."""
-        den = None if self.divisor is None else {0: ONE, self.divisor: -ONE}
+        """The operator as a form (N, D), N / D: N an n x n OpMatrix over
+        the oscillator ring and D one divisor at delta = kappa = 0, 1 with
+        no `divisor` and else 1 - zeta^divisor with lowest term 1
+        (`_divisor`).  A lowered copy i contributes a = S_-1 (1 - x_i^2),
+        so each term expands into one monomial per subset of its lowered
+        copies."""
+        f, den = ((OscPoly.ONE, OscPoly.ONE) if self.divisor is None
+                  else _divisor(0, self.divisor))
         ops = {}
         for ab, terms in self.terms.items():
-            polys = {}
+            out = {}
             for e, c, delta, kappa in terms:
+                if c.den is not _ONE_POLY:
+                    raise ValueError("a table coefficient lies in "
+                                     "Z[t^(+-1)]")
                 for bits in product(*((0, 1) if x < 0 else (0,)
                                       for x in delta)):
-                    key = (delta, tuple(k + 2 * b
-                                        for k, b in zip(kappa, bits)))
-                    poly = polys.setdefault(key, {})
-                    v = -c if sum(bits) % 2 else c
-                    poly[e] = poly[e] + v if e in poly else v
-            coeffs = {key: ZetaRational(p, den) if den else ZetaRational(p)
-                      for key, p in polys.items()}
-            ops[ab] = OscElement({key: c for key, c in coeffs.items() if c},
-                                 _zeta_q)
-        zero = (0,) * self.copies
-        return OpMatrix(self.n, ops, OscElement(
-            {(zero, zero): ZetaRational.ONE}, _zeta_q))
+                    place = _place(delta, tuple(k + 2 * b for k, b
+                                                in zip(kappa, bits)))
+                    sign = -1 if sum(bits) % 2 else 1
+                    out = _p_add(out, {place + _pack(e, 0, k): sign * v
+                                       for k, v in c.num.items()})
+            ops[ab] = OscPoly(out)
+        return OpMatrix(self.n, ops, OscPoly.ONE).scale(f), den
 
 
 def _a1_table(variant, s, s1):
@@ -334,55 +345,59 @@ def exponent_tuple(algebra, s, s1, s2):
     return (s, s1) if algebra == "a1" else (s, s1, s2)
 
 
-def render(m, d):
-    """An n x n OpMatrix over the oscillator ring as the Grid of its
-    operators on d Fock states per copy, the first copy slowest: the term
-    c S_delta x^kappa sends state n to n + delta with the weight
+def _zeta(x):
+    """An element at delta = kappa = 0 with no v as {e: QScalar}, the
+    coefficients of its powers zeta^e."""
+    groups = {}
+    for key, c in x.terms.items():
+        i, _, k = _unpack(key)
+        groups.setdefault(i, {})[k] = c
+    return {e: QScalar(p, _canonical=True) for e, p in groups.items()}
+
+
+def render(form, d):
+    """A form N / D over the oscillator ring as the Grid of its operators
+    on d Fock states per copy, the first copy slowest, on two copies where
+    a term moves or weighs the second (as on every two-copy table): the
+    term c S_delta x^kappa sends state n to n + delta with the weight
     c q^(kappa . n), a shift of the t-exponents of c (q = t^6), and is
-    dropped where n + delta leaves 0..d-1.  An entry's numerators are
-    summed in place per denominator, in zeta and in t, into one
-    ZetaRational per zeta-denominator, with any sum that vanishes dropped."""
-    (zero, _), = m.one.terms
-    dim = d ** len(zero)
-    strides = [d ** i for i in reversed(range(len(zero)))]
+    dropped where n + delta leaves 0..d-1.  The states of each delta are
+    walked once for all of its kappa, and each cell is one ZetaRational,
+    its summed numerator over D."""
+    m, den = form
+    parts = {ab: x._decoded() for ab, x in m.entries.items()}
+    copies = 1 + any(delta[1] or kappa[1] for terms in parts.values()
+                     for _, _, delta, kappa in terms)
+    dim = d ** copies
+    strides = [d ** i for i in reversed(range(copies))]
+    zden = None if den == OscPoly.ONE else _zeta(den)
     ops = {}
-    for ab, x in m.entries.items():
+    for ab, terms in parts.items():
+        by_delta = {}
+        for key, c, delta, kappa in terms:
+            e, _, k = _unpack(key)
+            by_delta.setdefault(delta[:copies], {}).setdefault(
+                kappa[:copies], []).append((e, k, c))
         cells = {}
-        for (delta, kappa), c in x.terms.items():
-            zkey = frozenset(c.den.items())
-            parts = [((e, None if v.den is _ONE_POLY
-                       else tuple(v.den.items())), v.num)
-                     for e, v in c.num.items()]
+        for delta, by_kappa in by_delta.items():
             step = sum(map(mul, delta, strides))
-            # (flat offset, t-shift) of the states n_i of each copy whose
-            # target n_i + delta_i stays in 0..d-1
-            for (col, shift), *rest in product(*(
-                    [(n * st, 6 * k * n) for n in range(max(0, -dn),
-                                                        d - max(0, dn))]
-                    for dn, k, st in zip(delta, kappa, strides))):
-                for o, k in rest:
-                    col += o
-                    shift += k
-                sums = cells.setdefault((col + step, col), {}).setdefault(
-                    zkey, (c.den, {}))[1]
-                for key, num in parts:
-                    acc = sums.setdefault(key, {})
-                    for k, n in num.items():
-                        n += acc.pop(k + shift, 0)
-                        if n:
-                            acc[k + shift] = n
-        for ij, cell in cells.items():
-            cells[ij] = ZetaRational.ZERO
-            for zden, sums in cell.values():
-                num = {}
-                for (e, tden), p in sums.items():
-                    v = (QScalar(p, _canonical=True) if tden is None
-                         else QScalar(p, dict(tden)))
-                    num[e] = num[e] + v if e in num else v
-                cells[ij] = cells[ij] + (
-                    ZetaRational(num, zden)
-                    if len(zden) > 1 or not all(num.values())
-                    else ZetaRational(num, _canonical=True))
+            # the states n whose target n + delta stays in 0..d-1
+            for n in product(*(range(max(0, -x), d - max(0, x))
+                               for x in delta)):
+                col = sum(map(mul, n, strides))
+                sums = cells.setdefault((col + step, col), {})
+                for kappa, cs in by_kappa.items():
+                    shift = 6 * sum(map(mul, kappa, n))
+                    for e, k, c in cs:
+                        acc = sums.setdefault(e, {})
+                        v = acc.pop(k + shift, 0) + c
+                        if v:
+                            acc[k + shift] = v
+        for ij, sums in cells.items():
+            num = {e: QScalar(p, _canonical=True)
+                   for e, p in sums.items() if p}
+            cells[ij] = (ZetaRational(num, _canonical=True) if zden is None
+                         else ZetaRational(num, zden))
         ops[ab] = OpMatrix(dim, cells, ZetaRational.ONE)
     return Grid(m.dim, ops, dim, ZetaRational.ONE)
 
@@ -395,18 +410,28 @@ def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):
     """
     if s == 0:
         raise ValueError("the spectral exponent s must be nonzero")
+    exps = exponent_tuple(algebra, s, s1, s2)
     if kind == "r" and variant == "plain" and algebra in _L_VARIANTS:
-        return _r_matrix(algebra, s, s1, s2)
+        # one reduced rational per numerator object, over the divisor; the
+        # diagonal's is the divisor itself
+        num, den = r_form(algebra, s, s1, s2)
+        zden, cells = _zeta(den), {id(den): ZetaRational.ONE}
+        for x in num.entries.values():
+            if id(x) not in cells:
+                cells[id(x)] = ZetaRational(_zeta(x), zden)
+        return ReferenceObject("r", algebra, variant, exps, r_tag(algebra, s),
+                               OpMatrix(num.dim, {ij: cells[id(x)] for ij, x
+                                                  in num.entries.items()},
+                                        ZetaRational.ONE, _clean=True))
     if kind == "l" and variant in _L_VARIANTS.get(algebra, ()):
-        exps = exponent_tuple(algebra, s, s1, s2)
         if variant == "hat-2-inv":
-            ring = _reflected_inverse(l_table(algebra, "hat-2", exps).ring())
+            form = _reflected_inverse(l_table(algebra, "hat-2", exps).ring())
             tag, l_type = PrefactorTag(), "check"
         else:
-            ring = l_table(algebra, variant, exps).ring()
+            form = l_table(algebra, variant, exps).ring()
             tag, l_type = l_tag(variant, s), variant.partition("-")[0]
         return ReferenceObject("l", algebra, variant, exps, tag,
-                               render(ring, d), l_type=l_type, fock_dim=d,
+                               render(form, d), l_type=l_type, fock_dim=d,
                                copies=len(exps) - 1)
     raise ValueError("unsupported combination %r; supported: %s"
                      % ((kind, algebra, variant), list_variants()))
@@ -415,14 +440,16 @@ def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):
 # -- exchange constants of the linear decomposition --------------------------
 
 def r0_hat_matrix(n):
-    """sum_(a, b) q^(delta_ab) E_ab x E_ba + C sum_(a < b) E_aa x E_bb."""
+    """sum_(a, b) q^(delta_ab) E_ab x E_ba + C sum_(a < b) E_aa x E_bb
+    with C = q - q^-1, over the oscillator ring at delta = kappa = 0."""
+    q, c = _scalar({(0, 6): 1}), _scalar({(0, 6): 1, (0, -6): -1})
     entries = {}
     for a in range(n):
         for b in range(n):
-            entries[(a * n + b, b * n + a)] = q_power(1) if a == b else ONE
+            entries[(a * n + b, b * n + a)] = q if a == b else OscPoly.ONE
             if a < b:
-                entries[(a * n + b, a * n + b)] = C
-    return OpMatrix(n * n, entries, ONE, _clean=True)
+                entries[(a * n + b, a * n + b)] = c
+    return OpMatrix(n * n, entries, OscPoly.ONE, _clean=True)
 
 
 # -- inversion --------------------------------------------------------------
@@ -432,20 +459,21 @@ class NoPivotError(ArithmeticError):
 
 
 def op_inverse(x):
-    """The inverse of a unit c x^kappa of the oscillator ring, c a nonzero
-    scalar; ValueError for any other element, so that `grid_inverse` tries
-    the next entry."""
-    if len(x.terms) == 1:
-        ((delta, kappa), c), = x.terms.items()
+    """x^-kappa for a unit c x^kappa of the oscillator ring, every term at
+    one S_0 x^kappa and c a nonzero central scalar: (x^-kappa)(c x^kappa) =
+    c.  ValueError for any other element, so that `grid_inverse` tries the
+    next entry."""
+    sectors = {(delta, kappa) for _, _, delta, kappa in x._decoded()}
+    if len(sectors) == 1:
+        (delta, kappa), = sectors
         if not any(delta):
-            return OscElement({(delta, tuple(-k for k in kappa)):
-                               c.inverse()}, x.qpow)
+            return OscPoly({_place(delta, tuple(-k for k in kappa)): 1})
     raise ValueError("only a monomial c x^kappa is a unit of the ring")
 
 
 def _pivot(a, col):
-    """(row, column, inverse) of the first unit entry of the square block
-    of `a` from (col, col) on, read column by column."""
+    """(row, column, op_inverse) of the first unit entry of the square
+    block of `a` from (col, col) on, read column by column."""
     n = len(a)
     for c in range(col, n):
         for r in range(col, n):
@@ -458,32 +486,55 @@ def _pivot(a, col):
 
 
 def grid_inverse(g):
-    """Inverse of a square OpMatrix over the oscillator ring by Gauss-Jordan
-    elimination on [g | 1] with full pivoting, so any unit c x^kappa can be
-    the pivot (`op_inverse`); NoPivotError when none is left."""
+    """The inverse of a square OpMatrix over the oscillator ring as a form
+    (B, D), g^-1 = B / D, by fraction-free Gauss-Jordan elimination on
+    [g | 1] with full pivoting, so any unit c x^kappa can be the pivot
+    (`op_inverse`); NoPivotError when none is left.  The pivot row is
+    multiplied by x^-kappa, which leaves the central pivot p = c, and every
+    other row r with an entry f in the pivot column becomes p r - f (pivot
+    row).  D is the product of the pivots, and each row of the right half
+    is multiplied by the pivots its diagonal lacks."""
     n, one = g.dim, g.one
     a = [[g.entry(i, j) for j in range(n)]
          + [one if i == j else one - one for j in range(n)] for i in range(n)]
     cols = list(range(n))
+    pivots, missed = [], [[] for _ in range(n)]
     for col in range(n):
-        r, c, piv_inv = _pivot(a, col)
+        r, c, unit = _pivot(a, col)
         a[col], a[r] = a[r], a[col]
         if c != col:
             for row in a:
                 row[col], row[c] = row[c], row[col]
             cols[col], cols[c] = cols[c], cols[col]
-        a[col] = [piv_inv * x for x in a[col]]
+        a[col] = [unit * x for x in a[col]]
+        p = a[col][col]
         for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    # the right half b inverts g with its columns permuted, g Q; so
-    # g^-1 = Q b, whose row cols[i] is row i of b
-    return OpMatrix(n, {(cols[i], j): a[i][n + j] for i in range(n)
-                        for j in range(n) if a[i][n + j]}, one, _clean=True)
+            f = a[r][col]
+            if r != col and f:
+                a[r] = [p * x - f * y for x, y in zip(a[r], a[col])]
+            elif r < col:
+                # an earlier pivot row this step leaves as it is
+                missed[r].append(p)
+        pivots.append(p)
+    # row i's diagonal is its pivot times the later pivots that multiplied
+    # it, so it lacks the earlier pivots and the `missed` ones; the right
+    # half b then inverts g with its columns permuted, g Q, so g^-1 = Q b,
+    # whose row cols[i] is row i of b
+    out, den = {}, one
+    for i in range(n):
+        s = den
+        for p in missed[i]:
+            s = s * p
+        out.update(((cols[i], j), s * a[i][n + j]) for j in range(n)
+                   if a[i][n + j])
+        den = den * pivots[i]
+    return OpMatrix(n, out, one, _clean=True), den
 
 
-def _reflected_inverse(m):
-    """`grid_inverse(m)` at reflected argument zeta -> 1/zeta."""
-    return grid_inverse(m).map_values(
-        lambda x: x.map(lambda v: v.subs_power(-1)))
+def _reflected_inverse(form):
+    """The inverse of a form N / D at reflected argument zeta -> 1/zeta:
+    D B / P, with B / P = N^-1 (`grid_inverse`)."""
+    m, den = form
+    inv, piv = grid_inverse(m)
+    return (inv.scale(den).map_values(lambda x: x.spectral(-1, 0)),
+            piv.spectral(-1, 0))

@@ -4,33 +4,34 @@ engine-against-closed-form equality, and the spectral-linear structure.
 Every check returns a Verdict carrying the first failing coefficient when
 something breaks; nothing here is numerical.  The relation, duality, L
 gauge and structure checks compare matrices over the q-oscillator ring of
-normal forms sum c S_delta x^kappa, built from the L-operator tables
-(`LTable.ring`): an identity holds there exactly when it holds on every
-state of the untruncated Fock space, so these checks read no Fock
-dimension.  Inverses come from the one elimination, `grid_inverse`, with
-unit pivots c x^kappa; a check finding none left fails and names the step.
+normal forms sum c S_delta x^kappa (`linalg.OscPoly`): an identity holds
+there exactly when it holds on every state of the untruncated Fock space,
+so these checks read no Fock dimension.  They read the closed forms as
+forms (N, D), an integer numerator matrix over one central divisor
+(`reference`); inverses come from the one fraction-free elimination,
+`grid_inverse`, with unit pivots c x^kappa, and a check finding none left
+fails and names the step.
 
 Each identity that genuinely involves two spectral parameters is
-homogeneous, so its one-variable scalars are first multiplied by one
-common factor that clears every denominator in zeta.  No coefficient of a
-catalog check keeps a denominator in t after that, so every check but the
-engine's multiplies in one flat ring, the oscillator ring over
-Z[t^(+-1)][u^(+-1), v^(+-1)] with R-matrices at delta = kappa = 0: on
-integer coefficients, with no division and no gcd (`_Laurent2`).
+homogeneous, so the Yang-Baxter, exchange and duality checks drop the
+divisors, the gauge check cross-multiplies them, and the structure check
+compares Pi^2 with D Pi.  Every check but the engine's then multiplies in
+the one ring, over Z[t^(+-1)][u^(+-1), v^(+-1)] with R-matrices at
+delta = kappa = 0: on integer coefficients, with no division and no gcd.
 """
 
 import functools
 import time
 
-from .scalars import (
-    QScalar, _ONE_POLY, _p_add, _p_conv, _p_neg, t_power,
-)
+from .scalars import t_power
 from .series import ZetaSeries, series_exp
-from .rational import ZetaRational, _exquo
-from .linalg import OpMatrix, OscElement, hat_and_check, embed_legs, kron
+from .linalg import (
+    OpMatrix, OscPoly, hat_and_check, embed_legs, kron, _low, _pack,
+)
 from .reference import (
-    reference_matrix, r0_hat_matrix, l_table, l_tag, list_variants,
-    exponent_tuple, grid_inverse, _reflected_inverse, NoPivotError,
+    reference_matrix, r_form, r_tag, r0_hat_matrix, l_table, l_tag,
+    list_variants, exponent_tuple, grid_inverse, _reflected_inverse,
+    NoPivotError,
 )
 from .engine import EngineParams, assemble
 
@@ -83,150 +84,19 @@ def _timed(fn):
 
 # -- two-parameter identities in one integer ring ------------------------------
 
-# A term c S_delta x^kappa u^i v^j t^k is keyed by H B^3 + (i B + j) B + k,
-# H = ((delta_1 E + delta_2) E + kappa_1) E + kappa_2 = (key + _LOW_HALF) >>
-# _LOW_BITS, 0 on an absent second copy.  A product of monomials adds the
-# keys and 6 kappa_a . delta_b (its q-power) in t: exact while each field
-# is in [-B/2, B/2) and each digit of H in [-E/2, E/2).  `_pack` refuses
-# exponents of size 2^16 or more and `_place` digits of 2^4 or more, so a
-# product of up to 32 lifted factors at delta = kappa = 0 stays in range,
-# and of up to 8 elsewhere (q-shifts below 2^17); those formed here have at
-# most four (an L gauge coefficient, two gauge monomials, a spectral weight).
-_KEY_BASE, _EXPONENT_BOUND = 1 << 22, 1 << 16
-_DIGIT_BASE, _DIGIT_BOUND = 1 << 8, 1 << 4
-_LOW_BITS, _LOW_HALF = 66, (_KEY_BASE >> 1) * (_KEY_BASE ** 2 + _KEY_BASE + 1)
-
-
-def _pack(i, j, k):
-    if max(abs(i), abs(j), abs(k)) >= _EXPONENT_BOUND:
-        raise ValueError("exponent out of range: a two-variable identity "
-                         "takes exponents below 2^16 in size")
-    return (i * _KEY_BASE + j) * _KEY_BASE + k
-
-
-def _unpack(key):
-    """(i, j, k) of a key: its three signed base-B digits."""
-    half = _KEY_BASE // 2
-    ij, k = divmod(key + half, _KEY_BASE)
-    i, j = divmod(ij + half, _KEY_BASE)
-    return i, j - half, k - half
-
-
-def _place(delta, kappa):
-    """What the key of a term at S_delta x^kappa adds to its (i, j, k)."""
-    pad = (0,) * (2 - len(delta))
-    high = 0
-    for x in (*delta, *pad, *kappa, *pad):
-        if abs(x) >= _DIGIT_BOUND:
-            raise ValueError("oscillator exponent out of range: a two-"
-                             "variable identity takes digits below 2^4")
-        high = high * _DIGIT_BASE + x
-    return high << _LOW_BITS
-
-
-@functools.lru_cache(maxsize=None)
-def _sector(high):
-    """((delta_1, delta_2), (kappa_1, kappa_2)): the bytes of H + E/2."""
-    d1, d2, k1, k2 = (x - 128 for x in (high + 0x80808080).to_bytes(4, "big"))
-    return (d1, d2), (k1, k2)
-
-
-class _Laurent2:
-    """sum c S_delta x^kappa u^i v^j t^k in the q-oscillator ring over
-    Z[t^(+-1)][u^(+-1), v^(+-1)], as {packed key: c} with no zero c; at
-    delta = kappa = 0 a Laurent polynomial in u, v, and printed as one."""
-
-    __slots__ = ("terms", "_parts")
-
-    def __init__(self, terms):
-        self.terms = terms
-        self._parts = None
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        return _Laurent2(_p_add(self.terms, other.terms))
-
-    # OpMatrix.entry reads an absent entry as one - one (failure reports)
-    def __neg__(self):
-        return _Laurent2(_p_neg(self.terms))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def _decoded(self):
-        """[(key, c, delta, kappa)], decoded once per element."""
-        if self._parts is None:
-            self._parts = [(key, c, *_sector((key + _LOW_HALF) >> _LOW_BITS))
-                           for key, c in self.terms.items()]
-        return self._parts
-
-    # (S_d x^k)(S_e x^l) = q^(k . e) S_(d + e) x^(k + l); `_p_mul`'s Kronecker
-    # substitution would build integers as wide as the packed keys' span
-    def __mul__(self, other):
-        out, right = {}, other._decoded()
-        for ka, ca, _, (x1, x2) in self._decoded():
-            for kb, cb, (d1, d2), _ in right:
-                key = ka + kb + 6 * (x1 * d1 + x2 * d2)
-                c = ca * cb
-                if key in out:
-                    c = out[key] + c
-                    if not c:
-                        del out[key]
-                        continue
-                out[key] = c
-        return _Laurent2(out)
-
-    def __eq__(self, other):
-        return isinstance(other, _Laurent2) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self):
-        # each coefficient of u^i v^j printed as the QScalar it is
-        groups = {}
-        for key, c in self.terms.items():
-            i, j, k = _unpack(key)
-            groups.setdefault((i, j), {})[k] = c
-        return " + ".join("%s*u^%d*v^%d" % (QScalar(p, _canonical=True), i, j)
-                          for (i, j), p in sorted(groups.items())) or "0"
-
-
-_Laurent2.ONE = _Laurent2({0: 1})
-
-
 # zeta^k lifts to u^(a k) v^(b k)
 _LIFT_EXPONENTS = {"u": (1, 0), "v": (0, 1), "ratio": (1, -1), "uv": (1, 1)}
 
 
 def _monomial(mode, k):
     a, b = _LIFT_EXPONENTS[mode]
-    return _Laurent2({_pack(a * k, b * k, 0): 1})
+    return OscPoly({_pack(a * k, b * k, 0): 1})
 
 
-def _lift(obj, mode):
-    """A matrix over one-variable polynomials with coefficients in
-    Z[t^(+-1)] (cleared of denominators), or over the oscillator ring with
-    such coefficients, lifted into `_Laurent2`, a rational at delta =
-    kappa = 0."""
-    a, b = _LIFT_EXPONENTS[mode]
-
-    def lift(x):
-        terms = {}
-        for dk, zr in (x.terms.items() if isinstance(x, OscElement)
-                       else ((None, x),)):
-            place = _place(*dk) if dk else 0
-            if not zr.is_polynomial() or any(
-                    c.den is not _ONE_POLY for c in zr.num.values()):
-                raise ValueError("only a polynomial over Z[t^(+-1)] lifts to "
-                                 "two variables: clear the denominators first")
-            for e, c in zr.num.items():
-                for k, n in c.num.items():
-                    terms[place + _pack(a * e, b * e, k)] = n
-        return _Laurent2(terms)
-    return obj.map_values(lift, _Laurent2.ONE)
+def _lift(m, mode):
+    """A matrix over the oscillator ring in one spectral variable (zeta in
+    u) in two: zeta lifted by `mode`."""
+    return m.map_values(lambda x: x.spectral(*_LIFT_EXPONENTS[mode]))
 
 
 # -- engine against the closed forms ------------------------------------------
@@ -297,14 +167,12 @@ def check_engine(kind, algebra, variant="plain", s=1, s1=0, s2=0, order=8,
 def check_ybe(algebra, s=1, s1=0, s2=0):
     """Exact two-variable verification on three legs, both in the plain
     form and in the braid form of the permuted matrix."""
-    ref = reference_matrix("r", algebra, "plain", s, s1, s2)
-    n = ref.leg_dim
-    # R(u) R(uv) R(v) on both sides: clearing c(zeta) scales each by
-    # c(u) c(uv) c(v)
-    mat, = _cleared(ref.matrix)
-    r_u = _lift(mat, "u")
-    r_v = _lift(mat, "v")
-    r_uv = _lift(mat, "uv")
+    # R(u) R(uv) R(v) on both sides: dropping the divisor D(zeta) scales
+    # each by D(u) D(uv) D(v)
+    r_u, _ = r_form(algebra, s, s1, s2)
+    n = 2 if algebra == "a1" else 3
+    r_v = _lift(r_u, "v")
+    r_uv = _lift(r_u, "uv")
     r12 = embed_legs(r_u, (0, 1), 3, n)
     r13 = embed_legs(r_uv, (0, 2), 3, n)
     r23 = embed_legs(r_v, (1, 2), 3, n)
@@ -319,7 +187,7 @@ def check_ybe(algebra, s=1, s1=0, s2=0):
     rc_u = hat_and_check(r_u)[1]
     rc_v = hat_and_check(r_v)[1]
     rc_uv = hat_and_check(r_uv)[1]
-    eye = OpMatrix.identity(n, _Laurent2.ONE)
+    eye = OpMatrix.identity(n, OscPoly.ONE)
     lhs_b = kron(eye, rc_u) * kron(rc_uv, eye) * kron(eye, rc_v)
     rhs_b = kron(rc_v, eye) * kron(eye, rc_uv) * kron(rc_u, eye)
     if lhs_b != rhs_b:
@@ -331,46 +199,6 @@ def check_ybe(algebra, s=1, s1=0, s2=0):
 
 # -- exchange relations on the q-oscillator ring -------------------------------
 
-def _values(objs):
-    """Every one-variable scalar of the matrices `objs`: each entry of one
-    over rationals, each coefficient of one over the oscillator ring."""
-    for obj in objs:
-        for v in obj.entries.values():
-            yield from (v.terms.values() if isinstance(v, OscElement)
-                        else (v,))
-
-
-def _map_scalars(obj, fn, one):
-    """`obj` with fn applied to every one-variable scalar (`_values`); a
-    matrix over rationals takes `one`."""
-    if isinstance(obj.one, OscElement):
-        return obj.map_values(lambda x: x.map(fn), obj.one.map(fn))
-    return obj.map_values(fn, one)
-
-
-def _cleared(*objs):
-    """`objs` (matrices over one-variable rationals or over the oscillator
-    ring with such coefficients), each times one common factor: the lcm C
-    of all their zeta-denominators.  The relations checked here are
-    homogeneous, so no verdict changes, and on the closed forms every
-    scalar becomes a polynomial over Z[t^(+-1)] that `_lift` takes into two
-    variables; a coefficient left with a denominator in t makes `_lift`
-    raise ValueError.  n / D times C is n (C / D), one exact quotient per
-    distinct D and no gcd per entry; a polynomial's form is unique."""
-    dens = {frozenset(v.den.items()): v.den for v in _values(objs)
-            if not v.is_polynomial()}
-    if dens:
-        common = ZetaRational.ONE
-        for den in dens.values():
-            common = common * ZetaRational(ZetaRational(common.num, den).den,
-                                           _canonical=True)
-        quo = {key: _exquo(common.num, den) for key, den in dens.items()}
-        objs = [_map_scalars(obj, lambda v: ZetaRational(
-            _p_conv(v.num, quo.get(frozenset(v.den.items()), common.num)),
-            _canonical=True), ZetaRational.ONE) for obj in objs]
-    return list(objs)
-
-
 def _ring_failure(lhs, rhs, copies):
     """Where two unequal matrices over the oscillator ring on `copies`
     Fock copies first differ: the entry, the monomial S_delta x^kappa, and
@@ -380,32 +208,30 @@ def _ring_failure(lhs, rhs, copies):
     for side, v in ((x, lhs.entry(*ij)), (y, rhs.entry(*ij))):
         for key, c, delta, kappa in v._decoded():
             side.setdefault((delta[:copies], kappa[:copies]), {})[
-                (key + _LOW_HALF) % (1 << _LOW_BITS) - _LOW_HALF] = c
+                _low(key)] = c
     key = min(k for k in set(x) | set(y) if x.get(k) != y.get(k))
     return {"entry": list(ij), "delta": list(key[0]), "kappa": list(key[1]),
-            "lhs": str(_Laurent2(x.get(key, {}))),
-            "rhs": str(_Laurent2(y.get(key, {})))}
+            "lhs": str(OscPoly(x.get(key, {}))),
+            "rhs": str(OscPoly(y.get(key, {})))}
 
 
 def _rll_residual(l_mat, l_type, r_flat):
     """None when the exchange relation R (L(u) x L(v)) = (L(v) x L(u)) R
     holds in the oscillator ring, so on every Fock state, else the
-    first_failure of the verdict.  L and R are cleared of denominators and
-    lifted to two variables, R at delta = kappa = 0."""
-    (zero, _), = l_mat.one.terms
-    l_mat, = _cleared(l_mat)
-    rmat, = _cleared(hat_and_check(r_flat)[0 if l_type == "hat" else 1])
-    l_u = _lift(l_mat, "u")
+    first_failure of the verdict.  L and R are the numerators of their
+    forms in zeta = u, lifted to two variables, R at delta = kappa = 0;
+    an n x n L-operator acts on n - 1 Fock copies."""
     l_v = _lift(l_mat, "v")
-    r2 = _lift(rmat, "ratio")
-    lhs = r2 * kron(l_u, l_v)
-    rhs = kron(l_v, l_u) * r2
-    return None if lhs == rhs else _ring_failure(lhs, rhs, len(zero))
+    r2 = _lift(hat_and_check(r_flat)[0 if l_type == "hat" else 1], "ratio")
+    lhs = r2 * kron(l_mat, l_v)
+    rhs = kron(l_v, l_mat) * r2
+    return (None if lhs == rhs
+            else _ring_failure(lhs, rhs, l_mat.dim - 1))
 
 
 def _l_operator(algebra, variant, exps):
-    """(exchange type, matrix over the oscillator ring) of a transcribed
-    L-operator; hat-2-inv is the reflected inverse of hat-2."""
+    """(exchange type, form) of a transcribed L-operator; hat-2-inv is the
+    reflected inverse of hat-2."""
     if ("l", algebra, variant) not in list_variants():
         raise ValueError("unsupported L-operator %r; supported: %s"
                          % ((algebra, variant), list_variants()))
@@ -419,11 +245,11 @@ def _l_operator(algebra, variant, exps):
 def check_rll(algebra, variant, s=1, s1=0, s2=0):
     """The exchange relation for a transcribed L-operator against the
     R-matrix of the same exponents, on the untruncated Fock space."""
-    r = reference_matrix("r", algebra, "plain", s, s1, s2)
+    r, _ = r_form(algebra, s, s1, s2)
     exps = exponent_tuple(algebra, s, s1, s2)
     try:
-        l_type, l_mat = _l_operator(algebra, variant, exps)
-        failure = _rll_residual(l_mat, l_type, r.matrix)
+        l_type, (l_mat, _) = _l_operator(algebra, variant, exps)
+        failure = _rll_residual(l_mat, l_type, r)
     except NoPivotError as exc:
         # only hat-2-inv, of check type, is an inverse
         l_type, failure = "check", {"detail": str(exc)}
@@ -438,18 +264,18 @@ def check_duality(algebra, variant, mode, s=1, s1=0, s2=0):
     """Inverting at reflected argument, or applying the oscillator
     anti-involution at reflected argument, flips the exchange-relation
     type.  tau acts on tables, so hat-2-inv has no tau duality."""
-    r = reference_matrix("r", algebra, "plain", s, s1, s2)
+    r, _ = r_form(algebra, s, s1, s2)
     exps = exponent_tuple(algebra, s, s1, s2)
     try:
-        l_type, l_mat = _l_operator(algebra, variant, exps)
+        l_type, form = _l_operator(algebra, variant, exps)
         if mode == "inversion":
-            derived = _reflected_inverse(l_mat)
+            derived, _ = _reflected_inverse(form)
         elif mode == "tau":
-            derived = l_table(algebra, variant, exps).tau().ring()
+            derived, _ = l_table(algebra, variant, exps).tau().ring()
         else:
             raise ValueError("duality mode must be 'inversion' or 'tau'")
         flipped = "check" if l_type == "hat" else "hat"
-        failure = _rll_residual(derived, flipped, r.matrix)
+        failure = _rll_residual(derived, flipped, r)
     except NoPivotError as exc:
         failure = {"detail": str(exc)}
     return Verdict("duality-%s" % mode, algebra, variant, exps,
@@ -487,7 +313,7 @@ def _gauged(family, algebra, s1, s2, base):
         for key, c, (d1, d2), _ in x._decoded():
             w = s1 * d1 + s2 * d2   # s . delta; delta_2 = 0 on one copy
             terms[key + _pack(a * w, b * w, 0)] = c
-        return rows[i] * cols[j] * _Laurent2(terms)
+        return rows[i] * cols[j] * OscPoly(terms)
     return OpMatrix(base.dim, {(i, j): weigh(i, j, x)
                                for (i, j), x in base.entries.items()},
                     base.one, _clean=True)
@@ -500,24 +326,26 @@ def check_gauge(family, algebra, s, s1, s2=0):
     exps = exponent_tuple(algebra, s, s1, s2)
     if family == "r":
         variant = "plain"
-        refs = [reference_matrix("r", algebra, variant, *e)
-                for e in ((s, s1, s2), (1, 0, 0))]
-        (lhs, tag), (base, base_tag) = ((x.matrix, x.tag) for x in refs)
+        (lhs, den), (base, base_den) = (r_form(algebra, *e)
+                                        for e in ((s, s1, s2), (1, 0, 0)))
+        tag, base_tag = r_tag(algebra, s), r_tag(algebra, 1)
     else:
         variant = ("hat" if family == "hat" else "check") + (
             "" if algebra == "a1" else "-1")
-        lhs, tag = l_table(algebra, variant, exps).ring(), l_tag(variant, s)
-        base = l_table(algebra, variant,
-                       exponent_tuple(algebra, 1, 0, 0)).ring()
-        base_tag = l_tag(variant, 1)
+        lhs, den = l_table(algebra, variant, exps).ring()
+        base, base_den = l_table(algebra, variant,
+                                 exponent_tuple(algebra, 1, 0, 0)).ring()
+        tag, base_tag = l_tag(variant, s), l_tag(variant, 1)
     name = "gauge-%s" % family
     if tag != base_tag.subs_zeta_power(s):
         return Verdict(name, algebra, variant, exps, False,
                        {"detail": "prefactor tag mismatch"})
-    # the gauge maps are linear, so one common factor clears both sides
-    lhs, base2 = (_lift(x, "ratio") for x in _cleared(
-        lhs, _map_scalars(base, lambda v: v.subs_power(s), ZetaRational.ONE)))
-    rhs = _gauged(family, algebra, s1, s2, base2)
+    # the gauge maps are linear, so N / D = gauged(N_b) / D_b is checked
+    # cross-multiplied, the base at zeta^s and both at zeta = u / v
+    a, b = _LIFT_EXPONENTS["ratio"]
+    rhs = _gauged(family, algebra, s1, s2, base.map_values(
+        lambda x: x.spectral(s * a, s * b))).scale(den.spectral(a, b))
+    lhs = _lift(lhs, "ratio").scale(base_den.spectral(s * a, s * b))
     if lhs == rhs:
         return Verdict(name, algebra, variant, exps, True)
     return Verdict(name, algebra, variant, exps, False,
@@ -537,15 +365,16 @@ def _split(table, hi):
             part = parts[0] if e == hi else parts[1]
             part[ab] = part.get(ab, ()) + (
                 (0, c if e == hi else -c, delta, kappa),)
-    return [table._replace(terms=part).ring() for part in parts]
+    # the tables split here carry no divisor
+    return [table._replace(terms=part).ring()[0] for part in parts]
 
 
 def _decomposed(variant, algebra, invert):
-    """(exponents, L_plus, L_minus, Pi) at the first exponents of the scan
-    where the table is zeta^c (zeta L_plus - zeta^-1 L_minus), with L_plus
-    upper- and L_minus lower-triangular on the matrix leg and the part
-    `invert` names ("minus" for hat type, "plus" for check type)
-    invertible; Pi is its inverse times the other part.  None when no
+    """(exponents, L_plus, L_minus, Pi, D) at the first exponents of the
+    scan where the table is zeta^c (zeta L_plus - zeta^-1 L_minus), with
+    L_plus upper- and L_minus lower-triangular on the matrix leg and the
+    part `invert` names ("minus" for hat type, "plus" for check type)
+    invertible; Pi / D is its inverse times the other part.  None when no
     exponents qualify."""
     for s in (-2, -1, 1, 2):
         for s1 in (-1, 0, 1):
@@ -560,11 +389,10 @@ def _decomposed(variant, algebra, invert):
                     or any(a < b for a, b in lm.entries)):
                 continue
             try:
-                pi = (grid_inverse(lm) * lp if invert == "minus"
-                      else grid_inverse(lp) * lm)
+                inv, den = grid_inverse(lm if invert == "minus" else lp)
             except NoPivotError:
                 continue
-            return exps, lp, lm, pi
+            return exps, lp, lm, inv * (lp if invert == "minus" else lm), den
     return None
 
 
@@ -580,16 +408,15 @@ def check_structure(algebra):
         return Verdict("structure", algebra, hat_variant, (), False,
                        {"detail": "no exponents with the stated "
                                   "triangularity"})
-    # the parts and projectors are constant in zeta, so any lift will do
-    hat_exps, lp, lm, pi = hat[0], *(_lift(m, "u") for m in hat[1:])
+    # the parts and projectors are constant in zeta; Pi / D is idempotent
+    hat_exps, lp, lm, pi, den = hat
     failures = []
-    if pi * pi != pi:
+    if pi * pi != pi.scale(den):
         failures.append("hat projector not idempotent")
-    r0h = _lift(r0_hat_matrix(n).map_values(
-        lambda c: ZetaRational({0: c}, _canonical=True), ZetaRational.ONE), "u")
+    r0h = r0_hat_matrix(n)
     # the Hecke relation (R0 - q)(R0 + q^-1) = 0 gives the inverse
-    r0h_inv = r0h - OpMatrix.identity(n * n, _Laurent2.ONE).scale(
-        _Laurent2({_pack(0, 0, 6): 1, _pack(0, 0, -6): -1}))
+    r0h_inv = r0h - OpMatrix.identity(n * n, OscPoly.ONE).scale(
+        OscPoly({_pack(0, 0, 6): 1, _pack(0, 0, -6): -1}))
     # equal-sign relations, then the mixed one; with the degenerate part
     # upper-triangular the mixed pairing couples the minus part first, and
     # the reversed pairing holds with the inverse constant matrix
@@ -610,8 +437,8 @@ def check_structure(algebra):
     if check is None:
         failures.append("no check-side special exponents")
     else:
-        lpc, lmc, pic = (_lift(m, "u") for m in check[1:])
-        if pic * pic != pic:
+        _, lpc, lmc, pic, den = check
+        if pic * pic != pic.scale(den):
             failures.append("check projector not idempotent")
         if not pic or (lpc - lmc) * pic:
             failures.append("check operator at argument one is not singular")

@@ -3,25 +3,21 @@
 import pytest
 
 from qaffine import verify
-from qaffine.linalg import OpMatrix
-from qaffine.rational import ZetaRational
-from qaffine.scalars import q_power
+from qaffine.linalg import OpMatrix, OscPoly, _pack
 
 
 @pytest.fixture
 def perturb_r(monkeypatch):
     """A function that, once called, makes the identity checks read every
     R-matrix with its first entry, in sorted order, multiplied by q."""
-    real = verify.reference_matrix
+    real = verify.r_form
+    q = OscPoly({_pack(0, 0, 6): 1})
 
-    def perturbed(kind, *args, **kwargs):
-        ref = real(kind, *args, **kwargs)
-        if kind == "r":
-            mat = ref.matrix
-            ij = min(mat.entries)
-            entries = dict(mat.entries)
-            entries[ij] = entries[ij] * ZetaRational({0: q_power(1)})
-            ref.matrix = OpMatrix(mat.dim, entries, mat.one)
-        return ref
+    def perturbed(*args):
+        mat, den = real(*args)
+        ij = min(mat.entries)
+        entries = dict(mat.entries)
+        entries[ij] = entries[ij] * q
+        return OpMatrix(mat.dim, entries, mat.one), den
 
-    return lambda: monkeypatch.setattr(verify, "reference_matrix", perturbed)
+    return lambda: monkeypatch.setattr(verify, "r_form", perturbed)

@@ -8,6 +8,8 @@ here, as oracles for the program:
 
 * the defining relations of a generator image, with the Serre relations
   in both shapes, and the transfer of e_i to f_i by the bar involution;
+* the Cartan and q-Serre relations of the oscillator images checked in
+  the q-oscillator ring, where a pass holds on every Fock state;
 * the q-factorials and q-binomials the Serre words need;
 * both normal-order conditions on a root sequence, and the bilinear form;
 * the full scalar prefactor of a closed form as a series, and its
@@ -17,7 +19,9 @@ here, as oracles for the program:
   are written with: identity grids, diagonal matrices, transposes,
   commutators, and zeta^k c as a one-variable rational;
 * the Fock window a comparison of truncated matrices is trusted on, and
-  the restriction of a matrix or a grid to it.
+  the restriction of a matrix or a grid to it;
+* the state-by-state rendering of a matrix over the oscillator ring, and
+  of a form N / D with its cells divided by D.
 """
 
 import itertools
@@ -25,9 +29,10 @@ import itertools
 from qaffine.scalars import QScalar, parse_qscalar, q_power, qint, t_power
 from qaffine.series import ZetaSeries, series_exp
 from qaffine.rational import ZetaRational
-from qaffine.linalg import OpMatrix, Grid
+from qaffine.linalg import OpMatrix, OscPoly, Grid, _pack, _place
 from qaffine.rootsys import extend_cartan, finite_cartan
-from qaffine.reference import PrefactorTag
+from qaffine.reference import LTable, PrefactorTag
+from tuple_ring import TupleLaurent2, split_key
 
 ONE = QScalar.ONE
 ZERO = QScalar.ZERO
@@ -88,28 +93,62 @@ def fock_window(d, copies, margin):
     return keep
 
 
-def render_ring(m, d):
-    """An n x n OpMatrix over the oscillator ring (`linalg.OscElement`)
-    as the Grid of its operators on d Fock states per copy, the first copy
-    slowest: the term c S_delta x^kappa sends state n to n + delta with the
-    weight c q^(kappa . n), and is dropped where n + delta leaves 0..d-1."""
-    (zero, _), = m.one.terms
-    copies = len(zero)
-    c_one = m.one.terms[(zero, zero)]
+def render_ring(m, d, copies):
+    """An n x n OpMatrix over the oscillator ring (`linalg.OscPoly`) as the
+    Grid of its operators on d Fock states per copy, the first copy
+    slowest, over TupleLaurent2: the term c S_delta x^kappa u^i v^j t^k
+    sends state n to n + delta with the weight c u^i v^j t^k q^(kappa . n),
+    and is dropped where n + delta leaves 0..d-1.  Each term is decoded
+    digit by digit (`tuple_ring.split_key`) and each state visited on its
+    own."""
     states = list(itertools.product(range(d), repeat=copies))
     index = {st: i for i, st in enumerate(states)}
     ops = {}
     for ab, x in m.entries.items():
         cells = {}
-        for (delta, kappa), c in x.terms.items():
+        for key, c in x.terms.items():
+            delta, kappa, (i, j, k) = split_key(key, copies)
             for st in states:
                 target = tuple(n + e for n, e in zip(st, delta))
                 if target in index:
-                    w = c * x.qpow(sum(k * n for k, n in zip(kappa, st)))
+                    w = TupleLaurent2({(i, j, k + 6 * sum(
+                        a * n for a, n in zip(kappa, st))): c})
                     ij = (index[target], index[st])
                     cells[ij] = cells[ij] + w if ij in cells else w
-        ops[ab] = OpMatrix(len(states), cells, c_one)
-    return Grid(m.dim, ops, len(states), c_one)
+        ops[ab] = OpMatrix(len(states), cells, TupleLaurent2.ONE)
+    return Grid(m.dim, ops, len(states), TupleLaurent2.ONE)
+
+
+def zeta_rational(x, den=None):
+    """A one-variable TupleLaurent2 (no v) as a ZetaRational in zeta = u,
+    divided by the one-variable `den`, by the reducing constructor."""
+    def poly(y):
+        groups = {}
+        for (i, j, k), c in y.terms.items():
+            assert j == 0
+            groups.setdefault(i, {})[k] = c
+        return {e: QScalar(p) for e, p in groups.items()}
+    return ZetaRational(poly(x), poly(den) if den else {0: ONE})
+
+
+def render_form(form, d, copies):
+    """A form (N, D) rendered state by state (`render_ring`), each cell
+    divided by D as a ZetaRational."""
+    m, den = form
+    den = TupleLaurent2({split_key(key, 1)[2]: c
+                         for key, c in den.terms.items()})
+    grid = render_ring(m, d, copies)
+    return Grid(grid.n, {ab: op.map_values(lambda v: zeta_rational(v, den),
+                                           ZetaRational.ONE)
+                         for ab, op in grid.entries.items()},
+                grid.op_dim, ZetaRational.ONE)
+
+
+def subs_zeta(x, k):
+    """zeta -> zeta^k (k nonzero) on a ZetaRational, by the reducing
+    constructor."""
+    return ZetaRational({k * e: v for e, v in x.num.items()},
+                        {k * e: v for e, v in x.den.items()})
 
 
 def restrict(x, keep):
@@ -251,6 +290,54 @@ def check_defining_relations(image, fock=None):
                 check("serre f_%d f_%d" % (i, j),
                       _serre_words(image.f_mats[i], image.f_mats[j], a_ij),
                       2 - a_ij)
+    return failures
+
+
+def check_ring_relations(image):
+    """The relations of an oscillator image (`oscillator.OscImage`) in the
+    q-oscillator ring, where a pass holds on every Fock state:
+    x^(h_i) e_j x^(-h_i) = q^(a_ij) e_j and the q-Serre relations of the
+    e_i, and the same of the f_i with q^(-a_ij).  Each generator
+    c L_delta q^(kappa . D), with its zeta^(+-sigma), enters the ring as
+    `LTable.ring` enters a table term, with c replaced by its numerator:
+    an image holds one Borel half, and these relations are linear or
+    homogeneous in each generator.  Returns the violated relation names."""
+    aff = extend_cartan(finite_cartan(image.algebra))
+    zero = (0,) * image.copies
+
+    def scalar(x):
+        assert x.den == {0: 1}
+        return OscPoly({_pack(0, 0, k): n for k, n in x.num.items()})
+
+    def x_power(h):
+        return OscPoly({_place(zero, h): 1})
+
+    failures = []
+    for name, ops, sign in (("e", image.e_ops, 1), ("f", image.f_ops, -1)):
+        gens = [None if m is None else LTable(1, image.copies, {(0, 0): ((
+            sign * image.exps[i], QScalar(dict(m.c.num)), m.delta,
+            tuple(int(k) for k in m.kappa)),)}, None).ring()[0].entry(0, 0)
+            for i, m in enumerate(ops)]
+        for i in range(aff.rank):
+            h = image.h_forms[i]
+            for j in range(aff.rank):
+                a_ij, gj = aff.matrix[i][j], gens[j]
+                if gj is None:
+                    continue
+                if (x_power(h) * gj * x_power(tuple(-c for c in h))
+                        != scalar(q_power(sign * a_ij)) * gj):
+                    failures.append("x^h_%d %s_%d x^-h_%d" % (i, name, j, i))
+                gi = gens[i]
+                if i == j or gi is None:
+                    continue
+                n, serre = 1 - a_ij, OscPoly({})
+                for k in range(n + 1):
+                    word = scalar(qbinom(n, k).scale(-1 if k % 2 else 1))
+                    for g in [gi] * (n - k) + [gj] + [gi] * k:
+                        word = word * g
+                    serre = serre + word
+                if serre:
+                    failures.append("serre %s_%d %s_%d" % (name, i, name, j))
     return failures
 
 

@@ -26,7 +26,7 @@ from qaffine.verify import (
 from product_builders import FockRep, apply_two_copy_normalization, render
 from oracles import (
     check_defining_relations, commutator, diagonal_matrix, fock_window,
-    grid_identity, restrict, zeta_monomial,
+    grid_identity, restrict, subs_zeta, zeta_monomial,
 )
 
 ONE = QScalar.ONE
@@ -79,11 +79,13 @@ def test_criterion_3_engine_equality_a2():
     keep = fock_window(d, 2, 2)
     assert restrict(normalized, keep) == restrict(printed.matrix, keep)
     hat2 = l_table("a2", "hat-2", (1, 0, 0)).ring()
-    back = reference._reflected_inverse(hat2).map_values(
-        lambda x: x.map(lambda v: v.subs_power(-1)))
-    assert hat2 * back == OpMatrix.identity(3, hat2.one)
+    # N / D times its inverse D B / P at zeta back from 1/zeta is one
+    (num, den), (back, piv) = hat2, reference._reflected_inverse(hat2)
+    back = back.map_values(lambda x: x.spectral(-1, 0))
+    assert num * back == OpMatrix.identity(3, num.one).scale(
+        den * piv.spectral(-1, 0))
     inv2 = reference_matrix("l", "a2", "hat-2-inv", 1, 0, 0, d=d)
-    back = inv2.matrix.map_values(lambda v: v.subs_power(-1), ZR1_ONE)
+    back = inv2.matrix.map_values(lambda v: subs_zeta(v, -1), ZR1_ONE)
     keep = fock_window(d, 2, 1)
     assert restrict(reference.render(hat2, d) * back, keep) == \
         restrict(grid_identity(3, d * d, ZR1_ONE), keep)

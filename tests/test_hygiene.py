@@ -20,8 +20,8 @@
   into a coefficient.
 * In scalars.py, `Fraction` appears only where values enter and where they
   are printed, never in the integer kernel.
-* In verify.py, the two-variable ring `_Laurent2` is integer-only: no
-  method but `__str__` names `QScalar` or `Fraction`.
+* src/ defines one q-oscillator ring class, `linalg.OscPoly`, and it is
+  integer-only: no method but `__str__` names `QScalar` or `Fraction`.
 * The engine has no Fock-dependent constant: it names no pad, window or
   truncated ladder matrix, and reads `fock_dim` only where `EngineParams`
   stores it and where the reported block is chosen.
@@ -37,19 +37,19 @@
 * An L-operator has one algebraic form, its matrix over the oscillator
   ring: src/ branches on no Grid (Grid's own operators aside), `LTable`
   has no renderer of its own, and the one elimination inverts only the
-  units c x^kappa of the ring (`reference.op_inverse`), which
-  `OscElement` does not invert itself.
+  units c x^kappa of the ring (`reference.op_inverse`), which `OscPoly`
+  does not invert itself.
 * One sparse-arithmetic kernel: the sum, negation and additive-key
   convolution of sparse dicts live in scalars.py (`_p_add`, `_p_neg`,
   `_p_conv`), and the matrix product and Kronecker product in linalg.py
   (`_product`, `_kron`).  rational.py defines no `_add` or `_mul` of its
   own, and no sum, negation or matrix product of the matrices, the
   oscillator rings or the series, nor `kron` or `grid_akp`, holds a loop
-  or a comprehension: each calls the kernel.  The q-twisted products of
-  the oscillator rings, `OscElement.__mul__` and `_Laurent2.__mul__`, loop
-  over term pairs themselves.  `_Laurent2.__mul__` never names `_p_mul`,
-  whose Kronecker substitution would build integers as wide as the packed
-  keys' span (`test_verify` also runs it with that path refused).
+  or a comprehension: each calls the kernel.  The q-twisted product of
+  the oscillator ring, `OscPoly.__mul__`, loops over term pairs itself and
+  never names `_p_mul`, whose Kronecker substitution would build integers
+  as wide as the packed keys' span (`test_verify` also runs it with every
+  multiplication entry of scalars refused).
 * Every entry point the benchmark's tracer wraps (`perfbench/tracer.py`,
   `LAYERS`) is defined on its owner, so a rename in src/ fails here and not
   first in a traced benchmark run.
@@ -237,11 +237,11 @@ def test_an_l_operator_has_one_form():
                 and "Grid" in {getattr(n, "id", None)
                                for n in ast.walk(node.args[1])}]
     assert branches == []
-    from qaffine.linalg import OscElement
+    from qaffine.linalg import OscPoly
     from qaffine.reference import LTable, l_table, op_inverse
     assert not hasattr(LTable, "render")
-    assert not hasattr(OscElement, "inverse")
-    l_mat = l_table("a1", "hat", (1, 0)).ring()
+    assert not hasattr(OscPoly, "inverse")
+    l_mat, _ = l_table("a1", "hat", (1, 0)).ring()
     # a ladder monomial, a sum of two monomials, and zero
     refused = []
     unit = l_mat.entry(0, 0)
@@ -251,7 +251,7 @@ def test_an_l_operator_has_one_form():
         except ValueError:
             refused.append(x)
     assert len(refused) == 3
-    assert unit * op_inverse(unit) == l_mat.one
+    assert op_inverse(unit) * unit == l_mat.one
 
 
 def test_fraction_in_scalars_only_at_the_boundaries():
@@ -279,10 +279,33 @@ def test_fraction_in_scalars_only_at_the_boundaries():
     assert found <= allowed
 
 
-def test_two_variable_ring_is_integer_only():
+def test_src_defines_one_oscillator_ring_class():
+    # a class of src/ with a product that calls itself an element of the
+    # oscillator ring; the former coefficient-generic ring and the
+    # two-variable one are gone
+    rings = ["%s:%s" % (path.relative_to(SRC), node.name)
+             for path, tree in _modules() for node in tree.body
+             if isinstance(node, ast.ClassDef)
+             and "oscillator ring" in " ".join(
+                 (ast.get_docstring(node) or "").split())
+             and any(isinstance(f, ast.FunctionDef) and f.name == "__mul__"
+                     for f in node.body)]
+    assert rings == ["qaffine/linalg.py:OscPoly"]
+    names = {node.name for _, tree in _modules() for node in ast.walk(tree)
+             if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert not names & {"OscElement", "_Laurent2", "_zeta_q", "_cleared",
+                        "_values", "_map_scalars", "subs_power",
+                        "is_polynomial"}
+    # the identity checks read no rational in zeta
     tree = ast.parse((SRC / "qaffine" / "verify.py").read_text())
+    assert "rational" not in {node.module for node in ast.walk(tree)
+                              if isinstance(node, ast.ImportFrom)}
+
+
+def test_two_variable_ring_is_integer_only():
+    tree = ast.parse((SRC / "qaffine" / "linalg.py").read_text())
     ring, = [node for node in tree.body
-             if isinstance(node, ast.ClassDef) and node.name == "_Laurent2"]
+             if isinstance(node, ast.ClassDef) and node.name == "OscPoly"]
     methods = [node for node in ring.body
                if isinstance(node, ast.FunctionDef)]
     assert {"__add__", "__mul__", "__str__"} <= {m.name for m in methods}
@@ -426,10 +449,9 @@ def test_one_sparse_arithmetic_kernel():
     assert not {"_add", "_mul"} & set(_definitions("rational.py"))
     callers = {
         "linalg.py": ("OpMatrix.__add__", "OpMatrix.__neg__",
-                      "OpMatrix.__mul__", "OscElement.__add__",
-                      "OscElement.__neg__", "Grid.__mul__", "kron",
+                      "OpMatrix.__mul__", "OscPoly.__add__",
+                      "OscPoly.__neg__", "Grid.__mul__", "kron",
                       "grid_akp"),
-        "verify.py": ("_Laurent2.__add__", "_Laurent2.__neg__"),
         "series.py": ("ZetaSeries.__add__", "ZetaSeries.__neg__"),
         "rational.py": ("ZetaRational.__neg__",),
     }
@@ -441,6 +463,6 @@ def test_one_sparse_arithmetic_kernel():
                          for node in ast.walk(defs[name]))]
     assert loops == []
     called = {node.id for node in ast.walk(
-        _definitions("verify.py")["_Laurent2.__mul__"])
+        _definitions("linalg.py")["OscPoly.__mul__"])
         if isinstance(node, ast.Name)}
     assert "_p_mul" not in called

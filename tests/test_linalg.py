@@ -5,10 +5,12 @@ import pytest
 
 from qaffine.scalars import QScalar, q_power
 from oracles import diagonal_matrix, fock_window
-from tuple_ring import TupleLaurent2, flat, nested_matrix, tuple_qpow
+from tuple_ring import (
+    OscElement, TupleLaurent2, flat, nested_matrix, tuple_qpow,
+)
 
 from qaffine.linalg import (
-    OpMatrix, OscElement, kron, perm_operator, hat_and_check, embed_legs,
+    OpMatrix, OscPoly, kron, perm_operator, hat_and_check, embed_legs,
     Grid, grid_akp,
 )
 
@@ -214,14 +216,13 @@ def _constants(s, one):
 def _laurent2_scalars(rng):
     """The two-variable ring: the matrices are built over OscElement with
     TupleLaurent2 coefficients and multiplied in the flat ring
-    `verify._Laurent2`, constants lifted at delta = kappa = 0."""
-    from qaffine import verify
+    `linalg.OscPoly`, constants lifted at delta = kappa = 0."""
 
     def value():
         return TupleLaurent2({
             (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-6, 6)):
             rng.choice((-2, -1, 1, 3)) for _ in range(rng.randint(1, 3))})
-    to_ring = (lambda m: m.map_values(flat, verify._Laurent2.ONE),
+    to_ring = (lambda m: m.map_values(flat, OscPoly.ONE),
                lambda m: nested_matrix(m, 1))
     return TupleLaurent2.ONE, tuple_qpow, value, to_ring
 

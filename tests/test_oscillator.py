@@ -5,21 +5,21 @@ from fractions import Fraction
 import pytest
 
 from qaffine.scalars import QScalar, q_power
-from qaffine.linalg import OpMatrix, OscElement, kron
+from qaffine.linalg import OpMatrix, OscPoly, kron
 from qaffine.rational import ZetaRational
 from qaffine.oscillator import (
     chi_images, psi_images, OscParams,
 )
 from qaffine.scalars import parse_qscalar
-from qaffine.verify import _Laurent2, _gauged
-from tuple_ring import TupleLaurent2, flat, nested, tuple_qpow
+from qaffine.verify import _gauged
+from tuple_ring import OscElement, TupleLaurent2, flat, nested, tuple_qpow
 from product_builders import (
     FockCopies, FockRep, osc_automorphism, oscillator_matrices, render,
     tau_matrix,
 )
 from oracles import (
-    check_defining_relations, commutator, diagonal_matrix, render_ring,
-    transpose, zeta_monomial,
+    check_defining_relations, check_ring_relations, commutator,
+    diagonal_matrix, render_ring, transpose, zeta_monomial,
 )
 
 ONE = QScalar.ONE
@@ -174,7 +174,7 @@ def _spectral_gauge(x, s_exponents):
     matrix-leg gauge weight is one."""
     algebra, s2 = ("a1", 0) if len(s_exponents) == 1 else ("a2",
                                                            s_exponents[1])
-    m = OpMatrix(1, {(0, 0): flat(x)}, _Laurent2.ONE)
+    m = OpMatrix(1, {(0, 0): flat(x)}, OscPoly.ONE)
     return nested(_gauged("hat", algebra, s_exponents[0], s2, m).entry(0, 0),
                   len(s_exponents))
 
@@ -307,13 +307,11 @@ def test_gamma_matches_diagonal_conjugation(s_exponents):
             (tuple(rng.randint(-1, 1) for _ in range(copies)),
              tuple(rng.randint(-2, 2) for _ in range(copies))):
             _mono("v", rng.randint(-2, 2)) for _ in range(4)}, tuple_qpow)
-        zero = (0,) * copies
-        m = OpMatrix(1, {(0, 0): x}, OscElement({(zero, zero): one},
-                                                tuple_qpow))
-        rendered = render_ring(m, d).entries[(0, 0)]
-        gauged = OpMatrix(1, {(0, 0): _spectral_gauge(x, s_exponents)},
-                          m.one)
-        assert render_ring(gauged, d).entries[(0, 0)] == \
+        m = OpMatrix(1, {(0, 0): flat(x)}, OscPoly.ONE)
+        rendered = render_ring(m, d, copies).entries[(0, 0)]
+        gauged = OpMatrix(1, {(0, 0): flat(_spectral_gauge(x, s_exponents))},
+                          OscPoly.ONE)
+        assert render_ring(gauged, d, copies).entries[(0, 0)] == \
             gam * rendered * gam_inv
 
 
@@ -363,3 +361,36 @@ def test_rendered_monomials_equal_the_ladder_products(algebra, family, side,
     assert img.h_diags == h
     copies = 1 if algebra == "a1" else 2
     assert img.dim == d ** copies
+
+
+# -- the Borel images on the q-oscillator ring --------------------------------
+
+_OTHER_PARAMS = {
+    "a1": OscParams(q_power(3) + QScalar.from_int(2),
+                    [q_power(-1).scale(3)], [2]),
+    "a2": OscParams((q_power(1) - q_power(-2)).inverse(),
+                    [q_power(2), q_power(-1).scale(-2)], [1, -1, 2]),
+}
+
+
+@pytest.mark.parametrize("algebra, family", [("a1", 1), ("a2", 1),
+                                             ("a2", 2)])
+@pytest.mark.parametrize("side", ["chi", "psi"])
+def test_borel_images_satisfy_their_relations_in_the_ring(algebra, family,
+                                                          side):
+    # at the default and at one other (rho, mu, nu), and at two spectral
+    # exponent choices, the relations hold on every Fock state; raising
+    # kappa_1 of one generator breaks a Serre relation, and moving its
+    # ladder breaks the Cartan relation
+    build = chi_images if side == "chi" else psi_images
+    half = "e_ops" if side == "chi" else "f_ops"
+    for params in (None, _OTHER_PARAMS[algebra]):
+        for s, s1, s2 in ((1, 0, 0), (-2, 1, -1)):
+            image = build(algebra, s, s1, s2, family=family, params=params)
+            assert check_ring_relations(image) == []
+    ops = getattr(image, half)
+    for i, m in enumerate(ops):
+        for bad in (m._replace(kappa=(m.kappa[0] + 1,) + tuple(m.kappa[1:])),
+                    m._replace(delta=tuple(2 * x for x in m.delta))):
+            wrong = image._replace(**{half: ops[:i] + [bad] + ops[i + 1:]})
+            assert check_ring_relations(wrong) != []

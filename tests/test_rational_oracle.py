@@ -1,7 +1,7 @@
-"""Rationals in zeta over Q(t), and the two-variable Laurent ring of the
-identity checks, against independent oracles: sympy for values and
-reduced forms, hypothesis for the ring laws of the lift.  Both are
-development-only and are skipped when not installed."""
+"""Rationals in zeta over Q(t), and the q-oscillator ring of the closed
+forms and the identity checks, against independent oracles: sympy for
+values and reduced forms, hypothesis for the ring laws of the lift.  Both
+are development-only and are skipped when not installed."""
 
 import random
 
@@ -13,13 +13,16 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from qaffine import rational, verify  # noqa: E402
+from qaffine import linalg, rational, verify  # noqa: E402
 from qaffine.linalg import OpMatrix  # noqa: E402
 from qaffine.rational import ZetaRational  # noqa: E402
+from qaffine.reference import (  # noqa: E402
+    LTable, l_table, list_variants, r_form, render,
+)
 from qaffine.scalars import QScalar, q_power, qint  # noqa: E402
-from qaffine.linalg import OscElement  # noqa: E402
+from oracles import subs_zeta  # noqa: E402
 from tuple_ring import (  # noqa: E402
-    TupleLaurent2, flat_key, nested, tuple_qpow,
+    OscElement, TupleLaurent2, flat_key, nested, tuple_qpow,
 )
 
 # values live in sympy's sparse field Q(t, z, u, v), which keeps every
@@ -28,7 +31,7 @@ from tuple_ring import (  # noqa: E402
 F, TF, ZF, UF, VF = sympy.field("t,z,u,v", sympy.QQ)
 T, U, V = sympy.symbols("t u v")
 ONE = QScalar.ONE
-Ring = verify._Laurent2
+Ring = linalg.OscPoly
 
 SETTINGS = hypothesis.settings(max_examples=60, deadline=None,
                                derandomize=True, database=None)
@@ -128,13 +131,15 @@ def test_field_ops_match_sympy():
 
 
 def test_substitutions_match_sympy():
+    # zeta -> zeta^k on a one-variable element of the ring, zeta = u
     rng = random.Random(3)
     for _ in range(6):
-        a = ZetaRational(_poly(rng, -1, 2), _poly(rng))
+        a = _ring({(rng.randint(-2, 2), 0, rng.randint(-12, 12)):
+                   rng.choice((1, -1, 2, -3)) for _ in range(4)})
         for k in (-2, -1, 1, 2):
-            got = a.subs_power(k)
-            _assert_canonical(got)
-            assert _value(got) == _at(a, ZF ** k)
+            got = a.spectral(k, 0)
+            assert sympy.expand(_ring_expr(got)
+                                - _ring_expr(a).subs(U, U ** k)) == 0
 
 
 def test_exact_division_raises_on_a_remainder():
@@ -149,11 +154,11 @@ def test_exact_division_raises_on_a_remainder():
 
 def _exponent_terms(x):
     """The terms of x as {(i, j, k): c}, decoded from their packed keys."""
-    return {verify._unpack(key): c for key, c in x.terms.items()}
+    return {linalg._unpack(key): c for key, c in x.terms.items()}
 
 
 def _ring(terms):
-    return Ring({verify._pack(*key): c for key, c in terms.items()})
+    return Ring({linalg._pack(*key): c for key, c in terms.items()})
 
 
 def _ring_expr(x):
@@ -188,7 +193,10 @@ def test_ring_add_mul_match_sympy_expand(a, b):
 
 # packed keys against the tuple-keyed ring, with exponents up to the bound
 # the packing accepts
-BOUND = verify._EXPONENT_BOUND
+BOUND = linalg._EXPONENT_BOUND
+# an operand of a product takes exponents in [-2^19, 2^19) and digits
+# below 2^6 in size
+OPERAND, DIGIT = 1 << 19, linalg._DIGIT_BOUND
 exponent_st = st.one_of(st.integers(-3, 3),
                         st.integers(BOUND - 3, BOUND - 1),
                         st.integers(-BOUND + 1, -BOUND + 3))
@@ -225,21 +233,40 @@ def test_packed_ring_matches_the_tuple_keyed_ring(a, b):
 @hypothesis.example([(BOUND - 1, 1 - BOUND, BOUND - 1, 1)] * 32)
 @hypothesis.example([(1 - BOUND, BOUND - 1, 1 - BOUND, -1)] * 16)
 def test_product_of_up_to_32_extreme_monomials(factors):
-    # the packing stays exact on a product of up to 32 monomials with every
-    # exponent just inside the bound, and on a two-term factor of such
-    # products
+    # a product of up to 32 monomials with every exponent just inside the
+    # bound, and a two-term factor of such products, is exact, or refused
+    # with ValueError once a factor leaves the operand bound: never wrong
     pairs = [_pair({(i, j, k): c}) for i, j, k, c in factors]
     half = len(pairs) // 2
-    products = []
-    for part in (pairs[:half], pairs[half:]):
-        packed, tupled = Ring.ONE, TupleLaurent2.ONE
-        for p, t in part:
-            packed, tupled = packed * p, tupled * t
-        products.append((packed, tupled))
+    products = [_chain(pairs[:half], _fits), _chain(pairs[half:], _fits)]
+    if None in products:
+        return
     (pa, ta), (pb, tb) = products
-    for got, want in ((pa * pb, ta * tb),
-                      (pa * (pb + Ring.ONE), ta * (tb + TupleLaurent2.ONE))):
-        assert _same(got, want) and str(got) == str(want)
+    for p, t in ((pb, tb), (pb + Ring.ONE, tb + TupleLaurent2.ONE)):
+        got = _chain([(pa, ta), (p, t)], _fits)
+        if got is not None:
+            assert _same(*got) and str(got[0]) == str(got[1])
+
+
+def _fits(t):
+    """Whether a TupleLaurent2 may be an operand of a packed product."""
+    return all(-OPERAND <= e < OPERAND for key in t.terms for e in key)
+
+
+def _chain(pairs, fits):
+    """The product of the (packed, tupled) pairs as such a pair, checked
+    after every factor, or None where a factor that does not fit was
+    refused, as it must be."""
+    packed, tupled = pairs[0]
+    for p, t in pairs[1:]:
+        if not (fits(tupled) and fits(t)):
+            with pytest.raises(ValueError, match="left the packing"):
+                packed * p
+            return None
+        packed, tupled = packed * p, tupled * t
+        assert _osc_same(packed, tupled, 2) if isinstance(
+            tupled, OscElement) else _same(packed, tupled)
+    return packed, tupled
 
 
 # the flat oscillator ring against OscElement over the tuple-keyed ring:
@@ -289,7 +316,13 @@ def test_flat_ring_matches_oscelement_over_the_tuple_ring(case):
     assert (fa == fb) == (oa.terms == ob.terms) and bool(fa) == bool(oa)
 
 
-digit_st = st.one_of(st.integers(-1, 1), st.sampled_from((-15, 15)))
+digit_st = st.one_of(st.integers(-1, 1), st.sampled_from((-15, 15)),
+                     st.sampled_from((1 - DIGIT, DIGIT - 1)))
+
+
+def _osc_fits(o):
+    return all(abs(x) < DIGIT for dk in o.terms for part in dk for x in part
+               ) and all(_fits(c) for c in o.terms.values())
 
 
 @SETTINGS
@@ -300,110 +333,102 @@ digit_st = st.one_of(st.integers(-1, 1), st.sampled_from((-15, 15)))
 @hypothesis.example([((15, 15), (15, 15), (BOUND - 1, 1 - BOUND, BOUND - 1),
                       1)] * 8)
 @hypothesis.example([((-15, 15), (15, -15), (1 - BOUND,) * 3, -1)] * 8)
+@hypothesis.example([((63, -63), (-63, 63), (BOUND - 1,) * 3, 1)] * 3)
 def test_product_of_up_to_8_extreme_oscillator_monomials(factors):
-    # digits just inside their bound, with their q-shifts, and exponents
-    # just inside theirs stay exact in the packed key on up to 8 factors
-    flat_p, osc_p = Ring.ONE, OscElement({((0, 0), (0, 0)): TupleLaurent2.ONE},
-                                         tuple_qpow)
-    for delta, kappa, ijk, c in factors:
-        f, o = _osc_pair({((delta, kappa), ijk): c})
-        flat_p, osc_p = flat_p * f, osc_p * o
-    assert _osc_same(flat_p, osc_p, 2)
+    # digits and exponents just inside their bounds, with their q-shifts,
+    # stay exact in the packed key on up to 8 factors, or the product is
+    # refused once a factor leaves the operand bounds: never wrong
+    _chain([_osc_pair({((delta, kappa), ijk): c})
+            for delta, kappa, ijk, c in factors], _osc_fits)
 
 
 # Laurent polynomials in t, and some of them over the denominator 1 - q^-2;
-# the closed forms carry no denominator in t once cleared in zeta
+# a table coefficient has no denominator in t
 laurent_t_st = st.builds(lambda k, n, m: q_power(k).scale(n) + q_power(m),
                          st.integers(-2, 2), st.integers(-3, 3),
                          st.integers(-1, 1)).filter(bool)
 scalars_st = st.builds(lambda c, den: c * (ONE - q_power(-2)).inverse()
                        if den else c, laurent_t_st, st.booleans())
-zpoly_st = st.dictionaries(st.integers(-3, 3), scalars_st, max_size=3).map(
-    ZetaRational)
-tpoly_st = st.dictionaries(st.integers(-3, 3), laurent_t_st,
-                           max_size=3).map(ZetaRational)
-zden_st = st.sampled_from(({0: ONE}, {0: ONE, 1: -q_power(-2)},
-                           {0: ONE, 2: -ONE}))
-zrational_st = st.builds(
-    lambda num, den: ZetaRational(num.num, den), tpoly_st, zden_st)
-objects_st = st.lists(
-    st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
-                    zrational_st, max_size=3).map(
-        lambda e: OpMatrix(2, e, ZetaRational.ONE)),
-    min_size=1, max_size=3)
+L_TABLES = [(algebra, v) for kind, algebra, v in list_variants()
+            if kind == "l" and v != "hat-2-inv"]
+exps_st = st.tuples(st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                    st.integers(-2, 2), st.integers(-2, 2))
 
 
-def _is_cleared(x):
-    return x.is_polynomial() and all(c.den == {0: 1}
-                                     for c in x.num.values())
+def _as_rational(x):
+    """A one-variable element (zeta = u) as a ZetaRational polynomial."""
+    groups = {}
+    for (i, j, k), c in _exponent_terms(x).items():
+        assert j == 0
+        groups.setdefault(i, {})[k] = c
+    return ZetaRational({e: QScalar(p) for e, p in groups.items()})
 
 
 @SETTINGS
-@hypothesis.given(objects_st)
-def test_cleared_scales_by_one_common_factor_to_integer_coefficients(objs):
-    cleared = verify._cleared(*objs)
-    assert len(cleared) == len(objs)
-    factors = set()
-    for obj, got in zip(objs, cleared):
-        assert set(got.entries) == set(obj.entries)
-        for ij, v in obj.entries.items():
-            w = got.entries[ij]
-            assert _is_cleared(w)
-            factors.add(_value(w) / _value(v))
-    assert len(factors) <= 1 and F(0) not in factors
-    # and the lift takes every cleared object
-    for got in cleared:
-        verify._lift(got, "ratio")
+@hypothesis.given(st.sampled_from([("r", "a1"), ("r", "a2")] + L_TABLES),
+                  exps_st)
+def test_cleared_scales_by_one_common_factor_to_integer_coefficients(what,
+                                                                     exps):
+    # a form N / D: every rendered cell of N is D times the cell of the
+    # object, with integer coefficients, one common factor for them all
+    algebra, variant = what if what[0] != "r" else (what[1], "r")
+    e = exps if algebra == "a2" else exps[:2]
+    form = (r_form(algebra, *exps) if variant == "r"
+            else l_table(algebra, variant, e).ring())
+    num, den = form
+    assert all(type(c) is int and c for x in (*num.entries.values(), den)
+               for c in x.terms.values())
+    d = 1 if variant == "r" else 2
+    whole, part = render(form, d), render((num, Ring.ONE), d)
+    assert set(whole.entries) == set(part.entries)
+    for ab, op in part.entries.items():
+        assert op == whole.entries[ab].scale(_as_rational(den))
 
 
 @SETTINGS
-@hypothesis.given(zpoly_st.filter(lambda x: not _is_cleared(x)),
-                  st.sampled_from(sorted(verify._LIFT_EXPONENTS)))
-def test_lift_rejects_a_denominator_in_t(a, mode):
-    # `_cleared` clears denominators in zeta only; a coefficient with a
-    # denominator in t, which no catalog object has, stays and makes the
-    # lift raise ValueError, the error the command line reports as exit 2
-    m = OpMatrix(1, {(0, 0): a}, ZetaRational.ONE)
-    with pytest.raises(ValueError, match="clear the denominators"):
-        verify._lift(m, mode)
-    cleared, = verify._cleared(m)
-    assert cleared == m
-    with pytest.raises(ValueError, match="clear the denominators"):
-        verify._lift(cleared, mode)
+@hypothesis.given(scalars_st.filter(lambda c: c.den != {0: 1}),
+                  st.sampled_from(((0,), (1,), (-1,))))
+def test_lift_rejects_a_denominator_in_t(c, delta):
+    # a table coefficient lies in Z[t^(+-1)]: one with a denominator in t,
+    # which no catalog table has, makes the lift into the ring raise
+    # ValueError, the error the command line reports as exit 2
+    table = LTable(1, 1, {(0, 0): ((1, c, delta, (0,)),)}, None)
+    with pytest.raises(ValueError, match="Z\\[t"):
+        table.ring()
+    # its numerator alone lifts
+    LTable(1, 1, {(0, 0): ((1, QScalar(dict(c.num)), delta, (0,)),)},
+           None).ring()
 
 
-def _lift(x, mode):
-    m = OpMatrix(1, {(0, 0): x}, ZetaRational.ONE)
-    return verify._lift(m, mode).entry(0, 0)
+one_variable_st = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.just(0), st.integers(-12, 12)),
+    st.integers(-3, 3).filter(bool), max_size=5).map(_ring)
 
 
 @SETTINGS
-@hypothesis.given(tpoly_st, tpoly_st,
+@hypothesis.given(one_variable_st, one_variable_st,
                   st.sampled_from(sorted(verify._LIFT_EXPONENTS)))
 def test_lift_is_a_ring_homomorphism(a, b, mode):
-    # on a and b cleared together, so both are polynomials over Z[t^(+-1)]
-    a, b = (m.entry(0, 0) for m in verify._cleared(
-        OpMatrix(1, {(0, 0): a}, ZetaRational.ONE),
-        OpMatrix(1, {(0, 0): b}, ZetaRational.ONE)))
-    lift = lambda x: _lift(x, mode)
+    # zeta -> u^ea v^eb on one-variable elements of the ring
+    ea, eb = verify._LIFT_EXPONENTS[mode]
+    lift = lambda x: x.spectral(ea, eb)
     assert lift(a + b) == lift(a) + lift(b)
     assert lift(a - b) == lift(a) - lift(b)
     assert lift(a * b) == lift(a) * lift(b)
-    assert lift(ZetaRational.ONE) == Ring.ONE
-    ea, eb = verify._LIFT_EXPONENTS[mode]
-    assert _ring_value(lift(a)) == _at(a, UF ** ea * VF ** eb)
-
-
-zdict_st = st.dictionaries(st.integers(-3, 3), scalars_st, max_size=3)
+    assert lift(Ring.ONE) == Ring.ONE
+    assert sympy.expand(_ring_expr(lift(a)) - _ring_expr(a).subs(
+        U, U ** ea * V ** eb)) == 0
 
 
 @SETTINGS
-@hypothesis.given(zdict_st, zdict_st.filter(bool),
+@hypothesis.given(one_variable_st, one_variable_st.filter(bool),
                   st.sampled_from((-3, -2, -1, 1, 2, 3)))
 def test_subs_power_equals_the_reducing_constructor(num, den, k):
-    # zeta -> zeta^k keeps a reduced pair reduced, so subs_power takes no
-    # gcd; the reducing constructor on the substituted pair agrees
-    x = ZetaRational(num, den)
-    want = ZetaRational({k * e: v for e, v in x.num.items()},
-                        {k * e: v for e, v in x.den.items()})
-    assert x.subs_power(k) == want
+    # zeta -> zeta^k on a form in the ring, then rendered, equals the
+    # reducing constructor on the substituted pair of the rendered form
+    def rendered(n, d):
+        m = OpMatrix(1, {(0, 0): n}, Ring.ONE)
+        return render((m, d), 1).entries.get((0, 0), OpMatrix.zero(
+            1, ZetaRational.ONE)).entry(0, 0)
+    assert rendered(num.spectral(k, 0), den.spectral(k, 0)) == subs_zeta(
+        rendered(num, den), k)

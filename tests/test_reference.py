@@ -8,7 +8,8 @@ from qaffine.scalars import QScalar, q_power
 from qaffine.rational import ZetaRational
 from qaffine.series import series_exp
 from qaffine.linalg import (
-    OpMatrix, OscElement, Grid, hat_and_check, kron, perm_operator,
+    OpMatrix, OscPoly, Grid, hat_and_check, kron, perm_operator, _pack,
+    _place,
 )
 from qaffine.reference import (
     PrefactorTag, reference_matrix, list_variants, r0_hat_matrix, render,
@@ -19,8 +20,8 @@ from qaffine.engine import EngineParams, assemble
 from derivation_factors import ordered_factors
 from product_builders import apply_two_copy_normalization
 from oracles import (
-    fock_window, grid_identity, render_ring, restrict, tag_inverse,
-    tag_series,
+    fock_window, grid_identity, render_form, restrict, subs_zeta,
+    tag_inverse, tag_series,
 )
 
 ONE = QScalar.ONE
@@ -29,6 +30,12 @@ ZR_ONE = ZetaRational.ONE
 
 def zr(num, den=None):
     return ZetaRational(num, den if den is not None else {0: ONE})
+
+
+def const(x, e=0):
+    """zeta^e x for a QScalar x with no denominator, at delta = kappa = 0
+    of the oscillator ring."""
+    return OscPoly({_pack(e, 0, k): c for k, c in x.num.items()})
 
 
 def test_r_a1_symmetric_entry():
@@ -111,18 +118,20 @@ def test_ordered_factors_only_where_transcribed():
 
 
 def _rendered_inverse_is_exact_below_the_top(algebra, variant, exps, d):
-    """The ring inverse of an L-operator is two-sided, and rendered on d
-    Fock states it inverts the rendered operator below the top level: a
-    path of inv * L climbs at most one level above its ends."""
+    """The ring inverse B / P of an L-operator N / D is two-sided, N B =
+    B N = P, and the form D B / P rendered on d Fock states inverts the
+    rendered operator below the top level: a path of inv * L climbs at
+    most one level above its ends."""
     table = l_table(algebra, variant, exps)
-    l_mat = table.ring()
-    inv = grid_inverse(l_mat)
-    eye = OpMatrix.identity(l_mat.dim, l_mat.one)
+    form = l_mat, den = table.ring()
+    inv, piv = grid_inverse(l_mat)
+    eye = OpMatrix.identity(l_mat.dim, l_mat.one).scale(piv)
     assert l_mat * inv == eye and inv * l_mat == eye
+    inv = inv.scale(den), piv
     keep = fock_window(d, table.copies, 1)
-    assert restrict(render(inv, d) * render(l_mat, d), keep) == restrict(
+    assert restrict(render(inv, d) * render(form, d), keep) == restrict(
         grid_identity(l_mat.dim, d ** table.copies, ZR_ONE), keep)
-    return l_mat, inv
+    return form, inv
 
 
 def test_grid_inverse_roundtrip():
@@ -141,40 +150,58 @@ def test_ring_inverse_is_the_rendered_inverse_below_the_top_level(algebra,
     # the production renderer against the state-by-state oracle, on the
     # operator and on its inverse from the elimination on the ring
     d = 4 if algebra == "a1" else 3
+    # an n x n L-operator acts on n - 1 Fock copies
     for m in _rendered_inverse_is_exact_below_the_top(
             algebra, variant, exponent_tuple(algebra, 1, 0, 0), d):
-        assert render(m, d) == render_ring(m, d)
+        assert render(m, d) == render_form(m, d, m[0].dim - 1)
+
+
+@pytest.mark.parametrize("algebra, variant", [
+    (algebra, v) for kind, algebra, v in list_variants()
+    if kind == "l" and v != "hat-2-inv"])
+@pytest.mark.parametrize("exps", [(1, 0, 0), (-2, 1, -1), (3, -1, 2)])
+def test_every_table_times_its_inverse_is_the_divisor(algebra, variant,
+                                                      exps):
+    # B N = N B = D 1 in the ring for the fraction-free inverse B / D
+    num, _ = l_table(algebra, variant, exponent_tuple(algebra, *exps)).ring()
+    inv, den = grid_inverse(num)
+    eye = OpMatrix.identity(num.dim, OscPoly.ONE).scale(den)
+    assert inv * num == eye and num * inv == eye
 
 
 def test_render_sums_over_every_denominator():
-    # numerators with t-denominators, two zeta-denominators in one entry,
-    # and terms that cancel on a state, against the state-by-state oracle
-    one = l_table("a1", "hat", (1, 0)).ring().one
-    half = QScalar.ONE / (ONE - q_power(2))
-    x = OscElement({
-        ((0,), (0,)): zr({0: half, 1: q_power(1)}),
-        ((0,), (1,)): zr({0: -half}),
-        ((0,), (2,)): zr({0: ONE / (ONE + q_power(1))}, {0: ONE, 1: -ONE}),
-        ((-1,), (1,)): zr({1: half}, {0: ONE, 2: -q_power(2)}),
-        ((1,), (-1,)): zr({0: q_power(3)}, {0: ONE, 1: -ONE})}, one.qpow)
-    m = OpMatrix(2, {(0, 0): x, (1, 0): x * x, (0, 1): one}, one)
-    for d in (1, 2, 4):
-        assert render(m, d) == render_ring(m, d)
-    # at n = 0 the first two terms cancel down to q zeta
-    assert render(OpMatrix(1, {(0, 0): OscElement(
-        {k: x.terms[k] for k in (((0,), (0,)), ((0,), (1,)))}, one.qpow)},
-        one), 1).entries[(0, 0)].entries[(0, 0)] == zr({1: q_power(1)})
+    # terms on several deltas and kappas, terms that cancel on a state, and
+    # one divisor for the form, against the state-by-state oracle
+    def term(delta, kappa, e, c):
+        return OscPoly({_place(delta, kappa) + _pack(e, 0, k): n
+                        for k, n in c.num.items()})
+    x = (term((0,), (0,), 0, ONE) + term((0,), (0,), 1, q_power(1))
+         + term((0,), (1,), 0, -ONE) + term((0,), (2,), 0, q_power(3))
+         + term((-1,), (1,), 1, ONE - q_power(2))
+         + term((1,), (-1,), 0, q_power(3)))
+    m = OpMatrix(2, {(0, 0): x, (1, 0): x * x, (0, 1): OscPoly.ONE},
+                 OscPoly.ONE)
+    for den in (OscPoly.ONE, const(ONE) - const(ONE, 1),
+                const(ONE) - const(q_power(2), 2)):
+        for d in (1, 2, 4):
+            assert render((m, den), d) == render_form((m, den), d, 1)
+    # at n = 0 the first and third terms cancel down to q zeta
+    y = term((0,), (0,), 0, ONE) + term((0,), (0,), 1, q_power(1)) + term(
+        (0,), (1,), 0, -ONE)
+    assert render((OpMatrix(1, {(0, 0): y}, OscPoly.ONE), OscPoly.ONE),
+                  1).entries[(0, 0)].entries[(0, 0)] == zr({1: q_power(1)})
 
 
 def test_op_inverse_takes_units_only():
     # the pivots of the elimination are the units c x^kappa of the ring:
     # a sum of monomials, or a monomial with a ladder, is refused and
-    # grid_inverse moves on to the next entry
-    one = l_table("a2", "hat-1", (1, 0, 0)).ring().one
-    unit = OscElement({((0, 0), (1, -2)): zr({1: q_power(1)})}, one.qpow)
-    assert unit * op_inverse(unit) == one == op_inverse(unit) * unit
-    ladder = OscElement({((1, 0), (0, 0)): ZR_ONE}, one.qpow)
-    for x in (unit + one, ladder, one - one):
+    # grid_inverse moves on to the next entry; a unit is c from the left
+    # and from the right once multiplied by x^-kappa
+    c = const(q_power(1), 1) + const(ONE)
+    unit = c * OscPoly({_place((0, 0), (1, -2)): 1})
+    assert op_inverse(unit) * unit == c == unit * op_inverse(unit)
+    ladder = OscPoly({_place((1, 0), (0, 0)): 1})
+    for x in (unit + OscPoly.ONE, ladder, unit - unit):
         with pytest.raises(ValueError, match="unit"):
             op_inverse(x)
 
@@ -195,19 +222,18 @@ def test_check_inv_derivation_chain():
     assert printed.tag == tag_inverse(hat.tag).subs_zeta_power(-1)
 
 
-def _reflected(m):
-    return m.map_values(lambda x: x.map(lambda v: v.subs_power(-1)))
-
-
 def test_hat2_inverse_variant():
     # hat-2 times hat-2-inv at reflected argument is the identity: exactly
-    # on the ring, and below the top level for the rendered blocks
-    hat2 = l_table("a2", "hat-2", (1, 0, 0)).ring()
-    _, inv = verify._l_operator("a2", "hat-2-inv", (1, 0, 0))
-    assert hat2 * _reflected(inv) == OpMatrix.identity(3, hat2.one)
+    # on the ring, N / D times D B / P with N B = P, and below the top
+    # level for the rendered blocks
+    hat2 = num, den = l_table("a2", "hat-2", (1, 0, 0)).ring()
+    _, (inv, piv) = verify._l_operator("a2", "hat-2-inv", (1, 0, 0))
+    back = inv.map_values(lambda x: x.spectral(-1, 0))
+    assert num * back == OpMatrix.identity(3, num.one).scale(
+        den * piv.spectral(-1, 0))
     for d in (3, 4, 5):
         ref = reference_matrix("l", "a2", "hat-2-inv", s=1, s1=0, s2=0, d=d)
-        back = ref.matrix.map_values(lambda v: v.subs_power(-1), ZR_ONE)
+        back = ref.matrix.map_values(lambda v: subs_zeta(v, -1), ZR_ONE)
         keep = fock_window(d, 2, 1)
         assert restrict(render(hat2, d) * back, keep) == \
             restrict(grid_identity(3, d * d, ZR_ONE), keep)
@@ -241,33 +267,29 @@ def _flat(state, d):
 
 
 def test_r0_matrices():
-    r0 = r0_hat_matrix(2) * perm_operator((1, 0), [2, 2], ONE)
+    r0 = r0_hat_matrix(2) * perm_operator((1, 0), [2, 2], OscPoly.ONE)
     # diag entries q, 1, 1, q and the single raising-lowering coupling
-    assert r0.entry(0, 0) == q_power(1)
-    assert r0.entry(1, 1) == ONE
-    assert r0.entry(1, 2) == q_power(1) - q_power(-1)
-    assert r0.entry(2, 1) == QScalar.ZERO
+    assert r0.entry(0, 0) == const(q_power(1))
+    assert r0.entry(1, 1) == OscPoly.ONE
+    assert r0.entry(1, 2) == const(q_power(1) - q_power(-1))
+    assert not r0.entry(2, 1)
     r0h = r0_hat_matrix(3)
-    assert r0h.entry(0, 0) == q_power(1)
+    assert r0h.entry(0, 0) == const(q_power(1))
     # E_ab x E_ba lands at row (a,b), column (b,a)
-    assert r0h.entry(1, 3) == ONE
-    assert r0h.entry(1, 1) == q_power(1) - q_power(-1)
+    assert r0h.entry(1, 3) == OscPoly.ONE
+    assert r0h.entry(1, 1) == const(q_power(1) - q_power(-1))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_r0_hat_inverse_from_the_hecke_relation(n):
-    # check_structure inverts R0 as R0 - (q - q^-1) 1; against elimination
-    # on its entries as constants of the oscillator ring
+    # check_structure inverts R0 as R0 - (q - q^-1) 1; against the
+    # fraction-free elimination, whose inverse is B / D
     r0h = r0_hat_matrix(n)
-    eye = OpMatrix.identity(n * n, ONE)
-    hecke = r0h - eye.scale(q_power(1) - q_power(-1))
+    eye = OpMatrix.identity(n * n, OscPoly.ONE)
+    hecke = r0h - eye.scale(const(q_power(1) - q_power(-1)))
     assert r0h * hecke == eye and hecke * r0h == eye
-    one = OscElement({((0,), (0,)): ONE}, q_power)
-
-    def constants(m):
-        return m.map_values(lambda c: OscElement({((0,), (0,)): c}, q_power),
-                            one)
-    assert grid_inverse(constants(r0h)) == constants(hecke)
+    inv, den = grid_inverse(r0h)
+    assert inv == hecke.scale(den)
 
 
 def test_scan_finds_linear_exponents():
@@ -298,19 +320,20 @@ def test_scan_builds_no_grid_point_past_the_first_hit(monkeypatch):
 
 
 def test_decompose_hat_and_projector():
-    exps, lp, lm, pi = verify._decomposed("hat", "a1", "minus")
+    exps, lp, lm, pi, den = verify._decomposed("hat", "a1", "minus")
     assert exps == (2, 0)
-    # plus part degenerate (zero column), minus part invertible diagonal
+    # plus part degenerate (zero column), minus part invertible diagonal;
+    # Pi / D is the projector
     assert (0, 0) not in lp.entries
-    assert pi * pi == pi
-    assert pi * pi * pi == pi
+    assert pi * pi == pi.scale(den)
+    assert pi * pi * pi == pi.scale(den * den)
 
 
 def test_decompose_check_projector():
-    exps, lp, lm, pi = verify._decomposed("check", "a1", "plus")
+    exps, lp, lm, pi, den = verify._decomposed("check", "a1", "plus")
     assert exps == (-2, 0)
     assert (0, 0) not in lm.entries
-    assert pi * pi == pi
+    assert pi * pi == pi.scale(den)
 
 
 def test_engine_matches_reference_a1_hat():

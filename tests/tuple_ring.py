@@ -1,18 +1,86 @@
-"""The ring of the identity checks written out term by term, as an oracle
-for `qaffine.verify._Laurent2`.
+"""The q-oscillator ring written out term by term, as an oracle for
+`qaffine.linalg.OscPoly`.
 
-`verify._Laurent2` keys each term c S_delta x^kappa u^i v^j t^k of the
+`linalg.OscPoly` keys each term c S_delta x^kappa u^i v^j t^k of the
 q-oscillator ring over Z[t^(+-1)][u^(+-1), v^(+-1)] by one packed integer.
-Here the same arithmetic is spelled out: `TupleLaurent2` keys each term
-c u^i v^j t^k by its own (i, j, k), with no bound on their size, and
-`nested` takes a flat element to `linalg.OscElement` over it, with the
-packed key decoded digit by digit here (`split_key`), so the q-twisted
-product is the generic one of `OscElement`.  Only the tests build these.
+Here the same arithmetic is spelled out: `OscElement` holds normal forms
+sum c S_delta x^kappa as {(delta, kappa): c} over any coefficient ring,
+`TupleLaurent2` keys each coefficient term c u^i v^j t^k by its own
+(i, j, k), with no bound on their size, and `nested` takes a flat element
+to an `OscElement` over it, with the packed key decoded digit by digit
+here (`split_key`), so the q-twisted product is the generic one of
+`OscElement`.  Only the tests build these.
 """
 
-from qaffine import verify
-from qaffine.linalg import OscElement
+from operator import add, mul
+
+from qaffine import linalg
 from qaffine.scalars import QScalar
+
+
+class OscElement:
+    """An element sum c S_delta x^kappa of the q-oscillator ring on a fixed
+    number of Fock copies, as {(delta, kappa): c} with no zero c stored.
+    x^kappa = q^(kappa . D) acts first and S_delta sends state n to
+    n + delta, so (S_d x^k)(S_e x^l) = q^(k . e) S_(d + e) x^(k + l).  The
+    coefficients are of any kind with ring operators; `qpow(m)` is q^m
+    among them."""
+
+    __slots__ = ("terms", "qpow")
+
+    def __init__(self, terms, qpow):
+        self.terms = terms
+        self.qpow = qpow
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            c = out[key] + c if key in out else c
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+        return OscElement(out, self.qpow)
+
+    def __neg__(self):
+        return OscElement({key: -c for key, c in self.terms.items()},
+                          self.qpow)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        qpow = self.qpow
+        out = {}
+        for (d1, k1), c1 in self.terms.items():
+            for (d2, k2), c2 in other.terms.items():
+                c = c1 * c2
+                m = sum(map(mul, k1, d2))
+                if m:
+                    c = c * qpow(m)
+                key = (tuple(map(add, d1, d2)), tuple(map(add, k1, k2)))
+                if key in out:
+                    c = out[key] + c
+                    if not c:
+                        del out[key]
+                        continue
+                out[key] = c
+        return OscElement(out, qpow)
+
+    def map(self, fn):
+        """fn applied to every coefficient, zeros dropped."""
+        out = {}
+        for key, c in self.terms.items():
+            c = fn(c)
+            if c:
+                out[key] = c
+        return OscElement(out, self.qpow)
+
+    def __eq__(self, other):
+        return isinstance(other, OscElement) and self.terms == other.terms
 
 
 class TupleLaurent2:
@@ -80,7 +148,7 @@ def tuple_qpow(m):
 
 # the packed key: seven signed digits, (delta_1, delta_2, kappa_1, kappa_2)
 # in base E above (i, j, k) in base B
-B, E = verify._KEY_BASE, verify._DIGIT_BASE
+B, E = linalg._KEY_BASE, linalg._DIGIT_BASE
 
 
 def flat_key(delta, kappa, ijk):
@@ -106,14 +174,14 @@ def split_key(key, copies):
 
 
 def flat(x):
-    """An OscElement over TupleLaurent2 as a `verify._Laurent2`."""
-    return verify._Laurent2({flat_key(delta, kappa, ijk): c
+    """An OscElement over TupleLaurent2 as a `linalg.OscPoly`."""
+    return linalg.OscPoly({flat_key(delta, kappa, ijk): c
                              for (delta, kappa), p in x.terms.items()
                              for ijk, c in p.terms.items()})
 
 
 def nested(x, copies):
-    """A `verify._Laurent2` on `copies` copies as an OscElement
+    """A `linalg.OscPoly` on `copies` copies as an OscElement
     {(delta, kappa): TupleLaurent2}."""
     terms = {}
     for key, c in x.terms.items():
@@ -124,7 +192,7 @@ def nested(x, copies):
 
 
 def nested_matrix(m, copies):
-    """A matrix over `verify._Laurent2` as one over OscElement."""
+    """A matrix over `linalg.OscPoly` as one over OscElement."""
     zero = (0,) * copies
     return m.map_values(lambda x: nested(x, copies), OscElement(
         {(zero, zero): TupleLaurent2.ONE}, tuple_qpow))
