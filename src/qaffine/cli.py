@@ -283,7 +283,11 @@ def _flat_series_text(mat):
 def cmd_verify(args, conf):
     """The report, as text or as the list of verdicts for `main` to write
     as JSON, and whether every check passed."""
-    # imported before run_suite forks, so the pool workers inherit it
+    if conf["workers"] > 1 and not hasattr(os, "fork"):
+        raise UsageError("--workers above 1 needs os.fork, which this "
+                         "platform lacks")
+    # run_suite forks its children from this process, so they inherit the
+    # imported suite and do not import it again
     from .verify import suite_checks, run_suite
     checks = suite_checks(algebra=args.algebra, order=conf["order"],
                           fock=conf["fock"])

@@ -18,7 +18,7 @@ import itertools
 from .scalars import QScalar, _p_add, _p_neg
 
 __all__ = [
-    "OpMatrix", "kron", "perm_operator", "hat_and_check", "embed_legs",
+    "OpMatrix", "kron", "perm_operator", "hat_or_check", "embed_legs",
     "OscPoly", "Grid", "grid_akp",
 ]
 
@@ -229,14 +229,15 @@ def _flat(idx, dims):
     return out
 
 
-def hat_and_check(r):
-    """(R*P, P*R) for R acting on V x V; rejects non-square tensor shape."""
+def hat_or_check(r, kind):
+    """R*P for kind "hat", P*R for kind "check", R acting on V x V; rejects
+    non-square tensor shape."""
     n2 = r.dim
     n = int(round(n2 ** 0.5))
     if n * n != n2:
         raise ValueError("matrix of dimension %d is not of two-leg shape" % n2)
     p = perm_operator((1, 0), [n, n], r.one)
-    return r * p, p * r
+    return r * p if kind == "hat" else p * r
 
 
 def embed_legs(m, legs, total_legs, leg_dim):

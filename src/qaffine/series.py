@@ -191,16 +191,16 @@ def series_exp(f):
         raise ValueError("series_exp needs min degree >= 1 (no constant term)")
     order = f.order
     es = {0: _QONE}
-    fk = f.coeffs
+    kf = {k: c.scale(k) for k, c in f.coeffs.items()}   # k f_k
     for n in range(1, order + 1):
         acc = None
-        for k, ck in fk.items():
+        for k, kfk in kf.items():
             if k > n:
                 continue
             prev = es.get(n - k)
             if prev is None:
                 continue
-            term = ck.scale(k) * prev
+            term = kfk * prev
             acc = term if acc is None else acc + term
         if acc is not None and acc:
             es[n] = acc.scale(Fraction(1, n))
@@ -218,13 +218,15 @@ def series_log(g):
                          "powers")
     gs = g.coeffs
     fs = {}
+    kf = {}   # k f_k: the acc of degree k
     for n in range(1, g.order + 1):
         acc = gs.get(n, _QZERO).scale(n)
-        for k, fk in fs.items():
+        for k, kfk in kf.items():
             gk = gs.get(n - k)
             if gk is not None:
-                acc = acc - fk.scale(k) * gk
+                acc = acc - kfk * gk
         if acc:
+            kf[n] = acc
             fs[n] = acc.scale(Fraction(1, n))
     return ZetaSeries(fs, g.order)
 

@@ -21,12 +21,13 @@ delta = kappa = 0: on integer coefficients, with no division and no gcd.
 """
 
 import functools
+import os
 import time
 
 from .scalars import t_power
 from .series import ZetaSeries, series_exp
 from .linalg import (
-    OpMatrix, OscPoly, hat_and_check, embed_legs, kron, _low, _pack,
+    OpMatrix, OscPoly, hat_or_check, embed_legs, kron, _low, _pack,
 )
 from .reference import (
     reference_matrix, r_form, r_tag, r0_hat_matrix, l_table, l_tag,
@@ -184,9 +185,9 @@ def check_ybe(algebra, s=1, s1=0, s2=0):
         return Verdict("ybe", algebra, "plain", exps, False,
                        {"entry": list(where)})
     # braid form: (1 x Rc(u)) (Rc(uv) x 1) (1 x Rc(v)) and its mirror
-    rc_u = hat_and_check(r_u)[1]
-    rc_v = hat_and_check(r_v)[1]
-    rc_uv = hat_and_check(r_uv)[1]
+    rc_u = hat_or_check(r_u, "check")
+    rc_v = hat_or_check(r_v, "check")
+    rc_uv = hat_or_check(r_uv, "check")
     eye = OpMatrix.identity(n, OscPoly.ONE)
     lhs_b = kron(eye, rc_u) * kron(rc_uv, eye) * kron(eye, rc_v)
     rhs_b = kron(rc_v, eye) * kron(eye, rc_uv) * kron(rc_u, eye)
@@ -222,7 +223,7 @@ def _rll_residual(l_mat, l_type, r_flat):
     forms in zeta = u, lifted to two variables, R at delta = kappa = 0;
     an n x n L-operator acts on n - 1 Fock copies."""
     l_v = _lift(l_mat, "v")
-    r2 = _lift(hat_and_check(r_flat)[0 if l_type == "hat" else 1], "ratio")
+    r2 = _lift(hat_or_check(r_flat, l_type), "ratio")
     lhs = r2 * kron(l_mat, l_v)
     rhs = kron(l_v, l_mat) * r2
     return (None if lhs == rhs
@@ -528,13 +529,65 @@ def run_check(item):
 
 
 def run_suite(checks, workers=1):
-    """Run checks, on a process pool of at most `workers` processes and no
-    more than there are checks; results sorted by id."""
+    """Run checks in `workers` processes, counting the caller and never
+    more than there are checks; results sorted by id.  Process k runs
+    checks[k::workers]: the caller is k = 0 and every other one a child
+    forked here, which sends back its results over a pipe."""
     workers = min(workers, len(checks))
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_check, checks))
+        results = _run_forked(checks, workers)
     else:
         results = [run_check(c) for c in checks]
     return sorted(results, key=lambda kv: kv[0])
+
+
+def _run_forked(checks, workers):
+    """The (id, Verdict) pairs of every slice.  Each child writes one
+    pickled list of pairs, or the exception it met, to its own pipe and
+    leaves by os._exit; the caller reads every pipe to EOF and reaps every
+    child, stopping those it has not read when its own slice raises.  The
+    caller runs no other thread, as a fork needs."""
+    import pickle
+    import signal
+    children = {}   # pid: the read end of its pipe
+    reaped = set()
+    try:
+        for k in range(1, workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # the child never returns into the caller's frames
+                status = 1
+                try:
+                    try:
+                        out = [run_check(c) for c in checks[k::workers]]
+                    except Exception as exc:
+                        out = exc
+                    with os.fdopen(write_end, "wb") as fh:
+                        pickle.dump(out, fh)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children[pid] = os.fdopen(read_end, "rb")
+        results = [run_check(c) for c in checks[::workers]]
+        for pid, pipe in children.items():
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            # a child exits 0 only once it has written all of its results
+            if code:
+                raise RuntimeError("check process %d ended with exit code "
+                                   "%d before sending its results"
+                                   % (pid, code))
+            out = pickle.loads(data)
+            if isinstance(out, Exception):
+                raise out
+            results += out
+        return results
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)

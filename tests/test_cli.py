@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -18,6 +19,9 @@ from oracles import parse_series, parse_rational, parse_matrix, parse_grid
 from qaffine.reference import reference_matrix
 
 ONE = QScalar.ONE
+# the environment of a fresh interpreter that runs the program from src/
+_SRC_ENV = dict(os.environ, PYTHONPATH=str(
+    pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 
 def test_series_json_roundtrip():
@@ -155,12 +159,10 @@ def test_cli_rejects_out_of_range_config_and_env(tmp_path, monkeypatch,
 def test_cli_reader_closing_early_is_not_an_error():
     # `qaffine compute ... | head -1`: the reader goes away before the
     # output is written, which must not turn the run into a usage error
-    env = dict(os.environ, PYTHONPATH=str(
-        pathlib.Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "qaffine.cli", "compute", "r", "--algebra",
          "a1", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_SRC_ENV)
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0
@@ -289,10 +291,51 @@ def test_each_command_loads_only_its_layer(argv, loaded):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0\n"
         "print(json.dumps(sorted(sys.modules)))\n")
-    env = dict(os.environ, PYTHONPATH=str(
-        pathlib.Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=env, timeout=120)
+                          env=_SRC_ENV, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert _LAYERS & set(json.loads(proc.stdout)) == loaded
+
+
+def test_a_pooled_verify_imports_no_process_pool():
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from qaffine import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', 'ybe', '--algebra', 'a1', "
+        "'--workers', '2', '--format', 'json']) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_SRC_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = set(json.loads(proc.stdout))
+    assert "qaffine.verify" in loaded
+    assert not loaded & {"concurrent.futures", "multiprocessing"}
+
+
+def test_a_pooled_verify_leaves_no_process_behind():
+    # the run leads its own process group; once it has exited, nothing of
+    # that group may still be there
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qaffine.cli", "verify", "all", "--algebra",
+         "a1", "--order", "3", "--fock", "4", "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_SRC_ENV,
+        start_new_session=True)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err.decode()
+    try:
+        os.killpg(proc.pid, 0)
+    except ProcessLookupError:
+        return
+    os.killpg(proc.pid, signal.SIGKILL)
+    pytest.fail("a process of the verify run outlived it")
+
+
+def test_workers_above_one_need_fork(monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    assert main(["verify", "ybe", "--algebra", "a1", "--workers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "os.fork" in err
+    assert main(["verify", "ybe", "--algebra", "a1", "--workers", "1"]) == 0

@@ -10,7 +10,7 @@ from tuple_ring import (
 )
 
 from qaffine.linalg import (
-    OpMatrix, OscPoly, kron, perm_operator, hat_and_check, embed_legs,
+    OpMatrix, OscPoly, kron, perm_operator, hat_or_check, embed_legs,
     Grid, grid_akp,
 )
 
@@ -106,16 +106,16 @@ def test_perm_conjugation_matches_leg_relabeling():
 def test_hat_and_check_index_relations():
     rng = random.Random(17)
     r = rand_matrix(rng, 4)
-    rhat, rcheck = hat_and_check(r)
+    rhat, rcheck = (hat_or_check(r, kind) for kind in ("hat", "check"))
     idx = lambda a, b: (a - 1) * 2 + (b - 1)
     for a, b, c, d in itertools.product((1, 2), repeat=4):
         assert rhat.entry(idx(a, b), idx(c, d)) == r.entry(idx(a, b), idx(d, c))
         assert rcheck.entry(idx(a, b), idx(c, d)) == r.entry(idx(b, a), idx(c, d))
     eye4 = OpMatrix.identity(4, ONE)
     p = perm_operator((1, 0), [2, 2], ONE)
-    assert hat_and_check(eye4) == (p, p)
+    assert hat_or_check(eye4, "hat") == hat_or_check(eye4, "check") == p
     with pytest.raises(ValueError):
-        hat_and_check(OpMatrix.identity(5, ONE))
+        hat_or_check(OpMatrix.identity(5, ONE), "hat")
 
 
 def test_grid_akp_definition():

@@ -8,7 +8,7 @@ from qaffine.scalars import QScalar, q_power
 from qaffine.rational import ZetaRational
 from qaffine.series import series_exp
 from qaffine.linalg import (
-    OpMatrix, OscPoly, Grid, hat_and_check, kron, perm_operator, _pack,
+    OpMatrix, OscPoly, Grid, hat_or_check, kron, perm_operator, _pack,
     _place,
 )
 from qaffine.reference import (
@@ -52,7 +52,7 @@ def test_r_a1_symmetric_entry():
 
 def test_r_hat_index_relation():
     ref = reference_matrix("r", "a1", s=1, s1=0)
-    rhat, _ = hat_and_check(ref.matrix)
+    rhat = hat_or_check(ref.matrix, "hat")
     # hat entry (12,12) equals plain entry (12,21)
     assert rhat.entry(1, 1) == ref.matrix.entry(1, 2)
     expect = zr({0: ONE - q_power(-2)}, {0: ONE, 1: -q_power(-2)})

@@ -1,4 +1,6 @@
 import json
+import os
+import time
 
 import pytest
 
@@ -7,7 +9,7 @@ from product_builders import FockCopies
 from tuple_ring import TupleLaurent2, flat_key, nested
 from qaffine import linalg, reference, scalars, verify
 from qaffine.cli import main
-from qaffine.linalg import OpMatrix, OscPoly, Grid, hat_and_check, kron
+from qaffine.linalg import OpMatrix, OscPoly, Grid, hat_or_check, kron
 from qaffine.rational import ZetaRational
 from qaffine.reference import (
     exponent_tuple, l_table, r_form, reference_matrix,
@@ -182,12 +184,15 @@ def test_suite_catalog_and_serial_runner():
 
 
 def test_suite_parallel_runner_deterministic():
-    checks = [c for c in suite_checks(algebra="a1", order=4, fock=7)
-              if c[0].startswith("a1-ybe")]
-    serial = run_suite(checks, workers=1)
-    parallel = run_suite(checks, workers=2)
-    assert [cid for cid, _ in serial] == [cid for cid, _ in parallel]
-    assert all(v.passed for _, v in parallel)
+    # every worker count gives the ids and verdicts of the serial run
+    checks = suite_checks(algebra="a1", order=4, fock=7)
+    serial, *pooled = (
+        [(cid, dict(v.to_json(), wall_time_ms=None))
+         for cid, v in run_suite(checks, workers=workers)]
+        for workers in (1, 2, 3))
+    assert len(serial) == len(checks)
+    assert all(v["pass"] for _, v in serial)
+    assert pooled == [serial, serial]
 
 
 @pytest.mark.parametrize("family", ["r", "hat"])
@@ -280,7 +285,7 @@ def _perturb(monkeypatch, ab=(0, 0), when=lambda exps: True):
 def _sides(l_mat, l_type, r_flat):
     """Both sides of the exchange relation, as `check_rll` builds them from
     the numerators, zeta = u."""
-    rmat = hat_and_check(r_flat)[0 if l_type == "hat" else 1]
+    rmat = hat_or_check(r_flat, l_type)
     l_v = verify._lift(l_mat, "v")
     r2 = verify._lift(rmat, "ratio")
     return r2 * kron(l_mat, l_v), kron(l_v, l_mat) * r2
@@ -699,44 +704,83 @@ def test_no_engine_check_divides_a_series(monkeypatch):
     assert [v for v in verdicts if not v.passed] == []
 
 
-# -- the pool is sized by the work ---------------------------------------------
+# -- the checks are split over the caller and forked children -----------------
 
-class _RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, starting none."""
-
-    sizes = []
-
-    def __init__(self, max_workers=None):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+def _ybe_checks():
+    return [c for c in suite_checks(algebra="a1", order=4, fock=7)
+            if c[0].startswith("a1-ybe")]
 
 
 @pytest.mark.parametrize("prefix, workers, expected", [
-    ("a1-ybe", 500, [3]), ("a1-ybe", 3, [3]), ("a1-ybe", 2, [2]),
+    ("a1-ybe", 500, [1, 2]), ("a1-ybe", 3, [1, 2]), ("a1-ybe", 2, [1]),
     ("a1-ybe", 1, []), ("a1-ybe-1_0", 500, []),
 ])
 def test_pool_is_no_larger_than_the_checks(prefix, workers, expected,
                                            monkeypatch):
-    # a single check runs in this process, whatever the workers
-    import concurrent.futures
-    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        _RecordingExecutor)
+    # `expected` lists the slices k = 1, 2, ... run by forked children; the
+    # caller runs slice 0, and a single check runs in it whatever the workers
+    caller, real_fork, real_run = os.getpid(), os.fork, verify.run_check
+    forks, ran_here = [], []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def run_check(item):
+        if os.getpid() == caller:
+            ran_here.append(item[0])
+        return real_run(item)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(verify, "run_check", run_check)
     checks = [c for c in suite_checks(algebra="a1", order=4, fock=7)
               if c[0].startswith(prefix)]
     results = run_suite(checks, workers=workers)
-    assert _RecordingExecutor.sizes == expected
+    assert len(forks) == len(expected)
+    assert ran_here == [c[0] for c in checks[::len(expected) + 1]]
     assert [cid for cid, _ in results] == sorted(c[0] for c in checks)
     assert all(v.passed for _, v in results)
+
+
+@pytest.mark.parametrize("where", ["child", "caller"])
+def test_a_raising_check_raises_in_the_caller_and_no_child_is_left(
+        where, monkeypatch):
+    # where the caller raises, the children it has not read are stopped,
+    # not waited for
+    caller, real_run = os.getpid(), verify.run_check
+
+    def run_check(item):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise reference.NoPivotError("raised in the %s" % where)
+        if where == "caller":
+            time.sleep(60)
+        return real_run(item)
+
+    monkeypatch.setattr(verify, "run_check", run_check)
+    start = time.monotonic()
+    with pytest.raises(reference.NoPivotError,
+                       match="raised in the %s" % where):
+        run_suite(_ybe_checks(), workers=3)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_that_exits_early_is_an_error(monkeypatch):
+    caller, real_run = os.getpid(), verify.run_check
+
+    def run_check(item):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real_run(item)
+
+    monkeypatch.setattr(verify, "run_check", run_check)
+    with pytest.raises(RuntimeError, match="exit code 3 before sending"):
+        run_suite(_ybe_checks(), workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -- single-term mutations of the tables ---------------------------------------
