@@ -67,9 +67,14 @@ def effective_settings(args):
     if getattr(args, "config", None):
         out.update(load_config(args.config))
     for key in ("order", "fock"):
-        value = os.environ.get("QAFFINE_" + key.upper())
+        name = "QAFFINE_" + key.upper()
+        value = os.environ.get(name)
         if value:
-            out[key] = int(value)
+            try:
+                out[key] = int(value)
+            except ValueError:
+                raise UsageError("%s must be an integer, got %r"
+                                 % (name, value))
     for key in DEFAULTS:
         if getattr(args, key, None) is not None:
             out[key] = getattr(args, key)

@@ -304,8 +304,8 @@ _SECTOR_MASK = -(1 << _LOW_BITS) | (3 << 64) | (3 << 42) | (3 << 20)
 
 def _pack(i, j, k):
     if max(abs(i), abs(j), abs(k)) >= _EXPONENT_BOUND:
-        raise ValueError("exponent out of range: a two-variable identity "
-                         "takes exponents below 2^16 in size")
+        raise ValueError("exponent out of range: the q-oscillator ring "
+                         "takes spectral and t exponents below 2^16 in size")
     return (i * _KEY_BASE + j) * _KEY_BASE + k
 
 

@@ -10,15 +10,12 @@ field never nests.
 
 Canonical form: the denominator is an ordinary polynomial in zeta with
 minimal degree zero and lowest coefficient 1, and numerator and
-denominator share no factor.  The gcd is computed with a primitive
-pseudo-remainder sequence on cleared coefficients, and the exact quotients
-by it over Q(t).
+denominator share no factor.  One division of zeta-polynomials over Q(t)
+(`_divmod`) gives both: Euclid's remainders find the gcd, and its exact
+quotients strip it from numerator and denominator.
 """
 
-from .scalars import (
-    QScalar, _ONE_POLY, _p_add, _p_conv, _p_exquo, _p_gcd, _p_mul, _p_neg,
-    _p_shift,
-)
+from .scalars import QScalar, _p_add, _p_conv, _p_neg, _p_shift
 
 __all__ = ["ZetaRational"]
 
@@ -33,9 +30,9 @@ def _scale(p, c):
     return {k: v * c for k, v in p.items()}
 
 
-def _exquo(a, b):
-    """a / b for zeta-polynomials over Q(t); ArithmeticError unless b
-    divides a."""
+def _divmod(a, b):
+    """(q, r) with a = q b + r and deg r < deg b, for zeta-polynomials over
+    Q(t)."""
     db = max(b)
     lb_inv = b[db].inverse()
     r = dict(a)
@@ -43,7 +40,7 @@ def _exquo(a, b):
     while r:
         dr = max(r)
         if dr < db:
-            raise ArithmeticError("zeta-polynomial division is not exact")
+            break
         c = q[dr - db] = r.pop(dr) * lb_inv
         for kb, cb in b.items():
             if kb != db:
@@ -54,105 +51,30 @@ def _exquo(a, b):
                     r[kk] = s
                 else:
                     r.pop(kk, None)
+    return q, r
+
+
+def _exquo(a, b):
+    """a / b for zeta-polynomials over Q(t); ArithmeticError unless b
+    divides a."""
+    q, r = _divmod(a, b)
+    if r:
+        raise ArithmeticError("zeta-polynomial division is not exact")
     return q
 
 
-# -- gcd of zeta-polynomials via primitive PRS on Laurent-t coefficients ----
-
-def _t_polypart(lp):
-    """Poly part of a Laurent t-dict (monomial units stripped)."""
-    return _p_shift(lp, -min(lp))
-
-
-def _t_content(zp):
-    g = None
-    for c in zp.values():
-        pc = _t_polypart(c)
-        g = pc if g is None else _p_gcd(g, pc)
-        if g == _ONE_POLY:
-            return _ONE_POLY
-    return g if g is not None else _ONE_POLY
-
-
-def _t_primitive(zp):
-    g = _t_content(zp)
-    if g == _ONE_POLY:
-        return zp
-    out = {}
-    for k, c in zp.items():
-        s = min(c)
-        out[k] = _p_shift(_p_exquo(_p_shift(c, -s), g), s)
-    return out
-
-
-def _pseudo_rem(a, b):
-    """lc(b)^k * a mod b over the coefficient ring Q[t, t^-1]."""
-    db = max(b)
-    lb = b[db]
-    r = a
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        lr = r[dr]
-        new = {}
-        for k, c in r.items():
-            if k != dr:
-                new[k] = _p_mul(c, lb)
-        for k, c in b.items():
-            if k == db:
-                continue
-            kk = k + dr - db
-            s = _p_add(new.get(kk, {}), _p_neg(_p_mul(c, lr)))
-            if s:
-                new[kk] = s
-            else:
-                new.pop(kk, None)
-        r = new
-    return r
-
-
-def _prs_gcd(a, b):
-    """Primitive gcd of zeta-polys with Laurent-t coefficients."""
-    a = _t_primitive(a)
-    b = _t_primitive(b)
-    if max(a) < max(b):
-        a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b)
-        if not r:
-            return b
-        a, b = b, _t_primitive(r)
-    return a
-
-
-def _clear_coeffs(zp):
-    """QScalar-coefficient zeta-poly times a common denominator, as raw
-    Laurent-t coefficient dicts (exact up to a unit, enough for gcd)."""
-    den = _ONE_POLY
-    for c in zp.values():
-        if c.den != _ONE_POLY:
-            g = _p_gcd(den, c.den)
-            den = _p_mul(den, _p_exquo(c.den, g))
-    out = {}
-    for k, c in zp.items():
-        if c.den == _ONE_POLY:
-            out[k] = c.num if den == _ONE_POLY else _p_mul(c.num, den)
-        else:
-            out[k] = _p_mul(c.num, _p_exquo(den, c.den))
-    return out
-
-
 def _gcd(a, b):
-    """gcd of two zeta-polynomials (lowest degree 0) with lowest coefficient
-    1; {0: ONE} when they are coprime."""
+    """gcd of two zeta-polynomials with nonzero constant terms, by Euclid
+    over Q(t), scaled to constant term 1; {0: ONE} when they are coprime.
+    A common factor of a and b has a nonzero constant term, so the last
+    nonzero remainder starts at degree 0."""
     if len(a) == 1 or len(b) == 1:
         return _ONE_DEN
-    g = _prs_gcd(_clear_coeffs(a), _clear_coeffs(b))
-    if max(g) == 0:
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    if len(a) == 1:
         return _ONE_DEN
-    inv = QScalar(dict(g[min(g)])).inverse()
-    return {k: QScalar(dict(c)) * inv for k, c in g.items()}
+    return _scale(a, a[0].inverse())
 
 
 def _reduce_pair(num, den):
@@ -207,27 +129,9 @@ class ZetaRational:
     def __add__(self, other):
         if not isinstance(other, ZetaRational):
             return NotImplemented
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        if self.den == other.den:
-            num = _p_add(self.num, other.num)
-            if self.den != _ONE_DEN:
-                return ZetaRational(num, self.den)
-            return ZetaRational(num, _canonical=True)
-        g = _gcd(self.den, other.den)
-        if g == _ONE_DEN:
-            num = _p_add(_p_conv(self.num, other.den),
-                         _p_conv(other.num, self.den))
-            if not num:
-                return ZetaRational.ZERO
-            return ZetaRational(num, _p_conv(self.den, other.den),
-                                _canonical=True)
-        da = _exquo(self.den, g)
-        db = _exquo(other.den, g)
-        num = _p_add(_p_conv(self.num, db), _p_conv(other.num, da))
-        return ZetaRational(num, _p_conv(self.den, db))
+        return ZetaRational(_p_add(_p_conv(self.num, other.den),
+                                   _p_conv(other.num, self.den)),
+                            _p_conv(self.den, other.den))
 
     def __sub__(self, other):
         return self.__add__(other.__neg__())

@@ -156,6 +156,33 @@ def test_cli_rejects_out_of_range_config_and_env(tmp_path, monkeypatch,
     assert main(["compute", "r", "--order", "2"]) == 0
 
 
+@pytest.mark.parametrize("name", ["QAFFINE_ORDER", "QAFFINE_FOCK"])
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_cli_names_the_environment_variable_that_is_not_an_integer(
+        name, value, monkeypatch, capsys):
+    monkeypatch.setenv(name, value)
+    assert main(["verify", "ybe", "--algebra", "a1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: %s must be an integer, got %r\n" % (name, value))
+
+
+def test_cli_exits_2_where_a_one_variable_exponent_leaves_the_ring():
+    # zeta^70000 in an a1 L-operator: the oscillator ring's packed key
+    # takes exponents below 2^16 in size
+    proc = subprocess.run(
+        [sys.executable, "-m", "qaffine.cli", "compute", "l", "--algebra",
+         "a1", "--side", "chi-phi", "--s", "70000", "--fock", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_SRC_ENV,
+        timeout=120)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: exponent out of range: the q-oscillator "
+                          "ring") and "below 2^16" in err
+    assert "Traceback" not in err and "two-variable" not in err
+
+
 def test_cli_reader_closing_early_is_not_an_error():
     # `qaffine compute ... | head -1`: the reader goes away before the
     # output is written, which must not turn the run into a usage error

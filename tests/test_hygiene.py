@@ -53,6 +53,10 @@
 * Every entry point the benchmark's tracer wraps (`perfbench/tracer.py`,
   `LAYERS`) is defined on its owner, so a rename in src/ fails here and not
   first in a traced benchmark run.
+* One division of zeta-polynomials: rational.py has one remainder loop,
+  `_divmod`, which gives both its exact quotient (`_exquo`) and Euclid's
+  gcd (`_gcd`), and it borrows no polynomial gcd, exact quotient or
+  product in t from scalars.py.
 """
 
 import ast
@@ -466,3 +470,23 @@ def test_one_sparse_arithmetic_kernel():
         _definitions("linalg.py")["OscPoly.__mul__"])
         if isinstance(node, ast.Name)}
     assert "_p_mul" not in called
+
+
+def test_one_division_of_zeta_polynomials():
+    defs = _definitions("rational.py")
+    # a remainder loop repeats a subtract-a-multiple step, which loops over
+    # the divisor's terms itself; Euclid's loop in `_gcd` only calls it
+    remainder_loops = sorted(
+        name for name, fn in defs.items()
+        if any(isinstance(inner, (ast.For, ast.comprehension))
+               for loop in ast.walk(fn) if isinstance(loop, ast.While)
+               for inner in ast.walk(loop)))
+    assert remainder_loops == ["_divmod"]
+    for name in ("_exquo", "_gcd"):
+        assert "_divmod" in {node.id for node in ast.walk(defs[name])
+                             if isinstance(node, ast.Name)}
+    tree = ast.parse((SRC / "qaffine" / "rational.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not {"_p_gcd", "_p_exquo", "_p_mul"} & imported

@@ -19,7 +19,7 @@ from qaffine.rational import ZetaRational  # noqa: E402
 from qaffine.reference import (  # noqa: E402
     LTable, l_table, list_variants, r_form, render,
 )
-from qaffine.scalars import QScalar, q_power, qint  # noqa: E402
+from qaffine.scalars import QScalar, q_power, qint, t_power  # noqa: E402
 from oracles import subs_zeta  # noqa: E402
 from tuple_ring import (  # noqa: E402
     OscElement, TupleLaurent2, flat_key, nested, tuple_qpow,
@@ -29,7 +29,7 @@ from tuple_ring import (  # noqa: E402
 # element cancelled (sympy.cancel on expressions takes seconds per value at
 # these degrees); the ring laws in u, v are checked with sympy.expand
 F, TF, ZF, UF, VF = sympy.field("t,z,u,v", sympy.QQ)
-T, U, V = sympy.symbols("t u v")
+T, Z, U, V = sympy.symbols("t z u v")
 ONE = QScalar.ONE
 Ring = linalg.OscPoly
 
@@ -109,6 +109,38 @@ def test_constructor_cancels_common_factors():
         assert _value(x) == _poly_at(num, ZF) / _poly_at(den, ZF)
 
 
+def _expr(p):
+    """The zeta-polynomial p as a sympy expression in t and z."""
+    return sum((_scalar(c).as_expr() * Z ** k for k, c in p.items()),
+               sympy.Integer(0))
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("t_exp", [0, -12])
+def test_binomial_divisors_cancel_as_sympy_does(s, t_exp):
+    # the divisors of `render` and `compute r`, 1 - t^e zeta^s with e = 0 or
+    # -12, are (1 - w zeta)(1 + w zeta + ... + (w zeta)^(s-1)) with
+    # w = t^(e/s): numerators that share one of the two factors, neither,
+    # or both
+    linear = {0: ONE, 1: -t_power(t_exp // s)}
+    rest = {i: t_power(i * t_exp // s) for i in range(s)}
+    divisor = {0: ONE, s: -t_power(t_exp)}
+    assert ZetaRational(_times(linear, rest)) == ZetaRational(divisor)
+    rng = random.Random(5)
+    cases = []
+    for _ in range(3):
+        p = _poly(rng)
+        cases += [(_times(linear, p), rest), (_times(rest, p), linear),
+                  (p, divisor), (_times(divisor, p), {0: ONE})]
+    for num, want in cases:
+        x = ZetaRational(num, divisor)
+        assert x.den == want
+        n, d = sympy.fraction(sympy.cancel(_expr(num) / _expr(divisor)))
+        lowest = d.subs(Z, 0)
+        assert sympy.cancel(d / lowest - _expr(x.den)) == 0
+        assert sympy.cancel(n / lowest - _expr(x.num)) == 0
+
+
 def test_field_ops_match_sympy():
     rng = random.Random(7)
     for _ in range(5):
@@ -148,6 +180,12 @@ def test_exact_division_raises_on_a_remainder():
     assert rational._exquo(_times(f, g), g) == f
     with pytest.raises(ArithmeticError):
         rational._exquo(_times(f, g), {0: ONE, 1: ONE})
+    # the division itself: a = q b + r with deg r < deg b
+    a, b = _times(f, g), {0: ONE, 1: ONE}
+    q, r = rational._divmod(a, b)
+    assert r and max(r) < max(b)
+    assert _poly_at(q, ZF) * _poly_at(b, ZF) + _poly_at(r, ZF) == \
+        _poly_at(a, ZF)
 
 
 # -- the two-variable Laurent ring over Z[t^(+-1)] ----------------------------
