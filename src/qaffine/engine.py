@@ -200,16 +200,17 @@ class RootVectorTable:
     weight zero, so they are diagonal on the leg and only their eigenvalues
     are kept: `diags[i][m - 1]` takes each state to its eigenvalue under
     c e'_(m delta) of simple root i (c = q - q^-1, negated on the f side),
-    zero where it has none.  Level m carries zeta^(m * zstep).
+    zero where it has none.  Level m carries zeta^(m * zstep).  The leg
+    logarithms are not divided by c: the imaginary factor takes c into its
+    one scalar per level.
     """
 
-    __slots__ = ("real", "diags", "zstep", "_scale", "_logs", "_at")
+    __slots__ = ("real", "diags", "zstep", "_logs", "_at")
 
-    def __init__(self, real, diags, zstep, scale):
+    def __init__(self, real, diags, zstep):
         self.real = real      # (finite_part, m) -> RootVector
         self.diags = diags
         self.zstep = zstep
-        self._scale = scale
         self._logs = {}
         self._at = {}
 
@@ -219,9 +220,8 @@ class RootVectorTable:
     def imag_at(self, x):
         """The eigenvalues e_im(x) at leg state x, level by level
         (m = 1 .. m_max) and node by node: the level-m coefficient of
-        log(1 + sum_m c e'_(m delta) y^m) at x, divided by c.  One
-        `series_log` per distinct tuple of e' eigenvalues, on first
-        request."""
+        log(1 + sum_m c e'_(m delta) y^m) at x.  One `series_log` per
+        distinct tuple of e' eigenvalues, on first request."""
         out = self._at.get(x)
         if out is None:
             out = self._at[x] = tuple(zip(*(
@@ -236,8 +236,7 @@ class RootVectorTable:
                 coeffs = dict(enumerate(key, 1))
                 coeffs[0] = ONE
                 log = series_log(ZetaSeries(coeffs, len(key)))
-                out = tuple(log.coeff(m) * self._scale
-                            for m in range(1, len(key) + 1))
+                out = tuple(log.coeff(m) for m in range(1, len(key) + 1))
             else:
                 out = key          # log 1 = 0
             self._logs[key] = out
@@ -308,14 +307,16 @@ def build_root_vectors(image, side, m_max):
             levels.append(lru_cache(maxsize=None)(
                 lambda x, v=level: v(x) * c if v(x) else ZERO))
         diags.append(levels)
-    return RootVectorTable(real, diags, zstep, c.inverse())
+    return RootVectorTable(real, diags, zstep)
 
 
 @lru_cache(maxsize=None)
 def u_matrices(algebra, m_max):
-    """Per-level inverse coupling matrices of the imaginary block, as a
-    read-only map from the level to rows of tuples: the result is memoised
-    and shared by every caller."""
+    """Per-level couplings of the imaginary block, as a read-only map from
+    the level m to (kappa_m, A_m): A_m is the adjugate of the coupling
+    matrix T_m, rows of tuples with integer denominators only, and
+    kappa_m = -1/((q - q^-1) det T_m) the one scalar with a polynomial
+    denominator.  The result is memoised and shared by every caller."""
     fin = finite_cartan(algebra)
     r = fin.rank
     out = {}
@@ -325,12 +326,11 @@ def u_matrices(algebra, m_max):
               qint(m * fin.matrix[i][j]).scale(Fraction(-1, m))
               for j in range(r)] for i in range(r)]
         if r == 1:
-            out[m] = ((t[0][0].inverse(),),)
+            det, adj = t[0][0], ((ONE,),)
         else:
             det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
-            det_inv = det.inverse()
-            out[m] = ((t[1][1] * det_inv, (-t[0][1]) * det_inv),
-                      ((-t[1][0]) * det_inv, t[0][0] * det_inv))
+            adj = ((t[1][1], -t[0][1]), (-t[1][0], t[0][0]))
+        out[m] = (-(C_FACTOR * det).inverse(), adj)
     return MappingProxyType(out)
 
 
@@ -380,40 +380,37 @@ def _imaginary_factor(left_table, right_table, params, order, cols, ground):
 
     The imaginary root vectors are diagonal on every leg, so the argument
     a of the exponential is diagonal too.  At state (x, y) its level-m
-    coefficient, at zeta^(m s), is the bilinear form sum_j G_mj(x) f_jm(y),
-    with G_mj(x) = sum_i (q - q^-1) u_m[i][j] e_im(x), read off the leg
-    eigenvalues e_im(x) and f_jm(y), which are asked for at the states of
-    `cols` and at the ground state alone: G once per distinct left tuple,
-    and one `series_exp` per distinct pair of tuples.  The exponential is
-    split as exp(a_00) * diag(exp(a_xy - a_00)); the common scalar is
-    returned as its argument a_00 and multiplies the assembled product once
-    at the very end, unless the caller takes it apart.
+    coefficient, at zeta^(m s), is kappa_m P_m(x, y), with the bilinear
+    form P_m(x, y) = sum_j G_mj(x) L'_jm(y) and G_mj(x) = sum_i A_m[i][j]
+    L_im(x) (`u_matrices`), read off the unscaled leg logarithms L_im(x)
+    and L'_jm(y), which are asked for at the states of `cols` and at the
+    ground state alone: G once per distinct left tuple, and P, its product
+    with kappa_m and one `series_exp` once per distinct pair of tuples.
+    The exponential is split as exp(a_00) * diag(exp(a_xy - a_00)); the
+    common scalar is returned as its argument a_00 and multiplies the
+    assembled product once at the very end, unless the caller takes it
+    apart.
     """
     m_max = params.m_max
     if not m_max:
         return ZetaSeries.zero(order), None
     um = u_matrices(params.algebra, m_max)
+    kappas, adjs = zip(*(um[m] for m in range(1, m_max + 1)))
     rank = finite_cartan(params.algebra).rank
     zstep = left_table.zstep + right_table.zstep
     zexps = [m * zstep for m in range(1, m_max + 1)]
-    couplings = [[[C_FACTOR * um[m][i][j] for j in range(rank)]
-                  for i in range(rank)] for m in range(1, m_max + 1)]
     forms = {}
 
-    def form(key):
-        g = forms.get(key)
+    def pair(e, f):
+        g = forms.get(e)
         if g is None:
-            g = forms[key] = [
-                [sum((c[i][j] * ev[i] for i in range(rank)), ZERO)
-                 for j in range(rank)] for c, ev in zip(couplings, key)]
-        return g
-
-    def pair(g, f):
+            g = forms[e] = [
+                [sum((a[i][j] * lm[i] for i in range(rank)), ZERO)
+                 for j in range(rank)] for a, lm in zip(adjs, e)]
         return [sum((a * b for a, b in zip(gl, fl)), ZERO)
                 for gl, fl in zip(g, f)]
 
-    arg0 = pair(form(left_table.imag_at(ground[0])),
-                right_table.imag_at(ground[1]))
+    p0 = pair(left_table.imag_at(ground[0]), right_table.imag_at(ground[1]))
     cache = {}
     out = {}
     for x, y in cols:
@@ -421,10 +418,11 @@ def _imaginary_factor(left_table, right_table, params, order, cols, ground):
         weight = cache.get(key)
         if weight is None:
             weight = cache[key] = series_exp(ZetaSeries(
-                {z: a - b for z, a, b in
-                 zip(zexps, pair(form(key[0]), key[1]), arg0)}, order))
+                {z: k * (a - b) for z, k, a, b in
+                 zip(zexps, kappas, pair(*key), p0)}, order))
         out[(x, y)] = weight
-    return ZetaSeries(dict(zip(zexps, arg0)), order), out
+    return ZetaSeries({z: k * p for z, k, p in zip(zexps, kappas, p0)},
+                      order), out
 
 
 def _k_factor(left_image, right_image, params, order, cols):

@@ -410,19 +410,25 @@ class QScalar:
             return QScalar(_p_add(self.num, other.num), _ONE_POLY,
                            _canonical=True)
         if self.den == other.den:
-            return QScalar(_p_add(self.num, other.num), self.den)
-        g = _p_gcd(self.den, other.den)
-        if g is _ONE_POLY:
-            # coprime denominators: the sum is reduced over Q[t]
-            num = _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den))
-            if not num:
-                return ZERO
-            num, den = _content_reduced(num, _p_mul(self.den, other.den))
-            return QScalar(num, den, _canonical=True)
-        da = _p_exquo(self.den, g)
-        db = _p_exquo(other.den, g)
-        num = _p_add(_p_mul(self.num, db), _p_mul(other.num, da))
-        return QScalar(num, _p_mul(self.den, db))
+            num, den = _p_add(self.num, other.num), self.den
+        else:
+            g = _p_gcd(self.den, other.den)
+            if g is _ONE_POLY:
+                # coprime denominators: the sum is reduced over Q[t]
+                num = _p_add(_p_mul(self.num, other.den),
+                             _p_mul(other.num, self.den))
+                if not num:
+                    return ZERO
+                num, den = _content_reduced(num, _p_mul(self.den, other.den))
+                return QScalar(num, den, _canonical=True)
+            da = _p_exquo(self.den, g)
+            db = _p_exquo(other.den, g)
+            num = _p_add(_p_mul(self.num, db), _p_mul(other.num, da))
+            den = _p_mul(self.den, db)
+        if not num:
+            return ZERO
+        # num may share a factor with the common part of the denominators
+        return QScalar(*_reduce_pair(num, den), _canonical=True)
 
     def __sub__(self, other):
         if not isinstance(other, QScalar):

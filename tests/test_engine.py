@@ -77,8 +77,11 @@ def window_states(d, kmax, copies=1):
 
 
 def eigenvalues(tab, i, m, states):
-    # e_im(x) at each state, as the table reports it
-    return [tab.imag_at(x)[m - 1][i] for x in states]
+    # e_im(x) at each state: the table reports the level-m coefficient of
+    # log(1 + sum_m c e'_(m delta) y^m), c = q - q^-1 on the e side (whose
+    # zeta step is positive) and -(q - q^-1) on the f side
+    c = C if tab.zstep > 0 else -C
+    return [tab.imag_at(x)[m - 1][i] / c for x in states]
 
 
 def diagonal(mat, states):
@@ -603,20 +606,29 @@ def test_the_unread_real_vector_depends_on_the_order(monkeypatch, exps,
     assert (top in keys) == (unread != top)
 
 
+def inverse_coupling(um, m):
+    # u_m, the inverse of the coupling matrix T_m, from its adjugate A_m
+    # and kappa_m = -1/((q - q^-1) det T_m)
+    kappa, adj = um[m]
+    return [[-C * kappa * a for a in row] for row in adj]
+
+
 def test_u_matrices():
     # rank 1: u_m = m/[2m]; rank 2 matches the closed 2x2 form
     um1 = u_matrices("a1", 3)
     for m in range(1, 4):
-        assert um1[m][0][0] == QScalar.from_int(m) / qint(2 * m)
+        assert inverse_coupling(um1, m)[0][0] == \
+            QScalar.from_int(m) / qint(2 * m)
     um2 = u_matrices("a2", 4)
     for m in range(1, 5):
         pre = QScalar.from_int(m) / (qint(m) * qint_base(3, 6 * m))
         off = pre if m % 2 == 0 else -pre
         diag = pre * qint_base(2, 6 * m)
-        assert um2[m][0][0] == diag
-        assert um2[m][1][1] == diag
-        assert um2[m][0][1] == off
-        assert um2[m][1][0] == off
+        assert inverse_coupling(um2, m) == [[diag, off], [off, diag]]
+    # the adjugates carry integer denominators only
+    for um in (um1, um2):
+        assert all(len(a.den) == 1 for _, adj in um.values()
+                   for row in adj for a in row)
 
 
 def test_normalization_constants_unit():
@@ -935,13 +947,14 @@ def _argument_at(etab, ftab, params, x, y):
     # the exponent at state (x, y), summed term by term from the definition
     rank = 1 if params.algebra == "a1" else 2
     um = u_matrices(params.algebra, params.m_max)
-    e, f = etab.imag_at(x), ftab.imag_at(y)
     coeffs = {}
     for m in range(1, params.m_max + 1):
+        u = inverse_coupling(um, m)
         z = m * (etab.zstep + ftab.zstep)
         for i in range(rank):
             for j in range(rank):
-                v = C * um[m][i][j] * e[m - 1][i] * f[m - 1][j]
+                v = (C * u[i][j] * eigenvalues(etab, i, m, [x])[0]
+                     * eigenvalues(ftab, j, m, [y])[0])
                 coeffs[z] = coeffs.get(z, QScalar.ZERO) + v
     return ZetaSeries(coeffs, params.order)
 
@@ -1080,3 +1093,63 @@ def test_series_exp_takes_products_of_linear_factors():
             * ZetaSeries({0: ONE, 2: -lam}, 6).inverse())
     assert series_exp(f) == want
     assert series_exp(ZetaSeries.zero(6)) == ZetaSeries.one(6)
+
+
+def _has_polynomial_denominator(v):
+    return isinstance(v, QScalar) and len(v.den) > 1
+
+
+@pytest.mark.parametrize("kind, algebra, variant, order, d", [
+    pytest.param("l", "a1", "check", 5, 7, id="a1-check"),
+    pytest.param("l", "a1", "hat-twisted", 5, 7, id="a1-hat-twisted"),
+    pytest.param("r", "a1", "plain", 8, None, id="a1-r"),
+    pytest.param("l", "a2", "hat-1", 2, 4, id="a2-hat-1"),
+    pytest.param("r", "a2", "plain", 6, None, id="a2-r"),
+])
+def test_imaginary_factor_pays_one_denominator_product_per_level_and_pair(
+        monkeypatch, kind, algebra, variant, order, d):
+    # with the leg logarithms warmed at every state the product holds, the
+    # glue of the imaginary factor outside series_exp multiplies or adds a
+    # value with a polynomial denominator at most once per level for each
+    # distinct pair of eigenvalue tuples, and for the ground column
+    params = engine_params_for(kind, algebra, variant, 1, 0, 0, order, d)
+    counting, seen = [False], []
+
+    def counted(name):
+        real = getattr(QScalar, name)
+
+        def op(a, b):
+            if counting[0] and (_has_polynomial_denominator(a)
+                                or _has_polynomial_denominator(b)):
+                seen.append(name)
+            return real(a, b)
+        monkeypatch.setattr(QScalar, name, op)
+
+    for name in ("__add__", "__mul__"):
+        counted(name)
+    exp = engine.series_exp
+
+    def uncounted_exp(a):
+        was, counting[0] = counting[0], False
+        try:
+            return exp(a)
+        finally:
+            counting[0] = was
+    monkeypatch.setattr(engine, "series_exp", uncounted_exp)
+    factor = engine._imaginary_factor
+    pairs = []
+
+    def warmed(left_table, right_table, params, order, cols, ground):
+        keys = {(left_table.imag_at(x), right_table.imag_at(y))
+                for x, y in cols | {tuple(ground)}}
+        pairs.append(len(keys))
+        counting[0] = True
+        try:
+            return factor(left_table, right_table, params, order, cols,
+                          ground)
+        finally:
+            counting[0] = False
+    monkeypatch.setattr(engine, "_imaginary_factor", warmed)
+    assemble(params)
+    assert len(pairs) == 1
+    assert len(seen) <= params.m_max * (pairs[0] + 2)

@@ -53,6 +53,10 @@
 * Every entry point the benchmark's tracer wraps (`perfbench/tracer.py`,
   `LAYERS`) is defined on its owner, so a rename in src/ fails here and not
   first in a traced benchmark run.
+* The arithmetic of `QScalar` builds canonical values only: inside its
+  methods every `QScalar(...)` passes `_canonical=True`, so `_normalize`,
+  which reduces an arbitrary pair, runs only where values enter (the
+  public constructor, as `qint_base` and `parse_qscalar` call it).
 * One division of zeta-polynomials: rational.py has one remainder loop,
   `_divmod`, which gives both its exact quotient (`_exquo`) and Euclid's
   gcd (`_gcd`), and it borrows no polynomial gcd, exact quotient or
@@ -490,3 +494,26 @@ def test_one_division_of_zeta_polynomials():
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert not {"_p_gcd", "_p_exquo", "_p_mul"} & imported
+
+
+def test_qscalar_arithmetic_builds_canonical_values_only():
+    defs = _definitions("scalars.py")
+    methods = {name: fn for name, fn in defs.items()
+               if name.startswith("QScalar.")}
+    assert {"QScalar.__add__", "QScalar.__mul__", "QScalar.inverse"} <= \
+        set(methods)
+
+    def canonical(call):
+        return any(kw.arg == "_canonical"
+                   and isinstance(kw.value, ast.Constant)
+                   and kw.value.value is True for kw in call.keywords)
+    loose = sorted("%s:%d" % (name, node.lineno)
+                   for name, fn in methods.items() for node in ast.walk(fn)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id == "QScalar" and not canonical(node))
+    assert loose == []
+    normalizing = sorted(name for name, fn in defs.items()
+                         if "_normalize" in {node.id for node in ast.walk(fn)
+                                             if isinstance(node, ast.Name)})
+    assert normalizing == ["QScalar.__init__"]

@@ -110,6 +110,73 @@ def test_add_mul_inverse_match_sympy():
             assert _same_value(inv, 1 / _value(a))
 
 
+def _scalar(expr):
+    # the QScalar of a rational expression in t, through the public
+    # constructor
+    p, q = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    return QScalar(*({m[0]: Fraction(int(c.p), int(c.q))
+                      for m, c in sympy.Poly(part, T).terms()}
+                     for part in (p, q)))
+
+
+def _check_sum(x, y):
+    got = x + y
+    _assert_canonical(got)
+    want = _value(x) + _value(y)
+    assert _same_value(got, want)
+    assert str(got) == _monic_str(want)
+    return got
+
+
+_CYCLOTOMIC = [T ** 6 - 1, T ** 6 + 1, T ** 12 - 1, T ** 24 - 1,
+               T ** 18 - 1, T ** 4 + T ** 2 + 1, 2 * T ** 12 - 2]
+
+
+@pytest.mark.parametrize("x, y, want", [
+    # equal denominators: the numerator sum keeps a factor, drops one, or
+    # cancels; integer content comes out of the sum too
+    ((T ** 3 - 2) / (T ** 12 - 1), (T - 1) / (T ** 12 - 1),
+     (T ** 3 + T - 3) / (T ** 12 - 1)),
+    (T ** 6 / (T ** 12 - 1), 1 / (T ** 12 - 1), 1 / (T ** 6 - 1)),
+    ((T ** 3 - 2) / (T ** 12 - 1), (2 - T ** 3) / (T ** 12 - 1), 0),
+    (sympy.Rational(1, 2) / (T ** 6 + 1), sympy.Rational(1, 2) / (T ** 6 + 1),
+     1 / (T ** 6 + 1)),
+    (T / (3 * T ** 4 + 3 * T ** 2 + 3), 2 * T / (3 * T ** 4 + 3 * T ** 2 + 3),
+     T / (T ** 4 + T ** 2 + 1)),
+    (T ** -6 / (T ** 12 - 1), -T ** -12 / (T ** 12 - 1),
+     T ** -12 / (T ** 6 + 1)),
+    # denominators sharing a cyclotomic factor: t^12 - 1 divides t^24 - 1,
+    # t^6 - 1 divides both t^12 - 1 and t^18 - 1
+    (1 / (T ** 12 - 1), -2 / (T ** 24 - 1), 1 / (T ** 12 + 1)),
+    (1 / (T ** 12 - 1), -1 / (T ** 24 - 1), T ** 12 / (T ** 24 - 1)),
+    (1 / (T ** 12 - 1), -1 / (T ** 18 - 1), None),
+    (T ** 6 / (T ** 12 - 1), -T ** 6 / (T ** 18 - 1), None),
+    (sympy.Rational(1, 2) / (T ** 12 - 1),
+     sympy.Rational(-1, 2) * (T ** 12 + 1) / (T ** 24 - 1) + 1 / (T ** 6 + 1),
+     1 / (T ** 6 + 1)),
+])
+def test_sums_over_shared_denominators_match_sympy(x, y, want):
+    got = _check_sum(_scalar(x), _scalar(y))
+    if want is not None:
+        assert got == _scalar(want)
+        if want == 0:
+            assert got is QScalar.ZERO
+
+
+def test_random_sums_over_cyclotomic_denominators_match_sympy():
+    # operands over products of cyclotomic polynomials, and sums that cancel
+    # back to a simpler value: y = w - x, so x + y = w
+    rng = random.Random(7)
+    for _ in range(25):
+        x, w = (_scalar(_expr(_rand_poly(rng, rng.randint(1, 3), -6, 12, 3))
+                        / rng.choice(_CYCLOTOMIC) / rng.choice(_CYCLOTOMIC))
+                for _ in range(2))
+        y = _check_sum(w, -x)
+        assert _check_sum(x, y) == w
+        _check_sum(x, x)
+        assert _check_sum(x, -x) is QScalar.ZERO
+
+
 def test_q_numbers_match_sympy():
     q = T ** 6
     for n in range(1, 7):
