@@ -29,11 +29,11 @@ holds, and the Cartan factor weighs them; two oscillator legs are rejected.
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import count, product
 from types import MappingProxyType
 
-from .scalars import QScalar, q_power, qint, t_power
+from .scalars import QScalar, _ONE_POLY, _p_add, q_power, qint, t_power
 from .series import ZetaSeries, series_exp, series_log
 from .linalg import OpMatrix
 from .rootsys import (
@@ -313,10 +313,10 @@ def build_root_vectors(image, side, m_max):
 @lru_cache(maxsize=None)
 def u_matrices(algebra, m_max):
     """Per-level couplings of the imaginary block, as a read-only map from
-    the level m to (kappa_m, A_m): A_m is the adjugate of the coupling
-    matrix T_m, rows of tuples with integer denominators only, and
-    kappa_m = -1/((q - q^-1) det T_m) the one scalar with a polynomial
-    denominator.  The result is memoised and shared by every caller."""
+    the level m to (kappa_m, A_m, 1 / (m kappa_m)): A_m is the adjugate of
+    the coupling matrix T_m, and kappa_m = -1/((q - q^-1) det T_m) the one
+    scalar with a polynomial denominator; the others have integer
+    denominators only.  The result is memoised and shared by every caller."""
     fin = finite_cartan(algebra)
     r = fin.rank
     out = {}
@@ -330,7 +330,8 @@ def u_matrices(algebra, m_max):
         else:
             det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
             adj = ((t[1][1], -t[0][1]), (-t[1][0], t[0][0]))
-        out[m] = (-(C_FACTOR * det).inverse(), adj)
+        cd = C_FACTOR * det
+        out[m] = (-cd.inverse(), adj, cd.scale(Fraction(-1, m)))
     return MappingProxyType(out)
 
 
@@ -384,8 +385,8 @@ def _imaginary_factor(left_table, right_table, params, order, cols, ground):
     form P_m(x, y) = sum_j G_mj(x) L'_jm(y) and G_mj(x) = sum_i A_m[i][j]
     L_im(x) (`u_matrices`), read off the unscaled leg logarithms L_im(x)
     and L'_jm(y), which are asked for at the states of `cols` and at the
-    ground state alone: G once per distinct left tuple, and P, its product
-    with kappa_m and one `series_exp` once per distinct pair of tuples.
+    ground state alone: G once per distinct left tuple, and P and the
+    weight (`_exp_weight`) once per distinct pair of tuples.
     The exponential is split as exp(a_00) * diag(exp(a_xy - a_00)); the
     common scalar is returned as its argument a_00 and multiplies the
     assembled product once at the very end, unless the caller takes it
@@ -395,10 +396,11 @@ def _imaginary_factor(left_table, right_table, params, order, cols, ground):
     if not m_max:
         return ZetaSeries.zero(order), None
     um = u_matrices(params.algebra, m_max)
-    kappas, adjs = zip(*(um[m] for m in range(1, m_max + 1)))
+    kappas, adjs, invs = zip(*(um[m] for m in range(1, m_max + 1)))
     rank = finite_cartan(params.algebra).rank
     zstep = left_table.zstep + right_table.zstep
     zexps = [m * zstep for m in range(1, m_max + 1)]
+    levels = list(zip(zexps, kappas, invs))
     forms = {}
 
     def pair(e, f):
@@ -417,12 +419,41 @@ def _imaginary_factor(left_table, right_table, params, order, cols, ground):
         key = (left_table.imag_at(x), right_table.imag_at(y))
         weight = cache.get(key)
         if weight is None:
-            weight = cache[key] = series_exp(ZetaSeries(
-                {z: k * (a - b) for z, k, a, b in
-                 zip(zexps, kappas, pair(*key), p0)}, order))
+            weight = cache[key] = _exp_weight(
+                [a - b for a, b in zip(pair(*key), p0)], levels, order)
         out[(x, y)] = weight
     return ZetaSeries({z: k * p for z, k, p in zip(zexps, kappas, p0)},
                       order), out
+
+
+def _exp_weight(diffs, levels, order):
+    """exp(sum_m kappa_m d_m zeta^(z_m)) for the level differences d_m =
+    P_m(x, y) - P_m(ground), with (z_m, kappa_m, 1 / (m kappa_m)) in
+    `levels`.  If a_1 = kappa_1 d_1 is an integer polynomial sum_j n_j t^k_j
+    and each level checks d_m = a_1(t^m) / (m kappa_m), with no gcd, the
+    weight is prod_j (1 - t^k_j zeta^(z_1))^(-n_j) through the levels held,
+    a product of integer binomial series.  Any other exponent goes to
+    `series_exp`."""
+    a1 = levels[0][1] * diffs[0]
+    if a1.den is not _ONE_POLY or any(
+            d != inv * QScalar({k * m: n for k, n in a1.num.items()},
+                               _canonical=True)
+            for m, d, (_, _, inv) in zip(count(2), diffs[1:], levels[1:])):
+        return series_exp(ZetaSeries(
+            {z: k * d for (z, k, _), d in zip(levels, diffs)}, order))
+    hs = [{0: 1}] + [{}] * len(levels)
+    for k, n in a1.num.items():
+        # (1 - t^k zeta^(z_1))^(-n) has h_a = binom(n + a - 1, a) t^(a k)
+        cs = [1]
+        for a in range(1, len(hs)):
+            cs.append(cs[-1] * (n + a - 1) // a)
+        hs = [reduce(_p_add, ({e + a * k: c * x for e, x in hs[i - a].items()}
+                              for a, c in enumerate(cs[:i + 1])
+                              if c and hs[i - a]), {})
+              for i in range(len(hs))]
+    return ZetaSeries({z: QScalar(h, _canonical=True) for z, h in
+                       zip([0] + [z for z, _, _ in levels], hs) if h},
+                      order, 0)
 
 
 def _k_factor(left_image, right_image, params, order, cols):

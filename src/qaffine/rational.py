@@ -2,11 +2,10 @@
 
 This is the printed form of a closed form in one spectral variable over
 QScalar: `reference.render` divides the numerators of a form by its one
-divisor here, for the R-matrix `compute r` prints, the L-operators of
-`compute --backend rational`, and the series `ReferenceObject.expand`
-gives the engine check.  The closed forms themselves, and every identity
-check, live in the integer q-oscillator ring (`linalg.OscPoly`), so this
-field never nests.
+divisor here, for the R-matrix `compute r` prints and the L-operators of
+`compute --backend rational`; no check reads one.  The closed forms
+themselves, and every identity check, live in the integer q-oscillator
+ring (`linalg.OscPoly`), so this field never nests.
 
 Canonical form: the denominator is an ordinary polynomial in zeta with
 minimal degree zero and lowest coefficient 1, and numerator and

@@ -14,9 +14,10 @@ image, r0-hat and every inverse) is built in the one q-oscillator ring
 (`linalg.OscPoly`, zeta in u) as a form (N, D): an integer numerator
 matrix N and one central divisor D at delta = kappa = 0, the object being
 N / D.  Inverses come from one fraction-free elimination with unit pivots
-c x^kappa (`grid_inverse`).  A ZetaRational is built only where a form is
-rendered on d Fock states per copy, one state at a time and with no
-matrix product (`render`), which gives the printed R-matrix too.  The
+c x^kappa (`grid_inverse`).  A numerator is walked on d Fock states per
+copy, one state at a time and with no matrix product (`numerators`, read
+by the engine check), and a ZetaRational is built only where a form is
+rendered for printing (`render`), which gives the printed R-matrix too.  The
 ordered factors the source derivation lists for some L-operators are an
 oracle for these closed forms and live with the tests
 (`tests/derivation_factors.py`).
@@ -37,7 +38,7 @@ from .linalg import OpMatrix, OscPoly, Grid, _pack, _place, _unpack
 __all__ = [
     "PrefactorTag", "ReferenceObject", "LTable", "reference_matrix",
     "r_form", "r_tag", "l_table", "l_tag", "list_variants", "r0_hat_matrix",
-    "render",
+    "numerators", "render",
     "grid_inverse", "op_inverse", "NoPivotError", "exponent_tuple",
 ]
 
@@ -355,22 +356,20 @@ def _zeta(x):
     return {e: QScalar(p, _canonical=True) for e, p in groups.items()}
 
 
-def render(form, d):
-    """A form N / D over the oscillator ring as the Grid of its operators
-    on d Fock states per copy, the first copy slowest, on two copies where
-    a term moves or weighs the second (as on every two-copy table): the
-    term c S_delta x^kappa sends state n to n + delta with the weight
+def numerators(m, d):
+    """The numerator matrix m of a form m / D as the Grid of its operators
+    on d Fock states per copy, the first copy slowest, on two copies where a
+    term moves or weighs the second (as on every two-copy table): the term
+    c S_delta x^kappa sends state n to n + delta with the weight
     c q^(kappa . n), a shift of the t-exponents of c (q = t^6), and is
     dropped where n + delta leaves 0..d-1.  The states of each delta are
-    walked once for all of its kappa, and each cell is one ZetaRational,
-    its summed numerator over D."""
-    m, den = form
+    walked once for all of its kappa, and each cell is its summed
+    numerator {e: QScalar}, the coefficients of its powers zeta^e."""
     parts = {ab: x._decoded() for ab, x in m.entries.items()}
     copies = 1 + any(delta[1] or kappa[1] for terms in parts.values()
                      for _, _, delta, kappa in terms)
     dim = d ** copies
     strides = [d ** i for i in reversed(range(copies))]
-    zden = None if den == OscPoly.ONE else _zeta(den)
     ops = {}
     for ab, terms in parts.items():
         by_delta = {}
@@ -393,13 +392,20 @@ def render(form, d):
                         v = acc.pop(k + shift, 0) + c
                         if v:
                             acc[k + shift] = v
-        for ij, sums in cells.items():
-            num = {e: QScalar(p, _canonical=True)
-                   for e, p in sums.items() if p}
-            cells[ij] = (ZetaRational(num, _canonical=True) if zden is None
-                         else ZetaRational(num, zden))
-        ops[ab] = OpMatrix(dim, cells, ZetaRational.ONE)
-    return Grid(m.dim, ops, dim, ZetaRational.ONE)
+        ops[ab] = OpMatrix(dim, {ij: {e: QScalar(p, _canonical=True)
+                                      for e, p in sums.items() if p}
+                                 for ij, sums in cells.items()}, None)
+    return Grid(m.dim, ops, dim, None)
+
+
+def render(form, d):
+    """A form N / D as the Grid of its operators on d Fock states per copy
+    (`numerators`), each cell one ZetaRational, its numerator over D."""
+    m, den = form
+    zden = None if den == OscPoly.ONE else _zeta(den)
+    return numerators(m, d).map_values(
+        lambda num: (ZetaRational(num, _canonical=True) if zden is None
+                     else ZetaRational(num, zden)), ZetaRational.ONE)
 
 
 def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):

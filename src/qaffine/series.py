@@ -127,10 +127,6 @@ class ZetaSeries:
         return series_quotient({0: _QONE}, self.coeffs,
                                self.order - 2 * min(self.coeffs))
 
-    def truncate(self, order):
-        return ZetaSeries({d: c for d, c in self.coeffs.items() if d <= order},
-                          order, self.min_degree)
-
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other):

@@ -30,8 +30,8 @@ from .linalg import (
     OpMatrix, OscPoly, hat_or_check, embed_legs, kron, _low, _pack,
 )
 from .reference import (
-    reference_matrix, r_form, r_tag, r0_hat_matrix, l_table, l_tag,
-    list_variants, exponent_tuple, grid_inverse, _reflected_inverse,
+    r_form, r_tag, r0_hat_matrix, l_table, l_tag, list_variants,
+    exponent_tuple, grid_inverse, numerators, _reflected_inverse, _zeta,
     NoPivotError,
 )
 from .engine import EngineParams, assemble
@@ -111,10 +111,10 @@ _ENGINE_SIDES = {
 
 
 def engine_params_for(kind, algebra, variant, s, s1, s2, order, d):
-    if kind == "r":
+    if (kind, variant) == ("r", "plain"):
         return EngineParams(algebra, s, s1, s2, order=order)
-    if variant not in _ENGINE_SIDES:
-        raise ValueError("no engine assembles L-operator %r" % (variant,))
+    if kind != "l" or variant not in _ENGINE_SIDES:
+        raise ValueError("no engine assembles %s/%s" % (kind, variant))
     left, right = _ENGINE_SIDES[variant]
     family = 2 if variant.endswith("-2") else 1
     twist = (1, 0) if variant.endswith("twisted") else None
@@ -135,31 +135,39 @@ def _tag_ratio(tag, a00, order):
 @_timed
 def check_engine(kind, algebra, variant="plain", s=1, s1=0, s2=0, order=8,
                  d=None):
-    """Assembled series equals tag-series times the transcribed matrix."""
+    """The assembled series E against the closed form tag N / D, compared
+    as D E = ratio N through zeta^order (`_tag_ratio`), N's cells at the
+    held states: a product by D is a shift and a subtraction, and no
+    series is divided."""
     params = engine_params_for(kind, algebra, variant, s, s1, s2, order, d)
-    ref = reference_matrix(kind, algebra, variant, s, s1, s2,
-                           d=params.fock_dim)
+    exps = exponent_tuple(algebra, s, s1, s2)
+    if kind == "r":
+        (num, den), tag = r_form(algebra, s, s1, s2), r_tag(algebra, s)
+        num = num.map_values(_zeta)
+    else:
+        num, den = l_table(algebra, variant, exps).ring()
+        num = numerators(num, params.fock_dim).flatten(
+            op_leg_first=variant.startswith("hat"))
+        tag = l_tag(variant, s)
+    den = ZetaSeries(_zeta(den), order)
+    if den.min_degree or not den.coeff(0).is_one():
+        raise ValueError("the divisor's lowest term is not 1 at zeta^0")
     a00, engine_mat = assemble(params, split_prefactor=True)
-    ref_mat = ref.expand(order)
     # both splits are exact; they may anchor the common scalar differently,
     # so compare through the unit ratio of the two prefactors
-    ratio = _tag_ratio(ref.tag, a00, order)
-    if ratio != ZetaSeries.one(order):
-        ref_mat = ref_mat.map_values(lambda v: (v * ratio).truncate(order))
-    exps = exponent_tuple(algebra, s, s1, s2)
-    if engine_mat == ref_mat:
+    ratio = _tag_ratio(tag, a00, order)
+    lhs = engine_mat.map_values(lambda v: v * den)
+    rhs = num.map_values(lambda v: ZetaSeries(v, order) * ratio,
+                         engine_mat.one)
+    if lhs == rhs:
         return Verdict("engine", algebra, "%s/%s" % (kind, variant), exps,
                        True)
-    where = engine_mat.first_difference(ref_mat)
-    a = engine_mat.entry(*where)
-    b = ref_mat.entry(*where)
-    deg = next((k for k in range(min(a.order, b.order) + 1)
-                if a.coeff(k) != b.coeff(k)), None)
-    if deg is not None:
-        a, b = a.coeff(deg), b.coeff(deg)
+    where = lhs.first_difference(rhs)
+    a, b = lhs.entry(*where), rhs.entry(*where)
+    deg = min((a - b).coeffs)
     return Verdict("engine", algebra, "%s/%s" % (kind, variant), exps, False,
-                   {"entry": list(where), "degree": deg, "lhs": str(a),
-                    "rhs": str(b)})
+                   {"entry": list(where), "degree": deg,
+                    "lhs": str(a.coeff(deg)), "rhs": str(b.coeff(deg))})
 
 
 # -- Yang-Baxter ---------------------------------------------------------------

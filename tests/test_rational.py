@@ -65,7 +65,7 @@ def test_expansion_times_reciprocal_is_one():
     n = 8
     s = a.to_series(n)
     r = a.inverse().to_series(n)
-    assert (s * r).truncate(n) == ZetaSeries.one(n)
+    assert s * r == ZetaSeries.one(n)
 
 
 def test_substitutions():

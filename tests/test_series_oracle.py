@@ -3,7 +3,9 @@ like the engine's: a unit constant term and coefficients in Q(t) over
 q-number denominators, and products of linear factors (1 - lam z^s)^(+-1).
 Series division is checked against the arithmetic it replaced: the inverse
 as a geometric series of full products, and a zeta-rational expanded as its
-padded numerator times that inverse of its denominator.
+padded numerator times that inverse of its denominator.  The engine's
+imaginary weights, finite products of linear factors where the exponent
+is a power sum, are checked against `series_exp`.
 Development-only; skipped when hypothesis is not installed."""
 
 import pytest
@@ -13,6 +15,7 @@ pytestmark = pytest.mark.oracle
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from qaffine import engine  # noqa: E402
 from qaffine.rational import ZetaRational  # noqa: E402
 from qaffine.scalars import QScalar, t_power  # noqa: E402
 from qaffine.series import ZetaSeries, series_exp, series_log  # noqa: E402
@@ -106,7 +109,7 @@ def _padded_expansion(zr, order):
     pad = max(0, -lo)
     num = ZetaSeries(dict(zr.num), order + pad)
     den = ZetaSeries(dict(zr.den), order + pad)
-    return (num * _geometric_inverse(den)).truncate(order)
+    return ZetaSeries((num * _geometric_inverse(den)).coeffs, order)
 
 
 def _same(a, b):
@@ -160,3 +163,69 @@ def test_division_oracle_edge_cases():
         zr = ZetaRational(num, den)
         for order in (0, 2, 4):
             assert _same(zr.to_series(order), _padded_expansion(zr, order))
+
+
+# -- the imaginary weights as finite products ----------------------------------
+
+@st.composite
+def power_sum_levels(draw):
+    # the levels (z_m, kappa_m, 1 / (m kappa_m)) of the engine's couplings
+    # at zeta^(m s) through the order, and the level differences d_m =
+    # a_1(t^m) / (m kappa_m) of a power sum a_1 = sum_j n_j t^k_j
+    algebra = draw(st.sampled_from(["a1", "a2"]))
+    order = draw(st.integers(1, 8))
+    s = draw(st.integers(1, order))
+    um = engine.u_matrices(algebra, order // s)
+    levels = [(m * s, kappa, inv) for m, (kappa, _, inv) in um.items()]
+    sums = draw(st.dictionaries(st.integers(-40, 40),
+                                st.integers(-3, 3).filter(bool), max_size=4))
+    diffs = [QScalar({k * m: n for k, n in sums.items()}) * inv
+             for m, (_, _, inv) in enumerate(levels, 1)]
+    return diffs, levels, order
+
+
+def _weight_and_fallbacks(diffs, levels, order):
+    # the engine's weight, with the calls it made to series_exp
+    calls, real = [], engine.series_exp
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+    engine.series_exp = counted
+    try:
+        return engine._exp_weight(diffs, levels, order), len(calls)
+    finally:
+        engine.series_exp = real
+
+
+def _exp_of_levels(diffs, levels, order):
+    return series_exp(ZetaSeries({z: kappa * d for (z, kappa, _), d
+                                  in zip(levels, diffs)}, order))
+
+
+@SETTINGS
+@hypothesis.given(power_sum_levels())
+def test_power_sum_weights_are_finite_products(case):
+    weight, fallbacks = _weight_and_fallbacks(*case)
+    assert fallbacks == 0
+    assert _same(weight, _exp_of_levels(*case))
+
+
+@SETTINGS
+@hypothesis.given(power_sum_levels(), st.data())
+def test_other_exponents_fall_back_to_series_exp(case, data):
+    # one level above the first perturbed, or a_1 with a coefficient that
+    # is not an integer: the weight is series_exp's, by the fallback
+    diffs, levels, order = case
+    if data.draw(st.booleans()) and len(levels) > 1:
+        m = data.draw(st.integers(2, len(levels)))
+        diffs[m - 1] = diffs[m - 1] + data.draw(coefficients())
+    else:
+        n = data.draw(st.fractions(max_denominator=6).filter(
+            lambda f: f.denominator > 1))
+        k = data.draw(st.integers(-40, 40))
+        diffs = [d + QScalar({k * m: n}) * inv
+                 for m, (d, (_, _, inv)) in enumerate(zip(diffs, levels), 1)]
+    weight, fallbacks = _weight_and_fallbacks(diffs, levels, order)
+    assert fallbacks == 1
+    assert _same(weight, _exp_of_levels(diffs, levels, order))

@@ -7,16 +7,15 @@ import pytest
 import derivation_factors
 from product_builders import FockCopies
 from tuple_ring import TupleLaurent2, flat_key, nested
-from qaffine import linalg, reference, scalars, verify
+from qaffine import linalg, reference, scalars, series, verify
 from qaffine.cli import main
-from qaffine.linalg import OpMatrix, OscPoly, Grid, hat_or_check, kron
+from qaffine.engine import assemble
+from qaffine.linalg import OpMatrix, OscPoly, Grid, _pack, hat_or_check, kron
 from qaffine.rational import ZetaRational
-from qaffine.reference import (
-    exponent_tuple, l_table, r_form, reference_matrix,
-)
+from qaffine.reference import exponent_tuple, l_table, r_form
 from qaffine.scalars import QScalar, parse_qscalar, q_power
 from qaffine.series import ZetaSeries, series_exp
-from oracles import diagonal_matrix, render_ring, tag_series, zeta_monomial
+from oracles import diagonal_matrix, render_ring, tag_series
 from qaffine.verify import (
     Verdict, check_engine, check_ybe, check_rll, check_duality, check_gauge,
     check_structure, suite_checks, run_suite,
@@ -157,21 +156,28 @@ def test_engine_check_refuses_an_l_operator_no_engine_assembles():
 
 
 def test_engine_check_reports_failure_location(monkeypatch):
-    # the closed form with one entry times q: the verdict names the entry,
-    # the first degree where it differs, and both coefficients there
-    def perturbed(*args, **kwargs):
-        ref = reference_matrix(*args, **kwargs)
-        entries = dict(ref.matrix.entries)
-        entries[(1, 2)] = entries[(1, 2)] * zeta_monomial(0, q_power(1))
-        ref.matrix = OpMatrix(ref.matrix.dim, entries, ref.matrix.one)
-        return ref
-    monkeypatch.setattr(verify, "reference_matrix", perturbed)
+    # the form's numerator with one entry times q: the verdict names the
+    # entry, the first degree where D E and ratio N differ, and both
+    # coefficients there, D E on the left
+    real = verify.r_form
+
+    def perturbed(*args):
+        num, den = real(*args)
+        entries = dict(num.entries)
+        entries[(1, 2)] = entries[(1, 2)] * OscPoly({_pack(0, 0, 6): 1})
+        return OpMatrix(num.dim, entries, num.one), den
+    monkeypatch.setattr(verify, "r_form", perturbed)
     v = check_engine("r", "a1", s=1, s1=0, order=4)
     assert v.passed is False
     assert v.first_failure["entry"] == [1, 2]
-    assert v.first_failure["degree"] is not None
+    deg = v.first_failure["degree"]
     lhs, rhs = (parse_qscalar(v.first_failure[k]) for k in ("lhs", "rhs"))
     assert lhs and rhs == lhs * q_power(1)
+    # the left side is the engine's entry times D = 1 - q^-2 zeta
+    _, engine_mat = assemble(verify.engine_params_for(
+        "r", "a1", "plain", 1, 0, 0, 4, None), split_prefactor=True)
+    den = ZetaSeries({0: QScalar.ONE, 1: -q_power(-2)}, 4)
+    assert (engine_mat.entry(1, 2) * den).coeff(deg) == lhs
     json.dumps(v.to_json())
 
 
@@ -696,9 +702,14 @@ def test_tag_ratio_equals_quotient_of_exponentials(monkeypatch, cid,
 
 
 def test_no_engine_check_divides_a_series(monkeypatch):
+    # the check compares D E with ratio N: it neither inverts a series nor
+    # expands a closed form N / D into one
     def refuse(*args, **kwargs):
-        raise AssertionError("an engine check inverted a series")
+        raise AssertionError("an engine check divided a series")
     monkeypatch.setattr(ZetaSeries, "inverse", refuse)
+    monkeypatch.setattr(reference.ReferenceObject, "expand", refuse)
+    monkeypatch.setattr(ZetaRational, "to_series", refuse)
+    monkeypatch.setattr(series, "series_quotient", refuse)
     verdicts = [check_engine(**kw) for kw in _ENGINE_CATALOG.values()]
     assert len(verdicts) == 10
     assert [v for v in verdicts if not v.passed] == []
@@ -821,6 +832,72 @@ def test_every_moved_check_fails_on_a_mutated_table(monkeypatch):
     assert count == 90
     assert passing == [(v, ((1, 1), 0, "sign"))
                        for v in ("hat", "check", "hat-1")]
+
+
+def test_every_table_mutation_fails_the_engine_check(monkeypatch):
+    # the engine check kills all 90 single-term table mutations, the three
+    # sign flips of the zeta^0 term of (1, 1) that solve the exchange
+    # relation included; a1 at order 3 on 4 Fock states, a2 at order 2 on
+    # 3 states per copy, where every unmutated table passes
+    real = verify.l_table
+    passing, count = [], 0
+    for algebra, variant, order, d in (("a1", "hat", 3, 4),
+                                       ("a1", "check", 3, 4),
+                                       ("a2", "hat-1", 2, 3),
+                                       ("a2", "check-2", 2, 3)):
+        exps = exponent_tuple(algebra, 1, 0, 0)
+        assert check_engine("l", algebra, variant, *exps, order=order,
+                            d=d).passed
+        for name, table in _mutations(real(algebra, variant, exps)):
+            count += 1
+            monkeypatch.setattr(verify, "l_table", lambda *args: table)
+            if check_engine("l", algebra, variant, *exps, order=order,
+                            d=d).passed:
+                passing.append((variant, name))
+            monkeypatch.setattr(verify, "l_table", real)
+    assert count == 90
+    assert passing == []
+
+
+@pytest.mark.parametrize("algebra, order", [("a1", 4), ("a2", 2)])
+@pytest.mark.parametrize("part", ["numerator", "divisor"])
+def test_a_mutated_r_form_fails_the_engine_check(monkeypatch, algebra,
+                                                 order, part):
+    # one term of the numerator's first entry off the diagonal, a
+    # coupling c_ab, with its sign flipped, or the divisor 1 - q^-2 zeta^s
+    # as 1 + q^-2 zeta^s
+    real = verify.r_form
+    exps = exponent_tuple(algebra, 1, 0, 0)
+    assert check_engine("r", algebra, "plain", *exps, order=order).passed
+
+    def mutated(*args):
+        num, den = real(*args)
+        if part == "divisor":
+            return num, OscPoly({k: c if k == _pack(0, 0, 0) else -c
+                                 for k, c in den.terms.items()})
+        ij = min(ij for ij in num.entries if ij[0] != ij[1])
+        x = num.entries[ij].terms
+        k = min(x)
+        entries = dict(num.entries)
+        entries[ij] = OscPoly(x | {k: -x[k]})
+        return OpMatrix(num.dim, entries, num.one), den
+    monkeypatch.setattr(verify, "r_form", mutated)
+    v = check_engine("r", algebra, "plain", *exps, order=order)
+    assert v.passed is False
+
+
+def test_the_engine_check_refuses_a_divisor_without_lowest_term_one(
+        monkeypatch):
+    # D E = ratio N matches E = ratio N / D only for a divisor invertible
+    # as a series with lowest term 1 at zeta^0, as every closed form's is
+    real = verify.r_form
+
+    def doubled(*args):
+        num, den = real(*args)
+        return num, den * OscPoly({_pack(0, 0, 0): 2})
+    monkeypatch.setattr(verify, "r_form", doubled)
+    with pytest.raises(ValueError, match="lowest term is not 1 at zeta"):
+        check_engine("r", "a1", s=1, s1=0, order=2)
 
 
 @pytest.mark.parametrize("wrong", ["matrix leg", "spectral"])
