@@ -29,11 +29,12 @@ holds, and the Cartan factor weighs them; two oscillator legs are rejected.
 """
 
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import count, product
+from functools import lru_cache
+from itertools import product
 from types import MappingProxyType
 
-from .scalars import QScalar, _ONE_POLY, _p_add, q_power, qint, t_power
+from .scalars import (QScalar, _ONE_POLY, _content_reduced, _p_add, _p_conv,
+                      _p_neg, q_power, qint, t_power)
 from .series import ZetaSeries, series_exp, series_log
 from .linalg import OpMatrix
 from .rootsys import (
@@ -200,47 +201,80 @@ class RootVectorTable:
     weight zero, so they are diagonal on the leg and only their eigenvalues
     are kept: `diags[i][m - 1]` takes each state to its eigenvalue under
     c e'_(m delta) of simple root i (c = q - q^-1, negated on the f side),
-    zero where it has none.  Level m carries zeta^(m * zstep).  The leg
-    logarithms are not divided by c: the imaginary factor takes c into its
-    one scalar per level.
+    zero where it has none.  Level m carries zeta^(m * zstep).  `leg(x)`
+    numbers the distinct tuples of eigenvalues at the states asked for;
+    `legs[leg(x)]` is (logs, signs), logs[m - 1][i] and signs[i] from
+    `_node_log` at node i, once per distinct tuple of its eigenvalues.
     """
 
-    __slots__ = ("real", "diags", "zstep", "_logs", "_at")
+    __slots__ = ("real", "diags", "zstep", "legs", "_ids", "_index", "_log")
 
     def __init__(self, real, diags, zstep):
         self.real = real      # (finite_part, m) -> RootVector
-        self.diags = diags
-        self.zstep = zstep
-        self._logs = {}
-        self._at = {}
+        self.diags, self.zstep = diags, zstep
+        self.legs, self._ids, self._index = [], {}, {}
+        self._log = lru_cache(maxsize=None)(_node_log)
 
     def real_op(self, root):
         return self.real.get((root.finite_part, root.delta_mult))
 
-    def imag_at(self, x):
-        """The eigenvalues e_im(x) at leg state x, level by level
-        (m = 1 .. m_max) and node by node: the level-m coefficient of
-        log(1 + sum_m c e'_(m delta) y^m) at x.  One `series_log` per
-        distinct tuple of e' eigenvalues, on first request."""
-        out = self._at.get(x)
+    def leg(self, x):
+        out = self._ids.get(x)
         if out is None:
-            out = self._at[x] = tuple(zip(*(
-                self._log(tuple(level(x) for level in node))
-                for node in self.diags)))
+            key = tuple(tuple(v(x) for v in node) for node in self.diags)
+            out = self._ids[x] = self._index.setdefault(key, len(self.legs))
+            if out == len(self.legs):
+                signs, logs = zip(*map(self._log, key))
+                self.legs.append((tuple(zip(*logs)), signs))
         return out
 
-    def _log(self, key):
-        out = self._logs.get(key)
-        if out is None:
-            if any(key):
-                coeffs = dict(enumerate(key, 1))
-                coeffs[0] = ONE
-                log = series_log(ZetaSeries(coeffs, len(key)))
-                out = tuple(log.coeff(m) for m in range(1, len(key) + 1))
-            else:
-                out = key          # log 1 = 0
-            self._logs[key] = out
-        return out
+
+def _power_sum(values):
+    """Check (a): the sign eps, -1 tried first, for which g = 1 + sum_m
+    values[m - 1] y^m is prod_k (1 - eps t^k y)^(n_k) at every level, n_k =
+    -eps c_k for values[0] = sum_k c_k t^k, or None: g(eps y) divided by
+    prod_k (1 - t^k y)^(n_k) must be 1, exactly, on integer polynomials."""
+    if any(v.den is not _ONE_POLY for v in values):
+        return None
+    for eps in (-1, 1):
+        g = _divide_out([_ONE_POLY] + [_p_neg(v.num) if eps ** m < 0 else
+                                       v.num for m, v in enumerate(values, 1)],
+                        {k: -eps * c for k, c in values[0].num.items()})
+        if not any(g[1:]):
+            return eps
+    return None
+
+
+def _divide_out(g, n):
+    """g / prod_k (1 - t^k y)^(n_k), g a list of integer polynomials by
+    level, in place: per unit of |n_k| one pass dividing by 1 - t^k y
+    (upwards) or multiplying by it (downwards)."""
+    ms = range(1, len(g))
+    for k, c in n.items():
+        for m in [*(ms if c > 0 else reversed(ms))] * abs(c):
+            g[m] = _p_add(g[m], _p_conv({k: 1 if c > 0 else -1}, g[m - 1]))
+    return g
+
+
+def _node_log(values):
+    """(eps, L) for the eigenvalues g_m = values[m - 1] of c e'_(m delta) at
+    one node, L_m the level-m coefficient of log(1 + sum_m g_m y^m): 0 for
+    zeros (eps 0), -(eps^m / m) sum_k n_k t^(k m) = eps^(m + 1) L_1(t^m) / m
+    where check (a) holds, else by `series_log` (eps None)."""
+    ms = range(1, len(values) + 1)
+    eps = _power_sum(values) if any(values) else 0
+    if eps is None:
+        log = series_log(ZetaSeries({0: ONE, **dict(zip(ms, values))}, ms[-1]))
+        return None, tuple(map(log.coeff, ms))
+    return eps, tuple(_at_power(-values[0] if eps ** (m + 1) < 0
+                                else values[0], m) for m in ms)
+
+
+def _at_power(x, m):
+    """x(t^m) / m, canonical as x is: t -> t^m keeps num and den coprime."""
+    return QScalar(*_content_reduced(
+        {k * m: c for k, c in x.num.items()},
+        {k * m: c * m for k, c in x.den.items()}), _canonical=True)
 
 
 def build_root_vectors(image, side, m_max):
@@ -304,35 +338,48 @@ def build_root_vectors(image, side, m_max):
             level = d if m == 1 else _eigenvalues(
                 bracket(below, second, -2),
                 "imaginary root vector at level %d" % m)
-            levels.append(lru_cache(maxsize=None)(
-                lambda x, v=level: v(x) * c if v(x) else ZERO))
+            levels.append(lambda x, v=level: v(x) * c)
         diags.append(levels)
     return RootVectorTable(real, diags, zstep)
 
 
 @lru_cache(maxsize=None)
 def u_matrices(algebra, m_max):
-    """Per-level couplings of the imaginary block, as a read-only map from
-    the level m to (kappa_m, A_m, 1 / (m kappa_m)): A_m is the adjugate of
-    the coupling matrix T_m, and kappa_m = -1/((q - q^-1) det T_m) the one
-    scalar with a polynomial denominator; the others have integer
-    denominators only.  The result is memoised and shared by every caller."""
+    """Per-level couplings of the imaginary block and their signs
+    `_level_signs`, as (levels, signs): a read-only map from the level m to
+    (kappa_m, A_m), A_m the adjugate of the coupling matrix T_m, and kappa_m
+    = -1/((q - q^-1) det T_m) the one scalar with a polynomial denominator;
+    the others have integer denominators only.  Memoised, shared."""
     fin = finite_cartan(algebra)
     r = fin.rank
     out = {}
     for m in range(1, m_max + 1):
-        t = [[qint(m * fin.matrix[i][j]).scale(Fraction(1, m))
-              if (i == j or m % 2 == 0) else
-              qint(m * fin.matrix[i][j]).scale(Fraction(-1, m))
+        t = [[qint(m * fin.matrix[i][j]).scale(
+            Fraction(1 if i == j or m % 2 == 0 else -1, m))
               for j in range(r)] for i in range(r)]
         if r == 1:
             det, adj = t[0][0], ((ONE,),)
         else:
             det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
             adj = ((t[1][1], -t[0][1]), (-t[1][0], t[0][0]))
-        cd = C_FACTOR * det
-        out[m] = (-cd.inverse(), adj, cd.scale(Fraction(-1, m)))
-    return MappingProxyType(out)
+        out[m] = (-(C_FACTOR * det).inverse(), adj)
+    return MappingProxyType(out), _level_signs(out)
+
+
+def _level_signs(levels):
+    """Check (b): the signs sigma_ij = +-1 with kappa_m A_m[i][j] / m ==
+    sigma_ij^(m + 1) (kappa_1 A_1[i][j])(t^m) at every level of `levels`,
+    each read at m = 2 (0, any sign, with level 1 alone), or None."""
+    kappa, adj = levels[1]
+    signs = [[0] * len(adj) for _ in adj]
+    for m, (i, row) in product(range(2, len(levels) + 1), enumerate(signs)):
+        for j, a in enumerate(levels[m][1][i]):
+            got = (levels[m][0] * a).scale(Fraction(1, m * m))
+            want = _at_power(kappa * adj[i][j], m)
+            row[j] = row[j] or (1 if got == want else -1)
+            if got != want.scale(row[j] ** (m + 1)):
+                return None
+    return tuple(map(tuple, signs))
 
 
 def _times_real_factor(acc, e, f, order):
@@ -366,94 +413,79 @@ def _times_real_factor(acc, e, f, order):
 
 
 def _weigh_columns(acc, weights):
-    """acc times the diagonal factor of the column weights, or acc itself
-    when `weights` is None."""
-    if weights is None:
-        return acc
+    """acc times the diagonal factor of the column weights."""
     return {rc: p for rc, v in acc.items() for p in [v * weights[rc[1]]]
             if p}
 
 
 def _imaginary_factor(left_table, right_table, params, order, cols, ground):
-    """Returns (a_00, weights): a_00 is the argument of the exponential at
-    the column `ground`, and the weights map each column of `cols` to that
-    of the diagonal factor, or are None when it is the identity.
+    """Returns (a_00, weights) for m_max >= 1: a_00 is the argument of the
+    exponential at the column `ground`, and the weights map each column of
+    `cols` to that of the diagonal factor.
 
-    The imaginary root vectors are diagonal on every leg, so the argument
-    a of the exponential is diagonal too.  At state (x, y) its level-m
-    coefficient, at zeta^(m s), is kappa_m P_m(x, y), with the bilinear
-    form P_m(x, y) = sum_j G_mj(x) L'_jm(y) and G_mj(x) = sum_i A_m[i][j]
-    L_im(x) (`u_matrices`), read off the unscaled leg logarithms L_im(x)
-    and L'_jm(y), which are asked for at the states of `cols` and at the
-    ground state alone: G once per distinct left tuple, and P and the
-    weight (`_exp_weight`) once per distinct pair of tuples.
-    The exponential is split as exp(a_00) * diag(exp(a_xy - a_00)); the
-    common scalar is returned as its argument a_00 and multiplies the
-    assembled product once at the very end, unless the caller takes it
-    apart.
+    The argument is diagonal: at (x, y) its level-m coefficient, at
+    zeta^(m s), is kappa_m P_m(x, y), P_m = sum_ij A_m[i][j] L_im(x)
+    L'_jm(y) (`u_matrices`) over the leg logarithms (`RootVectorTable.leg`)
+    at the states of `cols` and the ground alone.  exp(a_00), common to all
+    columns, multiplies the assembled product once at the very end, unless
+    the caller takes it apart.  Where check (a) gives L_im = eps_i^(m - 1)
+    L_i1(t^m) / m (`_node_log`), (b) sigma_ij (`_level_signs`) and (c)
+    sigma_ij eps_i eps'_j = 1 wherever eps_i eps'_j != 0, each term of m
+    kappa_m P_m is sigma_ij^(m + 1) (eps_i eps'_j)^(m - 1) (kappa_1
+    A_1[i][j] L_i1 L'_j1)(t^m), so m kappa_m P_m = (kappa_1 P_1)(t^m):
+    a_00 is level 1 under t -> t^m, and a pair of legs that passes, as the
+    ground does, has m a_m = a_1(t^m) for a_1 = kappa_1 (P_1(x, y) -
+    P_1(ground)), its one product with a polynomial denominator.  If a_1 =
+    sum_j n_j t^k_j with integers n_j, the weight is prod_j (1 - t^k_j
+    zeta^s)^(-n_j) (`_product_weight`).  Any other pair takes P_m at every
+    level and `series_exp`.
     """
-    m_max = params.m_max
-    if not m_max:
-        return ZetaSeries.zero(order), None
-    um = u_matrices(params.algebra, m_max)
-    kappas, adjs, invs = zip(*(um[m] for m in range(1, m_max + 1)))
-    rank = finite_cartan(params.algebra).rank
-    zstep = left_table.zstep + right_table.zstep
-    zexps = [m * zstep for m in range(1, m_max + 1)]
-    levels = list(zip(zexps, kappas, invs))
-    forms = {}
+    levels, signs = u_matrices(params.algebra, params.m_max)
+    zexps = [m * (left_table.zstep + right_table.zstep) for m in levels]
+    lefts, rights = left_table.legs, right_table.legs
 
-    def pair(e, f):
-        g = forms.get(e)
-        if g is None:
-            g = forms[e] = [
-                [sum((a[i][j] * lm[i] for i in range(rank)), ZERO)
-                 for j in range(rank)] for a, lm in zip(adjs, e)]
-        return [sum((a * b for a, b in zip(gl, fl)), ZERO)
-                for gl, fl in zip(g, f)]
+    def form(m, e, f):
+        # P_m at the legs (e, f)
+        adj, lm, rm = levels[m][1], lefts[e][0][m - 1], rights[f][0][m - 1]
+        return sum((adj[i][j] * a * b for (i, a), (j, b) in product(
+            enumerate(lm), enumerate(rm)) if a and b), ZERO)
 
-    p0 = pair(left_table.imag_at(ground[0]), right_table.imag_at(ground[1]))
-    cache = {}
-    out = {}
+    def exponent(e, f):
+        return ZetaSeries({z: levels[m][0] * form(m, e, f)
+                           for m, z in zip(levels, zexps)}, order)
+
+    def fast(e, f):
+        # check (c), and no node off the power sums (eps None)
+        return signs is not None and None not in lefts[e][1] + rights[f][1] \
+            and all(s * a * b >= 0 for row, a in zip(signs, lefts[e][1])
+                    for s, b in zip(row, rights[f][1]))
+
+    g0 = left_table.leg(ground[0]), right_table.leg(ground[1])
+    kappa, p1, fast0 = levels[1][0], form(1, *g0), fast(*g0)
+    b0 = kappa * p1
+    a00 = ZetaSeries({z: _at_power(b0, m) for m, z in zip(levels, zexps)},
+                     order) if fast0 else exponent(*g0)
+    cache, out = {}, {}
     for x, y in cols:
-        key = (left_table.imag_at(x), right_table.imag_at(y))
+        key = (left_table.leg(x), right_table.leg(y))
         weight = cache.get(key)
         if weight is None:
-            weight = cache[key] = _exp_weight(
-                [a - b for a, b in zip(pair(*key), p0)], levels, order)
+            a1 = kappa * (form(1, *key) - p1)
+            if a1.den is _ONE_POLY and fast0 and fast(*key):
+                weight = _product_weight(a1, zexps, order)
+            else:
+                weight = series_exp(exponent(*key) - a00)
+            cache[key] = weight
         out[(x, y)] = weight
-    return ZetaSeries({z: k * p for z, k, p in zip(zexps, kappas, p0)},
-                      order), out
+    return a00, out
 
 
-def _exp_weight(diffs, levels, order):
-    """exp(sum_m kappa_m d_m zeta^(z_m)) for the level differences d_m =
-    P_m(x, y) - P_m(ground), with (z_m, kappa_m, 1 / (m kappa_m)) in
-    `levels`.  If a_1 = kappa_1 d_1 is an integer polynomial sum_j n_j t^k_j
-    and each level checks d_m = a_1(t^m) / (m kappa_m), with no gcd, the
-    weight is prod_j (1 - t^k_j zeta^(z_1))^(-n_j) through the levels held,
-    a product of integer binomial series.  Any other exponent goes to
-    `series_exp`."""
-    a1 = levels[0][1] * diffs[0]
-    if a1.den is not _ONE_POLY or any(
-            d != inv * QScalar({k * m: n for k, n in a1.num.items()},
-                               _canonical=True)
-            for m, d, (_, _, inv) in zip(count(2), diffs[1:], levels[1:])):
-        return series_exp(ZetaSeries(
-            {z: k * d for (z, k, _), d in zip(levels, diffs)}, order))
-    hs = [{0: 1}] + [{}] * len(levels)
-    for k, n in a1.num.items():
-        # (1 - t^k zeta^(z_1))^(-n) has h_a = binom(n + a - 1, a) t^(a k)
-        cs = [1]
-        for a in range(1, len(hs)):
-            cs.append(cs[-1] * (n + a - 1) // a)
-        hs = [reduce(_p_add, ({e + a * k: c * x for e, x in hs[i - a].items()}
-                              for a, c in enumerate(cs[:i + 1])
-                              if c and hs[i - a]), {})
-              for i in range(len(hs))]
-    return ZetaSeries({z: QScalar(h, _canonical=True) for z, h in
-                       zip([0] + [z for z, _, _ in levels], hs) if h},
-                      order, 0)
+def _product_weight(a1, zexps, order):
+    """prod_j (1 - t^k_j zeta^(z_1))^(-n_j) for a_1 = sum_j n_j t^k_j
+    through the levels at `zexps`, on integer polynomials."""
+    hs = _divide_out([{0: 1}] + [{}] * len(zexps), a1.num)
+    return ZetaSeries({z: QScalar(h, _canonical=True)
+                       for z, h in zip([0] + zexps, hs) if h}, order, 0)
 
 
 def _k_factor(left_image, right_image, params, order, cols):
@@ -519,17 +551,15 @@ def assemble(params, split_prefactor=False):
     one = ZetaSeries.one(order)
     acc = {(r, c): one for r, c in enumerate(product(lm, rm))}
     a00 = ZetaSeries.zero(order)
-    imag_done = False
     for root in roots:
         if root.kind == "imaginary":
-            # the whole imaginary block at once; without imaginary roots
-            # (m_max = 0) the factor is the identity
-            if not imag_done:
+            # the whole imaginary block at its first root; without imaginary
+            # roots (m_max = 0) the factor is the identity
+            if root.delta_mult == 1:
                 a00, factor = _imaginary_factor(
                     etab, ftab, params, order, {c for _, c in acc},
                     (lm[0], rm[0]))
                 acc = _weigh_columns(acc, factor)
-                imag_done = True
             continue
         e, f = etab.real_op(root), ftab.real_op(root)
         if e is None or f is None or e.zexp + f.zexp > order:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qaffine.scalars import (
-    QScalar, parse_qscalar, q_power, qint, qint_base,
+    QScalar, parse_qscalar, q_power, qint, qint_base, t_power,
 )
 from qaffine.series import ZetaSeries, series_exp, lambda_level
 from qaffine.linalg import OpMatrix, kron, _unflat
@@ -78,12 +78,17 @@ def window_states(d, kmax, copies=1):
     return [x for x in range(d ** copies) if keep(x)]
 
 
+def leg_logs(tab, x):
+    # the leg logarithms at state x, level by level and node by node
+    return tab.legs[tab.leg(x)][0]
+
+
 def eigenvalues(tab, i, m, states):
     # e_im(x) at each state: the table reports the level-m coefficient of
     # log(1 + sum_m c e'_(m delta) y^m), c = q - q^-1 on the e side (whose
     # zeta step is positive) and -(q - q^-1) on the f side
     c = C if tab.zstep > 0 else -C
-    return [tab.imag_at(x)[m - 1][i] / c for x in states]
+    return [leg_logs(tab, x)[m - 1][i] / c for x in states]
 
 
 def diagonal(mat, states):
@@ -475,7 +480,7 @@ def read_all(tab, dim):
         for x in range(dim):
             vec[x]
     for x in range(dim):
-        tab.imag_at(x)
+        tab.leg(x)
     return tab
 
 
@@ -611,7 +616,7 @@ def test_the_unread_real_vector_depends_on_the_order(monkeypatch, exps,
 def inverse_coupling(um, m):
     # u_m, the inverse of the coupling matrix T_m, from its adjugate A_m
     # and kappa_m = -1/((q - q^-1) det T_m)
-    kappa, adj, _ = um[m]
+    kappa, adj = um[0][m]
     return [[-C * kappa * a for a in row] for row in adj]
 
 
@@ -629,11 +634,8 @@ def test_u_matrices():
         assert inverse_coupling(um2, m) == [[diag, off], [off, diag]]
     # the adjugates carry integer denominators only
     for um in (um1, um2):
-        assert all(len(a.den) == 1 for _, adj, _ in um.values()
+        assert all(len(a.den) == 1 for _, adj in um[0].values()
                    for row in adj for a in row)
-        # and 1 / (m kappa_m), which the finite imaginary weights read
-        for m, (kappa, _, inv) in um.items():
-            assert inv * kappa.scale(m) == ONE and len(inv.den) == 1
 
 
 def test_normalization_constants_unit():
@@ -944,14 +946,14 @@ def test_catalog_blocks_are_consistent_under_truncation(kind, algebra,
 def _imaginary_inputs(params):
     left = engine._leg_images(params, "left")
     right = engine._leg_images(params, "right")
-    return (left, right, build_root_vectors(left, "e", params.m_max),
-            build_root_vectors(right, "f", params.m_max))
+    return (left, right, engine.build_root_vectors(left, "e", params.m_max),
+            engine.build_root_vectors(right, "f", params.m_max))
 
 
 def _argument_at(etab, ftab, params, x, y):
     # the exponent at state (x, y), summed term by term from the definition
     rank = 1 if params.algebra == "a1" else 2
-    um = u_matrices(params.algebra, params.m_max)
+    um = engine.u_matrices(params.algebra, params.m_max)
     coeffs = {}
     for m in range(1, params.m_max + 1):
         u = inverse_coupling(um, m)
@@ -1023,18 +1025,26 @@ def test_imaginary_factor_matches_series_exp(algebra, kw):
         assert got == series_exp(diff), (x, y)
 
 
-@pytest.mark.parametrize("algebra, kw, left_states", [
+@pytest.mark.parametrize("algebra, kw, left_states, off", [
     pytest.param("a1", dict(order=4, left="chi", fock_dim=4),
-                 ((0,), (2,), (3,)), id="a1-hat"),
+                 ((0,), (2,), (3,)), False, id="a1-hat"),
     pytest.param("a2", dict(order=3, right="psi", fock_dim=3), (0, 1, 2),
-                 id="a2-check-1"),
+                 False, id="a2-check-1"),
     pytest.param("a2", dict(order=2, left="chi", fock_dim=3),
-                 ((0, 0), (0, 1), (1, 1), (1, 2)), id="a2-hat-1"),
+                 ((0, 0), (0, 1), (1, 1), (1, 2)), False, id="a2-hat-1"),
+    pytest.param("a1", dict(order=4, left="chi", fock_dim=4,
+                            osc_params=_OSC_A1),
+                 ((0,), (1,), (2,), (3,)), True, id="a1-hat-osc"),
+    pytest.param("a2", dict(order=3, right="psi", family=2, fock_dim=3,
+                            osc_params=_OSC_A2), (0, 1, 2), True,
+                 id="a2-check-2-osc"),
 ])
 def test_series_log_once_per_distinct_eigenvalue_tuple(monkeypatch, algebra,
-                                                       kw, left_states):
-    # no logarithm while the tables are built; then one per distinct tuple
-    # of e' eigenvalues among the states of the columns passed
+                                                       kw, left_states, off):
+    # no logarithm while the tables are built, and none at all on legs whose
+    # every node is a product of linear factors (the catalog's); off them,
+    # as at the osc-series parameters, at most one per distinct tuple of one
+    # node's e' eigenvalues among the states of the columns passed
     params = EngineParams(algebra, 1, 0, 0, **kw)
     calls = []
     series_log = engine.series_log
@@ -1049,7 +1059,7 @@ def test_series_log_once_per_distinct_eigenvalue_tuple(monkeypatch, algebra,
     keys = {tuple(level(x) for level in node)
             for tab, states in ((etab, left_states), (ftab, right_states))
             for x in states for node in tab.diags}
-    assert 0 < len(calls) <= len(keys)
+    assert 0 < len(calls) <= len(keys) if off else calls == []
     assert len(set(calls)) == len(calls)
 
 
@@ -1058,7 +1068,8 @@ def test_series_log_once_per_distinct_eigenvalue_tuple(monkeypatch, algebra,
     pytest.param("a2", dict(order=2, right="psi", fock_dim=3),
                  id="a2-check-1"),
 ])
-def test_engine_column_weights_match_products_with_diagonals(algebra, kw):
+def test_engine_column_weights_match_products_with_diagonals(monkeypatch,
+                                                            algebra, kw):
     # assemble applies the imaginary and Cartan factors as column weights;
     # each must equal the product with the diagonal matrix of the weights
     # on the reported columns, as flat indices
@@ -1082,11 +1093,10 @@ def test_engine_column_weights_match_products_with_diagonals(algebra, kw):
         assert OpMatrix(dim, {(r, cols.index(c)): v
                               for (r, c), v in got.items()}, one) == \
             acc * diagonal_matrix([weights[c] for c in cols], one)
-    # no imaginary root within the order: no factor at all
+    # no imaginary root within the order: no imaginary factor at all
     bare = EngineParams(algebra, 1, 0, 0, **dict(kw, order=0))
-    left, right, etab, ftab = _imaginary_inputs(bare)
-    assert engine._imaginary_factor(etab, ftab, bare, 0, set(cols),
-                                    cols[0])[1] is None
+    monkeypatch.setattr(engine, "_imaginary_factor", None)
+    assert assemble(bare).dim == dim
 
 
 def test_series_exp_takes_products_of_linear_factors():
@@ -1102,38 +1112,45 @@ def test_series_exp_takes_products_of_linear_factors():
 
 def test_imaginary_weights_fall_back_only_off_the_power_sums(monkeypatch,
                                                              tmp_path):
-    # every weight of the ten catalog engine checks is a finite product;
-    # each osc-series golden, whose oscillator parameters are not monomials
-    # in t, has weights that are not, and takes series_exp for them
-    inside, counts = [False], {"weights": 0, "fallbacks": 0}
-    real_weight, real_exp = engine._exp_weight, engine.series_exp
+    # every weight of the ten catalog engine checks is a finite product,
+    # and their imaginary factors take no logarithm; each osc-series golden,
+    # whose oscillator parameters are not monomials in t, has weights that
+    # are not, and takes series_exp for them
+    inside, counts = [False], {"weights": 0, "fallbacks": 0, "logs": 0}
+    real = {name: getattr(engine, name) for name in (
+        "_imaginary_factor", "_product_weight", "series_exp", "series_log")}
 
-    def weight(*args):
-        counts["weights"] += 1
+    def factor(*args):
         inside[0] = True
         try:
-            return real_weight(*args)
+            return real["_imaginary_factor"](*args)
         finally:
             inside[0] = False
 
-    def exp(f):
-        counts["fallbacks"] += inside[0]
-        return real_exp(f)
-    monkeypatch.setattr(engine, "_exp_weight", weight)
-    monkeypatch.setattr(engine, "series_exp", exp)
+    def counted(name, key):
+        def call(*args):
+            counts[key] += inside[0]
+            return real[name](*args)
+        monkeypatch.setattr(engine, name, call)
+    monkeypatch.setattr(engine, "_imaginary_factor", factor)
+    counted("_product_weight", "weights")
+    counted("series_exp", "fallbacks")
+    counted("series_log", "logs")
 
-    def fallbacks():
-        assert counts["weights"]
-        out = counts["fallbacks"]
-        counts.update(weights=0, fallbacks=0)
+    def taken():
+        out = dict(counts)
+        counts.update(weights=0, fallbacks=0, logs=0)
         return out
     for _, fn, kw in suite_checks():
         if fn == "check_engine":
-            assert check_engine(**kw).passed and fallbacks() == 0
+            assert check_engine(**kw).passed
+            got = taken()
+            assert got["weights"] and got["fallbacks"] == got["logs"] == 0
     for name in ("compute-l-a1-chi-phi-osc-series",
                  "compute-l-a2-phi-psi-osc-series"):
         assert main(CASES[name] + ["--out", str(tmp_path / "out")]) == 0
-        assert fallbacks() >= 1
+        got = taken()
+        assert got["fallbacks"] >= 1 and got["logs"] >= 1
 
 
 def _has_polynomial_denominator(v):
@@ -1173,8 +1190,9 @@ def test_imaginary_factor_pays_one_denominator_product_per_pair(
     pairs = []
 
     def warmed(left_table, right_table, params, order, cols, ground):
-        keys = {(left_table.imag_at(x), right_table.imag_at(y))
+        keys = {(left_table.leg(x), right_table.leg(y))
                 for x, y in cols | {tuple(ground)}}
+        u_matrices(params.algebra, params.m_max)   # the level identity
         pairs.append(len(keys))
         counting[0] = True
         try:
@@ -1186,3 +1204,186 @@ def test_imaginary_factor_pays_one_denominator_product_per_pair(
     assemble(params)
     assert len(pairs) == 1
     assert len(seen) <= pairs[0] + params.m_max
+
+
+# -- level 1 gives every level: the three checks ---------------------------------
+
+_SIGNS = {"a1": ((1,),), "a2": ((1, -1), (-1, 1))}
+
+
+def test_level_signs_are_pinned():
+    # check (b) holds on both algebras through m_max = 8, with sigma all +1
+    # on a1 and +1 on the diagonal, -1 off it, on a2; level 1 alone leaves
+    # every sign open
+    for algebra, signs in _SIGNS.items():
+        assert u_matrices(algebra, 1)[1] == tuple(
+            (0,) * len(row) for row in signs)
+        for m_max in range(2, 9):
+            levels, got = u_matrices(algebra, m_max)
+            assert got == signs == engine._level_signs(levels)
+
+
+def _perturbed_couplings(algebra, m_max, m):
+    # a copy of the couplings with kappa_m multiplied by t
+    levels = dict(u_matrices(algebra, m_max)[0])
+    kappa, adj = levels[m]
+    levels[m] = (kappa * t_power(1), adj)
+    return levels
+
+
+def _fast_and_fallbacks(monkeypatch):
+    # counts of the finite-product weights and of the series_exp calls made
+    # inside the imaginary factor
+    inside, counts = [False], {"fast": 0, "fallbacks": 0}
+    factor = engine._imaginary_factor
+    weight, exp = engine._product_weight, engine.series_exp
+
+    def counted(*args):
+        inside[0] = True
+        try:
+            return factor(*args)
+        finally:
+            inside[0] = False
+
+    def fast(*args):
+        counts["fast"] += 1
+        return weight(*args)
+
+    def slow(f):
+        counts["fallbacks"] += inside[0]
+        return exp(f)
+    monkeypatch.setattr(engine, "_imaginary_factor", counted)
+    monkeypatch.setattr(engine, "_product_weight", fast)
+    monkeypatch.setattr(engine, "series_exp", slow)
+    return counts
+
+
+def test_a_perturbed_coupling_fails_the_level_identity(monkeypatch):
+    # kappa_m times t, at any level m >= 2, fails check (b); with check (b)
+    # failing, every catalog engine check still passes, each weight through
+    # P_m at every level and series_exp
+    for algebra in _SIGNS:
+        for m in range(2, 9):
+            assert engine._level_signs(
+                _perturbed_couplings(algebra, 8, m)) is None
+    real = engine.u_matrices
+    monkeypatch.setattr(engine, "u_matrices",
+                        lambda algebra, m_max: (real(algebra, m_max)[0],
+                                                None))
+    counts = _fast_and_fallbacks(monkeypatch)
+    for _, fn, kw in suite_checks():
+        if fn == "check_engine":
+            assert check_engine(**kw).passed
+    assert counts["fast"] == 0 and counts["fallbacks"] > 0
+
+
+def _flipped(monkeypatch, side):
+    # every node of the `side` tables evaluated at -y, g(y) -> g(-y): each
+    # node keeps its product shape, with the other sign eps
+    build = engine.build_root_vectors
+
+    def flipped(image, which, m_max):
+        tab = build(image, which, m_max)
+        if which == side:
+            tab.diags = [[(lambda x, v=level, odd=m % 2: -v(x) if odd
+                           else v(x)) for m, level in enumerate(node, 1)]
+                         for node in tab.diags]
+        return tab
+    monkeypatch.setattr(engine, "build_root_vectors", flipped)
+
+
+def _factor_against_definition(algebra, kw):
+    # the imaginary factor on the reported window, and whether it equals
+    # series_exp of the argument summed from its definition
+    params = EngineParams(algebra, 1, 0, 0, **kw)
+    left, right, etab, ftab = _imaginary_inputs(params)
+    cols = _reported_columns(left, right, params)
+    ground = min(cols)
+    a00, factor = engine._imaginary_factor(etab, ftab, params, params.order,
+                                           cols, ground)
+    a0 = _argument_at(etab, ftab, params, *ground)
+    return a00 == a0 and all(
+        got == series_exp(_argument_at(etab, ftab, params, *col) - a0)
+        for col, got in factor.items())
+
+
+_FLIP_CASES = [
+    pytest.param("a1", dict(order=3, right="psi", fock_dim=4),
+                 id="a1-check"),
+    pytest.param("a2", dict(order=2, left="chi", fock_dim=3), id="a2-hat-1"),
+]
+
+
+@pytest.mark.parametrize("algebra, kw", _FLIP_CASES)
+def test_pairs_against_the_level_signs_take_series_exp(monkeypatch, algebra,
+                                                       kw):
+    # the left leg's nodes at -y have the other sign, so sigma_ij eps_i
+    # eps'_j = -1 (check (c)) wherever both logarithms are nonzero: those
+    # pairs take series_exp, and every weight is still the definition's
+    _flipped(monkeypatch, "e")
+    counts = _fast_and_fallbacks(monkeypatch)
+    assert _factor_against_definition(algebra, kw)
+    assert counts["fallbacks"] > 0
+
+
+def _perturb_one_level(monkeypatch, m, k):
+    # t^k added to the level-m eigenvalue of the first node at the second
+    # Fock state of the oscillator leg
+    build = engine.build_root_vectors
+
+    def perturbed(image, side, m_max):
+        tab = build(image, side, m_max)
+        if isinstance(image, OscImage):
+            x0 = (1,) + (0,) * (image.copies - 1)
+            level = tab.diags[0][m - 1]
+            tab.diags[0][m - 1] = (lambda x: level(x) + t_power(k)
+                                   if x == x0 else level(x))
+        return tab
+    monkeypatch.setattr(engine, "build_root_vectors", perturbed)
+
+
+_LEVEL_CASES = [
+    pytest.param(dict(kind="l", algebra="a1", variant="check", order=5, d=7),
+                 m, id="a1-check-m%d" % m) for m in (2, 5)
+] + [
+    pytest.param(dict(kind="l", algebra="a2", variant="hat-1", order=2, d=4),
+                 2, id="a2-hat-1-m2"),
+]
+
+
+@pytest.mark.parametrize("kw, m", _LEVEL_CASES)
+def test_a_perturbed_level_fails_the_engine_check(monkeypatch, kw, m):
+    # the weights come from level 1, yet every level is read: one leg
+    # eigenvalue moved by a monomial at a level m >= 2 fails the check
+    _perturb_one_level(monkeypatch, m, 5)
+    assert not check_engine(**kw).passed
+
+
+def test_each_level_check_can_fail(monkeypatch):
+    # each of the checks (a), (b) and (c) made to pass always: a case the
+    # tests above pin then comes out wrong
+    kw = dict(kind="l", algebra="a1", variant="check", order=5, d=7)
+    # (a): any node of integer values is taken as a product with eps = -1
+    with monkeypatch.context() as mp:
+        _perturb_one_level(mp, 2, 5)
+        mp.setattr(engine, "_power_sum", lambda values: -1)
+        assert check_engine(**kw).passed
+    real = engine.u_matrices
+    for algebra, kw in (case.values for case in _FLIP_CASES):
+        # (b): the pinned signs for couplings with kappa_m times t
+        with monkeypatch.context() as mp:
+            levels = _perturbed_couplings(algebra, kw["order"],
+                                          kw["order"])
+            mp.setattr(engine, "u_matrices", lambda a, m_max: (levels,
+                                                               _SIGNS[a]))
+            assert not _factor_against_definition(algebra, kw)
+            mp.setattr(engine, "u_matrices", lambda a, m_max: (
+                levels, engine._level_signs(levels)))
+            assert _factor_against_definition(algebra, kw)
+        # (c): level signs 0, so that no sign product is -1
+        with monkeypatch.context() as mp:
+            _flipped(mp, "e")
+            mp.setattr(engine, "u_matrices", lambda a, m_max: (
+                real(a, m_max)[0], tuple((0,) * len(row)
+                                         for row in _SIGNS[a])))
+            assert not _factor_against_definition(algebra, kw)

@@ -3,10 +3,13 @@ like the engine's: a unit constant term and coefficients in Q(t) over
 q-number denominators, and products of linear factors (1 - lam z^s)^(+-1).
 Series division is checked against the arithmetic it replaced: the inverse
 as a geometric series of full products, and a zeta-rational expanded as its
-padded numerator times that inverse of its denominator.  The engine's
-imaginary weights, finite products of linear factors where the exponent
-is a power sum, are checked against `series_exp`.
+padded numerator times that inverse of its denominator.  The engine's leg
+logarithms, read off products of linear factors (check (a)), are checked
+against `series_log`, and its imaginary factor on drawn legs against
+`series_exp` of the argument summed from its definition.
 Development-only; skipped when hypothesis is not installed."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -165,67 +168,211 @@ def test_division_oracle_edge_cases():
             assert _same(zr.to_series(order), _padded_expansion(zr, order))
 
 
-# -- the imaginary weights as finite products ----------------------------------
+# -- check (a): leg logarithms of products of linear factors ------------------
+
+def _product_values(factors, levels):
+    # the coefficients at y^1 .. y^levels of prod (1 - eps t^k y)^n over the
+    # factors (eps, k, n), multiplied out as series, negative powers by
+    # `ZetaSeries.inverse`
+    g = ZetaSeries.one(levels)
+    for eps, k, n in factors:
+        factor = ZetaSeries({0: ONE, 1: t_power(k).scale(-eps)}, levels)
+        for _ in range(abs(n)):
+            g = g * (factor if n > 0 else factor.inverse())
+    return tuple(g.coeff(m) for m in range(1, levels + 1))
+
+
+_exponents = st.dictionaries(st.integers(-30, 30),
+                             st.integers(-3, 3).filter(bool), min_size=1,
+                             max_size=3)
+
 
 @st.composite
-def power_sum_levels(draw):
-    # the levels (z_m, kappa_m, 1 / (m kappa_m)) of the engine's couplings
-    # at zeta^(m s) through the order, and the level differences d_m =
-    # a_1(t^m) / (m kappa_m) of a power sum a_1 = sum_j n_j t^k_j
-    algebra = draw(st.sampled_from(["a1", "a2"]))
-    order = draw(st.integers(1, 8))
-    s = draw(st.integers(1, order))
-    um = engine.u_matrices(algebra, order // s)
-    levels = [(m * s, kappa, inv) for m, (kappa, _, inv) in um.items()]
-    sums = draw(st.dictionaries(st.integers(-40, 40),
-                                st.integers(-3, 3).filter(bool), max_size=4))
-    diffs = [QScalar({k * m: n for k, n in sums.items()}) * inv
-             for m, (_, _, inv) in enumerate(levels, 1)]
-    return diffs, levels, order
+def node_products(draw, min_levels=1):
+    levels = draw(st.integers(min_levels, 8))
+    eps = draw(st.sampled_from([-1, 1]))
+    n = draw(_exponents)
+    return eps, n, _product_values([(eps, k, c) for k, c in n.items()],
+                                   levels)
 
 
-def _weight_and_fallbacks(diffs, levels, order):
-    # the engine's weight, with the calls it made to series_exp
-    calls, real = [], engine.series_exp
-
-    def counted(f):
-        calls.append(f)
-        return real(f)
-    engine.series_exp = counted
+def _logs_and_calls(values):
+    # the engine's node logarithms, and the calls it made to series_log
+    calls, real = [], engine.series_log
+    engine.series_log = lambda g: calls.append(g) or real(g)
     try:
-        return engine._exp_weight(diffs, levels, order), len(calls)
+        return engine._node_log(values), len(calls)
+    finally:
+        engine.series_log = real
+
+
+def _series_logs(values):
+    log = series_log(ZetaSeries({0: ONE, **dict(enumerate(values, 1))},
+                                len(values)))
+    return tuple(log.coeff(m) for m in range(1, len(values) + 1))
+
+
+@SETTINGS
+@hypothesis.given(node_products())
+def test_a_product_of_linear_factors_needs_no_series_log(case):
+    # check (a) finds the drawn sign (from level 2 on; level 1 alone fits
+    # either, and -1 is tried first), and the logarithms it gives, -(eps^m /
+    # m) sum_k n_k t^(k m) with the drawn n, are series_log's
+    eps, n, values = case
+    (got, logs), calls = _logs_and_calls(values)
+    assert calls == 0
+    assert got == engine._power_sum(values) == (eps if len(values) > 1
+                                                 else -1)
+    assert logs == _series_logs(values) == tuple(
+        QScalar({k * m: -eps ** m * c for k, c in n.items()}).scale(
+            Fraction(1, m)) for m in range(1, len(values) + 1))
+
+
+@SETTINGS
+@hypothesis.given(node_products(min_levels=2), st.data())
+def test_a_product_with_one_level_perturbed_takes_series_log(case, data):
+    # a monomial added at one level m >= 2 is refused, unless it makes the
+    # product of the other sign with the same level 1, n_k -> -n_k
+    eps, n, values = case
+    m = data.draw(st.integers(2, len(values)))
+    bump = t_power(data.draw(st.integers(-40, 40))).scale(
+        data.draw(st.integers(-2, 2).filter(bool)))
+    values = values[:m - 1] + (values[m - 1] + bump,) + values[m:]
+    hypothesis.assume(values != _product_values(
+        [(-eps, k, -c) for k, c in n.items()], len(values)))
+    (got, logs), calls = _logs_and_calls(values)
+    assert engine._power_sum(values) is got is None and calls == 1
+    assert logs == _series_logs(values)
+
+
+@SETTINGS
+@hypothesis.given(st.integers(2, 8), _exponents, _exponents)
+def test_mixed_signs_in_one_node_take_series_log(levels, minus, plus):
+    # factors 1 - t^k y and 1 + t^k y in one node, on distinct k
+    plus = {k + 61: c for k, c in plus.items()}
+    values = _product_values([(1, k, c) for k, c in minus.items()]
+                             + [(-1, k, c) for k, c in plus.items()], levels)
+    (got, logs), calls = _logs_and_calls(values)
+    assert engine._power_sum(values) is got is None and calls == 1
+    assert logs == _series_logs(values)
+
+
+# -- the imaginary factor on drawn legs ------------------------------------------
+
+class _Params:
+    # what the imaginary factor reads of `EngineParams`
+    def __init__(self, algebra, m_max):
+        self.algebra, self.m_max = algebra, m_max
+
+
+# the factor of every denominator of kappa_1, t^24 - 1 for a1 and t^36 - 1
+# for a2: where each right node's level 1 is a multiple of it, a_1 has
+# integer coefficients
+_PERIOD = {"a1": 24, "a2": 36}
+
+
+@st.composite
+def drawn_legs(draw):
+    # a left and a right leg of 1 to 3 states, state 0 the ground; every node
+    # a product of linear factors of one sign, on the right a sum of pairs
+    # c t^k (1 - t^(period)) at level 1, with the node signs eps_i and
+    # eps'_j that check (c) asks for, sigma_ij eps_i eps'_j = 1
+    algebra = draw(st.sampled_from(["a1", "a2"]))
+    m_max = draw(st.integers(1, 4))
+    base = draw(st.sampled_from([-1, 1]))
+    signs = [base] if algebra == "a1" else [base, -base]
+    period = _PERIOD[algebra]
+
+    def node(eps, right):
+        # zeros, or a product; on the right each factor 1 - eps t^k y comes
+        # with 1 - eps t^(k + period) y to the opposite power
+        if draw(st.integers(0, 4)) == 0:
+            return (QScalar.ZERO,) * m_max
+        n = draw(_exponents)
+        factors = [(eps, k, c) for k, c in n.items()]
+        if right:
+            factors += [(eps, k + period, -c) for k, c in n.items()]
+        return _product_values(factors, m_max)
+
+    legs = [[[node(eps, right) for eps in signs]
+             for _ in range(draw(st.integers(1, 3)))]
+            for right in (False, True)]
+    return algebra, m_max, legs
+
+
+def _table(states, zstep):
+    # a table whose node i takes state x to states[x][i], level by level
+    diags = [[(lambda x, i=i, m=m: states[x][i][m])
+              for m in range(len(states[0][0]))]
+             for i in range(len(states[0]))]
+    return engine.RootVectorTable({}, diags, zstep)
+
+
+def _factor_and_fallbacks(algebra, m_max, legs):
+    calls, real = [], engine.series_exp
+    engine.series_exp = lambda f: calls.append(f) or real(f)
+    left, right = (_table(states, z) for states, z in zip(legs, (2, -1)))
+    cols = {(x, y) for x in range(len(legs[0])) for y in range(len(legs[1]))}
+    try:
+        return engine._imaginary_factor(left, right, _Params(algebra, m_max),
+                                        m_max, cols, (0, 0)), len(calls)
     finally:
         engine.series_exp = real
 
 
-def _exp_of_levels(diffs, levels, order):
-    return series_exp(ZetaSeries({z: kappa * d for (z, kappa, _), d
-                                  in zip(levels, diffs)}, order))
+def _definition(algebra, m_max, legs):
+    # a_00 and every weight from the definition, the logarithms by
+    # series_log: the level-m argument kappa_m sum_ij A_m[i][j] L_im L'_jm
+    # at zeta^m
+    levels, _ = engine.u_matrices(algebra, m_max)
+    logs = [[[_series_logs(v) if any(v) else v for v in state]
+             for state in states] for states in legs]
+
+    def argument(x, y):
+        return ZetaSeries({m: kappa * sum(
+            (adj[i][j] * a[m - 1] * b[m - 1]
+             for i, a in enumerate(logs[0][x])
+             for j, b in enumerate(logs[1][y])), QScalar.ZERO)
+            for m, (kappa, adj) in levels.items()}, m_max)
+    a00 = argument(0, 0)
+    return a00, {(x, y): series_exp(argument(x, y) - a00)
+                 for x in range(len(legs[0])) for y in range(len(legs[1]))}
 
 
-@SETTINGS
-@hypothesis.given(power_sum_levels())
+@hypothesis.settings(SETTINGS, max_examples=30)
+@hypothesis.given(drawn_legs())
 def test_power_sum_weights_are_finite_products(case):
-    weight, fallbacks = _weight_and_fallbacks(*case)
+    # legs that pass checks (a) and (c) with a_1 an integer polynomial take
+    # no series_exp, and give the definition's a_00 and weights
+    factor, fallbacks = _factor_and_fallbacks(*case)
     assert fallbacks == 0
-    assert _same(weight, _exp_of_levels(*case))
+    assert factor == _definition(*case)
 
 
-@SETTINGS
-@hypothesis.given(power_sum_levels(), st.data())
+@hypothesis.settings(SETTINGS, max_examples=30)
+@hypothesis.given(drawn_legs(), st.data())
 def test_other_exponents_fall_back_to_series_exp(case, data):
-    # one level above the first perturbed, or a_1 with a coefficient that
-    # is not an integer: the weight is series_exp's, by the fallback
-    diffs, levels, order = case
-    if data.draw(st.booleans()) and len(levels) > 1:
-        m = data.draw(st.integers(2, len(levels)))
-        diffs[m - 1] = diffs[m - 1] + data.draw(coefficients())
+    # a level m >= 2 of one node off its product (check (a)), or the ground's
+    # first node of the other sign (check (c)): the pairs it reaches take
+    # series_exp, and the result is still the definition's
+    algebra, m_max, legs = case
+    legs = [[list(state) for state in states] for states in legs]
+    hypothesis.assume(m_max > 1 and any(legs[0][0][0]))
+    if data.draw(st.booleans()):
+        side = data.draw(st.integers(0, 1))
+        x = data.draw(st.integers(0, len(legs[side]) - 1))
+        i = data.draw(st.integers(0, len(legs[side][x]) - 1))
+        hypothesis.assume(any(legs[side][x][i]))
+        m = data.draw(st.integers(2, m_max))
+        v = list(legs[side][x][i])
+        v[m - 1] = v[m - 1] + t_power(data.draw(st.integers(-40, 40)))
+        legs[side][x][i] = tuple(v)
+        hypothesis.assume(engine._power_sum(v) is None)
     else:
-        n = data.draw(st.fractions(max_denominator=6).filter(
-            lambda f: f.denominator > 1))
-        k = data.draw(st.integers(-40, 40))
-        diffs = [d + QScalar({k * m: n}) * inv
-                 for m, (d, (_, _, inv)) in enumerate(zip(diffs, levels), 1)]
-    weight, fallbacks = _weight_and_fallbacks(diffs, levels, order)
-    assert fallbacks == 1
-    assert _same(weight, _exp_of_levels(diffs, levels, order))
+        # g(y) -> g(-y)
+        legs[0][0][0] = tuple(-v if m % 2 else v for m, v in
+                              enumerate(legs[0][0][0], 1))
+        hypothesis.assume(any(any(v) for v in legs[1][0]))
+    factor, fallbacks = _factor_and_fallbacks(algebra, m_max, legs)
+    assert fallbacks >= 1
+    assert factor == _definition(algebra, m_max, legs)
