@@ -29,12 +29,12 @@ holds, and the Cartan factor weighs them; two oscillator legs are rejected.
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import accumulate, product
 from types import MappingProxyType
 
 from .scalars import (QScalar, _ONE_POLY, _content_reduced, _p_add, _p_conv,
-                      _p_neg, q_power, qint, t_power)
+                      q_power, qint, t_power)
 from .series import ZetaSeries, series_exp, series_log
 from .linalg import OpMatrix
 from .rootsys import (
@@ -210,8 +210,8 @@ class RootVectorTable:
     __slots__ = ("real", "diags", "zstep", "legs", "_ids", "_index", "_log")
 
     def __init__(self, real, diags, zstep):
-        self.real = real      # (finite_part, m) -> RootVector
-        self.diags, self.zstep = diags, zstep
+        # real: (finite_part, m) -> RootVector
+        self.real, self.diags, self.zstep = real, diags, zstep
         self.legs, self._ids, self._index = [], {}, {}
         self._log = lru_cache(maxsize=None)(_node_log)
 
@@ -229,40 +229,38 @@ class RootVectorTable:
         return out
 
 
+_MAX_PASSES = 32    # of check (a), 3 at most on the catalog; then series_log
+
+
 def _power_sum(values):
     """Check (a): the sign eps, -1 tried first, for which g = 1 + sum_m
     values[m - 1] y^m is prod_k (1 - eps t^k y)^(n_k) at every level, n_k =
-    -eps c_k for values[0] = sum_k c_k t^k, or None: g(eps y) divided by
-    prod_k (1 - t^k y)^(n_k) must be 1, exactly, on integer polynomials."""
-    if any(v.den is not _ONE_POLY for v in values):
+    -eps c_k for values[0] = sum_k c_k t^k, or None: divided by each factor
+    (a pass upwards) or multiplied by it (downwards) per unit of |n_k|, g
+    must be 1, exactly, on integer polynomials."""
+    c1, ms = values[0].num, range(1, len(values) + 1)
+    if any(v.den is not _ONE_POLY for v in values) or \
+            sum(map(abs, c1.values())) > _MAX_PASSES:
         return None
     for eps in (-1, 1):
-        g = _divide_out([_ONE_POLY] + [_p_neg(v.num) if eps ** m < 0 else
-                                       v.num for m, v in enumerate(values, 1)],
-                        {k: -eps * c for k, c in values[0].num.items()})
+        g = [_ONE_POLY] + [v.num for v in values]
+        for k, c in c1.items():
+            for _ in range(abs(c)):
+                for m in (ms if eps * c < 0 else reversed(ms)):
+                    g[m] = _p_add(g[m], _p_conv({k: -c // abs(c)}, g[m - 1]))
         if not any(g[1:]):
             return eps
     return None
-
-
-def _divide_out(g, n):
-    """g / prod_k (1 - t^k y)^(n_k), g a list of integer polynomials by
-    level, in place: per unit of |n_k| one pass dividing by 1 - t^k y
-    (upwards) or multiplying by it (downwards)."""
-    ms = range(1, len(g))
-    for k, c in n.items():
-        for m in [*(ms if c > 0 else reversed(ms))] * abs(c):
-            g[m] = _p_add(g[m], _p_conv({k: 1 if c > 0 else -1}, g[m - 1]))
-    return g
 
 
 def _node_log(values):
     """(eps, L) for the eigenvalues g_m = values[m - 1] of c e'_(m delta) at
     one node, L_m the level-m coefficient of log(1 + sum_m g_m y^m): 0 for
     zeros (eps 0), -(eps^m / m) sum_k n_k t^(k m) = eps^(m + 1) L_1(t^m) / m
-    where check (a) holds, else by `series_log` (eps None)."""
+    where check (a) holds, L_1 = g_1 at one level (eps -1, as a sign no
+    level can refute), else by `series_log` (eps None)."""
     ms = range(1, len(values) + 1)
-    eps = _power_sum(values) if any(values) else 0
+    eps = 0 if not any(values) else _power_sum(values) if ms[-1] > 1 else -1
     if eps is None:
         log = series_log(ZetaSeries({0: ONE, **dict(zip(ms, values))}, ms[-1]))
         return None, tuple(map(log.coeff, ms))
@@ -346,10 +344,9 @@ def build_root_vectors(image, side, m_max):
 @lru_cache(maxsize=None)
 def u_matrices(algebra, m_max):
     """Per-level couplings of the imaginary block and their signs
-    `_level_signs`, as (levels, signs): a read-only map from the level m to
-    (kappa_m, A_m), A_m the adjugate of the coupling matrix T_m, and kappa_m
-    = -1/((q - q^-1) det T_m) the one scalar with a polynomial denominator;
-    the others have integer denominators only.  Memoised, shared."""
+    `_level_signs`, as (levels, signs), memoised and read-only: levels maps
+    m to (kappa_m, A_m), A_m the adjugate of the coupling matrix T_m
+    (integer denominators) and kappa_m = -1/((q - q^-1) det T_m)."""
     fin = finite_cartan(algebra)
     r = fin.rank
     out = {}
@@ -420,25 +417,23 @@ def _weigh_columns(acc, weights):
 
 def _imaginary_factor(left_table, right_table, params, order, cols, ground):
     """Returns (a_00, weights) for m_max >= 1: a_00 is the argument of the
-    exponential at the column `ground`, and the weights map each column of
+    exponential at the column `ground`, multiplied in once at the very end
+    unless the caller takes it apart, and the weights map each column of
     `cols` to that of the diagonal factor.
 
-    The argument is diagonal: at (x, y) its level-m coefficient, at
-    zeta^(m s), is kappa_m P_m(x, y), P_m = sum_ij A_m[i][j] L_im(x)
-    L'_jm(y) (`u_matrices`) over the leg logarithms (`RootVectorTable.leg`)
-    at the states of `cols` and the ground alone.  exp(a_00), common to all
-    columns, multiplies the assembled product once at the very end, unless
-    the caller takes it apart.  Where check (a) gives L_im = eps_i^(m - 1)
-    L_i1(t^m) / m (`_node_log`), (b) sigma_ij (`_level_signs`) and (c)
-    sigma_ij eps_i eps'_j = 1 wherever eps_i eps'_j != 0, each term of m
-    kappa_m P_m is sigma_ij^(m + 1) (eps_i eps'_j)^(m - 1) (kappa_1
-    A_1[i][j] L_i1 L'_j1)(t^m), so m kappa_m P_m = (kappa_1 P_1)(t^m):
-    a_00 is level 1 under t -> t^m, and a pair of legs that passes, as the
-    ground does, has m a_m = a_1(t^m) for a_1 = kappa_1 (P_1(x, y) -
-    P_1(ground)), its one product with a polynomial denominator.  If a_1 =
-    sum_j n_j t^k_j with integers n_j, the weight is prod_j (1 - t^k_j
-    zeta^s)^(-n_j) (`_product_weight`).  Any other pair takes P_m at every
-    level and `series_exp`.
+    At (x, y) the level-m coefficient of the argument, at zeta^(m s), is
+    kappa_m P_m(x, y), P_m = sum_ij A_m[i][j] L_im(x) L'_jm(y) (`u_matrices`)
+    over the leg logarithms (`RootVectorTable.leg`).  Where check (a) gives
+    L_im = eps_i^(m - 1) L_i1(t^m) / m (`_node_log`), (b) sigma_ij
+    (`_level_signs`) and (c) sigma_ij eps_i eps'_j = 1 wherever eps_i eps'_j
+    != 0, each term of m kappa_m P_m is sigma_ij^(m + 1) (eps_i eps'_j)^(m -
+    1) (kappa_1 A_1[i][j] L_i1 L'_j1)(t^m), so m kappa_m P_m = (kappa_1
+    P_1)(t^m): a_00 is level 1 under t -> t^m, and a pair of legs that
+    passes, as the ground does, has m a_m = a_1(t^m) for a_1 = kappa_1
+    (P_1(x, y) - P_1(ground)), its one product with a polynomial
+    denominator.  If a_1 = sum_j n_j t^k_j with integers n_j, the weight is
+    prod_j (1 - t^k_j zeta^s)^(-n_j) (`_product_weight`).  Any other pair
+    takes P_m at every level and `series_exp`.
     """
     levels, signs = u_matrices(params.algebra, params.m_max)
     zexps = [m * (left_table.zstep + right_table.zstep) for m in levels]
@@ -450,8 +445,9 @@ def _imaginary_factor(left_table, right_table, params, order, cols, ground):
         return sum((adj[i][j] * a * b for (i, a), (j, b) in product(
             enumerate(lm), enumerate(rm)) if a and b), ZERO)
 
-    def exponent(e, f):
-        return ZetaSeries({z: levels[m][0] * form(m, e, f)
+    def exponent(e, f, b1):
+        # kappa_1 P_1 = b1, known, and kappa_m P_m at the levels above
+        return ZetaSeries({z: levels[m][0] * form(m, e, f) if m > 1 else b1
                            for m, z in zip(levels, zexps)}, order)
 
     def fast(e, f):
@@ -464,26 +460,30 @@ def _imaginary_factor(left_table, right_table, params, order, cols, ground):
     kappa, p1, fast0 = levels[1][0], form(1, *g0), fast(*g0)
     b0 = kappa * p1
     a00 = ZetaSeries({z: _at_power(b0, m) for m, z in zip(levels, zexps)},
-                     order) if fast0 else exponent(*g0)
+                     order) if fast0 else exponent(*g0, b0)
     cache, out = {}, {}
     for x, y in cols:
         key = (left_table.leg(x), right_table.leg(y))
-        weight = cache.get(key)
-        if weight is None:
+        if key not in cache:
             a1 = kappa * (form(1, *key) - p1)
-            if a1.den is _ONE_POLY and fast0 and fast(*key):
-                weight = _product_weight(a1, zexps, order)
-            else:
-                weight = series_exp(exponent(*key) - a00)
-            cache[key] = weight
-        out[(x, y)] = weight
+            cache[key] = (_product_weight(a1, zexps, order)
+                          if a1.den is _ONE_POLY and fast0 and fast(*key)
+                          else series_exp(exponent(*key, b0 + a1) - a00))
+        out[(x, y)] = cache[key]
     return a00, out
 
 
 def _product_weight(a1, zexps, order):
-    """prod_j (1 - t^k_j zeta^(z_1))^(-n_j) for a_1 = sum_j n_j t^k_j
-    through the levels at `zexps`, on integer polynomials."""
-    hs = _divide_out([{0: 1}] + [{}] * len(zexps), a1.num)
+    """prod_j (1 - t^k_j zeta^(z_1))^(-n_j) for a_1 = sum_j n_j t^k_j at
+    `zexps`: binomial series, whose cost does not grow with |n_j|."""
+    hs = [{0: 1}] + [{}] * len(zexps)
+    for k, n in a1.num.items():
+        # (1 - t^k zeta^(z_1))^(-n) has h_a = binom(n + a - 1, a) t^(a k)
+        cs = list(accumulate(range(1, len(hs)),
+                             lambda b, a: b * (n + a - 1) // a, initial=1))
+        hs = [reduce(_p_add, (_p_conv({a * k: c}, hs[i - a]) for a, c in
+                              enumerate(cs[:i + 1]) if c), {})
+              for i in range(len(hs))]
     return ZetaSeries({z: QScalar(h, _canonical=True)
                        for z, h in zip([0] + zexps, hs) if h}, order, 0)
 

@@ -1146,11 +1146,14 @@ def test_imaginary_weights_fall_back_only_off_the_power_sums(monkeypatch,
             assert check_engine(**kw).passed
             got = taken()
             assert got["weights"] and got["fallbacks"] == got["logs"] == 0
-    for name in ("compute-l-a1-chi-phi-osc-series",
-                 "compute-l-a2-phi-psi-osc-series"):
+    # the a1 golden's oscillator node is off the products at its three
+    # levels and takes series_log; the a2 golden has one level, where each
+    # logarithm is the eigenvalue itself
+    for name, logs in (("compute-l-a1-chi-phi-osc-series", True),
+                       ("compute-l-a2-phi-psi-osc-series", False)):
         assert main(CASES[name] + ["--out", str(tmp_path / "out")]) == 0
         got = taken()
-        assert got["fallbacks"] >= 1 and got["logs"] >= 1
+        assert got["fallbacks"] >= 1 and bool(got["logs"]) == logs
 
 
 def _has_polynomial_denominator(v):
@@ -1387,3 +1390,43 @@ def test_each_level_check_can_fail(monkeypatch):
                 real(a, m_max)[0], tuple((0,) * len(row)
                                          for row in _SIGNS[a])))
             assert not _factor_against_definition(algebra, kw)
+
+
+def _counted_products(monkeypatch):
+    # the polynomial products the engine's finite-product paths make
+    calls, conv = [], engine._p_conv
+    monkeypatch.setattr(engine, "_p_conv",
+                        lambda a, b: calls.append(a) or conv(a, b))
+    return calls
+
+
+def test_a_scaled_rho_costs_no_pass_of_check_a(monkeypatch):
+    # rho times N on the a1 hat leg: every level-1 eigenvalue, N t^-6,
+    # keeps denominator 1, so check (a), one pass per unit of N, would cost
+    # in proportion to N; it refuses the node before any pass, and the
+    # logarithms and weights are series_log's and series_exp's
+    kw = dict(order=3, left="chi", fock_dim=4, osc_params=OscParams(
+        QScalar.from_int(1000) / (C * C), [C], [Fraction(0)]))
+    _, _, etab, _ = _imaginary_inputs(EngineParams("a1", 1, 0, 0, **kw))
+    calls = _counted_products(monkeypatch)
+    for x in fock_states(4):
+        (values,) = (tuple(v(x) for v in node) for node in etab.diags)
+        assert values[0] == t_power(-6).scale(1000)
+        log = engine.series_log(ZetaSeries(
+            {0: ONE, **dict(enumerate(values, 1))}, 3))
+        assert engine._node_log(values) == (
+            None, tuple(map(log.coeff, range(1, 4))))
+    assert calls == []
+    assert _factor_against_definition("a1", kw)
+
+
+def test_a_product_weight_costs_the_same_for_any_exponent(monkeypatch):
+    # prod_j (1 - t^k_j zeta)^(-n_j) with n_j = +-10^5 at three levels: at
+    # most 1 + 2 + 3 + 4 products per factor, and series_exp of sum_m
+    # a_1(t^m) / m zeta^m
+    calls = _counted_products(monkeypatch)
+    for n in (10 ** 5, -10 ** 5):
+        a1 = QScalar({6: n, -12: 3})
+        assert engine._product_weight(a1, [1, 2, 3], 3) == series_exp(
+            ZetaSeries({m: engine._at_power(a1, m) for m in (1, 2, 3)}, 3))
+    assert len(calls) <= 2 * 2 * 10

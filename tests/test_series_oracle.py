@@ -257,6 +257,15 @@ def test_mixed_signs_in_one_node_take_series_log(levels, minus, plus):
     assert logs == _series_logs(values)
 
 
+def test_a_product_beyond_the_pass_bound_takes_series_log():
+    # check (a) makes one pass per unit of sum_k |n_k|, so above its bound a
+    # product is left to series_log, whose cost does not grow with n_k
+    values = _product_values([(1, 5, engine._MAX_PASSES + 1)], 3)
+    (got, logs), calls = _logs_and_calls(values)
+    assert got is None and calls == 1
+    assert logs == _series_logs(values)
+
+
 # -- the imaginary factor on drawn legs ------------------------------------------
 
 class _Params:
@@ -373,6 +382,35 @@ def test_other_exponents_fall_back_to_series_exp(case, data):
         legs[0][0][0] = tuple(-v if m % 2 else v for m, v in
                               enumerate(legs[0][0][0], 1))
         hypothesis.assume(any(any(v) for v in legs[1][0]))
+    factor, fallbacks = _factor_and_fallbacks(algebra, m_max, legs)
+    assert fallbacks >= 1
+    assert factor == _definition(algebra, m_max, legs)
+
+
+@hypothesis.settings(SETTINGS, max_examples=30)
+@hypothesis.given(drawn_legs(), st.data())
+def test_an_exponent_off_the_integers_falls_back_to_series_exp(case, data):
+    # one right node drawn anew as a product of its sign eps'_j (which level
+    # 2 fixes), without the factors that make a_1 integral: checks (a) and
+    # (c) still hold, and a pair whose a_1 has a polynomial denominator
+    # takes series_exp; the result is still the definition's
+    algebra, m_max, legs = case
+    legs = [[list(state) for state in states] for states in legs]
+    y = data.draw(st.integers(0, len(legs[1]) - 1))
+    j = data.draw(st.integers(0, len(legs[1][y]) - 1))
+    hypothesis.assume(m_max > 1 and any(legs[1][y][j]))
+    legs[1][y][j] = _product_values(
+        [(engine._power_sum(legs[1][y][j]), k, c)
+         for k, c in data.draw(_exponents).items()], m_max)
+    kappa, adj = engine.u_matrices(algebra, m_max)[0][1]
+
+    def p1(x, y):
+        # P_1 at (x, y): the logarithms at level 1 are the eigenvalues
+        return sum((adj[i][j] * a[0] * b[0] for i, a in enumerate(legs[0][x])
+                    for j, b in enumerate(legs[1][y])), QScalar.ZERO)
+    hypothesis.assume(any((kappa * (p1(x, y) - p1(0, 0))).den != {0: 1}
+                          for x in range(len(legs[0]))
+                          for y in range(len(legs[1]))))
     factor, fallbacks = _factor_and_fallbacks(algebra, m_max, legs)
     assert fallbacks >= 1
     assert factor == _definition(algebra, m_max, legs)
