@@ -4,21 +4,22 @@ OpMatrix works for any scalar kind with ring operators (QScalar,
 ZetaSeries, ZetaRational and the q-oscillator ring); a matrix carries a
 sample `one` of its scalar kind so identities and zeros can be built
 without a class registry.  On top of that live matrix units, Kronecker
-products, symmetric-group operators, leg embeddings, the one q-oscillator
-ring (OscPoly: integer terms c S_delta x^kappa u^i v^j t^k under packed
-keys, in which every closed form and every identity check multiplies), and
-Grid: a square matrix of Fock-operator matrices, the form
-`reference.render` gives an L-operator on finitely many states, with the
-generalized Kronecker product.
+products, leg permutations as index maps (`leg_permutation`, applied by
+`OpMatrix.relabeled`), the one q-oscillator ring (OscPoly: integer terms
+c S_delta x^kappa u^i v^j t^k under packed keys, in which every closed
+form and every identity check multiplies), and Grid: a square matrix of
+Fock-operator matrices, the form `reference.render` gives an L-operator on
+finitely many states, with the generalized Kronecker product.
 """
 
 import functools
 import itertools
+import math
 
 from .scalars import QScalar, _p_add, _p_neg
 
 __all__ = [
-    "OpMatrix", "kron", "perm_operator", "hat_or_check", "embed_legs",
+    "OpMatrix", "kron", "leg_permutation", "hat_or_check",
     "OscPoly", "Grid", "grid_akp",
 ]
 
@@ -107,6 +108,16 @@ class OpMatrix:
                 out[(i, j)] = v
         return OpMatrix(self.dim, out, self.one, _clean=True)
 
+    def relabeled(self, rows=None, cols=None):
+        """Entry (i, j) moved to (rows[i], cols[j]), None for no move: P *
+        self * Q^-1 for the permutation matrices P e_i = e_rows[i] and Q e_j
+        = e_cols[j].  Every leg permutation is applied this way
+        (`leg_permutation`)."""
+        _check_weights(self.dim, rows, cols)
+        return OpMatrix(self.dim, {
+            (i if rows is None else rows[i], j if cols is None else cols[j]): v
+            for (i, j), v in self.entries.items()}, self.one, _clean=True)
+
     def map_values(self, fn, one=None):
         return OpMatrix(self.dim, {ij: fn(v) for ij, v in self.entries.items()},
                         one if one is not None else self.one)
@@ -178,8 +189,8 @@ def _kron(x, y, n):
 
 def _check_weights(dim, *weights):
     if any(w is not None and len(w) != dim for w in weights):
-        raise ValueError("a weight list's length is not the dimension %d"
-                         % dim)
+        raise ValueError("a weight or index list's length is not the "
+                         "dimension %d" % dim)
 
 
 def kron(a, b):
@@ -190,93 +201,29 @@ def kron(a, b):
                     _clean=True)
 
 
-def _perm_index(perm, idx, dims):
-    # output slot k carries input slot perm^-1(k)
-    n = len(perm)
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(idx[inv[k]] for k in range(n))
-
-
-def perm_operator(perm, leg_dims, one):
-    """Matrix of the leg-permutation operator for identical legs.
-
-    `perm` maps slot index -> slot index (0-based tuple/list); the operator
-    sends e_{j_1} x ... x e_{j_n} to the tensor with the j's redistributed
-    so that output slot s(k) carries input slot k.
-    """
-    n = len(leg_dims)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation of range(%d)" % n)
-    if len(set(leg_dims)) != 1:
-        raise ValueError("permutation operator needs equal leg dimensions")
-    d = leg_dims[0]
-    total = d ** n
-    out = {}
-    for idx in itertools.product(range(d), repeat=n):
-        tgt = _perm_index(perm, idx, leg_dims)
-        row = _flat(tgt, leg_dims)
-        col = _flat(idx, leg_dims)
-        out[(row, col)] = one
-    return OpMatrix(total, out, one, _clean=True)
-
-
-def _flat(idx, dims):
-    out = 0
-    for i, d in zip(idx, dims):
-        out = out * d + i
-    return out
+def leg_permutation(perm, n):
+    """The flat index map of the permutation of len(perm) legs of n states
+    each, leg 0 slowest, that moves the state of leg k to leg perm[k]: the
+    operator is OpMatrix.identity(n ** len(perm), one).relabeled(rows=map),
+    and P m P^-1 is m.relabeled(map, map)."""
+    k = len(perm)
+    if sorted(perm) != list(range(k)):
+        raise ValueError("not a permutation of range(%d)" % k)
+    strides = [n ** (k - 1 - p) for p in perm]
+    return [sum(i * w for i, w in zip(idx, strides))
+            for idx in itertools.product(range(n), repeat=k)]
 
 
 def hat_or_check(r, kind):
-    """R*P for kind "hat", P*R for kind "check", R acting on V x V; rejects
+    """R P for kind "hat", P R for kind "check", R acting on V x V and P the
+    swap of the two legs, as a relabeling of R's columns or rows; rejects
     non-square tensor shape."""
-    n2 = r.dim
-    n = int(round(n2 ** 0.5))
-    if n * n != n2:
-        raise ValueError("matrix of dimension %d is not of two-leg shape" % n2)
-    p = perm_operator((1, 0), [n, n], r.one)
-    return r * p if kind == "hat" else p * r
-
-
-def embed_legs(m, legs, total_legs, leg_dim):
-    """Place a k-leg operator on the given legs of a total_legs product.
-
-    Index convention matches kron: leg 0 is slowest.  Entries of the result
-    act as m on the selected legs and as identity elsewhere.
-    """
-    k = len(legs)
-    if len(set(legs)) != k or any(not 0 <= l < total_legs for l in legs):
-        raise ValueError("target legs must be distinct and in range")
-    if m.dim != leg_dim ** k:
-        raise ValueError("payload dimension does not match selected legs")
-    others = [l for l in range(total_legs) if l not in legs]
-    out = {}
-    one = m.one
-    dims = [leg_dim] * total_legs
-    for (mi, mj), v in m.entries.items():
-        mi_idx = _unflat(mi, [leg_dim] * k)
-        mj_idx = _unflat(mj, [leg_dim] * k)
-        for rest in itertools.product(range(leg_dim), repeat=len(others)):
-            row_idx = [0] * total_legs
-            col_idx = [0] * total_legs
-            for pos, l in enumerate(legs):
-                row_idx[l] = mi_idx[pos]
-                col_idx[l] = mj_idx[pos]
-            for pos, l in enumerate(others):
-                row_idx[l] = rest[pos]
-                col_idx[l] = rest[pos]
-            out[(_flat(row_idx, dims), _flat(col_idx, dims))] = v
-    return OpMatrix(leg_dim ** total_legs, out, one, _clean=True)
-
-
-def _unflat(i, dims):
-    out = []
-    for d in reversed(dims):
-        out.append(i % d)
-        i //= d
-    return tuple(reversed(out))
+    n = math.isqrt(r.dim)
+    if n * n != r.dim:
+        raise ValueError("matrix of dimension %d is not of two-leg shape"
+                         % r.dim)
+    swap = leg_permutation((1, 0), n)
+    return r.relabeled(cols=swap) if kind == "hat" else r.relabeled(rows=swap)
 
 
 # -- the q-oscillator ring --------------------------------------------------

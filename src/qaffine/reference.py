@@ -37,8 +37,8 @@ from .linalg import OpMatrix, OscPoly, Grid, _pack, _place, _unpack
 
 __all__ = [
     "PrefactorTag", "ReferenceObject", "LTable", "reference_matrix",
-    "r_form", "r_tag", "l_table", "l_tag", "list_variants", "r0_hat_matrix",
-    "numerators", "render",
+    "r_form", "r_tag", "l_table", "l_tag", "l_operator", "list_variants",
+    "r0_hat_matrix", "numerators", "render",
     "grid_inverse", "op_inverse", "NoPivotError", "exponent_tuple",
 ]
 
@@ -341,6 +341,19 @@ def list_variants():
         for v in variants]
 
 
+def l_operator(algebra, variant, exps):
+    """(exchange type, form) of a transcribed L-operator: hat-2-inv is the
+    reflected inverse of hat-2, of check type, and any other variant has
+    the type its name begins with.  ValueError on an unsupported one."""
+    if variant not in _L_VARIANTS.get(algebra, ()):
+        raise ValueError("unsupported L-operator %r; supported: %s"
+                         % ((algebra, variant), list_variants()))
+    if variant == "hat-2-inv":
+        return "check", _reflected_inverse(
+            l_table(algebra, "hat-2", exps).ring())
+    return variant.partition("-")[0], l_table(algebra, variant, exps).ring()
+
+
 def exponent_tuple(algebra, s, s1, s2):
     """The exponents of an object: (s, s1) for a1, (s, s1, s2) for a2."""
     return (s, s1) if algebra == "a1" else (s, s1, s2)
@@ -429,13 +442,9 @@ def reference_matrix(kind, algebra, variant="plain", s=1, s1=0, s2=0, d=12):
                                OpMatrix(num.dim, {ij: cells[id(x)] for ij, x
                                                   in num.entries.items()},
                                         ZetaRational.ONE, _clean=True))
-    if kind == "l" and variant in _L_VARIANTS.get(algebra, ()):
-        if variant == "hat-2-inv":
-            form = _reflected_inverse(l_table(algebra, "hat-2", exps).ring())
-            tag, l_type = PrefactorTag(), "check"
-        else:
-            form = l_table(algebra, variant, exps).ring()
-            tag, l_type = l_tag(variant, s), variant.partition("-")[0]
+    if kind == "l":
+        l_type, form = l_operator(algebra, variant, exps)
+        tag = PrefactorTag() if variant == "hat-2-inv" else l_tag(variant, s)
         return ReferenceObject("l", algebra, variant, exps, tag,
                                render(form, d), l_type=l_type, fock_dim=d,
                                copies=len(exps) - 1)

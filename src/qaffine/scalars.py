@@ -343,7 +343,7 @@ def _content_reduced(num, den):
 
 def _reduce_pair(num, den):
     """num / den with gcd(num, den) stripped, over Q[t] and then over Z;
-    num Laurent, den a canonical denominator."""
+    num Laurent, den an ordinary polynomial with a nonzero constant term."""
     if den is _ONE_POLY or not num:
         return num, den
     sn = min(num)
@@ -521,18 +521,9 @@ def _normalize(num, den):
         return {}, _ONE_POLY
     if den == _ONE_POLY:
         return num, _ONE_POLY
-    # strip the monomial content so both parts are ordinary polynomials;
-    # any gcd factor has nonzero constant term, so pd keeps minimal degree 0
-    sn = min(num)
+    # t^sd, the monomial content of den, moves to num
     sd = min(den)
-    pn = _p_shift(num, -sn)
-    pd = _p_shift(den, -sd)
-    g = _p_gcd(pn, pd)
-    if g is not _ONE_POLY:
-        pn = _p_exquo(pn, g)
-        pd = _p_exquo(pd, g)
-    pn, pd = _content_reduced(pn, pd)
-    return _p_shift(pn, sn - sd), pd
+    return _reduce_pair(_p_shift(num, -sd), _p_shift(den, -sd))
 
 
 def _poly_str(p):

@@ -27,10 +27,10 @@ import time
 from .scalars import t_power
 from .series import ZetaSeries, series_exp
 from .linalg import (
-    OpMatrix, OscPoly, hat_or_check, embed_legs, kron, _low, _pack,
+    OpMatrix, OscPoly, hat_or_check, kron, leg_permutation, _low, _pack,
 )
 from .reference import (
-    r_form, r_tag, r0_hat_matrix, l_table, l_tag, list_variants,
+    r_form, r_tag, r0_hat_matrix, l_table, l_tag, l_operator,
     exponent_tuple, grid_inverse, numerators, _reflected_inverse, _zeta,
     NoPivotError,
 )
@@ -172,6 +172,17 @@ def check_engine(kind, algebra, variant="plain", s=1, s1=0, s2=0, order=8,
 
 # -- Yang-Baxter ---------------------------------------------------------------
 
+def _on_three_legs(r_12, r_13, r_23, n):
+    """Two-leg matrices placed on legs (1, 2), (1, 3) and (2, 3) of
+    V x V x V, dim V = n, by kron with the identity: the one on legs
+    (1, 3) is placed on (1, 2), then relabeled by the swap of legs 2 and 3
+    on both sides."""
+    eye = OpMatrix.identity(n, r_12.one)
+    swap = leg_permutation((0, 2, 1), n)
+    return (kron(r_12, eye), kron(r_13, eye).relabeled(swap, swap),
+            kron(eye, r_23))
+
+
 @_timed
 def check_ybe(algebra, s=1, s1=0, s2=0):
     """Exact two-variable verification on three legs, both in the plain
@@ -182,9 +193,7 @@ def check_ybe(algebra, s=1, s1=0, s2=0):
     n = 2 if algebra == "a1" else 3
     r_v = _lift(r_u, "v")
     r_uv = _lift(r_u, "uv")
-    r12 = embed_legs(r_u, (0, 1), 3, n)
-    r13 = embed_legs(r_uv, (0, 2), 3, n)
-    r23 = embed_legs(r_v, (1, 2), 3, n)
+    r12, r13, r23 = _on_three_legs(r_u, r_uv, r_v, n)
     lhs = r12 * r13 * r23
     rhs = r23 * r13 * r12
     exps = exponent_tuple(algebra, s, s1, s2)
@@ -238,18 +247,6 @@ def _rll_residual(l_mat, l_type, r_flat):
             else _ring_failure(lhs, rhs, l_mat.dim - 1))
 
 
-def _l_operator(algebra, variant, exps):
-    """(exchange type, form) of a transcribed L-operator; hat-2-inv is the
-    reflected inverse of hat-2."""
-    if ("l", algebra, variant) not in list_variants():
-        raise ValueError("unsupported L-operator %r; supported: %s"
-                         % ((algebra, variant), list_variants()))
-    if variant == "hat-2-inv":
-        return "check", _reflected_inverse(
-            l_table(algebra, "hat-2", exps).ring())
-    return variant.partition("-")[0], l_table(algebra, variant, exps).ring()
-
-
 @_timed
 def check_rll(algebra, variant, s=1, s1=0, s2=0):
     """The exchange relation for a transcribed L-operator against the
@@ -257,7 +254,7 @@ def check_rll(algebra, variant, s=1, s1=0, s2=0):
     r, _ = r_form(algebra, s, s1, s2)
     exps = exponent_tuple(algebra, s, s1, s2)
     try:
-        l_type, (l_mat, _) = _l_operator(algebra, variant, exps)
+        l_type, (l_mat, _) = l_operator(algebra, variant, exps)
         failure = _rll_residual(l_mat, l_type, r)
     except NoPivotError as exc:
         # only hat-2-inv, of check type, is an inverse
@@ -276,7 +273,7 @@ def check_duality(algebra, variant, mode, s=1, s1=0, s2=0):
     r, _ = r_form(algebra, s, s1, s2)
     exps = exponent_tuple(algebra, s, s1, s2)
     try:
-        l_type, form = _l_operator(algebra, variant, exps)
+        l_type, form = l_operator(algebra, variant, exps)
         if mode == "inversion":
             derived, _ = _reflected_inverse(form)
         elif mode == "tau":

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from qaffine.scalars import QScalar, q_power, qint
 from qaffine.series import ZetaSeries, lambda_level, series_log
-from qaffine.linalg import OpMatrix, perm_operator, kron
+from qaffine.linalg import OpMatrix, kron, leg_permutation
 from qaffine.qgroup import phi_zeta, dynkin_twist
 from qaffine.oscillator import chi_images, psi_images
 from qaffine.engine import EngineParams, assemble
@@ -211,13 +211,12 @@ def test_criterion_9_algebraic_substrate():
                    else OpMatrix.zero(dim, ONE))
             assert lhs == rhs
     # permutation operators, including the three-leg braid identity
-    dims = [2, 2, 2]
-    p12 = perm_operator((1, 0, 2), dims, ONE)
-    p13 = perm_operator((2, 1, 0), dims, ONE)
-    p23 = perm_operator((0, 2, 1), dims, ONE)
+    perm = lambda s: OpMatrix.identity(8, ONE).relabeled(
+        rows=leg_permutation(s, 2))
+    p12, p13, p23 = perm((1, 0, 2)), perm((2, 1, 0)), perm((0, 2, 1))
     assert p12 * p13 * p23 == p23 * p13 * p12
     perms = list(itertools.permutations(range(3)))
-    mats = {s: perm_operator(s, dims, ONE) for s in perms}
+    mats = {s: perm(s) for s in perms}
     for s in perms:
         for t in perms:
             st = tuple(s[t[i]] for i in range(3))

@@ -11,7 +11,7 @@ from qaffine.scalars import (
     QScalar, parse_qscalar, q_power, qint, qint_base, t_power,
 )
 from qaffine.series import ZetaSeries, series_exp, lambda_level
-from qaffine.linalg import OpMatrix, kron, _unflat
+from qaffine.linalg import OpMatrix, kron
 from qaffine.qgroup import phi_zeta, GeneratorImage
 from qaffine.oscillator import OscImage, OscParams, chi_images, psi_images
 from qaffine import engine
@@ -61,7 +61,8 @@ def fock_states(d, copies=1):
 
 def tuples(flat, d, copies=1):
     # the occupation tuples of flat indices over d states per copy
-    return [_unflat(x, [d] * copies) for x in flat]
+    states = fock_states(d, copies)
+    return [states[x] for x in flat]
 
 
 def q_number_power(d, c):

@@ -27,6 +27,9 @@
   stores it and where the reported block is chosen.
 * src/ builds no diagonal matrix: a diagonal conjugation or diagonal factor
   is applied with `scaled`, never as a product with a diagonal matrix.
+* src/ builds no permutation matrix either: a leg permutation is an index
+  map (`leg_permutation`) applied with `relabeled`, so R P, P R and the
+  three Yang-Baxter leg placements form no matrix product.
 * Every check function of the catalog runner is named by a catalog item,
   and every defaulted parameter of the catalogued checks, of `EngineParams`
   and of `assemble` is set by some production caller: a check nothing runs,
@@ -366,6 +369,40 @@ def test_diagonal_matrices_only_where_they_are_operators():
     for path, tree in _modules():
         visit(tree, (path.stem,))
     assert found == {"sample.f"}
+
+
+def test_legs_move_by_relabeling_not_by_products(monkeypatch):
+    from qaffine import linalg, verify
+    from qaffine.reference import r_form
+    assert not hasattr(linalg, "perm_operator")
+    assert not hasattr(linalg, "embed_legs")
+    r, _ = r_form("a2", 2, 1, -1)
+    r_uv, r_v = verify._lift(r, "uv"), verify._lift(r, "v")
+
+    def refuse(x, y):
+        raise AssertionError("a matrix product")
+    monkeypatch.setattr(linalg, "_product", refuse)
+    hat, check = (linalg.hat_or_check(r, kind) for kind in ("hat", "check"))
+    legs = verify._on_three_legs(r, r_uv, r_v, 3)
+    monkeypatch.undo()
+    # the same matrices as the products with permutation matrices, and as
+    # each two-leg matrix placed index by index on its legs of three
+    eye = linalg.OpMatrix.identity(9, r.one)
+    swap = eye.relabeled(rows=linalg.leg_permutation((1, 0), 3))
+    assert (hat, check) == (r * swap, swap * r)
+
+    def placed(m, at):
+        out = {}
+        for (i, j), v in m.entries.items():
+            for c in range(3):
+                row, col = [c] * 3, [c] * 3
+                row[at[0]], row[at[1]] = divmod(i, 3)
+                col[at[0]], col[at[1]] = divmod(j, 3)
+                out[(row[0] * 9 + row[1] * 3 + row[2],
+                     col[0] * 9 + col[1] * 3 + col[2])] = v
+        return linalg.OpMatrix(27, out, m.one)
+    assert legs == (placed(r, (0, 1)), placed(r_uv, (0, 2)),
+                    placed(r_v, (1, 2)))
 
 
 def _parameters(node):

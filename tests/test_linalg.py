@@ -10,11 +10,16 @@ from tuple_ring import (
 )
 
 from qaffine.linalg import (
-    OpMatrix, OscPoly, kron, perm_operator, hat_or_check, embed_legs,
-    Grid, grid_akp,
+    OpMatrix, OscPoly, kron, leg_permutation, hat_or_check, Grid, grid_akp,
 )
 
 ONE = QScalar.ONE
+
+
+def perm_matrix(perm, n):
+    # the matrix of a leg permutation on len(perm) legs of n states each
+    return OpMatrix.identity(n ** len(perm), ONE).relabeled(
+        rows=leg_permutation(perm, n))
 
 
 def unit(dim, a, b):
@@ -68,39 +73,51 @@ def test_kron_associative_bilinear():
 
 
 def test_perm_operator_identity_and_swap():
-    assert perm_operator((0, 1), [2, 2], ONE) == OpMatrix.identity(4, ONE)
-    p = perm_operator((1, 0), [2, 2], ONE)
+    assert perm_matrix((0, 1), 2) == OpMatrix.identity(4, ONE)
+    p = perm_matrix((1, 0), 2)
     # P (e_a x e_b) = e_b x e_a for all a, b
     for a in range(2):
         for b in range(2):
             col = a * 2 + b
             expect_row = b * 2 + a
             assert p.entries.get((expect_row, col)) == ONE
+    assert len(p.entries) == 4
+    # output leg perm[k] carries input leg k, leg 0 slowest
+    assert leg_permutation((1, 2, 0), 3)[1 * 9 + 2 * 3 + 0] == 0 * 9 + 1 * 3 + 2
+    for bad in ((0, 0), (1, 2), (0, 1, 1)):
+        with pytest.raises(ValueError):
+            leg_permutation(bad, 2)
 
 
 def test_perm_composition_and_braid():
-    dims = [2, 2, 2]
     perms = list(itertools.permutations(range(3)))
-    mats = {s: perm_operator(s, dims, ONE) for s in perms}
+    mats = {s: perm_matrix(s, 2) for s in perms}
     for s in perms:
         for t in perms:
             st = tuple(s[t[i]] for i in range(3))
             assert mats[s] * mats[t] == mats[st]
-    p12 = perm_operator((1, 0, 2), dims, ONE)
-    p13 = perm_operator((2, 1, 0), dims, ONE)
-    p23 = perm_operator((0, 2, 1), dims, ONE)
+    p12 = perm_matrix((1, 0, 2), 2)
+    p13 = perm_matrix((2, 1, 0), 2)
+    p23 = perm_matrix((0, 2, 1), 2)
     assert p12 * p13 * p23 == p23 * p13 * p12
 
 
 def test_perm_conjugation_matches_leg_relabeling():
+    # P m P^-1 == m.relabeled(sigma, sigma) for every leg permutation of
+    # three legs, on legs of 2 and of 3 states
     rng = random.Random(3)
-    m = rand_matrix(rng, 4)  # payload on two legs of dim 2
-    for s in itertools.permutations(range(3)):
-        for legs in itertools.permutations(range(3), 2):
-            emb = embed_legs(m, legs, 3, 2)
-            ps = perm_operator(s, [2, 2, 2], ONE)
-            moved = embed_legs(m, tuple(s[l] for l in legs), 3, 2)
-            assert ps * emb == moved * ps
+    for n in (2, 3):
+        m = rand_matrix(rng, n ** 3)
+        for s in itertools.permutations(range(3)):
+            inv = tuple(s.index(k) for k in range(3))
+            p, p_inv = perm_matrix(s, n), perm_matrix(inv, n)
+            assert p * p_inv == OpMatrix.identity(n ** 3, ONE)
+            sigma = leg_permutation(s, n)
+            assert p * m * p_inv == m.relabeled(sigma, sigma)
+            assert m * p_inv == m.relabeled(cols=sigma)
+            assert p * m == m.relabeled(rows=sigma)
+    with pytest.raises(ValueError):
+        m.relabeled(rows=leg_permutation((1, 0), 3))
 
 
 def test_hat_and_check_index_relations():
@@ -112,10 +129,15 @@ def test_hat_and_check_index_relations():
         assert rhat.entry(idx(a, b), idx(c, d)) == r.entry(idx(a, b), idx(d, c))
         assert rcheck.entry(idx(a, b), idx(c, d)) == r.entry(idx(b, a), idx(c, d))
     eye4 = OpMatrix.identity(4, ONE)
-    p = perm_operator((1, 0), [2, 2], ONE)
+    p = perm_matrix((1, 0), 2)
     assert hat_or_check(eye4, "hat") == hat_or_check(eye4, "check") == p
-    with pytest.raises(ValueError):
-        hat_or_check(OpMatrix.identity(5, ONE), "hat")
+    r9 = rand_matrix(rng, 9)
+    p9 = perm_matrix((1, 0), 3)
+    assert hat_or_check(r9, "hat") == r9 * p9
+    assert hat_or_check(r9, "check") == p9 * r9
+    for dim in (5, 8):
+        with pytest.raises(ValueError):
+            hat_or_check(OpMatrix.identity(dim, ONE), "hat")
 
 
 def test_grid_akp_definition():

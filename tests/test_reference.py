@@ -8,12 +8,13 @@ from qaffine.scalars import QScalar, q_power
 from qaffine.rational import ZetaRational
 from qaffine.series import series_exp
 from qaffine.linalg import (
-    OpMatrix, OscPoly, Grid, hat_or_check, kron, perm_operator, _pack,
+    OpMatrix, OscPoly, Grid, hat_or_check, kron, leg_permutation, _pack,
     _place,
 )
 from qaffine.reference import (
     PrefactorTag, reference_matrix, list_variants, r0_hat_matrix, render,
-    grid_inverse, op_inverse, l_table, exponent_tuple,
+    grid_inverse, op_inverse, l_table, l_operator, exponent_tuple, r_form,
+    _zeta,
 )
 from qaffine import verify
 from qaffine.engine import EngineParams, assemble
@@ -75,6 +76,61 @@ def test_unsupported_variant_rejected():
     with pytest.raises(ValueError) as e:
         reference_matrix("l", "a1", "hat-3")
     assert "supported" in str(e.value)
+    # the one L-operator lookup the checks and the printed forms share
+    for algebra, variant, exps in (("a1", "hat-1", (1, 0)),
+                                   ("a2", "hat", (1, 0, 0)),
+                                   ("a3", "hat", (1, 0, 0))):
+        with pytest.raises(ValueError, match="supported"):
+            l_operator(algebra, variant, exps)
+        with pytest.raises(ValueError, match="supported"):
+            verify.check_rll(algebra, variant, *exps)
+
+
+SPAN = range(-6, 7)
+
+
+def _spanned(algebra):
+    """Every exponent tuple of the algebra over -6..6 with s nonzero."""
+    return [(s,) + rest for s in SPAN if s
+            for rest in itertools.product(SPAN, repeat=len(
+                exponent_tuple(algebra, 1, 0, 0)) - 1)]
+
+
+def test_no_two_closed_form_terms_share_a_zeta_exponent():
+    # every transcribed table and the R-matrix over s, s1, s2 in -6..6,
+    # s != 0: no two terms of one entry share (zeta exponent, delta,
+    # kappa), and an entry of two terms has them at zeta^0 and zeta^s, so
+    # no exponent tuple there but s = 0 merges two terms
+    tabled = [(algebra, v) for kind, algebra, v in list_variants()
+              if kind == "l" and v != "hat-2-inv"]
+    assert len(tabled) == 9
+    for algebra, variant in tabled:
+        for exps in _spanned(algebra):
+            table = l_table(algebra, variant, exps)
+            num, _ = table.ring()
+            for ab, terms in table.terms.items():
+                keys = [(e, delta, kappa) for e, _, delta, kappa in terms]
+                assert len(set(keys)) == len(keys)
+                if len(terms) > 1:
+                    assert sorted(e for e, *_ in terms) == sorted(
+                        (0, exps[0]))
+                # nor do their expansions on the ring: a lowered copy
+                # gives one monomial per subset of its lowered copies
+                assert len(num.entries[ab].terms) == sum(
+                    2 ** sum(x < 0 for x in delta) * len(c.num)
+                    for _, c, delta, _ in terms)
+    for algebra, n in (("a1", 2), ("a2", 3)):
+        for exps in _spanned(algebra):
+            num, den = r_form(algebra, *(exps + (0,))[:3])
+            # n divisors and n (n - 1) entries g on the diagonal, each at
+            # zeta^0 and zeta^|s|, and n (n - 1) couplings c_ab, each at
+            # one power of zeta
+            assert len(num.entries) == n + 2 * n * (n - 1)
+            for (i, j), x in num.entries.items():
+                powers = set(_zeta(x))
+                assert (powers == {0, abs(exps[0])} if i == j
+                        else len(powers) == 1)
+            assert set(_zeta(den)) == {0, abs(exps[0])}
 
 
 def grid_product(factors):
@@ -227,7 +283,8 @@ def test_hat2_inverse_variant():
     # on the ring, N / D times D B / P with N B = P, and below the top
     # level for the rendered blocks
     hat2 = num, den = l_table("a2", "hat-2", (1, 0, 0)).ring()
-    _, (inv, piv) = verify._l_operator("a2", "hat-2-inv", (1, 0, 0))
+    l_type, (inv, piv) = l_operator("a2", "hat-2-inv", (1, 0, 0))
+    assert l_type == "check"
     back = inv.map_values(lambda x: x.spectral(-1, 0))
     assert num * back == OpMatrix.identity(3, num.one).scale(
         den * piv.spectral(-1, 0))
@@ -267,7 +324,9 @@ def _flat(state, d):
 
 
 def test_r0_matrices():
-    r0 = r0_hat_matrix(2) * perm_operator((1, 0), [2, 2], OscPoly.ONE)
+    # R0 = R0-hat P, P the swap of the two legs
+    r0 = r0_hat_matrix(2) * OpMatrix.identity(4, OscPoly.ONE).relabeled(
+        rows=leg_permutation((1, 0), 2))
     # diag entries q, 1, 1, q and the single raising-lowering coupling
     assert r0.entry(0, 0) == const(q_power(1))
     assert r0.entry(1, 1) == OscPoly.ONE

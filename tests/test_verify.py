@@ -55,7 +55,7 @@ def test_rll_a1_all_variants(monkeypatch):
             ab: terms + tuple((e + 1, c * q_power(3), delta, kappa)
                               for e, c, delta, kappa in terms)
             for ab, terms in table.terms.items()})
-    monkeypatch.setattr(verify, "l_table", dressed)
+    _read_tables(monkeypatch, dressed)
     v = check_rll("a1", "hat", s=1, s1=0)
     assert v.passed
 
@@ -277,6 +277,13 @@ def _times_q(table, ab, k=0):
     return table._replace(terms=terms)
 
 
+def _read_tables(monkeypatch, fn):
+    """Make every check read its L tables from fn: verify reads them
+    directly and through `reference.l_operator`."""
+    for module in (verify, reference):
+        monkeypatch.setattr(module, "l_table", fn)
+
+
 def _perturb(monkeypatch, ab=(0, 0), when=lambda exps: True):
     """Make the checks read every table with its first term of grid entry
     ab multiplied by q, at the exponents where `when` holds."""
@@ -285,7 +292,7 @@ def _perturb(monkeypatch, ab=(0, 0), when=lambda exps: True):
     def perturbed(algebra, variant, exps):
         table = real(algebra, variant, exps)
         return _times_q(table, ab) if when(exps) else table
-    monkeypatch.setattr(verify, "l_table", perturbed)
+    _read_tables(monkeypatch, perturbed)
 
 
 def _sides(l_mat, l_type, r_flat):
@@ -331,7 +338,7 @@ def test_failing_duality_reports_both_values(monkeypatch):
         (e, c, delta, kappa), = table.terms[(0, 0)]
         return table._replace(terms={**table.terms,
                                      (0, 0): ((e + 1, c, delta, kappa),)})
-    monkeypatch.setattr(verify, "l_table", raised)
+    _read_tables(monkeypatch, raised)
     for mode in ("tau", "inversion"):
         v = check_duality("a1", "hat", mode, s=1, s1=0)
         assert v.passed is False
@@ -550,7 +557,7 @@ def test_a_table_with_no_unit_pivot_fails_the_inverting_checks(monkeypatch,
     # verify reports the failure rather than an error
     hat2 = dict(_mutations(l_table("a2", "hat-2", (1, 0, 0))))[
         ((0, 0), 0, "zeta")]
-    monkeypatch.setattr(verify, "l_table", lambda *args: hat2)
+    _read_tables(monkeypatch, lambda *args: hat2)
     v = check_rll("a2", "hat-2-inv", s=1, s1=0, s2=0)
     assert (v.check, v.passed, v.first_failure) == ("rll-check", False, {
         "detail": "no invertible pivot left at elimination step 2"})
@@ -590,7 +597,7 @@ def test_cli_exits_2_where_an_exponent_leaves_the_packing(monkeypatch,
         terms[(0, 0)] = (((e, c * q_power(11000), delta, kappa),)
                          + terms[(0, 0)][1:])
         return table._replace(terms=terms)
-    monkeypatch.setattr(verify, "l_table", far)
+    _read_tables(monkeypatch, far)
     argv = ["verify", "rll", "--algebra", "a1"]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -819,7 +826,7 @@ def test_every_moved_check_fails_on_a_mutated_table(monkeypatch):
         exps = exponent_tuple(algebra, 1, 0, 0)
         for name, table in _mutations(real(algebra, variant, exps)):
             count += 1
-            monkeypatch.setattr(verify, "l_table", lambda *args: table)
+            _read_tables(monkeypatch, lambda *args: table)
             if check_rll(algebra, variant, *exps).passed:
                 passing.append((variant, name))
                 continue
@@ -850,11 +857,11 @@ def test_every_table_mutation_fails_the_engine_check(monkeypatch):
                             d=d).passed
         for name, table in _mutations(real(algebra, variant, exps)):
             count += 1
-            monkeypatch.setattr(verify, "l_table", lambda *args: table)
+            _read_tables(monkeypatch, lambda *args: table)
             if check_engine("l", algebra, variant, *exps, order=order,
                             d=d).passed:
                 passing.append((variant, name))
-            monkeypatch.setattr(verify, "l_table", real)
+            _read_tables(monkeypatch, real)
     assert count == 90
     assert passing == []
 
