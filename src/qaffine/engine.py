@@ -16,21 +16,22 @@ reported rows, since E_R (M_1 ... M_k) = (E_R M_1) M_2 ... M_k, so every
 factor is multiplied on those rows alone; `fock_dim` only picks them and
 the columns cut at the end.
 
-Every root vector is evaluated one leg state at a time, on request.  A
-real one maps each state to at most one state, a weighted partial map: a
-generator reads its monomial (or matrix row), a bracket composes two maps,
-and a step along delta, a bracket with the diagonal e'_delta, weighs the
-vector below it.  The imaginary ones have weight zero, so they are
-diagonal and the engine keeps their eigenvalues, taking the graded
-logarithm only at the states the product holds.  Every pairing has a
-fundamental leg, where a real root vector squares to zero, so each real
-q-exponential is exactly 1 + X, which relabels the columns the product
-holds, and the Cartan factor weighs them; two oscillator legs are rejected.
+Every root vector is evaluated one leg state at a time, on request.  A real
+one maps each state to at most one state, a weighted partial map: a
+generator reads its monomial (or matrix row) and a bracket composes two
+maps.  A family along delta is its first vector times the powers of one
+weight per row, and each imaginary level is e'_delta's two products so
+weighed.  The imaginary ones have weight zero, so they are diagonal and the
+engine keeps their eigenvalues, taking the graded logarithm only at the
+states the product holds.  Every pairing has a fundamental leg, where a
+real root vector squares to zero, so each real q-exponential is exactly
+1 + X, which relabels the columns the product holds, once per run of a
+family, and the Cartan factor weighs them; two oscillator legs are rejected.
 """
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, product
+from itertools import accumulate, groupby, product
 from types import MappingProxyType
 
 from .scalars import (QScalar, _ONE_POLY, _content_reduced, _p_add, _p_conv,
@@ -113,13 +114,14 @@ def _leg_images(params, which):
 class RootVector(dict):
     """A real root vector on one leg as a weighted partial map carrying
     zeta^zexp: self[x] is (y, v) for its one entry v at (x, y), or None,
-    as `rule` gives it at state x on first request."""
+    as `rule` gives it at state x on first request.  `step` is its family's
+    (power, zdelta) along delta (`_family`)."""
 
-    __slots__ = ("zexp", "rule")
+    __slots__ = ("zexp", "rule", "step")
 
-    def __init__(self, zexp, rule):
+    def __init__(self, zexp, rule, step=None):
         super().__init__()
-        self.zexp, self.rule = zexp, rule
+        self.zexp, self.rule, self.step = zexp, rule, step
 
     def __missing__(self, x):
         hit = self[x] = self.rule(x)
@@ -142,35 +144,41 @@ def _generators(image, side):
 
 
 def _bracket(x, y, p):
-    """The rule of x y - q^p y x: at each state each product composes two
-    partial maps, two lookups, and entries of the two in different columns
-    raise."""
+    """The products of x y - q^p y x at each state i, as (column, value,
+    the state where x is read, the state where y is read): each composes
+    two partial maps, two lookups."""
     c = -q_power(p)
 
-    def rule(i):
-        out = None
-        for a, b, w in ((x, y, None), (y, x, c)):
-            hit = a[i]
-            hit2 = hit and b[hit[0]]
-            if hit2:
-                v = hit[1] * hit2[1] * w if w else hit[1] * hit2[1]
-                if out is None:
-                    out = (hit2[0], v)
-                elif out[0] == hit2[0]:
-                    out = (out[0], out[1] + v)
-                else:
-                    raise EngineError("a root vector has two entries in "
-                                      "one row")
-        return out if out and out[1] else None
-    return rule
+    def products(i):
+        out = []
+        hit = x[i]
+        hit2 = hit and y[hit[0]]
+        if hit2:
+            out.append((hit2[0], hit[1] * hit2[1], i, hit[0]))
+        hit = y[i]
+        hit2 = hit and x[hit[0]]
+        if hit2:
+            out.append((hit2[0], hit[1] * hit2[1] * c, hit[0], i))
+        return out
+    return products
 
 
-def _eigenvalues(rule, what):
-    """The memoised eigenvalue at each state of a vector that must be
-    diagonal, 0 where it has no entry; an entry off the diagonal raises."""
+def _entry(products):
+    """The one entry (column, value) of a sum of products (column, value,
+    ...), None where there is none or it is 0; two columns raise."""
+    if len({p[0] for p in products}) > 1:
+        raise EngineError("a root vector has two entries in one row")
+    v = sum((p[1] for p in products[1:]), products[0][1]) if products else 0
+    return (products[0][0], v) if v else None
+
+
+def _eigenvalues(products, what):
+    """The memoised eigenvalue at each state of a vector, given by its
+    products, that must be diagonal: 0 where it has no entry; an entry off
+    the diagonal raises."""
     @lru_cache(maxsize=None)
     def at(x):
-        hit = rule(x)
+        hit = _entry(products(x))
         if hit is None:
             return ZERO
         if hit[0] != x:
@@ -179,28 +187,33 @@ def _eigenvalues(rule, what):
     return at
 
 
-def _step(below, d, h, cache):
-    """The rule of the vector one step along delta above `below`: row x
-    weighed by (d_y - d_x) h, d the eigenvalues of e'_delta, each weight
-    once per family, which shares `cache`; a zero weight drops the entry."""
-    def rule(x):
-        hit = below[x]
-        if hit is None:
-            return None
-        w = cache.get(x)
-        if w is None:
-            w = cache[x] = (d(hit[0]) - d(x)) * h
+def _family(base, d, h, zdelta, m_max):
+    """The vectors 1 to m_max steps along delta above `base`: the j-th maps
+    x to (y, v w(x)^j) for the entry v of base at (x, y), w(x) = (d_y - d_x)
+    h, d the eigenvalues of e'_delta; base.step keeps w's memoised powers."""
+    @lru_cache(maxsize=None)
+    def power(x, j):
+        if j < 2:
+            return (d(base[x][0]) - d(x)) * h if j else ONE
+        return power(x, j - 1) * power(x, 1)
+
+    def rule(x, j):
+        hit = base[x]
+        w = hit and power(x, j)
         return (hit[0], hit[1] * w) if w else None
-    return rule
+    base.step = (power, zdelta)
+    return [RootVector(base.zexp + j * zdelta, lambda x, j=j: rule(x, j),
+                       base.step) for j in range(1, m_max + 1)]
 
 
 class RootVectorTable:
     """Images of the root vectors for one leg and one Borel side.
 
-    The real root vectors are `RootVector` maps.  The imaginary ones have
-    weight zero, so they are diagonal on the leg and only their eigenvalues
-    are kept: `diags[i][m - 1]` takes each state to its eigenvalue under
-    c e'_(m delta) of simple root i (c = q - q^-1, negated on the f side),
+    The real root vectors are `RootVector` maps, those along delta read off
+    the first of their family (`_family`).  The imaginary ones have weight
+    zero, so they are diagonal on the leg and only their eigenvalues are
+    kept: `diags[i][m - 1]` takes each state to its eigenvalue under c
+    e'_(m delta) of simple root i (c = q - q^-1, negated on the f side),
     zero where it has none.  Level m carries zeta^(m * zstep).  `leg(x)`
     numbers the distinct tuples of eigenvalues at the states asked for;
     `legs[leg(x)]` is (logs, signs), logs[m - 1][i] and signs[i] from
@@ -216,7 +229,7 @@ class RootVectorTable:
         self._log = lru_cache(maxsize=None)(_node_log)
 
     def real_op(self, root):
-        return self.real.get((root.finite_part, root.delta_mult))
+        return self.real[(root.finite_part, root.delta_mult)]
 
     def leg(self, x):
         out = self._ids.get(x)
@@ -280,8 +293,11 @@ def build_root_vectors(image, side, m_max):
     vector is a rule, read at a state on first request.
 
     Every bracket composes partial maps, and one with the diagonal e'_delta
-    weighs rows, [X, e'_delta]_xy = X_xy (d_y - d_x); level 1 of each simple
-    imaginary family is e'_delta itself.
+    weighs rows, [X, e'_delta]_xy = X_xy (d_y - d_x): e_(gamma + m delta) is
+    e_gamma times w^m, one weight per row (`_family`), as is e_(-gamma + (m
+    + 1) delta).  Level 1 of each simple imaginary family is e'_delta, and
+    level m is e'_delta's two products, each times w^(m - 1) where it reads
+    e_gamma.
     """
     sgn = 1 if side == "e" else -1
 
@@ -290,7 +306,8 @@ def build_root_vectors(image, side, m_max):
         return _bracket(x, y, p) if sgn > 0 else _bracket(y, x, -p)
 
     def composite(x, y):
-        return RootVector(x.zexp + y.zexp, bracket(x, y, -1))
+        return RootVector(x.zexp + y.zexp,
+                          lambda i, xy=bracket(x, y, -1): _entry(xy(i)))
 
     gen = [RootVector(sgn * z, rule)
            for z, rule in zip(image.exps, _generators(image, side))]
@@ -310,34 +327,30 @@ def build_root_vectors(image, side, m_max):
     c = C_FACTOR if sgn > 0 else -C_FACTOR
     half = INV2 if sgn > 0 else -INV2
     zstep = sgn * sum(image.exps)
+    reads = 2 if sgn > 0 else 3     # where a product of e'_delta reads e_gamma
     diags = []
     for gamma in finite_positive(image.algebra):
         minus = tuple(-g for g in gamma)
         first, second = real[(gamma, 0)], real[(minus, 1)]
         zdelta = first.zexp + second.zexp
-        d = _eigenvalues(bracket(first, second, -2),
-                         "e'_delta of %s" % (gamma,))
-        # e_(gamma + m delta) = [e_(gamma + (m-1) delta), e'_delta] / [2] and
-        # e_(-gamma + (m+1) delta) = [e'_delta, e_(-gamma + m delta)] / [2]:
-        # one weight per row and direction
+        prime = lru_cache(maxsize=None)(bracket(first, second, -2))
+        d = _eigenvalues(prime, "e'_delta of %s" % (gamma,))
         for root, m0, h in ((gamma, 0, half), (minus, 1, -half)):
-            vec, cache = real[(root, m0)], {}
-            for m in range(m0 + 1, m0 + m_max + 1):
-                vec = real[(root, m)] = RootVector(vec.zexp + zdelta,
-                                                   _step(vec, d, h, cache))
+            family = _family(real[(root, m0)], d, h, zdelta, m_max)
+            real.update(((root, m0 + j), v) for j, v in enumerate(family, 1))
         if sum(gamma) > 1:
             continue
-        levels = []
-        for m in range(1, m_max + 1):
-            below = real[(gamma, m - 1)]
-            if below.zexp + second.zexp != m * zstep:
-                raise EngineError("inhomogeneous zeta grading in the "
-                                  "imaginary family at level %d" % m)
-            level = d if m == 1 else _eigenvalues(
-                bracket(below, second, -2),
-                "imaginary root vector at level %d" % m)
-            levels.append(lambda x, v=level: v(x) * c)
-        diags.append(levels)
+        # level m carries zeta^(m zdelta), and must carry zeta^(m zstep)
+        if zdelta != zstep:
+            raise EngineError("inhomogeneous zeta grading in the imaginary "
+                              "family of %s" % (gamma,))
+        levels = [d if m == 1 else _eigenvalues(
+            lambda i, m=m, prime=prime, power=first.step[0]: [
+                (p[0], v) for p in prime(i)
+                for v in [p[1] * power(p[reads], m - 1)] if v],
+            "imaginary root vector at level %d" % m)
+            for m in range(1, m_max + 1)]
+        diags.append([lambda x, v=level: v(x) * c for level in levels])
     return RootVectorTable(real, diags, zstep)
 
 
@@ -379,18 +392,21 @@ def _level_signs(levels):
     return tuple(map(tuple, signs))
 
 
-def _times_real_factor(acc, e, f, order):
-    """acc exp_{q^-2}(X) = acc (1 + X) for X = (q - q^-1) e x f.
+def _times_real_factor(acc, e, f, order, run=1):
+    """acc exp_{q^-2}(X_0) ... exp_{q^-2}(X_(run-1)) = acc (1 + X_0 + ... +
+    X_(run-1)) for X_j = (q - q^-1) e_j x f_j, e_j and f_j the vectors j
+    steps along delta above e and f (`RootVector.step`).
 
     `acc` maps (row, column) to a series, each column a pair (x, y) of leg
-    states.  X is a partial map like e and f, so acc X relabels the columns
-    of acc: column (x, y) moves to (x', y') for the entries (x, x') of e
-    and (y, y') of f, with one weight per held column.  Every higher term
-    of the q-exponential vanishes exactly when X^2 does at every held
-    column, that is when e e has no entry at x or f f none at y, as on a
-    fundamental leg, where a real root vector squares to zero.
+    states.  Every X_j moves column (x, y) to (x', y') for the entries (x,
+    x') of e and (y, y') of f, with weight (q - q^-1) e_xx' f_yy' (w(x)
+    w'(y))^j: acc times the run relabels the columns of acc.  Every higher
+    term of the q-exponentials, and every X_i X_j, vanishes exactly when
+    X_0^2 does at every held column, that is when e e has no entry at x or
+    f f none at y, as on a fundamental leg, where a real root vector
+    squares to zero.
     """
-    k = e.zexp + f.zexp
+    k, dk = e.zexp + f.zexp, run > 1 and e.step[1] + f.step[1]
     moves, out = {}, dict(acc)
     for (r, c), v in acc.items():
         if c not in moves:
@@ -399,8 +415,13 @@ def _times_real_factor(acc, e, f, order):
             if hf and e[he[0]] and f[hf[0]]:
                 raise EngineError("X^2 does not vanish at column %s, so the "
                                   "real factor is not 1 + X" % (c,))
-            moves[c] = hf and ((he[0], hf[0]), ZetaSeries(
-                {k: C_FACTOR * he[1] * hf[1]}, order))
+            moves[c] = hf
+            if hf:
+                ratio = run > 1 and e.step[0](c[0], 1) * f.step[0](c[1], 1)
+                ws = accumulate(range(1, run), lambda w, _: w * ratio,
+                                initial=C_FACTOR * he[1] * hf[1])
+                moves[c] = ((he[0], hf[0]), ZetaSeries(
+                    {k + j * dk: w for j, w in enumerate(ws)}, order))
         if moves[c]:
             rc, p = (r, moves[c][0]), v * moves[c][1]
             p = out.pop(rc) + p if rc in out else p
@@ -502,10 +523,20 @@ def _k_factor(left_image, right_image, params, order, cols):
 
 @lru_cache(maxsize=None)
 def check_normalization_constants(algebra, s, s1, s2, m_max):
-    """In the faithful evaluation leg, [e_gamma, f_gamma] must equal the
-    standard Cartan combination with unit constant for every real root.
-    Memoised: a failure raises, and is not stored."""
+    """In the faithful evaluation leg, [e_beta, f_beta] must equal the
+    standard Cartan combination [h_beta] with unit constant for every real
+    root beta up to m_max.  Memoised: a failure raises, and is not stored.
+
+    Levels 0 to 2 of each family prove every level (`assemble` asks for
+    min(m_max, 2)): e_(gamma + m delta) f_(gamma + m delta) and its reverse
+    are constants times r1^m and r2^m at a state (`_family`), the zeta power
+    is linear in m, and h_delta = 0 makes [h_beta] one constant C.  A r1^m +
+    B r2^m - C has the recurrence of (z - r1)(z - r2)(z - 1), so zero at m =
+    0, 1 and 2 it is zero at every m.
+    """
     img = phi_zeta(algebra, s, s1, s2)
+    if any(map(sum, zip(*img.h_diags))):
+        raise EngineError("h_delta does not vanish on the evaluation leg")
     etab = build_root_vectors(img, "e", m_max)
     ftab = build_root_vectors(img, "f", m_max)
     aff = extend_cartan(finite_cartan(algebra))
@@ -513,14 +544,12 @@ def check_normalization_constants(algebra, s, s1, s2, m_max):
         if root.kind == "imaginary":
             continue
         e, f = etab.real_op(root), ftab.real_op(root)
-        if e is None or f is None:
-            continue
         ks = root.simple_coefficients()
-        rule = _bracket(e, f, 0)
+        products = _bracket(e, f, 0)
         for x in range(img.dim):
             v = sum(k * img.h_diags[i][x] for i, k in enumerate(ks))
             want = (x, qint(v)) if v else None
-            if rule(x) != want or e.zexp + f.zexp != 0:
+            if _entry(products(x)) != want or e.zexp + f.zexp != 0:
                 raise EngineError("normalization constant differs from 1 "
                                   "at root %r" % (root,))
     return True
@@ -535,7 +564,7 @@ def assemble(params, split_prefactor=False):
     product is series_exp(a_00) * matrix entrywise.
     """
     check_normalization_constants(params.algebra, params.s, params.s1,
-                                  params.s2, params.m_max)
+                                  params.s2, min(params.m_max, 2))
     left = _leg_images(params, "left")
     right = _leg_images(params, "right")
     order = params.order
@@ -551,20 +580,21 @@ def assemble(params, split_prefactor=False):
     one = ZetaSeries.one(order)
     acc = {(r, c): one for r, c in enumerate(product(lm, rm))}
     a00 = ZetaSeries.zero(order)
-    for root in roots:
-        if root.kind == "imaginary":
-            # the whole imaginary block at its first root; without imaginary
-            # roots (m_max = 0) the factor is the identity
-            if root.delta_mult == 1:
-                a00, factor = _imaginary_factor(
-                    etab, ftab, params, order, {c for _, c in acc},
-                    (lm[0], rm[0]))
-                acc = _weigh_columns(acc, factor)
+    for (kind, _), run in groupby(roots, lambda r: (r.kind, r.finite_part)):
+        if kind == "imaginary":
+            # the whole imaginary block, absent at m_max = 0
+            a00, factor = _imaginary_factor(
+                etab, ftab, params, order, {c for _, c in acc},
+                (lm[0], rm[0]))
+            acc = _weigh_columns(acc, factor)
             continue
-        e, f = etab.real_op(root), ftab.real_op(root)
-        if e is None or f is None or e.zexp + f.zexp > order:
-            continue
-        acc = _times_real_factor(acc, e, f, order)
+        # a run of one family: its vectors within the order, from the lowest
+        run = [r for r in run if etab.real_op(r).zexp + ftab.real_op(r).zexp
+               <= order]
+        if run:
+            low = min(run, key=lambda r: r.delta_mult)
+            acc = _times_real_factor(acc, etab.real_op(low),
+                                     ftab.real_op(low), order, len(run))
     acc = _weigh_columns(acc, _k_factor(left, right, params, order,
                                         {c for _, c in acc}))
     # the columns cut to the reported states, flattened left leg slowest

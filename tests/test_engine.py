@@ -448,20 +448,20 @@ def _forbid_generic_products(monkeypatch):
 
 @pytest.mark.parametrize("algebra, kw, brackets", [
     pytest.param("a1", dict(order=0), 1, id="a1-m0"),
-    pytest.param("a1", dict(order=5), 5, id="a1-m5"),
-    pytest.param("a1", dict(order=5, left="chi", fock_dim=4), 5,
+    pytest.param("a1", dict(order=5), 1, id="a1-m5"),
+    pytest.param("a1", dict(order=5, left="chi", fock_dim=4), 1,
                  id="a1-chi-m5"),
-    pytest.param("a2", dict(order=2), 8, id="a2-m2"),
-    pytest.param("a2", dict(order=6), 16, id="a2-m6"),
-    pytest.param("a2", dict(order=2, left="chi", fock_dim=3), 8,
+    pytest.param("a2", dict(order=2), 6, id="a2-m2"),
+    pytest.param("a2", dict(order=6), 6, id="a2-m6"),
+    pytest.param("a2", dict(order=2, left="chi", fock_dim=3), 6,
                  id="a2-chi-m2"),
 ])
 def test_delta_family_steps_take_no_bracket(monkeypatch, algebra, kw,
                                             brackets):
-    # the only brackets are the first vectors, e'_delta and the imaginary
-    # levels m >= 2: 1 + (m_max - 1) in rank 1, 6 + 2 (m_max - 1) in rank
-    # 2; a step along delta is a weight, not a bracket, and a bracket
-    # composes partial maps, with no matrix product
+    # the only brackets are the first vectors and e'_delta, 1 in rank 1
+    # and 6 in rank 2 whatever m_max: a step along delta is a weight and
+    # an imaginary level the products of e'_delta weighed, not a bracket,
+    # and a bracket composes partial maps, with no matrix product
     params = EngineParams(algebra, 1, 0, 0, **kw)
     leg = engine._leg_images(params, "left")
     calls = []
@@ -469,18 +469,20 @@ def test_delta_family_steps_take_no_bracket(monkeypatch, algebra, kw,
     monkeypatch.setattr(engine, "_bracket",
                         lambda x, y, p: calls.append(p) or bracket(x, y, p))
     _forbid_generic_products(monkeypatch)
-    build_root_vectors(leg, "e", params.m_max)
-    rank, first = (1, 1) if algebra == "a1" else (2, 6)
-    assert len(calls) == brackets == first + rank * max(params.m_max - 1, 0)
+    read_all(build_root_vectors(leg, "e", params.m_max),
+             _reported_states(leg, params.left, params))
+    assert len(calls) == brackets
 
 
-def read_all(tab, dim):
-    # every real vector and every imaginary level at every leg state: the
-    # table evaluates each at a state on first request
+def read_all(tab, states):
+    # every real vector and every imaginary level at every leg state (at
+    # range(n) for an int n): the table evaluates each at a state on first
+    # request
+    states = range(states) if isinstance(states, int) else states
     for vec in tab.real.values():
-        for x in range(dim):
+        for x in states:
             vec[x]
-    for x in range(dim):
+    for x in states:
         tab.leg(x)
     return tab
 
@@ -514,18 +516,19 @@ def test_a_non_diagonal_imaginary_level_is_rejected():
 
 
 def test_an_inhomogeneous_imaginary_level_is_rejected(monkeypatch):
-    # the levels are graded by construction; one whose vector along delta
-    # carries a power of zeta too many is caught
+    # the levels are graded by construction, level m of a family at zeta^(m
+    # zdelta) for zdelta its e'_delta's power; a composite that carries a
+    # power of zeta too many, here e_(delta - alpha) in rank 2, is caught
     class Shifted(engine.RootVector):
         __slots__ = ()
 
-        def __init__(self, zexp, rule):
-            along_delta = rule.__qualname__.startswith("_step.")
-            super().__init__(zexp + along_delta, rule)
-    img = phi_zeta("a1", 1, 0)
+        def __init__(self, zexp, rule, step=None):
+            composite = ".composite." in rule.__qualname__
+            super().__init__(zexp + composite, rule, step)
+    img = phi_zeta("a2", 1, 0, 0)
     build_root_vectors(img, "e", 2)
     monkeypatch.setattr(engine, "RootVector", Shifted)
-    with pytest.raises(EngineError, match="zeta grading .* at level 2"):
+    with pytest.raises(EngineError, match=r"zeta grading .* of \(1, 0\)"):
         build_root_vectors(img, "e", 2)
 
 
@@ -549,22 +552,54 @@ def test_a_wrong_normalization_constant_is_rejected(monkeypatch):
         check_normalization_constants(*key)
 
 
+def test_a_wrong_weight_along_delta_fails_the_normalization_check(
+        monkeypatch):
+    # 1/[2] scaled by q on the evaluation leg leaves every first vector,
+    # level 0, right and every vector above it wrong: the check at
+    # min(m_max, 2) catches it at level 1, and no assembly gets past it
+    check_normalization_constants.cache_clear()
+    monkeypatch.setattr(engine, "INV2", engine.INV2 * q_power(1))
+    for algebra, exps in (("a1", (1, 0, 0)), ("a2", (1, 0, 0))):
+        assert check_normalization_constants(algebra, *exps, 0)
+        with pytest.raises(EngineError, match=r"normalization .* 1\*delta"):
+            check_normalization_constants(algebra, *exps, 2)
+        with pytest.raises(EngineError, match="normalization"):
+            assemble(EngineParams(algebra, *exps, order=8))
+    check_normalization_constants.cache_clear()
+
+
+def test_the_normalization_check_needs_h_delta_to_vanish(monkeypatch):
+    # stopping at level 2 needs [h_beta] to be one constant along delta,
+    # h_delta = 0 on the evaluation leg: a leg with h_0 raised is refused
+    real = engine.phi_zeta
+
+    def raised(*args, **kwargs):
+        img = real(*args, **kwargs)
+        img.h_diags[0] = tuple(h + 1 for h in img.h_diags[0])
+        return img
+    check_normalization_constants.cache_clear()
+    monkeypatch.setattr(engine, "phi_zeta", raised)
+    with pytest.raises(EngineError, match="h_delta does not vanish"):
+        check_normalization_constants("a1", 1, 0, 0, 2)
+
+
 def test_the_normalization_check_runs_once_per_exponents(monkeypatch):
-    # two assemblies with the same exponents build the check's tables of
-    # the evaluation leg once: two tables for the check, two for the legs
-    # of each assembly
+    # assemblies with the same exponents build the check's tables of the
+    # evaluation leg once for every m_max >= 2, which it checks at level 2
+    # only: two tables for the check, two for the legs of each assembly
     check_normalization_constants.cache_clear()
     calls = []
     build = engine.build_root_vectors
     monkeypatch.setattr(engine, "build_root_vectors",
-                        lambda *a: calls.append(a[1]) or build(*a))
+                        lambda *a: calls.append(a[1:]) or build(*a))
     params = EngineParams("a2", 2, 1, 0, order=4)
     first = assemble(params)
     assert len(calls) == 4
     assert assemble(EngineParams("a2", 2, 1, 0, order=4)) == first
     assert len(calls) == 6
     assemble(EngineParams("a2", 2, 1, 0, order=6))
-    assert len(calls) == 10
+    assert len(calls) == 8
+    assert calls.count(("e", 2)) == 3 and ("e", 3) in calls
 
 
 def test_a_root_vector_with_two_entries_in_a_row_is_rejected():
@@ -584,6 +619,24 @@ def test_a_root_vector_with_two_entries_in_a_row_is_rejected():
         read_all(build_root_vectors(img, "e", 1), 3)
 
 
+def _runs(monkeypatch):
+    # every table built, and the keys of the left vectors each real factor
+    # reads: a run of n vectors from e, e and the n - 1 steps along delta
+    # above it
+    tables, runs = [], []
+    build, real_factor = engine.build_root_vectors, engine._times_real_factor
+
+    def factor(acc, e, f, order, run=1):
+        (key,) = [k for _, t in tables for k, v in t.real.items() if v is e]
+        runs.append([(key[0], key[1] + j) for j in range(run)])
+        return real_factor(acc, e, f, order, run)
+    monkeypatch.setattr(engine, "build_root_vectors",
+                        lambda *a: tables.append((a[1], build(*a))) or
+                        tables[-1][1])
+    monkeypatch.setattr(engine, "_times_real_factor", factor)
+    return tables, runs
+
+
 @pytest.mark.parametrize("exps, order, unread", [
     ((1, 0), 3, ((-1,), 4)),
     ((3, 2), 7, ((1,), 2)),
@@ -596,22 +649,77 @@ def test_the_unread_real_vector_depends_on_the_order(monkeypatch, exps,
     # The leg is the evaluation leg: on an a1 chi leg e'_delta is a scalar,
     # so every vector a step along delta vanishes and none is worth reading
     params = EngineParams("a1", *exps, order=order)
-    tables, read = [], []
-    build, real_factor = engine.build_root_vectors, engine._times_real_factor
-    monkeypatch.setattr(engine, "build_root_vectors",
-                        lambda *a: tables.append(build(*a)) or tables[-1])
-    monkeypatch.setattr(engine, "_times_real_factor",
-                        lambda acc, e, f, *a: read.append(e) or
-                        real_factor(acc, e, f, *a))
+    tables, runs = _runs(monkeypatch)
     assemble(params)
-    (etab,) = [t for t in tables if any(v is e for v in t.real.values()
-                                        for e in read)]
-    keys = {k for k, v in etab.real.items() if any(v is e for e in read)}
+    (etab,) = [t for side, t in tables[2:] if side == "e"]
+    keys = {k for run in runs for k in run}
     top = ((-1,), params.m_max + 1)
     assert matrix(etab.real[unread], 2)
     assert unread not in keys
     assert set(etab.real) - keys == {unread}
     assert (top in keys) == (unread != top)
+
+
+@pytest.mark.parametrize("variant", ["plain", "hat", "hat-twisted", "check",
+                                     "check-twisted"])
+def test_a1_assembly_makes_two_real_factor_passes(monkeypatch, variant):
+    # each family along delta is one run, and one relabel, at any order;
+    # the product equals the one that takes its vectors one at a time
+    kind = "r" if variant == "plain" else "l"
+    for order in range(1, 9):
+        params = engine_params_for(kind, "a1", variant, 1, 0, 0, order, 3)
+        with monkeypatch.context() as mp:
+            _, runs = _runs(mp)
+            got = assemble(params)
+        assert [run[0][0] for run in runs] == [(1,), (-1,)], order
+        # e_(alpha + m delta) at zeta^m and e_(-alpha + m delta) at zeta^m,
+        # m < order + 1 and 0 < m < order + 1
+        assert [len(run) for run in runs] == [order + 1, order], order
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "groupby", _one_root_runs)
+            assert assemble(params) == got, order
+
+
+def _one_root_runs(roots, key):
+    # the runs of `assemble` cut into runs of one real root each
+    for k, run in itertools.groupby(roots, key):
+        if k[0] == "imaginary":
+            yield k, run
+        else:
+            yield from ((k, [r]) for r in run)
+
+
+@pytest.mark.parametrize("kind, variant, order", [
+    ("r", "plain", 6), ("l", "hat-1", 4), ("l", "check-2", 3)])
+def test_a2_beta_families_make_one_pass_each(monkeypatch, kind, variant,
+                                             order):
+    # the (0, 1) and (0, -1) families are runs of the root order, and each
+    # is one relabel; the interleaved (1, 0) and (1, 1), (-1, 0) and (-1,
+    # -1) families take their vectors one at a time
+    params = engine_params_for(kind, "a2", variant, 1, 0, 0, order, 3)
+    with monkeypatch.context() as mp:
+        _, runs = _runs(mp)
+        got = assemble(params)
+    for gamma, n in (((0, 1), order + 1), ((0, -1), order)):
+        (run,) = [run for run in runs if run[0][0] == gamma]
+        assert len(run) == n
+    assert all(len(run) == 1 for run in runs if run[0][0][0])
+    monkeypatch.setattr(engine, "groupby", _one_root_runs)
+    assert assemble(params) == got
+
+
+def test_a_run_checks_x_squared_at_its_first_vectors():
+    # on a chi leg e_alpha does not square to zero: the run of its family
+    # raises at the column where its first vector alone does
+    params = EngineParams("a1", 1, 0, order=3, left="chi", fock_dim=4)
+    etab = build_root_vectors(engine._leg_images(params, "left"), "e", 3)
+    e = etab.real[((1,), 0)]
+    eye = identity(fock_states(4), fock_states(4))
+    with pytest.raises(EngineError, match="X\\^2") as one:
+        engine._times_real_factor(eye, e, e, 4)
+    with pytest.raises(EngineError) as run:
+        engine._times_real_factor(eye, e, e, 4, 3)
+    assert str(run.value) == str(one.value)
 
 
 def inverse_coupling(um, m):
