@@ -10,11 +10,12 @@ ring (`linalg.OscPoly`), so this field never nests.
 Canonical form: the denominator is an ordinary polynomial in zeta with
 minimal degree zero and lowest coefficient 1, and numerator and
 denominator share no factor.  One division of zeta-polynomials over Q(t)
-(`_divmod`) gives both: Euclid's remainders find the gcd, and its exact
-quotients strip it from numerator and denominator.
+(`_divmod`, the package's shared long division `scalars._p_divmod`) gives
+both: Euclid's remainders find the gcd, and its exact quotients strip it
+from numerator and denominator.
 """
 
-from .scalars import QScalar, _p_add, _p_conv, _p_neg, _p_shift
+from .scalars import QScalar, _p_add, _p_conv, _p_divmod, _p_neg, _p_shift
 
 __all__ = ["ZetaRational"]
 
@@ -32,25 +33,8 @@ def _scale(p, c):
 def _divmod(a, b):
     """(q, r) with a = q b + r and deg r < deg b, for zeta-polynomials over
     Q(t)."""
-    db = max(b)
-    lb_inv = b[db].inverse()
-    r = dict(a)
-    q = {}
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        c = q[dr - db] = r.pop(dr) * lb_inv
-        for kb, cb in b.items():
-            if kb != db:
-                kk = kb + dr - db
-                s = r.get(kk)
-                s = -(cb * c) if s is None else s - cb * c
-                if s:
-                    r[kk] = s
-                else:
-                    r.pop(kk, None)
-    return q, r
+    inv = b[max(b)].inverse()
+    return _p_divmod(a, b, lambda c, lb: c * inv)
 
 
 def _exquo(a, b):

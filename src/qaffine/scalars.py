@@ -19,13 +19,17 @@ no zero stored (`_p_add`, `_p_neg`, `_p_conv`) are generic over the key and
 the coefficient kind, and serve every sparse dict of the package: the
 polynomials here, the zeta-polynomials over Q(t) of the rationals and
 series, the oscillator ring and matrix entries of linalg, and the
-two-variable polynomials of the identity checks.  `_p_mul` multiplies the
-integer polynomials of this module, by Kronecker substitution when they
-are large.
+two-variable polynomials of the identity checks.  So is the one long
+division, `_p_divmod`, which takes the coefficient quotient as an argument:
+the exact quotient over Z (`_p_exquo`), GCDHEU's trial division, the PRS's
+pseudo-remainder and the zeta-polynomial division of `rational` all call
+it.  `_p_mul` multiplies the integer polynomials of this module, by
+Kronecker substitution when they are large.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import floordiv
 
 __all__ = [
     "QScalar", "q_power", "t_power", "qint", "parse_qscalar",
@@ -137,36 +141,46 @@ def _p_shift(a, n):
     return {k + n: c for k, c in a.items()}
 
 
+def _p_divmod(a, b, div):
+    """(q, r) with a = q b + r and deg r < deg b, for sparse polynomials
+    over any coefficient kind; div(c, lb) is the exact quotient of a
+    coefficient by b's leading coefficient lb."""
+    db = max(b)
+    lb = b[db]
+    tail = [(kb - db, cb) for kb, cb in b.items() if kb != db]
+    r = dict(a)
+    q = {}
+    while r:
+        dr = max(r)
+        if dr < db:
+            break
+        c = q[dr - db] = div(r.pop(dr), lb)
+        for kb, cb in tail:
+            kk = kb + dr
+            s = r.get(kk)
+            s = -(cb * c) if s is None else s - cb * c
+            if s:
+                r[kk] = s
+            else:
+                del r[kk]
+    return q, r
+
+
+def _int_quo(c, lb):
+    c, m = divmod(c, lb)
+    if m:
+        raise ArithmeticError("polynomial division is not exact")
+    return c
+
+
 def _p_exquo(a, b):
     """a / b over Z for ordinary polynomials; ArithmeticError unless b
     divides a with an integer quotient.  Every divisor in the package is a
     primitive gcd or a factor of an lcm built from the dividend's factors,
-    so by Gauss's lemma an exact quotient over Q is one over Z.  The
-    remainder's degrees, all multiples of `step`, are walked down once."""
+    so by Gauss's lemma an exact quotient over Q is one over Z."""
     if a == b:
         return {0: 1}
-    db = max(b)
-    lb = b[db]
-    step = gcd(*a, *b) or 1
-    r = dict(a)
-    q = {}
-    dr = max(a)
-    while dr >= db:
-        c = r.pop(dr, 0)
-        if c:
-            c, m = divmod(c, lb)
-            if m:
-                raise ArithmeticError("polynomial division is not exact")
-            q[dr - db] = c
-            for kb, cb in b.items():
-                if kb != db:
-                    kk = kb + dr - db
-                    s = r.get(kk, 0) - cb * c
-                    if s:
-                        r[kk] = s
-                    else:
-                        r.pop(kk, None)
-        dr -= step
+    q, r = _p_divmod(a, b, _int_quo)
     if r:
         raise ArithmeticError("polynomial division is not exact")
     return q
@@ -179,38 +193,15 @@ def _int_primitive(a):
     return {k: c // g for k, c in a.items()}
 
 
-def _int_pseudo_rem(a, b):
-    db = max(b)
-    lb = b[db]
-    r = a
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        lr = r[dr]
-        new = {}
-        for k, c in r.items():
-            if k != dr:
-                new[k] = c * lb
-        for k, c in b.items():
-            if k == db:
-                continue
-            kk = k + dr - db
-            s = new.get(kk, 0) - c * lr
-            if s:
-                new[kk] = s
-            else:
-                new.pop(kk, None)
-        r = new
-    return r
-
-
 def _prs_gcd(a, b):
-    # primitive pseudo-remainder sequence over the integers
+    # primitive pseudo-remainder sequence over the integers: the remainder
+    # of lb^(deg a - deg b + 1) a by b has an integer quotient on the way
     if max(a) < max(b):
         a, b = b, a
     while b:
-        r = _int_pseudo_rem(a, b)
+        db = max(b)
+        m = b[db] ** (max(a) - db + 1)
+        r = _p_divmod({k: c * m for k, c in a.items()}, b, floordiv)[1]
         a, b = b, (_int_primitive(r) if r else {})
     return a
 
@@ -259,25 +250,6 @@ def _interpolate(h, xi):
     return out
 
 
-def _divides(f, h):
-    """True when the dense integer polynomial h divides f over Z; the long
-    division stops at the first leading coefficient that does not divide."""
-    r = list(f)
-    dh = len(h) - 1
-    lh = h[dh]
-    tail = [(j, c) for j, c in enumerate(h[:dh]) if c]
-    for i in range(len(r) - 1, dh - 1, -1):
-        c = r[i]
-        if c:
-            q, m = divmod(c, lh)
-            if m:
-                return False
-            base = i - dh
-            for j, cj in tail:
-                r[base + j] -= q * cj
-    return not any(r[:dh])
-
-
 def _heu_gcd(a, b):
     """gcd of two primitive integer polynomials, primitive with a positive
     leading coefficient, or None when the heuristic gives up."""
@@ -292,10 +264,13 @@ def _heu_gcd(a, b):
         cont = gcd(*p)
         if p[-1] < 0:
             cont = -cont
-        h = [c // cont for c in p]
-        if _divides(f, h) and _divides(g, h):
-            return {j * stride: c for j, c in enumerate(h) if c}
-        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+        h = {j * stride: c // cont for j, c in enumerate(p) if c}
+        try:
+            _p_exquo(a, h)
+            _p_exquo(b, h)
+            return h
+        except ArithmeticError:
+            xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
     return None
 
 

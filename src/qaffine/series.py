@@ -80,6 +80,9 @@ class ZetaSeries:
         order = min(self.order, other.order)
         lo = self.min_degree + other.min_degree
         a, b = self.coeffs, other.coeffs
+        if len(b) == 1:
+            # QScalar products commute, so a one-term factor goes first
+            a, b = b, a
         if len(a) == 1:
             (da, ca), = a.items()
             if ca.is_one():
@@ -87,13 +90,6 @@ class ZetaSeries:
                                    if db + da <= order}, order, lo)
             return ZetaSeries({db + da: ca * cb for db, cb in b.items()
                                if db + da <= order}, order, lo)
-        if len(b) == 1:
-            (db, cb), = b.items()
-            if cb.is_one():
-                return ZetaSeries({da + db: ca for da, ca in a.items()
-                                   if da + db <= order}, order, lo)
-            return ZetaSeries({da + db: ca * cb for da, ca in a.items()
-                               if da + db <= order}, order, lo)
         out = {}
         for da, ca in a.items():
             for db, cb in b.items():

@@ -60,10 +60,14 @@
   methods every `QScalar(...)` passes `_canonical=True`, so `_normalize`,
   which reduces an arbitrary pair, runs only where values enter (the
   public constructor, as `qint_base` and `parse_qscalar` call it).
-* One division of zeta-polynomials: rational.py has one remainder loop,
-  `_divmod`, which gives both its exact quotient (`_exquo`) and Euclid's
-  gcd (`_gcd`), and it borrows no polynomial gcd, exact quotient or
-  product in t from scalars.py.
+* One long division: in scalars.py and rational.py only
+  `scalars._p_divmod` loops over the divisor's terms, subtracting a
+  multiple of each, inside a loop over the dividend's degrees.  The exact
+  quotient over Z (`_p_exquo`), both integer gcds (`_heu_gcd`, `_prs_gcd`)
+  and the zeta-polynomial division of rational.py with its exact quotient
+  and Euclid's gcd (`_divmod`, `_exquo`, `_gcd`) all call it.  rational.py
+  borrows no polynomial gcd, exact quotient or product in t from
+  scalars.py.
 """
 
 import ast
@@ -268,8 +272,7 @@ def test_an_l_operator_has_one_form():
 def test_fraction_in_scalars_only_at_the_boundaries():
     allowed = {"_coeff", "from_fraction", "__str__", "_poly_str",
                "_normalize", "q_power"}
-    named = {"_prs_gcd", "_heu_gcd", "_divides", "_reduce_pair",
-             "_content_reduced"}
+    named = {"_prs_gcd", "_heu_gcd", "_reduce_pair", "_content_reduced"}
     tree = ast.parse((SRC / "qaffine" / "scalars.py").read_text())
     helpers = {node.name for node in tree.body
                if isinstance(node, ast.FunctionDef)
@@ -513,19 +516,44 @@ def test_one_sparse_arithmetic_kernel():
     assert "_p_mul" not in called
 
 
-def test_one_division_of_zeta_polynomials():
-    defs = _definitions("rational.py")
-    # a remainder loop repeats a subtract-a-multiple step, which loops over
-    # the divisor's terms itself; Euclid's loop in `_gcd` only calls it
-    remainder_loops = sorted(
-        name for name, fn in defs.items()
-        if any(isinstance(inner, (ast.For, ast.comprehension))
-               for loop in ast.walk(fn) if isinstance(loop, ast.While)
-               for inner in ast.walk(loop)))
-    assert remainder_loops == ["_divmod"]
-    for name in ("_exquo", "_gcd"):
-        assert "_divmod" in {node.id for node in ast.walk(defs[name])
-                             if isinstance(node, ast.Name)}
+def _division_steps(fn):
+    """True when fn runs a long-division step: inside a loop over the
+    dividend's degrees, a loop over the divisor's terms that subtracts a
+    multiple of each term."""
+    def subtracts_a_product(node):
+        # x - y * z, or x -= y * z
+        value = getattr(node, "right", getattr(node, "value", None))
+        return isinstance(node, (ast.BinOp, ast.AugAssign)) \
+            and isinstance(node.op, ast.Sub) \
+            and isinstance(value, ast.BinOp) and isinstance(value.op, ast.Mult)
+    loops = (ast.For, ast.While)
+    return any(inner is not outer
+               and isinstance(inner, (ast.For, ast.comprehension))
+               and any(subtracts_a_product(n) for n in ast.walk(inner))
+               for outer in ast.walk(fn) if isinstance(outer, loops)
+               for inner in ast.walk(outer))
+
+
+def test_one_long_division():
+    defs = {module: _definitions(module)
+            for module in ("scalars.py", "rational.py")}
+    steps = ["%s:%s" % (module, name) for module, fns in defs.items()
+             for name, fn in fns.items() if _division_steps(fn)]
+    assert steps == ["scalars.py:_p_divmod"]
+
+    def reaches(module, name, seen):
+        # the names the function refers to, followed through the module's own
+        # functions, include `_p_divmod`
+        seen.add(name)
+        named = {node.id for node in ast.walk(defs[module][name])
+                 if isinstance(node, ast.Name)}
+        return "_p_divmod" in named or any(
+            reaches(module, other, seen)
+            for other in named & set(defs[module]) - seen)
+    callers = {"scalars.py": ("_p_exquo", "_prs_gcd", "_heu_gcd"),
+               "rational.py": ("_divmod", "_exquo", "_gcd")}
+    assert [(module, name) for module, names in callers.items()
+            for name in names if not reaches(module, name, set())] == []
     tree = ast.parse((SRC / "qaffine" / "rational.py").read_text())
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)

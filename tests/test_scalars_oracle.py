@@ -16,7 +16,7 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from qaffine import scalars  # noqa: E402
+from qaffine import rational, scalars  # noqa: E402
 from qaffine.scalars import QScalar, parse_qscalar, qint, q_power  # noqa: E402
 from oracles import subs_t_inverse  # noqa: E402
 
@@ -252,15 +252,17 @@ def test_heuristic_agrees_with_prs():
     ({0: -9, 1: 3, 3: 1, 4: 1}, {1: -6, 2: 3, 3: -2, 4: 1}, {0: 3, 2: 1}),
 ])
 def test_heuristic_retries_after_a_false_candidate(f, g, want, monkeypatch):
+    # the candidates whose trial division leaves a remainder
     rejected = []
-    divides = scalars._divides
+    exquo = scalars._p_exquo
 
     def checked(a, h):
-        ok = divides(a, h)
-        if not ok:
+        try:
+            return exquo(a, h)
+        except ArithmeticError:
             rejected.append(h)
-        return ok
-    monkeypatch.setattr(scalars, "_divides", checked)
+            raise
+    monkeypatch.setattr(scalars, "_p_exquo", checked)
     assert scalars._heu_gcd(f, g) == want
     assert rejected
     assert _positive(scalars._prs_gcd(f, g)) == want
@@ -355,6 +357,105 @@ def test_packed_product_matches_the_term_loop(a, b, sa, sb):
     got = scalars._p_mul_packed(a, b)
     assert got == want
     assert all(type(c) is int for c in got.values())
+
+
+# -- the one long division against sympy's div and prem ------------------------
+
+Z = sympy.Symbol("z")
+_DIV_SETTINGS = hypothesis.settings(max_examples=40, deadline=None,
+                                    derandomize=True, database=None)
+# small coefficients, so that sympy's field arithmetic stays quick
+_small_qscalars = st.builds(
+    QScalar, st.dictionaries(st.integers(-2, 2), st.integers(-3, 3),
+                             min_size=1, max_size=2),
+    st.fixed_dictionaries({0: st.integers(1, 3), 1: st.integers(-2, 2)})
+).filter(bool)
+_zpoly = st.dictionaries(st.integers(0, 3), _small_qscalars, min_size=1,
+                         max_size=3)
+
+
+def _zexpr(p):
+    return sympy.Add(*[_value(c) * Z ** k for k, c in p.items()])
+
+
+@_DIV_SETTINGS
+@hypothesis.given(_zpoly, _zpoly, _small_qscalars)
+def test_division_over_q_t_matches_sympy(a, b, lead):
+    # b's leading coefficient lead * (2 + t) is no unit of Z[t, 1/t]
+    b = dict(b)
+    b[max(b) + 1] = lead * QScalar({0: 2, 1: 1})
+    q, r = rational._divmod(a, b)
+    assert all(q.values()) and all(r.values())
+    assert not r or max(r) < max(b)
+    field = sympy.QQ.frac_field(T)
+    want_q, want_r = sympy.div(sympy.Poly(_zexpr(a), Z, domain=field),
+                               sympy.Poly(_zexpr(b), Z, domain=field))
+    for got, want in ((q, want_q), (r, want_r)):
+        assert sympy.cancel(_zexpr(got) - want.as_expr()) == 0
+    assert sympy.cancel(_zexpr(q) * _zexpr(b) + _zexpr(r) - _zexpr(a)) == 0
+
+
+def _int_dict(expr):
+    return {m[0]: int(c) for m, c in sympy.Poly(expr, T).terms() if c}
+
+
+_small = st.integers(-6, 6).filter(bool)
+_ipoly = st.dictionaries(st.integers(0, 5), _small, min_size=1, max_size=4)
+
+
+@_DIV_SETTINGS
+@hypothesis.given(_ipoly, _ipoly, _ipoly,
+                  st.dictionaries(st.integers(0, 9), _small, min_size=1,
+                                  max_size=2))
+def test_integer_division_raises_exactly_off_z(q0, b, extra, r0):
+    # q0 b is exact; q0 b + r0 leaves a remainder, or a fractional
+    # quotient once r0 reaches b's degree
+    b = scalars._p_add(b, {max(b) + 1: max(extra.values())})
+    exact = scalars._p_mul(q0, b)
+    for a in (exact, scalars._p_add(exact, r0)):
+        if not a:
+            continue
+        want_q, want_r = sympy.div(_expr(a), _expr(b), T)
+        integral = all(c.is_integer for c in sympy.Poly(want_q, T).coeffs())
+        try:
+            q, r = scalars._p_divmod(a, b, scalars._int_quo)
+        except ArithmeticError:
+            assert not integral
+        else:
+            assert integral
+            assert (q, r) == (_int_dict(want_q), _int_dict(want_r))
+        try:
+            got = scalars._p_exquo(a, b)
+        except ArithmeticError:
+            assert not (integral and want_r == 0)
+        else:
+            assert integral and want_r == 0 and got == _int_dict(want_q)
+
+
+@_DIV_SETTINGS
+@hypothesis.given(_ipoly, _ipoly, _ipoly)
+def test_prs_remainders_are_sympy_prem(f, g, common):
+    f = scalars._p_mul(common, scalars._p_add(f, {6: 1}))
+    g = scalars._p_mul(common, scalars._p_add(g, {4: -2}))
+    hypothesis.assume(len(f) > 1 and len(g) > 1)
+    calls = []
+    divmod_ = scalars._p_divmod
+
+    def recorded(a, b, div):
+        out = divmod_(a, b, div)
+        calls.append((b, out[1]))
+        return out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "_p_divmod", recorded)
+        scalars._prs_gcd(f, g)
+    # the sequence again, each remainder from sympy.prem
+    a, b = (f, g) if max(f) >= max(g) else (g, f)
+    assert calls
+    for divisor, rem in calls:
+        assert divisor == b
+        assert rem == _int_dict(sympy.prem(_expr(a), _expr(b), T))
+        a, b = b, (scalars._int_primitive(rem) if rem else {})
+    assert not b
 
 
 # -- the sparse-dict kernel against dense sums ---------------------------------
